@@ -43,6 +43,7 @@ from .cup import cup, cup_component
 from .graded import Element, GradedModule, MultilinearOp, apply, degree, graded_module, reduced_index
 from .homology import (
     ExactMatrix,
+    FiniteComplex,
     HomologySummary,
     homology_at,
     induced_map_on_homology,

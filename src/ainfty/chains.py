@@ -53,6 +53,8 @@ class HochschildComplex:
         self.L = length_cutoff
         self.ring = bimodule.ring
         self._b_cache: dict[Word, Chain] = {}
+        # length p -> route -> column complex of the zeroth page (spectral.py)
+        self.columns: dict[int, dict] = {}
 
     def words(self, n: int) -> list[Word]:
         """Length-n words, ordered by (degree, slot positions)."""
@@ -163,13 +165,6 @@ class HochschildComplex:
                         acc, (m,) + letters[: i - 1] + (name,) + letters[i:], s * c
                     )
         return normalize(acc, self.ring)
-
-
-def star_exponent(complex_: HochschildComplex, word: Word, i: int) -> int:
-    letters = word[1:]
-    a_degs = [complex_.A.module.degree_of(a) for a in letters]
-    m_deg = complex_.M.module.degree_of(word[0])
-    return star_sign(m_deg, a_degs, i + 1)
 
 
 class InducedChainMap:

@@ -8,19 +8,15 @@
 Commands: validate, hh, cohomology, cup, spectral, verify, emit. Exit codes:
 0 all verdicts pass, 1 some verdict failed, 2 input error. Reports are
 byte-identical across runs for fixed inputs and flags; timing goes to stderr.
-AINFTY_THREADS caps worker parallelism for the verify suite (the compute
-modules are pure, so this never changes results).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv as _csv
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import spectral
 from .algebra import validate as validate_algebra
@@ -33,8 +29,7 @@ from .bimodules import (
 )
 from .chains import HochschildComplex, InducedChainMap
 from .cochains import (
-    beta_matrix,
-    cochain_basis,
+    cochain_complex,
     codifferential,
     duality_iso,
     b_star,
@@ -43,9 +38,9 @@ from .cochains import (
 )
 from .cup import cup, cup_degree
 from .documents import StructureDocument, parse, serialize
-from .errors import AinftyError, DocumentError, UnknownFixture, UnknownName
+from .errors import AinftyError, DocumentError, UnknownName
 from .fixtures import fixture_document
-from .homology import ExactMatrix, determinant, homology_at, invariant_factors, smith_normal_form
+from .homology import ExactMatrix, determinant, invariant_factors, smith_normal_form
 from .spectral import comparison_check, page1
 
 
@@ -83,23 +78,10 @@ class Report:
         return 1
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("AINFTY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_checks(checks, report: Report):
-    """Run (label, thunk) pairs, optionally on a bounded thread pool."""
-    workers = _thread_count()
-    if workers == 1:
-        results = [(label, thunk()) for label, thunk in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(label, pool.submit(thunk)) for label, thunk in checks]
-            results = [(label, fut.result()) for label, fut in futures]
-    for label, outcome in results:
+    """Run (label, thunk) pairs in order and record each outcome."""
+    for label, thunk in checks:
+        outcome = thunk()
         ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
         report.check(label, bool(ok), detail)
 
@@ -148,42 +130,29 @@ def cmd_validate(doc: StructureDocument, args, report: Report):
             )
 
 
-def _truncated_homology(doc: StructureDocument, module_name: str, length: int):
-    M = resolve_bimodule(doc, module_name)
-    cx = HochschildComplex(M, length)
-    return cx, spectral.homology_of_truncation(cx, length)
-
-
 def cmd_hh(doc: StructureDocument, args, report: Report):
     module_name = args.module or "diagonal"
-    cx, table = _truncated_homology(doc, module_name, args.length)
+    M = resolve_bimodule(doc, module_name)
+    fc = spectral.truncation(HochschildComplex(M, args.length), args.length)
     degrees = _parse_degrees(args.degrees)
     report.line(f"Hochschild homology of F_{args.length}, coefficients {module_name}")
-    for j in sorted(table) if degrees is None else degrees:
-        summary = table.get(j)
-        if summary is None:
-            d_empty = ExactMatrix(0, 0)
-            summary = homology_at(d_empty, d_empty, cx.ring, degree=j)
-        report.homology_row(f"HH({module_name})", j, summary)
+    for j in sorted(fc.basis) if degrees is None else degrees:
+        report.homology_row(f"HH({module_name})", j, fc.homology(j))
 
 
 def cmd_cohomology(doc: StructureDocument, args, report: Report):
     module_name = args.module or "diagonal"
     M = resolve_bimodule(doc, module_name)
     cutoff = args.length
-    basis = cochain_basis(M, cutoff)
+    fc = cochain_complex(M, cutoff)
     degrees = _parse_degrees(args.degrees)
-    js = sorted(basis) if degrees is None else list(degrees)
     report.line(
         f"Hochschild cohomology, arity cutoff {cutoff}, coefficients {module_name}"
     )
     if module_name == "diagonal":
         report.line("note: CH^*(A) degree = reported degree + 1")
-    for j in js:
-        d_out = beta_matrix(M, cutoff, j, basis)
-        d_in = beta_matrix(M, cutoff, j - 1, basis)
-        summary = homology_at(d_out, d_in, M.ring, degree=j)
-        report.homology_row(f"HH^*({module_name})", j, summary)
+    for j in sorted(fc.basis) if degrees is None else degrees:
+        report.homology_row(f"HH^*({module_name})", j, fc.homology(j))
 
 
 def cmd_cup(doc: StructureDocument, args, report: Report):
@@ -277,6 +246,8 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
     for name, M in sorted(doc.bimodules.items()):
         modules[name] = M
         bounds[name] = args.max_rs
+    # one complex per module, so the b, phi and E1 checks share its caches
+    complexes = {name: HochschildComplex(M, length) for name, M in modules.items()}
 
     def bimodule_ok(M, bound):
         for (r, s), verdict in validate_bimodule(M, bound).items():
@@ -292,15 +263,14 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
             )
         )
 
-    def b_squared_ok(M):
-        cx = HochschildComplex(M, length)
+    def b_squared_ok(cx):
         for w in cx.all_words():
             if cx.differential(cx.differential_word(w)):
                 return False, f"b(b({w})) != 0"
         return True, ""
 
     for name in sorted(modules):
-        checks.append((f"b.b = 0 [{name}]", lambda M=modules[name]: b_squared_ok(M)))
+        checks.append((f"b.b = 0 [{name}]", lambda cx=complexes[name]: b_squared_ok(cx)))
 
     def morphism_ok(f):
         for (r, s), verdict in validate_morphism(f, args.max_rs).items():
@@ -351,9 +321,8 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         ("beta.beta = 0 [diagonal]", lambda: beta_squared_ok(modules["diagonal"]))
     )
 
-    def phi_square_ok(M):
-        cx = HochschildComplex(M, length)
-        dual = dual_bimodule(M)
+    def phi_square_ok(cx):
+        dual = dual_bimodule(cx.M)
         for n in range(min(2, length) + 1):
             for w in cx.words(n):
                 psi = DualChainElement(cx, {w: 1})
@@ -363,10 +332,9 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
                     return False, f"phi(b*={w}) != beta(phi({w}))"
         return True, ""
 
-    checks.append(("phi duality square [diagonal]", lambda: phi_square_ok(modules["diagonal"])))
+    checks.append(("phi duality square [diagonal]", lambda: phi_square_ok(complexes["diagonal"])))
 
-    def e1_ok(M):
-        cx = HochschildComplex(M, length)
+    def e1_ok(cx):
         for p in range(length + 1):
             for q in spectral.column_weights(cx, p):
                 direct = page1(cx, p, q, route="direct")
@@ -376,7 +344,7 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         return True, ""
 
     for name in sorted(modules):
-        checks.append((f"E1 two-path agreement [{name}]", lambda M=modules[name]: e1_ok(M)))
+        checks.append((f"E1 two-path agreement [{name}]", lambda cx=complexes[name]: e1_ok(cx)))
 
     diagonal = modules["diagonal"]
     named = doc.cochains(diagonal)
@@ -480,9 +448,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.csv:
             _write_csv(args.csv, report.rows)
         return code
-    except (DocumentError, UnknownFixture, UnknownName) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
     except AinftyError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

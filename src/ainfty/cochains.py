@@ -25,6 +25,7 @@ from .bimodules import (
 from .chains import Chain, HochschildComplex, InducedChainMap
 from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
 from .graded import Word
+from .homology import FiniteComplex
 from .signs import maltese, sign
 
 # arity -> input word -> {output basis name: coefficient}
@@ -133,7 +134,6 @@ def codifferential(f: Cochain) -> Cochain:
     """
     A, M = f.A, f.M
     amod = A.module
-    ring = M.ring
     acc: Components = {}
     truncated = f.truncated
 
@@ -182,18 +182,7 @@ def codifferential(f: Cochain) -> Cochain:
                             for out_name, v in out.terms.items():
                                 bump(n + l, target, out_name, sv * c * v)
 
-    # drop ring-zero coefficients before validation
-    cleaned: Components = {}
-    for n, table in acc.items():
-        good = {}
-        for w, val in table.items():
-            slot = {name: ring.normalize(c) for name, c in val.items()}
-            slot = {name: c for name, c in slot.items() if c}
-            if slot:
-                good[w] = slot
-        if good:
-            cleaned[n] = good
-    return Cochain(f.M, f.degree + 1, cleaned, f.cutoff, truncated)
+    return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)
 
 
 class DualChainElement:
@@ -397,26 +386,20 @@ def cochain_basis(
     return out
 
 
-def beta_matrix(M: AInfinityBimodule, cutoff: int, j: int, basis=None):
-    """Matrix of the codifferential CH^j -> CH^{j+1} on elementary cochains."""
-    from .homology import ExactMatrix
+def cochain_complex(M: AInfinityBimodule, cutoff: int) -> FiniteComplex:
+    """CH^*(A;M) up to arity cutoff on elementary cochains, with beta as differential."""
 
-    basis = basis if basis is not None else cochain_basis(M, cutoff)
-    src = basis.get(j, [])
-    dst = basis.get(j + 1, [])
-    index = {key: i for i, key in enumerate(dst)}
-    cols = []
-    for n, word, name in src:
-        image = codifferential(elementary_cochain(M, word, name, cutoff))
-        col: dict[int, int] = {}
-        for arity, table in image.components.items():
-            for w, value in table.items():
-                for out_name, c in value.items():
-                    i = index.get((arity, w, out_name))
-                    if i is not None:
-                        col[i] = col.get(i, 0) + c
-        cols.append(col)
-    return ExactMatrix.from_columns(len(dst), cols)
+    def image(key: tuple[int, Word, str]) -> dict[tuple[int, Word, str], int]:
+        _, word, name = key
+        out = codifferential(elementary_cochain(M, word, name, cutoff))
+        return {
+            (n, w, out_name): c
+            for n, table in out.components.items()
+            for w, value in table.items()
+            for out_name, c in value.items()
+        }
+
+    return FiniteComplex(M.ring, cochain_basis(M, cutoff), image, step=1)
 
 
 def regraded_codifferential(f: Cochain) -> Cochain:
@@ -430,7 +413,6 @@ def regraded_codifferential(f: Cochain) -> Cochain:
     """
     A, M = f.A, f.M
     amod = A.module
-    ring = M.ring
     acc: Components = {}
     truncated = f.truncated
 
@@ -478,14 +460,4 @@ def regraded_codifferential(f: Cochain) -> Cochain:
                                 for out_name, v in out.terms.items():
                                     bump(n + l, target, out_name, sv * c * v)
 
-    cleaned: Components = {}
-    for n, table in acc.items():
-        good = {}
-        for w, val in table.items():
-            slot = {k: ring.normalize(c) for k, c in val.items()}
-            slot = {k: c for k, c in slot.items() if c}
-            if slot:
-                good[w] = slot
-        if good:
-            cleaned[n] = good
-    return Cochain(f.M, f.degree + 1, cleaned, f.cutoff, truncated)
+    return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)

@@ -89,7 +89,6 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     cutoff = min(f.cutoff, g.cutoff)
     acc: Components = {}
     truncated = f.truncated or g.truncated
-    ring = f.M.ring
     for m, table_f in f.components.items():
         for n, table_g in g.components.items():
             for k_arity in f.A.ops:
@@ -106,16 +105,6 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
                             slot = acc.setdefault(m + n + k, {}).setdefault(word, {})
                             for t, c in value.items():
                                 slot[t] = slot.get(t, 0) + c
-    cleaned: Components = {}
-    for arity, table in acc.items():
-        good = {}
-        for w, val in table.items():
-            slot = {t: ring.normalize(c) for t, c in val.items()}
-            slot = {t: c for t, c in slot.items() if c}
-            if slot:
-                good[w] = slot
-        if good:
-            cleaned[arity] = good
     # total degree: additive in the CH^*(A) convention
     out_degree = (cup_degree(f) + cup_degree(g)) - 1
-    return Cochain(f.M, out_degree, cleaned, cutoff, truncated)
+    return Cochain(f.M, out_degree, acc, cutoff, truncated)

@@ -8,7 +8,7 @@ re-verifies D = U*M*V by multiplication before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import NotAComplex, NotChainMap
 from .rings import CoefficientRing
@@ -382,10 +382,7 @@ class HomologySummary:
         return " + ".join(bits) if bits else "0"
 
 
-def homology_at(
-    d_out: ExactMatrix, d_in: ExactMatrix, ring: CoefficientRing, degree: int = 0
-) -> HomologySummary:
-    """Homology ker(d_out)/im(d_in) with d_out: C_j -> C_{j-1}, d_in: C_{j+1} -> C_j."""
+def _require_complex(d_out: ExactMatrix, d_in: ExactMatrix, ring: CoefficientRing) -> None:
     if d_out.cols != d_in.rows:
         raise IndexError("boundary matrices do not line up")
     composite = d_out @ d_in
@@ -393,16 +390,95 @@ def homology_at(
         composite = composite.mod(ring.p)
     if not composite.is_zero():
         raise NotAComplex("composite of boundary maps is nonzero")
-    n = d_out.cols
+
+
+def _factor(mat: ExactMatrix, ring: CoefficientRing):
+    """All that homology needs of one boundary: invariant factors over Z, rank over Z/p."""
     if ring.is_field:
-        p = ring.p
-        r_out = rank_modp(d_out.mod(p), p)
-        r_in = rank_modp(d_in.mod(p), p)
-        return HomologySummary(degree, ring, n - r_out - r_in)
-    factors_in = invariant_factors(d_in)
-    r_out = rank_z(d_out)
-    torsion = tuple(d for d in factors_in if d > 1)
-    return HomologySummary(degree, ring, n - r_out - len(factors_in), torsion)
+        return rank_modp(mat.mod(ring.p), ring.p)
+    return invariant_factors(mat)
+
+
+def _summary(n: int, f_out, f_in, ring: CoefficientRing, degree: int) -> HomologySummary:
+    """Homology of rank-n C_j from the factors of the boundaries out of and into it."""
+    if ring.is_field:
+        return HomologySummary(degree, ring, n - f_out - f_in)
+    torsion = tuple(d for d in f_in if d > 1)
+    return HomologySummary(degree, ring, n - len(f_out) - len(f_in), torsion)
+
+
+def homology_at(
+    d_out: ExactMatrix, d_in: ExactMatrix, ring: CoefficientRing, degree: int = 0
+) -> HomologySummary:
+    """Homology ker(d_out)/im(d_in) with d_out: C_j -> C_{j-1}, d_in: C_{j+1} -> C_j."""
+    _require_complex(d_out, d_in, ring)
+    return _summary(d_out.cols, _factor(d_out, ring), _factor(d_in, ring), ring, degree)
+
+
+def basis_matrix(src: Sequence, dst: Sequence, image: Callable[[Any], dict]) -> ExactMatrix:
+    """Matrix of a linear map from the span of src to the span of dst.
+
+    image(key) is a sparse vector {key: coefficient}; terms on keys outside
+    dst are dropped.
+    """
+    index = {key: i for i, key in enumerate(dst)}
+    cols = []
+    for key in src:
+        col = {}
+        for out, c in image(key).items():
+            i = index.get(out)
+            if i is not None:
+                col[i] = c
+        cols.append(col)
+    return ExactMatrix.from_columns(len(dst), cols)
+
+
+class FiniteComplex:
+    """A finite free complex: a graded basis plus a differential on basis keys.
+
+    basis maps each degree to its ordered keys; image(key) is the
+    differential of one key as {key: coefficient}, landing in degree
+    degree + step (step = -1 for chains, +1 for cochains). Degrees missing
+    from basis are zero. Each boundary matrix is built and factored once;
+    the cache keeps the sparse boundaries and their factors only.
+    """
+
+    def __init__(
+        self,
+        ring: CoefficientRing,
+        basis: dict[int, list],
+        image: Callable[[Any], dict],
+        step: int = -1,
+    ):
+        self.ring = ring
+        self.basis = basis
+        self.image = image
+        self.step = step
+        self._boundaries: dict[int, ExactMatrix] = {}
+        self._factors: dict[int, Any] = {}
+
+    def boundary(self, j: int) -> ExactMatrix:
+        """The differential out of degree j, C_j -> C_{j+step}."""
+        mat = self._boundaries.get(j)
+        if mat is None:
+            mat = basis_matrix(
+                self.basis.get(j, []), self.basis.get(j + self.step, []), self.image
+            )
+            self._boundaries[j] = mat
+        return mat
+
+    def _factored(self, j: int):
+        if j not in self._factors:
+            self._factors[j] = _factor(self.boundary(j), self.ring)
+        return self._factors[j]
+
+    def homology(self, j: int) -> HomologySummary:
+        """H_j, after checking that the boundaries out of and into C_j compose to zero."""
+        d_out, d_in = self.boundary(j), self.boundary(j - self.step)
+        _require_complex(d_out, d_in, self.ring)
+        return _summary(
+            d_out.cols, self._factored(j), self._factored(j - self.step), self.ring, j
+        )
 
 
 @dataclass

@@ -17,8 +17,9 @@ from .errors import NotFiltrationPreserving
 from .graded import Word
 from .homology import (
     ExactMatrix,
+    FiniteComplex,
     HomologySummary,
-    homology_at,
+    basis_matrix,
     induced_map_on_homology,
 )
 
@@ -49,62 +50,45 @@ def z_infinity_membership(complex_: HochschildComplex, x: Chain, p: int) -> bool
     return in_filtration(x, p) and not complex_.differential(x)
 
 
-def column_basis(complex_: HochschildComplex, p: int) -> dict[int, list[Word]]:
-    """Length-p words bucketed by q = total unshifted degree."""
-    out: dict[int, list[Word]] = {}
-    for w in complex_.words(p):
-        q = complex_.M.module.degree_of(w[0]) + sum(
-            complex_.A.module.degree_of(a) for a in w[1:]
-        )
-        out.setdefault(q, []).append(w)
-    return out
+def column_complex(
+    complex_: HochschildComplex, p: int, route: str = "direct"
+) -> FiniteComplex:
+    """The column (M (x) A^{(x)p}, b_1) of the zeroth page, graded by weight q.
 
-
-def _matrix(
-    src: list[Word], dst: list[Word], image: dict[Word, Chain]
-) -> ExactMatrix:
-    index = {w: i for i, w in enumerate(dst)}
-    cols = []
-    for w in src:
-        col = {}
-        for out, c in image[w].items():
-            i = index.get(out)
-            if i is None:
-                continue
-            col[i] = c
-        cols.append(col)
-    return ExactMatrix.from_columns(len(dst), cols)
-
-
-def page0_matrix(
-    complex_: HochschildComplex, p: int, q: int, route: str = "direct"
-) -> ExactMatrix:
-    """b_1 from the (p, q) block to the (p, q+1) block.
-
-    route="direct" evaluates b_1 from the arity-one tables; route="quotient"
-    applies the full differential and projects back onto length p.
+    q is the total unshifted degree and b_1 raises it by one. route="direct"
+    evaluates b_1 from the arity-one tables; route="quotient" applies the
+    full differential and projects back onto length p. Both routes share one
+    basis, and each column is built once per complex.
     """
-    buckets = column_basis(complex_, p)
-    src = buckets.get(q, [])
-    dst = buckets.get(q + 1, [])
-    if route == "direct":
-        image = {w: complex_.b1_word(w) for w in src}
-    else:
-        image = {w: projection(complex_, p, complex_.differential_word(w)) for w in src}
-    return _matrix(src, dst, image)
+    columns = complex_.columns.setdefault(p, {})
+    if route not in columns:
+        if columns:
+            basis = next(iter(columns.values())).basis
+        else:
+            basis = {}
+            for w in complex_.words(p):
+                q = complex_.M.module.degree_of(w[0]) + sum(
+                    complex_.A.module.degree_of(a) for a in w[1:]
+                )
+                basis.setdefault(q, []).append(w)
+
+        def quotient_b1(w: Word) -> Chain:
+            return projection(complex_, p, complex_.differential_word(w))
+
+        image = complex_.b1_word if route == "direct" else quotient_b1
+        columns[route] = FiniteComplex(complex_.ring, basis, image, step=1)
+    return columns[route]
 
 
 def page1(
     complex_: HochschildComplex, p: int, q: int, route: str = "direct"
 ) -> HomologySummary:
     """E^1_{p,-q} as the homology of the column complex at weight q."""
-    d_out = page0_matrix(complex_, p, q, route)
-    d_in = page0_matrix(complex_, p, q - 1, route)
-    return homology_at(d_out, d_in, complex_.ring, degree=q)
+    return column_complex(complex_, p, route).homology(q)
 
 
 def column_weights(complex_: HochschildComplex, p: int) -> list[int]:
-    return sorted(column_basis(complex_, p))
+    return sorted(column_complex(complex_, p).basis)
 
 
 @dataclass
@@ -115,35 +99,20 @@ class ComparisonVerdict:
     details: list[str]
 
 
-def _truncated_basis(complex_: HochschildComplex, m: int) -> dict[int, list[Word]]:
-    """Words of F_m bucketed by Hochschild degree."""
-    out: dict[int, list[Word]] = {}
+def truncation(complex_: HochschildComplex, m: int) -> FiniteComplex:
+    """F_m as a finite complex graded by Hochschild degree."""
+    basis: dict[int, list[Word]] = {}
     for n in range(m + 1):
         for w in complex_.words(n):
-            out.setdefault(complex_.degree(w), []).append(w)
-    return out
-
-
-def truncated_boundary(
-    complex_: HochschildComplex, basis: dict[int, list[Word]], j: int
-) -> ExactMatrix:
-    src = basis.get(j, [])
-    dst = basis.get(j - 1, [])
-    image = {w: complex_.differential_word(w) for w in src}
-    return _matrix(src, dst, image)
+            basis.setdefault(complex_.degree(w), []).append(w)
+    return FiniteComplex(complex_.ring, basis, complex_.differential_word)
 
 
 def homology_of_truncation(
     complex_: HochschildComplex, m: int
 ) -> dict[int, HomologySummary]:
-    basis = _truncated_basis(complex_, m)
-    degrees = sorted(basis)
-    out = {}
-    for j in degrees:
-        d_out = truncated_boundary(complex_, basis, j)
-        d_in = truncated_boundary(complex_, basis, j + 1)
-        out[j] = homology_at(d_out, d_in, complex_.ring, degree=j)
-    return out
+    fc = truncation(complex_, m)
+    return {j: fc.homology(j) for j in sorted(fc.basis)}
 
 
 def _f0_matrix(
@@ -154,15 +123,18 @@ def _f0_matrix(
     q: int,
 ) -> ExactMatrix:
     """f_0 = f_{0,0} (x) id from the (p, q) block to the target (p, q+d) block."""
-    src = column_basis(src_cx, p).get(q, [])
-    dst = column_basis(tgt_cx, p).get(q + f.degree, [])
-    image = {}
-    for w in src:
+
+    def image(w: Word) -> Chain:
         out: Chain = {}
         for name, c in f.component_word(0, 0, (w[0],)).terms.items():
             out[(name,) + w[1:]] = c
-        image[w] = normalize(out, tgt_cx.ring)
-    return _matrix(src, dst, image)
+        return normalize(out, tgt_cx.ring)
+
+    return basis_matrix(
+        column_complex(src_cx, p).basis.get(q, []),
+        column_complex(tgt_cx, p).basis.get(q + f.degree, []),
+        image,
+    )
 
 
 def comparison_check(
@@ -195,15 +167,10 @@ def comparison_check(
             set(column_weights(src_cx, p))
             | {q - d for q in column_weights(tgt_cx, p)}
         )
+        src_col, tgt_col = column_complex(src_cx, p), column_complex(tgt_cx, p)
         for q in weights:
-            src_pair = (
-                page0_matrix(src_cx, p, q),
-                page0_matrix(src_cx, p, q - 1),
-            )
-            tgt_pair = (
-                page0_matrix(tgt_cx, p, q + d),
-                page0_matrix(tgt_cx, p, q + d - 1),
-            )
+            src_pair = (src_col.boundary(q), src_col.boundary(q - 1))
+            tgt_pair = (tgt_col.boundary(q + d), tgt_col.boundary(q + d - 1))
             F_q = _f0_matrix(f, src_cx, tgt_cx, p, q)
             F_q_next = _f0_matrix(f, src_cx, tgt_cx, p, q + 1)
             # column differentials raise q by one, so the "previous" degree
@@ -217,28 +184,17 @@ def comparison_check(
     if hypothesis:
         details.append(f"hypothesis: [f_0] iso on all E^1 columns p <= {m}")
 
-    src_basis = _truncated_basis(src_cx, m)
-    tgt_basis = _truncated_basis(tgt_cx, m)
-    degrees = sorted(set(src_basis) | {j + d for j in tgt_basis})
+    src_tr, tgt_tr = truncation(src_cx, m), truncation(tgt_cx, m)
+    degrees = sorted(set(src_tr.basis) | {j + d for j in tgt_tr.basis})
     conclusion = True
     for j in degrees:
-        src_pair = (
-            truncated_boundary(src_cx, src_basis, j),
-            truncated_boundary(src_cx, src_basis, j + 1),
+        src_pair = (src_tr.boundary(j), src_tr.boundary(j + 1))
+        tgt_pair = (tgt_tr.boundary(j - d), tgt_tr.boundary(j - d + 1))
+        F_j = basis_matrix(
+            src_tr.basis.get(j, []), tgt_tr.basis.get(j - d, []), fstar.on_word
         )
-        tgt_pair = (
-            truncated_boundary(tgt_cx, tgt_basis, j - d),
-            truncated_boundary(tgt_cx, tgt_basis, j - d + 1),
-        )
-        F_j = _matrix(
-            src_basis.get(j, []),
-            tgt_basis.get(j - d, []),
-            {w: fstar.on_word(w) for w in src_basis.get(j, [])},
-        )
-        F_jm1 = _matrix(
-            src_basis.get(j - 1, []),
-            tgt_basis.get(j - d - 1, []),
-            {w: fstar.on_word(w) for w in src_basis.get(j - 1, [])},
+        F_jm1 = basis_matrix(
+            src_tr.basis.get(j - 1, []), tgt_tr.basis.get(j - d - 1, []), fstar.on_word
         )
         result = induced_map_on_homology(F_j, F_jm1, src_pair, tgt_pair, ring, degree=j)
         if not result.is_iso:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -213,6 +214,34 @@ def test_threads_do_not_change_reports(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AINFTY_THREADS", "4")
     _, threaded, _ = run_cli(["verify", str(path)], capsys)
     assert base == threaded
+
+
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+@pytest.mark.parametrize(
+    "ring,factor",
+    [({"kind": "Z"}, "smith_normal_form"), ({"kind": "Zp", "p": 3}, "rank_modp")],
+)
+def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, ring, factor):
+    import ainfty.homology as homology
+
+    doc = fixture_document("exterior2")
+    doc["ring"] = ring
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(doc))
+    original = getattr(homology, factor)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homology, factor, counted)
+    code, out, _ = run_cli([command, str(path), "--length", "3"], capsys)
+    assert code == 0
+    degrees = {int(j) for j in re.findall(r"degree (-?\d+):", out)}
+    # H_j needs the boundary out of C_j and the one into it
+    step = -1 if command == "hh" else 1
+    assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
 def test_negative_degree_range(tmp_path, capsys):

@@ -6,8 +6,7 @@ import pytest
 
 from ainfty.bimodules import diagonal_bimodule
 from ainfty.cochains import (
-    beta_matrix,
-    cochain_basis,
+    cochain_complex,
     codifferential,
     elementary_cochain,
 )
@@ -180,7 +179,8 @@ def test_cup_cocycle_with_coboundary_is_coboundary():
     doc = load("dual_numbers")
     M = diagonal_bimodule(doc.algebra, 4)
     cutoff = 4
-    basis = cochain_basis(M, cutoff)
+    cochains = cochain_complex(M, cutoff)
+    basis = cochains.basis
     fam = elementary_family(M, 1, cutoff=cutoff)
     cocycles = [f for f in fam if codifferential(f).is_zero()]
     assert cocycles
@@ -193,7 +193,7 @@ def test_cup_cocycle_with_coboundary_is_coboundary():
             if fg.is_zero() or fg.truncated:
                 continue
             j = fg.degree
-            B = beta_matrix(M, cutoff, j - 1, basis)
+            B = cochains.boundary(j - 1)
             assert _membership_in_image(B, _as_vector(fg, basis, j)), (
                 _single(f),
                 _single(h),
@@ -206,7 +206,8 @@ def test_cup_associativity_on_classes():
     doc = load("exterior2")
     M = diagonal_bimodule(doc.algebra, 4)
     cutoff = 4
-    basis = cochain_basis(M, cutoff)
+    cochains = cochain_complex(M, cutoff)
+    basis = cochains.basis
     fam = [f for f in elementary_family(M, 1, cutoff=cutoff) if f.component(1)]
     cocycles = [f for f in fam if codifferential(f).is_zero()][:6]
     assert cocycles
@@ -221,5 +222,5 @@ def test_cup_associativity_on_classes():
                 if diff.is_zero():
                     continue
                 j = diff.degree
-                B = beta_matrix(M, cutoff, j - 1, basis)
+                B = cochains.boundary(j - 1)
                 assert _membership_in_image(B, _as_vector(diff, basis, j))

@@ -9,6 +9,7 @@ from ainfty.chains import HochschildComplex
 from ainfty.errors import NotAComplex, NotChainMap
 from ainfty.homology import (
     ExactMatrix,
+    FiniteComplex,
     determinant,
     homology_at,
     induced_map_on_homology,
@@ -121,6 +122,11 @@ def test_homology_times_two():
     assert h0.free_rank == 0 and h0.torsion == (2,)
     h1 = homology_at(d1, ExactMatrix(1, 0), Z, degree=1)
     assert h1.is_trivial()
+    # the same complex from a basis and a differential; degree 5 is empty
+    images = {"e": {"v": 2}}
+    fc = FiniteComplex(Z, {0: ["v"], 1: ["e"]}, lambda k: images.get(k, {}))
+    assert fc.homology(0).invariants() == (0, (2,))
+    assert fc.homology(1).is_trivial() and fc.homology(5).is_trivial()
 
 
 def test_homology_rejects_non_complex():
@@ -128,6 +134,12 @@ def test_homology_rejects_non_complex():
     d_in = ExactMatrix.from_dense([[1]])
     with pytest.raises(NotAComplex):
         homology_at(d_out, d_in, Z)
+    # c -> b -> a with both maps the identity: d.d(c) = a
+    images = {"c": {"b": 1}, "b": {"a": 1}}
+    fc = FiniteComplex(Z, {0: ["a"], 1: ["b"], 2: ["c"]}, lambda k: images.get(k, {}))
+    assert fc.homology(0).is_trivial()
+    with pytest.raises(NotAComplex):
+        fc.homology(1)
 
 
 def _complex_blocks(cx, length):

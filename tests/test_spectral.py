@@ -9,13 +9,12 @@ from ainfty.bimodules import (
 from ainfty.chains import HochschildComplex, InducedChainMap
 from ainfty.graded import MultilinearOp
 from ainfty.spectral import (
-    column_basis,
+    column_complex,
     column_weights,
     comparison_check,
     filtration_level,
     homology_of_truncation,
     in_filtration,
-    page0_matrix,
     page1,
     projection,
     z_infinity_membership,
@@ -55,9 +54,10 @@ def test_page0_squares_to_zero():
     N = doc.bimodules["N"]
     cx = HochschildComplex(N, 4)
     for p in range(4):
+        column = column_complex(cx, p)
         for q in column_weights(cx, p):
-            a = page0_matrix(cx, p, q + 1)
-            b = page0_matrix(cx, p, q)
+            a = column.boundary(q + 1)
+            b = column.boundary(q)
             assert (a @ b).is_zero()
 
 
@@ -81,8 +81,9 @@ def test_page0_p0_block_is_coefficient_differential():
     N = doc.bimodules["N"]
     cx = HochschildComplex(N, 3)
     # p = 0 column: words (m,), differential mu_{0,0}
-    mat = page0_matrix(cx, 0, 0)
-    basis0 = column_basis(cx, 0)
+    column = column_complex(cx, 0)
+    mat = column.boundary(0)
+    basis0 = column.basis
     assert [w for w in basis0[0]] == [("u",), ("v",)]
     assert basis0[1] == [("w",)]
     assert mat.to_dense() == [[0, 1]]
@@ -93,7 +94,7 @@ def test_page1_zero_differentials_gives_block_ranks():
     M = diagonal_bimodule(doc.algebra, 4)
     cx = HochschildComplex(M, 4)
     for p in range(5):
-        buckets = column_basis(cx, p)
+        buckets = column_complex(cx, p).basis
         for q, words in buckets.items():
             summary = page1(cx, p, q)
             assert summary.free_rank == len(words)
@@ -123,11 +124,12 @@ def test_page1_mod2_dense_oracle():
     M = diagonal_bimodule(doc.algebra, 4)
     cx = HochschildComplex(M, 4)
     for p in range(5):
-        buckets = column_basis(cx, p)
+        column = column_complex(cx, p)
+        buckets = column.basis
         for q in buckets:
             got = page1(cx, p, q)
-            d_out = page0_matrix(cx, p, q).to_dense()
-            d_in = page0_matrix(cx, p, q - 1).to_dense()
+            d_out = column.boundary(q).to_dense()
+            d_in = column.boundary(q - 1).to_dense()
             r_out = dense_rank_modp(d_out, 2) if d_out else 0
             r_in = dense_rank_modp(d_in, 2) if d_in else 0
             assert got.dimension == len(buckets[q]) - r_out - r_in
