@@ -45,7 +45,6 @@ from .homology import (
     ExactMatrix,
     FiniteComplex,
     HomologySummary,
-    homology_at,
     induced_map_on_homology,
     invariant_factors,
     smith_normal_form,

@@ -53,23 +53,29 @@ class HochschildComplex:
         self.L = length_cutoff
         self.ring = bimodule.ring
         self._b_cache: dict[Word, Chain] = {}
+        self._words: dict[int, tuple[Word, ...]] = {}
         # length p -> route -> column complex of the zeroth page (spectral.py)
         self.columns: dict[int, dict] = {}
 
-    def words(self, n: int) -> list[Word]:
-        """Length-n words, ordered by (degree, slot positions)."""
-        out = list(
-            (m,) + rest
-            for m in self.M.module.names
-            for rest in itertools.product(self.A.module.names, repeat=n)
-        )
-        out.sort(key=lambda w: (self.degree(w), self._positions(w)))
-        return out
+    def words(self, n: int) -> tuple[Word, ...]:
+        """Length-n words, ordered by (degree, slot positions); built once per n.
 
-    def _positions(self, word: Word) -> tuple[int, ...]:
-        return (self.M.module.position(word[0]),) + tuple(
-            self.A.module.position(n) for n in word[1:]
-        )
+        itertools.product yields words in slot-position order, so a stable
+        sort by degree alone gives the full key.
+        """
+        out = self._words.get(n)
+        if out is None:
+            out = self._words[n] = tuple(
+                sorted(
+                    (
+                        (m,) + rest
+                        for m in self.M.module.names
+                        for rest in itertools.product(self.A.module.names, repeat=n)
+                    ),
+                    key=self.degree,
+                )
+            )
+        return out
 
     def all_words(self) -> Iterator[Word]:
         for n in range(self.L + 1):

@@ -6,8 +6,9 @@
     ainfty emit <fixture>
 
 Commands: validate, hh, cohomology, cup, spectral, verify, emit. Exit codes:
-0 all verdicts pass, 1 some verdict failed, 2 input error. Reports are
-byte-identical across runs for fixed inputs and flags; timing goes to stderr.
+0 all verdicts pass, 1 some verdict failed, 2 input error, 3 internal
+invariant breach. Reports are byte-identical across runs for fixed inputs and
+flags; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .cochains import (
 )
 from .cup import cup, cup_degree
 from .documents import StructureDocument, parse, serialize
-from .errors import AinftyError, DocumentError, UnknownName
+from .errors import AinftyError, DocumentError, InternalInvariant, UnknownName
 from .fixtures import fixture_document
 from .homology import ExactMatrix, determinant, invariant_factors, smith_normal_form
 from .spectral import comparison_check, page1
@@ -451,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except AinftyError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
+    except InternalInvariant as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     finally:
         sys.stderr.write(f"elapsed: {time.monotonic() - started:.3f}s\n")
 

@@ -366,7 +366,11 @@ def regrade_diagonal(A: AInfinityAlgebra, length_cutoff: int = 4) -> RegradedCom
 def cochain_basis(
     M: AInfinityBimodule, cutoff: int
 ) -> dict[int, list[tuple[int, Word, str]]]:
-    """Elementary cochains (arity, word, output) bucketed by total degree."""
+    """Elementary cochains (arity, word, output) bucketed by total degree.
+
+    Generation order is already (arity, slot positions, output position), so
+    each bucket comes out sorted by that key.
+    """
     amod = M.algebra.module
     out: dict[int, list[tuple[int, Word, str]]] = {}
     for n in range(cutoff + 1):
@@ -375,14 +379,6 @@ def cochain_basis(
             for name, m_deg in M.module.basis:
                 j = m_deg - in_deg + n
                 out.setdefault(j, []).append((n, word, name))
-    for bucket in out.values():
-        bucket.sort(
-            key=lambda t: (
-                t[0],
-                tuple(amod.position(a) for a in t[1]),
-                M.module.position(t[2]),
-            )
-        )
     return out
 
 

@@ -73,5 +73,9 @@ class UnknownFixture(AinftyError):
     pass
 
 
+class InternalInvariant(AssertionError):
+    """A self-check inside the library failed: a bug, not bad input or a verdict."""
+
+
 class DocumentError(AinftyError):
     """Malformed structure document; message carries the offending location."""

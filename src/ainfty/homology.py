@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .errors import NotAComplex, NotChainMap
+from .errors import InternalInvariant, NotAComplex, NotChainMap
 from .rings import CoefficientRing
 
 
@@ -51,9 +51,6 @@ class ExactMatrix:
         for (i, j), c in self.entries.items():
             dense[i][j] = c
         return dense
-
-    def column(self, j: int) -> dict[int, int]:
-        return {i: c for (i, jj), c in self.entries.items() if jj == j}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -223,7 +220,7 @@ def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Exact
     Um = shaped(U, m, m)
     Vm = shaped(V, n, n)
     if Um @ mat @ Vm != Dm:
-        raise AssertionError("SNF self-check failed: D != U*M*V")
+        raise InternalInvariant("SNF self-check failed: D != U*M*V")
     return Dm, Um, Vm
 
 
@@ -322,12 +319,13 @@ def kernel_basis_modp(mat: ExactMatrix, p: int) -> ExactMatrix:
     return ExactMatrix(mat.cols, len(free), entries)
 
 
-def rank(mat: ExactMatrix, ring: CoefficientRing) -> int:
-    return rank_modp(mat, ring.p) if ring.is_field else rank_z(mat)
-
-
 def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     return kernel_basis_modp(mat, ring.p) if ring.is_field else kernel_basis_z(mat)
+
+
+def solve(K: ExactMatrix, B: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
+    """X with K @ X = B, for K a kernel basis as returned by kernel_basis."""
+    return _solve_modp(K, B, ring.p) if ring.is_field else solve_in_lattice(K, B)
 
 
 def determinant(mat: ExactMatrix) -> int:
@@ -382,37 +380,22 @@ class HomologySummary:
         return " + ".join(bits) if bits else "0"
 
 
+def _vanishes(mat: ExactMatrix, ring: CoefficientRing) -> bool:
+    return (mat.mod(ring.p) if ring.is_field else mat).is_zero()
+
+
 def _require_complex(d_out: ExactMatrix, d_in: ExactMatrix, ring: CoefficientRing) -> None:
     if d_out.cols != d_in.rows:
         raise IndexError("boundary matrices do not line up")
-    composite = d_out @ d_in
-    if ring.is_field:
-        composite = composite.mod(ring.p)
-    if not composite.is_zero():
+    if not _vanishes(d_out @ d_in, ring):
         raise NotAComplex("composite of boundary maps is nonzero")
 
 
-def _factor(mat: ExactMatrix, ring: CoefficientRing):
-    """All that homology needs of one boundary: invariant factors over Z, rank over Z/p."""
+def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
+    """Invariant factors of one boundary; over Z/p every nonzero one is a unit 1."""
     if ring.is_field:
-        return rank_modp(mat.mod(ring.p), ring.p)
+        return [1] * rank_modp(mat.mod(ring.p), ring.p)
     return invariant_factors(mat)
-
-
-def _summary(n: int, f_out, f_in, ring: CoefficientRing, degree: int) -> HomologySummary:
-    """Homology of rank-n C_j from the factors of the boundaries out of and into it."""
-    if ring.is_field:
-        return HomologySummary(degree, ring, n - f_out - f_in)
-    torsion = tuple(d for d in f_in if d > 1)
-    return HomologySummary(degree, ring, n - len(f_out) - len(f_in), torsion)
-
-
-def homology_at(
-    d_out: ExactMatrix, d_in: ExactMatrix, ring: CoefficientRing, degree: int = 0
-) -> HomologySummary:
-    """Homology ker(d_out)/im(d_in) with d_out: C_j -> C_{j-1}, d_in: C_{j+1} -> C_j."""
-    _require_complex(d_out, d_in, ring)
-    return _summary(d_out.cols, _factor(d_out, ring), _factor(d_in, ring), ring, degree)
 
 
 def basis_matrix(src: Sequence, dst: Sequence, image: Callable[[Any], dict]) -> ExactMatrix:
@@ -455,7 +438,7 @@ class FiniteComplex:
         self.image = image
         self.step = step
         self._boundaries: dict[int, ExactMatrix] = {}
-        self._factors: dict[int, Any] = {}
+        self._factors: dict[int, list[int]] = {}
 
     def boundary(self, j: int) -> ExactMatrix:
         """The differential out of degree j, C_j -> C_{j+step}."""
@@ -467,7 +450,7 @@ class FiniteComplex:
             self._boundaries[j] = mat
         return mat
 
-    def _factored(self, j: int):
+    def _factored(self, j: int) -> list[int]:
         if j not in self._factors:
             self._factors[j] = _factor(self.boundary(j), self.ring)
         return self._factors[j]
@@ -476,9 +459,9 @@ class FiniteComplex:
         """H_j, after checking that the boundaries out of and into C_j compose to zero."""
         d_out, d_in = self.boundary(j), self.boundary(j - self.step)
         _require_complex(d_out, d_in, self.ring)
-        return _summary(
-            d_out.cols, self._factored(j), self._factored(j - self.step), self.ring, j
-        )
+        f_out, f_in = self._factored(j), self._factored(j - self.step)
+        torsion = tuple(d for d in f_in if d > 1)
+        return HomologySummary(j, self.ring, d_out.cols - len(f_out) - len(f_in), torsion)
 
 
 @dataclass
@@ -490,50 +473,36 @@ class InducedMapResult:
 
 
 def induced_map_on_homology(
-    F_j: ExactMatrix,
-    F_jm1: ExactMatrix,
-    source: tuple[ExactMatrix, ExactMatrix],
-    target: tuple[ExactMatrix, ExactMatrix],
-    ring: CoefficientRing,
-    degree: int = 0,
+    source: FiniteComplex,
+    target: FiniteComplex,
+    image: Callable[[Any], dict],
+    j: int,
+    shift: int = 0,
 ) -> InducedMapResult:
-    """Map induced on homology by a chain map, with an isomorphism verdict.
+    """Induced map H_j(source) -> H_{j+shift}(target) and its isomorphism verdict.
 
-    source/target are (d_out, d_in) pairs at the matching degrees. The chain
-    map identity d_out' @ F_j = F_{j-1} @ d_out is verified first. Over Z the
-    verdict uses that finitely generated abelian groups are Hopfian: the map
-    is an isomorphism iff both sides have equal invariants and the map is
-    surjective, i.e. [Y | X_target] hits all of the target kernel lattice.
+    image(key) is the chain map on one source basis key. The chain map
+    identity d' @ F_j = F_{j+step} @ d is verified first. The verdict uses
+    that finitely generated abelian groups (and vector spaces) are Hopfian:
+    the map is an isomorphism iff both sides have equal invariants and the
+    map is surjective, i.e. [Y | X_target] hits all of the target kernel.
     """
-    dA_s, dB_s = source
-    dA_t, dB_t = target
-    defect = _subtract(dA_t @ F_j, F_jm1 @ dA_s)
-    if ring.is_field:
-        defect = defect.mod(ring.p)
-    if not defect.is_zero():
+    ring, step, t = source.ring, source.step, j + shift
+    F_j = basis_matrix(source.basis.get(j, []), target.basis.get(t, []), image)
+    F_next = basis_matrix(
+        source.basis.get(j + step, []), target.basis.get(t + step, []), image
+    )
+    if not _vanishes(_subtract(target.boundary(t) @ F_j, F_next @ source.boundary(j)), ring):
         raise NotChainMap("map does not commute with the boundary operators")
 
-    h_source = homology_at(dA_s, dB_s, ring, degree)
-    h_target = homology_at(dA_t, dB_t, ring, degree)
-
-    if ring.is_field:
-        p = ring.p
-        K_s = kernel_basis_modp(dA_s.mod(p), p)
-        K_t = kernel_basis_modp(dA_t.mod(p), p)
-        X_t = _solve_modp(K_t, dB_t.mod(p), p)
-        Y = _solve_modp(K_t, (F_j @ K_s).mod(p), p)
-        stacked = _hstack(Y, X_t)
-        surjective = rank_modp(stacked, p) == K_t.cols
-        iso = surjective and h_source.invariants() == h_target.invariants()
-        return InducedMapResult(Y, h_source, h_target, iso)
-
-    K_s = kernel_basis_z(dA_s)
-    K_t = kernel_basis_z(dA_t)
-    X_t = solve_in_lattice(K_t, dB_t)
-    Y = solve_in_lattice(K_t, F_j @ K_s)
-    stacked = _hstack(Y, X_t)
-    factors = invariant_factors(stacked)
-    surjective = len(factors) == K_t.cols and all(d == 1 for d in factors)
+    h_source, h_target = source.homology(j), target.homology(t)
+    K_s = kernel_basis(source.boundary(j), ring)
+    K_t = kernel_basis(target.boundary(t), ring)
+    stacked = solve(K_t, _hstack(F_j @ K_s, target.boundary(t - step)), ring)
+    Y = ExactMatrix(
+        K_t.cols, K_s.cols, {k: c for k, c in stacked.entries.items() if k[1] < K_s.cols}
+    )
+    surjective = _factor(stacked, ring).count(1) == K_t.cols
     iso = surjective and h_source.invariants() == h_target.invariants()
     return InducedMapResult(Y, h_source, h_target, iso)
 

@@ -7,6 +7,7 @@ share no code path with the library routines they check.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from ainfty.documents import parse, serialize
@@ -18,6 +19,16 @@ def load(name, p=None):
     doc = fixture_document(name)
     if p is not None:
         doc["ring"] = {"kind": "Zp", "p": p}
+    return parse(serialize(doc))
+
+
+def load_reordered(name, seed):
+    """A fixture whose algebra and bimodule bases are listed in a shuffled order."""
+    doc = fixture_document(name)
+    rng = random.Random(seed)
+    rng.shuffle(doc["algebra"]["basis"])
+    for spec in doc.get("bimodules", {}).values():
+        rng.shuffle(spec["basis"])
     return parse(serialize(doc))
 
 

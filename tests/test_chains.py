@@ -1,5 +1,8 @@
 """Hochschild chain complex: degrees, differential components, induced maps."""
 
+import itertools
+import random
+
 import pytest
 
 from ainfty.bimodules import (
@@ -16,11 +19,12 @@ from ainfty.chains import (
     diagonal_b_word,
     induced_chain_map,
 )
+from ainfty.cochains import cochain_basis
 from ainfty.errors import Inhomogeneous, ModuleMismatch, ZeroElement
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
 
-from helpers import ALGEBRA_FIXTURES, load
+from helpers import ALGEBRA_FIXTURES, load, load_reordered
 
 
 def all_bimodules(name, max_rs=4):
@@ -234,3 +238,32 @@ def test_induced_chain_map_function_form():
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
     assert induced_chain_map(f, {("m",): 1}, 3) == {("u",): 1}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_enumeration_order_on_reordered_bases(seed):
+    # words(n) is (degree, slot positions) and each cochain bucket is
+    # (arity, slot positions, output position), whatever the basis order
+    rng = random.Random(seed)
+    for name in ALGEBRA_FIXTURES:
+        doc = load_reordered(name, seed)
+        A = doc.algebra
+        diag = diagonal_bimodule(A, 4)
+        modules = [diag, tensor_square_bimodule(A, 4), dual_bimodule(diag, 3)]
+        for M in modules + list(doc.bimodules.values()):
+            a_pos, m_pos = A.module.position, M.module.position
+            cx = HochschildComplex(M, 3)
+            for n in range(4):
+                words = [
+                    (m,) + rest
+                    for m in M.module.names
+                    for rest in itertools.product(A.module.names, repeat=n)
+                ]
+                rng.shuffle(words)
+                words.sort(key=lambda w: (cx.degree(w), m_pos(w[0]), *map(a_pos, w[1:])))
+                assert list(cx.words(n)) == words, (name, M.name, n)
+            for bucket in cochain_basis(M, 3).values():
+                expected = sorted(
+                    bucket, key=lambda t: (t[0], tuple(map(a_pos, t[1])), m_pos(t[2]))
+                )
+                assert bucket == expected, (name, M.name)

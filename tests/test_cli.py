@@ -244,6 +244,23 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
+def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
+    import ainfty.homology as homology
+
+    # SNF transforms that start from 2*I instead of I break D = U*M*V
+    def doubled(n):
+        return homology.ExactMatrix(n, n, {(i, i): 2 for i in range(n)})
+
+    monkeypatch.setattr(homology, "identity_matrix", doubled)
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, out, err = run_cli(["hh", str(path), "--length", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "internal error: SNF self-check failed: D != U*M*V" in err
+    assert "Traceback" not in err
+
+
 def test_negative_degree_range(tmp_path, capsys):
     path = tmp_path / "e2.json"
     path.write_text(serialize(fixture_document("exterior2")))

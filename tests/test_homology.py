@@ -11,7 +11,6 @@ from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
     determinant,
-    homology_at,
     induced_map_on_homology,
     invariant_factors,
     kernel_basis_modp,
@@ -109,31 +108,22 @@ def test_rank_modp_and_kernel():
 
 
 def test_homology_zero_differentials():
-    d = ExactMatrix(0, 4)
-    d_in = ExactMatrix(4, 0)
-    h = homology_at(d, d_in, Z)
+    fc = FiniteComplex(Z, {0: ["a", "b", "c", "d"]}, lambda k: {})
+    h = fc.homology(0)
     assert h.free_rank == 4 and h.torsion == ()
 
 
 def test_homology_times_two():
-    # Z --2--> Z in degrees 1 -> 0: H_0 = Z/2, H_1 = 0
-    d1 = ExactMatrix.from_dense([[2]])
-    h0 = homology_at(ExactMatrix(0, 1), d1, Z, degree=0)
-    assert h0.free_rank == 0 and h0.torsion == (2,)
-    h1 = homology_at(d1, ExactMatrix(1, 0), Z, degree=1)
-    assert h1.is_trivial()
-    # the same complex from a basis and a differential; degree 5 is empty
+    # Z --2--> Z in degrees 1 -> 0: H_0 = Z/2, H_1 = 0; degree 5 is empty
     images = {"e": {"v": 2}}
     fc = FiniteComplex(Z, {0: ["v"], 1: ["e"]}, lambda k: images.get(k, {}))
-    assert fc.homology(0).invariants() == (0, (2,))
+    h0 = fc.homology(0)
+    assert h0.free_rank == 0 and h0.torsion == (2,)
+    assert h0.invariants() == (0, (2,))
     assert fc.homology(1).is_trivial() and fc.homology(5).is_trivial()
 
 
 def test_homology_rejects_non_complex():
-    d_out = ExactMatrix.from_dense([[1]])
-    d_in = ExactMatrix.from_dense([[1]])
-    with pytest.raises(NotAComplex):
-        homology_at(d_out, d_in, Z)
     # c -> b -> a with both maps the identity: d.d(c) = a
     images = {"c": {"b": 1}, "b": {"a": 1}}
     fc = FiniteComplex(Z, {0: ["a"], 1: ["b"], 2: ["c"]}, lambda k: images.get(k, {}))
@@ -169,10 +159,11 @@ def test_dual_numbers_mod2_against_dense_oracle():
     M = diagonal_bimodule(doc.algebra, 4)
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
+    fc = FiniteComplex(Zp(2), basis, cx.differential_word)
     for j in sorted(basis):
         d_out = _boundary(cx, basis, j)
         d_in = _boundary(cx, basis, j + 1)
-        got = homology_at(d_out, d_in, Zp(2), degree=j)
+        got = fc.homology(j)
         n = len(basis.get(j, []))
         r1 = dense_rank_modp(d_out.to_dense(), 2) if basis.get(j) else 0
         r2 = dense_rank_modp(d_in.to_dense(), 2) if basis.get(j + 1) else 0
@@ -185,17 +176,13 @@ def test_homology_invariant_under_basis_shuffle():
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
     rng = random.Random(23)
+    reference = FiniteComplex(Z, basis, cx.differential_word)
     for j in sorted(basis):
-        reference = homology_at(
-            _boundary(cx, basis, j), _boundary(cx, basis, j + 1), Z, degree=j
-        )
         shuffled = {k: list(v) for k, v in basis.items()}
         for v in shuffled.values():
             rng.shuffle(v)
-        got = homology_at(
-            _boundary(cx, shuffled, j), _boundary(cx, shuffled, j + 1), Z, degree=j
-        )
-        assert got.invariants() == reference.invariants()
+        got = FiniteComplex(Z, shuffled, cx.differential_word).homology(j)
+        assert got.invariants() == reference.homology(j).invariants()
 
 
 def test_rank_nullity_over_fields():
@@ -210,24 +197,38 @@ def test_rank_nullity_over_fields():
         assert r + k == mat.cols
 
 
+def _identity(key):
+    return {key: 1}
+
+
+def _zero(key):
+    return {}
+
+
 def test_induced_map_identity_and_zero():
-    d_out = ExactMatrix.from_dense([[0, 0]])
-    d_in = ExactMatrix.from_dense([[2], [0]])
-    pair = (ExactMatrix(0, 2), d_in)
-    ident = ExactMatrix.from_dense([[1, 0], [0, 1]])
-    res = induced_map_on_homology(ident, ExactMatrix(0, 0), pair, pair, Z)
-    assert res.is_iso
-    zero = ExactMatrix(2, 2)
-    res = induced_map_on_homology(zero, ExactMatrix(0, 0), pair, pair, Z)
-    assert not res.is_iso
+    # C_1 = <e> --2--> C_0 = <a, b>: H_0 = Z/2 + Z over Z, dim 1 over Z/3
+    images = {"e": {"a": 2}}
+    for ring, h0 in ((Z, (1, (2,))), (Zp(3), (1, ()))):
+        fc = FiniteComplex(ring, {0: ["a", "b"], 1: ["e"]}, lambda k: images.get(k, {}))
+        res = induced_map_on_homology(fc, fc, _identity, 0)
+        assert res.is_iso
+        assert res.source.invariants() == res.target.invariants() == h0
+        res = induced_map_on_homology(fc, fc, _zero, 0)
+        assert not res.is_iso
 
 
 def test_induced_map_rejects_non_chain_map():
-    d_out = ExactMatrix.from_dense([[1, 0]])
-    pair = (d_out, ExactMatrix(2, 0))
-    bad = ExactMatrix.from_dense([[0, 1], [1, 0]])
+    images = {"a": {"z": 1}}
+    fc = FiniteComplex(Z, {-1: ["z"], 0: ["a", "b"]}, lambda k: images.get(k, {}))
+    swap = {"a": {"b": 1}, "b": {"a": 1}, "z": {"z": 1}}
     with pytest.raises(NotChainMap):
-        induced_map_on_homology(bad, ExactMatrix.from_dense([[1]]), pair, pair, Z)
+        induced_map_on_homology(fc, fc, swap.get, 0)
+    # a -> a, z -> 4z commutes with d only modulo 3
+    scaled = {"a": {"a": 1}, "b": {"b": 1}, "z": {"z": 4}}
+    with pytest.raises(NotChainMap):
+        induced_map_on_homology(fc, fc, scaled.get, 0)
+    fc3 = FiniteComplex(Zp(3), fc.basis, fc.image)
+    assert induced_map_on_homology(fc3, fc3, scaled.get, 0).is_iso
 
 
 def test_snf_self_check_runs_every_call():
