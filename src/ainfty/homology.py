@@ -1,8 +1,10 @@
 """Exact linear algebra: Smith normal form over Z, ranks over Z/p, homology.
 
-Matrices are sparse maps (row, col) -> coefficient but all eliminations run
-on dense lists of Python ints, which are exact at any size. The SNF routine
-re-verifies D = U*M*V by multiplication before returning.
+Matrices are sparse maps (row, col) -> coefficient. Smith normal form and
+rank mod p factor each connected component of a matrix's row/column graph
+on dense lists of Python ints, which are exact at any size; kernels and
+solves mod p run dense on the whole matrix. The SNF routine re-verifies
+D = U*M*V on the whole matrix by multiplication before returning.
 """
 
 from __future__ import annotations
@@ -63,24 +65,17 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        # row-sparse (Gustavson) product: entry (i, k) on the left scales row k
+        # on the right, so the work is proportional to the products that occur
         if self.cols != other.rows:
             raise IndexError("matrix shapes do not compose")
-        by_row: dict[int, dict[int, int]] = {}
-        for (i, k), c in self.entries.items():
-            by_row.setdefault(i, {})[k] = c
-        by_col: dict[int, dict[int, int]] = {}
+        right: dict[int, list[tuple[int, int]]] = {}
         for (k, j), c in other.entries.items():
-            by_col.setdefault(j, {})[k] = c
-        entries = {}
-        for i, row in by_row.items():
-            for j, col in by_col.items():
-                acc = 0
-                for k, c in row.items():
-                    v = col.get(k)
-                    if v is not None:
-                        acc += c * v
-                if acc:
-                    entries[(i, j)] = acc
+            right.setdefault(k, []).append((j, c))
+        entries: dict[tuple[int, int], int] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in right.get(k, ()):
+                entries[(i, j)] = entries.get((i, j), 0) + a * b
         return ExactMatrix(self.rows, other.cols, entries)
 
     def mod(self, p: int) -> "ExactMatrix":
@@ -117,18 +112,16 @@ def _add_col(m, src, dst, q):
         row[dst] += q * row[src]
 
 
-def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Return (D, U, V) with D = U @ mat @ V, D diagonal with d1 | d2 | ...
+def _snf_dense(block: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Dense (D, U, V) with D = U @ block @ V, D diagonal with d1 | d2 | ... > 0.
 
     Pivoting re-selects the entry of minimal absolute value on every
     elimination pass and reduces with symmetric (nearest) remainders: both
     are needed to keep intermediate entries from exploding. U and V are
-    built from elementary row/column operations, hence unimodular; the
-    identity D = U*M*V is re-verified by exact multiplication before
-    returning.
+    built from elementary row/column operations, hence unimodular.
     """
-    m, n = mat.rows, mat.cols
-    D = mat.to_dense()
+    m, n = block.rows, block.cols
+    D = block.to_dense()
     U = identity_matrix(m).to_dense()
     V = identity_matrix(n).to_dense()
 
@@ -208,20 +201,120 @@ def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Exact
             _add_row(U, offender, t, 1)
             continue
         t += 1
+    return D, U, V
 
-    def shaped(dense, rows, cols):
-        return ExactMatrix(
-            rows,
-            cols,
-            {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v},
-        )
 
-    Dm = shaped(D, m, n)
-    Um = shaped(U, m, m)
-    Vm = shaped(V, n, n)
+def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    """Return (D, U, V) with D = U @ mat @ V, D diagonal with d1 | d2 | ...
+
+    Each connected component of mat's row/column graph is factored on its
+    own by the dense kernel _snf_dense. The pivots are placed at (t, t),
+    units first; the other pivots are merged into the divisibility chain by
+    2x2 moves diag(a, b) -> diag(gcd, lcm) on the matching rows of U and
+    columns of V. Rows and columns outside every component keep identity
+    transforms after the pivots. The identity D = U*M*V is re-verified on
+    the whole matrix by exact multiplication before returning.
+    """
+    pivots: list[list] = []  # [d, row of U, column of V] as sparse dicts
+    u_rest: list[dict[int, int]] = []
+    v_rest: list[dict[int, int]] = []
+    for rows, cols, block in _blocks(mat):
+        D, U, V = _snf_dense(block)
+        u_rows = [{rows[k]: c for k, c in enumerate(row) if c} for row in U]
+        v_cols = [
+            {cols[k]: row[t] for k, row in enumerate(V) if row[t]} for t in range(len(cols))
+        ]
+        rank = sum(1 for t in range(min(len(rows), len(cols))) if D[t][t])
+        pivots += [[D[t][t], u_rows[t], v_cols[t]] for t in range(rank)]
+        u_rest += u_rows[rank:]
+        v_rest += v_cols[rank:]
+    units = [p for p in pivots if p[0] == 1]
+    torsion = [p for p in pivots if p[0] != 1]
+    for a in range(len(torsion)):
+        for b in range(a + 1, len(torsion)):
+            if torsion[b][0] % torsion[a][0]:
+                _gcd_lcm_move(torsion[a], torsion[b])
+    chain = units + torsion
+    u_rows = [p[1] for p in chain] + u_rest
+    v_cols = [p[2] for p in chain] + v_rest
+    u_rows += [{i: 1} for i in sorted(set(range(mat.rows)).difference(*u_rows))]
+    v_cols += [{j: 1} for j in sorted(set(range(mat.cols)).difference(*v_cols))]
+    Dm = ExactMatrix(mat.rows, mat.cols, {(t, t): p[0] for t, p in enumerate(chain)})
+    Um = ExactMatrix(
+        mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
+    )
+    Vm = ExactMatrix.from_columns(mat.cols, v_cols)
     if Um @ mat @ Vm != Dm:
         raise InternalInvariant("SNF self-check failed: D != U*M*V")
     return Dm, Um, Vm
+
+
+def _gcd_lcm_move(p: list, q: list) -> None:
+    """Turn diag(a, b) into diag(g, lcm) on pivots p, q, with g = gcd(a, b) = x*a + y*b.
+
+    U's rows become (x, y; -b/g, a/g) times the old pair and V's columns
+    the old pair times (1, -y*b/g; 1, x*a/g); both 2x2 blocks have
+    determinant x*a/g + y*b/g = 1.
+    """
+    a, b = p[0], q[0]
+    g, x, y = _xgcd(a, b)
+    p[0], q[0] = g, a // g * b
+    p[1], q[1] = _combine(x, p[1], y, q[1]), _combine(-(b // g), p[1], a // g, q[1])
+    p[2], q[2] = _combine(1, p[2], 1, q[2]), _combine(-y * (b // g), p[2], x * (a // g), q[2])
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a, b > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _combine(x: int, u: dict[int, int], y: int, v: dict[int, int]) -> dict[int, int]:
+    out = {k: x * c for k, c in u.items()}
+    for k, c in v.items():
+        out[k] = out.get(k, 0) + y * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _blocks(mat: ExactMatrix) -> list[tuple[list[int], list[int], ExactMatrix]]:
+    """The connected components of mat's row/column graph that hold an entry.
+
+    Row i is node i and column j is node rows + j; every entry joins its
+    row and column (union-find). Each component comes as its ascending
+    rows, its ascending columns and its block on those; components are
+    ordered by their first row.
+    """
+    parent = list(range(mat.rows + mat.cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in mat.entries:
+        a, b = find(i), find(mat.rows + j)
+        if a != b:
+            parent[a] = b
+    members: dict[int, tuple[list[int], list[int]]] = {}
+    for i in sorted({i for i, _ in mat.entries}):
+        members.setdefault(find(i), ([], []))[0].append(i)
+    for j in sorted({j for _, j in mat.entries}):
+        members[find(mat.rows + j)][1].append(j)
+    row_at = {i: k for rows, _ in members.values() for k, i in enumerate(rows)}
+    col_at = {j: k for _, cols in members.values() for k, j in enumerate(cols)}
+    entries: dict[int, dict[tuple[int, int], int]] = {root: {} for root in members}
+    for (i, j), c in mat.entries.items():
+        entries[find(i)][(row_at[i], col_at[j])] = c
+    return [
+        (rows, cols, ExactMatrix(len(rows), len(cols), entries[root]))
+        for root, (rows, cols) in members.items()
+    ]
 
 
 def invariant_factors(mat: ExactMatrix) -> list[int]:
@@ -302,8 +395,10 @@ def _row_reduce_modp(dense: list[list[int]], p: int) -> tuple[list[list[int]], l
 
 
 def rank_modp(mat: ExactMatrix, p: int) -> int:
-    _, pivots = _row_reduce_modp(mat.to_dense(), p)
-    return len(pivots)
+    """Rank over Z/p, summed over the components of mat reduced mod p."""
+    return sum(
+        len(_row_reduce_modp(block.to_dense(), p)[1]) for _, _, block in _blocks(mat.mod(p))
+    )
 
 
 def kernel_basis_modp(mat: ExactMatrix, p: int) -> ExactMatrix:
@@ -333,6 +428,8 @@ def determinant(mat: ExactMatrix) -> int:
     if mat.rows != mat.cols:
         raise IndexError("determinant of a non-square matrix")
     n = mat.rows
+    if n == 0:
+        return 1
     a = mat.to_dense()
     signv = 1
     prev = 1

@@ -131,6 +131,41 @@ def minor_gcd_invariants(rows):
     return out
 
 
+def _prime_powers(d):
+    """{prime: exponent} of a positive integer, by trial division."""
+    out = {}
+    q = 2
+    while q * q <= d:
+        while d % q == 0:
+            out[q] = out.get(q, 0) + 1
+            d //= q
+        q += 1
+    if d > 1:
+        out[d] = out.get(d, 0) + 1
+    return out
+
+
+def block_diagonal_invariants(blocks):
+    """Invariant factors of a block-diagonal matrix from its dense blocks.
+
+    Each block's invariants come from minor_gcd_invariants; they are split
+    into prime-power elementary divisors, and for every prime the k-th
+    largest exponent goes to the k-th largest invariant factor.
+    """
+    per_block = [minor_gcd_invariants(block) for block in blocks]
+    rank = sum(len(factors) for factors in per_block)
+    exponents = {}
+    for factors in per_block:
+        for d in factors:
+            for q, e in _prime_powers(d).items():
+                exponents.setdefault(q, []).append(e)
+    out = [1] * rank
+    for q, es in exponents.items():
+        for slot, e in zip(range(rank - 1, -1, -1), sorted(es, reverse=True)):
+            out[slot] *= q**e
+    return out
+
+
 def product_lookup(doc):
     """Raw product table of a DGA fixture document (pre-twist), as a dict."""
     table = {}

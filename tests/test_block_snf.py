@@ -1,0 +1,122 @@
+"""Property tests for the block-decomposed SNF, mod-p rank and sparse product.
+
+Matrices are block diagonal up to a shuffle of rows and columns, with
+torsion planted across blocks, negative pivots, empty rows and columns,
+and the all-zero and 0 x n shapes.
+"""
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ainfty.homology import (
+    ExactMatrix,
+    determinant,
+    invariant_factors,
+    rank_modp,
+    smith_normal_form,
+)
+
+from helpers import block_diagonal_invariants, dense_rank_modp, minor_gcd_invariants
+
+
+def _dense(rows, cols, entries):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def _block(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return draw(_dense(rows, cols, st.integers(-6, 6)))
+    # a diagonal of torsion pivots, possibly negative
+    pivots = draw(st.lists(st.sampled_from([2, 3, 4, 6, 9, -2, -3, -4, -9]), min_size=1))
+    size = min(rows, cols, len(pivots))
+    return [[pivots[i] if i == j else 0 for j in range(size)] for i in range(size)]
+
+
+@st.composite
+def _shuffled(draw, blocks):
+    """The block-diagonal matrix of blocks plus empty rows and columns, shuffled."""
+    m = sum(len(b) for b in blocks) + draw(st.integers(0, 2))
+    n = sum(len(b[0]) for b in blocks) + draw(st.integers(0, 2))
+    row_of = draw(st.permutations(range(m)))
+    col_of = draw(st.permutations(range(n)))
+    entries = {}
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                entries[(row_of[r0 + i], col_of[c0 + j])] = v
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    return ExactMatrix(m, n, entries)
+
+
+@st.composite
+def block_matrices(draw):
+    blocks = draw(st.lists(_block(), max_size=5))
+    return draw(_shuffled(blocks)), blocks
+
+
+def _planted(*blocks):
+    return ExactMatrix.from_dense(_block_diagonal(blocks)), list(blocks)
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b[0]) for b in blocks)
+    out, c0 = [], 0
+    for b in blocks:
+        for row in b:
+            out.append([0] * c0 + list(row) + [0] * (n - c0 - len(row)))
+        c0 += len(b[0])
+    return out
+
+
+@given(block_matrices())
+@example(_planted([[2]], [[4]]))
+@example(_planted([[2]], [[3]]))
+@example(_planted([[9]], [[6]]))
+@example(_planted([[4, 0], [0, -6]], [[-9]], [[0, 0]]))
+@example((ExactMatrix(3, 4), []))
+@example((ExactMatrix(0, 3), []))
+def test_block_snf_matches_oracles(case):
+    mat, blocks = case
+    factors = invariant_factors(mat)
+    if mat.rows * mat.cols <= 25:
+        assert factors == minor_gcd_invariants(mat.to_dense())
+    assert factors == block_diagonal_invariants(blocks)
+
+    D, U, V = smith_normal_form(mat)
+    assert U @ mat @ V == D
+    assert abs(determinant(U)) == abs(determinant(V)) == 1
+    assert all(i == j for i, j in D.entries)
+    diagonal = [D.entries[(t, t)] for t in range(len(D.entries))]
+    assert diagonal == factors
+    assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
+
+
+@given(block_matrices(), st.sampled_from([2, 3]))
+def test_block_rank_modp_matches_dense(case, p):
+    mat, _ = case
+    assert rank_modp(mat, p) == dense_rank_modp(mat.to_dense(), p)
+
+
+@st.composite
+def _product_pair(draw):
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    sparse = st.just(0) | st.integers(-3, 3)
+    a = draw(_dense(m, k, sparse))
+    b = draw(_dense(k, n, sparse))
+    return (m, k, n), a, b
+
+
+@given(_product_pair())
+def test_sparse_matmul_matches_dense_triple_loop(pair):
+    (m, k, n), a, b = pair
+    left = ExactMatrix(m, k, {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row)})
+    right = ExactMatrix(k, n, {(i, j): v for i, row in enumerate(b) for j, v in enumerate(row)})
+    expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    product = left @ right
+    assert (product.rows, product.cols) == (m, n)
+    assert product.to_dense() == expected

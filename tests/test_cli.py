@@ -244,6 +244,30 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+@pytest.mark.parametrize("ring", [{"kind": "Z"}, {"kind": "Zp", "p": 3}])
+def test_factoring_densifies_only_small_blocks(tmp_path, capsys, monkeypatch, command, ring):
+    # the boundaries reach 350 x 350 at L=4; only their connected
+    # components (and the block transforms) may be made dense
+    import ainfty.homology as homology
+
+    doc = fixture_document("exterior2")
+    doc["ring"] = ring
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(doc))
+    original = homology.ExactMatrix.to_dense
+    cells = []
+
+    def recorded(self):
+        cells.append(self.rows * self.cols)
+        return original(self)
+
+    monkeypatch.setattr(homology.ExactMatrix, "to_dense", recorded)
+    code, _, _ = run_cli([command, str(path), "--length", "4"], capsys)
+    assert code == 0
+    assert cells and max(cells) <= 8192
+
+
 def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     import ainfty.homology as homology
 

@@ -6,6 +6,7 @@ import pytest
 
 from ainfty.bimodules import diagonal_bimodule
 from ainfty.chains import HochschildComplex
+from ainfty.cochains import cochain_complex
 from ainfty.errors import NotAComplex, NotChainMap
 from ainfty.homology import (
     ExactMatrix,
@@ -21,8 +22,9 @@ from ainfty.homology import (
     solve_in_lattice,
 )
 from ainfty.rings import Z, Zp
+from ainfty.spectral import truncation
 
-from helpers import dense_rank_modp, dense_rank_q, load, minor_gcd_invariants
+from helpers import ALGEBRA_FIXTURES, dense_rank_modp, dense_rank_q, load, minor_gcd_invariants
 
 
 def test_snf_zero_matrix():
@@ -241,3 +243,24 @@ def test_snf_self_check_runs_every_call():
         nz = [abs(x) for x in d if x]
         assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
         assert nz == sorted(nz)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_universal_coefficients_tie_z_to_zp(name):
+    # for a finite complex C of free Z-modules and a prime p,
+    # dim H_j(C/p) = free_j + #(torsion of H_j divisible by p)
+    #              + #(torsion of H_{j+step} divisible by p)
+    diag = diagonal_bimodule(load(name).algebra, 4)
+    complexes = (truncation(HochschildComplex(diag, 4), 4), cochain_complex(diag, 4))
+    torsion_checks = 0
+    for fc in complexes:
+        over_z = {j: fc.homology(j) for j in set(fc.basis) | {j + fc.step for j in fc.basis}}
+        for p in (2, 3, 5):
+            over_p = FiniteComplex(Zp(p), fc.basis, fc.image, fc.step)
+            for j in sorted(fc.basis):
+                h, h_next = over_z[j], over_z[j + fc.step]
+                divisible = sum(1 for d in h.torsion + h_next.torsion if d % p == 0)
+                assert over_p.homology(j).dimension == h.free_rank + divisible, (fc.step, p, j)
+                torsion_checks += bool(h.torsion or h_next.torsion)
+    # these fixtures have torsion, so the Tor terms are exercised on them
+    assert bool(torsion_checks) == (name in ("dual_numbers", "truncated_poly3", "mu3_square_zero"))
