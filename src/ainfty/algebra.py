@@ -61,6 +61,7 @@ class AInfinityAlgebra:
             if not op.is_zero():
                 self.ops[n] = op
         self.max_arity = max_arity if max_arity is not None else max(self.ops, default=1)
+        self._preimages: dict[int, dict[str, list[tuple[Word, int]]]] = {}
 
     @property
     def ring(self):
@@ -68,6 +69,16 @@ class AInfinityAlgebra:
 
     def mu(self, n: int) -> MultilinearOp | None:
         return self.ops.get(n)
+
+    def preimages(self, n: int) -> dict[str, list[tuple[Word, int]]]:
+        """mu_n by output name: name -> [(input word, coefficient)], built once."""
+        index = self._preimages.get(n)
+        if index is None:
+            index = self._preimages[n] = {}
+            for key, value in self.ops[n].entries():
+                for name, c in value.terms.items():
+                    index.setdefault(name, []).append((key, c))
+        return index
 
     def mu_word(self, n: int, word: Word) -> Element:
         op = self.ops.get(n)

@@ -44,6 +44,7 @@ class AInfinityBimodule:
             if not op.is_zero():
                 self.ops[(r, s)] = op
         self.max_rs = max_rs
+        self._slot_index: dict[tuple[int, int], dict] = {}
 
     @property
     def ring(self):
@@ -57,6 +58,19 @@ class AInfinityBimodule:
         if op is None:
             return Element(self.module, {})
         return op.on_word(word)
+
+    def slot_index(self, r: int, s: int) -> dict[str, list[tuple[Word, Word, int, dict]]]:
+        """mu_(r,s) entries (prefix, m, suffix) by m, built once per (r, s):
+        m -> [(prefix, suffix, maltese of the prefix degrees, output terms)]."""
+        index = self._slot_index.get((r, s))
+        if index is None:
+            index = self._slot_index[(r, s)] = {}
+            degs = self.algebra.module.degree_of
+            for key, value in self.ops[(r, s)].entries():
+                prefix, suffix = key[:r], key[r + 1 :]
+                mal = sum(degs(a) - 1 for a in prefix)
+                index.setdefault(key[r], []).append((prefix, suffix, mal, value.terms))
+        return index
 
     def words(self, r: int, s: int) -> Iterator[Word]:
         """Basis words (a_1..a_r, m, a_{r+1}..a_{r+s})."""

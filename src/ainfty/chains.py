@@ -4,7 +4,9 @@ Chain elements are sparse dicts mapping words (m, a_1, ..., a_n) to
 coefficients. The differential is the sum of components b_{i,l}: the i = 0
 term acts on the coefficient slot, interior terms insert mu_l into the
 algebra letters, and the overlapping terms wrap the word around the
-coefficient slot with the star sign.
+coefficient slot with the star sign. b is assembled from the operations that
+exist: each mu_l at each interior position and each mu_(r,s) once, so the
+(i, l) pairs whose operation is missing are never visited.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ def normalize(chain: Chain, ring) -> Chain:
     return out
 
 
-def scale(chain: Chain, c: int) -> Chain:
-    return {w: c * v for w, v in chain.items()}
-
-
 def add(x: Chain, y: Chain, ring) -> Chain:
     acc = dict(x)
     for w, c in y.items():
@@ -53,29 +51,34 @@ class HochschildComplex:
         self.L = length_cutoff
         self.ring = bimodule.ring
         self._b_cache: dict[Word, Chain] = {}
-        self._words: dict[int, tuple[Word, ...]] = {}
+        # length n -> (words, their Hochschild degrees), in enumeration order
+        self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
         # length p -> route -> column complex of the zeroth page (spectral.py)
         self.columns: dict[int, dict] = {}
 
-    def words(self, n: int) -> tuple[Word, ...]:
-        """Length-n words, ordered by (degree, slot positions); built once per n.
-
-        itertools.product yields words in slot-position order, so a stable
-        sort by degree alone gives the full key.
-        """
+    def _graded_words(self, n: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
+        """Length-n words sorted by (degree, slot positions), with their degrees."""
         out = self._words.get(n)
         if out is None:
-            out = self._words[n] = tuple(
-                sorted(
-                    (
-                        (m,) + rest
-                        for m in self.M.module.names
-                        for rest in itertools.product(self.A.module.names, repeat=n)
-                    ),
-                    key=self.degree,
-                )
-            )
+            # product yields slot-position order; a stable sort by degree keeps it
+            words = [
+                (m,) + rest
+                for m in self.M.module.names
+                for rest in itertools.product(self.A.module.names, repeat=n)
+            ]
+            degs = [self.degree(w) for w in words]
+            order = sorted(range(len(words)), key=degs.__getitem__)
+            out = tuple(words[k] for k in order), tuple(degs[k] for k in order)
+            self._words[n] = out
         return out
+
+    def words(self, n: int) -> tuple[Word, ...]:
+        """Length-n words, ordered by (degree, slot positions); built once per n."""
+        return self._graded_words(n)[0]
+
+    def degrees(self, n: int) -> tuple[int, ...]:
+        """Hochschild degrees of words(n), position by position."""
+        return self._graded_words(n)[1]
 
     def all_words(self) -> Iterator[Word]:
         for n in range(self.L + 1):
@@ -94,50 +97,57 @@ class HochschildComplex:
             raise Inhomogeneous(f"mixed Hochschild degrees {sorted(degs)}")
         return degs.pop()
 
-    def b_component(self, word: Word, i: int, l: int) -> Chain:
-        """Single summand b_{i,l}; out-of-range indices give zero."""
+    def summands(self, word: Word) -> Iterator[tuple[int, int, Word, int]]:
+        """Every nonzero term (i, l, output word, unnormalized coefficient) of b.
+
+        Visits each mu_l at i = 1..n-l+1, and each mu_(r,s) with r + s <= n
+        once: at i = 0 when r = 0, else wrapped at i = n-r+1, l = r+s+1.
+        """
         n = len(word) - 1
-        if l < 1 or l > n + 1 or i < 0 or i > n:
-            return {}
         m, letters = word[0], word[1:]
-        a_degs = [self.A.module.degree_of(a) for a in letters]
-        m_deg = self.M.module.degree_of(m)
+        # front[k] = maltese0(deg m, degs, k); the star sign is
+        # front[i-1] * maltese(i, n) = front[i-1] * (front[n] - front[i-1])
+        front = [self.M.module.degree_of(m)]
+        for a in letters:
+            front.append(front[-1] + self.A.module.degree_of(a) - 1)
+        for (r, s), op in self.M.ops.items():
+            if r + s > n:
+                continue
+            if r == 0:
+                i, l, key, suffix, sv = 0, s + 1, word[: s + 1], letters[s:], 1
+            else:
+                i, l = n - r + 1, r + s + 1
+                key = letters[i - 1 :] + (m,) + letters[:s]
+                suffix = letters[s : i - 1]
+                sv = sign(front[i - 1] * (front[n] - front[i - 1]))
+            hit = op.table.get(key)
+            if hit is not None:
+                for name, c in hit.terms.items():
+                    yield i, l, (name,) + suffix, sv * c
+        for l, op in self.A.ops.items():
+            for i in range(1, n - l + 2):
+                hit = op.table.get(letters[i - 1 : i - 1 + l])
+                if hit is not None:
+                    sv = sign(front[i - 1])
+                    head, tail = word[:i], letters[i - 1 + l :]
+                    for name, c in hit.terms.items():
+                        yield i, l, head + (name,) + tail, sv * c
+
+    def b_component(self, word: Word, i: int, l: int) -> Chain:
+        """Single summand b_{i,l}, filtered from summands; out-of-range gives zero."""
         acc: Chain = {}
-        if i == 0:
-            out = self.M.op_word(0, l - 1, (m,) + letters[: l - 1])
-            for name, c in out.terms.items():
-                add_into(acc, (name,) + letters[l - 1 :], c)
-        elif i <= n - l + 1:
-            out = self.A.mu_word(l, letters[i - 1 : i - 1 + l])
-            if not out.is_zero():
-                s = sign(maltese0(m_deg, a_degs, i - 1))
-                for name, c in out.terms.items():
-                    add_into(
-                        acc,
-                        (m,) + letters[: i - 1] + (name,) + letters[i - 1 + l :],
-                        s * c,
-                    )
-        else:
-            # overlapping part: the coefficient slot is wrapped around
-            r = n - i + 1
-            s_idx = i + l - n - 2
-            out = self.M.op_word(r, s_idx, letters[i - 1 :] + (m,) + letters[:s_idx])
-            if not out.is_zero():
-                s = sign(star_sign(m_deg, a_degs, i))
-                suffix = letters[s_idx : i - 1]
-                for name, c in out.terms.items():
-                    add_into(acc, (name,) + suffix, s * c)
+        for i2, l2, w, c in self.summands(word):
+            if i2 == i and l2 == l:
+                add_into(acc, w, c)
         return normalize(acc, self.ring)
 
     def differential_word(self, word: Word) -> Chain:
+        """b on one word: the sum of summands(word), cached; returns a copy."""
         cached = self._b_cache.get(word)
         if cached is None:
-            n = len(word) - 1
             acc: Chain = {}
-            for l in range(1, n + 2):
-                for i in range(0, n + 1):
-                    for w, c in self.b_component(word, i, l).items():
-                        add_into(acc, w, c)
+            for _, _, w, c in self.summands(word):
+                add_into(acc, w, c)
             cached = self._b_cache[word] = normalize(acc, self.ring)
         return dict(cached)
 
@@ -153,7 +163,7 @@ class HochschildComplex:
     def b1_word(self, word: Word) -> Chain:
         """Length-preserving part of b, built from mu_1 and mu_{0,0} only.
 
-        Independent of b_component; used as the direct route to the zeroth
+        Independent of summands; used as the direct route to the zeroth
         page of the length filtration.
         """
         m, letters = word[0], word[1:]

@@ -125,12 +125,14 @@ def elementary_cochain(
 
 
 def codifferential(f: Cochain) -> Cochain:
-    """beta(f): degree + 1, assembled sparsely from f's table entries.
+    """beta(f): degree + 1, assembled from the operation entries that exist.
 
-    The first family precomposes f with an inserted algebra operation (walking
-    preimages of each table key), the second wraps a bimodule operation around
-    the value. Components that would exceed the arity cutoff are dropped and
-    reported via the truncated flag.
+    The first family precomposes f with an inserted algebra operation: the
+    algebra's preimage index lists the keys of each mu table that produce a
+    letter, and the sign is a running prefix sum of reduced degrees over the
+    word. The second family wraps each mu_(r,s) entry around the value,
+    read from the bimodule's index by coefficient slot. Components that would
+    exceed the arity cutoff are dropped and reported via the truncated flag.
     """
     A, M = f.A, f.M
     amod = A.module
@@ -142,45 +144,36 @@ def codifferential(f: Cochain) -> Cochain:
         slot[name] = slot.get(name, 0) + c
 
     for n, table in f.components.items():
-        for mu_arity, op in A.ops.items():
+        for mu_arity in A.ops:
             l = mu_arity - 1
             if n == 0:
                 continue
             if n + l > f.cutoff:
-                if table:
-                    truncated = True
+                truncated = True
                 continue
-            preimages: dict[str, list[tuple[Word, int]]] = {}
-            for key, value in op.entries():
-                for name, c in value.terms.items():
-                    preimages.setdefault(name, []).append((key, c))
+            preimages = A.preimages(mu_arity)
             for word, value in table.items():
-                for i in range(1, n + 1):
-                    for pre, pc in preimages.get(word[i - 1], ()):
+                front = 0  # reduced degrees of word[: i - 1]
+                for i, letter in enumerate(word, 1):
+                    for pre, pc in preimages.get(letter, ()):
                         target = word[: i - 1] + pre + word[i:]
-                        s_exp = maltese(
-                            [amod.degree_of(a) for a in target], 1, i - 1
-                        )
-                        sv = sign(s_exp) * pc
+                        sv = sign(front) * pc
                         for name, c in value.items():
                             bump(n + l, target, name, sv * c)
-        for (r, s), op in M.ops.items():
+                    front += amod.degree_of(letter) - 1
+        for r, s in M.ops:
             l = r + s
             if n + l > f.cutoff:
-                if table:
-                    truncated = True
+                truncated = True
                 continue
-            for word, value in f.components[n].items():
-                for prefix in itertools.product(amod.names, repeat=r):
-                    for suffix in itertools.product(amod.names, repeat=s):
+            slots = M.slot_index(r, s)
+            for word, value in table.items():
+                for name, c in value.items():
+                    for prefix, suffix, mal, out in slots.get(name, ()):
+                        sv = sign(f.degree * (mal + 1) + 1) * c
                         target = prefix + word + suffix
-                        degs = [amod.degree_of(a) for a in target]
-                        s_exp = f.degree * (maltese(degs, 1, r) + 1) + 1
-                        sv = sign(s_exp)
-                        for name, c in value.items():
-                            out = op.on_word(prefix + (name,) + suffix)
-                            for out_name, v in out.terms.items():
-                                bump(n + l, target, out_name, sv * c * v)
+                        for out_name, v in out.items():
+                            bump(n + l, target, out_name, sv * v)
 
     return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)
 

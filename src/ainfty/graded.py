@@ -150,10 +150,6 @@ def reduced_index(e: Element) -> int:
     return degree(e) - 1
 
 
-def word_degrees(modules: Sequence[GradedModule], word: Word) -> list[int]:
-    return [m.degree_of(n) for m, n in zip(modules, word)]
-
-
 class MultilinearOp:
     """Sparse table of a homogeneous multilinear operation.
 

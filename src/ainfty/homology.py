@@ -160,7 +160,6 @@ def _snf_dense(block: ExactMatrix) -> tuple[list[list[int]], list[list[int]], li
         while True:
             p = D[t][t]
             half = p // 2
-            reduced = False
             for i in range(t + 1, m):
                 a = D[i][t]
                 if a:
@@ -168,7 +167,6 @@ def _snf_dense(block: ExactMatrix) -> tuple[list[list[int]], list[list[int]], li
                     if q:
                         _add_row(D, t, i, -q)
                         _add_row(U, t, i, -q)
-                    reduced = reduced or bool(D[i][t])
             for j in range(t + 1, n):
                 a = D[t][j]
                 if a:
@@ -176,7 +174,6 @@ def _snf_dense(block: ExactMatrix) -> tuple[list[list[int]], list[list[int]], li
                     if q:
                         _add_col(D, t, j, -q)
                         _add_col(V, t, j, -q)
-                    reduced = reduced or bool(D[t][j])
             row_clear = all(D[t][j] == 0 for j in range(t + 1, n))
             col_clear = all(D[i][t] == 0 for i in range(t + 1, m))
             if row_clear and col_clear:

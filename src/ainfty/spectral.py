@@ -60,11 +60,9 @@ def column_complex(
             basis = next(iter(columns.values())).basis
         else:
             basis = {}
-            for w in complex_.words(p):
-                q = complex_.M.module.degree_of(w[0]) + sum(
-                    complex_.A.module.degree_of(a) for a in w[1:]
-                )
-                basis.setdefault(q, []).append(w)
+            # the weight is the length minus the Hochschild degree
+            for w, j in zip(complex_.words(p), complex_.degrees(p)):
+                basis.setdefault(p - j, []).append(w)
 
         def quotient_b1(w: Word) -> Chain:
             return projection(complex_, p, complex_.differential_word(w))
@@ -97,8 +95,8 @@ def truncation(complex_: HochschildComplex, m: int) -> FiniteComplex:
     """F_m as a finite complex graded by Hochschild degree."""
     basis: dict[int, list[Word]] = {}
     for n in range(m + 1):
-        for w in complex_.words(n):
-            basis.setdefault(complex_.degree(w), []).append(w)
+        for w, j in zip(complex_.words(n), complex_.degrees(n)):
+            basis.setdefault(j, []).append(w)
     return FiniteComplex(complex_.ring, basis, complex_.differential_word)
 
 

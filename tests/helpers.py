@@ -3,15 +3,19 @@
 The oracles here are deliberately written from scratch (dense row reduction,
 cofactor determinants, determinantal divisors, the classical Hochschild
 boundary and cochain differential for degree-zero algebras) so that they
-share no code path with the library routines they check.
+share no code path with the library routines they check. The per-(i, l)
+Hochschild summand and the enumerating codifferential are the former library
+bodies, kept to check the operation-driven assembly that replaced them.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from ainfty.cochains import Cochain
 from ainfty.documents import parse, serialize
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
+from ainfty.signs import maltese, maltese0, sign, star_sign
 
 
 def load(name, p=None):
@@ -243,3 +247,101 @@ def classical_cochain_delta(product, component, arity, names):
         for w, slot in out.items()
         if any(slot.values())
     }
+
+
+def b_component_oracle(cx, word, i, l):
+    """Single summand b_{i,l} by the per-(i, l) formula, one index pair at a time.
+
+    Rebuilds the degree list and looks up the one operation that b_{i,l}
+    names, independently of HochschildComplex.summands.
+    """
+    n = len(word) - 1
+    if l < 1 or l > n + 1 or i < 0 or i > n:
+        return {}
+    m, letters = word[0], word[1:]
+    a_degs = [cx.A.module.degree_of(a) for a in letters]
+    m_deg = cx.M.module.degree_of(m)
+    acc = {}
+
+    def bump(w, c):
+        acc[w] = acc.get(w, 0) + c
+
+    if i == 0:
+        out = cx.M.op_word(0, l - 1, (m,) + letters[: l - 1])
+        for name, c in out.terms.items():
+            bump((name,) + letters[l - 1 :], c)
+    elif i <= n - l + 1:
+        out = cx.A.mu_word(l, letters[i - 1 : i - 1 + l])
+        if not out.is_zero():
+            s = sign(maltese0(m_deg, a_degs, i - 1))
+            for name, c in out.terms.items():
+                bump((m,) + letters[: i - 1] + (name,) + letters[i - 1 + l :], s * c)
+    else:
+        # overlapping part: the coefficient slot is wrapped around
+        r = n - i + 1
+        s_idx = i + l - n - 2
+        out = cx.M.op_word(r, s_idx, letters[i - 1 :] + (m,) + letters[:s_idx])
+        if not out.is_zero():
+            s = sign(star_sign(m_deg, a_degs, i))
+            suffix = letters[s_idx : i - 1]
+            for name, c in out.terms.items():
+                bump((name,) + suffix, s * c)
+    return {w: c for w, c in ((w, cx.ring.normalize(c)) for w, c in acc.items()) if c}
+
+
+def codifferential_oracle(f):
+    """beta(f) with a fresh preimage index per call and a degree list per target.
+
+    The insertion family walks the preimages of each letter under each mu
+    table, and the wrapping family tries every prefix and suffix word
+    around the value, so neither reads the library's operation indices.
+    """
+    A, M = f.A, f.M
+    amod = A.module
+    acc = {}
+    truncated = f.truncated
+
+    def bump(n, word, name, c):
+        slot = acc.setdefault(n, {}).setdefault(word, {})
+        slot[name] = slot.get(name, 0) + c
+
+    for n, table in f.components.items():
+        for mu_arity, op in A.ops.items():
+            l = mu_arity - 1
+            if n == 0:
+                continue
+            if n + l > f.cutoff:
+                if table:
+                    truncated = True
+                continue
+            preimages = {}
+            for key, value in op.entries():
+                for name, c in value.terms.items():
+                    preimages.setdefault(name, []).append((key, c))
+            for word, value in table.items():
+                for i in range(1, n + 1):
+                    for pre, pc in preimages.get(word[i - 1], ()):
+                        target = word[: i - 1] + pre + word[i:]
+                        s_exp = maltese([amod.degree_of(a) for a in target], 1, i - 1)
+                        sv = sign(s_exp) * pc
+                        for name, c in value.items():
+                            bump(n + l, target, name, sv * c)
+        for (r, s), op in M.ops.items():
+            l = r + s
+            if n + l > f.cutoff:
+                if table:
+                    truncated = True
+                continue
+            for word, value in table.items():
+                for prefix in itertools.product(amod.names, repeat=r):
+                    for suffix in itertools.product(amod.names, repeat=s):
+                        target = prefix + word + suffix
+                        degs = [amod.degree_of(a) for a in target]
+                        s_exp = f.degree * (maltese(degs, 1, r) + 1) + 1
+                        sv = sign(s_exp)
+                        for name, c in value.items():
+                            out = op.on_word(prefix + (name,) + suffix)
+                            for out_name, v in out.terms.items():
+                                bump(n + l, target, out_name, sv * c * v)
+
+    return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)

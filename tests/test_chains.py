@@ -18,17 +18,18 @@ from ainfty.chains import (
     compose_induced,
     diagonal_b_word,
     induced_chain_map,
+    normalize,
 )
 from ainfty.cochains import cochain_basis
 from ainfty.errors import Inhomogeneous, ModuleMismatch, ZeroElement
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
 
-from helpers import ALGEBRA_FIXTURES, load, load_reordered
+from helpers import ALGEBRA_FIXTURES, b_component_oracle, load, load_reordered
 
 
-def all_bimodules(name, max_rs=4):
-    doc = load(name)
+def all_bimodules(name, max_rs=4, p=None):
+    doc = load(name, p)
     A = doc.algebra
     diag = diagonal_bimodule(A, max_rs)
     return {
@@ -107,6 +108,25 @@ def test_overlapping_term_against_specialized_diagonal_formula():
         cx = HochschildComplex(M, 4)
         for w in cx.all_words():
             assert cx.differential_word(w) == diagonal_b_word(A, w), w
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_differential_matches_per_summand_oracle(p):
+    # b is assembled from the operations that exist; the oracle visits every
+    # (i, l) pair and looks up the one operation each names
+    for name in ALGEBRA_FIXTURES:
+        for label, M in all_bimodules(name, p=p).items():
+            cx = HochschildComplex(M, 3 if label == "tensor_square" else 4)
+            for w in cx.all_words():
+                n = len(w) - 1
+                total = {}
+                pairs = [(i, l) for l in range(1, n + 2) for i in range(n + 1)]
+                for i, l in pairs + [(-1, 1), (n + 1, 1), (0, 0), (0, n + 2)]:
+                    expected = b_component_oracle(cx, w, i, l)
+                    assert cx.b_component(w, i, l) == expected, (name, label, w, i, l)
+                    for out, c in expected.items():
+                        total[out] = total.get(out, 0) + c
+                assert cx.differential_word(w) == normalize(total, cx.ring), (name, label, w)
 
 
 def test_filtration_decrease_per_component():

@@ -268,6 +268,34 @@ def test_factoring_densifies_only_small_blocks(tmp_path, capsys, monkeypatch, co
     assert cells and max(cells) <= 8192
 
 
+def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkeypatch):
+    # b is summed from the operation entries that exist, without a pass
+    # over every (i, l) pair, and each word's degree is computed once, at
+    # enumeration; the bound is the count measured with both in place
+    from ainfty.chains import HochschildComplex
+    from ainfty.graded import GradedModule
+
+    calls = {"degree_of": 0, "b_component": 0}
+
+    def counted(cls, attr):
+        original = getattr(cls, attr)
+
+        def wrapper(*args):
+            calls[attr] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counted(GradedModule, "degree_of")
+    counted(HochschildComplex, "b_component")
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, _, _ = run_cli(["hh", str(path), "--length", "4"], capsys)
+    assert code == 0
+    assert calls["b_component"] == 0
+    assert calls["degree_of"] <= 13060
+
+
 def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     import ainfty.homology as homology
 

@@ -9,6 +9,7 @@ from ainfty.bimodules import (
     diagonal_bimodule,
     dual_bimodule,
     identity_morphism,
+    tensor_square_bimodule,
     validate_morphism,
 )
 from ainfty.chains import ComposedChainMap, HochschildComplex, InducedChainMap
@@ -16,6 +17,7 @@ from ainfty.cochains import (
     Cochain,
     DualChainElement,
     b_star,
+    cochain_basis,
     cochain_complex,
     cocycle_to_morphism,
     codifferential,
@@ -29,7 +31,13 @@ from ainfty.cochains import (
 from ainfty.errors import DegreeMismatch, NotACocycle
 from ainfty.graded import MultilinearOp
 
-from helpers import ALGEBRA_FIXTURES, load, product_lookup, classical_cochain_delta
+from helpers import (
+    ALGEBRA_FIXTURES,
+    classical_cochain_delta,
+    codifferential_oracle,
+    load,
+    product_lookup,
+)
 
 
 def elementary_family(M, max_arity, cutoff=5):
@@ -289,6 +297,22 @@ def test_regraded_codifferential_matches_generic():
         M = diagonal_bimodule(A, 4)
         for f in elementary_family(M, 2, cutoff=4):
             assert regraded_codifferential(f) == codifferential(f), (name, f.components)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_codifferential_matches_oracle(p):
+    # the oracle rebuilds each preimage index and tries every prefix and
+    # suffix word; the library reads only the table entries that exist
+    for name in ALGEBRA_FIXTURES:
+        A = load(name, p).algebra
+        diag = diagonal_bimodule(A, 4)
+        for M in (diag, dual_bimodule(diag, 3), tensor_square_bimodule(A, 4)):
+            for bucket in cochain_basis(M, 4).values():
+                for _, word, out in bucket:
+                    f = elementary_cochain(M, word, out, 4)
+                    got, expected = codifferential(f), codifferential_oracle(f)
+                    assert got.components == expected.components, (name, M.name, word, out)
+                    assert got.truncated == expected.truncated, (name, M.name, word, out)
 
 
 def test_truncation_flag():
