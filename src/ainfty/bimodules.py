@@ -106,73 +106,61 @@ def bimodule_op(
     )
 
 
+def _add(acc: dict[str, int], c: int, elem: Element) -> None:
+    for n, v in elem.terms.items():
+        acc[n] = acc.get(n, 0) + c * v
+
+
+def _arm_terms(A: AInfinityAlgebra, outer, word: Word, r: int, s: int, m_deg: int, acc):
+    """Terms outer(..., mu_k(...), ...) with an algebra mu_k inside either arm.
+
+    word = (a_1..a_r, m, a_{r+1}..a_{r+s}); outer(r', s', word') is a
+    bimodule-shaped family. In the left arm, mu_k at letter i has sign
+    maltese_1^{i-1}; in the right arm, at letter r+j, maltese_1^{r+j-1} + deg m:
+    the reduced indices in front of the insertion plus, once passed, the
+    coefficient-slot degree.
+    """
+    front = [0]  # front[p]: sign exponent of an insertion at word position p
+    for p, a in enumerate(word):
+        front.append(front[-1] + (m_deg if p == r else A.module.degree_of(a) - 1))
+    for k, op in A.ops.items():
+        for p in itertools.chain(range(r - k + 1), range(r + 1, r + s - k + 2)):
+            hit = op.table.get(word[p : p + k])
+            if hit is None:
+                continue
+            r1, s1 = (r - k + 1, s) if p < r else (r, s - k + 1)
+            sv = sign(front[p])
+            for name, c in hit.terms.items():
+                _add(acc, sv * c, outer(r1, s1, word[:p] + (name,) + word[p + k :]))
+
+
+def _slot_terms(A: AInfinityAlgebra, outer, inner, word: Word, r: int, s: int, d: int, acc):
+    """Terms outer_(r1,s1)(a.., inner_(r2,s2)(a.., m, ..), ..) around the slot.
+
+    inner takes the letters r1+1..r and r+1..r+s2 around m; the sign is
+    d * maltese_1^{r1}.
+    """
+    front = 0  # maltese_1^{r1}
+    for r1 in range(r + 1):
+        if r1:
+            front += A.module.degree_of(word[r1 - 1]) - 1
+        sv = sign(d * front)
+        for s2 in range(s + 1):
+            for name, c in inner(r - r1, s2, word[r1 : r + 1 + s2]).terms.items():
+                _add(acc, sv * c, outer(r1, s - s2, word[:r1] + (name,) + word[r + 1 + s2 :]))
+
+
 def bimodule_equation_residual(
     M: AInfinityBimodule, r: int, s: int, word: Word
 ) -> Element:
     """Left-hand side of the type-(r,s) defining equation on one basis word.
 
-    word = (a_1..a_r, m, a_{r+1}..a_{r+s}). The third family carries the sign
-    maltese_1^{r+j-1} + deg(m): the reduced indices of everything standing in
-    front of the inserted operation, plus the coefficient-slot degree.
+    word = (a_1..a_r, m, a_{r+1}..a_{r+s}): algebra operations inside either
+    arm of mu_{r',s'}, plus nested bimodule operations around the slot.
     """
-    A = M.algebra
-    left, m, right = word[:r], word[r], word[r + 1 :]
-    a_degs = [A.module.degree_of(n) for n in left + right]
-    m_deg = M.module.degree_of(m)
     acc: dict[str, int] = {}
-
-    def add(s_exp: int, c: int, elem: Element):
-        sv = sign(s_exp) * c
-        for n, v in elem.terms.items():
-            acc[n] = acc.get(n, 0) + sv * v
-
-    # algebra operations inside the left arm
-    for r2 in range(1, r + 1):
-        r1 = r + 1 - r2
-        inner_op = A.mu(r2)
-        if inner_op is None:
-            continue
-        for i in range(1, r1 + 1):
-            inner = inner_op.on_word(left[i - 1 : i - 1 + r2])
-            if inner.is_zero():
-                continue
-            s_exp = maltese(a_degs, 1, i - 1)
-            for name, c in inner.terms.items():
-                outer = M.op_word(
-                    r1, s, left[: i - 1] + (name,) + left[i - 1 + r2 :] + (m,) + right
-                )
-                add(s_exp, c, outer)
-
-    # nested bimodule operations
-    for r1 in range(0, r + 1):
-        r2 = r - r1
-        for s2 in range(0, s + 1):
-            s1 = s - s2
-            inner = M.op_word(r2, s2, left[r1:] + (m,) + right[:s2])
-            if inner.is_zero():
-                continue
-            s_exp = maltese(a_degs, 1, r1)
-            for name, c in inner.terms.items():
-                outer = M.op_word(r1, s1, left[:r1] + (name,) + right[s2:])
-                add(s_exp, c, outer)
-
-    # algebra operations inside the right arm
-    for s2 in range(1, s + 1):
-        s1 = s + 1 - s2
-        inner_op = A.mu(s2)
-        if inner_op is None:
-            continue
-        for j in range(1, s1 + 1):
-            inner = inner_op.on_word(right[j - 1 : j - 1 + s2])
-            if inner.is_zero():
-                continue
-            s_exp = maltese(a_degs, 1, r + j - 1) + m_deg
-            for name, c in inner.terms.items():
-                outer = M.op_word(
-                    r, s1, left + (m,) + right[: j - 1] + (name,) + right[j - 1 + s2 :]
-                )
-                add(s_exp, c, outer)
-
+    _arm_terms(M.algebra, M.op_word, word, r, s, M.module.degree_of(word[r]), acc)
+    _slot_terms(M.algebra, M.op_word, M.op_word, word, r, s, 1, acc)
     return Element(M.module, acc)
 
 
@@ -378,78 +366,19 @@ class BimoduleMorphism:
 def morphism_equation_sides(
     f: BimoduleMorphism, r: int, s: int, word: Word
 ) -> tuple[Element, Element]:
-    """Both sides of the type-(r,s) morphism equation on one basis word."""
+    """Both sides of the type-(r,s) morphism equation on one basis word.
+
+    The left side feeds f around the slot into mu^N; the right side is the
+    bimodule equation of M with f as the outer operation, times (-1)^d.
+    """
     M, N, d = f.source, f.target, f.degree
     A = M.algebra
-    left, m, right = word[:r], word[r], word[r + 1 :]
-    a_degs = [A.module.degree_of(n) for n in left + right]
-    m_deg = M.module.degree_of(m)
-
     lhs: dict[str, int] = {}
     rhs: dict[str, int] = {}
-
-    def add(acc, s_exp, c, elem):
-        sv = sign(s_exp) * c
-        for n, v in elem.terms.items():
-            acc[n] = acc.get(n, 0) + sv * v
-
-    for r1 in range(0, r + 1):
-        r2 = r - r1
-        for s2 in range(0, s + 1):
-            s1 = s - s2
-            inner = f.component_word(r2, s2, left[r1:] + (m,) + right[:s2])
-            if inner.is_zero():
-                continue
-            s_exp = d * maltese(a_degs, 1, r1)
-            for name, c in inner.terms.items():
-                outer = N.op_word(r1, s1, left[:r1] + (name,) + right[s2:])
-                add(lhs, s_exp, c, outer)
-
-    for r2 in range(1, r + 1):
-        r1 = r + 1 - r2
-        inner_op = A.mu(r2)
-        if inner_op is None:
-            continue
-        for i in range(1, r1 + 1):
-            inner = inner_op.on_word(left[i - 1 : i - 1 + r2])
-            if inner.is_zero():
-                continue
-            s_exp = maltese(a_degs, 1, i - 1) + d
-            for name, c in inner.terms.items():
-                outer = f.component_word(
-                    r1, s, left[: i - 1] + (name,) + left[i - 1 + r2 :] + (m,) + right
-                )
-                add(rhs, s_exp, c, outer)
-
-    for r1 in range(0, r + 1):
-        r2 = r - r1
-        for s2 in range(0, s + 1):
-            s1 = s - s2
-            inner = M.op_word(r2, s2, left[r1:] + (m,) + right[:s2])
-            if inner.is_zero():
-                continue
-            s_exp = maltese(a_degs, 1, r1) + d
-            for name, c in inner.terms.items():
-                outer = f.component_word(r1, s1, left[:r1] + (name,) + right[s2:])
-                add(rhs, s_exp, c, outer)
-
-    for s2 in range(1, s + 1):
-        s1 = s + 1 - s2
-        inner_op = A.mu(s2)
-        if inner_op is None:
-            continue
-        for i in range(1, s1 + 1):
-            inner = inner_op.on_word(right[i - 1 : i - 1 + s2])
-            if inner.is_zero():
-                continue
-            s_exp = maltese(a_degs, 1, r + i - 1) + m_deg + d
-            for name, c in inner.terms.items():
-                outer = f.component_word(
-                    r, s1, left + (m,) + right[: i - 1] + (name,) + right[i - 1 + s2 :]
-                )
-                add(rhs, s_exp, c, outer)
-
-    return Element(N.module, lhs), Element(N.module, rhs)
+    _slot_terms(A, N.op_word, f.component_word, word, r, s, d, lhs)
+    _arm_terms(A, f.component_word, word, r, s, M.module.degree_of(word[r]), rhs)
+    _slot_terms(A, f.component_word, M.op_word, word, r, s, 1, rhs)
+    return Element(N.module, lhs), Element(N.module, rhs).scale(sign(d))
 
 
 def check_morphism_equation(f: BimoduleMorphism, r: int, s: int) -> Verdict:
@@ -474,15 +403,12 @@ def validate_morphism(f: BimoduleMorphism, bound: int | None = None) -> dict:
 def morphism_is_chain_map_00(f: BimoduleMorphism) -> bool:
     """True iff f_{0,0} commutes with the (0,0) differentials."""
     for m in f.source.module.names:
-        lhs_input = f.source.op_word(0, 0, (m,))
         lhs: dict[str, int] = {}
-        for name, c in lhs_input.terms.items():
-            for n, v in f.component_word(0, 0, (name,)).terms.items():
-                lhs[n] = lhs.get(n, 0) + c * v
+        for name, c in f.source.op_word(0, 0, (m,)).terms.items():
+            _add(lhs, c, f.component_word(0, 0, (name,)))
         rhs: dict[str, int] = {}
         for name, c in f.component_word(0, 0, (m,)).terms.items():
-            for n, v in f.target.op_word(0, 0, (name,)).terms.items():
-                rhs[n] = rhs.get(n, 0) + c * v
+            _add(rhs, c, f.target.op_word(0, 0, (name,)))
         if Element(f.target.module, lhs) != Element(f.target.module, rhs):
             return False
     return True

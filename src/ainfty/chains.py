@@ -247,36 +247,3 @@ class ComposedChainMap:
 def compose_induced(g: InducedChainMap, f: InducedChainMap) -> ComposedChainMap:
     return ComposedChainMap(g, f)
 
-
-def diagonal_b_word(algebra, word: Word, ring=None) -> Chain:
-    """Hochschild differential on CH_*(A) via the specialized diagonal formula.
-
-    word = (a_0, a_1, ..., a_n) with all slots in A. This is an independent
-    code path from HochschildComplex.differential_word and is compared with
-    it term by term in the tests.
-    """
-    ring = ring or algebra.ring
-    n = len(word) - 1
-    degs = [algebra.module.degree_of(a) for a in word]
-    red = [d - 1 for d in degs]
-    acc: Chain = {}
-    for l in range(1, n + 2):
-        op = algebra.mu(l)
-        if op is None:
-            continue
-        for i in range(0, n - l + 2):
-            out = op.on_word(word[i : i + l])
-            if out.is_zero():
-                continue
-            s = sign(sum(red[:i]))
-            for name, c in out.terms.items():
-                add_into(acc, word[:i] + (name,) + word[i + l :], s * c)
-        for i in range(max(1, n - l + 2), n + 1):
-            out = op.on_word(word[i:] + word[: i + l - n - 1])
-            if out.is_zero():
-                continue
-            s = sign(sum(red[:i]) * sum(red[i:]))
-            suffix = word[i + l - n - 1 : i]
-            for name, c in out.terms.items():
-                add_into(acc, (name,) + suffix, s * c)
-    return normalize(acc, ring)

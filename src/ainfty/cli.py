@@ -37,7 +37,7 @@ from .cochains import (
     DualChainElement,
     elementary_cochain,
 )
-from .cup import cup, cup_degree
+from .cup import cup, cup_degree, leibniz_sides
 from .documents import StructureDocument, parse, serialize
 from .errors import AinftyError, DocumentError, InternalInvariant, UnknownName
 from .fixtures import fixture_document
@@ -170,10 +170,7 @@ def cmd_cup(doc: StructureDocument, args, report: Report):
                 f"{label}: degree {cup_degree(fg)} "
                 f"({'truncated' if fg.truncated else 'exact'})"
             )
-            lhs = codifferential(fg)
-            rhs = cup(codifferential(f), g).add(
-                cup(f, codifferential(g)).scale(1 if cup_degree(f) % 2 == 0 else -1)
-            )
+            lhs, rhs = leibniz_sides(f, g)
             if lhs.truncated or rhs.truncated:
                 report.line(f"{label}: Leibniz outside the exact regime, skipped")
                 continue
@@ -250,8 +247,8 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
     # one complex per module, so the b, phi and E1 checks share its caches
     complexes = {name: HochschildComplex(M, length) for name, M in modules.items()}
 
-    def bimodule_ok(M, bound):
-        for (r, s), verdict in validate_bimodule(M, bound).items():
+    def first_failure(verdicts):
+        for verdict in verdicts.values():
             if not verdict.holds:
                 return False, verdict.describe()
         return True, ""
@@ -260,7 +257,9 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         checks.append(
             (
                 f"bimodule equations [{name}]",
-                lambda M=modules[name], b=bounds[name]: bimodule_ok(M, min(b, args.max_rs)),
+                lambda M=modules[name], b=bounds[name]: first_failure(
+                    validate_bimodule(M, min(b, args.max_rs))
+                ),
             )
         )
 
@@ -272,12 +271,6 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
 
     for name in sorted(modules):
         checks.append((f"b.b = 0 [{name}]", lambda cx=complexes[name]: b_squared_ok(cx)))
-
-    def morphism_ok(f):
-        for (r, s), verdict in validate_morphism(f, args.max_rs).items():
-            if not verdict.holds:
-                return False, verdict.describe()
-        return True, ""
 
     def chain_map_ok(f):
         fstar = InducedChainMap(f, length)
@@ -295,7 +288,10 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
 
     for name in sorted(doc.morphisms):
         checks.append(
-            (f"morphism equations [{name}]", lambda f=doc.morphisms[name]: morphism_ok(f))
+            (
+                f"morphism equations [{name}]",
+                lambda f=doc.morphisms[name]: first_failure(validate_morphism(f, args.max_rs)),
+            )
         )
         checks.append(
             (f"induced chain map [{name}]", lambda f=doc.morphisms[name]: chain_map_ok(f))
@@ -354,13 +350,7 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         def leibniz_ok():
             for fname in sorted(named):
                 for gname in sorted(named):
-                    f, g = named[fname], named[gname]
-                    lhs = codifferential(cup(f, g))
-                    rhs = cup(codifferential(f), g).add(
-                        cup(f, codifferential(g)).scale(
-                            1 if cup_degree(f) % 2 == 0 else -1
-                        )
-                    )
+                    lhs, rhs = leibniz_sides(named[fname], named[gname])
                     if lhs.truncated or rhs.truncated:
                         continue
                     if lhs != rhs:

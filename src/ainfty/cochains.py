@@ -22,7 +22,7 @@ from .bimodules import (
     dual_bimodule,
     dual_name,
 )
-from .chains import Chain, HochschildComplex, InducedChainMap
+from .chains import Chain, HochschildComplex, InducedChainMap, normalize
 from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
 from .graded import Word
 from .homology import FiniteComplex
@@ -30,6 +30,12 @@ from .signs import maltese, sign
 
 # arity -> input word -> {output basis name: coefficient}
 Components = dict[int, dict[Word, dict[str, int]]]
+
+
+def add_entry(table: dict[Word, dict[str, int]], word: Word, name: str, c: int) -> None:
+    """table[word][name] += c, creating the entry on first use."""
+    slot = table.setdefault(word, {})
+    slot[name] = slot.get(name, 0) + c
 
 
 class Cochain:
@@ -98,9 +104,8 @@ class Cochain:
             for n, table in src.items():
                 tgt = acc.setdefault(n, {})
                 for w, val in table.items():
-                    slot = tgt.setdefault(w, {})
                     for name, c in val.items():
-                        slot[name] = slot.get(name, 0) + c
+                        add_entry(tgt, w, name, c)
         deg = other.degree if self.is_zero() else self.degree
         return Cochain(
             self.M, deg, acc, self.cutoff, self.truncated or other.truncated
@@ -138,11 +143,6 @@ def codifferential(f: Cochain) -> Cochain:
     amod = A.module
     acc: Components = {}
     truncated = f.truncated
-
-    def bump(n: int, word: Word, name: str, c: int):
-        slot = acc.setdefault(n, {}).setdefault(word, {})
-        slot[name] = slot.get(name, 0) + c
-
     for n, table in f.components.items():
         for mu_arity in A.ops:
             l = mu_arity - 1
@@ -152,6 +152,7 @@ def codifferential(f: Cochain) -> Cochain:
                 truncated = True
                 continue
             preimages = A.preimages(mu_arity)
+            tgt = acc.setdefault(n + l, {})
             for word, value in table.items():
                 front = 0  # reduced degrees of word[: i - 1]
                 for i, letter in enumerate(word, 1):
@@ -159,7 +160,7 @@ def codifferential(f: Cochain) -> Cochain:
                         target = word[: i - 1] + pre + word[i:]
                         sv = sign(front) * pc
                         for name, c in value.items():
-                            bump(n + l, target, name, sv * c)
+                            add_entry(tgt, target, name, sv * c)
                     front += amod.degree_of(letter) - 1
         for r, s in M.ops:
             l = r + s
@@ -167,13 +168,14 @@ def codifferential(f: Cochain) -> Cochain:
                 truncated = True
                 continue
             slots = M.slot_index(r, s)
+            tgt = acc.setdefault(n + l, {})
             for word, value in table.items():
                 for name, c in value.items():
                     for prefix, suffix, mal, out in slots.get(name, ()):
                         sv = sign(f.degree * (mal + 1) + 1) * c
                         target = prefix + word + suffix
                         for out_name, v in out.items():
-                            bump(n + l, target, out_name, sv * v)
+                            add_entry(tgt, target, out_name, sv * v)
 
     return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)
 
@@ -183,12 +185,7 @@ class DualChainElement:
 
     def __init__(self, complex_: HochschildComplex, terms: Mapping[Word, int]):
         self.complex = complex_
-        ring = complex_.ring
-        self.terms = {
-            tuple(w): ring.normalize(c)
-            for w, c in terms.items()
-            if ring.normalize(c)
-        }
+        self.terms = normalize({tuple(w): c for w, c in terms.items()}, complex_.ring)
 
     def evaluate(self, x: Chain) -> int:
         return self.complex.ring.normalize(
@@ -228,9 +225,7 @@ def duality_iso(
         n = len(word)
         degs = [amod.degree_of(a) for a in word]
         s_exp = cx.M.module.degree_of(m) * maltese(degs, 1, n)
-        slot = comps.setdefault(n, {}).setdefault(word, {})
-        name = dual_name(m)
-        slot[name] = slot.get(name, 0) + sign(s_exp) * c
+        add_entry(comps.setdefault(n, {}), word, dual_name(m), sign(s_exp) * c)
     deg = psi.degree()
     if deg is None:
         deg = 0
@@ -327,9 +322,7 @@ class RegradedComplexes:
 
     The underlying data is the diagonal Hochschild complex; only the degree
     bookkeeping moves (chains sit one below the generic degree, cochains one
-    above). chain_differential evaluates the specialized diagonal formula and
-    codifferential the regraded explicit one; both agree with the generic
-    operators term by term.
+    above). The differentials are the generic ones on self.complex.
     """
 
     def __init__(self, algebra: AInfinityAlgebra, length_cutoff: int = 4):
@@ -340,16 +333,8 @@ class RegradedComplexes:
     def chain_degree(self, word: Word) -> int:
         return regraded_chain_degree(self.algebra, word)
 
-    def chain_differential(self, word: Word) -> Chain:
-        from .chains import diagonal_b_word
-
-        return diagonal_b_word(self.algebra, word)
-
     def cochain_degree(self, f: Cochain) -> int:
         return f.degree + 1
-
-    def codifferential(self, f: Cochain) -> Cochain:
-        return regraded_codifferential(f)
 
 
 def regrade_diagonal(A: AInfinityAlgebra, length_cutoff: int = 4) -> RegradedComplexes:
@@ -377,10 +362,12 @@ def cochain_basis(
 
 def cochain_complex(M: AInfinityBimodule, cutoff: int) -> FiniteComplex:
     """CH^*(A;M) up to arity cutoff on elementary cochains, with beta as differential."""
+    basis = cochain_basis(M, cutoff)
+    degree = {key: j for j, keys in basis.items() for key in keys}
 
     def image(key: tuple[int, Word, str]) -> dict[tuple[int, Word, str], int]:
-        _, word, name = key
-        out = codifferential(elementary_cochain(M, word, name, cutoff))
+        n, word, name = key
+        out = codifferential(Cochain(M, degree[key], {n: {word: {name: 1}}}, cutoff))
         return {
             (n, w, out_name): c
             for n, table in out.components.items()
@@ -388,65 +375,5 @@ def cochain_complex(M: AInfinityBimodule, cutoff: int) -> FiniteComplex:
             for out_name, c in value.items()
         }
 
-    return FiniteComplex(M.ring, cochain_basis(M, cutoff), image, step=1)
+    return FiniteComplex(M.ring, basis, image, step=1)
 
-
-def regraded_codifferential(f: Cochain) -> Cochain:
-    """Explicit codifferential on CH^*(A), coded from the diagonal formula.
-
-    Independent of `codifferential`: the coefficient operations are read off
-    the algebra tables as mu_{r+s+1} and the sign uses (deg - 1) in the
-    regraded convention. The stored total degree remains the generic one, so
-    deg_regraded = f.degree + 1 and the exponent (deg_regraded - 1)(...)+1
-    equals the generic one; what is independent here is the assembly path.
-    """
-    A, M = f.A, f.M
-    amod = A.module
-    acc: Components = {}
-    truncated = f.truncated
-
-    def bump(n: int, word: Word, name: str, c: int):
-        slot = acc.setdefault(n, {}).setdefault(word, {})
-        slot[name] = slot.get(name, 0) + c
-
-    deg_regraded = f.degree + 1
-    for n, table in f.components.items():
-        for mu_arity, op in A.ops.items():
-            # insertion family
-            l = mu_arity - 1
-            if n >= 1:
-                if n + l > f.cutoff:
-                    truncated = True
-                else:
-                    pre: dict[str, list[tuple[Word, int]]] = {}
-                    for key, value in op.entries():
-                        for name, c in value.terms.items():
-                            pre.setdefault(name, []).append((key, c))
-                    for word, value in table.items():
-                        for i in range(1, n + 1):
-                            for key, pc in pre.get(word[i - 1], ()):
-                                target = word[: i - 1] + key + word[i:]
-                                degs = [amod.degree_of(a) for a in target]
-                                sv = sign(maltese(degs, 1, i - 1)) * pc
-                                for name, c in value.items():
-                                    bump(n + l, target, name, sv * c)
-            # wrapping family: mu^{A[1]}_{r,s} = mu_{r+s+1}
-            for r in range(0, mu_arity):
-                s = mu_arity - 1 - r
-                l = r + s
-                if n + l > f.cutoff:
-                    truncated = True
-                    continue
-                for word, value in table.items():
-                    for prefix in itertools.product(amod.names, repeat=r):
-                        for suffix in itertools.product(amod.names, repeat=s):
-                            target = prefix + word + suffix
-                            degs = [amod.degree_of(a) for a in target]
-                            s_exp = (deg_regraded - 1) * (maltese(degs, 1, r) + 1) + 1
-                            sv = sign(s_exp)
-                            for name, c in value.items():
-                                out = op.on_word(prefix + (name,) + suffix)
-                                for out_name, v in out.terms.items():
-                                    bump(n + l, target, out_name, sv * c * v)
-
-    return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)

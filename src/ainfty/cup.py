@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cochains import Cochain, Components
+from .cochains import Cochain, Components, add_entry, codifferential
 from .errors import ModuleMismatch
 from .graded import Word
 from .signs import maltese, sign
@@ -68,11 +68,8 @@ def cup_component(
                 for name_f, cf in vf.items():
                     for name_g, cg in vg.items():
                         hit = op.on_word(pre + (name_f,) + mid + (name_g,) + post)
-                        if hit.is_zero():
-                            continue
-                        slot = out.setdefault(word, {})
                         for t, c in hit.terms.items():
-                            slot[t] = slot.get(t, 0) + sv * cf * cg * c
+                            add_entry(out, word, t, sv * cf * cg * c)
     return out
 
 
@@ -98,13 +95,22 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
                 if m + n + k > cutoff:
                     truncated = True
                     continue
+                tgt = acc.setdefault(m + n + k, {})
                 for j1 in range(1, n + k + 1):
                     for j2 in range(j1 + m, m + k + 2):
                         part = cup_component(f, g, m, n, k, j1, j2)
                         for word, value in part.items():
-                            slot = acc.setdefault(m + n + k, {}).setdefault(word, {})
                             for t, c in value.items():
-                                slot[t] = slot.get(t, 0) + c
+                                add_entry(tgt, word, t, c)
     # total degree: additive in the CH^*(A) convention
     out_degree = (cup_degree(f) + cup_degree(g)) - 1
     return Cochain(f.M, out_degree, acc, cutoff, truncated)
+
+
+def leibniz_sides(f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:
+    """beta(f cup g) and beta(f) cup g + (-1)^{|f|} f cup beta(g), |f| in CH^*(A)."""
+    lhs = codifferential(cup(f, g))
+    rhs = cup(codifferential(f), g).add(
+        cup(f, codifferential(g)).scale(1 if cup_degree(f) % 2 == 0 else -1)
+    )
+    return lhs, rhs

@@ -324,10 +324,6 @@ def invariant_factors(mat: ExactMatrix) -> list[int]:
     return out
 
 
-def rank_z(mat: ExactMatrix) -> int:
-    return len(invariant_factors(mat))
-
-
 def kernel_basis_z(mat: ExactMatrix) -> ExactMatrix:
     """Columns form a Z-basis of the integer kernel lattice."""
     D, _, V = smith_normal_form(mat)
@@ -488,7 +484,7 @@ def _require_complex(d_out: ExactMatrix, d_in: ExactMatrix, ring: CoefficientRin
 def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
     """Invariant factors of one boundary; over Z/p every nonzero one is a unit 1."""
     if ring.is_field:
-        return [1] * rank_modp(mat.mod(ring.p), ring.p)
+        return [1] * rank_modp(mat, ring.p)
     return invariant_factors(mat)
 
 

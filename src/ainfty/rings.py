@@ -2,7 +2,7 @@
 
 All arithmetic is exact. Coefficients are plain Python ints; a ring object
 only knows how to normalize them (identity over Z, reduction mod p over Z/p)
-and whether nonzero elements are invertible.
+and whether it is a field.
 """
 
 from __future__ import annotations
@@ -39,19 +39,6 @@ class CoefficientRing:
 
     def normalize(self, c: int) -> int:
         return c if self.p is None else c % self.p
-
-    def is_zero(self, c: int) -> bool:
-        return self.normalize(c) == 0
-
-    def inverse(self, c: int) -> int:
-        if self.p is None:
-            if c in (1, -1):
-                return c
-            raise ZeroDivisionError(f"{c} is not invertible over Z")
-        c = c % self.p
-        if c == 0:
-            raise ZeroDivisionError("zero is not invertible")
-        return pow(c, self.p - 2, self.p)
 
     def __str__(self) -> str:
         return "Z" if self.p is None else f"Z/{self.p}"

@@ -12,16 +12,23 @@ from ainfty.bimodules import (
     diagonal_bimodule,
     dual_bimodule,
     identity_morphism,
+    morphism_equation_sides,
     morphism_is_chain_map_00,
     tensor_name,
     tensor_square_bimodule,
     validate_bimodule,
     validate_morphism,
 )
+from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
 from ainfty.graded import MultilinearOp
 from ainfty.rings import Z
 
-from helpers import ALGEBRA_FIXTURES, load
+from helpers import (
+    ALGEBRA_FIXTURES,
+    bimodule_equation_residual_oracle,
+    load,
+    morphism_equation_sides_oracle,
+)
 
 
 def test_diagonal_reindexes_the_multiplications():
@@ -287,3 +294,80 @@ def test_epsilon_projection_morphism():
     for (r, s), verdict in validate_morphism(f, 3).items():
         assert verdict.holds, verdict.describe()
     assert morphism_is_chain_map_00(f)
+
+
+def _corrupted_bimodule():
+    # the bimodule of test_corrupted_bimodule_has_counterexample
+    doc = load("quasi_iso_pair")
+    A, N = doc.algebra, doc.bimodules["N"]
+    ops = dict(N.ops)
+    bad_table = {("e", "u"): {"u": 1}, ("e", "v"): {"v": 1}}
+    ops[(1, 0)] = bimodule_op(A, N.module, 1, 0, bad_table)
+    return AInfinityBimodule(A, N.module, ops, max_rs=4, name="bad")
+
+
+def _words_up_to(M, bound=3):
+    for total in range(bound + 1):
+        for r in range(total + 1):
+            for word in M.words(r, total - r):
+                yield r, total - r, word
+
+
+def test_bimodule_residual_matches_written_out_oracle():
+    # the residual is built from the shared arm and slot helpers; the oracle
+    # writes out the three composite families
+    cases = [_corrupted_bimodule()]
+    for name in ALGEBRA_FIXTURES:
+        A = load(name).algebra
+        diag = diagonal_bimodule(A, 4)
+        cases += [diag, tensor_square_bimodule(A, 3), dual_bimodule(diag, 3)]
+    nonzero = 0
+    for M in cases:
+        for r, s, word in _words_up_to(M):
+            got = bimodule_equation_residual(M, r, s, word)
+            assert got == bimodule_equation_residual_oracle(M, r, s, word), (M.name, word)
+            nonzero += not got.is_zero()
+    assert nonzero  # the corrupted bimodule has nonzero residuals
+
+
+def _oracle_morphisms():
+    doc = load("quasi_iso_pair")
+    out = [doc.morphisms["include"]]
+    for name in ALGEBRA_FIXTURES:
+        A = load(name).algebra
+        M = diagonal_bimodule(A, 4)
+        two = {(n,): {n: 2} for n in M.module.names}
+        out.append(identity_morphism(M))
+        out.append(
+            BimoduleMorphism(
+                M, M, 0, {(0, 0): MultilinearOp((M.module,), M.module, 0, two)}, name="2id"
+            )
+        )
+        # a coboundary is a cocycle; its reindexing has degree != 0 and
+        # components beyond (0,0)
+        f = next(
+            g
+            for a in A.module.names
+            for out_name in M.module.names
+            for g in [codifferential(elementary_cochain(M, (a,), out_name, cutoff=4))]
+            if g.degree != 0 and max(g.components) >= 2
+        )
+        mor = cocycle_to_morphism(f, 4, diagonal=M)
+        assert mor.degree != 0 and any(r + s for r, s in mor.maps)
+        out.append(mor)
+    A = load("exterior1").algebra
+    M = diagonal_bimodule(A, 4)
+    f00 = MultilinearOp((M.module,), M.module, 1, {("1",): {"x": 1}})
+    out.append(BimoduleMorphism(M, M, 1, {(0, 0): f00}, name="deg1"))
+    return out
+
+
+def test_morphism_sides_match_written_out_oracle():
+    unequal = 0
+    for f in _oracle_morphisms():
+        for r, s, word in _words_up_to(f.source):
+            lhs, rhs = morphism_equation_sides(f, r, s, word)
+            want = morphism_equation_sides_oracle(f, r, s, word)
+            assert (lhs, rhs) == want, (f.name, word)
+            unequal += lhs != rhs
+    assert unequal  # the reindexed cocycles fail some equation

@@ -16,7 +16,6 @@ from ainfty.chains import (
     HochschildComplex,
     InducedChainMap,
     compose_induced,
-    diagonal_b_word,
     induced_chain_map,
     normalize,
 )
@@ -25,7 +24,13 @@ from ainfty.errors import Inhomogeneous, ModuleMismatch, ZeroElement
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
 
-from helpers import ALGEBRA_FIXTURES, b_component_oracle, load, load_reordered
+from helpers import (
+    ALGEBRA_FIXTURES,
+    b_component_oracle,
+    diagonal_b_word,
+    load,
+    load_reordered,
+)
 
 
 def all_bimodules(name, max_rs=4, p=None):

@@ -17,14 +17,20 @@ from ainfty.homology import (
     kernel_basis_modp,
     kernel_basis_z,
     rank_modp,
-    rank_z,
     smith_normal_form,
     solve_in_lattice,
 )
 from ainfty.rings import Z, Zp
 from ainfty.spectral import truncation
 
-from helpers import ALGEBRA_FIXTURES, dense_rank_modp, dense_rank_q, load, minor_gcd_invariants
+from helpers import (
+    ALGEBRA_FIXTURES,
+    dense_rank_modp,
+    dense_rank_q,
+    load,
+    minor_gcd_invariants,
+    rank_z,
+)
 
 
 def test_snf_zero_matrix():
