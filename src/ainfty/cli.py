@@ -430,6 +430,10 @@ def main(argv: list[str] | None = None) -> int:
         args.length = args.length if args.length is not None else doc.options.length
         args.max_r = args.max_r if args.max_r is not None else doc.options.max_r
         args.max_rs = args.max_rs if args.max_rs is not None else doc.options.max_rs
+        for name in ("length", "max_r", "max_rs"):
+            value = getattr(args, name)
+            if value < 0:
+                raise DocumentError(f"{name}: expected a non-negative count, got {value}")
         report = Report()
         report.line(f"command: {args.command}")
         report.line(f"ring: {doc.ring}")

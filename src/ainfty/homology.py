@@ -1,19 +1,23 @@
 """Exact linear algebra: Smith normal form over Z, ranks over Z/p, homology.
 
-Matrices are sparse maps (row, col) -> coefficient. Smith normal form and
-rank mod p factor each connected component of a matrix's row/column graph
-on dense lists of Python ints, which are exact at any size; kernels and
-solves mod p run dense on the whole matrix. The SNF routine re-verifies
-D = U*M*V on the whole matrix by multiplication before returning.
+Matrices are sparse maps (row, col) -> coefficient. One sparse eliminator
+clears the unit pivots first, recording its row operations in sparse rows
+of U and its column operations in sparse columns of V. Over Z/p every
+nonzero entry is a unit, so it alone gives ranks, kernels and solves. Over
+Z, each connected component of what remains goes to a dense kernel on
+lists of Python ints, which are exact at any size. Smith normal form, over
+Z and mod p, re-verifies D = U*M*V on the whole matrix by multiplication
+before returning.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import InternalInvariant, NotAComplex, NotChainMap
-from .rings import CoefficientRing
+from .rings import CoefficientRing, Z
 
 
 class ExactMatrix:
@@ -204,46 +208,178 @@ def _snf_dense(block: ExactMatrix) -> tuple[list[list[int]], list[list[int]], li
 def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """Return (D, U, V) with D = U @ mat @ V, D diagonal with d1 | d2 | ...
 
-    Each connected component of mat's row/column graph is factored on its
-    own by the dense kernel _snf_dense. The pivots are placed at (t, t),
-    units first; the other pivots are merged into the divisibility chain by
-    2x2 moves diag(a, b) -> diag(gcd, lcm) on the matching rows of U and
-    columns of V. Rows and columns outside every component keep identity
-    transforms after the pivots. The identity D = U*M*V is re-verified on
-    the whole matrix by exact multiplication before returning.
+    The unit pivots are cleared first by the sparse eliminator
+    _eliminate_units. Each connected component of what remains is factored
+    on its own by the dense kernel _snf_dense, and its transforms are
+    composed with the eliminator's sparse rows of U and columns of V. The
+    pivots are placed at (t, t), units first; the other pivots are merged
+    into the divisibility chain by 2x2 moves diag(a, b) -> diag(gcd, lcm)
+    on the matching rows of U and columns of V. The identity D = U*M*V is
+    re-verified on the whole matrix by exact multiplication before
+    returning.
     """
-    pivots: list[list] = []  # [d, row of U, column of V] as sparse dicts
-    u_rest: list[dict[int, int]] = []
-    v_rest: list[dict[int, int]] = []
-    for rows, cols, block in _blocks(mat):
+    return _smith(mat, None)
+
+
+def _smith(mat: ExactMatrix, p: int | None) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    """smith_normal_form over Z (p is None) or over Z/p.
+
+    Mod p nothing remains after the eliminator, so D is an identity block,
+    and U, V and the check D = U*M*V are reduced mod p.
+    """
+    pivots, rest, u_rest, v_rest = _eliminate_units(mat, p)
+    # rest rows and columns outside every component keep the eliminator's transforms
+    u_zero, v_zero = dict(enumerate(u_rest)), dict(enumerate(v_rest))
+    u_tail: list[dict[int, int]] = []
+    v_tail: list[dict[int, int]] = []
+    for rows, cols, block in _blocks(rest):
         D, U, V = _snf_dense(block)
-        u_rows = [{rows[k]: c for k, c in enumerate(row) if c} for row in U]
-        v_cols = [
-            {cols[k]: row[t] for k, row in enumerate(V) if row[t]} for t in range(len(cols))
-        ]
+        u_of = [u_zero.pop(i) for i in rows]
+        v_of = [v_zero.pop(j) for j in cols]
+        u_rows = [_mix(row, u_of) for row in U]
+        v_cols = [_mix([row[t] for row in V], v_of) for t in range(len(cols))]
         rank = sum(1 for t in range(min(len(rows), len(cols))) if D[t][t])
         pivots += [[D[t][t], u_rows[t], v_cols[t]] for t in range(rank)]
-        u_rest += u_rows[rank:]
-        v_rest += v_cols[rank:]
-    units = [p for p in pivots if p[0] == 1]
-    torsion = [p for p in pivots if p[0] != 1]
+        u_tail += u_rows[rank:]
+        v_tail += v_cols[rank:]
+    units = [q for q in pivots if q[0] == 1]
+    torsion = [q for q in pivots if q[0] != 1]
     for a in range(len(torsion)):
         for b in range(a + 1, len(torsion)):
             if torsion[b][0] % torsion[a][0]:
                 _gcd_lcm_move(torsion[a], torsion[b])
     chain = units + torsion
-    u_rows = [p[1] for p in chain] + u_rest
-    v_cols = [p[2] for p in chain] + v_rest
-    u_rows += [{i: 1} for i in sorted(set(range(mat.rows)).difference(*u_rows))]
-    v_cols += [{j: 1} for j in sorted(set(range(mat.cols)).difference(*v_cols))]
-    Dm = ExactMatrix(mat.rows, mat.cols, {(t, t): p[0] for t, p in enumerate(chain)})
+    u_rows = [q[1] for q in chain] + u_tail + list(u_zero.values())
+    v_cols = [q[2] for q in chain] + v_tail + list(v_zero.values())
+    Dm = ExactMatrix(mat.rows, mat.cols, {(t, t): q[0] for t, q in enumerate(chain)})
     Um = ExactMatrix(
         mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
     )
     Vm = ExactMatrix.from_columns(mat.cols, v_cols)
-    if Um @ mat @ Vm != Dm:
+    UMV = Um @ mat @ Vm
+    if (UMV if p is None else UMV.mod(p)) != Dm:
         raise InternalInvariant("SNF self-check failed: D != U*M*V")
     return Dm, Um, Vm
+
+
+def _eliminate_units(
+    mat: ExactMatrix, p: int | None = None, track: bool = True
+) -> tuple[list[list], ExactMatrix, list[dict[int, int]], list[dict[int, int]]]:
+    """Sparse elimination on the unit entries of mat; mod p every nonzero entry is one.
+
+    Returns (pivots, rest, u_rest, v_rest). Each pivot is [1, row of U,
+    column of V] as sparse dicts whose product with mat is 1 (mod p). rest
+    is what is left on the other rows and columns, both ascending; u_rest
+    and v_rest are their rows of U and columns of V, so rest is
+    u_rest * mat * v_rest. Mod p, rest is zero.
+
+    The pivot of least Markowitz cost (row nnz - 1) * (col nnz - 1) comes
+    off a heap whose costs are re-validated when popped. Row operations
+    clear the pivot column and are recorded in U; the pivot row's other
+    entries then need column operations only on V, because the pivot
+    column holds nothing else. With track=False (rank only) U and V are not
+    updated, so only the number of pivots and rest mean anything.
+    """
+    field = p is not None
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (i, j), c in mat.entries.items():
+        c = c % p if field else c
+        if c:
+            rows.setdefault(i, {})[j] = c
+            cols.setdefault(j, set()).add(i)
+    heap = [
+        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+        for i, row in rows.items()
+        for j, c in row.items()
+        if field or c == 1 or c == -1
+    ]
+    heapq.heapify(heap)
+    u: dict[int, dict[int, int]] = {}
+    v: dict[int, dict[int, int]] = {}
+    pivots: list[list] = []
+    pivot_rows: set[int] = set()
+    pivot_cols: set[int] = set()
+    while heap:
+        cost, r, c = heapq.heappop(heap)
+        row = rows.get(r)
+        a = row.get(c) if row else None
+        if a is None or not (field or a == 1 or a == -1):
+            continue
+        now = (len(row) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, r, c))
+            continue
+        inv = pow(a, -1, p) if field else a
+        del rows[r], row[c]
+        below = cols.pop(c)
+        below.discard(r)
+        for j in row:
+            cols[j].discard(r)
+        ur = u.pop(r, {r: 1})
+        for i in below:
+            target = rows[i]
+            f = target.pop(c) * inv
+            for j, x in row.items():
+                y = target.get(j, 0) - f * x
+                if field:
+                    y %= p
+                if y:
+                    if j not in target:
+                        cols[j].add(i)
+                    target[j] = y
+                    if field or y == 1 or y == -1:
+                        heapq.heappush(heap, ((len(target) - 1) * (len(cols[j]) - 1), i, j))
+                elif j in target:
+                    del target[j]
+                    cols[j].discard(i)
+            if not target:
+                del rows[i]
+            if track:
+                u[i] = _axpy(u[i] if i in u else {i: 1}, -f, ur, p)
+        vc = v.pop(c, {c: 1})
+        if track:
+            for j, x in row.items():
+                v[j] = _axpy(v[j] if j in v else {j: 1}, -x * inv, vc, p)
+            if inv != 1:
+                ur = _axpy({}, inv, ur, p)
+        pivots.append([1, ur, vc])
+        pivot_rows.add(r)
+        pivot_cols.add(c)
+    rest_rows = [i for i in range(mat.rows) if i not in pivot_rows]
+    rest_cols = [j for j in range(mat.cols) if j not in pivot_cols]
+    row_at = {i: k for k, i in enumerate(rest_rows)}
+    col_at = {j: k for k, j in enumerate(rest_cols)}
+    rest = ExactMatrix(
+        len(rest_rows),
+        len(rest_cols),
+        {(row_at[i], col_at[j]): c for i, row in rows.items() for j, c in row.items()},
+    )
+    u_rest = [u[i] if i in u else {i: 1} for i in rest_rows] if track else []
+    v_rest = [v[j] if j in v else {j: 1} for j in rest_cols] if track else []
+    return pivots, rest, u_rest, v_rest
+
+
+def _axpy(acc: dict[int, int], f: int, vec: dict[int, int], p: int | None) -> dict[int, int]:
+    """acc += f * vec in place (mod p when p is given); zero entries are dropped."""
+    for k, c in vec.items():
+        y = acc.get(k, 0) + f * c
+        if p is not None:
+            y %= p
+        if y:
+            acc[k] = y
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def _mix(coeffs: Sequence[int], vectors: Sequence[dict[int, int]]) -> dict[int, int]:
+    """The sparse sum of coeffs[k] * vectors[k]."""
+    out: dict[int, int] = {}
+    for a, vec in zip(coeffs, vectors):
+        if a:
+            _axpy(out, a, vec, None)
+    return out
 
 
 def _gcd_lcm_move(p: list, q: list) -> None:
@@ -256,8 +392,9 @@ def _gcd_lcm_move(p: list, q: list) -> None:
     a, b = p[0], q[0]
     g, x, y = _xgcd(a, b)
     p[0], q[0] = g, a // g * b
-    p[1], q[1] = _combine(x, p[1], y, q[1]), _combine(-(b // g), p[1], a // g, q[1])
-    p[2], q[2] = _combine(1, p[2], 1, q[2]), _combine(-y * (b // g), p[2], x * (a // g), q[2])
+    u, v = (p[1], q[1]), (p[2], q[2])
+    p[1], q[1] = _mix((x, y), u), _mix((-(b // g), a // g), u)
+    p[2], q[2] = _mix((1, 1), v), _mix((-y * (b // g), x * (a // g)), v)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -269,13 +406,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return a, x0, y0
-
-
-def _combine(x: int, u: dict[int, int], y: int, v: dict[int, int]) -> dict[int, int]:
-    out = {k: x * c for k, c in u.items()}
-    for k, c in v.items():
-        out[k] = out.get(k, 0) + y * c
-    return {k: c for k, c in out.items() if c}
 
 
 def _blocks(mat: ExactMatrix) -> list[tuple[list[int], list[int], ExactMatrix]]:
@@ -324,96 +454,50 @@ def invariant_factors(mat: ExactMatrix) -> list[int]:
     return out
 
 
+def rank_modp(mat: ExactMatrix, p: int) -> int:
+    """Rank over Z/p: the number of pivots of the sparse elimination mod p."""
+    return len(_eliminate_units(mat, p, track=False)[0])
+
+
+def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
+    """Columns form a basis of the kernel (over Z, of the kernel lattice).
+
+    They are the columns of V past the rank in D = U*M*V.
+    """
+    D, _, V = _smith(mat, ring.p) if ring.is_field else smith_normal_form(mat)
+    rank = len(D.entries)
+    return ExactMatrix(
+        V.rows, V.cols - rank, {(i, j - rank): c for (i, j), c in V.entries.items() if j >= rank}
+    )
+
+
 def kernel_basis_z(mat: ExactMatrix) -> ExactMatrix:
-    """Columns form a Z-basis of the integer kernel lattice."""
-    D, _, V = smith_normal_form(mat)
-    zero_cols = [j for j in range(mat.cols) if D.entries.get((j, j), 0) == 0]
-    entries = {}
-    for new_j, j in enumerate(zero_cols):
-        for i in range(V.rows):
-            c = V.entries.get((i, j))
-            if c:
-                entries[(i, new_j)] = c
-    return ExactMatrix(V.rows, len(zero_cols), entries)
+    return kernel_basis(mat, Z)
+
+
+def solve(K: ExactMatrix, B: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
+    """X with K @ X = B, for K a kernel basis as returned by kernel_basis.
+
+    With D = U*K*V, X = V*W where D*W = U*B; over Z, K's columns must span
+    a saturated lattice.
+    """
+    D, U, V = _smith(K, ring.p) if ring.is_field else smith_normal_form(K)
+    UB = U @ B
+    entries: dict[tuple[int, int], int] = {}
+    for (i, jcol), v in (UB.mod(ring.p) if ring.is_field else UB).entries.items():
+        d = D.entries.get((i, i), 0)
+        if d == 0:
+            raise NotAComplex("column is not in the span of the kernel lattice")
+        if v % d:
+            raise NotAComplex("column is not integrally in the lattice")
+        entries[(i, jcol)] = v // d
+    X = V @ ExactMatrix(K.cols, B.cols, entries)
+    return X.mod(ring.p) if ring.is_field else X
 
 
 def solve_in_lattice(K: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     """Integral X with K @ X = B; K's columns must span a saturated lattice."""
-    D, U, V = smith_normal_form(K)
-    UB = U @ B
-    entries: dict[tuple[int, int], int] = {}
-    for jcol in range(B.cols):
-        for i in range(K.rows):
-            v = UB.entries.get((i, jcol), 0)
-            d = D.entries.get((i, i), 0) if i < K.cols else 0
-            if d == 0:
-                if v:
-                    raise NotAComplex("column is not in the span of the kernel lattice")
-                continue
-            if v % d:
-                raise NotAComplex("column is not integrally in the lattice")
-            if v // d:
-                entries[(i, jcol)] = v // d
-    W = ExactMatrix(K.cols, B.cols, entries)
-    return V @ W
-
-
-def _row_reduce_modp(dense: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    mat = [[v % p for v in row] for row in dense]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        sel = None
-        for i in range(r, rows):
-            if mat[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return mat, pivots
-
-
-def rank_modp(mat: ExactMatrix, p: int) -> int:
-    """Rank over Z/p, summed over the components of mat reduced mod p."""
-    return sum(
-        len(_row_reduce_modp(block.to_dense(), p)[1]) for _, _, block in _blocks(mat.mod(p))
-    )
-
-
-def kernel_basis_modp(mat: ExactMatrix, p: int) -> ExactMatrix:
-    red, pivots = _row_reduce_modp(mat.to_dense(), p)
-    free = [j for j in range(mat.cols) if j not in pivots]
-    entries = {}
-    for new_j, j in enumerate(free):
-        entries[(j, new_j)] = 1
-        for r, c in enumerate(pivots):
-            v = red[r][j] % p
-            if v:
-                entries[(c, new_j)] = (-v) % p
-    return ExactMatrix(mat.cols, len(free), entries)
-
-
-def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
-    return kernel_basis_modp(mat, ring.p) if ring.is_field else kernel_basis_z(mat)
-
-
-def solve(K: ExactMatrix, B: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
-    """X with K @ X = B, for K a kernel basis as returned by kernel_basis."""
-    return _solve_modp(K, B, ring.p) if ring.is_field else solve_in_lattice(K, B)
+    return solve(K, B, Z)
 
 
 def determinant(mat: ExactMatrix) -> int:
@@ -612,18 +696,3 @@ def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         entries[(i, j + a.cols)] = c
     return ExactMatrix(a.rows, a.cols + b.cols, entries)
 
-
-def _solve_modp(K: ExactMatrix, B: ExactMatrix, p: int) -> ExactMatrix:
-    """Solve K X = B mod p (K has full column rank on its kernel-basis use)."""
-    aug = _hstack(K, B).to_dense()
-    red, pivots = _row_reduce_modp(aug, p)
-    k = K.cols
-    entries = {}
-    for r, c in enumerate(pivots):
-        if c >= k:
-            raise NotAComplex("column is not in the span mod p")
-        for j in range(B.cols):
-            v = red[r][k + j] % p
-            if v:
-                entries[(c, j)] = v
-    return ExactMatrix(k, B.cols, entries)

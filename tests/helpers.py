@@ -9,7 +9,9 @@ bodies, kept to check the operation-driven assembly that replaced them; the
 two equation bodies are the former written-out composite families, kept to
 check the shared arm and slot helpers. The diagonal-formula differential, the
 regraded codifferential and the integer rank are second routes that no report
-prints, so they live here rather than in the library.
+prints, so they live here rather than in the library. The block-only Smith
+normal form and the dense mod-p rank, kernel and solve are the former library
+routines, kept to check the sparse unit-pivot elimination that replaced them.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from fractions import Fraction
 from ainfty.chains import add_into, normalize
 from ainfty.cochains import Cochain
 from ainfty.graded import Element
-from ainfty.homology import invariant_factors
+from ainfty.homology import ExactMatrix, _blocks, _gcd_lcm_move, _snf_dense, invariant_factors
 from ainfty.documents import parse, serialize
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, maltese0, sign, star_sign
@@ -46,30 +48,91 @@ def load_reordered(name, seed):
 ALGEBRA_FIXTURES = list(FIXTURE_NAMES)
 
 
-def dense_rank_modp(rows, p):
-    """Row-reduction rank over GF(p); oracle, independent of ainfty.homology."""
+def row_reduce_modp(rows, p):
+    """Reduced row echelon form over GF(p); returns (matrix, pivot columns)."""
     mat = [[v % p for v in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
     for col in range(ncols):
-        sel = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] % p:
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = pow(mat[r][col], p - 2, p)
+        mat[r] = [(v * inv) % p for v in mat[r]]
         for i in range(len(mat)):
-            if i != rank and mat[i][col]:
+            if i != r and mat[i][col]:
                 f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def dense_rank_modp(rows, p):
+    """Row-reduction rank over GF(p); oracle, independent of ainfty.homology."""
+    return len(row_reduce_modp(rows, p)[1])
+
+
+def dense_kernel_modp(rows, ncols, p):
+    """A kernel basis over GF(p) of an m x ncols matrix, one dense vector per free column."""
+    red, pivots = row_reduce_modp(rows, p)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        vec = [0] * ncols
+        vec[j] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][j] % p
+        basis.append(vec)
+    return basis
+
+
+def dense_solve_modp(K, B, p):
+    """X with K X = B over GF(p), read from the reduced [K | B]; None if B is not in the span."""
+    k = len(K[0]) if K else 0
+    red, pivots = row_reduce_modp([kr + br for kr, br in zip(K, B)], p)
+    if any(c >= k for c in pivots):
+        return None
+    X = [[0] * (len(B[0]) if B else 0) for _ in range(k)]
+    for r, c in enumerate(pivots):
+        X[c] = red[r][k:]
+    return X
+
+
+def block_snf(mat):
+    """Smith normal form (D, U, V) from the connected components alone.
+
+    The former library routine: every block goes to the dense kernel, with
+    no sparse elimination in front, and the pivots are merged into the
+    divisibility chain by the same gcd/lcm moves.
+    """
+    pivots, u_rest, v_rest = [], [], []
+    for rows, cols, block in _blocks(mat):
+        D, U, V = _snf_dense(block)
+        u_rows = [{rows[k]: c for k, c in enumerate(row) if c} for row in U]
+        v_cols = [
+            {cols[k]: row[t] for k, row in enumerate(V) if row[t]} for t in range(len(cols))
+        ]
+        rank = sum(1 for t in range(min(len(rows), len(cols))) if D[t][t])
+        pivots += [[D[t][t], u_rows[t], v_cols[t]] for t in range(rank)]
+        u_rest += u_rows[rank:]
+        v_rest += v_cols[rank:]
+    units = [q for q in pivots if q[0] == 1]
+    torsion = [q for q in pivots if q[0] != 1]
+    for a in range(len(torsion)):
+        for b in range(a + 1, len(torsion)):
+            if torsion[b][0] % torsion[a][0]:
+                _gcd_lcm_move(torsion[a], torsion[b])
+    chain = units + torsion
+    u_rows = [q[1] for q in chain] + u_rest
+    v_cols = [q[2] for q in chain] + v_rest
+    u_rows += [{i: 1} for i in sorted(set(range(mat.rows)).difference(*u_rows))]
+    v_cols += [{j: 1} for j in sorted(set(range(mat.cols)).difference(*v_cols))]
+    D = ExactMatrix(mat.rows, mat.cols, {(t, t): q[0] for t, q in enumerate(chain)})
+    U = ExactMatrix(
+        mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
+    )
+    return D, U, ExactMatrix.from_columns(mat.cols, v_cols)
 
 
 def dense_rank_q(rows):

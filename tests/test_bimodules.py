@@ -244,8 +244,11 @@ def test_corrupted_morphism_counterexample():
     bad = BimoduleMorphism(M, N, 0, {(0, 0): f00}, name="bad")
     assert not check_morphism_equation(bad, 0, 0).holds
     assert not morphism_is_chain_map_00(bad)
-    # failing at (0,0) is exactly failing the chain-map property there
-    assert check_morphism_equation(bad, 1, 0).holds is False or True
+    # failing at (0,0) is exactly failing the chain-map property there; the
+    # equations at (1,0), (0,1) and (1,1) still hold, so (0,0) is the only
+    # counterexample among them
+    for r, s in [(1, 0), (0, 1), (1, 1)]:
+        assert check_morphism_equation(bad, r, s).holds
 
 
 def test_zero_zero_equation_implies_chain_map_00():

@@ -1,22 +1,36 @@
-"""Property tests for the block-decomposed SNF, mod-p rank and sparse product.
+"""Property tests for the SNF, the mod-p rank, kernel and solve, and the sparse product.
 
 Matrices are block diagonal up to a shuffle of rows and columns, with
 torsion planted across blocks, negative pivots, empty rows and columns,
-and the all-zero and 0 x n shapes.
+and the all-zero and 0 x n shapes. Matrices with few or no unit entries,
+and fully dense ones like the verify command's SNF audit, leave most of
+the work to the dense kernel after the sparse unit-pivot elimination.
 """
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ainfty.errors import NotAComplex
 from ainfty.homology import (
     ExactMatrix,
     determinant,
     invariant_factors,
+    kernel_basis,
     rank_modp,
     smith_normal_form,
+    solve,
 )
+from ainfty.rings import Zp
 
-from helpers import block_diagonal_invariants, dense_rank_modp, minor_gcd_invariants
+from helpers import (
+    block_diagonal_invariants,
+    block_snf,
+    dense_kernel_modp,
+    dense_rank_modp,
+    dense_solve_modp,
+    minor_gcd_invariants,
+)
 
 
 def _dense(rows, cols, entries):
@@ -73,6 +87,17 @@ def _block_diagonal(blocks):
     return out
 
 
+def _check_snf(mat):
+    D, U, V = smith_normal_form(mat)
+    assert U @ mat @ V == D
+    assert abs(determinant(U)) == abs(determinant(V)) == 1
+    assert all(i == j for i, j in D.entries)
+    diagonal = [D.entries[(t, t)] for t in range(len(D.entries))]
+    assert all(d > 0 for d in diagonal)
+    assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
+    return D
+
+
 @given(block_matrices())
 @example(_planted([[2]], [[4]]))
 @example(_planted([[2]], [[3]]))
@@ -87,19 +112,68 @@ def test_block_snf_matches_oracles(case):
         assert factors == minor_gcd_invariants(mat.to_dense())
     assert factors == block_diagonal_invariants(blocks)
 
-    D, U, V = smith_normal_form(mat)
-    assert U @ mat @ V == D
-    assert abs(determinant(U)) == abs(determinant(V)) == 1
-    assert all(i == j for i, j in D.entries)
-    diagonal = [D.entries[(t, t)] for t in range(len(D.entries))]
-    assert diagonal == factors
-    assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
+    D = _check_snf(mat)
+    assert [D.entries[(t, t)] for t in range(len(D.entries))] == factors
+    assert D == block_snf(mat)[0]
 
 
 @given(block_matrices(), st.sampled_from([2, 3]))
 def test_block_rank_modp_matches_dense(case, p):
     mat, _ = case
     assert rank_modp(mat, p) == dense_rank_modp(mat.to_dense(), p)
+
+
+@st.composite
+def few_unit_matrices(draw):
+    """Entries mostly from {0, +-2, +-3, +-4, +-6} with occasional +-1, or audit-like dense ones."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        entries = st.sampled_from([0, 0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 1, -1])
+    else:
+        entries = st.integers(-9, 9)
+    return ExactMatrix.from_dense(draw(_dense(rows, cols, entries))) if rows else ExactMatrix(0, cols)
+
+
+@given(few_unit_matrices())
+@example(ExactMatrix.from_dense([[2, 4], [6, 8]]))
+@example(ExactMatrix.from_dense([[1, 2], [2, 1]]))
+@example(ExactMatrix.from_dense([[1, 1, 0], [0, 2, 2], [3, 0, 3]]))
+def test_snf_matches_block_only_oracle(mat):
+    D = _check_snf(mat)
+    assert D == block_snf(mat)[0]
+    assert invariant_factors(mat) == minor_gcd_invariants(mat.to_dense())
+
+
+@given(few_unit_matrices(), st.sampled_from([2, 3]))
+@example(ExactMatrix.from_dense([[1, 2], [2, 4]]), 2)
+def test_rank_kernel_solve_modp_match_dense(mat, p):
+    dense = mat.to_dense()
+    rank = rank_modp(mat, p)
+    assert rank == dense_rank_modp(dense, p)
+
+    # the kernel: right size, killed by mat, and the oracle's span
+    K = kernel_basis(mat, Zp(p))
+    assert (K.rows, K.cols) == (mat.cols, mat.cols - rank)
+    assert (mat @ K).mod(p).is_zero()
+    ours = [list(col) for col in zip(*K.to_dense())]
+    theirs = dense_kernel_modp(dense, mat.cols, p)
+    span = dense_rank_modp(ours + theirs, p)
+    assert dense_rank_modp(ours, p) == dense_rank_modp(theirs, p) == span
+
+    # a solve against the kernel basis is unique, so it must equal the oracle's
+    if K.cols:
+        X0 = ExactMatrix.from_dense([[(3 * i + j) % p for j in range(2)] for i in range(K.cols)])
+        B = (K @ X0).mod(p)
+        X = solve(K, B, Zp(p))
+        assert (K @ X).mod(p) == B
+        assert X.to_dense() == dense_solve_modp(K.to_dense(), B.to_dense(), p)
+    # a column outside the kernel is refused by both
+    outside = [j for j in range(mat.cols) if any(row[j] % p for row in dense)]
+    if outside and K.cols:
+        B = ExactMatrix(mat.cols, 1, {(outside[0], 0): 1})
+        assert dense_solve_modp(K.to_dense(), B.to_dense(), p) is None
+        with pytest.raises(NotAComplex):
+            solve(K, B, Zp(p))
 
 
 @st.composite

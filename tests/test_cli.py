@@ -119,6 +119,27 @@ def test_malformed_options_are_input_errors(tmp_path, capsys):
     assert "options.length" in err
 
 
+@pytest.mark.parametrize(
+    "flags,options,field",
+    [
+        (["--length", "-3"], {}, "length"),
+        (["--max-r", "-1"], {}, "max_r"),
+        (["--max-rs", "-1"], {}, "max_rs"),
+        ([], {"length": -1}, "length"),
+        ([], {"max_rs": -2}, "max_rs"),
+    ],
+)
+def test_negative_counts_are_input_errors(tmp_path, capsys, flags, options, field):
+    doc = fixture_document("exterior2")
+    doc["options"] = options
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(doc))
+    code, out, err = run_cli(["hh", str(path), *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {field}: expected a non-negative count" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["hh", "/does/not/exist.json"], capsys)
     assert code == 2
@@ -244,17 +265,10 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
-@pytest.mark.parametrize("command", ["hh", "cohomology"])
-@pytest.mark.parametrize("ring", [{"kind": "Z"}, {"kind": "Zp", "p": 3}])
-def test_factoring_densifies_only_small_blocks(tmp_path, capsys, monkeypatch, command, ring):
-    # the boundaries reach 350 x 350 at L=4; only their connected
-    # components (and the block transforms) may be made dense
+def _dense_cells(monkeypatch):
+    """Record the area of every matrix the linear algebra makes dense."""
     import ainfty.homology as homology
 
-    doc = fixture_document("exterior2")
-    doc["ring"] = ring
-    path = tmp_path / "e2.json"
-    path.write_text(serialize(doc))
     original = homology.ExactMatrix.to_dense
     cells = []
 
@@ -263,9 +277,58 @@ def test_factoring_densifies_only_small_blocks(tmp_path, capsys, monkeypatch, co
         return original(self)
 
     monkeypatch.setattr(homology.ExactMatrix, "to_dense", recorded)
+    return cells
+
+
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+@pytest.mark.parametrize("ring", [{"kind": "Z"}, {"kind": "Zp", "p": 3}])
+def test_factoring_densifies_only_small_blocks(tmp_path, capsys, monkeypatch, command, ring):
+    # the boundaries reach 350 x 350 at L=4; unit-pivot elimination clears
+    # every one of them, so nothing is left for the dense kernel
+    doc = fixture_document("exterior2")
+    doc["ring"] = ring
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(doc))
+    cells = _dense_cells(monkeypatch)
     code, _, _ = run_cli([command, str(path), "--length", "4"], capsys)
     assert code == 0
-    assert cells and max(cells) <= 8192
+    assert cells == []
+
+
+@pytest.mark.parametrize(
+    "fixture,length,remainder",
+    [("truncated_poly3", "5", True), ("exterior2", "6", False)],
+)
+def test_dense_kernel_sees_only_small_remainders(
+    tmp_path, capsys, monkeypatch, fixture, length, remainder
+):
+    # truncated_poly3 has torsion, so non-unit pivots remain after the sparse
+    # elimination; only their connected components (and the block
+    # transforms) may be made dense
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(fixture_document(fixture)))
+    cells = _dense_cells(monkeypatch)
+    code, _, _ = run_cli(["hh", str(path), "--length", length], capsys)
+    assert code == 0
+    assert bool(cells) == remainder
+    assert max(cells, default=0) <= 8192
+
+
+@pytest.mark.parametrize("fixture,k", [("dual_numbers", 2), ("truncated_poly3", 3)])
+def test_truncated_polynomial_homology_closed_form(tmp_path, capsys, fixture, k):
+    # HH_n(Z[x]/(x^k)) is Z^k for n = 0, Z^(k-1) + Z/k for n odd and Z^(k-1)
+    # for n even >= 2; the report's degree j is HH_(j-1), and its top degree
+    # holds the truncation's cycles, so it is left out
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(fixture_document(fixture)))
+    code, out, _ = run_cli(["hh", str(path), "--length", "8"], capsys)
+    assert code == 0
+    reported = dict(re.findall(r"degree (\d+): (.*)", out))
+    expected = {"1": f"Z^{k}"}
+    for j in range(2, 9):
+        expected[str(j)] = f"Z^{k - 1} + Z/{k}" if j % 2 == 0 else f"Z^{k - 1}"
+    assert {j: reported[j] for j in expected} == expected
+    assert set(reported) == set(expected) | {"9"}
 
 
 def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkeypatch):
@@ -299,11 +362,16 @@ def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkey
 def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     import ainfty.homology as homology
 
-    # SNF transforms that start from 2*I instead of I break D = U*M*V
-    def doubled(n):
-        return homology.ExactMatrix(n, n, {(i, i): 2 for i in range(n)})
+    # doubling the eliminator's recorded rows of U breaks D = U*M*V
+    original = homology._eliminate_units
 
-    monkeypatch.setattr(homology, "identity_matrix", doubled)
+    def doubled(*args):
+        pivots, rest, u_rest, v_rest = original(*args)
+        for pivot in pivots:
+            pivot[1] = {i: 2 * c for i, c in pivot[1].items()}
+        return pivots, rest, u_rest, v_rest
+
+    monkeypatch.setattr(homology, "_eliminate_units", doubled)
     path = tmp_path / "e2.json"
     path.write_text(serialize(fixture_document("exterior2")))
     code, out, err = run_cli(["hh", str(path), "--length", "2"], capsys)

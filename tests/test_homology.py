@@ -14,7 +14,7 @@ from ainfty.homology import (
     determinant,
     induced_map_on_homology,
     invariant_factors,
-    kernel_basis_modp,
+    kernel_basis,
     kernel_basis_z,
     rank_modp,
     smith_normal_form,
@@ -110,7 +110,7 @@ def test_rank_modp_and_kernel():
             dense = [[rng.randint(0, p - 1) for _ in range(cols)] for _ in range(rows)]
             mat = ExactMatrix.from_dense(dense)
             assert rank_modp(mat, p) == dense_rank_modp(dense, p)
-            K = kernel_basis_modp(mat, p)
+            K = kernel_basis(mat, Zp(p))
             assert K.cols == cols - rank_modp(mat, p)
             assert (mat @ K).mod(p).is_zero()
 
@@ -201,7 +201,7 @@ def test_rank_nullity_over_fields():
     for j in sorted(basis):
         mat = _boundary(cx, basis, j)
         r = rank_modp(mat, 3)
-        k = kernel_basis_modp(mat, 3).cols
+        k = kernel_basis(mat, Zp(3)).cols
         assert r + k == mat.cols
 
 
