@@ -60,13 +60,13 @@ class HochschildComplex:
         """Length-n words sorted by (degree, slot positions), with their degrees."""
         out = self._words.get(n)
         if out is None:
-            # product yields slot-position order; a stable sort by degree keeps it
-            words = [
-                (m,) + rest
-                for m in self.M.module.names
-                for rest in itertools.product(self.A.module.names, repeat=n)
-            ]
-            degs = [self.degree(w) for w in words]
+            # product yields slot-position order; a stable sort by degree keeps
+            # it. The reduced-degree product runs in step with the name product.
+            amod, mbasis = self.A.module, self.M.module.basis
+            reduced = itertools.product([d - 1 for _, d in amod.basis], repeat=n)
+            tails = list(zip(itertools.product(amod.names, repeat=n), map(sum, reduced)))
+            words = [(m,) + rest for m, _ in mbasis for rest, _ in tails]
+            degs = [-m_deg - red for _, m_deg in mbasis for _, red in tails]
             order = sorted(range(len(words)), key=degs.__getitem__)
             out = tuple(words[k] for k in order), tuple(degs[k] for k in order)
             self._words[n] = out
@@ -141,14 +141,18 @@ class HochschildComplex:
                 add_into(acc, w, c)
         return normalize(acc, self.ring)
 
+    def b_word(self, word: Word) -> Chain:
+        """b on one word: the normalized sum of summands(word), uncached."""
+        acc: Chain = {}
+        for _, _, w, c in self.summands(word):
+            add_into(acc, w, c)
+        return normalize(acc, self.ring)
+
     def differential_word(self, word: Word) -> Chain:
-        """b on one word: the sum of summands(word), cached; returns a copy."""
+        """b_word, cached for callers that read a word again; returns a copy."""
         cached = self._b_cache.get(word)
         if cached is None:
-            acc: Chain = {}
-            for _, _, w, c in self.summands(word):
-                add_into(acc, w, c)
-            cached = self._b_cache[word] = normalize(acc, self.ring)
+            cached = self._b_cache[word] = self.b_word(word)
         return dict(cached)
 
     def differential(self, x: Chain) -> Chain:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import itertools
 import random
 import sys
 import time
@@ -101,15 +102,17 @@ def resolve_bimodule(doc: StructureDocument, name: str):
     )
 
 
-def _parse_degrees(spec: str | None):
+def _parse_degrees(spec: str | None) -> range | None:
     if not spec:
         return None
-    text = spec.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    j = int(text)
-    return range(j, j + 1)
+    lo, dots, hi = spec.strip().partition("..")
+    try:
+        degrees = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise DocumentError(f"--degrees: expected A..B or one integer, got {spec!r}") from None
+    if not degrees:
+        raise DocumentError(f"--degrees: empty range {spec!r}")
+    return degrees
 
 
 def cmd_validate(doc: StructureDocument, args, report: Report):
@@ -135,9 +138,8 @@ def cmd_hh(doc: StructureDocument, args, report: Report):
     module_name = args.module or "diagonal"
     M = resolve_bimodule(doc, module_name)
     fc = spectral.truncation(HochschildComplex(M, args.length), args.length)
-    degrees = _parse_degrees(args.degrees)
     report.line(f"Hochschild homology of F_{args.length}, coefficients {module_name}")
-    for j in sorted(fc.basis) if degrees is None else degrees:
+    for j in sorted(fc.basis) if args.degrees is None else args.degrees:
         report.homology_row(f"HH({module_name})", j, fc.homology(j))
 
 
@@ -146,13 +148,12 @@ def cmd_cohomology(doc: StructureDocument, args, report: Report):
     M = resolve_bimodule(doc, module_name)
     cutoff = args.length
     fc = cochain_complex(M, cutoff)
-    degrees = _parse_degrees(args.degrees)
     report.line(
         f"Hochschild cohomology, arity cutoff {cutoff}, coefficients {module_name}"
     )
     if module_name == "diagonal":
         report.line("note: CH^*(A) degree = reported degree + 1")
-    for j in sorted(fc.basis) if degrees is None else degrees:
+    for j in sorted(fc.basis) if args.degrees is None else args.degrees:
         report.homology_row(f"HH^*({module_name})", j, fc.homology(j))
 
 
@@ -301,18 +302,12 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         # the codifferential never lowers arity, so every retained component
         # of beta(beta(f)) is computed exactly and must vanish
         for n in range(max_arity + 1):
-            for word, out_name in _elementary_keys(M, n):
-                f = elementary_cochain(M, word, out_name, cutoff=length + 1)
-                if codifferential(codifferential(f)).components:
-                    return False, f"beta(beta(E[{word}->{out_name}])) != 0"
+            for word in itertools.product(M.algebra.module.names, repeat=n):
+                for out_name in M.module.names:
+                    f = elementary_cochain(M, word, out_name, cutoff=length + 1)
+                    if codifferential(codifferential(f)).components:
+                        return False, f"beta(beta(E[{word}->{out_name}])) != 0"
         return True, ""
-
-    def _elementary_keys(M, n):
-        import itertools as _it
-
-        for word in _it.product(M.algebra.module.names, repeat=n):
-            for out_name in M.module.names:
-                yield word, out_name
 
     checks.append(
         ("beta.beta = 0 [diagonal]", lambda: beta_squared_ok(modules["diagonal"]))
@@ -434,6 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, name)
             if value < 0:
                 raise DocumentError(f"{name}: expected a non-negative count, got {value}")
+        args.degrees = _parse_degrees(args.degrees)
         report = Report()
         report.line(f"command: {args.command}")
         report.line(f"ring: {doc.ring}")

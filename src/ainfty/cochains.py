@@ -5,6 +5,10 @@ sparse table per arity n (components beyond the arity cutoff are dropped and
 flagged). The codifferential raises the total degree by one and never lowers
 arity, so every retained component is computed exactly.
 
+coboundary is the one body of beta, on one elementary cochain; the cochain
+complex reads its boundary columns from it, and codifferential is its
+linear extension to a validated Cochain.
+
 Duality: phi turns a functional on the chain complex into a cochain with
 coefficients in the dual bimodule, with the sign (-1)^{deg(m) * maltese_1^n}.
 """
@@ -129,54 +133,63 @@ def elementary_cochain(
     return Cochain(M, degree, {n: {tuple(word): {out_name: coeff}}}, cutoff)
 
 
-def codifferential(f: Cochain) -> Cochain:
-    """beta(f): degree + 1, assembled from the operation entries that exist.
+def coboundary(
+    M: AInfinityBimodule, degree: int, cutoff: int, n: int, word: Word, name: str
+) -> dict[tuple[int, Word, str], int]:
+    """beta of the elementary cochain word -> name as {(arity, word, output): c}.
 
-    The first family precomposes f with an inserted algebra operation: the
-    algebra's preimage index lists the keys of each mu table that produce a
-    letter, and the sign is a running prefix sum of reduced degrees over the
-    word. The second family wraps each mu_(r,s) entry around the value,
-    read from the bimodule's index by coefficient slot. Components that would
-    exceed the arity cutoff are dropped and reported via the truncated flag.
+    Terms beyond the arity cutoff are left out. The first family inserts an
+    algebra operation, read from the preimage index of each mu table, with a
+    running prefix sum of reduced degrees as sign; the second wraps each
+    mu_(r,s) entry around the value, read from the bimodule's slot index.
     """
-    A, M = f.A, f.M
-    amod = A.module
-    acc: Components = {}
-    truncated = f.truncated
-    for n, table in f.components.items():
-        for mu_arity in A.ops:
-            l = mu_arity - 1
-            if n == 0:
-                continue
-            if n + l > f.cutoff:
-                truncated = True
-                continue
-            preimages = A.preimages(mu_arity)
-            tgt = acc.setdefault(n + l, {})
-            for word, value in table.items():
-                front = 0  # reduced degrees of word[: i - 1]
-                for i, letter in enumerate(word, 1):
-                    for pre, pc in preimages.get(letter, ()):
-                        target = word[: i - 1] + pre + word[i:]
-                        sv = sign(front) * pc
-                        for name, c in value.items():
-                            add_entry(tgt, target, name, sv * c)
-                    front += amod.degree_of(letter) - 1
-        for r, s in M.ops:
-            l = r + s
-            if n + l > f.cutoff:
-                truncated = True
-                continue
-            slots = M.slot_index(r, s)
-            tgt = acc.setdefault(n + l, {})
-            for word, value in table.items():
-                for name, c in value.items():
-                    for prefix, suffix, mal, out in slots.get(name, ()):
-                        sv = sign(f.degree * (mal + 1) + 1) * c
-                        target = prefix + word + suffix
-                        for out_name, v in out.items():
-                            add_entry(tgt, target, out_name, sv * v)
+    A = M.algebra
+    acc: dict[tuple[int, Word, str], int] = {}
+    front = None  # front[i - 1]: reduced degrees of word[: i - 1]
+    for mu_arity in A.ops if n else ():
+        arity = n + mu_arity - 1
+        if arity > cutoff:
+            continue
+        if front is None:
+            front = [0]
+            for letter in word[:-1]:
+                front.append(front[-1] + A.module.degree_of(letter) - 1)
+        preimages = A.preimages(mu_arity)
+        for i, letter in enumerate(word, 1):
+            for pre, pc in preimages.get(letter, ()):
+                key = (arity, word[: i - 1] + pre + word[i:], name)
+                acc[key] = acc.get(key, 0) + sign(front[i - 1]) * pc
+    for r, s in M.ops:
+        arity = n + r + s
+        if arity > cutoff:
+            continue
+        for prefix, suffix, mal, out in M.slot_index(r, s).get(name, ()):
+            sv = sign(degree * (mal + 1) + 1)
+            target = prefix + word + suffix
+            for out_name, v in out.items():
+                key = (arity, target, out_name)
+                acc[key] = acc.get(key, 0) + sv * v
+    normal = M.ring.normalize
+    return {key: c for key, c in zip(acc, map(normal, acc.values())) if c}
 
+
+def codifferential(f: Cochain) -> Cochain:
+    """beta(f): degree + 1, the linear extension of coboundary over f's entries.
+
+    Components that would exceed the arity cutoff are dropped and reported
+    via the truncated flag.
+    """
+    wraps = [r + s for r, s in f.M.ops]
+    grown = wraps + [mu_arity - 1 for mu_arity in f.A.ops]
+    truncated = f.truncated or any(
+        n + l > f.cutoff for n in f.components for l in (grown if n else wraps)
+    )
+    acc: Components = {}
+    for n, table in f.components.items():
+        for word, value in table.items():
+            for name, c in value.items():
+                for (k, w, out), v in coboundary(f.M, f.degree, f.cutoff, n, word, name).items():
+                    add_entry(acc.setdefault(k, {}), w, out, c * v)
     return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)
 
 
@@ -350,10 +363,13 @@ def cochain_basis(
     each bucket comes out sorted by that key.
     """
     amod = M.algebra.module
+    degrees = [d for _, d in amod.basis]
     out: dict[int, list[tuple[int, Word, str]]] = {}
     for n in range(cutoff + 1):
-        for word in itertools.product(amod.names, repeat=n):
-            in_deg = sum(amod.degree_of(a) for a in word)
+        # the degree product runs in step with the name product
+        words = itertools.product(amod.names, repeat=n)
+        in_degs = map(sum, itertools.product(degrees, repeat=n))
+        for word, in_deg in zip(words, in_degs):
             for name, m_deg in M.module.basis:
                 j = m_deg - in_deg + n
                 out.setdefault(j, []).append((n, word, name))
@@ -364,16 +380,7 @@ def cochain_complex(M: AInfinityBimodule, cutoff: int) -> FiniteComplex:
     """CH^*(A;M) up to arity cutoff on elementary cochains, with beta as differential."""
     basis = cochain_basis(M, cutoff)
     degree = {key: j for j, keys in basis.items() for key in keys}
-
-    def image(key: tuple[int, Word, str]) -> dict[tuple[int, Word, str], int]:
-        n, word, name = key
-        out = codifferential(Cochain(M, degree[key], {n: {word: {name: 1}}}, cutoff))
-        return {
-            (n, w, out_name): c
-            for n, table in out.components.items()
-            for w, value in table.items()
-            for out_name, c in value.items()
-        }
-
-    return FiniteComplex(M.ring, basis, image, step=1)
+    return FiniteComplex(
+        M.ring, basis, lambda key: coboundary(M, degree[key], cutoff, *key), step=1
+    )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import InternalInvariant, NotAComplex, NotChainMap
-from .rings import CoefficientRing, Z
+from .rings import CoefficientRing
 
 
 class ExactMatrix:
@@ -471,10 +471,6 @@ def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     )
 
 
-def kernel_basis_z(mat: ExactMatrix) -> ExactMatrix:
-    return kernel_basis(mat, Z)
-
-
 def solve(K: ExactMatrix, B: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     """X with K @ X = B, for K a kernel basis as returned by kernel_basis.
 
@@ -493,11 +489,6 @@ def solve(K: ExactMatrix, B: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
         entries[(i, jcol)] = v // d
     X = V @ ExactMatrix(K.cols, B.cols, entries)
     return X.mod(ring.p) if ring.is_field else X
-
-
-def solve_in_lattice(K: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """Integral X with K @ X = B; K's columns must span a saturated lattice."""
-    return solve(K, B, Z)
 
 
 def determinant(mat: ExactMatrix) -> int:
@@ -575,19 +566,19 @@ def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
 def basis_matrix(src: Sequence, dst: Sequence, image: Callable[[Any], dict]) -> ExactMatrix:
     """Matrix of a linear map from the span of src to the span of dst.
 
-    image(key) is a sparse vector {key: coefficient}; terms on keys outside
-    dst are dropped.
+    image(key) is a sparse vector {key: coefficient}. A graded basis holds
+    every valid key of its degree, so a term on a key outside dst breaks the
+    degree rule and raises InternalInvariant.
     """
     index = {key: i for i, key in enumerate(dst)}
-    cols = []
-    for key in src:
-        col = {}
+    entries = {}
+    for j, key in enumerate(src):
         for out, c in image(key).items():
             i = index.get(out)
-            if i is not None:
-                col[i] = c
-        cols.append(col)
-    return ExactMatrix.from_columns(len(dst), cols)
+            if i is None:
+                raise InternalInvariant(f"image of {key} has {out} outside the target degree")
+            entries[(i, j)] = c
+    return ExactMatrix(len(dst), len(src), entries)
 
 
 class FiniteComplex:

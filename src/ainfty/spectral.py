@@ -97,7 +97,7 @@ def truncation(complex_: HochschildComplex, m: int) -> FiniteComplex:
     for n in range(m + 1):
         for w, j in zip(complex_.words(n), complex_.degrees(n)):
             basis.setdefault(j, []).append(w)
-    return FiniteComplex(complex_.ring, basis, complex_.differential_word)
+    return FiniteComplex(complex_.ring, basis, complex_.b_word)
 
 
 def homology_of_truncation(

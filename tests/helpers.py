@@ -35,14 +35,19 @@ def load(name, p=None):
     return parse(serialize(doc))
 
 
-def load_reordered(name, seed):
-    """A fixture whose algebra and bimodule bases are listed in a shuffled order."""
+def reordered_document(name, seed):
+    """A fixture document whose algebra and bimodule bases are listed in a shuffled order."""
     doc = fixture_document(name)
     rng = random.Random(seed)
     rng.shuffle(doc["algebra"]["basis"])
     for spec in doc.get("bimodules", {}).values():
         rng.shuffle(spec["basis"])
-    return parse(serialize(doc))
+    return doc
+
+
+def load_reordered(name, seed):
+    """The parsed reordered_document."""
+    return parse(serialize(reordered_document(name, seed)))
 
 
 ALGEBRA_FIXTURES = list(FIXTURE_NAMES)

@@ -1,19 +1,26 @@
 """CLI and document format: round trips, commands, exit codes, determinism."""
 
+import contextlib
 import csv
+import functools
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfty.cli import main
 from ainfty.documents import parse, serialize
 from ainfty.errors import DocumentError, UnknownFixture
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 
-from helpers import dense_rank_modp
+from helpers import dense_rank_modp, reordered_document
 
 
 def run_cli(args, capsys):
@@ -138,6 +145,18 @@ def test_negative_counts_are_input_errors(tmp_path, capsys, flags, options, fiel
     assert code == 2
     assert out == ""
     assert f"input error: {field}: expected a non-negative count" in err
+
+
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+@pytest.mark.parametrize("spec", ["abc", "1..x", "3..1", "2..", "..2", "1..2..3"])
+def test_malformed_degree_ranges_are_input_errors(tmp_path, capsys, command, spec):
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, out, err = run_cli([command, str(path), "--length", "2", "--degrees", spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert "input error: --degrees: " in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -331,32 +350,94 @@ def test_truncated_polynomial_homology_closed_form(tmp_path, capsys, fixture, k)
     assert set(reported) == set(expected) | {"9"}
 
 
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (class, attribute) pair; returns the live tally."""
+    calls = {attr: 0 for _, attr in targets}
+    for cls, attr in targets:
+        original = getattr(cls, attr)
+
+        def wrapper(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+    return calls
+
+
 def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkeypatch):
     # b is summed from the operation entries that exist, without a pass
-    # over every (i, l) pair, and each word's degree is computed once, at
-    # enumeration; the bound is the count measured with both in place
+    # over every (i, l) pair; enumeration reads each word's degree from the
+    # letters' degrees instead of calling degree_of per letter, and hh reads
+    # each b(w) once, so nothing is cached. The bound is the measured count.
     from ainfty.chains import HochschildComplex
     from ainfty.graded import GradedModule
 
-    calls = {"degree_of": 0, "b_component": 0}
+    calls = _count_calls(
+        monkeypatch, (GradedModule, "degree_of"), (HochschildComplex, "b_component")
+    )
+    complexes = []
+    original_init = HochschildComplex.__init__
 
-    def counted(cls, attr):
-        original = getattr(cls, attr)
+    def recorded(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        complexes.append(self)
 
-        def wrapper(*args):
-            calls[attr] += 1
-            return original(*args)
-
-        monkeypatch.setattr(cls, attr, wrapper)
-
-    counted(GradedModule, "degree_of")
-    counted(HochschildComplex, "b_component")
+    monkeypatch.setattr(HochschildComplex, "__init__", recorded)
     path = tmp_path / "e2.json"
     path.write_text(serialize(fixture_document("exterior2")))
     code, _, _ = run_cli(["hh", str(path), "--length", "4"], capsys)
     assert code == 0
     assert calls["b_component"] == 0
-    assert calls["degree_of"] <= 13060
+    assert calls["degree_of"] <= 6688
+    assert complexes and all(not cx._b_cache for cx in complexes)
+
+
+def test_cochain_assembly_builds_no_cochain_objects(tmp_path, capsys, monkeypatch):
+    # the boundary columns come straight from coboundary's operation-index
+    # walk: no Cochain is built or re-validated, and the basis reads each
+    # word's degree from the letters' degrees. The bound is the measured count.
+    from ainfty.cochains import Cochain
+    from ainfty.graded import GradedModule
+
+    calls = _count_calls(monkeypatch, (GradedModule, "degree_of"), (Cochain, "__init__"))
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, _, _ = run_cli(["cohomology", str(path), "--length", "4"], capsys)
+    assert code == 0
+    assert calls["__init__"] == 0
+    assert calls["degree_of"] <= 2489
+
+
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+def test_image_term_outside_target_degree_exits_3(tmp_path, capsys, monkeypatch, command):
+    # a boundary term on a key that is not in the target degree's basis is a
+    # library bug; basis_matrix reports it instead of dropping the term
+    import ainfty.cochains as cochains
+    from ainfty.chains import HochschildComplex
+
+    if command == "hh":
+        original = HochschildComplex.b_word
+
+        def skewed(self, word):
+            # the word itself sits one degree above every term of b(word)
+            return {**original(self, word), word: 1}
+
+        monkeypatch.setattr(HochschildComplex, "b_word", skewed)
+    else:
+        original = cochains.coboundary
+
+        def skewed(M, degree, cutoff, n, word, name):
+            # the key itself sits one degree below every term of its beta
+            return {**original(M, degree, cutoff, n, word, name), (n, word, name): 1}
+
+        monkeypatch.setattr(cochains, "coboundary", skewed)
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, out, err = run_cli([command, str(path), "--length", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "internal error: " in err and "outside the target degree" in err
+    assert "Traceback" not in err
 
 
 def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
@@ -446,3 +527,33 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def _stdout_of(command, text):
+    """Exit code and stdout of one CLI command at length 3 on a document given as text."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, path, "--length", "3"])
+    return code, out.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_report(command, name):
+    return _stdout_of(command, serialize(fixture_document(name)))
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_reports_invariant_under_relabelled_bases(seed):
+    # listing the algebra and bimodule bases in another order changes the
+    # enumeration and the matrices, but not a single byte of the reports
+    for name in FIXTURE_NAMES:
+        text = serialize(reordered_document(name, seed))
+        for command in ("hh", "cohomology"):
+            expected = _plain_report(command, name)
+            assert expected[0] == 0
+            assert _stdout_of(command, text) == expected, (name, command, seed)

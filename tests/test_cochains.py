@@ -29,6 +29,7 @@ from ainfty.cochains import (
 )
 from ainfty.errors import DegreeMismatch, NotACocycle
 from ainfty.graded import MultilinearOp
+from ainfty.homology import basis_matrix
 
 from helpers import (
     ALGEBRA_FIXTURES,
@@ -314,6 +315,33 @@ def test_codifferential_matches_oracle(p):
                     got, expected = codifferential(f), codifferential_oracle(f)
                     assert got.components == expected.components, (name, M.name, word, out)
                     assert got.truncated == expected.truncated, (name, M.name, word, out)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_cochain_boundaries_match_oracle_route(p):
+    # the former route to a column: an elementary Cochain per basis key, its
+    # beta from the oracle, flattened to {(arity, word, output): c}; the
+    # library reads each column from coboundary without building a Cochain
+    for name in ALGEBRA_FIXTURES:
+        A = load(name, p).algebra
+        diag = diagonal_bimodule(A, 4)
+        modules = ((diag, 4), (dual_bimodule(diag, 3), 4), (tensor_square_bimodule(A, 4), 3))
+        for M, cutoff in modules:
+
+            def former(key, M=M, cutoff=cutoff):
+                _, word, out = key
+                beta = codifferential_oracle(elementary_cochain(M, word, out, cutoff))
+                return {
+                    (n, w, o): c
+                    for n, table in beta.components.items()
+                    for w, value in table.items()
+                    for o, c in value.items()
+                }
+
+            fc = cochain_complex(M, cutoff)
+            for j, keys in fc.basis.items():
+                expected = basis_matrix(keys, fc.basis.get(j + 1, []), former)
+                assert fc.boundary(j) == expected, (name, M.name, j)
 
 
 def test_truncation_flag():
