@@ -44,16 +44,12 @@ class StructureDocument:
             spec = self.cochain_specs[name]
             comps = {}
             where = f"cochains.{name}"
-            for arity, entries in spec["components"].items():
+            for arity, entries in _object(spec["components"], f"{where}.components").items():
                 try:
-                    table = comps.setdefault(int(arity), {})
+                    n = int(arity)
                 except ValueError:
                     raise DocumentError(f"{where}: bad arity key {arity!r}") from None
-                for entry in entries:
-                    table[tuple(entry["inputs"])] = {
-                        k: _coeff(v, f"{where}.output.{k}")
-                        for k, v in entry["output"].items()
-                    }
+                comps[n] = _entries_to_table(entries, f"{where}.components.{arity}")
             # documents carry the CH^*(A) degree; internally the generic one
             out[name] = Cochain(
                 diagonal,
@@ -77,12 +73,23 @@ def _coeff(value, where: str) -> int:
     raise DocumentError(f"{where}: bad coefficient {value!r}")
 
 
+def _object(value, where: str) -> dict:
+    """value, which the document must give as a JSON object at where."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"{where}: expected a JSON object")
+    return value
+
+
 def _entries_to_table(entries, where: str) -> dict:
+    if not isinstance(entries, list):
+        raise DocumentError(f"{where}: expected a list of entries")
     table = {}
     for k, entry in enumerate(entries):
         loc = f"{where}[{k}]"
         if not isinstance(entry, dict) or "inputs" not in entry or "output" not in entry:
             raise DocumentError(f"{loc}: entry needs 'inputs' and 'output'")
+        if not isinstance(entry["inputs"], list) or not isinstance(entry["output"], dict):
+            raise DocumentError(f"{loc}: 'inputs' must be a list and 'output' an object")
         key = tuple(str(n) for n in entry["inputs"])
         if key in table:
             raise DocumentError(f"{loc}: duplicate entry for {key}")
@@ -93,7 +100,7 @@ def _entries_to_table(entries, where: str) -> dict:
 
 
 def _parse_ring(doc: dict) -> CoefficientRing:
-    spec = doc.get("ring", {"kind": "Z"})
+    spec = _object(doc.get("ring", {"kind": "Z"}), "ring")
     kind = spec.get("kind")
     if kind == "Z":
         return Z
@@ -105,10 +112,13 @@ def _parse_ring(doc: dict) -> CoefficientRing:
 
 
 def _parse_basis(spec, ring, where: str) -> GradedModule:
+    malformed = DocumentError(f"{where}: basis must be a list of [name, degree]")
+    if not isinstance(spec, list) or not all(isinstance(e, list) for e in spec):
+        raise malformed
     try:
         basis = tuple((str(n), int(d)) for n, d in spec)
     except (TypeError, ValueError):
-        raise DocumentError(f"{where}: basis must be a list of [name, degree]") from None
+        raise malformed from None
     try:
         return GradedModule(basis, ring)
     except UnknownName as exc:
@@ -140,7 +150,7 @@ def _parse_algebra(doc: dict, ring: CoefficientRing) -> AInfinityAlgebra:
         return from_dga(module, product, differential)
     if kind == "ainfty":
         ops = {}
-        for key, entries in spec.get("operations", {}).items():
+        for key, entries in _object(spec.get("operations", {}), "algebra.operations").items():
             try:
                 n = int(key)
             except ValueError:
@@ -167,9 +177,10 @@ def _parse_bimodule(
     name: str, spec: dict, algebra: AInfinityAlgebra, max_rs: int
 ) -> AInfinityBimodule:
     where = f"bimodules.{name}"
+    spec = _object(spec, where)
     module = _parse_basis(spec.get("basis", []), algebra.ring, f"{where}.basis")
     ops = {}
-    for key, entries in spec.get("operations", {}).items():
+    for key, entries in _object(spec.get("operations", {}), f"{where}.operations").items():
         r, s = _parse_rs_key(key, f"{where}.operations")
         table = _entries_to_table(entries, f"{where}.operations.{key}")
         ops[(r, s)] = bimodule_op(
@@ -182,6 +193,7 @@ def _parse_morphism(
     name: str, spec: dict, bimodules: dict[str, AInfinityBimodule], max_rs: int
 ) -> BimoduleMorphism:
     where = f"morphisms.{name}"
+    spec = _object(spec, where)
     for kind in ("source", "target"):
         if spec.get(kind) not in bimodules:
             raise DocumentError(f"{where}.{kind}: unknown bimodule {spec.get(kind)!r}")
@@ -190,7 +202,7 @@ def _parse_morphism(
     d = _int_field(spec, "degree", 0, where)
     amod = source.algebra.module
     maps = {}
-    for key, entries in spec.get("components", {}).items():
+    for key, entries in _object(spec.get("components", {}), f"{where}.components").items():
         r, s = _parse_rs_key(key, f"{where}.components")
         table = _entries_to_table(entries, f"{where}.components.{key}")
         signature = (amod,) * r + (source.module,) + (amod,) * s
@@ -216,25 +228,24 @@ def parse(text: str) -> StructureDocument:
         raise DocumentError("document must be a JSON object")
     ring = _parse_ring(doc)
     algebra = _parse_algebra(doc, ring)
-    opts = doc.get("options", {})
+    opts = _object(doc.get("options", {}), "options")
     options = Options(
         length=_int_field(opts, "length", 4, "options"),
         max_r=_int_field(opts, "max_r", 6, "options"),
         max_rs=_int_field(opts, "max_rs", 4, "options"),
     )
     bimodules = {}
-    for name in sorted(doc.get("bimodules", {})):
-        bimodules[name] = _parse_bimodule(
-            name, doc["bimodules"][name], algebra, options.max_rs
-        )
+    bimodule_specs = _object(doc.get("bimodules", {}), "bimodules")
+    for name in sorted(bimodule_specs):
+        bimodules[name] = _parse_bimodule(name, bimodule_specs[name], algebra, options.max_rs)
     morphisms = {}
-    for name in sorted(doc.get("morphisms", {})):
-        morphisms[name] = _parse_morphism(
-            name, doc["morphisms"][name], bimodules, options.max_rs
-        )
+    morphism_specs = _object(doc.get("morphisms", {}), "morphisms")
+    for name in sorted(morphism_specs):
+        morphisms[name] = _parse_morphism(name, morphism_specs[name], bimodules, options.max_rs)
     cochain_specs = {}
-    for name in sorted(doc.get("cochains", {})):
-        spec = doc["cochains"][name]
+    specs = _object(doc.get("cochains", {}), "cochains")
+    for name in sorted(specs):
+        spec = _object(specs[name], f"cochains.{name}")
         if "degree" not in spec or "components" not in spec:
             raise DocumentError(f"cochains.{name}: needs 'degree' and 'components'")
         cochain_specs[name] = spec

@@ -1,13 +1,13 @@
 """Exact linear algebra: Smith normal form over Z, ranks over Z/p, homology.
 
 Matrices are sparse maps (row, col) -> coefficient. One sparse eliminator
-clears the unit pivots first, recording its row operations in sparse rows
-of U and its column operations in sparse columns of V. Over Z/p every
-nonzero entry is a unit, so it alone gives ranks, kernels and solves. Over
-Z, each connected component of what remains goes to a dense kernel on
-lists of Python ints, which are exact at any size. Smith normal form, over
-Z and mod p, re-verifies D = U*M*V on the whole matrix by multiplication
-before returning.
+diagonalises a matrix over Z or over Z/p on row dicts and column sets,
+taking the entry of least absolute value as the next pivot and reducing by
+nearest remainders; it records its row operations in sparse rows of U and
+its column operations in sparse columns of V. Smith normal form, ranks,
+kernels and solves all read it. Smith normal form, over Z and mod p,
+re-verifies D = U*M*V on the whole matrix by multiplication before
+returning. Python ints keep every entry exact at any size.
 """
 
 from __future__ import annotations
@@ -91,132 +91,15 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def identity_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix(n, n, {(i, i): 1 for i in range(n)})
-
-
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, src, dst, q):
-    # dst += q * src
-    ms, md = m[src], m[dst]
-    for k in range(len(md)):
-        md[k] += q * ms[k]
-
-
-def _add_col(m, src, dst, q):
-    for row in m:
-        row[dst] += q * row[src]
-
-
-def _snf_dense(block: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Dense (D, U, V) with D = U @ block @ V, D diagonal with d1 | d2 | ... > 0.
-
-    Pivoting re-selects the entry of minimal absolute value on every
-    elimination pass and reduces with symmetric (nearest) remainders: both
-    are needed to keep intermediate entries from exploding. U and V are
-    built from elementary row/column operations, hence unimodular.
-    """
-    m, n = block.rows, block.cols
-    D = block.to_dense()
-    U = identity_matrix(m).to_dense()
-    V = identity_matrix(n).to_dense()
-
-    def move_min_pivot(t):
-        best = None
-        pivot = None
-        for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            return False
-        i, j = pivot
-        if i != t:
-            _swap_rows(D, t, i)
-            _swap_rows(U, t, i)
-        if j != t:
-            _swap_cols(D, t, j)
-            _swap_cols(V, t, j)
-        if D[t][t] < 0:
-            D[t] = [-v for v in D[t]]
-            U[t] = [-v for v in U[t]]
-        return True
-
-    t = 0
-    while t < min(m, n):
-        if not move_min_pivot(t):
-            break
-        while True:
-            p = D[t][t]
-            half = p // 2
-            for i in range(t + 1, m):
-                a = D[i][t]
-                if a:
-                    q = (a + half) // p
-                    if q:
-                        _add_row(D, t, i, -q)
-                        _add_row(U, t, i, -q)
-            for j in range(t + 1, n):
-                a = D[t][j]
-                if a:
-                    q = (a + half) // p
-                    if q:
-                        _add_col(D, t, j, -q)
-                        _add_col(V, t, j, -q)
-            row_clear = all(D[t][j] == 0 for j in range(t + 1, n))
-            col_clear = all(D[i][t] == 0 for i in range(t + 1, m))
-            if row_clear and col_clear:
-                break
-            # a nonzero remainder is strictly smaller than the pivot:
-            # promote the smallest entry and keep reducing
-            move_min_pivot(t)
-
-        # pivot must divide the rest of the block for the divisibility chain
-        p = D[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            row = D[i]
-            for j in range(t + 1, n):
-                if row[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(D, offender, t, 1)
-            _add_row(U, offender, t, 1)
-            continue
-        t += 1
-    return D, U, V
-
-
 def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Return (D, U, V) with D = U @ mat @ V, D diagonal with d1 | d2 | ...
+    """Return (D, U, V) with D = U @ mat @ V, D diagonal with d1 | d2 | ... > 0.
 
-    The unit pivots are cleared first by the sparse eliminator
-    _eliminate_units. Each connected component of what remains is factored
-    on its own by the dense kernel _snf_dense, and its transforms are
-    composed with the eliminator's sparse rows of U and columns of V. The
-    pivots are placed at (t, t), units first; the other pivots are merged
-    into the divisibility chain by 2x2 moves diag(a, b) -> diag(gcd, lcm)
-    on the matching rows of U and columns of V. The identity D = U*M*V is
-    re-verified on the whole matrix by exact multiplication before
-    returning.
+    The sparse eliminator _eliminate diagonalises mat and returns each
+    pivot with its sparse row of U and column of V. The pivots are placed
+    at (t, t), units first; the other pivots are merged into the divisibility
+    chain by 2x2 moves diag(a, b) -> diag(gcd, lcm) on the matching rows of
+    U and columns of V. The identity D = U*M*V is re-verified on the whole
+    matrix by exact multiplication before returning.
     """
     return _smith(mat, None)
 
@@ -224,24 +107,10 @@ def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Exact
 def _smith(mat: ExactMatrix, p: int | None) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """smith_normal_form over Z (p is None) or over Z/p.
 
-    Mod p nothing remains after the eliminator, so D is an identity block,
-    and U, V and the check D = U*M*V are reduced mod p.
+    Mod p every pivot is 1, so D is an identity block, and U, V and the
+    check D = U*M*V are reduced mod p.
     """
-    pivots, rest, u_rest, v_rest = _eliminate_units(mat, p)
-    # rest rows and columns outside every component keep the eliminator's transforms
-    u_zero, v_zero = dict(enumerate(u_rest)), dict(enumerate(v_rest))
-    u_tail: list[dict[int, int]] = []
-    v_tail: list[dict[int, int]] = []
-    for rows, cols, block in _blocks(rest):
-        D, U, V = _snf_dense(block)
-        u_of = [u_zero.pop(i) for i in rows]
-        v_of = [v_zero.pop(j) for j in cols]
-        u_rows = [_mix(row, u_of) for row in U]
-        v_cols = [_mix([row[t] for row in V], v_of) for t in range(len(cols))]
-        rank = sum(1 for t in range(min(len(rows), len(cols))) if D[t][t])
-        pivots += [[D[t][t], u_rows[t], v_cols[t]] for t in range(rank)]
-        u_tail += u_rows[rank:]
-        v_tail += v_cols[rank:]
+    pivots, u_rest, v_rest = _eliminate(mat, p)
     units = [q for q in pivots if q[0] == 1]
     torsion = [q for q in pivots if q[0] != 1]
     for a in range(len(torsion)):
@@ -249,8 +118,8 @@ def _smith(mat: ExactMatrix, p: int | None) -> tuple[ExactMatrix, ExactMatrix, E
             if torsion[b][0] % torsion[a][0]:
                 _gcd_lcm_move(torsion[a], torsion[b])
     chain = units + torsion
-    u_rows = [q[1] for q in chain] + u_tail + list(u_zero.values())
-    v_cols = [q[2] for q in chain] + v_tail + list(v_zero.values())
+    u_rows = [q[1] for q in chain] + u_rest
+    v_cols = [q[2] for q in chain] + v_rest
     Dm = ExactMatrix(mat.rows, mat.cols, {(t, t): q[0] for t, q in enumerate(chain)})
     Um = ExactMatrix(
         mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
@@ -262,23 +131,30 @@ def _smith(mat: ExactMatrix, p: int | None) -> tuple[ExactMatrix, ExactMatrix, E
     return Dm, Um, Vm
 
 
-def _eliminate_units(
+def _eliminate(
     mat: ExactMatrix, p: int | None = None, track: bool = True
-) -> tuple[list[list], ExactMatrix, list[dict[int, int]], list[dict[int, int]]]:
-    """Sparse elimination on the unit entries of mat; mod p every nonzero entry is one.
+) -> tuple[list[list], list[dict[int, int]], list[dict[int, int]]]:
+    """Sparse elimination of mat to a diagonal, over Z or (p given) over Z/p.
 
-    Returns (pivots, rest, u_rest, v_rest). Each pivot is [1, row of U,
-    column of V] as sparse dicts whose product with mat is 1 (mod p). rest
-    is what is left on the other rows and columns, both ascending; u_rest
-    and v_rest are their rows of U and columns of V, so rest is
-    u_rest * mat * v_rest. Mod p, rest is zero.
+    Returns (pivots, u_rest, v_rest). Each pivot is [d, row of U, column of
+    V] as sparse dicts: U*mat*V is diagonal, with d > 0 where the pivot's
+    row meets its column (d = 1 mod p). u_rest and v_rest are the rows of U
+    and columns of V of the rows and columns left without a pivot, both
+    ascending, so u_rest*mat and mat*v_rest vanish.
 
-    The pivot of least Markowitz cost (row nnz - 1) * (col nnz - 1) comes
-    off a heap whose costs are re-validated when popped. Row operations
-    clear the pivot column and are recorded in U; the pivot row's other
-    entries then need column operations only on V, because the pivot
-    column holds nothing else. With track=False (rank only) U and V are not
-    updated, so only the number of pivots and rest mean anything.
+    The next pivot is the entry of least absolute value (mod p every entry
+    counts as a unit), ties broken by least Markowitz cost (row nnz - 1) *
+    (col nnz - 1); it comes off a heap whose keys are re-validated when
+    popped. Row operations reduce the pivot column to nearest remainders
+    and are recorded in U. Once the column is clear, column operations
+    reduce the pivot row and are recorded in V only, because the pivot
+    column holds nothing else. A nonzero remainder is strictly smaller than
+    the pivot, so the pivot goes back into the matrix and the remainder
+    comes off the heap first: a pivot is taken only when its row and column
+    are clear. Each failed attempt lowers the least absolute value in the
+    matrix, so the elimination ends. A unit never leaves a remainder. With
+    track=False (rank only) U and V are not updated, so only the number of
+    pivots means anything.
     """
     field = p is not None
     rows: dict[int, dict[int, int]] = {}
@@ -288,76 +164,96 @@ def _eliminate_units(
         if c:
             rows.setdefault(i, {})[j] = c
             cols.setdefault(j, set()).add(i)
-    heap = [
-        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
-        for i, row in rows.items()
-        for j, c in row.items()
-        if field or c == 1 or c == -1
-    ]
-    heapq.heapify(heap)
     u: dict[int, dict[int, int]] = {}
     v: dict[int, dict[int, int]] = {}
     pivots: list[list] = []
     pivot_rows: set[int] = set()
     pivot_cols: set[int] = set()
+    heap = [
+        (1 if field else abs(c), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+        for i, row in rows.items()
+        for j, c in row.items()
+    ]
+    heapq.heapify(heap)
     while heap:
-        cost, r, c = heapq.heappop(heap)
+        size, cost, r, c = heapq.heappop(heap)
         row = rows.get(r)
         a = row.get(c) if row else None
-        if a is None or not (field or a == 1 or a == -1):
+        if a is None or not (field or abs(a) == size):
             continue
         now = (len(row) - 1) * (len(cols[c]) - 1)
         if now > cost:
-            heapq.heappush(heap, (now, r, c))
+            heapq.heappush(heap, (size, now, r, c))
             continue
-        inv = pow(a, -1, p) if field else a
+        inv = pow(a, -1, p) if field else (1 if a > 0 else -1)
+        half = size // 2
         del rows[r], row[c]
         below = cols.pop(c)
         below.discard(r)
         for j in row:
             cols[j].discard(r)
         ur = u.pop(r, {r: 1})
+        vc = v.pop(c, {c: 1})
+        kept = []
         for i in below:
             target = rows[i]
-            f = target.pop(c) * inv
-            for j, x in row.items():
-                y = target.get(j, 0) - f * x
-                if field:
-                    y %= p
-                if y:
-                    if j not in target:
-                        cols[j].add(i)
-                    target[j] = y
-                    if field or y == 1 or y == -1:
-                        heapq.heappush(heap, ((len(target) - 1) * (len(cols[j]) - 1), i, j))
-                elif j in target:
-                    del target[j]
-                    cols[j].discard(i)
-            if not target:
+            x = target.pop(c)
+            f = x * inv if size == 1 else (x * inv + half) // size
+            if f:
+                for j, y in row.items():
+                    z = target.get(j, 0) - f * y
+                    if field:
+                        z %= p
+                    if z:
+                        if j not in target:
+                            cols[j].add(i)
+                        target[j] = z
+                        z_cost = (len(target) - 1) * (len(cols[j]) - 1)
+                        heapq.heappush(heap, (1 if field else abs(z), z_cost, i, j))
+                    elif j in target:
+                        del target[j]
+                        cols[j].discard(i)
+                if track:
+                    u[i] = _axpy(u[i] if i in u else {i: 1}, -f, ur, p)
+            if size > 1 and x != f * a:
+                target[c] = x - f * a
+                kept.append(i)
+            elif not target:
                 del rows[i]
-            if track:
-                u[i] = _axpy(u[i] if i in u else {i: 1}, -f, ur, p)
-        vc = v.pop(c, {c: 1})
-        if track:
+        rest = {}
+        if not kept and (track or size > 1):
+            # the pivot column holds nothing else: reduce the pivot row
             for j, x in row.items():
-                v[j] = _axpy(v[j] if j in v else {j: 1}, -x * inv, vc, p)
-            if inv != 1:
+                f = x * inv if size == 1 else (x * inv + half) // size
+                if track and f:
+                    v[j] = _axpy(v[j] if j in v else {j: 1}, -f, vc, p)
+                if size > 1 and x != f * a:
+                    rest[j] = x - f * a
+        if not (kept or rest):
+            if track and inv != 1:
                 ur = _axpy({}, inv, ur, p)
-        pivots.append([1, ur, vc])
-        pivot_rows.add(r)
-        pivot_cols.add(c)
-    rest_rows = [i for i in range(mat.rows) if i not in pivot_rows]
-    rest_cols = [j for j in range(mat.cols) if j not in pivot_cols]
-    row_at = {i: k for k, i in enumerate(rest_rows)}
-    col_at = {j: k for k, j in enumerate(rest_cols)}
-    rest = ExactMatrix(
-        len(rest_rows),
-        len(rest_cols),
-        {(row_at[i], col_at[j]): c for i, row in rows.items() for j, c in row.items()},
-    )
-    u_rest = [u[i] if i in u else {i: 1} for i in rest_rows] if track else []
-    v_rest = [v[j] if j in v else {j: 1} for j in rest_cols] if track else []
-    return pivots, rest, u_rest, v_rest
+            pivots.append([size, ur, vc])
+            pivot_rows.add(r)
+            pivot_cols.add(c)
+            continue
+        # a remainder is left, smaller than the pivot: the pivot goes back
+        if rest:
+            row = rest
+        row[c] = a
+        rows[r], u[r], v[c] = row, ur, vc
+        cols[c] = {r, *kept}
+        for j in row:
+            cols[j].add(r)
+        for i, j in [(i, c) for i in kept] + [(r, j) for j in row]:
+            target = rows[i]
+            heapq.heappush(
+                heap, (abs(target[j]), (len(target) - 1) * (len(cols[j]) - 1), i, j)
+            )
+    if not track:
+        return pivots, [], []
+    u_rest = [u[i] if i in u else {i: 1} for i in range(mat.rows) if i not in pivot_rows]
+    v_rest = [v[j] if j in v else {j: 1} for j in range(mat.cols) if j not in pivot_cols]
+    return pivots, u_rest, v_rest
 
 
 def _axpy(acc: dict[int, int], f: int, vec: dict[int, int], p: int | None) -> dict[int, int]:
@@ -408,42 +304,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _blocks(mat: ExactMatrix) -> list[tuple[list[int], list[int], ExactMatrix]]:
-    """The connected components of mat's row/column graph that hold an entry.
-
-    Row i is node i and column j is node rows + j; every entry joins its
-    row and column (union-find). Each component comes as its ascending
-    rows, its ascending columns and its block on those; components are
-    ordered by their first row.
-    """
-    parent = list(range(mat.rows + mat.cols))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in mat.entries:
-        a, b = find(i), find(mat.rows + j)
-        if a != b:
-            parent[a] = b
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    for i in sorted({i for i, _ in mat.entries}):
-        members.setdefault(find(i), ([], []))[0].append(i)
-    for j in sorted({j for _, j in mat.entries}):
-        members[find(mat.rows + j)][1].append(j)
-    row_at = {i: k for rows, _ in members.values() for k, i in enumerate(rows)}
-    col_at = {j: k for _, cols in members.values() for k, j in enumerate(cols)}
-    entries: dict[int, dict[tuple[int, int], int]] = {root: {} for root in members}
-    for (i, j), c in mat.entries.items():
-        entries[find(i)][(row_at[i], col_at[j])] = c
-    return [
-        (rows, cols, ExactMatrix(len(rows), len(cols), entries[root]))
-        for root, (rows, cols) in members.items()
-    ]
-
-
 def invariant_factors(mat: ExactMatrix) -> list[int]:
     D, _, _ = smith_normal_form(mat)
     out = []
@@ -456,7 +316,7 @@ def invariant_factors(mat: ExactMatrix) -> list[int]:
 
 def rank_modp(mat: ExactMatrix, p: int) -> int:
     """Rank over Z/p: the number of pivots of the sparse elimination mod p."""
-    return len(_eliminate_units(mat, p, track=False)[0])
+    return len(_eliminate(mat, p, track=False)[0])
 
 
 def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:

@@ -10,8 +10,10 @@ two equation bodies are the former written-out composite families, kept to
 check the shared arm and slot helpers. The diagonal-formula differential, the
 regraded codifferential and the integer rank are second routes that no report
 prints, so they live here rather than in the library. The block-only Smith
-normal form and the dense mod-p rank, kernel and solve are the former library
-routines, kept to check the sparse unit-pivot elimination that replaced them.
+normal form (the union-find block split and the dense min-pivot kernel) and
+the dense mod-p rank, kernel and solve are the former library routines, kept
+only as oracles for the one sparse eliminator that replaced them over Z and
+over Z/p.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from fractions import Fraction
 from ainfty.chains import add_into, normalize
 from ainfty.cochains import Cochain
 from ainfty.graded import Element
-from ainfty.homology import ExactMatrix, _blocks, _gcd_lcm_move, _snf_dense, invariant_factors
+from ainfty.homology import ExactMatrix, _gcd_lcm_move, invariant_factors
 from ainfty.documents import parse, serialize
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, maltese0, sign, star_sign
@@ -104,12 +106,158 @@ def dense_solve_modp(K, B, p):
     return X
 
 
+def _swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
+
+
+def _swap_cols(m, i, j):
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(m, src, dst, q):
+    # dst += q * src
+    ms, md = m[src], m[dst]
+    for k in range(len(md)):
+        md[k] += q * ms[k]
+
+
+def _add_col(m, src, dst, q):
+    for row in m:
+        row[dst] += q * row[src]
+
+
+def _snf_dense(block: ExactMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Dense (D, U, V) with D = U @ block @ V, D diagonal with d1 | d2 | ... > 0.
+
+    Pivoting re-selects the entry of minimal absolute value on every
+    elimination pass and reduces with symmetric (nearest) remainders: both
+    are needed to keep intermediate entries from exploding. U and V are
+    built from elementary row/column operations, hence unimodular.
+    """
+    m, n = block.rows, block.cols
+    D = block.to_dense()
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def move_min_pivot(t):
+        best = None
+        pivot = None
+        for i in range(t, m):
+            row = D[i]
+            for j in range(t, n):
+                v = row[j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            return False
+        i, j = pivot
+        if i != t:
+            _swap_rows(D, t, i)
+            _swap_rows(U, t, i)
+        if j != t:
+            _swap_cols(D, t, j)
+            _swap_cols(V, t, j)
+        if D[t][t] < 0:
+            D[t] = [-v for v in D[t]]
+            U[t] = [-v for v in U[t]]
+        return True
+
+    t = 0
+    while t < min(m, n):
+        if not move_min_pivot(t):
+            break
+        while True:
+            p = D[t][t]
+            half = p // 2
+            for i in range(t + 1, m):
+                a = D[i][t]
+                if a:
+                    q = (a + half) // p
+                    if q:
+                        _add_row(D, t, i, -q)
+                        _add_row(U, t, i, -q)
+            for j in range(t + 1, n):
+                a = D[t][j]
+                if a:
+                    q = (a + half) // p
+                    if q:
+                        _add_col(D, t, j, -q)
+                        _add_col(V, t, j, -q)
+            row_clear = all(D[t][j] == 0 for j in range(t + 1, n))
+            col_clear = all(D[i][t] == 0 for i in range(t + 1, m))
+            if row_clear and col_clear:
+                break
+            # a nonzero remainder is strictly smaller than the pivot:
+            # promote the smallest entry and keep reducing
+            move_min_pivot(t)
+
+        # pivot must divide the rest of the block for the divisibility chain
+        p = D[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            row = D[i]
+            for j in range(t + 1, n):
+                if row[j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            _add_row(D, offender, t, 1)
+            _add_row(U, offender, t, 1)
+            continue
+        t += 1
+    return D, U, V
+
+
+def _blocks(mat: ExactMatrix) -> list[tuple[list[int], list[int], ExactMatrix]]:
+    """The connected components of mat's row/column graph that hold an entry.
+
+    Row i is node i and column j is node rows + j; every entry joins its
+    row and column (union-find). Each component comes as its ascending
+    rows, its ascending columns and its block on those; components are
+    ordered by their first row.
+    """
+    parent = list(range(mat.rows + mat.cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in mat.entries:
+        a, b = find(i), find(mat.rows + j)
+        if a != b:
+            parent[a] = b
+    members: dict[int, tuple[list[int], list[int]]] = {}
+    for i in sorted({i for i, _ in mat.entries}):
+        members.setdefault(find(i), ([], []))[0].append(i)
+    for j in sorted({j for _, j in mat.entries}):
+        members[find(mat.rows + j)][1].append(j)
+    row_at = {i: k for rows, _ in members.values() for k, i in enumerate(rows)}
+    col_at = {j: k for _, cols in members.values() for k, j in enumerate(cols)}
+    entries: dict[int, dict[tuple[int, int], int]] = {root: {} for root in members}
+    for (i, j), c in mat.entries.items():
+        entries[find(i)][(row_at[i], col_at[j])] = c
+    return [
+        (rows, cols, ExactMatrix(len(rows), len(cols), entries[root]))
+        for root, (rows, cols) in members.items()
+    ]
+
+
 def block_snf(mat):
     """Smith normal form (D, U, V) from the connected components alone.
 
-    The former library routine: every block goes to the dense kernel, with
-    no sparse elimination in front, and the pivots are merged into the
-    divisibility chain by the same gcd/lcm moves.
+    The former library routine: every block goes to the dense kernel
+    _snf_dense, with no sparse elimination in front, and the pivots are
+    merged into the divisibility chain by the library's gcd/lcm moves.
     """
     pivots, u_rest, v_rest = [], [], []
     for rows, cols, block in _blocks(mat):

@@ -3,8 +3,10 @@
 Matrices are block diagonal up to a shuffle of rows and columns, with
 torsion planted across blocks, negative pivots, empty rows and columns,
 and the all-zero and 0 x n shapes. Matrices with few or no unit entries,
-and fully dense ones like the verify command's SNF audit, leave most of
-the work to the dense kernel after the sparse unit-pivot elimination.
+and fully dense ones like the verify command's SNF audit, make the sparse
+eliminator take non-unit pivots and retake pivots after remainder rounds.
+The dense min-pivot kernel survives only as the block-only oracle in
+helpers.py, which the library's Smith normal form is checked against.
 """
 
 import pytest
@@ -138,6 +140,11 @@ def few_unit_matrices(draw):
 @example(ExactMatrix.from_dense([[2, 4], [6, 8]]))
 @example(ExactMatrix.from_dense([[1, 2], [2, 1]]))
 @example(ExactMatrix.from_dense([[1, 1, 0], [0, 2, 2], [3, 0, 3]]))
+# pivots that leave remainders and are retaken after several rounds
+@example(ExactMatrix.from_dense([[6, 10, 15]]))
+@example(ExactMatrix.from_dense([[2, 3], [3, 2]]))
+@example(ExactMatrix.from_dense([[89, 55], [55, 34]]))
+@example(ExactMatrix.from_dense([[4, 6], [6, 9]]))
 def test_snf_matches_block_only_oracle(mat):
     D = _check_snf(mat)
     assert D == block_snf(mat)[0]
@@ -146,6 +153,10 @@ def test_snf_matches_block_only_oracle(mat):
 
 @given(few_unit_matrices(), st.sampled_from([2, 3]))
 @example(ExactMatrix.from_dense([[1, 2], [2, 4]]), 2)
+@example(ExactMatrix.from_dense([[6, 10, 15]]), 2)
+@example(ExactMatrix.from_dense([[2, 3], [3, 2]]), 3)
+@example(ExactMatrix.from_dense([[89, 55], [55, 34]]), 2)
+@example(ExactMatrix.from_dense([[4, 6], [6, 9]]), 3)
 def test_rank_kernel_solve_modp_match_dense(mat, p):
     dense = mat.to_dense()
     rank = rank_modp(mat, p)

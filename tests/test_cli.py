@@ -126,6 +126,55 @@ def test_malformed_options_are_input_errors(tmp_path, capsys):
     assert "options.length" in err
 
 
+def _no_inputs(doc):
+    del doc["cochains"]["dual_e"]["components"]["1"][0]["inputs"]
+
+
+@pytest.mark.parametrize(
+    "command,mutate,section",
+    [
+        pytest.param("cup", _no_inputs, "cochains.dual_e.components.1[0]", id="cochain-entry-cup"),
+        pytest.param(
+            "verify", _no_inputs, "cochains.dual_e.components.1[0]", id="cochain-entry-verify"
+        ),
+        pytest.param(
+            "cup",
+            lambda doc: doc["cochains"]["dual_e"].update(components=[]),
+            "cochains.dual_e.components",
+            id="cochain-components",
+        ),
+        pytest.param("hh", lambda doc: doc.update(ring="Z"), "ring", id="ring"),
+        pytest.param("hh", lambda doc: doc.update(options=[]), "options", id="options"),
+        pytest.param("hh", lambda doc: doc.update(bimodules=[1]), "bimodules", id="bimodules"),
+        pytest.param(
+            "hh", lambda doc: doc.update(bimodules={"M": []}), "bimodules.M", id="bimodule-spec"
+        ),
+        pytest.param(
+            "hh",
+            lambda doc: doc["algebra"]["product"][0].update(output=[]),
+            "algebra.product[0]",
+            id="product-output",
+        ),
+        pytest.param(
+            "hh",
+            lambda doc: doc["algebra"].update(basis={"10": 0, "e0": 0}),
+            "algebra.basis",
+            id="basis",
+        ),
+    ],
+)
+def test_malformed_sections_are_input_errors(tmp_path, capsys, command, mutate, section):
+    doc = fixture_document("dual_numbers")
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, str(path), "--length", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {section}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flags,options,field",
     [
@@ -284,53 +333,72 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
-def _dense_cells(monkeypatch):
-    """Record the area of every matrix the linear algebra makes dense."""
+@pytest.mark.parametrize(
+    "command,fixture,length,ring",
+    [
+        pytest.param(command, fixture, length, ring, id=f"{fixture}-{label}-{command}")
+        for fixture, length, rings in [
+            ("exterior2", "4", [("Z", {"kind": "Z"}), ("Z3", {"kind": "Zp", "p": 3})]),
+            ("truncated_poly3", "5", [("Z", {"kind": "Z"})]),
+        ]
+        for label, ring in rings
+        for command in ["hh", "cohomology"]
+    ],
+)
+def test_factoring_never_densifies(tmp_path, capsys, monkeypatch, command, fixture, length, ring):
+    # the boundaries reach 350 x 350 on exterior2 at L=4; one sparse
+    # eliminator diagonalises every one of them, and on truncated_poly3 its
+    # torsion takes pivots greater than 1 on the same sparse path
     import ainfty.homology as homology
 
-    original = homology.ExactMatrix.to_dense
-    cells = []
+    to_dense, eliminate = homology.ExactMatrix.to_dense, homology._eliminate
+    densified, pivots = [], []
 
-    def recorded(self):
-        cells.append(self.rows * self.cols)
-        return original(self)
+    def recorded_dense(self):
+        densified.append((self.rows, self.cols))
+        return to_dense(self)
 
-    monkeypatch.setattr(homology.ExactMatrix, "to_dense", recorded)
-    return cells
+    def recorded_pivots(*args, **kwargs):
+        out = eliminate(*args, **kwargs)
+        pivots.extend(pivot[0] for pivot in out[0])
+        return out
+
+    monkeypatch.setattr(homology.ExactMatrix, "to_dense", recorded_dense)
+    monkeypatch.setattr(homology, "_eliminate", recorded_pivots)
+    doc = fixture_document(fixture)
+    doc["ring"] = ring
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(doc))
+    code, _, _ = run_cli([command, str(path), "--length", length], capsys)
+    assert code == 0
+    assert densified == []
+    assert pivots
+    if fixture == "truncated_poly3":
+        assert max(pivots) > 1
 
 
 @pytest.mark.parametrize("command", ["hh", "cohomology"])
-@pytest.mark.parametrize("ring", [{"kind": "Z"}, {"kind": "Zp", "p": 3}])
-def test_factoring_densifies_only_small_blocks(tmp_path, capsys, monkeypatch, command, ring):
-    # the boundaries reach 350 x 350 at L=4; unit-pivot elimination clears
-    # every one of them, so nothing is left for the dense kernel
-    doc = fixture_document("exterior2")
-    doc["ring"] = ring
-    path = tmp_path / "e2.json"
-    path.write_text(serialize(doc))
-    cells = _dense_cells(monkeypatch)
-    code, _, _ = run_cli([command, str(path), "--length", "4"], capsys)
-    assert code == 0
-    assert cells == []
+def test_snf_transform_entries_stay_small(tmp_path, capsys, monkeypatch, command):
+    # nearest remainders on least-magnitude pivots keep U and V near the
+    # entries of the boundaries themselves
+    import ainfty.homology as homology
 
+    original = homology.smith_normal_form
+    entries = []
 
-@pytest.mark.parametrize(
-    "fixture,length,remainder",
-    [("truncated_poly3", "5", True), ("exterior2", "6", False)],
-)
-def test_dense_kernel_sees_only_small_remainders(
-    tmp_path, capsys, monkeypatch, fixture, length, remainder
-):
-    # truncated_poly3 has torsion, so non-unit pivots remain after the sparse
-    # elimination; only their connected components (and the block
-    # transforms) may be made dense
-    path = tmp_path / "doc.json"
-    path.write_text(serialize(fixture_document(fixture)))
-    cells = _dense_cells(monkeypatch)
-    code, _, _ = run_cli(["hh", str(path), "--length", length], capsys)
+    def recorded(mat):
+        D, U, V = original(mat)
+        entries.extend(U.entries.values())
+        entries.extend(V.entries.values())
+        return D, U, V
+
+    monkeypatch.setattr(homology, "smith_normal_form", recorded)
+    path = tmp_path / "tp3.json"
+    path.write_text(serialize(fixture_document("truncated_poly3")))
+    code, _, _ = run_cli([command, str(path), "--length", "6"], capsys)
     assert code == 0
-    assert bool(cells) == remainder
-    assert max(cells, default=0) <= 8192
+    assert entries
+    assert max(abs(c) for c in entries) <= 3
 
 
 @pytest.mark.parametrize("fixture,k", [("dual_numbers", 2), ("truncated_poly3", 3)])
@@ -444,15 +512,15 @@ def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     import ainfty.homology as homology
 
     # doubling the eliminator's recorded rows of U breaks D = U*M*V
-    original = homology._eliminate_units
+    original = homology._eliminate
 
     def doubled(*args):
-        pivots, rest, u_rest, v_rest = original(*args)
+        pivots, u_rest, v_rest = original(*args)
         for pivot in pivots:
             pivot[1] = {i: 2 * c for i, c in pivot[1].items()}
-        return pivots, rest, u_rest, v_rest
+        return pivots, u_rest, v_rest
 
-    monkeypatch.setattr(homology, "_eliminate_units", doubled)
+    monkeypatch.setattr(homology, "_eliminate", doubled)
     path = tmp_path / "e2.json"
     path.write_text(serialize(fixture_document("exterior2")))
     code, out, err = run_cli(["hh", str(path), "--length", "2"], capsys)
