@@ -333,48 +333,77 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
-@pytest.mark.parametrize(
-    "command,fixture,length,ring",
-    [
-        pytest.param(command, fixture, length, ring, id=f"{fixture}-{label}-{command}")
-        for fixture, length, rings in [
-            ("exterior2", "4", [("Z", {"kind": "Z"}), ("Z3", {"kind": "Zp", "p": 3})]),
-            ("truncated_poly3", "5", [("Z", {"kind": "Z"})]),
-        ]
-        for label, ring in rings
-        for command in ["hh", "cohomology"]
-    ],
-)
-def test_factoring_never_densifies(tmp_path, capsys, monkeypatch, command, fixture, length, ring):
-    # the boundaries reach 350 x 350 on exterior2 at L=4; one sparse
-    # eliminator diagonalises every one of them, and on truncated_poly3 its
-    # torsion takes pivots greater than 1 on the same sparse path
+def _dense_cells(monkeypatch):
+    """Record the area of every matrix the linear algebra makes dense."""
     import ainfty.homology as homology
 
-    to_dense, eliminate = homology.ExactMatrix.to_dense, homology._eliminate
-    densified, pivots = [], []
+    original = homology.ExactMatrix.to_dense
+    cells = []
 
-    def recorded_dense(self):
-        densified.append((self.rows, self.cols))
-        return to_dense(self)
+    def recorded(self):
+        cells.append(self.rows * self.cols)
+        return original(self)
+
+    monkeypatch.setattr(homology.ExactMatrix, "to_dense", recorded)
+    return cells
+
+
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+@pytest.mark.parametrize("ring", [{"kind": "Z"}, {"kind": "Zp", "p": 3}])
+def test_factoring_densifies_only_small_blocks(tmp_path, capsys, monkeypatch, command, ring):
+    # the boundaries reach 350 x 350 at L=4; one sparse eliminator
+    # diagonalises every one of them, so nothing is made dense
+    doc = fixture_document("exterior2")
+    doc["ring"] = ring
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(doc))
+    cells = _dense_cells(monkeypatch)
+    code, _, _ = run_cli([command, str(path), "--length", "4"], capsys)
+    assert code == 0
+    assert cells == []
+
+
+@pytest.mark.parametrize("fixture,length,remainder", [("exterior2", "6", False)])
+def test_dense_kernel_sees_only_small_remainders(
+    tmp_path, capsys, monkeypatch, fixture, length, remainder
+):
+    # no dense kernel is left, so even the largest boundaries of exterior2
+    # leave nothing to be made dense; torsion is covered by
+    # test_factoring_never_densifies
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(fixture_document(fixture)))
+    cells = _dense_cells(monkeypatch)
+    code, _, _ = run_cli(["hh", str(path), "--length", length], capsys)
+    assert code == 0
+    assert bool(cells) == remainder
+    assert max(cells, default=0) <= 8192
+
+
+@pytest.mark.parametrize(
+    "command",
+    [pytest.param(command, id=f"truncated_poly3-Z-{command}") for command in ["hh", "cohomology"]],
+)
+def test_factoring_never_densifies(tmp_path, capsys, monkeypatch, command):
+    # truncated_poly3 has torsion: the sparse eliminator takes pivots greater
+    # than 1 and still makes nothing dense
+    import ainfty.homology as homology
+
+    eliminate = homology._eliminate
+    pivots = []
 
     def recorded_pivots(*args, **kwargs):
         out = eliminate(*args, **kwargs)
         pivots.extend(pivot[0] for pivot in out[0])
         return out
 
-    monkeypatch.setattr(homology.ExactMatrix, "to_dense", recorded_dense)
+    cells = _dense_cells(monkeypatch)
     monkeypatch.setattr(homology, "_eliminate", recorded_pivots)
-    doc = fixture_document(fixture)
-    doc["ring"] = ring
-    path = tmp_path / "doc.json"
-    path.write_text(serialize(doc))
-    code, _, _ = run_cli([command, str(path), "--length", length], capsys)
+    path = tmp_path / "tp3.json"
+    path.write_text(serialize(fixture_document("truncated_poly3")))
+    code, _, _ = run_cli([command, str(path), "--length", "5"], capsys)
     assert code == 0
-    assert densified == []
-    assert pivots
-    if fixture == "truncated_poly3":
-        assert max(pivots) > 1
+    assert cells == []
+    assert max(pivots) > 1
 
 
 @pytest.mark.parametrize("command", ["hh", "cohomology"])
