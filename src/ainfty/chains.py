@@ -17,6 +17,7 @@ from typing import Iterator
 from .bimodules import AInfinityBimodule, BimoduleMorphism
 from .errors import Inhomogeneous, ModuleMismatch, ZeroElement
 from .graded import Word
+from .homology import FiniteComplex
 from .signs import maltese0, sign, star_sign
 
 Chain = dict[Word, int]
@@ -50,10 +51,10 @@ class HochschildComplex:
         self.A = bimodule.algebra
         self.L = length_cutoff
         self.ring = bimodule.ring
-        self._b_cache: dict[Word, Chain] = {}
         # length n -> (words, their Hochschild degrees), in enumeration order
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
-        # length p -> route -> column complex of the zeroth page (spectral.py)
+        # b as matrices, built once by spectral.py: F_m by m, E^0 columns by p, route
+        self.truncations: dict[int, FiniteComplex] = {}
         self.columns: dict[int, dict] = {}
 
     def _graded_words(self, n: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
@@ -141,19 +142,12 @@ class HochschildComplex:
                 add_into(acc, w, c)
         return normalize(acc, self.ring)
 
-    def b_word(self, word: Word) -> Chain:
+    def differential_word(self, word: Word) -> Chain:
         """b on one word: the normalized sum of summands(word), uncached."""
         acc: Chain = {}
         for _, _, w, c in self.summands(word):
             add_into(acc, w, c)
         return normalize(acc, self.ring)
-
-    def differential_word(self, word: Word) -> Chain:
-        """b_word, cached for callers that read a word again; returns a copy."""
-        cached = self._b_cache.get(word)
-        if cached is None:
-            cached = self._b_cache[word] = self.b_word(word)
-        return dict(cached)
 
     def differential(self, x: Chain) -> Chain:
         acc: Chain = {}

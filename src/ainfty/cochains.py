@@ -31,6 +31,7 @@ from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
 from .graded import Word
 from .homology import FiniteComplex
 from .signs import maltese, sign
+from .spectral import truncation
 
 # arity -> input word -> {output basis name: coefficient}
 Components = dict[int, dict[Word, dict[str, int]]]
@@ -214,13 +215,14 @@ class DualChainElement:
 
 
 def b_star(psi: DualChainElement) -> DualChainElement:
-    """Pull back a functional along the Hochschild differential."""
+    """(b* psi)(w) = psi(b(w)), read off the rows of psi's words in F_L's boundaries."""
     cx = psi.complex
+    fc = truncation(cx, cx.L)
     acc: dict[Word, int] = {}
-    for w in cx.all_words():
-        v = psi.evaluate(cx.differential_word(w))
-        if v:
-            acc[w] = v
+    for d in sorted({cx.degree(w) for w in psi.terms}):
+        rows, cols = fc.basis.get(d, []), fc.basis.get(d + 1, [])
+        for (i, j), c in fc.boundary(d + 1).entries.items():
+            acc[cols[j]] = acc.get(cols[j], 0) + psi.terms.get(rows[i], 0) * c
     return DualChainElement(cx, acc)
 
 
@@ -272,17 +274,15 @@ def pullback(
     duals: tuple[AInfinityBimodule, AInfinityBimodule] | None = None,
 ) -> Cochain:
     """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the dual of the target."""
-    source_cx = HochschildComplex(f.source, length_cutoff)
-    target_cx = HochschildComplex(f.target, length_cutoff)
-    dual_M = duals[0] if duals else dual_bimodule(f.source)
-    psi_N = duality_iso_inverse(g, target_cx)
     fstar = InducedChainMap(f, length_cutoff)
+    dual_M = duals[0] if duals else dual_bimodule(f.source)
+    psi_N = duality_iso_inverse(g, fstar.target)
     acc: dict[Word, int] = {}
-    for w in source_cx.all_words():
+    for w in fstar.source.all_words():
         v = psi_N.evaluate(fstar.on_word(w))
         if v:
             acc[w] = v
-    psi_M = DualChainElement(source_cx, acc)
+    psi_M = DualChainElement(fstar.source, acc)
     out = duality_iso(psi_M, dual=dual_M, cutoff=g.cutoff)
     if out.is_zero():
         return Cochain(dual_M, g.degree + f.degree, {}, g.cutoff)

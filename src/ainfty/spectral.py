@@ -92,12 +92,16 @@ class ComparisonVerdict:
 
 
 def truncation(complex_: HochschildComplex, m: int) -> FiniteComplex:
-    """F_m as a finite complex graded by Hochschild degree."""
-    basis: dict[int, list[Word]] = {}
-    for n in range(m + 1):
-        for w, j in zip(complex_.words(n), complex_.degrees(n)):
-            basis.setdefault(j, []).append(w)
-    return FiniteComplex(complex_.ring, basis, complex_.b_word)
+    """F_m graded by Hochschild degree; kept on the complex, so b is assembled once."""
+    fc = complex_.truncations.get(m)
+    if fc is None:
+        basis: dict[int, list[Word]] = {}
+        for n in range(m + 1):
+            for w, j in zip(complex_.words(n), complex_.degrees(n)):
+                basis.setdefault(j, []).append(w)
+        fc = FiniteComplex(complex_.ring, basis, complex_.differential_word)
+        complex_.truncations[m] = fc
+    return fc
 
 
 def homology_of_truncation(
@@ -118,10 +122,8 @@ def comparison_check(
     records whether the implication was witnessed (hypothesis and conclusion
     both verified).
     """
-    L = m if length_cutoff is None else length_cutoff
-    src_cx = HochschildComplex(f.source, L)
-    tgt_cx = HochschildComplex(f.target, L)
-    fstar = InducedChainMap(f, L)
+    fstar = InducedChainMap(f, m if length_cutoff is None else length_cutoff)
+    src_cx, tgt_cx = fstar.source, fstar.target
     ring = src_cx.ring
     details: list[str] = []
 

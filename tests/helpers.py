@@ -9,7 +9,8 @@ bodies, kept to check the operation-driven assembly that replaced them; the
 two equation bodies are the former written-out composite families, kept to
 check the shared arm and slot helpers. The diagonal-formula differential, the
 regraded codifferential and the integer rank are second routes that no report
-prints, so they live here rather than in the library. The block-only Smith
+prints, so they live here rather than in the library; so is b* evaluated on b
+of every word, the former body of b_star. The block-only Smith
 normal form (the union-find block split and the dense min-pivot kernel) and
 the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
@@ -21,7 +22,7 @@ import random
 from fractions import Fraction
 
 from ainfty.chains import add_into, normalize
-from ainfty.cochains import Cochain
+from ainfty.cochains import Cochain, DualChainElement
 from ainfty.graded import Element
 from ainfty.homology import ExactMatrix, _gcd_lcm_move, invariant_factors
 from ainfty.documents import parse, serialize
@@ -745,6 +746,21 @@ def diagonal_b_word(algebra, word, ring=None):
             for name, c in out.terms.items():
                 add_into(acc, (name,) + suffix, s * c)
     return normalize(acc, ring)
+
+
+def b_star_oracle(psi):
+    """b* by evaluating psi on b of every word of the complex.
+
+    The former library body of b_star, kept to check the one that reads the
+    rows of the truncation's boundary matrices.
+    """
+    cx = psi.complex
+    acc = {}
+    for w in cx.all_words():
+        v = psi.evaluate(cx.differential_word(w))
+        if v:
+            acc[w] = v
+    return DualChainElement(cx, acc)
 
 
 def regraded_codifferential(f):

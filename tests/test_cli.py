@@ -285,6 +285,109 @@ def test_verify_pass_and_corrupted_failure(tmp_path, capsys):
     assert "RESULT: FAIL (first failing identity: morphism equations [include])" in out
 
 
+@pytest.mark.parametrize("corruption", ["mu10_doubles_w", "mu01_on_v"])
+def test_verify_names_first_word_with_nonzero_b_squared(tmp_path, capsys, corruption):
+    # b.b is checked on products of F_L's boundary matrices; the reported
+    # word is the first in enumeration order whose column does not vanish
+    doc = fixture_document("quasi_iso_pair")
+    ops = doc["bimodules"]["N"]["operations"]
+    if corruption == "mu10_doubles_w":
+        assert ops["1,0"][2]["inputs"] == ["e", "w"]
+        ops["1,0"][2]["output"] = {"w": "2"}
+        residual = "(1,0): fails on ('e', 'v') with residual -1*w"
+    else:
+        ops["0,1"] = [{"inputs": ["v", "e"], "output": {"v": "1"}}]
+        residual = "(0,1): fails on ('v', 'e') with residual w"
+    path = tmp_path / "bad.json"
+    path.write_text(serialize(doc))
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "command: verify",
+        "ring: Z",
+        *(f"ok   algebra equation r={r}" for r in range(1, 7)),
+        "ok   bimodule equations [M]",
+        f"FAIL bimodule equations [N]: N: bimodule equation {residual}",
+        "ok   bimodule equations [diagonal]",
+        "ok   bimodule equations [dual]",
+        "ok   bimodule equations [tensor_square]",
+        "ok   b.b = 0 [M]",
+        "FAIL b.b = 0 [N]: b(b(('v', 'e'))) != 0",
+        "ok   b.b = 0 [diagonal]",
+        "ok   b.b = 0 [dual]",
+        "ok   b.b = 0 [tensor_square]",
+        "ok   morphism equations [include]",
+        "ok   induced chain map [include]",
+        "ok   beta.beta = 0 [diagonal]",
+        "ok   phi duality square [diagonal]",
+        *(f"ok   E1 two-path agreement [{m}]" for m in ("M", "N", "diagonal", "dual", "tensor_square")),
+        "ok   SNF self-verification",
+        "RESULT: FAIL (first failing identity: bimodule equations [N])",
+    ]
+
+
+def test_b_squared_failure_is_reported_in_enumeration_order(tmp_path, capsys):
+    # mu_2 is not associative on a, and the letter z of degree 2 lowers a
+    # word's Hochschild degree: ('a', 'a', 'a', 'z') has a lower degree than
+    # ('a', 'a', 'a') and also fails, but the shorter word is reported first
+    mu2 = [
+        {"inputs": ["a", "a"], "output": {"e": "1"}},
+        {"inputs": ["a", "e"], "output": {"e": "1"}},
+    ]
+    doc = {
+        "ring": {"kind": "Z"},
+        "algebra": {
+            "basis": [["a", 0], ["e", 0], ["z", 2]],
+            "kind": "ainfty",
+            "max_arity": 2,
+            "operations": {"2": mu2},
+        },
+        "options": {"length": 3, "max_r": 3, "max_rs": 2},
+    }
+    path = tmp_path / "nonassoc.json"
+    path.write_text(serialize(doc))
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "command: verify",
+        "ring: Z",
+        "ok   algebra equation r=1",
+        "ok   algebra equation r=2",
+        "FAIL algebra equation r=3: A-infinity equation r=3: "
+        "fails on ('a', 'a', 'a') with residual -1*e",
+        "FAIL bimodule equations [diagonal]: A[1]: bimodule equation (0,2): "
+        "fails on ('a', 'a', 'a') with residual -1*e",
+        "FAIL bimodule equations [dual]: A[1]^-*: bimodule equation (0,2): "
+        "fails on ('e^', 'a', 'a') with residual a^ + e^",
+        "FAIL bimodule equations [tensor_square]: AxA: bimodule equation (0,2): "
+        "fails on ('a|a', 'a', 'a') with residual -1*a|e",
+        "FAIL b.b = 0 [diagonal]: b(b(('a', 'a', 'a'))) != 0",
+        "FAIL b.b = 0 [dual]: b(b(('e^', 'a', 'a'))) != 0",
+        "FAIL b.b = 0 [tensor_square]: b(b(('a|z', 'a', 'a'))) != 0",
+        "FAIL beta.beta = 0 [diagonal]: beta(beta(E[()->a])) != 0",
+        "ok   phi duality square [diagonal]",
+        "ok   E1 two-path agreement [diagonal]",
+        "ok   E1 two-path agreement [dual]",
+        "ok   E1 two-path agreement [tensor_square]",
+        "ok   SNF self-verification",
+        "RESULT: FAIL (first failing identity: algebra equation r=3)",
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_verify_passes_over_zp(tmp_path, capsys, p):
+    # over Z/p the boundaries hold reduced coefficients, so b.b must be
+    # reduced mod p before it is compared with zero
+    for name in FIXTURE_NAMES:
+        doc = fixture_document(name)
+        doc["ring"] = {"kind": "Zp", "p": p}
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(doc))
+        code, out, _ = run_cli(["verify", str(path), "--length", "3"], capsys)
+        assert code == 0, (name, out)
+        assert f"ring: Z/{p}" in out and "ok   b.b = 0 [diagonal]" in out
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = tmp_path / "dn.json"
     path.write_text(serialize(fixture_document("dual_numbers")))
@@ -464,13 +567,16 @@ def _count_calls(monkeypatch, *targets):
 def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkeypatch):
     # b is summed from the operation entries that exist, without a pass
     # over every (i, l) pair; enumeration reads each word's degree from the
-    # letters' degrees instead of calling degree_of per letter, and hh reads
-    # each b(w) once, so nothing is cached. The bound is the measured count.
+    # letters' degrees instead of calling degree_of per letter, and hh
+    # evaluates b once per word. The bound is the measured count.
     from ainfty.chains import HochschildComplex
     from ainfty.graded import GradedModule
 
     calls = _count_calls(
-        monkeypatch, (GradedModule, "degree_of"), (HochschildComplex, "b_component")
+        monkeypatch,
+        (GradedModule, "degree_of"),
+        (HochschildComplex, "b_component"),
+        (HochschildComplex, "differential_word"),
     )
     complexes = []
     original_init = HochschildComplex.__init__
@@ -486,7 +592,24 @@ def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkey
     assert code == 0
     assert calls["b_component"] == 0
     assert calls["degree_of"] <= 6688
-    assert complexes and all(not cx._b_cache for cx in complexes)
+    words = sum(len(list(cx.all_words())) for cx in complexes)
+    assert calls["differential_word"] == words == 1364
+
+
+def test_verify_reads_b_from_the_truncation_matrices(tmp_path, capsys, monkeypatch):
+    # verify's b.b check, b* and the quotient route to E^1 read b from
+    # boundary matrices built once per complex: each of the 8184 words of the
+    # diagonal, tensor_square and dual complexes is evaluated twice, once for
+    # F_L and once for its E^0 column. Evaluating b on every word for every
+    # functional made 139 688 calls.
+    from ainfty.chains import HochschildComplex
+
+    calls = _count_calls(monkeypatch, (HochschildComplex, "differential_word"))
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 0, out
+    assert calls["differential_word"] <= 16368
 
 
 def test_cochain_assembly_builds_no_cochain_objects(tmp_path, capsys, monkeypatch):
@@ -513,13 +636,13 @@ def test_image_term_outside_target_degree_exits_3(tmp_path, capsys, monkeypatch,
     from ainfty.chains import HochschildComplex
 
     if command == "hh":
-        original = HochschildComplex.b_word
+        original = HochschildComplex.differential_word
 
         def skewed(self, word):
             # the word itself sits one degree above every term of b(word)
             return {**original(self, word), word: 1}
 
-        monkeypatch.setattr(HochschildComplex, "b_word", skewed)
+        monkeypatch.setattr(HochschildComplex, "differential_word", skewed)
     else:
         original = cochains.coboundary
 
@@ -583,6 +706,22 @@ def test_csv_report(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["object", "degree", "free_rank", "torsion", "verdict"]
     assert any(r[1] == "2" and r[2] == "1" and r[3] == "2" for r in rows[1:])
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+def test_unwritable_csv_is_an_input_error(tmp_path, capsys, target):
+    # IsADirectoryError and FileNotFoundError are reported like an unreadable
+    # document: exit 2, no report on stdout and no traceback
+    path = tmp_path / "dn.json"
+    path.write_text(serialize(fixture_document("dual_numbers")))
+    csv_path = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        ["hh", str(path), "--length", "2", "--csv", str(csv_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert f"input error: --csv: cannot write {csv_path}: " in err
+    assert "Traceback" not in err
 
 
 def test_cup_command(tmp_path, capsys):
@@ -651,6 +790,20 @@ def test_reports_invariant_under_relabelled_bases(seed):
     for name in FIXTURE_NAMES:
         text = serialize(reordered_document(name, seed))
         for command in ("hh", "cohomology"):
+            expected = _plain_report(command, name)
+            assert expected[0] == 0
+            assert _stdout_of(command, text) == expected, (name, command, seed)
+
+
+@settings(max_examples=5)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_spectral_and_verify_invariant_under_relabelled_bases(seed):
+    # the E^1 pages, the comparison check and every verify identity read
+    # matrices whose rows and columns follow the basis order; their reports
+    # must not
+    for name in FIXTURE_NAMES:
+        text = serialize(reordered_document(name, seed))
+        for command in ("spectral", "verify"):
             expected = _plain_report(command, name)
             assert expected[0] == 0
             assert _stdout_of(command, text) == expected, (name, command, seed)

@@ -33,6 +33,7 @@ from ainfty.homology import basis_matrix
 
 from helpers import (
     ALGEBRA_FIXTURES,
+    b_star_oracle,
     classical_cochain_delta,
     codifferential_oracle,
     diagonal_b_word,
@@ -140,6 +141,31 @@ def test_phi_square_commutes_all_fixtures():
                     lhs = duality_iso(b_star(psi), dual=dual, cutoff=4)
                     rhs = codifferential(duality_iso(psi, dual=dual, cutoff=4))
                     assert lhs == rhs, (name, p, w)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_b_star_matches_per_word_oracle(p):
+    # b_star reads rows of F_L's boundaries; the oracle evaluates psi on b of
+    # every word. Every single word up to length 2, one functional across two
+    # degrees, and one that holds a word longer than L.
+    nonzero = 0
+    for name in ALGEBRA_FIXTURES:
+        A = load(name, p).algebra
+        diag = diagonal_bimodule(A, 4)
+        for M in (diag, dual_bimodule(diag, 3)):
+            cx = HochschildComplex(M, 3)
+            short = [w for n in range(3) for w in cx.words(n)]
+            functionals = [{w: 1} for w in short]
+            w1 = short[0]
+            w2 = next(w for w in short if cx.degree(w) != cx.degree(w1))
+            functionals.append({w1: 2, w2: -1})
+            functionals.append({cx.words(3)[0] + (A.module.names[0],): 1, w2: 1})
+            for terms in functionals:
+                psi = DualChainElement(cx, terms)
+                got = b_star(psi)
+                assert got == b_star_oracle(psi), (name, p, terms)
+                nonzero += bool(got.terms)
+    assert nonzero
 
 
 def test_phi_round_trip_identity():
