@@ -182,12 +182,14 @@ class HochschildComplex:
 
 
 class InducedChainMap:
-    """The chain map f_* of a bimodule morphism, applied word by word."""
+    """The chain map f_*: source -> target, given the complexes of f's bimodules."""
 
-    def __init__(self, f: BimoduleMorphism, length_cutoff: int = 4):
+    def __init__(self, f: BimoduleMorphism, source: HochschildComplex, target: HochschildComplex):
+        if source.M is not f.source or target.M is not f.target or source.L != target.L:
+            raise ModuleMismatch("complexes are not f's source and target at one cutoff")
         self.f = f
-        self.source = HochschildComplex(f.source, length_cutoff)
-        self.target = HochschildComplex(f.target, length_cutoff)
+        self.source = source
+        self.target = target
         self.degree = -f.degree
 
     def on_word(self, word: Word) -> Chain:
@@ -217,10 +219,6 @@ class InducedChainMap:
             for w, v in self.on_word(word).items():
                 add_into(acc, w, c * v)
         return normalize(acc, self.target.ring)
-
-
-def induced_chain_map(f: BimoduleMorphism, x: Chain, length_cutoff: int = 4) -> Chain:
-    return InducedChainMap(f, length_cutoff)(x)
 
 
 class ComposedChainMap:

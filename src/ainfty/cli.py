@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import itertools
 import random
 import sys
@@ -180,8 +181,8 @@ def cmd_cup(doc: StructureDocument, args, report: Report):
 
 def cmd_spectral(doc: StructureDocument, args, report: Report):
     module_name = args.module or "diagonal"
-    M = resolve_bimodule(doc, module_name)
-    cx = HochschildComplex(M, args.length)
+    complex_of = functools.cache(lambda M: HochschildComplex(M, args.length))
+    cx = complex_of(resolve_bimodule(doc, module_name))
     for p in range(args.length + 1):
         for q in spectral.column_weights(cx, p):
             direct = page1(cx, p, q, route="direct")
@@ -189,8 +190,8 @@ def cmd_spectral(doc: StructureDocument, args, report: Report):
             agree = direct.invariants() == quotient.invariants()
             report.homology_row(f"E1[p={p}]", q, direct)
             report.check(f"E1 two-path agreement p={p} q={q}", agree)
-    for name in sorted(doc.morphisms):
-        verdict = comparison_check(doc.morphisms[name], args.length)
+    for name, f in sorted(doc.morphisms.items()):
+        verdict = comparison_check(InducedChainMap(f, complex_of(f.source), complex_of(f.target)))
         for detail in verdict.details:
             report.line(f"{name}: {detail}")
         report.check(f"comparison hypothesis [{name}]", verdict.hypothesis_holds)
@@ -245,8 +246,9 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
     for name, M in sorted(doc.bimodules.items()):
         modules[name] = M
         bounds[name] = args.max_rs
-    # one complex per module, so the b.b, phi and E1 checks share its F_L and E^0 columns
-    complexes = {name: HochschildComplex(M, length) for name, M in modules.items()}
+    # one complex per module: the b.b, chain map, phi and E1 checks share its F_L
+    complex_of = functools.cache(lambda M: HochschildComplex(M, length))
+    complexes = {name: complex_of(M) for name, M in modules.items()}
 
     def first_failure(verdicts):
         for verdict in verdicts.values():
@@ -280,7 +282,7 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         checks.append((f"b.b = 0 [{name}]", lambda cx=complexes[name]: b_squared_ok(cx)))
 
     def chain_map_ok(f):
-        fstar = InducedChainMap(f, length)
+        fstar = InducedChainMap(f, complex_of(f.source), complex_of(f.target))
         src, tgt = fstar.source, fstar.target
         for w in src.all_words():
             image = fstar.on_word(w)

@@ -268,14 +268,12 @@ def duality_iso_inverse(
 
 
 def pullback(
-    f: BimoduleMorphism,
+    fstar: InducedChainMap,
     g: Cochain,
-    length_cutoff: int = 4,
     duals: tuple[AInfinityBimodule, AInfinityBimodule] | None = None,
 ) -> Cochain:
-    """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the dual of the target."""
-    fstar = InducedChainMap(f, length_cutoff)
-    dual_M = duals[0] if duals else dual_bimodule(f.source)
+    """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to f_*'s cutoff."""
+    dual_M = duals[0] if duals else dual_bimodule(fstar.f.source)
     psi_N = duality_iso_inverse(g, fstar.target)
     acc: dict[Word, int] = {}
     for w in fstar.source.all_words():
@@ -285,7 +283,7 @@ def pullback(
     psi_M = DualChainElement(fstar.source, acc)
     out = duality_iso(psi_M, dual=dual_M, cutoff=g.cutoff)
     if out.is_zero():
-        return Cochain(dual_M, g.degree + f.degree, {}, g.cutoff)
+        return Cochain(dual_M, g.degree + fstar.f.degree, {}, g.cutoff)
     return out
 
 

@@ -21,7 +21,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from ainfty.chains import add_into, normalize
+from ainfty.chains import HochschildComplex, InducedChainMap, add_into, normalize
 from ainfty.cochains import Cochain, DualChainElement
 from ainfty.graded import Element
 from ainfty.homology import ExactMatrix, _gcd_lcm_move, invariant_factors
@@ -36,6 +36,12 @@ def load(name, p=None):
     if p is not None:
         doc["ring"] = {"kind": "Zp", "p": p}
     return parse(serialize(doc))
+
+
+def induced(f, length):
+    """f_* between fresh complexes of f's source and target at one length cutoff."""
+    source, target = HochschildComplex(f.source, length), HochschildComplex(f.target, length)
+    return InducedChainMap(f, source, target)
 
 
 def reordered_document(name, seed):

@@ -34,7 +34,7 @@ from ainfty.homology import ExactMatrix, smith_normal_form
 from ainfty.rings import Z
 from ainfty.spectral import column_weights, comparison_check, page1
 
-from helpers import ALGEBRA_FIXTURES, classical_hochschild_boundary, load, product_lookup
+from helpers import ALGEBRA_FIXTURES, classical_hochschild_boundary, induced, load, product_lookup
 
 
 def report(criterion: str, elapsed: float, detail: str = ""):
@@ -142,8 +142,8 @@ def _fixture_morphisms():
 def test_criterion_4_induced_chain_maps():
     started = time.monotonic()
     for label, f in _fixture_morphisms():
-        fstar = InducedChainMap(f, 3)
         src = HochschildComplex(f.source, 3)
+        fstar = InducedChainMap(f, src, HochschildComplex(f.target, 3))
         for w in src.all_words():
             assert fstar.target.differential(fstar.on_word(w)) == fstar(
                 src.differential_word(w)
@@ -232,7 +232,7 @@ def test_criterion_7_e1_identification():
 def test_criterion_8_quasi_iso_transfer():
     started = time.monotonic()
     doc = load("quasi_iso_pair")
-    verdict = comparison_check(doc.morphisms["include"], 4)
+    verdict = comparison_check(induced(doc.morphisms["include"], 4))
     assert verdict.hypothesis_holds
     assert verdict.conclusion_holds
     assert verdict.witnessed

@@ -16,7 +16,6 @@ from ainfty.chains import (
     HochschildComplex,
     InducedChainMap,
     compose_induced,
-    induced_chain_map,
     normalize,
 )
 from ainfty.cochains import cochain_basis
@@ -178,20 +177,30 @@ def test_length_zero_word():
 def test_induced_identity_and_zero():
     M = all_bimodules("exterior2")["diagonal"]
     cx = HochschildComplex(M, 3)
-    ident = InducedChainMap(identity_morphism(M), 3)
-    zero = InducedChainMap(
-        BimoduleMorphism(M, M, 0, {}, name="zero"), 3
-    )
+    ident = InducedChainMap(identity_morphism(M), cx, cx)
+    zero = InducedChainMap(BimoduleMorphism(M, M, 0, {}, name="zero"), cx, cx)
     for w in cx.all_words():
         assert ident.on_word(w) == {w: 1}
         assert zero.on_word(w) == {}
 
 
+def test_induced_chain_map_takes_the_complexes_of_its_bimodules():
+    # the complexes must be over f's own bimodule objects, at one length cutoff
+    f = load("quasi_iso_pair").morphisms["include"]
+    src, tgt = HochschildComplex(f.source, 3), HochschildComplex(f.target, 3)
+    assert InducedChainMap(f, src, tgt).source is src
+    twin = HochschildComplex(load("quasi_iso_pair").bimodules["M"], 3)
+    short = HochschildComplex(f.target, 2)
+    for source, target in ((tgt, src), (src, src), (twin, tgt), (src, short)):
+        with pytest.raises(ModuleMismatch):
+            InducedChainMap(f, source, target)
+
+
 def test_induced_chain_map_commutes_with_b():
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
-    fstar = InducedChainMap(f, 3)
     src = HochschildComplex(f.source, 3)
+    fstar = InducedChainMap(f, src, HochschildComplex(f.target, 3))
     for w in src.all_words():
         assert fstar.target.differential(fstar.on_word(w)) == fstar(
             src.differential_word(w)
@@ -201,7 +210,7 @@ def test_induced_chain_map_commutes_with_b():
 def test_induced_map_additive():
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
-    fstar = InducedChainMap(f, 3)
+    fstar = InducedChainMap(f, HochschildComplex(f.source, 3), HochschildComplex(f.target, 3))
     x = {("m", "e"): 2, ("m", "e", "e"): -1}
     y = {("m", "e"): 5}
     from ainfty.chains import add
@@ -215,8 +224,8 @@ def test_induced_degree_shift():
     M = diagonal_bimodule(A, 4)
     f00 = MultilinearOp((M.module,), M.module, 1, {("1",): {"x": 1}})
     f = BimoduleMorphism(M, M, 1, {(0, 0): f00}, name="deg1")
-    fstar = InducedChainMap(f, 3)
     cx = HochschildComplex(M, 3)
+    fstar = InducedChainMap(f, cx, cx)
     for w in cx.all_words():
         out = fstar.on_word(w)
         if out:
@@ -227,16 +236,16 @@ def test_induced_degree_shift():
 def test_compose_induced():
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
-    fstar = InducedChainMap(f, 3)
-    ident_M = InducedChainMap(identity_morphism(f.source), 3)
-    ident_N = InducedChainMap(identity_morphism(f.target), 3)
+    src, tgt = HochschildComplex(f.source, 3), HochschildComplex(f.target, 3)
+    fstar = InducedChainMap(f, src, tgt)
+    ident_M = InducedChainMap(identity_morphism(f.source), src, src)
+    ident_N = InducedChainMap(identity_morphism(f.target), tgt, tgt)
     comp = compose_induced(fstar, ident_M)
     comp2 = compose_induced(ident_N, fstar)
-    src = HochschildComplex(f.source, 3)
     for w in src.all_words():
         assert comp.on_word(w) == fstar.on_word(w)
         assert comp2.on_word(w) == fstar.on_word(w)
-    zero = InducedChainMap(BimoduleMorphism(f.source, f.source, 0, {}, name="z"), 3)
+    zero = InducedChainMap(BimoduleMorphism(f.source, f.source, 0, {}, name="z"), src, src)
     zcomp = compose_induced(fstar, zero)
     assert all(not zcomp.on_word(w) for w in src.all_words())
     assert comp.degree == 0
@@ -249,10 +258,10 @@ def test_compose_degree_adds():
     M = diagonal_bimodule(A, 4)
     f00 = MultilinearOp((M.module,), M.module, 1, {("1",): {"x": 1}})
     f = BimoduleMorphism(M, M, 1, {(0, 0): f00}, name="deg1")
-    fstar = InducedChainMap(f, 3)
+    cx = HochschildComplex(M, 3)
+    fstar = InducedChainMap(f, cx, cx)
     comp = compose_induced(fstar, fstar)
     assert comp.degree == -2
-    cx = HochschildComplex(M, 3)
     for w in cx.all_words():
         out = comp.on_word(w)
         if out:
@@ -262,7 +271,8 @@ def test_compose_degree_adds():
 def test_induced_chain_map_function_form():
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
-    assert induced_chain_map(f, {("m",): 1}, 3) == {("u",): 1}
+    fstar = InducedChainMap(f, HochschildComplex(f.source, 3), HochschildComplex(f.target, 3))
+    assert fstar({("m",): 1}) == {("u",): 1}
 
 
 @pytest.mark.parametrize("seed", [3, 11])

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -597,11 +598,11 @@ def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkey
 
 
 def test_verify_reads_b_from_the_truncation_matrices(tmp_path, capsys, monkeypatch):
-    # verify's b.b check, b* and the quotient route to E^1 read b from
-    # boundary matrices built once per complex: each of the 8184 words of the
-    # diagonal, tensor_square and dual complexes is evaluated twice, once for
-    # F_L and once for its E^0 column. Evaluating b on every word for every
-    # functional made 139 688 calls.
+    # verify's b.b check, b* and the quotient route to E^1 all read b from
+    # F_L's boundary matrices, built once per complex: b is evaluated once on
+    # each of the 8184 words of the diagonal, tensor_square and dual
+    # complexes. Evaluating b again for each E^0 column made 16 368 calls, and
+    # evaluating it on every word for every functional made 139 688.
     from ainfty.chains import HochschildComplex
 
     calls = _count_calls(monkeypatch, (HochschildComplex, "differential_word"))
@@ -609,7 +610,50 @@ def test_verify_reads_b_from_the_truncation_matrices(tmp_path, capsys, monkeypat
     path.write_text(serialize(fixture_document("exterior2")))
     code, out, _ = run_cli(["verify", str(path)], capsys)
     assert code == 0, out
-    assert calls["differential_word"] <= 16368
+    assert calls["differential_word"] == 8184
+
+
+def test_each_bimodule_complex_is_built_once(tmp_path, capsys, monkeypatch):
+    # spectral and verify hand the complexes they hold to InducedChainMap, so
+    # the E^1 columns, F_L and the chain map and comparison checks share one
+    # complex per bimodule object
+    from ainfty.chains import HochschildComplex
+
+    built = []
+    original = HochschildComplex.__init__
+
+    def counted(self, bimodule, *args, **kwargs):
+        built.append(bimodule)
+        original(self, bimodule, *args, **kwargs)
+
+    monkeypatch.setattr(HochschildComplex, "__init__", counted)
+    path = tmp_path / "qip.json"
+    path.write_text(serialize(fixture_document("quasi_iso_pair")))
+    for argv in (
+        ["spectral", str(path), "--module", "M", "--length", "3"],
+        ["spectral", str(path)],
+        ["verify", str(path)],
+    ):
+        built.clear()
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, out
+        counts = Counter(map(id, built))
+        assert not sorted(M.name for M in built if counts[id(M)] > 1), argv
+        assert {"M", "N"} <= {M.name for M in built}
+
+
+def test_e1_routes_stay_independent(tmp_path, capsys, monkeypatch):
+    # the quotient route reads F_L, which is assembled from summands; were it
+    # to read b1_word, zeroing b1_word would leave both routes agreeing. A
+    # sign flip would not show, since d and -d have the same homology.
+    from ainfty.chains import HochschildComplex
+
+    monkeypatch.setattr(HochschildComplex, "b1_word", lambda self, word: {})
+    path = tmp_path / "qip.json"
+    path.write_text(serialize(fixture_document("quasi_iso_pair")))
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert "FAIL E1 two-path agreement [N]: E1 mismatch at p=0, q=0" in out.splitlines()
 
 
 def test_cochain_assembly_builds_no_cochain_objects(tmp_path, capsys, monkeypatch):

@@ -37,6 +37,7 @@ from helpers import (
     classical_cochain_delta,
     codifferential_oracle,
     diagonal_b_word,
+    induced,
     load,
     product_lookup,
     regraded_codifferential,
@@ -187,7 +188,7 @@ def test_pullback_identity():
     dual = dual_bimodule(M, 4)
     ident = identity_morphism(M)
     for g in elementary_family(dual, 2, cutoff=4):
-        assert pullback(ident, g, 4, duals=(dual, dual)) == g
+        assert pullback(induced(ident, 4), g, duals=(dual, dual)) == g
 
 
 def test_pullback_commutes_with_beta():
@@ -195,9 +196,10 @@ def test_pullback_commutes_with_beta():
     f = doc.morphisms["include"]
     dual_M = dual_bimodule(f.source, 4)
     dual_N = dual_bimodule(f.target, 4)
+    fstar = induced(f, 4)
     for g in elementary_family(dual_N, 2, cutoff=3):
-        lhs = pullback(f, codifferential(g), 4, duals=(dual_M, dual_N))
-        rhs = codifferential(pullback(f, g, 4, duals=(dual_M, dual_N)))
+        lhs = pullback(fstar, codifferential(g), duals=(dual_M, dual_N))
+        rhs = codifferential(pullback(fstar, g, duals=(dual_M, dual_N)))
         assert lhs == rhs
 
 
@@ -217,9 +219,10 @@ def test_pullback_of_composite():
     dual_N = dual_bimodule(N, 4)
     src_cx = HochschildComplex(f.source, 4)
     tgt_cx = HochschildComplex(N, 4)
-    composite = ComposedChainMap(InducedChainMap(two, 4), InducedChainMap(f, 4))
+    fstar, twostar = InducedChainMap(f, src_cx, tgt_cx), InducedChainMap(two, tgt_cx, tgt_cx)
+    composite = ComposedChainMap(twostar, fstar)
     for g in elementary_family(dual_N, 1, cutoff=3):
-        nested = pullback(f, pullback(two, g, 4, duals=(dual_N, dual_N)), 4, duals=(dual_M, dual_N))
+        nested = pullback(fstar, pullback(twostar, g, duals=(dual_N, dual_N)), duals=(dual_M, dual_N))
         psi = duality_iso_inverse(g, tgt_cx)
         acc = {}
         for w in src_cx.all_words():

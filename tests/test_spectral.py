@@ -1,5 +1,7 @@
 """Length filtration: projections, pages, weak convergence, comparison."""
 
+import pytest
+
 from ainfty.bimodules import (
     BimoduleMorphism,
     diagonal_bimodule,
@@ -21,7 +23,7 @@ from ainfty.spectral import (
     z_membership,
 )
 
-from helpers import ALGEBRA_FIXTURES, load
+from helpers import ALGEBRA_FIXTURES, induced, load
 
 
 def test_projection_examples():
@@ -157,8 +159,8 @@ def test_filtration_shift_of_induced_maps():
     # each (r,s) component of f_* lowers the filtration by r+s
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
-    fstar = InducedChainMap(f, 4)
     src = HochschildComplex(f.source, 4)
+    fstar = InducedChainMap(f, src, HochschildComplex(f.target, 4))
     for w in src.all_words():
         out = fstar.on_word(w)
         assert filtration_level(out) <= len(w) - 1
@@ -169,24 +171,36 @@ def test_filtration_shift_of_induced_maps():
         (A.module, M.module), M.module, -1, {("1", "x"): {"1": 1}}
     )
     g = BimoduleMorphism(M, M, 0, {(1, 0): f10}, name="shifty")
-    gstar = InducedChainMap(g, 4)
     cx = HochschildComplex(M, 4)
+    gstar = InducedChainMap(g, cx, cx)
     for w in cx.all_words():
         out = gstar.on_word(w)
         if out:
             assert filtration_level(out) <= len(w) - 2
 
 
+@pytest.mark.parametrize("fixture, module", [("exterior2", None), ("quasi_iso_pair", "N")])
+def test_quotient_route_above_the_cutoff(fixture, module):
+    # at p = L + 1 the quotient route reads F_{L+1}: reading F_L would give the
+    # column a zero differential, which N's nonzero b_1 at p = 3 tells apart
+    doc = load(fixture)
+    M = doc.bimodules[module] if module else diagonal_bimodule(doc.algebra, 4)
+    cx = HochschildComplex(M, 2)
+    for q in column_weights(cx, 3):
+        direct, quotient = page1(cx, 3, q, "direct"), page1(cx, 3, q, "quotient")
+        assert direct.invariants() == quotient.invariants(), q
+
+
 def test_comparison_identity():
     doc = load("exterior2")
     M = diagonal_bimodule(doc.algebra, 4)
-    verdict = comparison_check(identity_morphism(M), 3)
+    verdict = comparison_check(induced(identity_morphism(M), 3))
     assert verdict.hypothesis_holds and verdict.conclusion_holds and verdict.witnessed
 
 
 def test_comparison_quasi_iso_pair():
     doc = load("quasi_iso_pair")
-    verdict = comparison_check(doc.morphisms["include"], 4)
+    verdict = comparison_check(induced(doc.morphisms["include"], 4))
     assert verdict.hypothesis_holds
     assert verdict.conclusion_holds
     assert verdict.witnessed
@@ -196,7 +210,7 @@ def test_comparison_detects_non_quasi_iso():
     doc = load("quasi_iso_pair")
     M, N = doc.bimodules["M"], doc.bimodules["N"]
     zero = BimoduleMorphism(M, N, 0, {}, name="zero")
-    verdict = comparison_check(zero, 3)
+    verdict = comparison_check(induced(zero, 3))
     assert not verdict.hypothesis_holds
     assert not verdict.witnessed
 
@@ -204,12 +218,12 @@ def test_comparison_detects_non_quasi_iso():
 def test_comparison_over_prime_fields():
     for p in (2, 3):
         doc = load("quasi_iso_pair", p=p)
-        verdict = comparison_check(doc.morphisms["include"], 4)
+        verdict = comparison_check(induced(doc.morphisms["include"], 4))
         assert verdict.hypothesis_holds and verdict.conclusion_holds
         assert verdict.witnessed, p
     doc = load("quasi_iso_pair", p=3)
     M, N = doc.bimodules["M"], doc.bimodules["N"]
-    verdict = comparison_check(BimoduleMorphism(M, N, 0, {}, name="zero"), 3)
+    verdict = comparison_check(induced(BimoduleMorphism(M, N, 0, {}, name="zero"), 3))
     assert not verdict.hypothesis_holds
     assert not verdict.witnessed
 
@@ -227,7 +241,7 @@ def test_comparison_factor_count(monkeypatch):
         return original(mat)
 
     monkeypatch.setattr(homology, "smith_normal_form", counted)
-    verdict = comparison_check(load("quasi_iso_pair").morphisms["include"], 4)
+    verdict = comparison_check(induced(load("quasi_iso_pair").morphisms["include"], 4))
     assert verdict.witnessed
     assert len(calls) <= 124
 
@@ -257,7 +271,7 @@ def test_comparison_epsilon_projection_hypothesis_fails():
     N = AInfinityBimodule(A, zmod, ops, max_rs=4, name="quotient")
     f00 = MultilinearOp((M.module,), zmod, 0, {("1",): {"z": 1}})
     f = BimoduleMorphism(M, N, 0, {(0, 0): f00}, name="eps_to_zero")
-    verdict = comparison_check(f, 2)
+    verdict = comparison_check(induced(f, 2))
     assert not verdict.hypothesis_holds
     assert not verdict.witnessed
     # independent check at the coefficient level: both differentials vanish,
