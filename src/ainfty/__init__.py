@@ -51,6 +51,6 @@ from .homology import (
 )
 from .rings import CoefficientRing, Z, Zp
 from .signs import maltese, maltese0, star_sign
-from .spectral import comparison_check, page1, projection
+from .spectral import comparison_check, page1
 
 __all__ = [name for name in dir() if not name.startswith("_")]

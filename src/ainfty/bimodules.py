@@ -3,13 +3,20 @@
 A bimodule over an algebra A carries operations mu_{r,s}: A^r (x) M (x) A^s -> M
 of degree 1 - r - s. Three constructions are provided: the diagonal bimodule
 A[1], the tensor square A (x) A, and the dual bimodule with inverted grading.
+
+The type-(r,s) bimodule and morphism equations are sums of two composite
+families, each read from the operation indices for a whole type at once:
+an algebra mu_k inside an arm (the outer entries and the preimages of each
+arm letter under mu_k) and an inner operation around the slot (each inner
+output fed into the outer slot index). Only words with a nonzero composite
+are visited; a failed check names the least such word in basis order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .algebra import AInfinityAlgebra, Verdict, shift
 from .errors import DegreeMismatch, ModuleMismatch
@@ -44,7 +51,7 @@ class AInfinityBimodule:
             if not op.is_zero():
                 self.ops[(r, s)] = op
         self.max_rs = max_rs
-        self._slot_index: dict[tuple[int, int], dict] = {}
+        self._slots: dict[tuple[int, int], dict] = {}
 
     @property
     def ring(self):
@@ -62,23 +69,7 @@ class AInfinityBimodule:
     def slot_index(self, r: int, s: int) -> dict[str, list[tuple[Word, Word, int, dict]]]:
         """mu_(r,s) entries (prefix, m, suffix) by m, built once per (r, s):
         m -> [(prefix, suffix, maltese of the prefix degrees, output terms)]."""
-        index = self._slot_index.get((r, s))
-        if index is None:
-            index = self._slot_index[(r, s)] = {}
-            degs = self.algebra.module.degree_of
-            for key, value in self.ops[(r, s)].entries():
-                prefix, suffix = key[:r], key[r + 1 :]
-                mal = sum(degs(a) - 1 for a in prefix)
-                index.setdefault(key[r], []).append((prefix, suffix, mal, value.terms))
-        return index
-
-    def words(self, r: int, s: int) -> Iterator[Word]:
-        """Basis words (a_1..a_r, m, a_{r+1}..a_{r+s})."""
-        a_names = self.algebra.module.names
-        for left in itertools.product(a_names, repeat=r):
-            for m in self.module.names:
-                for right in itertools.product(a_names, repeat=s):
-                    yield left + (m,) + right
+        return _slot_index(self.ops, self._slots, self.algebra.module, r, s)
 
     def zero(self) -> Element:
         return Element(self.module, {})
@@ -106,81 +97,108 @@ def bimodule_op(
     )
 
 
-def _add(acc: dict[str, int], c: int, elem: Element) -> None:
-    for n, v in elem.terms.items():
+def _add(acc: dict[str, int], c: int, terms: Mapping[str, int]) -> None:
+    for n, v in terms.items():
         acc[n] = acc.get(n, 0) + c * v
 
 
-def _arm_terms(A: AInfinityAlgebra, outer, word: Word, r: int, s: int, m_deg: int, acc):
-    """Terms outer(..., mu_k(...), ...) with an algebra mu_k inside either arm.
+def _slot_index(ops, cache: dict, amod: GradedModule, r: int, s: int):
+    """The slot index of ops[(r, s)] (empty when absent), kept in cache."""
+    index = cache.get((r, s))
+    if index is None:
+        index = cache[(r, s)] = {}
+        op = ops.get((r, s))
+        for key, value in op.entries() if op is not None else ():
+            prefix, suffix = key[:r], key[r + 1 :]
+            mal = sum(amod.degree_of(a) - 1 for a in prefix)
+            index.setdefault(key[r], []).append((prefix, suffix, mal, value.terms))
+    return index
 
-    word = (a_1..a_r, m, a_{r+1}..a_{r+s}); outer(r', s', word') is a
-    bimodule-shaped family. In the left arm, mu_k at letter i has sign
-    maltese_1^{i-1}; in the right arm, at letter r+j, maltese_1^{r+j-1} + deg m:
-    the reduced indices in front of the insertion plus, once passed, the
-    coefficient-slot degree.
+
+def _arm_family(A: AInfinityAlgebra, outer, m_deg, r: int, s: int, scale: int, acc):
+    """Type-(r,s) terms outer(..., mu_k(...), ...), mu_k inside either arm.
+
+    Walks each entry of the bimodule-shaped family outer ((r', s') -> op) and,
+    at each arm letter, its preimages under mu_k. The sign is the reduced
+    degrees in front of the letter, plus deg m once past the slot.
     """
-    front = [0]  # front[p]: sign exponent of an insertion at word position p
-    for p, a in enumerate(word):
-        front.append(front[-1] + (m_deg if p == r else A.module.degree_of(a) - 1))
-    for k, op in A.ops.items():
-        for p in itertools.chain(range(r - k + 1), range(r + 1, r + s - k + 2)):
-            hit = op.table.get(word[p : p + k])
-            if hit is None:
+    for k in A.ops:
+        preimages = A.preimages(k)
+        for (r1, s1), op in outer.items():
+            left = r1 + k - 1 == r and s1 == s
+            right = r1 == r and s1 + k - 1 == s
+            if not (left or right):
                 continue
-            r1, s1 = (r - k + 1, s) if p < r else (r, s - k + 1)
-            sv = sign(front[p])
-            for name, c in hit.terms.items():
-                _add(acc, sv * c, outer(r1, s1, word[:p] + (name,) + word[p + k :]))
+            for key, value in op.entries():
+                front = 0
+                for p, letter in enumerate(key):
+                    if p == r1:
+                        front += m_deg(letter)
+                        continue
+                    if (left if p < r1 else right):
+                        for pre, c in preimages.get(letter, ()):
+                            word = key[:p] + pre + key[p + 1 :]
+                            _add(acc.setdefault(word, {}), scale * sign(front) * c, value.terms)
+                    front += A.module.degree_of(letter) - 1
 
 
-def _slot_terms(A: AInfinityAlgebra, outer, inner, word: Word, r: int, s: int, d: int, acc):
-    """Terms outer_(r1,s1)(a.., inner_(r2,s2)(a.., m, ..), ..) around the slot.
+def _slot_family(outer_index, inner, r: int, s: int, d: int, scale: int, acc):
+    """Type-(r,s) terms outer_(r1,s1)(a.., inner_(r2,s2)(a.., m, ..), ..).
 
-    inner takes the letters r1+1..r and r+1..r+s2 around m; the sign is
-    d * maltese_1^{r1}.
+    Walks each output name of each inner entry into the outer slot index;
+    the sign is d * maltese_1^{r1} of the outer prefix.
     """
-    front = 0  # maltese_1^{r1}
-    for r1 in range(r + 1):
-        if r1:
-            front += A.module.degree_of(word[r1 - 1]) - 1
-        sv = sign(d * front)
-        for s2 in range(s + 1):
-            for name, c in inner(r - r1, s2, word[r1 : r + 1 + s2]).terms.items():
-                _add(acc, sv * c, outer(r1, s - s2, word[:r1] + (name,) + word[r + 1 + s2 :]))
+    for (r2, s2), op in inner.items():
+        if r2 > r or s2 > s:
+            continue
+        index = outer_index(r - r2, s - s2)
+        for key, value in op.entries():
+            for name, c in value.terms.items():
+                for prefix, suffix, mal, out in index.get(name, ()):
+                    word = prefix + key + suffix
+                    _add(acc.setdefault(word, {}), scale * sign(d * mal) * c, out)
 
 
-def bimodule_equation_residual(
-    M: AInfinityBimodule, r: int, s: int, word: Word
-) -> Element:
-    """Left-hand side of the type-(r,s) defining equation on one basis word.
+def _verdict(label: str, M: AInfinityBimodule, r: int, failing: dict[Word, Element]) -> Verdict:
+    """Holds iff nothing fails; else names the least failing word, compared by
+    basis positions (a_1..a_r, m, a_{r+1}..), with its residual."""
+    if not failing:
+        return Verdict(True, label=label)
+    apos, mpos = M.algebra.module.position, M.module.position
+    word = min(
+        failing, key=lambda w: tuple(mpos(n) if i == r else apos(n) for i, n in enumerate(w))
+    )
+    return Verdict(False, word, failing[word], label)
+
+
+def _all_types(check, x, bound: int) -> dict:
+    """check(x, r, s) for every type with r + s <= bound."""
+    return {
+        (r, total - r): check(x, r, total - r)
+        for total in range(bound + 1)
+        for r in range(total + 1)
+    }
+
+
+def bimodule_residuals(M: AInfinityBimodule, r: int, s: int) -> dict[Word, Element]:
+    """Nonzero left-hand sides of the type-(r,s) defining equation, by word.
 
     word = (a_1..a_r, m, a_{r+1}..a_{r+s}): algebra operations inside either
     arm of mu_{r',s'}, plus nested bimodule operations around the slot.
     """
-    acc: dict[str, int] = {}
-    _arm_terms(M.algebra, M.op_word, word, r, s, M.module.degree_of(word[r]), acc)
-    _slot_terms(M.algebra, M.op_word, M.op_word, word, r, s, 1, acc)
-    return Element(M.module, acc)
+    acc: dict[Word, dict[str, int]] = {}
+    _arm_family(M.algebra, M.ops, M.module.degree_of, r, s, 1, acc)
+    _slot_family(M.slot_index, M.ops, r, s, 1, 1, acc)
+    return {word: e for word, terms in acc.items() if (e := Element(M.module, terms))}
 
 
 def check_bimodule_equation(M: AInfinityBimodule, r: int, s: int) -> Verdict:
     label = f"{M.name}: bimodule equation ({r},{s})"
-    for word in M.words(r, s):
-        residual = bimodule_equation_residual(M, r, s, word)
-        if not residual.is_zero():
-            return Verdict(False, word, residual, label)
-    return Verdict(True, label=label)
+    return _verdict(label, M, r, bimodule_residuals(M, r, s))
 
 
 def validate_bimodule(M: AInfinityBimodule, bound: int | None = None) -> dict:
-    bound = M.max_rs if bound is None else bound
-    return {
-        (r, s): check_bimodule_equation(M, r, s)
-        for total in range(0, bound + 1)
-        for r in range(total + 1)
-        for s in [total - r]
-    }
+    return _all_types(check_bimodule_equation, M, M.max_rs if bound is None else bound)
 
 
 def diagonal_bimodule(A: AInfinityAlgebra, max_rs: int = 4) -> AInfinityBimodule:
@@ -337,6 +355,7 @@ class BimoduleMorphism:
     maps: dict[tuple[int, int], MultilinearOp]
     max_rs: int = 4
     name: str = "f"
+    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.algebra is not self.target.algebra and (
@@ -362,42 +381,37 @@ class BimoduleMorphism:
             return Element(self.target.module, {})
         return op.on_word(word)
 
+    def slot_index(self, r: int, s: int) -> dict[str, list[tuple[Word, Word, int, dict]]]:
+        """f_(r,s) entries by the M name in the slot, as AInfinityBimodule.slot_index."""
+        return _slot_index(self.maps, self._slots, self.source.algebra.module, r, s)
 
-def morphism_equation_sides(
-    f: BimoduleMorphism, r: int, s: int, word: Word
-) -> tuple[Element, Element]:
-    """Both sides of the type-(r,s) morphism equation on one basis word.
+
+def morphism_sides(f: BimoduleMorphism, r: int, s: int) -> dict[Word, tuple[Element, Element]]:
+    """Both sides of the type-(r,s) morphism equation on every word a composite reaches.
 
     The left side feeds f around the slot into mu^N; the right side is the
     bimodule equation of M with f as the outer operation, times (-1)^d.
     """
     M, N, d = f.source, f.target, f.degree
-    A = M.algebra
-    lhs: dict[str, int] = {}
-    rhs: dict[str, int] = {}
-    _slot_terms(A, N.op_word, f.component_word, word, r, s, d, lhs)
-    _arm_terms(A, f.component_word, word, r, s, M.module.degree_of(word[r]), rhs)
-    _slot_terms(A, f.component_word, M.op_word, word, r, s, 1, rhs)
-    return Element(N.module, lhs), Element(N.module, rhs).scale(sign(d))
+    lhs: dict[Word, dict[str, int]] = {}
+    rhs: dict[Word, dict[str, int]] = {}
+    _slot_family(N.slot_index, f.maps, r, s, d, 1, lhs)
+    _arm_family(M.algebra, f.maps, M.module.degree_of, r, s, sign(d), rhs)
+    _slot_family(f.slot_index, M.ops, r, s, 1, sign(d), rhs)
+    return {
+        w: (Element(N.module, lhs.get(w, {})), Element(N.module, rhs.get(w, {})))
+        for w in lhs.keys() | rhs.keys()
+    }
 
 
 def check_morphism_equation(f: BimoduleMorphism, r: int, s: int) -> Verdict:
     label = f"{f.name}: morphism equation ({r},{s})"
-    for word in f.source.words(r, s):
-        lhs, rhs = morphism_equation_sides(f, r, s, word)
-        if lhs != rhs:
-            return Verdict(False, word, lhs - rhs, label)
-    return Verdict(True, label=label)
+    sides = morphism_sides(f, r, s).items()
+    return _verdict(label, f.source, r, {w: lhs - rhs for w, (lhs, rhs) in sides if lhs != rhs})
 
 
 def validate_morphism(f: BimoduleMorphism, bound: int | None = None) -> dict:
-    bound = f.max_rs if bound is None else bound
-    return {
-        (r, s): check_morphism_equation(f, r, s)
-        for total in range(0, bound + 1)
-        for r in range(total + 1)
-        for s in [total - r]
-    }
+    return _all_types(check_morphism_equation, f, f.max_rs if bound is None else bound)
 
 
 def morphism_is_chain_map_00(f: BimoduleMorphism) -> bool:
@@ -405,10 +419,10 @@ def morphism_is_chain_map_00(f: BimoduleMorphism) -> bool:
     for m in f.source.module.names:
         lhs: dict[str, int] = {}
         for name, c in f.source.op_word(0, 0, (m,)).terms.items():
-            _add(lhs, c, f.component_word(0, 0, (name,)))
+            _add(lhs, c, f.component_word(0, 0, (name,)).terms)
         rhs: dict[str, int] = {}
         for name, c in f.component_word(0, 0, (m,)).terms.items():
-            _add(rhs, c, f.target.op_word(0, 0, (name,)))
+            _add(rhs, c, f.target.op_word(0, 0, (name,)).terms)
         if Element(f.target.module, lhs) != Element(f.target.module, rhs):
             return False
     return True

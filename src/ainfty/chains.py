@@ -15,7 +15,7 @@ import itertools
 from typing import Iterator
 
 from .bimodules import AInfinityBimodule, BimoduleMorphism
-from .errors import Inhomogeneous, ModuleMismatch, ZeroElement
+from .errors import ModuleMismatch
 from .graded import Word
 from .homology import FiniteComplex
 from .signs import maltese0, sign, star_sign
@@ -53,9 +53,11 @@ class HochschildComplex:
         self.ring = bimodule.ring
         # length n -> (words, their Hochschild degrees), in enumeration order
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
-        # b as matrices, built once by spectral.py: F_m by m, E^0 columns by p, route
+        # b as matrices, built once by spectral.py: F_m by m, E^0 columns by p, route,
+        # and F_m's length-preserving entries by m, then word length
         self.truncations: dict[int, FiniteComplex] = {}
         self.columns: dict[int, dict] = {}
+        self.length_blocks: dict[int, dict] = {}
 
     def _graded_words(self, n: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
         """Length-n words sorted by (degree, slot positions), with their degrees."""
@@ -89,14 +91,6 @@ class HochschildComplex:
         """Hochschild degree: n - deg(m) - sum of algebra degrees."""
         m_deg = self.M.module.degree_of(word[0])
         return -m_deg - sum(self.A.module.degree_of(n) - 1 for n in word[1:])
-
-    def chain_degree(self, x: Chain) -> int:
-        if not x:
-            raise ZeroElement("degree of the zero chain is undefined")
-        degs = {self.degree(w) for w in x}
-        if len(degs) > 1:
-            raise Inhomogeneous(f"mixed Hochschild degrees {sorted(degs)}")
-        return degs.pop()
 
     def summands(self, word: Word) -> Iterator[tuple[int, int, Word, int]]:
         """Every nonzero term (i, l, output word, unnormalized coefficient) of b.

@@ -27,22 +27,6 @@ def in_filtration(x: Chain, p: int) -> bool:
     return not x or filtration_level(x) <= p
 
 
-def projection(complex_: HochschildComplex, p: int, x: Chain) -> Chain:
-    """Length-p component; kernel is F_{p-1}."""
-    return {w: c for w, c in x.items() if len(w) - 1 == p}
-
-
-def z_membership(complex_: HochschildComplex, x: Chain, p: int, r: int) -> bool:
-    """x in Z^r_{p,*}: x in F_p with b(x) in F_{p-r}."""
-    if not in_filtration(x, p):
-        return False
-    return in_filtration(complex_.differential(x), p - r)
-
-
-def z_infinity_membership(complex_: HochschildComplex, x: Chain, p: int) -> bool:
-    return in_filtration(x, p) and not complex_.differential(x)
-
-
 def column_complex(
     complex_: HochschildComplex, p: int, route: str = "direct"
 ) -> FiniteComplex:
@@ -62,17 +46,31 @@ def column_complex(
             # the weight is the length minus the Hochschild degree
             for w, j in zip(complex_.words(p), complex_.degrees(p)):
                 basis.setdefault(p - j, []).append(w)
-        b1: dict[Word, Chain] = {}
-        if route != "direct":
-            fc = truncation(complex_, max(p, complex_.L))
-            for j, cols in fc.basis.items():
-                rows = fc.basis.get(j - 1, [])
-                for (r, c), v in fc.boundary(j).entries.items():
-                    if len(cols[c]) == len(rows[r]) == p + 1:
-                        b1.setdefault(cols[c], {})[rows[r]] = v
-        image = complex_.b1_word if route == "direct" else lambda w: b1.get(w, {})
+        if route == "direct":
+            image = complex_.b1_word
+        else:
+            b1 = _length_blocks(complex_, max(p, complex_.L)).get(p, {})
+            image = lambda w: b1.get(w, {})
         columns[route] = FiniteComplex(complex_.ring, basis, image, step=1)
     return columns[route]
+
+
+def _length_blocks(complex_: HochschildComplex, m: int) -> dict[int, dict[Word, Chain]]:
+    """The length-preserving entries of F_m's boundaries, by word length.
+
+    One walk over F_m's boundary matrices serves every column read from it.
+    """
+    blocks = complex_.length_blocks.get(m)
+    if blocks is None:
+        blocks = complex_.length_blocks[m] = {}
+        fc = truncation(complex_, m)
+        for j, cols in fc.basis.items():
+            rows = fc.basis.get(j - 1, [])
+            for (r, c), v in fc.boundary(j).entries.items():
+                n = len(cols[c])
+                if n == len(rows[r]):
+                    blocks.setdefault(n - 1, {}).setdefault(cols[c], {})[rows[r]] = v
+    return blocks
 
 
 def page1(
@@ -105,13 +103,6 @@ def truncation(complex_: HochschildComplex, m: int) -> FiniteComplex:
         fc = FiniteComplex(complex_.ring, basis, complex_.differential_word)
         complex_.truncations[m] = fc
     return fc
-
-
-def homology_of_truncation(
-    complex_: HochschildComplex, m: int
-) -> dict[int, HomologySummary]:
-    fc = truncation(complex_, m)
-    return {j: fc.homology(j) for j in sorted(fc.basis)}
 
 
 def comparison_check(fstar: InducedChainMap) -> ComparisonVerdict:

@@ -7,14 +7,17 @@ share no code path with the library routines they check. The per-(i, l)
 Hochschild summand and the enumerating codifferential are the former library
 bodies, kept to check the operation-driven assembly that replaced them; the
 two equation bodies are the former written-out composite families, kept to
-check the shared arm and slot helpers. The diagonal-formula differential, the
+check the index-driven arm and slot families word by word, over the basis
+words that bimodule_words enumerates. The diagonal-formula differential, the
 regraded codifferential and the integer rank are second routes that no report
 prints, so they live here rather than in the library; so is b* evaluated on b
 of every word, the former body of b_star. The block-only Smith
 normal form (the union-find block split and the dense min-pivot kernel) and
 the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
-over Z/p.
+over Z/p. The length projection, the Z^r membership tests, the homology table
+of a truncation and the degree of a chain are reported by no command, so
+they live here too.
 """
 
 import itertools
@@ -26,8 +29,10 @@ from ainfty.cochains import Cochain, DualChainElement
 from ainfty.graded import Element
 from ainfty.homology import ExactMatrix, _gcd_lcm_move, invariant_factors
 from ainfty.documents import parse, serialize
+from ainfty.errors import Inhomogeneous, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, maltese0, sign, star_sign
+from ainfty.spectral import in_filtration, truncation
 
 
 def load(name, p=None):
@@ -577,6 +582,15 @@ def codifferential_oracle(f):
     return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)
 
 
+def bimodule_words(M, r, s):
+    """Basis words (a_1..a_r, m, a_{r+1}..a_{r+s}) of type (r, s), in basis order."""
+    a_names = M.algebra.module.names
+    for left in itertools.product(a_names, repeat=r):
+        for m in M.module.names:
+            for right in itertools.product(a_names, repeat=s):
+                yield left + (m,) + right
+
+
 def bimodule_equation_residual_oracle(M, r, s, word):
     """Type-(r,s) bimodule residual with the three composite families written out."""
     A = M.algebra
@@ -713,6 +727,38 @@ def morphism_equation_sides_oracle(f, r, s, word):
                 add(rhs, s_exp, c, outer)
 
     return Element(N.module, lhs), Element(N.module, rhs)
+
+
+def chain_degree(cx, x):
+    """Common Hochschild degree of a chain's words, the former HochschildComplex.chain_degree."""
+    if not x:
+        raise ZeroElement("degree of the zero chain is undefined")
+    degs = {cx.degree(w) for w in x}
+    if len(degs) > 1:
+        raise Inhomogeneous(f"mixed Hochschild degrees {sorted(degs)}")
+    return degs.pop()
+
+
+def projection(complex_, p, x):
+    """Length-p component; kernel is F_{p-1}."""
+    return {w: c for w, c in x.items() if len(w) - 1 == p}
+
+
+def z_membership(complex_, x, p, r):
+    """x in Z^r_{p,*}: x in F_p with b(x) in F_{p-r}."""
+    if not in_filtration(x, p):
+        return False
+    return in_filtration(complex_.differential(x), p - r)
+
+
+def z_infinity_membership(complex_, x, p):
+    return in_filtration(x, p) and not complex_.differential(x)
+
+
+def homology_of_truncation(complex_, m):
+    """H_j(F_m) for every degree j of F_m."""
+    fc = truncation(complex_, m)
+    return {j: fc.homology(j) for j in sorted(fc.basis)}
 
 
 def rank_z(mat):

@@ -5,27 +5,29 @@ import itertools
 from ainfty.bimodules import (
     AInfinityBimodule,
     BimoduleMorphism,
-    bimodule_equation_residual,
     bimodule_op,
+    bimodule_residuals,
     check_bimodule_equation,
     check_morphism_equation,
     diagonal_bimodule,
     dual_bimodule,
     identity_morphism,
-    morphism_equation_sides,
     morphism_is_chain_map_00,
+    morphism_sides,
     tensor_name,
     tensor_square_bimodule,
     validate_bimodule,
     validate_morphism,
 )
 from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
-from ainfty.graded import MultilinearOp
+from ainfty.algebra import from_dga
+from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
 
 from helpers import (
     ALGEBRA_FIXTURES,
     bimodule_equation_residual_oracle,
+    bimodule_words,
     load,
     morphism_equation_sides_oracle,
 )
@@ -194,8 +196,8 @@ def test_corrupted_bimodule_has_counterexample():
     bad = AInfinityBimodule(A, N.module, ops, max_rs=4, name="bad")
     verdict = check_bimodule_equation(bad, 1, 0)
     assert not verdict.holds
-    # the oracle recomputes the residual on the reported word
-    assert bimodule_equation_residual(bad, 1, 0, verdict.word) == verdict.residual
+    # the per-type map holds the residual on the reported word
+    assert bimodule_residuals(bad, 1, 0)[verdict.word] == verdict.residual
     assert not verdict.residual.is_zero()
 
 
@@ -312,24 +314,33 @@ def _corrupted_bimodule():
 def _words_up_to(M, bound=3):
     for total in range(bound + 1):
         for r in range(total + 1):
-            for word in M.words(r, total - r):
+            for word in bimodule_words(M, r, total - r):
                 yield r, total - r, word
 
 
+def _compare_residuals(cases):
+    """Per-type residuals against the oracle on every word up to bound 3; counts the nonzero."""
+    nonzero = 0
+    for M in cases:
+        residuals = {}
+        for r, s, word in _words_up_to(M):
+            if (r, s) not in residuals:
+                residuals[(r, s)] = bimodule_residuals(M, r, s)
+            got = residuals[(r, s)].get(word, M.zero())
+            assert got == bimodule_equation_residual_oracle(M, r, s, word), (M.name, word)
+            nonzero += not got.is_zero()
+    return nonzero
+
+
 def test_bimodule_residual_matches_written_out_oracle():
-    # the residual is built from the shared arm and slot helpers; the oracle
-    # writes out the three composite families
+    # the per-type residuals are read from the operation indices; the oracle
+    # writes out the three composite families word by word
     cases = [_corrupted_bimodule()]
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
         diag = diagonal_bimodule(A, 4)
         cases += [diag, tensor_square_bimodule(A, 3), dual_bimodule(diag, 3)]
-    nonzero = 0
-    for M in cases:
-        for r, s, word in _words_up_to(M):
-            got = bimodule_equation_residual(M, r, s, word)
-            assert got == bimodule_equation_residual_oracle(M, r, s, word), (M.name, word)
-            nonzero += not got.is_zero()
+    nonzero = _compare_residuals(cases)
     assert nonzero  # the corrupted bimodule has nonzero residuals
 
 
@@ -365,12 +376,75 @@ def _oracle_morphisms():
     return out
 
 
-def test_morphism_sides_match_written_out_oracle():
+def _compare_sides(morphisms):
+    """Per-type sides against the oracle on every word up to bound 3; counts the unequal."""
     unequal = 0
-    for f in _oracle_morphisms():
+    for f in morphisms:
+        sides = {}
+        zero = f.target.zero()
         for r, s, word in _words_up_to(f.source):
-            lhs, rhs = morphism_equation_sides(f, r, s, word)
+            if (r, s) not in sides:
+                sides[(r, s)] = morphism_sides(f, r, s)
+            lhs, rhs = sides[(r, s)].get(word, (zero, zero))
             want = morphism_equation_sides_oracle(f, r, s, word)
             assert (lhs, rhs) == want, (f.name, word)
             unequal += lhs != rhs
+    return unequal
+
+
+def test_morphism_sides_match_written_out_oracle():
+    unequal = _compare_sides(_oracle_morphisms())
     assert unequal  # the reindexed cocycles fail some equation
+
+
+def _mu1_algebra():
+    # 1 (deg 0) and e (deg -1) with e^2 = 0 and d(e) = 1: mu_1 and mu_2 are
+    # both nonzero, so the mu_1 arm terms are reached
+    m = GradedModule((("1", 0), ("e", -1)), Z)
+    unit = {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1}}
+    prod = MultilinearOp((m, m), m, 0, unit)
+    diff = MultilinearOp((m,), m, 1, {("e",): {"1": 1}})
+    return from_dga(m, prod, diff)
+
+
+def _without_differential(M):
+    ops = {rs: op for rs, op in M.ops.items() if rs != (0, 0)}
+    return AInfinityBimodule(M.algebra, M.module, ops, max_rs=M.max_rs, name=M.name)
+
+
+def test_mu1_algebra_families_match_written_out_oracle():
+    A = _mu1_algebra()
+    assert set(A.ops) == {1, 2}
+    diag = diagonal_bimodule(A, 4)
+    cases = [diag, tensor_square_bimodule(A, 3), dual_bimodule(diag, 3)]
+    for M in cases:
+        assert all(v.holds for v in validate_bimodule(M, 3).values()), M.name
+    assert _compare_residuals(cases + [_without_differential(diag)])
+    f00 = MultilinearOp((diag.module,), diag.module, 1, {("e",): {"1": 1}})
+    deg1 = BimoduleMorphism(diag, diag, 1, {(0, 0): f00}, name="deg1")
+    _compare_sides([identity_morphism(diag), deg1])
+
+
+def test_mu1_diagonal_without_differential_fails():
+    bad = _without_differential(diagonal_bimodule(_mu1_algebra(), 4))
+    failures = [v.describe() for v in validate_bimodule(bad, 3).values() if not v.holds]
+    assert failures == [
+        "A[1]: bimodule equation (0,1): fails on ('1', 'e') with residual -1*1",
+        "A[1]: bimodule equation (1,0): fails on ('e', '1') with residual 1",
+    ]
+
+
+def test_bimodule_validation_reads_no_word_lookups(monkeypatch):
+    # the equations walk operation entries and indices, never one word at a time
+    A = load("exterior2").algebra
+    diag = diagonal_bimodule(A, 4)
+    modules = [(diag, 4), (tensor_square_bimodule(A, 4), 3), (dual_bimodule(diag), 3)]
+    calls = []
+    for cls, attr in ((MultilinearOp, "on_word"), (AInfinityBimodule, "op_word")):
+        real = getattr(cls, attr)
+        monkeypatch.setattr(
+            cls, attr, lambda *args, real=real, attr=attr: calls.append(attr) or real(*args)
+        )
+    for M, bound in modules:
+        assert all(v.holds for v in validate_bimodule(M, bound).values()), M.name
+    assert calls == []

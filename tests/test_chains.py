@@ -26,6 +26,7 @@ from ainfty.rings import Z
 from helpers import (
     ALGEBRA_FIXTURES,
     b_component_oracle,
+    chain_degree,
     diagonal_b_word,
     load,
     load_reordered,
@@ -67,9 +68,9 @@ def test_chain_degree_errors():
     M = all_bimodules("exterior1")["diagonal"]
     cx = HochschildComplex(M, 3)
     with pytest.raises(ZeroElement):
-        cx.chain_degree({})
+        chain_degree(cx, {})
     with pytest.raises(Inhomogeneous):
-        cx.chain_degree({("1",): 1, ("x",): 1})
+        chain_degree(cx, {("1",): 1, ("x",): 1})
 
 
 def test_b_component_leading_term():
@@ -151,7 +152,7 @@ def test_differential_lowers_degree_by_one():
         for w in cx.all_words():
             image = cx.differential_word(w)
             if image:
-                assert cx.chain_degree(image) == cx.degree(w) - 1, (label, w)
+                assert chain_degree(cx, image) == cx.degree(w) - 1, (label, w)
 
 
 def test_b_squared_zero_over_z_and_z2():
@@ -229,7 +230,7 @@ def test_induced_degree_shift():
     for w in cx.all_words():
         out = fstar.on_word(w)
         if out:
-            assert cx.chain_degree(out) == cx.degree(w) - 1
+            assert chain_degree(cx, out) == cx.degree(w) - 1
         assert fstar.target.differential(out) == fstar(cx.differential_word(w))
 
 
@@ -265,7 +266,7 @@ def test_compose_degree_adds():
     for w in cx.all_words():
         out = comp.on_word(w)
         if out:
-            assert cx.chain_degree(out) == cx.degree(w) - 2
+            assert chain_degree(cx, out) == cx.degree(w) - 2
 
 
 def test_induced_chain_map_function_form():

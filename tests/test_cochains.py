@@ -37,6 +37,7 @@ from helpers import (
     classical_cochain_delta,
     codifferential_oracle,
     diagonal_b_word,
+    homology_of_truncation,
     induced,
     load,
     product_lookup,
@@ -389,8 +390,6 @@ def test_dual_cochain_cohomology_matches_chain_side():
     # the linear dual of F_L block by block, so universal coefficients tie
     # the two homology computations together: equal free ranks in degree j,
     # and the cochain torsion in degree j equals the chain torsion in j - 1.
-    from ainfty.spectral import homology_of_truncation
-
     for name in ("dual_numbers", "exterior1"):
         doc = load(name)
         M = diagonal_bimodule(doc.algebra, 4)

@@ -15,15 +15,20 @@ from ainfty.spectral import (
     column_weights,
     comparison_check,
     filtration_level,
-    homology_of_truncation,
     in_filtration,
     page1,
+    truncation,
+)
+
+from helpers import (
+    ALGEBRA_FIXTURES,
+    homology_of_truncation,
+    induced,
+    load,
     projection,
     z_infinity_membership,
     z_membership,
 )
-
-from helpers import ALGEBRA_FIXTURES, induced, load
 
 
 def test_projection_examples():
@@ -135,6 +140,18 @@ def test_page1_mod2_dense_oracle():
             r_out = dense_rank_modp(d_out, 2) if d_out else 0
             r_in = dense_rank_modp(d_in, 2) if d_in else 0
             assert got.dimension == len(buckets[q]) - r_out - r_in
+
+
+def test_quotient_columns_walk_each_boundary_once(monkeypatch):
+    # one walk over F_L's boundaries serves every quotient column p <= L
+    cx = HochschildComplex(diagonal_bimodule(load("exterior2").algebra, 4), 4)
+    fc = truncation(cx, cx.L)
+    calls = []
+    real = fc.boundary
+    monkeypatch.setattr(fc, "boundary", lambda j: calls.append(j) or real(j))
+    for p in range(cx.L + 1):
+        column_complex(cx, p, route="quotient")
+    assert sorted(calls) == sorted(fc.basis)
 
 
 def test_weak_convergence():
