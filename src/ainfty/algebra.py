@@ -3,14 +3,17 @@
 An algebra is a graded module with operations mu_n of degree 2 - n. The r-th
 defining equation sums, over all splittings n1 + n2 = r + 1 and insertion
 points i, the signed composites mu_{n2}(..., mu_{n1}(...), ...) and must
-vanish on every basis word of length r.
+vanish on every basis word of length r. The composites are read from the
+operation entries: each entry of the outer mu_{n2}, and at each of its letters
+the preimages of that letter under mu_{n1}. Only words with a nonzero
+composite are visited; a failed check names the least such word in basis order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import (
     DegreeMismatch,
@@ -19,7 +22,7 @@ from .errors import (
     NotAssociative,
 )
 from .graded import Element, GradedModule, MultilinearOp, Word
-from .signs import maltese, sign
+from .signs import sign
 
 
 @dataclass
@@ -86,54 +89,42 @@ class AInfinityAlgebra:
             return Element(self.module, {})
         return op.on_word(word)
 
-    def words(self, length: int) -> Iterator[Word]:
-        yield from itertools.product(self.module.names, repeat=length)
-
-    def degrees(self, word: Word) -> list[int]:
-        return [self.module.degree_of(n) for n in word]
-
     def default_bound(self) -> int:
         return max(2 * self.max_arity, 6)
 
 
-def equation_residual(algebra: AInfinityAlgebra, word: Word) -> Element:
-    """Left-hand side of the defining equation on one basis word."""
-    r = len(word)
-    degs = algebra.degrees(word)
-    acc: dict[str, int] = {}
-    for n1 in range(1, r + 1):
-        n2 = r + 1 - n1
-        inner_op = algebra.mu(n1)
-        outer_op = algebra.mu(n2)
-        if inner_op is None or outer_op is None:
+def equation_residuals(algebra: AInfinityAlgebra, r: int) -> dict[Word, Element]:
+    """Nonzero left-hand sides of the r-th defining equation, by word.
+
+    Walks each entry of each outer mu_{n2} and, at each letter, its preimages
+    under mu_{n1} (n1 + n2 = r + 1); the sign is the reduced degrees in front.
+    """
+    amod = algebra.module
+    acc: dict[Word, dict[str, int]] = {}
+    for n2, outer in algebra.ops.items():
+        if r + 1 - n2 not in algebra.ops:
             continue
-        for i in range(1, r + 2 - n1):
-            inner = inner_op.on_word(word[i - 1 : i - 1 + n1])
-            if inner.is_zero():
-                continue
-            s = sign(maltese(degs, 1, i - 1))
-            for name, c in inner.terms.items():
-                outer = outer_op.on_word(word[: i - 1] + (name,) + word[i - 1 + n1 :])
-                for out, v in outer.terms.items():
-                    acc[out] = acc.get(out, 0) + s * c * v
-    return Element(algebra.module, acc)
+        preimages = algebra.preimages(r + 1 - n2)
+        for key, value in outer.entries():
+            front = 0
+            for p, letter in enumerate(key):
+                for pre, c in preimages.get(letter, ()):
+                    terms = acc.setdefault(key[:p] + pre + key[p + 1 :], {})
+                    for out, v in value.terms.items():
+                        terms[out] = terms.get(out, 0) + sign(front) * c * v
+                front += amod.degree_of(letter) - 1
+    return {word: e for word, terms in acc.items() if (e := Element(amod, terms))}
 
 
 def check_defining_equation(algebra: AInfinityAlgebra, r: int) -> Verdict:
-    """Verify the r-th defining equation on every basis word of length r."""
+    """Verify the r-th defining equation; a failure names the least failing
+    word, compared by basis positions, with its residual."""
     label = f"A-infinity equation r={r}"
-    pairs = [
-        n1
-        for n1 in range(1, r + 1)
-        if algebra.mu(n1) is not None and algebra.mu(r + 1 - n1) is not None
-    ]
-    if not pairs:
+    failing = equation_residuals(algebra, r)
+    if not failing:
         return Verdict(True, label=label)
-    for word in algebra.words(r):
-        residual = equation_residual(algebra, word)
-        if not residual.is_zero():
-            return Verdict(False, word, residual, label)
-    return Verdict(True, label=label)
+    word = min(failing, key=lambda w: tuple(map(algebra.module.position, w)))
+    return Verdict(False, word, failing[word], label)
 
 
 def validate(algebra: AInfinityAlgebra, r_max: int) -> dict[int, Verdict]:
@@ -191,11 +182,7 @@ def from_dga(
             if lhs != rhs:
                 raise LeibnizFailure(f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
 
-    mu2_table = {}
-    for a, b in itertools.product(names, repeat=2):
-        value = product.on_word((a, b)).scale(sign(module.degree_of(a)))
-        if not value.is_zero():
-            mu2_table[(a, b)] = value
+    mu2_table = {key: v.scale(sign(module.degree_of(key[0]))) for key, v in product.entries()}
     ops: dict[int, MultilinearOp] = {
         2: MultilinearOp((module, module), module, 0, mu2_table, label="mu_2")
     }

@@ -3,6 +3,7 @@
 A bimodule over an algebra A carries operations mu_{r,s}: A^r (x) M (x) A^s -> M
 of degree 1 - r - s. Three constructions are provided: the diagonal bimodule
 A[1], the tensor square A (x) A, and the dual bimodule with inverted grading.
+Each builds its tables from the entries of the operations it starts from.
 
 The type-(r,s) bimodule and morphism equations are sums of two composite
 families, each read from the operation indices for a whole type at once:
@@ -14,14 +15,13 @@ are visited; a failed check names the least such word in basis order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import AInfinityAlgebra, Verdict, shift
 from .errors import DegreeMismatch, ModuleMismatch
 from .graded import Element, GradedModule, MultilinearOp, Word
-from .signs import maltese, sign
+from .signs import sign
 
 
 class AInfinityBimodule:
@@ -225,7 +225,9 @@ def tensor_square_bimodule(A: AInfinityAlgebra, max_rs: int = 4) -> AInfinityBim
     """A (x) A with the product grading of A[1] (x) A[1].
 
     Only the families mu_{r,0} and mu_{0,s} are nonzero; the (0,0) operation
-    is the product differential.
+    is the product differential. Each entry of mu_n, crossed with the other
+    factor's basis, gives one entry of mu_{n-1,0} (mu_n on the left factor)
+    and one of mu_{0,n-1} (on the right factor, past the left one's sign).
     """
     amod = A.module
     basis = tuple(
@@ -234,62 +236,22 @@ def tensor_square_bimodule(A: AInfinityAlgebra, max_rs: int = 4) -> AInfinityBim
         for n2, d2 in amod.basis
     )
     module = GradedModule(basis, amod.ring)
-    names = amod.names
-    ops: dict[tuple[int, int], MultilinearOp] = {}
-
-    mu1 = A.mu(1)
-    table00 = {}
-    for n1 in names:
-        for n2 in names:
-            acc: dict[str, int] = {}
-            if mu1 is not None:
-                for t, c in mu1.on_word((n1,)).terms.items():
-                    key = tensor_name(t, n2)
-                    acc[key] = acc.get(key, 0) + c
-                s1 = sign(amod.degree_of(n1) - 1)
-                for t, c in mu1.on_word((n2,)).terms.items():
-                    key = tensor_name(n1, t)
-                    acc[key] = acc.get(key, 0) + s1 * c
-            if acc:
-                table00[(tensor_name(n1, n2),)] = acc
-    if table00:
-        ops[(0, 0)] = bimodule_op(A, module, 0, 0, table00, label="AxA mu_(0,0)")
-
-    for r in range(1, max_rs + 1):
-        op = A.mu(r + 1)
-        if op is None:
+    tables: dict[tuple[int, int], dict[Word, dict[str, int]]] = {}
+    for n, op in A.ops.items():
+        if n - 1 > max_rs:
             continue
-        table: dict[Word, dict[str, int]] = {}
-        for word in itertools.product(names, repeat=r):
-            for n1 in names:
-                hit = op.on_word(word + (n1,))
-                if hit.is_zero():
-                    continue
-                for n2 in names:
-                    table[word + (tensor_name(n1, n2),)] = {
-                        tensor_name(t, n2): c for t, c in hit.terms.items()
-                    }
-        if table:
-            ops[(r, 0)] = bimodule_op(A, module, r, 0, table, label=f"AxA mu_({r},0)")
-
-    for s in range(1, max_rs + 1):
-        op = A.mu(s + 1)
-        if op is None:
-            continue
-        table = {}
-        for n2 in names:
-            for word in itertools.product(names, repeat=s):
-                hit = op.on_word((n2,) + word)
-                if hit.is_zero():
-                    continue
-                for n1 in names:
-                    s1 = sign(amod.degree_of(n1) - 1)
-                    table[(tensor_name(n1, n2),) + word] = {
-                        tensor_name(n1, t): s1 * c for t, c in hit.terms.items()
-                    }
-        if table:
-            ops[(0, s)] = bimodule_op(A, module, 0, s, table, label=f"AxA mu_(0,{s})")
-
+        left, right = tables.setdefault((n - 1, 0), {}), tables.setdefault((0, n - 1), {})
+        for key, value in op.entries():
+            terms = value.terms
+            for other, d in amod.basis:
+                on_left = left.setdefault(key[:-1] + (tensor_name(key[-1], other),), {})
+                on_right = right.setdefault((tensor_name(other, key[0]),) + key[1:], {})
+                _add(on_left, 1, {tensor_name(t, other): c for t, c in terms.items()})
+                _add(on_right, sign(d - 1), {tensor_name(other, t): c for t, c in terms.items()})
+    ops = {
+        (r, s): bimodule_op(A, module, r, s, table, label=f"AxA mu_({r},{s})")
+        for (r, s), table in tables.items()
+    }
     return AInfinityBimodule(A, module, ops, max_rs=max_rs, name="AxA")
 
 
@@ -311,37 +273,24 @@ def dual_bimodule(M: AInfinityBimodule, max_rs: int | None = None) -> AInfinityB
     dual_mod = GradedModule(
         tuple((dual_name(n), -d) for n, d in M.module.basis), M.module.ring
     )
-    ops: dict[tuple[int, int], MultilinearOp] = {}
-    for r in range(0, max_rs + 1):
-        for s in range(0, max_rs + 1 - r):
-            source = M.op(s, r)
-            if source is None:
-                continue
-            table: dict[Word, dict[str, int]] = {}
-            for left in itertools.product(amod.names, repeat=r):
-                for mstar, mstar_deg in dual_mod.basis:
-                    x = mstar[:-1]
-                    for right in itertools.product(amod.names, repeat=s):
-                        a_degs = [amod.degree_of(n) for n in left + right]
-                        acc: dict[str, int] = {}
-                        for y, y_deg in M.module.basis:
-                            hit = source.on_word(right + (y,) + left)
-                            c = hit.terms.get(x, 0)
-                            if not c:
-                                continue
-                            ddag = (
-                                maltese(a_degs, 1, r)
-                                * (maltese(a_degs, r + 1, r + s) + mstar_deg + y_deg)
-                                + mstar_deg
-                                + 1
-                            )
-                            acc[dual_name(y)] = acc.get(dual_name(y), 0) + sign(ddag) * c
-                        if acc:
-                            table[left + (mstar,) + right] = acc
-            if table:
-                ops[(r, s)] = bimodule_op(
-                    A, dual_mod, r, s, table, label=f"{M.name}* mu_({r},{s})"
-                )
+    tables: dict[tuple[int, int], dict[Word, dict[str, int]]] = {}
+    for (s, r), source in M.ops.items():
+        if r + s > max_rs:
+            continue
+        table = tables.setdefault((r, s), {})
+        for key, value in source.entries():
+            right, y, left = key[:s], key[s], key[s + 1 :]
+            left_mal = sum(amod.degree_of(n) - 1 for n in left)
+            right_mal = sum(amod.degree_of(n) - 1 for n in right)
+            y_deg = M.module.degree_of(y)
+            for x, c in value.terms.items():
+                mstar_deg = -M.module.degree_of(x)
+                ddag = left_mal * (right_mal + mstar_deg + y_deg) + mstar_deg + 1
+                table.setdefault(left + (dual_name(x),) + right, {})[dual_name(y)] = sign(ddag) * c
+    ops = {
+        (r, s): bimodule_op(A, dual_mod, r, s, table, label=f"{M.name}* mu_({r},{s})")
+        for (r, s), table in tables.items()
+    }
     return AInfinityBimodule(A, dual_mod, ops, max_rs=max_rs, name=f"{M.name}^-*")
 
 
@@ -416,16 +365,10 @@ def validate_morphism(f: BimoduleMorphism, bound: int | None = None) -> dict:
 
 def morphism_is_chain_map_00(f: BimoduleMorphism) -> bool:
     """True iff f_{0,0} commutes with the (0,0) differentials."""
-    for m in f.source.module.names:
-        lhs: dict[str, int] = {}
-        for name, c in f.source.op_word(0, 0, (m,)).terms.items():
-            _add(lhs, c, f.component_word(0, 0, (name,)).terms)
-        rhs: dict[str, int] = {}
-        for name, c in f.component_word(0, 0, (m,)).terms.items():
-            _add(rhs, c, f.target.op_word(0, 0, (name,)).terms)
-        if Element(f.target.module, lhs) != Element(f.target.module, rhs):
-            return False
-    return True
+    acc: dict[Word, dict[str, int]] = {}
+    _slot_family(f.slot_index, f.source.ops, 0, 0, 1, 1, acc)
+    _slot_family(f.target.slot_index, f.maps, 0, 0, 1, -1, acc)
+    return not any(Element(f.target.module, terms) for terms in acc.values())
 
 
 def identity_morphism(M: AInfinityBimodule) -> BimoduleMorphism:

@@ -227,13 +227,13 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
     length = args.length
     checks = []
 
+    # every r reads one evaluation of the equations up to max_r
+    verdicts = functools.cache(lambda: validate_algebra(algebra, args.max_r))
     for r in range(1, args.max_r + 1):
         checks.append(
             (
                 f"algebra equation r={r}",
-                lambda r=r: (lambda v: (v.holds, v.describe()))(
-                    validate_algebra(algebra, r)[r]
-                ),
+                lambda r=r: (verdicts()[r].holds, verdicts()[r].describe()),
             )
         )
 

@@ -277,27 +277,18 @@ def canonicalize(doc: dict) -> dict:
     for key in ("product", "differential"):
         if key in algebra:
             algebra[key] = _canonical_entries(algebra[key])
-    if "operations" in algebra:
-        algebra["operations"] = {
-            k: _canonical_entries(v) for k, v in sorted(algebra["operations"].items())
-        }
-    for section in ("bimodules",):
-        for spec in doc.get(section, {}).values():
-            if "operations" in spec:
-                spec["operations"] = {
-                    k: _canonical_entries(v)
-                    for k, v in sorted(spec["operations"].items())
-                }
-    for spec in doc.get("morphisms", {}).values():
-        if "components" in spec:
-            spec["components"] = {
-                k: _canonical_entries(v) for k, v in sorted(spec["components"].items())
-            }
-    for spec in doc.get("cochains", {}).values():
-        if "components" in spec:
-            spec["components"] = {
-                k: _canonical_entries(v) for k, v in sorted(spec["components"].items())
-            }
+    tables = [(algebra, "operations")] + [
+        (spec, key)
+        for section, key in (
+            ("bimodules", "operations"),
+            ("morphisms", "components"),
+            ("cochains", "components"),
+        )
+        for spec in doc.get(section, {}).values()
+    ]
+    for spec, key in tables:
+        if key in spec:
+            spec[key] = {k: _canonical_entries(v) for k, v in spec[key].items()}
     return doc
 
 

@@ -8,7 +8,9 @@ Hochschild summand and the enumerating codifferential are the former library
 bodies, kept to check the operation-driven assembly that replaced them; the
 two equation bodies are the former written-out composite families, kept to
 check the index-driven arm and slot families word by word, over the basis
-words that bimodule_words enumerates. The diagonal-formula differential, the
+words that bimodule_words enumerates. The per-word algebra equation residual
+and the word-by-word tensor square and dual are the former library bodies too,
+kept to check the entry walks that replaced them. The diagonal-formula differential, the
 regraded codifferential and the integer rank are second routes that no report
 prints, so they live here rather than in the library; so is b* evaluated on b
 of every word, the former body of b_star. The block-only Smith
@@ -24,9 +26,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from ainfty.bimodules import AInfinityBimodule, bimodule_op, dual_name, tensor_name
 from ainfty.chains import HochschildComplex, InducedChainMap, add_into, normalize
 from ainfty.cochains import Cochain, DualChainElement
-from ainfty.graded import Element
+from ainfty.graded import Element, GradedModule
 from ainfty.homology import ExactMatrix, _gcd_lcm_move, invariant_factors
 from ainfty.documents import parse, serialize
 from ainfty.errors import Inhomogeneous, ZeroElement
@@ -727,6 +730,141 @@ def morphism_equation_sides_oracle(f, r, s, word):
                 add(rhs, s_exp, c, outer)
 
     return Element(N.module, lhs), Element(N.module, rhs)
+
+
+def equation_residual_oracle(algebra, word):
+    """Left-hand side of the algebra's defining equation on one basis word, the
+    former library body: every split and insertion point, looked up word by word."""
+    r = len(word)
+    degs = [algebra.module.degree_of(n) for n in word]
+    acc = {}
+    for n1 in range(1, r + 1):
+        n2 = r + 1 - n1
+        inner_op = algebra.mu(n1)
+        outer_op = algebra.mu(n2)
+        if inner_op is None or outer_op is None:
+            continue
+        for i in range(1, r + 2 - n1):
+            inner = inner_op.on_word(word[i - 1 : i - 1 + n1])
+            if inner.is_zero():
+                continue
+            s = sign(maltese(degs, 1, i - 1))
+            for name, c in inner.terms.items():
+                outer = outer_op.on_word(word[: i - 1] + (name,) + word[i - 1 + n1 :])
+                for out, v in outer.terms.items():
+                    acc[out] = acc.get(out, 0) + s * c * v
+    return Element(algebra.module, acc)
+
+
+def tensor_square_oracle(A, max_rs=4):
+    """A (x) A built word by word, the former library body of tensor_square_bimodule."""
+    amod = A.module
+    basis = tuple(
+        (tensor_name(n1, n2), (d1 - 1) + (d2 - 1))
+        for n1, d1 in amod.basis
+        for n2, d2 in amod.basis
+    )
+    module = GradedModule(basis, amod.ring)
+    names = amod.names
+    ops = {}
+
+    mu1 = A.mu(1)
+    table00 = {}
+    for n1 in names:
+        for n2 in names:
+            acc = {}
+            if mu1 is not None:
+                for t, c in mu1.on_word((n1,)).terms.items():
+                    key = tensor_name(t, n2)
+                    acc[key] = acc.get(key, 0) + c
+                s1 = sign(amod.degree_of(n1) - 1)
+                for t, c in mu1.on_word((n2,)).terms.items():
+                    key = tensor_name(n1, t)
+                    acc[key] = acc.get(key, 0) + s1 * c
+            if acc:
+                table00[(tensor_name(n1, n2),)] = acc
+    if table00:
+        ops[(0, 0)] = bimodule_op(A, module, 0, 0, table00, label="AxA mu_(0,0)")
+
+    for r in range(1, max_rs + 1):
+        op = A.mu(r + 1)
+        if op is None:
+            continue
+        table = {}
+        for word in itertools.product(names, repeat=r):
+            for n1 in names:
+                hit = op.on_word(word + (n1,))
+                if hit.is_zero():
+                    continue
+                for n2 in names:
+                    table[word + (tensor_name(n1, n2),)] = {
+                        tensor_name(t, n2): c for t, c in hit.terms.items()
+                    }
+        if table:
+            ops[(r, 0)] = bimodule_op(A, module, r, 0, table, label=f"AxA mu_({r},0)")
+
+    for s in range(1, max_rs + 1):
+        op = A.mu(s + 1)
+        if op is None:
+            continue
+        table = {}
+        for n2 in names:
+            for word in itertools.product(names, repeat=s):
+                hit = op.on_word((n2,) + word)
+                if hit.is_zero():
+                    continue
+                for n1 in names:
+                    s1 = sign(amod.degree_of(n1) - 1)
+                    table[(tensor_name(n1, n2),) + word] = {
+                        tensor_name(n1, t): s1 * c for t, c in hit.terms.items()
+                    }
+        if table:
+            ops[(0, s)] = bimodule_op(A, module, 0, s, table, label=f"AxA mu_(0,{s})")
+
+    return AInfinityBimodule(A, module, ops, max_rs=max_rs, name="AxA")
+
+
+def dual_bimodule_oracle(M, max_rs=None):
+    """The dual bimodule built word by word, the former library body of dual_bimodule."""
+    if max_rs is None:
+        max_rs = M.max_rs
+    A = M.algebra
+    amod = A.module
+    dual_mod = GradedModule(
+        tuple((dual_name(n), -d) for n, d in M.module.basis), M.module.ring
+    )
+    ops = {}
+    for r in range(0, max_rs + 1):
+        for s in range(0, max_rs + 1 - r):
+            source = M.op(s, r)
+            if source is None:
+                continue
+            table = {}
+            for left in itertools.product(amod.names, repeat=r):
+                for mstar, mstar_deg in dual_mod.basis:
+                    x = mstar[:-1]
+                    for right in itertools.product(amod.names, repeat=s):
+                        a_degs = [amod.degree_of(n) for n in left + right]
+                        acc = {}
+                        for y, y_deg in M.module.basis:
+                            hit = source.on_word(right + (y,) + left)
+                            c = hit.terms.get(x, 0)
+                            if not c:
+                                continue
+                            ddag = (
+                                maltese(a_degs, 1, r)
+                                * (maltese(a_degs, r + 1, r + s) + mstar_deg + y_deg)
+                                + mstar_deg
+                                + 1
+                            )
+                            acc[dual_name(y)] = acc.get(dual_name(y), 0) + sign(ddag) * c
+                        if acc:
+                            table[left + (mstar,) + right] = acc
+            if table:
+                ops[(r, s)] = bimodule_op(
+                    A, dual_mod, r, s, table, label=f"{M.name}* mu_({r},{s})"
+                )
+    return AInfinityBimodule(A, dual_mod, ops, max_rs=max_rs, name=f"{M.name}^-*")
 
 
 def chain_degree(cx, x):

@@ -7,7 +7,7 @@ import pytest
 from ainfty.algebra import (
     AInfinityAlgebra,
     check_defining_equation,
-    equation_residual,
+    equation_residuals,
     from_dga,
     shift,
     validate,
@@ -198,6 +198,6 @@ def test_validation_bound_default():
 
 
 def test_residual_zero_on_valid_words():
+    # only words with a nonzero residual are listed, so none may be
     A = load("exterior2").algebra
-    for word in itertools.product(A.module.names, repeat=3):
-        assert equation_residual(A, word).is_zero()
+    assert equation_residuals(A, 3) == {}

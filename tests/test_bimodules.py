@@ -20,7 +20,7 @@ from ainfty.bimodules import (
     validate_morphism,
 )
 from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
-from ainfty.algebra import from_dga
+from ainfty.algebra import AInfinityAlgebra, equation_residuals, from_dga, validate
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
 
@@ -28,8 +28,11 @@ from helpers import (
     ALGEBRA_FIXTURES,
     bimodule_equation_residual_oracle,
     bimodule_words,
+    dual_bimodule_oracle,
+    equation_residual_oracle,
     load,
     morphism_equation_sides_oracle,
+    tensor_square_oracle,
 )
 
 
@@ -447,4 +450,50 @@ def test_bimodule_validation_reads_no_word_lookups(monkeypatch):
         )
     for M, bound in modules:
         assert all(v.holds for v in validate_bimodule(M, bound).values()), M.name
+    assert calls == []
+
+
+def _tables(M):
+    return M.module, M.name, M.max_rs, {rs: op.table for rs, op in M.ops.items()}
+
+
+def test_entry_walks_match_word_by_word_oracles():
+    # algebra residuals, tensor squares and duals read from operation entries
+    # equal the former word-by-word bodies, also where an equation fails
+    m = GradedModule((("u", 0), ("v", 1)), Z)
+    mu1 = MultilinearOp((m,), m, 1, {("u",): {"v": 1}})
+    mu2 = MultilinearOp((m, m), m, 0, {("u", "u"): {"u": 1}})
+    broken_derivation = AInfinityAlgebra(m, {1: mu1, 2: mu2}, max_arity=2)
+    docs = [load(name, p) for name in ALGEBRA_FIXTURES for p in (None, 2, 3)]
+    for A in [_mu1_algebra(), broken_derivation] + [doc.algebra for doc in docs]:
+        for r in range(1, 7):
+            expected = {}
+            for word in itertools.product(A.module.names, repeat=r):
+                if residual := equation_residual_oracle(A, word):
+                    expected[word] = residual
+            assert equation_residuals(A, r) == expected, r
+        for max_rs in range(5):
+            square = tensor_square_bimodule(A, max_rs)
+            assert _tables(square) == _tables(tensor_square_oracle(A, max_rs))
+            for M in (diagonal_bimodule(A, max_rs), square):
+                assert _tables(dual_bimodule(M)) == _tables(dual_bimodule_oracle(M))
+    assert any(equation_residuals(broken_derivation, 2).values())
+    for doc in docs:
+        for M in doc.bimodules.values():
+            for max_rs in range(5):
+                assert _tables(dual_bimodule(M, max_rs)) == _tables(dual_bimodule_oracle(M, max_rs))
+
+
+def test_structure_layer_reads_no_word_lookups(monkeypatch):
+    # the algebra equations, the tensor square and the dual walk operation
+    # entries, never one word at a time
+    algebras = [load(name).algebra for name in ("exterior2", "mu3_square_zero")]
+    calls = []
+    real = MultilinearOp.on_word
+    monkeypatch.setattr(MultilinearOp, "on_word", lambda *args: calls.append(args) or real(*args))
+    for A in algebras:
+        assert all(v.holds for v in validate(A, 6).values())
+        square = tensor_square_bimodule(A, 4)
+        dual_bimodule(diagonal_bimodule(A, 4))
+        dual_bimodule(square)
     assert calls == []

@@ -375,6 +375,58 @@ def test_b_squared_failure_is_reported_in_enumeration_order(tmp_path, capsys):
     ]
 
 
+def test_failing_algebra_equation_with_mu1_and_mu3(tmp_path, capsys):
+    # mu3_square_zero plus mu_1(c) = a, mu_2(a,a) = b and mu_2(c,a) = c: the
+    # equations fail at r = 2, 3 and 4, each on its least word in basis order
+    doc = fixture_document("mu3_square_zero")
+    ops = doc["algebra"]["operations"]
+    ops["1"] = [{"inputs": ["c"], "output": {"a": "1"}}]
+    ops["2"] = [
+        {"inputs": ["a", "a"], "output": {"b": "1"}},
+        {"inputs": ["c", "a"], "output": {"c": "1"}},
+    ]
+    path = tmp_path / "mu3_broken.json"
+    path.write_text(serialize(doc))
+    algebra_lines = [
+        "ok   algebra equation r=1",
+        "FAIL algebra equation r=2: A-infinity equation r=2: "
+        "fails on ('a', 'c') with residual -1*b",
+        "FAIL algebra equation r=3: A-infinity equation r=3: "
+        "fails on ('a', 'a', 'a') with residual a",
+        "FAIL algebra equation r=4: A-infinity equation r=4: "
+        "fails on ('a', 'a', 'a', 'a') with residual c",
+        "ok   algebra equation r=5",
+        "ok   algebra equation r=6",
+    ]
+    result = "RESULT: FAIL (first failing identity: algebra equation r=2)"
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out.splitlines() == ["command: validate", "ring: Z", *algebra_lines, result]
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "command: verify",
+        "ring: Z",
+        *algebra_lines,
+        "FAIL bimodule equations [diagonal]: A[1]: bimodule equation (0,1): "
+        "fails on ('a', 'c') with residual -1*b",
+        "FAIL bimodule equations [dual]: A[1]^-*: bimodule equation (0,1): "
+        "fails on ('a^', 'c') with residual -1*a^",
+        "FAIL bimodule equations [tensor_square]: AxA: bimodule equation (0,1): "
+        "fails on ('a|a', 'c') with residual -1*a|b",
+        "FAIL b.b = 0 [diagonal]: b(b(('a', 'c'))) != 0",
+        "FAIL b.b = 0 [dual]: b(b(('a^', 'a'))) != 0",
+        "FAIL b.b = 0 [tensor_square]: b(b(('a|a', 'c'))) != 0",
+        "FAIL beta.beta = 0 [diagonal]: beta(beta(E[()->a])) != 0",
+        "ok   phi duality square [diagonal]",
+        "ok   E1 two-path agreement [diagonal]",
+        "ok   E1 two-path agreement [dual]",
+        "ok   E1 two-path agreement [tensor_square]",
+        "ok   SNF self-verification",
+        result,
+    ]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_verify_passes_over_zp(tmp_path, capsys, p):
     # over Z/p the boundaries hold reduced coefficients, so b.b must be
