@@ -1,12 +1,16 @@
 """The length-truncated Hochschild chain complex and its differential.
 
 Chain elements are sparse dicts mapping words (m, a_1, ..., a_n) to
-coefficients. The differential is the sum of components b_{i,l}: the i = 0
-term acts on the coefficient slot, interior terms insert mu_l into the
-algebra letters, and the overlapping terms wrap the word around the
-coefficient slot with the star sign. b is assembled from the operations that
-exist: each mu_l at each interior position and each mu_(r,s) once, so the
-(i, l) pairs whose operation is missing are never visited.
+coefficients. The differential b is a signed sum of operation entries: each
+mu_l entry inserted into a word's algebra letters, and each mu_(r,s) entry
+acting on the coefficient slot, wrapped around the word when r >= 1.
+
+A length-n word has the mixed-radix rank pos(m) N^n + sum_k pos(a_k) N^(n-k),
+N the rank of A, so prefixes, keys and suffixes concatenate by arithmetic on
+ranks. boundaries(m) assembles every boundary of F_m in one walk over
+(prefix, operation entry, suffix) triples, reading each word's degree and
+column from flat tables by rank: the work is proportional to the number of
+terms of b, never to words times positions.
 """
 
 from __future__ import annotations
@@ -15,12 +19,15 @@ import itertools
 from typing import Iterator
 
 from .bimodules import AInfinityBimodule, BimoduleMorphism
-from .errors import ModuleMismatch
+from .errors import InternalInvariant, ModuleMismatch, TooLarge
 from .graded import Word
-from .homology import FiniteComplex
+from .homology import ExactMatrix
 from .signs import maltese0, sign, star_sign
 
 Chain = dict[Word, int]
+
+# words of F_L a complex may hold: exterior2 at L=8 has 349 524
+MAX_WORDS = 1_000_000
 
 
 def add_into(acc: Chain, word: Word, c: int) -> None:
@@ -43,6 +50,13 @@ def add(x: Chain, y: Chain, ring) -> Chain:
     return normalize(acc, ring)
 
 
+def word_count(m_rank: int, a_rank: int, length: int) -> int:
+    """|M| * (N^0 + ... + N^L), the number of words of F_L."""
+    if a_rank < 2:
+        return m_rank * (length + 1 if a_rank else 1)
+    return m_rank * (a_rank ** (length + 1) - 1) // (a_rank - 1)
+
+
 class HochschildComplex:
     """F_L-truncated chain complex CH_*(A;M) with a fixed word enumeration."""
 
@@ -51,26 +65,38 @@ class HochschildComplex:
         self.A = bimodule.algebra
         self.L = length_cutoff
         self.ring = bimodule.ring
+        # refuse before any word is enumerated; past N^64 the exact count is moot
+        n = length_cutoff if self.A.module.rank < 2 else min(length_cutoff, 64)
+        count = word_count(self.M.module.rank, self.A.module.rank, n)
+        if count > MAX_WORDS:
+            more = "" if n == length_cutoff else "more than "
+            raise TooLarge(
+                f"F_{length_cutoff} has {more}{count} words, above the limit of {MAX_WORDS}"
+            )
         # length n -> (words, their Hochschild degrees), in enumeration order
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
         # b as matrices, built once by spectral.py: F_m by m, E^0 columns by p, route,
         # and F_m's length-preserving entries by m, then word length
-        self.truncations: dict[int, FiniteComplex] = {}
+        self.truncations: dict = {}
         self.columns: dict[int, dict] = {}
         self.length_blocks: dict[int, dict] = {}
+
+    def _by_rank(self, n: int) -> tuple[list[int], list[int]]:
+        """Hochschild degrees of the length-n words by rank, and the ranks in
+        enumeration order: the product order, sorted stably by degree."""
+        reduced = itertools.product([d - 1 for _, d in self.A.module.basis], repeat=n)
+        tails = list(map(sum, reduced))
+        degs = [-m_deg - red for _, m_deg in self.M.module.basis for red in tails]
+        return degs, sorted(range(len(degs)), key=degs.__getitem__)
 
     def _graded_words(self, n: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
         """Length-n words sorted by (degree, slot positions), with their degrees."""
         out = self._words.get(n)
         if out is None:
-            # product yields slot-position order; a stable sort by degree keeps
-            # it. The reduced-degree product runs in step with the name product.
-            amod, mbasis = self.A.module, self.M.module.basis
-            reduced = itertools.product([d - 1 for _, d in amod.basis], repeat=n)
-            tails = list(zip(itertools.product(amod.names, repeat=n), map(sum, reduced)))
-            words = [(m,) + rest for m, _ in mbasis for rest, _ in tails]
-            degs = [-m_deg - red for _, m_deg in mbasis for _, red in tails]
-            order = sorted(range(len(words)), key=degs.__getitem__)
+            # the name product runs in rank order, in step with _by_rank
+            degs, order = self._by_rank(n)
+            tails = list(itertools.product(self.A.module.names, repeat=n))
+            words = [(m,) + rest for m in self.M.module.names for rest in tails]
             out = tuple(words[k] for k in order), tuple(degs[k] for k in order)
             self._words[n] = out
         return out
@@ -92,70 +118,125 @@ class HochschildComplex:
         m_deg = self.M.module.degree_of(word[0])
         return -m_deg - sum(self.A.module.degree_of(n) - 1 for n in word[1:])
 
-    def summands(self, word: Word) -> Iterator[tuple[int, int, Word, int]]:
-        """Every nonzero term (i, l, output word, unnormalized coefficient) of b.
+    def boundaries(self, m: int) -> dict[int, ExactMatrix]:
+        """Every boundary d_j: (F_m)_j -> (F_m)_{j-1} of b, in one walk over the entries.
 
-        Visits each mu_l at i = 1..n-l+1, and each mu_(r,s) with r + s <= n
-        once: at i = 0 when r = 0, else wrapped at i = n-r+1, l = r+s+1.
+        Columns follow spectral.truncation's basis: each degree's words by
+        length, then in enumeration order. Each term of b is one triple
+        (prefix P, entry, suffix S), and its source and target ranks follow
+        from theirs:
+        - mu_l entry K -> a, inserted after P: (P, K, S) -> (P, a, S), with
+          sign (-1)^deg P;
+        - mu_(r,s) entry (K_r, m, K_s) -> m': (m, K_s, S, K_r) -> (m', S),
+          with sign (-1)^((deg m + red K_s + red S) red K_r), + when r = 0.
         """
-        n = len(word) - 1
-        m, letters = word[0], word[1:]
-        # front[k] = maltese0(deg m, degs, k); the star sign is
-        # front[i-1] * maltese(i, n) = front[i-1] * (front[n] - front[i-1])
-        front = [self.M.module.degree_of(m)]
-        for a in letters:
-            front.append(front[-1] + self.A.module.degree_of(a) - 1)
-        for (r, s), op in self.M.ops.items():
-            if r + s > n:
-                continue
-            if r == 0:
-                i, l, key, suffix, sv = 0, s + 1, word[: s + 1], letters[s:], 1
-            else:
-                i, l = n - r + 1, r + s + 1
-                key = letters[i - 1 :] + (m,) + letters[:s]
-                suffix = letters[s : i - 1]
-                sv = sign(front[i - 1] * (front[n] - front[i - 1]))
-            hit = op.table.get(key)
-            if hit is not None:
-                for name, c in hit.terms.items():
-                    yield i, l, (name,) + suffix, sv * c
+        N, n_coeff = self.A.module.rank, self.M.module.rank
+        apos, mpos = self.A.module.position, self.M.module.position
+        column: dict[int, int] = {}  # degree -> number of words
+        for n in range(m + 1):
+            for j in self.degrees(n):
+                column[j] = column.get(j, 0) + 1
+        # length n -> (degree, column) of each word, by rank, as flat lists;
+        # all keys share one int object per row or column index
+        ints = list(range(max(column.values(), default=0)))
+        seen, tables = dict.fromkeys(column, 0), []
+        for n in range(m + 1):
+            degs, order = self._by_rank(n)
+            cols = [0] * len(degs)
+            for rank in order:
+                j = degs[rank]
+                cols[rank] = ints[seen[j]]
+                seen[j] += 1
+            tables.append((degs, cols))
+        # each boundary's sums, kept free of zeros as the walk goes: a dict
+        # reclaims the slots of deleted keys when it next grows
+        prime = self.ring.p
+        sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in column}
+
+        def rank(letters: Word) -> int:
+            out = 0
+            for a in letters:
+                out = out * N + apos(a)
+            return out
+
+        def block(n, start, step, k, t_start, t_step, count, values):
+            # the terms of one block shift the degree alike: check the first
+            degs, cols = tables[n]
+            t_degs, t_cols = tables[k]
+            if t_degs[t_start] != degs[start] - 1:
+                raise InternalInvariant(
+                    f"image of {self._word(n, start)} has "
+                    f"{self._word(k, t_start)} outside the target degree"
+                )
+            stop, t_stop = start + count * step, t_start + count * t_step
+            for j, col, row in zip(
+                degs[start:stop:step], cols[start:stop:step], t_cols[t_start:t_stop:t_step]
+            ):
+                acc, key = sums[j], (row, col)
+                c = acc.get(key, 0) + values[j & 1]
+                if c % prime if prime else c:
+                    acc[key] = c
+                else:
+                    del acc[key]
+
         for l, op in self.A.ops.items():
-            for i in range(1, n - l + 2):
-                hit = op.table.get(letters[i - 1 : i - 1 + l])
-                if hit is not None:
-                    sv = sign(front[i - 1])
-                    head, tail = word[:i], letters[i - 1 + l :]
-                    for name, c in hit.terms.items():
-                        yield i, l, head + (name,) + tail, sv * c
+            terms = [
+                (rank(key), apos(a), c)
+                for key, value in op.entries()
+                for a, c in value.terms.items()
+            ]
+            for p in range(m - l + 1):
+                prefixes, p_degs = n_coeff * N**p, tables[p][0]
+                for t in range(m - l - p + 1):
+                    n, k, span = p + l + t, p + 1 + t, N**t
+                    if span >= prefixes:
+                        # one block per prefix and term, along the suffixes
+                        for P in range(prefixes):
+                            flip = p_degs[P] & 1
+                            for K, a, c in terms:
+                                v = -c if flip else c
+                                start, t_start = (P * N**l + K) * span, (P * N + a) * span
+                                block(n, start, 1, k, t_start, 1, span, (v, v))
+                        continue
+                    # one block per suffix and term, along the prefixes: there
+                    # deg P = j + red K + red S, so the sign follows j's parity
+                    for s in range(span):
+                        for K, a, c in terms:
+                            start, t_start = K * span + s, a * span + s
+                            v = -c if (p_degs[0] - tables[n][0][start]) & 1 else c
+                            block(n, start, N**(l + t), k, t_start, N * span, prefixes, (v, -v))
+        for (r, s), op in self.M.ops.items():
+            for key, value in op.entries():
+                K_r, m_pos, K_s = rank(key[:r]), mpos(key[r]), rank(key[r + 1 :])
+                odd = sum(self.A.module.degree_of(a) - 1 for a in key[:r]) & 1
+                for t in range(m - r - s + 1):
+                    span = N**t
+                    start = (m_pos * N**s + K_s) * span * N**r + K_r
+                    for name, c in value.terms.items():
+                        # deg m + red K_s + red S = -(j + red K_r)
+                        values = (-c, c) if odd else (c, c)
+                        block(s + t + r, start, N**r, t, mpos(name) * span, 1, span, values)
+        # a fresh dict drops the slots of cancelled terms, one boundary at a time
+        out = {}
+        for j in list(sums):
+            acc = sums.pop(j)
+            acc = {key: c % prime for key, c in acc.items()} if prime else dict(acc.items())
+            out[j] = ExactMatrix._adopt(column.get(j - 1, 0), column[j], acc)
+        return out
 
-    def b_component(self, word: Word, i: int, l: int) -> Chain:
-        """Single summand b_{i,l}, filtered from summands; out-of-range gives zero."""
-        acc: Chain = {}
-        for i2, l2, w, c in self.summands(word):
-            if i2 == i and l2 == l:
-                add_into(acc, w, c)
-        return normalize(acc, self.ring)
-
-    def differential_word(self, word: Word) -> Chain:
-        """b on one word: the normalized sum of summands(word), uncached."""
-        acc: Chain = {}
-        for _, _, w, c in self.summands(word):
-            add_into(acc, w, c)
-        return normalize(acc, self.ring)
-
-    def differential(self, x: Chain) -> Chain:
-        acc: Chain = {}
-        for word, c in x.items():
-            if len(word) - 1 > self.L:
-                raise ModuleMismatch("chain exceeds the length cutoff")
-            for w, v in self.differential_word(word).items():
-                add_into(acc, w, c * v)
-        return normalize(acc, self.ring)
+    def _word(self, n: int, rank: int) -> Word:
+        """The length-n word of a rank, for messages."""
+        names = self.A.module.names
+        letters = []
+        for _ in range(n):
+            rank, a = divmod(rank, len(names))
+            letters.append(names[a])
+        return (self.M.module.names[rank],) + tuple(reversed(letters))
 
     def b1_word(self, word: Word) -> Chain:
         """Length-preserving part of b, built from mu_1 and mu_{0,0} only.
 
-        Independent of summands; used as the direct route to the zeroth
+        Independent of boundaries(); used as the direct route to the zeroth
         page of the length filtration.
         """
         m, letters = word[0], word[1:]

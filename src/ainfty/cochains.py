@@ -5,17 +5,20 @@ sparse table per arity n (components beyond the arity cutoff are dropped and
 flagged). The codifferential raises the total degree by one and never lowers
 arity, so every retained component is computed exactly.
 
-coboundary is the one body of beta, on one elementary cochain; the cochain
-complex reads its boundary columns from it, and codifferential is its
-linear extension to a validated Cochain.
+coboundary is the one body of beta, on one elementary cochain, and
+codifferential is its linear extension to a validated Cochain; the cup
+product and the beta.beta and phi checks read beta through them.
 
 Duality: phi turns a functional on the chain complex into a cochain with
 coefficients in the dual bimodule, with the sign (-1)^{deg(m) * maltese_1^n}.
+It has degree zero, so the arity <= L cochains with coefficients in M are the
+linear dual of F_L over M's dual bimodule: the cohomology command reads
+H^* from that chain complex by universal coefficients instead of building
+a cochain complex.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping
 
 from .algebra import AInfinityAlgebra
@@ -29,7 +32,6 @@ from .bimodules import (
 from .chains import Chain, HochschildComplex, InducedChainMap, normalize
 from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
 from .graded import Word
-from .homology import FiniteComplex
 from .signs import maltese, sign
 from .spectral import truncation
 
@@ -350,35 +352,3 @@ class RegradedComplexes:
 
 def regrade_diagonal(A: AInfinityAlgebra, length_cutoff: int = 4) -> RegradedComplexes:
     return RegradedComplexes(A, length_cutoff)
-
-
-def cochain_basis(
-    M: AInfinityBimodule, cutoff: int
-) -> dict[int, list[tuple[int, Word, str]]]:
-    """Elementary cochains (arity, word, output) bucketed by total degree.
-
-    Generation order is already (arity, slot positions, output position), so
-    each bucket comes out sorted by that key.
-    """
-    amod = M.algebra.module
-    degrees = [d for _, d in amod.basis]
-    out: dict[int, list[tuple[int, Word, str]]] = {}
-    for n in range(cutoff + 1):
-        # the degree product runs in step with the name product
-        words = itertools.product(amod.names, repeat=n)
-        in_degs = map(sum, itertools.product(degrees, repeat=n))
-        for word, in_deg in zip(words, in_degs):
-            for name, m_deg in M.module.basis:
-                j = m_deg - in_deg + n
-                out.setdefault(j, []).append((n, word, name))
-    return out
-
-
-def cochain_complex(M: AInfinityBimodule, cutoff: int) -> FiniteComplex:
-    """CH^*(A;M) up to arity cutoff on elementary cochains, with beta as differential."""
-    basis = cochain_basis(M, cutoff)
-    degree = {key: j for j, keys in basis.items() for key in keys}
-    return FiniteComplex(
-        M.ring, basis, lambda key: coboundary(M, degree[key], cutoff, *key), step=1
-    )
-

@@ -77,5 +77,9 @@ class InternalInvariant(AssertionError):
     """A self-check inside the library failed: a bug, not bad input or a verdict."""
 
 
+class TooLarge(AinftyError):
+    """A request whose size is over a library limit; the message names both."""
+
+
 class DocumentError(AinftyError):
     """Malformed structure document; message carries the offending location."""

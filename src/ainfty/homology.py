@@ -6,8 +6,9 @@ taking the entry of least absolute value as the next pivot and reducing by
 nearest remainders; it records its row operations in sparse rows of U and
 its column operations in sparse columns of V. Smith normal form, ranks,
 kernels and solves all read it. Smith normal form, over Z and mod p,
-re-verifies D = U*M*V on the whole matrix by multiplication before
-returning. Python ints keep every entry exact at any size.
+re-verifies D = U*M*V on the whole matrix by exact multiplication, one row
+of U at a time, before returning. Python ints keep every entry exact at any
+size.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ class ExactMatrix:
                 raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
             if c:
                 self.entries[(i, j)] = c
+
+    @classmethod
+    def _adopt(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "ExactMatrix":
+        """Take a dict the library built, in range and free of zeros, without check or copy."""
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols, mat.entries = rows, cols, entries
+        return mat
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]]) -> "ExactMatrix":
@@ -80,15 +88,22 @@ class ExactMatrix:
         for (i, k), a in self.entries.items():
             for j, b in right.get(k, ()):
                 entries[(i, j)] = entries.get((i, j), 0) + a * b
-        return ExactMatrix(self.rows, other.cols, entries)
+        return ExactMatrix._adopt(self.rows, other.cols, _nonzero(entries))
 
     def mod(self, p: int) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._adopt(
             self.rows, self.cols, {k: c % p for k, c in self.entries.items() if c % p}
         )
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+
+
+def _nonzero(entries: dict) -> dict:
+    """entries with the zero values deleted in place."""
+    for key in [key for key, c in entries.items() if not c]:
+        del entries[key]
+    return entries
 
 
 def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -120,15 +135,49 @@ def _smith(mat: ExactMatrix, p: int | None) -> tuple[ExactMatrix, ExactMatrix, E
     chain = units + torsion
     u_rows = [q[1] for q in chain] + u_rest
     v_cols = [q[2] for q in chain] + v_rest
-    Dm = ExactMatrix(mat.rows, mat.cols, {(t, t): q[0] for t, q in enumerate(chain)})
-    Um = ExactMatrix(
+    _check_umv(mat, u_rows, v_cols, [q[0] for q in chain], p)
+    Dm = ExactMatrix._adopt(mat.rows, mat.cols, {(t, t): q[0] for t, q in enumerate(chain)})
+    Um = ExactMatrix._adopt(
         mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
     )
-    Vm = ExactMatrix.from_columns(mat.cols, v_cols)
-    UMV = Um @ mat @ Vm
-    if (UMV if p is None else UMV.mod(p)) != Dm:
-        raise InternalInvariant("SNF self-check failed: D != U*M*V")
+    Vm = ExactMatrix._adopt(
+        mat.cols, len(v_cols), {(i, j): c for j, col in enumerate(v_cols) for i, c in col.items()}
+    )
     return Dm, Um, Vm
+
+
+def _check_umv(
+    mat: ExactMatrix,
+    u_rows: list[dict[int, int]],
+    v_cols: list[dict[int, int]],
+    diagonal: list[int],
+    p: int | None,
+) -> None:
+    """D = U*M*V on the whole matrix, one row of U at a time (mod p when p is given).
+
+    Row t of U*M*V must be diagonal[t] at column t, or zero past the rank.
+    Only M and V are regrouped by rows; no product is held as a matrix.
+    """
+    m_rows: dict[int, list[tuple[int, int]]] = {}
+    for (i, c), x in mat.entries.items():
+        m_rows.setdefault(i, []).append((c, x))
+    v_rows: dict[int, list[tuple[int, int]]] = {}
+    for s, col in enumerate(v_cols):
+        for c, x in col.items():
+            v_rows.setdefault(c, []).append((s, x))
+    for t, u in enumerate(u_rows):
+        um: dict[int, int] = {}
+        for i, a in u.items():
+            for c, x in m_rows.get(i, ()):
+                um[c] = um.get(c, 0) + a * x
+        umv: dict[int, int] = {}
+        for c, y in um.items():
+            for s, x in v_rows.get(c, ()) if y else ():
+                umv[s] = umv.get(s, 0) + y * x
+        if p is not None:
+            umv = {s: z % p for s, z in umv.items()}
+        if {s: z for s, z in umv.items() if z} != ({t: diagonal[t]} if t < len(diagonal) else {}):
+            raise InternalInvariant("SNF self-check failed: D != U*M*V")
 
 
 def _eliminate(
@@ -158,12 +207,14 @@ def _eliminate(
     """
     field = p is not None
     rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    # the rows of each column, in lists: a sparse column's few rows take less
+    # memory in a list than in a set
+    cols: dict[int, list[int]] = {}
     for (i, j), c in mat.entries.items():
         c = c % p if field else c
         if c:
             rows.setdefault(i, {})[j] = c
-            cols.setdefault(j, set()).add(i)
+            cols.setdefault(j, []).append(i)
     u: dict[int, dict[int, int]] = {}
     v: dict[int, dict[int, int]] = {}
     pivots: list[list] = []
@@ -189,9 +240,9 @@ def _eliminate(
         half = size // 2
         del rows[r], row[c]
         below = cols.pop(c)
-        below.discard(r)
+        below.remove(r)
         for j in row:
-            cols[j].discard(r)
+            cols[j].remove(r)
         ur = u.pop(r, {r: 1})
         vc = v.pop(c, {c: 1})
         kept = []
@@ -206,13 +257,13 @@ def _eliminate(
                         z %= p
                     if z:
                         if j not in target:
-                            cols[j].add(i)
+                            cols[j].append(i)
                         target[j] = z
                         z_cost = (len(target) - 1) * (len(cols[j]) - 1)
                         heapq.heappush(heap, (1 if field else abs(z), z_cost, i, j))
                     elif j in target:
                         del target[j]
-                        cols[j].discard(i)
+                        cols[j].remove(i)
                 if track:
                     u[i] = _axpy(u[i] if i in u else {i: 1}, -f, ur, p)
             if size > 1 and x != f * a:
@@ -241,9 +292,9 @@ def _eliminate(
             row = rest
         row[c] = a
         rows[r], u[r], v[c] = row, ur, vc
-        cols[c] = {r, *kept}
+        cols[c] = kept  # row holds c again, so r joins it below
         for j in row:
-            cols[j].add(r)
+            cols[j].append(r)
         for i, j in [(i, c) for i in kept] + [(r, j) for j in row]:
             target = rows[i]
             heapq.heappush(
@@ -326,7 +377,7 @@ def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     """
     D, _, V = _smith(mat, ring.p) if ring.is_field else smith_normal_form(mat)
     rank = len(D.entries)
-    return ExactMatrix(
+    return ExactMatrix._adopt(
         V.rows, V.cols - rank, {(i, j - rank): c for (i, j), c in V.entries.items() if j >= rank}
     )
 
@@ -347,7 +398,7 @@ def solve(K: ExactMatrix, B: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
         if v % d:
             raise NotAComplex("column is not integrally in the lattice")
         entries[(i, jcol)] = v // d
-    X = V @ ExactMatrix(K.cols, B.cols, entries)
+    X = V @ ExactMatrix._adopt(K.cols, B.cols, entries)
     return X.mod(ring.p) if ring.is_field else X
 
 
@@ -409,13 +460,6 @@ def _vanishes(mat: ExactMatrix, ring: CoefficientRing) -> bool:
     return (mat.mod(ring.p) if ring.is_field else mat).is_zero()
 
 
-def _require_complex(d_out: ExactMatrix, d_in: ExactMatrix, ring: CoefficientRing) -> None:
-    if d_out.cols != d_in.rows:
-        raise IndexError("boundary matrices do not line up")
-    if not _vanishes(d_out @ d_in, ring):
-        raise NotAComplex("composite of boundary maps is nonzero")
-
-
 def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
     """Invariant factors of one boundary; over Z/p every nonzero one is a unit 1."""
     if ring.is_field:
@@ -438,32 +482,37 @@ def basis_matrix(src: Sequence, dst: Sequence, image: Callable[[Any], dict]) -> 
             if i is None:
                 raise InternalInvariant(f"image of {key} has {out} outside the target degree")
             entries[(i, j)] = c
-    return ExactMatrix(len(dst), len(src), entries)
+    return ExactMatrix._adopt(len(dst), len(src), _nonzero(entries))
 
 
 class FiniteComplex:
     """A finite free complex: a graded basis plus a differential on basis keys.
 
-    basis maps each degree to its ordered keys; image(key) is the
-    differential of one key as {key: coefficient}, landing in degree
-    degree + step (step = -1 for chains, +1 for cochains). Degrees missing
-    from basis are zero. Each boundary matrix is built and factored once;
-    the cache keeps the sparse boundaries and their factors only.
+    basis maps each degree to its ordered keys; the differential lands in
+    degree degree + step (step = -1 for chains, +1 for cochains). It is given
+    either as boundaries, {degree: matrix} assembled elsewhere, or as
+    image(key), the differential of one key as {key: coefficient}, read
+    through basis_matrix. Degrees missing from basis are zero. Each boundary
+    matrix is built and factored once, and each pair of boundaries is checked
+    to compose to zero once; the cache keeps the sparse boundaries and their
+    factors only.
     """
 
     def __init__(
         self,
         ring: CoefficientRing,
         basis: dict[int, list],
-        image: Callable[[Any], dict],
+        image: Callable[[Any], dict] | None = None,
         step: int = -1,
+        boundaries: dict[int, ExactMatrix] | None = None,
     ):
         self.ring = ring
         self.basis = basis
         self.image = image
         self.step = step
-        self._boundaries: dict[int, ExactMatrix] = {}
+        self._boundaries: dict[int, ExactMatrix] = {} if boundaries is None else boundaries
         self._factors: dict[int, list[int]] = {}
+        self._checked: set[int] = set()
 
     def boundary(self, j: int) -> ExactMatrix:
         """The differential out of degree j, C_j -> C_{j+step}."""
@@ -480,13 +529,43 @@ class FiniteComplex:
             self._factors[j] = _factor(self.boundary(j), self.ring)
         return self._factors[j]
 
+    def _require_complex(self, j: int) -> None:
+        """The boundaries out of and into C_j compose to zero; else name the first key."""
+        if j in self._checked:
+            return
+        d_out, d_in = self.boundary(j), self.boundary(j - self.step)
+        if d_out.cols != d_in.rows:
+            raise IndexError("boundary matrices do not line up")
+        composite = d_out @ d_in
+        if self.ring.is_field:
+            composite = composite.mod(self.ring.p)
+        if composite.entries:
+            key = self.basis[j - self.step][min(c for _, c in composite.entries)]
+            raise NotAComplex(
+                f"composite of boundary maps is nonzero on {key} in degree {j - self.step}"
+            )
+        self._checked.add(j)
+
+    def _groups(self, j: int) -> tuple[int, list[int], list[int]]:
+        """Free rank at j and the factors of the boundaries out of and into C_j."""
+        self._require_complex(j)
+        f_out, f_in = self._factored(j), self._factored(j - self.step)
+        return len(self.basis.get(j, ())) - len(f_out) - len(f_in), f_out, f_in
+
     def homology(self, j: int) -> HomologySummary:
         """H_j, after checking that the boundaries out of and into C_j compose to zero."""
-        d_out, d_in = self.boundary(j), self.boundary(j - self.step)
-        _require_complex(d_out, d_in, self.ring)
-        f_out, f_in = self._factored(j), self._factored(j - self.step)
-        torsion = tuple(d for d in f_in if d > 1)
-        return HomologySummary(j, self.ring, d_out.cols - len(f_out) - len(f_in), torsion)
+        free, _, f_in = self._groups(j)
+        return HomologySummary(j, self.ring, free, tuple(d for d in f_in if d > 1))
+
+    def cohomology(self, j: int) -> HomologySummary:
+        """H^j of the dual complex Hom(C, R), by universal coefficients.
+
+        It has the free rank of H_j, and its torsion is the cokernel torsion
+        of the dual of the boundary out of C_j: that boundary's invariant
+        factors > 1.
+        """
+        free, f_out, _ = self._groups(j)
+        return HomologySummary(j, self.ring, free, tuple(d for d in f_out if d > 1))
 
 
 @dataclass
@@ -536,7 +615,7 @@ def _subtract(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     entries = dict(a.entries)
     for k, c in b.entries.items():
         entries[k] = entries.get(k, 0) - c
-    return ExactMatrix(a.rows, a.cols, entries)
+    return ExactMatrix._adopt(a.rows, a.cols, _nonzero(entries))
 
 
 def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -545,5 +624,5 @@ def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     entries = dict(a.entries)
     for (i, j), c in b.entries.items():
         entries[(i, j + a.cols)] = c
-    return ExactMatrix(a.rows, a.cols + b.cols, entries)
+    return ExactMatrix._adopt(a.rows, a.cols + b.cols, entries)
 

@@ -3,8 +3,9 @@
 F_p collects the words of length at most p; the differential never increases
 length, so each level is a subcomplex. The zeroth page of the induced
 spectral sequence is the column complex (M (x) A^{(x)p}, b_1), computed here
-along two independent routes (the length-p block of F_L's boundary matrices
-vs. the direct b_1 evaluator), and the first page is its homology.
+along two independent routes (the length-p block of F_L's boundary matrices,
+which chains.HochschildComplex.boundaries assembles from the operation
+entries, vs. the direct b_1 evaluator), and the first page is its homology.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def column_complex(
 
     q is the total unshifted degree and b_1 raises it by one. route="direct"
     evaluates b_1 from the arity-one tables; route="quotient" reads the
-    length-p block of the boundary of F_max(p, L), assembled from summands.
+    length-p block of the boundary of F_max(p, L), assembled from entries.
     Both routes share one basis, and each column is built once per complex.
     """
     columns = complex_.columns.setdefault(p, {})
@@ -93,14 +94,18 @@ class ComparisonVerdict:
 
 
 def truncation(complex_: HochschildComplex, m: int) -> FiniteComplex:
-    """F_m graded by Hochschild degree; kept on the complex, so b is assembled once."""
+    """F_m graded by Hochschild degree; kept on the complex, so b is assembled once.
+
+    Its boundaries come from complex_.boundaries(m), whose columns follow
+    this basis: the words of each degree by length, then enumeration order.
+    """
     fc = complex_.truncations.get(m)
     if fc is None:
         basis: dict[int, list[Word]] = {}
         for n in range(m + 1):
             for w, j in zip(complex_.words(n), complex_.degrees(n)):
                 basis.setdefault(j, []).append(w)
-        fc = FiniteComplex(complex_.ring, basis, complex_.differential_word)
+        fc = FiniteComplex(complex_.ring, basis, boundaries=complex_.boundaries(m))
         complex_.truncations[m] = fc
     return fc
 

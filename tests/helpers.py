@@ -3,9 +3,14 @@
 The oracles here are deliberately written from scratch (dense row reduction,
 cofactor determinants, determinantal divisors, the classical Hochschild
 boundary and cochain differential for degree-zero algebras) so that they
-share no code path with the library routines they check. The per-(i, l)
-Hochschild summand and the enumerating codifferential are the former library
-bodies, kept to check the operation-driven assembly that replaced them; the
+share no code path with the library routines they check. The per-word
+Hochschild differential (summands, b_component, differential_word and
+differential) and the cochain complex on elementary cochains (cochain_basis,
+cochain_complex) are the former library bodies of b and of the cohomology
+route, kept to check the entry walk of HochschildComplex.boundaries and the
+reading of cohomology from the dual bimodule's chains. The per-(i, l)
+Hochschild summand and the enumerating codifferential are former library
+bodies too, kept to check the operation-driven assembly that replaced them; the
 two equation bodies are the former written-out composite families, kept to
 check the index-driven arm and slot families word by word, over the basis
 words that bimodule_words enumerates. The per-word algebra equation residual
@@ -28,11 +33,13 @@ from fractions import Fraction
 
 from ainfty.bimodules import AInfinityBimodule, bimodule_op, dual_name, tensor_name
 from ainfty.chains import HochschildComplex, InducedChainMap, add_into, normalize
-from ainfty.cochains import Cochain, DualChainElement
-from ainfty.graded import Element, GradedModule
-from ainfty.homology import ExactMatrix, _gcd_lcm_move, invariant_factors
+from ainfty.cochains import Cochain, DualChainElement, coboundary
+from ainfty.algebra import from_dga
+from ainfty.graded import Element, GradedModule, MultilinearOp
+from ainfty.rings import Z
+from ainfty.homology import ExactMatrix, FiniteComplex, _gcd_lcm_move, invariant_factors
 from ainfty.documents import parse, serialize
-from ainfty.errors import Inhomogeneous, ZeroElement
+from ainfty.errors import Inhomogeneous, ModuleMismatch, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, maltese0, sign, star_sign
 from ainfty.spectral import in_filtration, truncation
@@ -44,6 +51,16 @@ def load(name, p=None):
     if p is not None:
         doc["ring"] = {"kind": "Zp", "p": p}
     return parse(serialize(doc))
+
+
+def mu1_algebra():
+    """1 (deg 0) and e (deg -1) with e^2 = 0 and d(e) = 1: a DGA whose mu_1
+    and mu_2 are both nonzero, so terms of mu_1 are reached."""
+    m = GradedModule((("1", 0), ("e", -1)), Z)
+    unit = {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1}}
+    prod = MultilinearOp((m, m), m, 0, unit)
+    diff = MultilinearOp((m,), m, 1, {("e",): {"1": 1}})
+    return from_dga(m, prod, diff)
 
 
 def induced(f, length):
@@ -487,6 +504,115 @@ def classical_cochain_delta(product, component, arity, names):
     }
 
 
+def summands(cx, word):
+    """Every nonzero term (i, l, output word, unnormalized coefficient) of b on one word.
+
+    The former per-word library body of b, kept to check the entry walk of
+    HochschildComplex.boundaries. Visits each mu_l at i = 1..n-l+1, and each
+    mu_(r,s) with r + s <= n once: at i = 0 when r = 0, else wrapped at
+    i = n-r+1, l = r+s+1.
+    """
+    n = len(word) - 1
+    m, letters = word[0], word[1:]
+    # front[k] = maltese0(deg m, degs, k); the star sign is
+    # front[i-1] * maltese(i, n) = front[i-1] * (front[n] - front[i-1])
+    front = [cx.M.module.degree_of(m)]
+    for a in letters:
+        front.append(front[-1] + cx.A.module.degree_of(a) - 1)
+    for (r, s), op in cx.M.ops.items():
+        if r + s > n:
+            continue
+        if r == 0:
+            i, l, key, suffix, sv = 0, s + 1, word[: s + 1], letters[s:], 1
+        else:
+            i, l = n - r + 1, r + s + 1
+            key = letters[i - 1 :] + (m,) + letters[:s]
+            suffix = letters[s : i - 1]
+            sv = sign(front[i - 1] * (front[n] - front[i - 1]))
+        hit = op.table.get(key)
+        if hit is not None:
+            for name, c in hit.terms.items():
+                yield i, l, (name,) + suffix, sv * c
+    for l, op in cx.A.ops.items():
+        for i in range(1, n - l + 2):
+            hit = op.table.get(letters[i - 1 : i - 1 + l])
+            if hit is not None:
+                sv = sign(front[i - 1])
+                head, tail = word[:i], letters[i - 1 + l :]
+                for name, c in hit.terms.items():
+                    yield i, l, head + (name,) + tail, sv * c
+
+
+def b_component(cx, word, i, l):
+    """Single summand b_{i,l}, filtered from summands; out-of-range gives zero."""
+    acc = {}
+    for i2, l2, w, c in summands(cx, word):
+        if i2 == i and l2 == l:
+            add_into(acc, w, c)
+    return normalize(acc, cx.ring)
+
+
+def differential_word(cx, word):
+    """b on one word: the normalized sum of summands(cx, word)."""
+    acc = {}
+    for _, _, w, c in summands(cx, word):
+        add_into(acc, w, c)
+    return normalize(acc, cx.ring)
+
+
+def differential(cx, x):
+    """b on a chain of F_L, word by word."""
+    acc = {}
+    for word, c in x.items():
+        if len(word) - 1 > cx.L:
+            raise ModuleMismatch("chain exceeds the length cutoff")
+        for w, v in differential_word(cx, word).items():
+            add_into(acc, w, c * v)
+    return normalize(acc, cx.ring)
+
+
+def truncation_oracle(cx, m):
+    """F_m with its boundaries read word by word from differential_word."""
+    basis = {}
+    for n in range(m + 1):
+        for w, j in zip(cx.words(n), cx.degrees(n)):
+            basis.setdefault(j, []).append(w)
+    return FiniteComplex(cx.ring, basis, lambda w: differential_word(cx, w))
+
+
+def cochain_basis(M, cutoff):
+    """Elementary cochains (arity, word, output) bucketed by total degree.
+
+    Generation order is (arity, slot positions, output position), so each
+    bucket comes out sorted by that key.
+    """
+    amod = M.algebra.module
+    degrees = [d for _, d in amod.basis]
+    out = {}
+    for n in range(cutoff + 1):
+        # the degree product runs in step with the name product
+        words = itertools.product(amod.names, repeat=n)
+        in_degs = map(sum, itertools.product(degrees, repeat=n))
+        for word, in_deg in zip(words, in_degs):
+            for name, m_deg in M.module.basis:
+                j = m_deg - in_deg + n
+                out.setdefault(j, []).append((n, word, name))
+    return out
+
+
+def cochain_complex(M, cutoff):
+    """CH^*(A;M) up to arity cutoff on elementary cochains, with beta as differential.
+
+    The former library route of `cohomology`, which now reads the dual of
+    F_L over the dual bimodule; kept to check it.
+    """
+    basis = cochain_basis(M, cutoff)
+    degree = {key: j for j, keys in basis.items() for key in keys}
+    return FiniteComplex(
+        M.ring, basis, lambda key: coboundary(M, degree[key], cutoff, *key), step=1
+    )
+
+
 def b_component_oracle(cx, word, i, l):
     """Single summand b_{i,l} by the per-(i, l) formula, one index pair at a time.
 
@@ -886,11 +1012,11 @@ def z_membership(complex_, x, p, r):
     """x in Z^r_{p,*}: x in F_p with b(x) in F_{p-r}."""
     if not in_filtration(x, p):
         return False
-    return in_filtration(complex_.differential(x), p - r)
+    return in_filtration(differential(complex_, x), p - r)
 
 
 def z_infinity_membership(complex_, x, p):
-    return in_filtration(x, p) and not complex_.differential(x)
+    return in_filtration(x, p) and not differential(complex_, x)
 
 
 def homology_of_truncation(complex_, m):
@@ -908,7 +1034,7 @@ def diagonal_b_word(algebra, word, ring=None):
     """Hochschild differential on CH_*(A) via the specialized diagonal formula.
 
     word = (a_0, a_1, ..., a_n) with all slots in A. This is an independent
-    code path from HochschildComplex.differential_word and is compared with
+    code path from differential_word and is compared with
     it term by term in the tests.
     """
     ring = ring or algebra.ring
@@ -947,7 +1073,7 @@ def b_star_oracle(psi):
     cx = psi.complex
     acc = {}
     for w in cx.all_words():
-        v = psi.evaluate(cx.differential_word(w))
+        v = psi.evaluate(differential_word(cx, w))
         if v:
             acc[w] = v
     return DualChainElement(cx, acc)

@@ -32,6 +32,7 @@ from helpers import (
     equation_residual_oracle,
     load,
     morphism_equation_sides_oracle,
+    mu1_algebra,
     tensor_square_oracle,
 )
 
@@ -400,23 +401,13 @@ def test_morphism_sides_match_written_out_oracle():
     assert unequal  # the reindexed cocycles fail some equation
 
 
-def _mu1_algebra():
-    # 1 (deg 0) and e (deg -1) with e^2 = 0 and d(e) = 1: mu_1 and mu_2 are
-    # both nonzero, so the mu_1 arm terms are reached
-    m = GradedModule((("1", 0), ("e", -1)), Z)
-    unit = {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1}}
-    prod = MultilinearOp((m, m), m, 0, unit)
-    diff = MultilinearOp((m,), m, 1, {("e",): {"1": 1}})
-    return from_dga(m, prod, diff)
-
-
 def _without_differential(M):
     ops = {rs: op for rs, op in M.ops.items() if rs != (0, 0)}
     return AInfinityBimodule(M.algebra, M.module, ops, max_rs=M.max_rs, name=M.name)
 
 
 def test_mu1_algebra_families_match_written_out_oracle():
-    A = _mu1_algebra()
+    A = mu1_algebra()
     assert set(A.ops) == {1, 2}
     diag = diagonal_bimodule(A, 4)
     cases = [diag, tensor_square_bimodule(A, 3), dual_bimodule(diag, 3)]
@@ -429,7 +420,7 @@ def test_mu1_algebra_families_match_written_out_oracle():
 
 
 def test_mu1_diagonal_without_differential_fails():
-    bad = _without_differential(diagonal_bimodule(_mu1_algebra(), 4))
+    bad = _without_differential(diagonal_bimodule(mu1_algebra(), 4))
     failures = [v.describe() for v in validate_bimodule(bad, 3).values() if not v.holds]
     assert failures == [
         "A[1]: bimodule equation (0,1): fails on ('1', 'e') with residual -1*1",
@@ -465,7 +456,7 @@ def test_entry_walks_match_word_by_word_oracles():
     mu2 = MultilinearOp((m, m), m, 0, {("u", "u"): {"u": 1}})
     broken_derivation = AInfinityAlgebra(m, {1: mu1, 2: mu2}, max_arity=2)
     docs = [load(name, p) for name in ALGEBRA_FIXTURES for p in (None, 2, 3)]
-    for A in [_mu1_algebra(), broken_derivation] + [doc.algebra for doc in docs]:
+    for A in [mu1_algebra(), broken_derivation] + [doc.algebra for doc in docs]:
         for r in range(1, 7):
             expected = {}
             for word in itertools.product(A.module.names, repeat=r):

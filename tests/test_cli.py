@@ -21,7 +21,7 @@ from ainfty.documents import parse, serialize
 from ainfty.errors import DocumentError, UnknownFixture
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 
-from helpers import dense_rank_modp, reordered_document
+from helpers import cochain_complex, dense_rank_modp, differential_word, reordered_document
 
 
 def run_cli(args, capsys):
@@ -251,14 +251,14 @@ def test_hh_against_dense_oracle_mod2(tmp_path, capsys):
         dst = {w: i for i, w in enumerate(basis.get(j - 1, []))}
         dense_out = [[0] * len(words) for _ in dst] if dst else []
         for col, w in enumerate(words):
-            for ww, c in cx.differential_word(w).items():
+            for ww, c in differential_word(cx, w).items():
                 if ww in dst:
                     dense_out[dst[ww]][col] = c
         src_in = basis.get(j + 1, [])
         idx = {w: i for i, w in enumerate(words)}
         dense_in = [[0] * len(src_in) for _ in words] if words else []
         for col, w in enumerate(src_in):
-            for ww, c in cx.differential_word(w).items():
+            for ww, c in differential_word(cx, w).items():
                 if ww in idx:
                     dense_in[idx[ww]][col] = c
         r_out = dense_rank_modp(dense_out, 2) if dense_out else 0
@@ -284,6 +284,40 @@ def test_verify_pass_and_corrupted_failure(tmp_path, capsys):
     code, out, _ = run_cli(["verify", str(bad_path)], capsys)
     assert code == 1
     assert "RESULT: FAIL (first failing identity: morphism equations [include])" in out
+
+
+def test_verify_chain_map_check_names_the_oracle_word(tmp_path, capsys):
+    # the check reads d_tgt F_j - F_{j-1} d_src off F_L's matrices; the first
+    # failing word in enumeration order is the one the per-word b names, also
+    # for morphisms of nonzero degree, whose F_j shifts the degree
+    from helpers import differential, induced
+
+    doc = fixture_document("quasi_iso_pair")
+    doc["morphisms"]["include"]["components"]["0,0"][0]["output"] = {"u": "1", "v": "1"}
+    for name, degree, source, target in (("lift", 1, "u", "w"), ("drop", -1, "w", "v")):
+        entry = {"inputs": [source], "output": {target: "1"}}
+        doc["morphisms"][name] = {
+            "source": "N", "target": "N", "degree": degree, "components": {"0,0": [entry]}
+        }
+    path = tmp_path / "bad.json"
+    path.write_text(serialize(doc))
+    code, out, _ = run_cli(["verify", str(path)], capsys)
+    assert code == 1
+    for name, f in parse(serialize(doc)).morphisms.items():
+        fstar = induced(f, 4)
+        failing = [
+            w
+            for w in fstar.source.all_words()
+            if differential(fstar.target, fstar.on_word(w))
+            != fstar(differential_word(fstar.source, w))
+        ]
+        expected = (
+            f"FAIL induced chain map [{name}]: b(f_*({failing[0]})) != f_*(b({failing[0]}))"
+            if failing
+            else f"ok   induced chain map [{name}]"
+        )
+        assert expected in out.splitlines(), name
+    assert "FAIL induced chain map [include]" in out and "ok   induced chain map [lift]" in out
 
 
 @pytest.mark.parametrize("corruption", ["mu10_doubles_w", "mu01_on_v"])
@@ -327,26 +361,41 @@ def test_verify_names_first_word_with_nonzero_b_squared(tmp_path, capsys, corrup
     ]
 
 
-def test_b_squared_failure_is_reported_in_enumeration_order(tmp_path, capsys):
-    # mu_2 is not associative on a, and the letter z of degree 2 lowers a
-    # word's Hochschild degree: ('a', 'a', 'a', 'z') has a lower degree than
-    # ('a', 'a', 'a') and also fails, but the shorter word is reported first
-    mu2 = [
-        {"inputs": ["a", "a"], "output": {"e": "1"}},
-        {"inputs": ["a", "e"], "output": {"e": "1"}},
+def _broken_documents():
+    """Documents whose algebra breaks its equations, so b.b != 0: mu3_square_zero
+    with mu_1(c) = a, mu_2(a,a) = b and mu_2(c,a) = c, and a non-associative
+    mu_2 next to a letter z of degree 2."""
+    mu3 = fixture_document("mu3_square_zero")
+    ops = mu3["algebra"]["operations"]
+    ops["1"] = [{"inputs": ["c"], "output": {"a": "1"}}]
+    ops["2"] = [
+        {"inputs": ["a", "a"], "output": {"b": "1"}},
+        {"inputs": ["c", "a"], "output": {"c": "1"}},
     ]
-    doc = {
+    nonassoc = {
         "ring": {"kind": "Z"},
         "algebra": {
             "basis": [["a", 0], ["e", 0], ["z", 2]],
             "kind": "ainfty",
             "max_arity": 2,
-            "operations": {"2": mu2},
+            "operations": {
+                "2": [
+                    {"inputs": ["a", "a"], "output": {"e": "1"}},
+                    {"inputs": ["a", "e"], "output": {"e": "1"}},
+                ]
+            },
         },
         "options": {"length": 3, "max_r": 3, "max_rs": 2},
     }
+    return {"mu3_broken": mu3, "nonassoc": nonassoc}
+
+
+def test_b_squared_failure_is_reported_in_enumeration_order(tmp_path, capsys):
+    # mu_2 is not associative on a, and the letter z of degree 2 lowers a
+    # word's Hochschild degree: ('a', 'a', 'a', 'z') has a lower degree than
+    # ('a', 'a', 'a') and also fails, but the shorter word is reported first
     path = tmp_path / "nonassoc.json"
-    path.write_text(serialize(doc))
+    path.write_text(serialize(_broken_documents()["nonassoc"]))
     code, out, _ = run_cli(["verify", str(path)], capsys)
     assert code == 1
     assert out.splitlines() == [
@@ -378,15 +427,8 @@ def test_b_squared_failure_is_reported_in_enumeration_order(tmp_path, capsys):
 def test_failing_algebra_equation_with_mu1_and_mu3(tmp_path, capsys):
     # mu3_square_zero plus mu_1(c) = a, mu_2(a,a) = b and mu_2(c,a) = c: the
     # equations fail at r = 2, 3 and 4, each on its least word in basis order
-    doc = fixture_document("mu3_square_zero")
-    ops = doc["algebra"]["operations"]
-    ops["1"] = [{"inputs": ["c"], "output": {"a": "1"}}]
-    ops["2"] = [
-        {"inputs": ["a", "a"], "output": {"b": "1"}},
-        {"inputs": ["c", "a"], "output": {"c": "1"}},
-    ]
     path = tmp_path / "mu3_broken.json"
-    path.write_text(serialize(doc))
+    path.write_text(serialize(_broken_documents()["mu3_broken"]))
     algebra_lines = [
         "ok   algebra equation r=1",
         "FAIL algebra equation r=2: A-infinity equation r=2: "
@@ -618,18 +660,15 @@ def _count_calls(monkeypatch, *targets):
 
 
 def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkeypatch):
-    # b is summed from the operation entries that exist, without a pass
-    # over every (i, l) pair; enumeration reads each word's degree from the
-    # letters' degrees instead of calling degree_of per letter, and hh
-    # evaluates b once per word. The bound is the measured count.
+    # b is summed from the operation entries that exist, in one walk that
+    # assembles every boundary of F_L once per complex; no word is visited
+    # on its own, so degree_of is left to parsing and the bimodule tables.
+    # The bound is the measured count.
     from ainfty.chains import HochschildComplex
     from ainfty.graded import GradedModule
 
     calls = _count_calls(
-        monkeypatch,
-        (GradedModule, "degree_of"),
-        (HochschildComplex, "b_component"),
-        (HochschildComplex, "differential_word"),
+        monkeypatch, (GradedModule, "degree_of"), (HochschildComplex, "boundaries")
     )
     complexes = []
     original_init = HochschildComplex.__init__
@@ -643,26 +682,35 @@ def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkey
     path.write_text(serialize(fixture_document("exterior2")))
     code, _, _ = run_cli(["hh", str(path), "--length", "4"], capsys)
     assert code == 0
-    assert calls["b_component"] == 0
-    assert calls["degree_of"] <= 6688
+    assert calls["degree_of"] <= 318
     words = sum(len(list(cx.all_words())) for cx in complexes)
-    assert calls["differential_word"] == words == 1364
+    assert calls["boundaries"] == len(complexes) == 1
+    assert words == 1364
 
 
 def test_verify_reads_b_from_the_truncation_matrices(tmp_path, capsys, monkeypatch):
-    # verify's b.b check, b* and the quotient route to E^1 all read b from
-    # F_L's boundary matrices, built once per complex: b is evaluated once on
-    # each of the 8184 words of the diagonal, tensor_square and dual
-    # complexes. Evaluating b again for each E^0 column made 16 368 calls, and
-    # evaluating it on every word for every functional made 139 688.
+    # verify's b.b and chain map checks, b* and the quotient route to E^1
+    # all read b from F_L's boundary matrices, assembled once per complex:
+    # once for each of the diagonal, tensor_square and dual complexes, which
+    # hold 8184 words. Evaluating b per word made 8184 calls, and evaluating
+    # it on every word for every functional made 139 688.
     from ainfty.chains import HochschildComplex
 
-    calls = _count_calls(monkeypatch, (HochschildComplex, "differential_word"))
+    calls = _count_calls(monkeypatch, (HochschildComplex, "boundaries"))
+    complexes = []
+    original_init = HochschildComplex.__init__
+
+    def recorded(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        complexes.append(self)
+
+    monkeypatch.setattr(HochschildComplex, "__init__", recorded)
     path = tmp_path / "e2.json"
     path.write_text(serialize(fixture_document("exterior2")))
     code, out, _ = run_cli(["verify", str(path)], capsys)
     assert code == 0, out
-    assert calls["differential_word"] == 8184
+    assert calls["boundaries"] == len(complexes) == 3
+    assert sum(len(list(cx.all_words())) for cx in complexes) == 8184
 
 
 def test_each_bimodule_complex_is_built_once(tmp_path, capsys, monkeypatch):
@@ -709,9 +757,10 @@ def test_e1_routes_stay_independent(tmp_path, capsys, monkeypatch):
 
 
 def test_cochain_assembly_builds_no_cochain_objects(tmp_path, capsys, monkeypatch):
-    # the boundary columns come straight from coboundary's operation-index
-    # walk: no Cochain is built or re-validated, and the basis reads each
-    # word's degree from the letters' degrees. The bound is the measured count.
+    # cohomology reads the dual of F_L over the dual bimodule, whose
+    # boundaries come from the entry walk: no Cochain is built or
+    # re-validated, and no word is visited on its own. The bound is the
+    # measured count.
     from ainfty.cochains import Cochain
     from ainfty.graded import GradedModule
 
@@ -721,32 +770,26 @@ def test_cochain_assembly_builds_no_cochain_objects(tmp_path, capsys, monkeypatc
     code, _, _ = run_cli(["cohomology", str(path), "--length", "4"], capsys)
     assert code == 0
     assert calls["__init__"] == 0
-    assert calls["degree_of"] <= 2489
+    assert calls["degree_of"] <= 426
 
 
 @pytest.mark.parametrize("command", ["hh", "cohomology"])
 def test_image_term_outside_target_degree_exits_3(tmp_path, capsys, monkeypatch, command):
-    # a boundary term on a key that is not in the target degree's basis is a
-    # library bug; basis_matrix reports it instead of dropping the term
-    import ainfty.cochains as cochains
+    # a term of b on a word that is not in the target degree is a library
+    # bug; the assembler reports it instead of dropping the term. The term is
+    # skewed in mu_2's table after validation, where only the walk reads it.
     from ainfty.chains import HochschildComplex
+    from ainfty.graded import Element
 
-    if command == "hh":
-        original = HochschildComplex.differential_word
+    original = HochschildComplex.__init__
 
-        def skewed(self, word):
-            # the word itself sits one degree above every term of b(word)
-            return {**original(self, word), word: 1}
+    def skewed(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        mu2 = self.A.ops[2]
+        # x.y = xy, plus a term on x, one degree below xy
+        mu2.table[("x", "y")] = Element(mu2.output, {"xy": 1, "x": 1})
 
-        monkeypatch.setattr(HochschildComplex, "differential_word", skewed)
-    else:
-        original = cochains.coboundary
-
-        def skewed(M, degree, cutoff, n, word, name):
-            # the key itself sits one degree below every term of its beta
-            return {**original(M, degree, cutoff, n, word, name), (n, word, name): 1}
-
-        monkeypatch.setattr(cochains, "coboundary", skewed)
+    monkeypatch.setattr(HochschildComplex, "__init__", skewed)
     path = tmp_path / "e2.json"
     path.write_text(serialize(fixture_document("exterior2")))
     code, out, err = run_cli([command, str(path), "--length", "2"], capsys)
@@ -903,3 +946,80 @@ def test_spectral_and_verify_invariant_under_relabelled_bases(seed):
             expected = _plain_report(command, name)
             assert expected[0] == 0
             assert _stdout_of(command, text) == expected, (name, command, seed)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cohomology_rows_match_the_cochain_complex_oracle(tmp_path, capsys, name):
+    # cohomology reads H^j as the dual of F_L over the dual bimodule; the
+    # former route factors the cochain complex itself. Both must give the
+    # same rows, also for --degrees ranges past the basis.
+    from ainfty.cli import resolve_bimodule
+
+    for ring in ({"kind": "Z"}, {"kind": "Zp", "p": 2}, {"kind": "Zp", "p": 3}):
+        raw = fixture_document(name)
+        raw["ring"] = ring
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(raw))
+        doc = parse(serialize(raw))
+        modules = ["diagonal", "tensor_square", "dual", *sorted(doc.bimodules)]
+        for module in modules:
+            for L in (2, 3) if module == "tensor_square" else (3, 4):
+                oracle = cochain_complex(resolve_bimodule(doc, module), L)
+                lo, hi = min(oracle.basis) - 2, max(oracle.basis) + 2
+                for degrees in (sorted(oracle.basis), range(lo, hi + 1)):
+                    argv = ["cohomology", str(path), "--module", module, "--length", str(L)]
+                    if isinstance(degrees, range):
+                        argv += ["--degrees", f"{lo}..{hi}"]
+                    code, out, _ = run_cli(argv, capsys)
+                    assert code == 0, (name, ring, module, L)
+                    rows = [line for line in out.splitlines() if line.startswith("HH^*")]
+                    expected = [
+                        f"HH^*({module})  degree {j}: {oracle.homology(j)}" for j in degrees
+                    ]
+                    assert rows == expected, (name, ring, module, L)
+
+
+@pytest.mark.parametrize(
+    "document,command,module,length,key,degree",
+    [
+        ("mu3_broken", "hh", "tensor_square", 3, "('a|a', 'c')", 4),
+        ("mu3_broken", "hh", "dual", 4, "('a^', 'a')", 0),
+        ("mu3_broken", "cohomology", "tensor_square", 3, "('b|c^', 'a')", -2),
+        ("mu3_broken", "cohomology", "dual", 4, "('a^^', 'c')", 3),
+        ("nonassoc", "hh", "tensor_square", 3, "('a|z', 'z', 'a', 'a')", 1),
+        ("nonassoc", "hh", "dual", 4, "('e^', 'a', 'a', 'z', 'z')", -1),
+        ("nonassoc", "cohomology", "tensor_square", 3, "('a|e^', 'z', 'a', 'a')", -1),
+        ("nonassoc", "cohomology", "dual", 4, "('a^^', 'a', 'a', 'z', 'z')", 1),
+    ],
+)
+def test_non_complex_names_degree_and_first_key(
+    tmp_path, capsys, document, command, module, length, key, degree
+):
+    # the first pair of boundaries that fails to compose to zero names its
+    # degree and the first basis key, in basis order, whose column of the
+    # composite is nonzero; for cohomology that is a word of the dual bimodule
+    path = tmp_path / f"{document}.json"
+    path.write_text(serialize(_broken_documents()[document]))
+    argv = [command, str(path), "--module", module, "--length", str(length)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (
+        f"input error: composite of boundary maps is nonzero on {key} in degree {degree}"
+    )
+
+
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+def test_oversized_truncation_exits_2_before_enumerating(tmp_path, capsys, command):
+    import time
+
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    started = time.monotonic()
+    code, out, err = run_cli([command, str(path), "--length", "12"], capsys)
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "input error: F_12 has 89478484 words, above the limit of 1000000"
+    )

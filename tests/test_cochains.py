@@ -17,8 +17,6 @@ from ainfty.cochains import (
     Cochain,
     DualChainElement,
     b_star,
-    cochain_basis,
-    cochain_complex,
     cocycle_to_morphism,
     codifferential,
     duality_iso,
@@ -35,8 +33,11 @@ from helpers import (
     ALGEBRA_FIXTURES,
     b_star_oracle,
     classical_cochain_delta,
+    cochain_basis,
+    cochain_complex,
     codifferential_oracle,
     diagonal_b_word,
+    differential_word,
     homology_of_truncation,
     induced,
     load,
@@ -317,7 +318,7 @@ def test_regrade_diagonal_bundle():
         assert reg.chain_degree(w) == len(w) - 1 - sum(
             A.module.degree_of(a) for a in w
         )
-        assert diagonal_b_word(reg.algebra, w) == reg.complex.differential_word(w)
+        assert diagonal_b_word(reg.algebra, w) == differential_word(reg.complex, w)
     f = elementary_cochain(reg.diagonal, ("x",), "x", cutoff=3)
     assert reg.cochain_degree(f) == f.degree + 1
     assert regraded_codifferential(f) == codifferential(f)

@@ -6,7 +6,6 @@ import pytest
 
 from ainfty.bimodules import diagonal_bimodule
 from ainfty.cochains import (
-    cochain_complex,
     codifferential,
     elementary_cochain,
 )
@@ -14,7 +13,7 @@ from ainfty.cup import cup, cup_component, cup_degree
 from ainfty.errors import IndexOutOfRange, ModuleMismatch
 from ainfty.homology import ExactMatrix, smith_normal_form
 
-from helpers import load, product_lookup
+from helpers import cochain_complex, load, product_lookup
 
 
 def elementary_family(M, max_arity, cutoff=5):

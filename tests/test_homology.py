@@ -6,7 +6,6 @@ import pytest
 
 from ainfty.bimodules import diagonal_bimodule
 from ainfty.chains import HochschildComplex
-from ainfty.cochains import cochain_complex
 from ainfty.errors import NotAComplex, NotChainMap
 from ainfty.homology import (
     ExactMatrix,
@@ -24,8 +23,10 @@ from ainfty.spectral import truncation
 
 from helpers import (
     ALGEBRA_FIXTURES,
+    cochain_complex,
     dense_rank_modp,
     dense_rank_q,
+    differential_word,
     load,
     minor_gcd_invariants,
     rank_z,
@@ -154,7 +155,7 @@ def _boundary(cx, basis, j):
     cols = []
     for w in src:
         col = {}
-        for out, c in cx.differential_word(w).items():
+        for out, c in differential_word(cx, w).items():
             if out in index:
                 col[index[out]] = c
         cols.append(col)
@@ -166,7 +167,7 @@ def test_dual_numbers_mod2_against_dense_oracle():
     M = diagonal_bimodule(doc.algebra, 4)
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
-    fc = FiniteComplex(Zp(2), basis, cx.differential_word)
+    fc = FiniteComplex(Zp(2), basis, lambda w: differential_word(cx, w))
     for j in sorted(basis):
         d_out = _boundary(cx, basis, j)
         d_in = _boundary(cx, basis, j + 1)
@@ -183,12 +184,12 @@ def test_homology_invariant_under_basis_shuffle():
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
     rng = random.Random(23)
-    reference = FiniteComplex(Z, basis, cx.differential_word)
+    reference = FiniteComplex(Z, basis, lambda w: differential_word(cx, w))
     for j in sorted(basis):
         shuffled = {k: list(v) for k, v in basis.items()}
         for v in shuffled.values():
             rng.shuffle(v)
-        got = FiniteComplex(Z, shuffled, cx.differential_word).homology(j)
+        got = FiniteComplex(Z, shuffled, lambda w: differential_word(cx, w)).homology(j)
         assert got.invariants() == reference.homology(j).invariants()
 
 
@@ -261,7 +262,8 @@ def test_universal_coefficients_tie_z_to_zp(name):
     for fc in complexes:
         over_z = {j: fc.homology(j) for j in set(fc.basis) | {j + fc.step for j in fc.basis}}
         for p in (2, 3, 5):
-            over_p = FiniteComplex(Zp(p), fc.basis, fc.image, fc.step)
+            boundaries = {j: fc.boundary(j) for j in fc.basis}
+            over_p = FiniteComplex(Zp(p), fc.basis, step=fc.step, boundaries=boundaries)
             for j in sorted(fc.basis):
                 h, h_next = over_z[j], over_z[j + fc.step]
                 divisible = sum(1 for d in h.torsion + h_next.torsion if d % p == 0)
@@ -269,3 +271,43 @@ def test_universal_coefficients_tie_z_to_zp(name):
                 torsion_checks += bool(h.torsion or h_next.torsion)
     # these fixtures have torsion, so the Tor terms are exercised on them
     assert bool(torsion_checks) == (name in ("dual_numbers", "truncated_poly3", "mu3_square_zero"))
+
+
+def test_public_constructors_still_check_entries():
+    # the library's own products and transforms adopt their dicts unchecked;
+    # matrices built from outside keep the bounds check and drop zeros
+    with pytest.raises(IndexError):
+        ExactMatrix(2, 3, {(2, 0): 1})
+    with pytest.raises(IndexError):
+        ExactMatrix(2, 3, {(0, -1): 1})
+    with pytest.raises(IndexError):
+        ExactMatrix.from_columns(2, [{5: 1}])
+    assert ExactMatrix(2, 2, {(0, 0): 0, (1, 1): 4}).entries == {(1, 1): 4}
+    assert ExactMatrix.from_dense([[0, 1], [2, 0]]).entries == {(0, 1): 1, (1, 0): 2}
+    # a product whose terms cancel holds no zero entry
+    a = ExactMatrix(1, 2, {(0, 0): 1, (0, 1): 1})
+    b = ExactMatrix(2, 1, {(0, 0): 1, (1, 0): -1})
+    assert (a @ b).entries == {} and a @ b == ExactMatrix(1, 1)
+
+
+def test_homology_and_cohomology_share_one_composite_check(monkeypatch):
+    # H_j and H^j read the same pair of boundaries; that pair is checked to
+    # compose to zero once, and the SNF self-check multiplies no matrices
+    fc = truncation(HochschildComplex(diagonal_bimodule(load("dual_numbers").algebra, 4), 4), 4)
+    products = []
+    original = ExactMatrix.__matmul__
+
+    def counted(self, other):
+        products.append((self.rows, other.cols))
+        return original(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+    for j in sorted(fc.basis):
+        fc.homology(j)
+        fc.cohomology(j)
+        fc.homology(j)
+    assert len(products) == len(fc.basis)
+    # over Z the torsion of H^j is that of H_{j-1}, and the free ranks agree
+    for j in sorted(fc.basis):
+        assert fc.cohomology(j).free_rank == fc.homology(j).free_rank
+        assert fc.cohomology(j).torsion == fc.homology(j - 1).torsion
