@@ -21,7 +21,7 @@ from typing import Iterator
 from .bimodules import AInfinityBimodule, BimoduleMorphism
 from .errors import InternalInvariant, ModuleMismatch, TooLarge
 from .graded import Word
-from .homology import ExactMatrix
+from .homology import ExactMatrix, FiniteComplex, basis_matrix
 from .signs import maltese0, sign, star_sign
 
 Chain = dict[Word, int]
@@ -50,6 +50,16 @@ def add(x: Chain, y: Chain, ring) -> Chain:
     return normalize(acc, ring)
 
 
+def filtration_level(x: Chain) -> int:
+    """Largest word length in the support; -1 for the zero chain."""
+    return max((len(w) - 1 for w in x), default=-1)
+
+
+def in_filtration(x: Chain, p: int) -> bool:
+    # the zero chain lies in every level, including the vanishing negative ones
+    return not x or filtration_level(x) <= p
+
+
 def word_count(m_rank: int, a_rank: int, length: int) -> int:
     """|M| * (N^0 + ... + N^L), the number of words of F_L."""
     if a_rank < 2:
@@ -75,9 +85,9 @@ class HochschildComplex:
             )
         # length n -> (words, their Hochschild degrees), in enumeration order
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
-        # b as matrices, built once by spectral.py: F_m by m, E^0 columns by p, route,
-        # and F_m's length-preserving entries by m, then word length
-        self.truncations: dict = {}
+        # b as matrices, built once: F_m by m here; E^0 columns by p, route, and
+        # F_m's length-preserving entries by m, then word length, by spectral.py
+        self._truncations: dict[int, FiniteComplex] = {}
         self.columns: dict[int, dict] = {}
         self.length_blocks: dict[int, dict] = {}
 
@@ -121,8 +131,8 @@ class HochschildComplex:
     def boundaries(self, m: int) -> dict[int, ExactMatrix]:
         """Every boundary d_j: (F_m)_j -> (F_m)_{j-1} of b, in one walk over the entries.
 
-        Columns follow spectral.truncation's basis: each degree's words by
-        length, then in enumeration order. Each term of b is one triple
+        Columns follow truncation(m)'s basis: each degree's words by length,
+        then in enumeration order. Each term of b is one triple
         (prefix P, entry, suffix S), and its source and target ranks follow
         from theirs:
         - mu_l entry K -> a, inserted after P: (P, K, S) -> (P, a, S), with
@@ -224,6 +234,21 @@ class HochschildComplex:
             out[j] = ExactMatrix._adopt(column.get(j - 1, 0), column[j], acc)
         return out
 
+    def truncation(self, m: int) -> FiniteComplex:
+        """F_m graded by Hochschild degree, kept, so that b is assembled once.
+
+        Each degree's words come by length, then in enumeration order: the
+        column order of boundaries(m).
+        """
+        fc = self._truncations.get(m)
+        if fc is None:
+            basis: dict[int, list[Word]] = {}
+            for n in range(m + 1):
+                for w, j in zip(self.words(n), self.degrees(n)):
+                    basis.setdefault(j, []).append(w)
+            fc = self._truncations[m] = FiniteComplex(self.ring, basis, self.boundaries(m))
+        return fc
+
     def _word(self, n: int, rank: int) -> Word:
         """The length-n word of a rank, for messages."""
         names = self.A.module.names
@@ -266,6 +291,30 @@ class InducedChainMap:
         self.source = source
         self.target = target
         self.degree = -f.degree
+        self._matrices: dict[int, ExactMatrix] | None = None
+        # words of F_L whose image is longer than they are, found by matrices()
+        self.grows: set[Word] = set()
+
+    def matrices(self) -> dict[int, ExactMatrix]:
+        """f_* as {j: F_j}, from F_L's degree j to degree j + degree; built once.
+
+        The same pass, one on_word per word, records the words that grow the
+        filtration.
+        """
+        if self._matrices is None:
+            src, tgt = self.source.truncation(self.source.L), self.target.truncation(self.target.L)
+
+            def image(w: Word) -> Chain:
+                out = self.on_word(w)
+                if not in_filtration(out, len(w) - 1):
+                    self.grows.add(w)
+                return out
+
+            self._matrices = {
+                j: basis_matrix(words, tgt.basis.get(j + self.degree, []), image)
+                for j, words in src.basis.items()
+            }
+        return self._matrices
 
     def on_word(self, word: Word) -> Chain:
         n = len(word) - 1

@@ -44,7 +44,6 @@ from .errors import AinftyError, DocumentError, InternalInvariant, UnknownName
 from .fixtures import fixture_document
 from .homology import (
     ExactMatrix,
-    basis_matrix,
     determinant,
     invariant_factors,
     smith_normal_form,
@@ -143,7 +142,7 @@ def cmd_validate(doc: StructureDocument, args, report: Report):
 def cmd_hh(doc: StructureDocument, args, report: Report):
     module_name = args.module or "diagonal"
     M = resolve_bimodule(doc, module_name)
-    fc = spectral.truncation(HochschildComplex(M, args.length), args.length)
+    fc = HochschildComplex(M, args.length).truncation(args.length)
     report.line(f"Hochschild homology of F_{args.length}, coefficients {module_name}")
     for j in sorted(fc.basis) if args.degrees is None else args.degrees:
         report.homology_row(f"HH({module_name})", j, fc.homology(j))
@@ -156,7 +155,7 @@ def cmd_cohomology(doc: StructureDocument, args, report: Report):
     # phi has degree zero: the arity <= L cochains on M are the dual of F_L
     # over M's dual, which keeps every operation of M
     dual = dual_bimodule(M, max((r + s for r, s in M.ops), default=0))
-    fc = spectral.truncation(HochschildComplex(dual, cutoff), cutoff)
+    fc = HochschildComplex(dual, cutoff).truncation(cutoff)
     report.line(
         f"Hochschild cohomology, arity cutoff {cutoff}, coefficients {module_name}"
     )
@@ -276,7 +275,7 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
 
     def b_squared_ok(cx):
         # a nonzero column of d_{j-1} d_j is a word w with b(b(w)) != 0
-        fc, p = spectral.truncation(cx, length), cx.ring.p
+        fc, p = cx.truncation(length), cx.ring.p
         bad = set()
         for j, words in fc.basis.items():
             bb = fc.boundary(j - 1) @ fc.boundary(j)
@@ -291,22 +290,10 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
 
     def chain_map_ok(f):
         # a nonzero column of d_tgt F_j - F_{j-1} d_src is a word w with
-        # b(f_*(w)) != f_*(b(w)); F reads f_* once per word of F_L
+        # b(f_*(w)) != f_*(b(w))
         fstar = InducedChainMap(f, complex_of(f.source), complex_of(f.target))
-        src = spectral.truncation(fstar.source, length)
-        tgt = spectral.truncation(fstar.target, length)
-        grows = set()
-
-        def image(w):
-            out = fstar.on_word(w)
-            if not spectral.in_filtration(out, len(w) - 1):
-                grows.add(w)
-            return out
-
-        F = {
-            j: basis_matrix(words, tgt.basis.get(j + fstar.degree, []), image)
-            for j, words in src.basis.items()
-        }
+        src, tgt = fstar.source.truncation(length), fstar.target.truncation(length)
+        F = fstar.matrices()
         bad = set()
         for j, words in src.basis.items():
             lhs = (tgt.boundary(j + fstar.degree) @ F[j]).entries
@@ -315,7 +302,7 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
                 if src.ring.normalize(lhs.get(key, 0) - rhs.get(key, 0)):
                     bad.add(words[key[1]])
         for w in fstar.source.all_words():
-            if w in grows:
+            if w in fstar.grows:
                 return False, f"f_*({w}) grows the filtration"
             if w in bad:
                 return False, f"b(f_*({w})) != f_*(b({w}))"

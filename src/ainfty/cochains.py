@@ -33,7 +33,6 @@ from .chains import Chain, HochschildComplex, InducedChainMap, normalize
 from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
 from .graded import Word
 from .signs import maltese, sign
-from .spectral import truncation
 
 # arity -> input word -> {output basis name: coefficient}
 Components = dict[int, dict[Word, dict[str, int]]]
@@ -219,7 +218,7 @@ class DualChainElement:
 def b_star(psi: DualChainElement) -> DualChainElement:
     """(b* psi)(w) = psi(b(w)), read off the rows of psi's words in F_L's boundaries."""
     cx = psi.complex
-    fc = truncation(cx, cx.L)
+    fc = cx.truncation(cx.L)
     acc: dict[Word, int] = {}
     for d in sorted({cx.degree(w) for w in psi.terms}):
         rows, cols = fc.basis.get(d, []), fc.basis.get(d + 1, [])

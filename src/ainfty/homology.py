@@ -4,11 +4,11 @@ Matrices are sparse maps (row, col) -> coefficient. One sparse eliminator
 diagonalises a matrix over Z or over Z/p on row dicts and column sets,
 taking the entry of least absolute value as the next pivot and reducing by
 nearest remainders; it records its row operations in sparse rows of U and
-its column operations in sparse columns of V. Smith normal form, ranks,
-kernels and solves all read it. Smith normal form, over Z and mod p,
+its column operations in sparse columns of V. Invariant factors, ranks and
+kernels all read it. Every Smith normal form, over Z and mod p,
 re-verifies D = U*M*V on the whole matrix by exact multiplication, one row
 of U at a time, before returning. Python ints keep every entry exact at any
-size.
+size. Complexes and chain maps reach the homology engine as matrices only.
 """
 
 from __future__ import annotations
@@ -116,14 +116,22 @@ def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Exact
     U and columns of V. The identity D = U*M*V is re-verified on the whole
     matrix by exact multiplication before returning.
     """
-    return _smith(mat, None)
+    diagonal, u_rows, v_cols = _smith(mat, None)
+    D = ExactMatrix._adopt(mat.rows, mat.cols, {(t, t): d for t, d in enumerate(diagonal)})
+    U = ExactMatrix._adopt(
+        mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
+    )
+    return D, U, ExactMatrix.from_columns(mat.cols, v_cols)
 
 
-def _smith(mat: ExactMatrix, p: int | None) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """smith_normal_form over Z (p is None) or over Z/p.
+def _smith(
+    mat: ExactMatrix, p: int | None
+) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """Smith normal form over Z (p is None) or over Z/p, as sparse pieces.
 
-    Mod p every pivot is 1, so D is an identity block, and U, V and the
-    check D = U*M*V are reduced mod p.
+    Returns (diagonal, rows of U, columns of V): D = U*mat*V holds diagonal[t]
+    at (t, t) and nothing else, which is checked before returning. Mod p
+    every pivot is 1, and U, V and the check are reduced mod p.
     """
     pivots, u_rest, v_rest = _eliminate(mat, p)
     units = [q for q in pivots if q[0] == 1]
@@ -133,17 +141,11 @@ def _smith(mat: ExactMatrix, p: int | None) -> tuple[ExactMatrix, ExactMatrix, E
             if torsion[b][0] % torsion[a][0]:
                 _gcd_lcm_move(torsion[a], torsion[b])
     chain = units + torsion
+    diagonal = [q[0] for q in chain]
     u_rows = [q[1] for q in chain] + u_rest
     v_cols = [q[2] for q in chain] + v_rest
-    _check_umv(mat, u_rows, v_cols, [q[0] for q in chain], p)
-    Dm = ExactMatrix._adopt(mat.rows, mat.cols, {(t, t): q[0] for t, q in enumerate(chain)})
-    Um = ExactMatrix._adopt(
-        mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
-    )
-    Vm = ExactMatrix._adopt(
-        mat.cols, len(v_cols), {(i, j): c for j, col in enumerate(v_cols) for i, c in col.items()}
-    )
-    return Dm, Um, Vm
+    _check_umv(mat, u_rows, v_cols, diagonal, p)
+    return diagonal, u_rows, v_cols
 
 
 def _check_umv(
@@ -356,13 +358,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def invariant_factors(mat: ExactMatrix) -> list[int]:
-    D, _, _ = smith_normal_form(mat)
-    out = []
-    for t in range(min(mat.rows, mat.cols)):
-        v = D.entries.get((t, t), 0)
-        if v:
-            out.append(abs(v))
-    return out
+    """The nonzero invariant factors d1 | d2 | ... over Z."""
+    return _smith(mat, None)[0]
 
 
 def rank_modp(mat: ExactMatrix, p: int) -> int:
@@ -375,31 +372,8 @@ def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
 
     They are the columns of V past the rank in D = U*M*V.
     """
-    D, _, V = _smith(mat, ring.p) if ring.is_field else smith_normal_form(mat)
-    rank = len(D.entries)
-    return ExactMatrix._adopt(
-        V.rows, V.cols - rank, {(i, j - rank): c for (i, j), c in V.entries.items() if j >= rank}
-    )
-
-
-def solve(K: ExactMatrix, B: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
-    """X with K @ X = B, for K a kernel basis as returned by kernel_basis.
-
-    With D = U*K*V, X = V*W where D*W = U*B; over Z, K's columns must span
-    a saturated lattice.
-    """
-    D, U, V = _smith(K, ring.p) if ring.is_field else smith_normal_form(K)
-    UB = U @ B
-    entries: dict[tuple[int, int], int] = {}
-    for (i, jcol), v in (UB.mod(ring.p) if ring.is_field else UB).entries.items():
-        d = D.entries.get((i, i), 0)
-        if d == 0:
-            raise NotAComplex("column is not in the span of the kernel lattice")
-        if v % d:
-            raise NotAComplex("column is not integrally in the lattice")
-        entries[(i, jcol)] = v // d
-    X = V @ ExactMatrix._adopt(K.cols, B.cols, entries)
-    return X.mod(ring.p) if ring.is_field else X
+    diagonal, _, v_cols = _smith(mat, ring.p)
+    return ExactMatrix.from_columns(mat.cols, v_cols[len(diagonal) :])
 
 
 def determinant(mat: ExactMatrix) -> int:
@@ -456,10 +430,6 @@ class HomologySummary:
         return " + ".join(bits) if bits else "0"
 
 
-def _vanishes(mat: ExactMatrix, ring: CoefficientRing) -> bool:
-    return (mat.mod(ring.p) if ring.is_field else mat).is_zero()
-
-
 def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
     """Invariant factors of one boundary; over Z/p every nonzero one is a unit 1."""
     if ring.is_field:
@@ -486,43 +456,33 @@ def basis_matrix(src: Sequence, dst: Sequence, image: Callable[[Any], dict]) -> 
 
 
 class FiniteComplex:
-    """A finite free complex: a graded basis plus a differential on basis keys.
+    """A finite free complex: a graded basis plus its boundary matrices.
 
-    basis maps each degree to its ordered keys; the differential lands in
-    degree degree + step (step = -1 for chains, +1 for cochains). It is given
-    either as boundaries, {degree: matrix} assembled elsewhere, or as
-    image(key), the differential of one key as {key: coefficient}, read
-    through basis_matrix. Degrees missing from basis are zero. Each boundary
-    matrix is built and factored once, and each pair of boundaries is checked
-    to compose to zero once; the cache keeps the sparse boundaries and their
-    factors only.
+    basis maps each degree to its ordered keys; boundaries maps a degree j
+    to the differential out of it, a matrix from basis[j] to basis[j + step]
+    (step = -1 for chains, +1 for cochains). A degree missing from
+    boundaries is the zero map. Each boundary is factored once, and each pair
+    of boundaries is checked to compose to zero once.
     """
 
     def __init__(
         self,
         ring: CoefficientRing,
         basis: dict[int, list],
-        image: Callable[[Any], dict] | None = None,
+        boundaries: dict[int, ExactMatrix],
         step: int = -1,
-        boundaries: dict[int, ExactMatrix] | None = None,
     ):
         self.ring = ring
         self.basis = basis
-        self.image = image
         self.step = step
-        self._boundaries: dict[int, ExactMatrix] = {} if boundaries is None else boundaries
+        self._boundaries = boundaries
         self._factors: dict[int, list[int]] = {}
         self._checked: set[int] = set()
 
     def boundary(self, j: int) -> ExactMatrix:
         """The differential out of degree j, C_j -> C_{j+step}."""
-        mat = self._boundaries.get(j)
-        if mat is None:
-            mat = basis_matrix(
-                self.basis.get(j, []), self.basis.get(j + self.step, []), self.image
-            )
-            self._boundaries[j] = mat
-        return mat
+        zero = _zero(self.basis.get(j + self.step, ()), self.basis.get(j, ()))
+        return self._boundaries.get(j, zero)
 
     def _factored(self, j: int) -> list[int]:
         if j not in self._factors:
@@ -570,7 +530,6 @@ class FiniteComplex:
 
 @dataclass
 class InducedMapResult:
-    matrix: ExactMatrix  # on kernel-basis coordinates
     source: HomologySummary
     target: HomologySummary
     is_iso: bool
@@ -579,43 +538,43 @@ class InducedMapResult:
 def induced_map_on_homology(
     source: FiniteComplex,
     target: FiniteComplex,
-    image: Callable[[Any], dict],
+    maps: dict[int, ExactMatrix],
     j: int,
     shift: int = 0,
 ) -> InducedMapResult:
     """Induced map H_j(source) -> H_{j+shift}(target) and its isomorphism verdict.
 
-    image(key) is the chain map on one source basis key. The chain map
+    maps[k] is the chain map on degree k, from source.basis[k] to
+    target.basis[k + shift]; a missing degree is the zero map. The chain map
     identity d' @ F_j = F_{j+step} @ d is verified first. The verdict uses
     that finitely generated abelian groups (and vector spaces) are Hopfian:
     the map is an isomorphism iff both sides have equal invariants and the
-    map is surjective, i.e. [Y | X_target] hits all of the target kernel.
+    map is onto. F(Z_j) + B_t lies in Z_t, a kernel and so a direct summand
+    of C_t: it is all of Z_t iff [F_j K | d_in], in C_t's coordinates, has
+    rank Z_t invariant factors, all of them 1.
     """
     ring, step, t = source.ring, source.step, j + shift
-    F_j = basis_matrix(source.basis.get(j, []), target.basis.get(t, []), image)
-    F_next = basis_matrix(
-        source.basis.get(j + step, []), target.basis.get(t + step, []), image
-    )
-    if not _vanishes(_subtract(target.boundary(t) @ F_j, F_next @ source.boundary(j)), ring):
+
+    def F(k: int) -> ExactMatrix:
+        return maps.get(k, _zero(target.basis.get(k + shift, ()), source.basis.get(k, ())))
+
+    F_j = F(j)
+    lhs, rhs = target.boundary(t) @ F_j, F(j + step) @ source.boundary(j)
+    if ring.is_field:
+        lhs, rhs = lhs.mod(ring.p), rhs.mod(ring.p)
+    if lhs != rhs:
         raise NotChainMap("map does not commute with the boundary operators")
 
     h_source, h_target = source.homology(j), target.homology(t)
-    K_s = kernel_basis(source.boundary(j), ring)
-    K_t = kernel_basis(target.boundary(t), ring)
-    stacked = solve(K_t, _hstack(F_j @ K_s, target.boundary(t - step)), ring)
-    Y = ExactMatrix(
-        K_t.cols, K_s.cols, {k: c for k, c in stacked.entries.items() if k[1] < K_s.cols}
-    )
-    surjective = _factor(stacked, ring).count(1) == K_t.cols
-    iso = surjective and h_source.invariants() == h_target.invariants()
-    return InducedMapResult(Y, h_source, h_target, iso)
+    cycles = len(target.basis.get(t, ())) - len(target._factored(t))
+    hits = _hstack(F_j @ kernel_basis(source.boundary(j), ring), target.boundary(t - step))
+    iso = _factor(hits, ring).count(1) == cycles and h_source.invariants() == h_target.invariants()
+    return InducedMapResult(h_source, h_target, iso)
 
 
-def _subtract(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    entries = dict(a.entries)
-    for k, c in b.entries.items():
-        entries[k] = entries.get(k, 0) - c
-    return ExactMatrix._adopt(a.rows, a.cols, _nonzero(entries))
+def _zero(rows: Sequence, cols: Sequence) -> ExactMatrix:
+    """The zero map from the span of cols to the span of rows."""
+    return ExactMatrix._adopt(len(rows), len(cols), {})
 
 
 def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

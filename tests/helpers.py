@@ -32,17 +32,22 @@ import random
 from fractions import Fraction
 
 from ainfty.bimodules import AInfinityBimodule, bimodule_op, dual_name, tensor_name
-from ainfty.chains import HochschildComplex, InducedChainMap, add_into, normalize
+from ainfty.chains import HochschildComplex, InducedChainMap, add_into, in_filtration, normalize
 from ainfty.cochains import Cochain, DualChainElement, coboundary
 from ainfty.algebra import from_dga
 from ainfty.graded import Element, GradedModule, MultilinearOp
 from ainfty.rings import Z
-from ainfty.homology import ExactMatrix, FiniteComplex, _gcd_lcm_move, invariant_factors
+from ainfty.homology import (
+    ExactMatrix,
+    FiniteComplex,
+    _gcd_lcm_move,
+    basis_matrix,
+    invariant_factors,
+)
 from ainfty.documents import parse, serialize
 from ainfty.errors import Inhomogeneous, ModuleMismatch, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, maltese0, sign, star_sign
-from ainfty.spectral import in_filtration, truncation
 
 
 def load(name, p=None):
@@ -571,13 +576,22 @@ def differential(cx, x):
     return normalize(acc, cx.ring)
 
 
+def image_complex(ring, basis, image, step=-1):
+    """The FiniteComplex of a differential given on basis keys, image(key) a
+    sparse vector {key: coefficient}; its boundaries come from basis_matrix."""
+    boundaries = {
+        j: basis_matrix(keys, basis.get(j + step, []), image) for j, keys in basis.items()
+    }
+    return FiniteComplex(ring, basis, boundaries, step)
+
+
 def truncation_oracle(cx, m):
     """F_m with its boundaries read word by word from differential_word."""
     basis = {}
     for n in range(m + 1):
         for w, j in zip(cx.words(n), cx.degrees(n)):
             basis.setdefault(j, []).append(w)
-    return FiniteComplex(cx.ring, basis, lambda w: differential_word(cx, w))
+    return image_complex(cx.ring, basis, lambda w: differential_word(cx, w))
 
 
 def cochain_basis(M, cutoff):
@@ -608,9 +622,7 @@ def cochain_complex(M, cutoff):
     """
     basis = cochain_basis(M, cutoff)
     degree = {key: j for j, keys in basis.items() for key in keys}
-    return FiniteComplex(
-        M.ring, basis, lambda key: coboundary(M, degree[key], cutoff, *key), step=1
-    )
+    return image_complex(M.ring, basis, lambda key: coboundary(M, degree[key], cutoff, *key), 1)
 
 
 def b_component_oracle(cx, word, i, l):
@@ -1021,7 +1033,7 @@ def z_infinity_membership(complex_, x, p):
 
 def homology_of_truncation(complex_, m):
     """H_j(F_m) for every degree j of F_m."""
-    fc = truncation(complex_, m)
+    fc = complex_.truncation(m)
     return {j: fc.homology(j) for j in sorted(fc.basis)}
 
 

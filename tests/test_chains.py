@@ -23,7 +23,6 @@ from ainfty.errors import Inhomogeneous, ModuleMismatch, TooLarge, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
-from ainfty.spectral import truncation
 
 from helpers import (
     ALGEBRA_FIXTURES,
@@ -329,7 +328,7 @@ def test_assembled_boundaries_match_the_per_word_oracle(name):
         doc = load(name, p)
         for M, top in _grid_bimodules(doc.algebra, doc.bimodules.values()):
             for L in range(top + 1):
-                fc = truncation(HochschildComplex(M, L), L)
+                fc = HochschildComplex(M, L).truncation(L)
                 oracle = truncation_oracle(HochschildComplex(M, L), L)
                 assert fc.basis == oracle.basis
                 for j in fc.basis:
@@ -339,7 +338,7 @@ def test_assembled_boundaries_match_the_per_word_oracle(name):
 def test_assembled_boundaries_of_a_dga_with_mu1():
     for M, top in _grid_bimodules(mu1_algebra()):
         for L in range(top + 1):
-            fc = truncation(HochschildComplex(M, L), L)
+            fc = HochschildComplex(M, L).truncation(L)
             oracle = truncation_oracle(HochschildComplex(M, L), L)
             for j in fc.basis:
                 assert fc.boundary(j) == oracle.boundary(j), (M.name, L, j)

@@ -506,7 +506,7 @@ def test_threads_do_not_change_reports(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["hh", "cohomology"])
 @pytest.mark.parametrize(
     "ring,factor",
-    [({"kind": "Z"}, "smith_normal_form"), ({"kind": "Zp", "p": 3}, "rank_modp")],
+    [({"kind": "Z"}, "_smith"), ({"kind": "Zp", "p": 3}, "rank_modp")],
 )
 def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, ring, factor):
     import ainfty.homology as homology
@@ -610,16 +610,16 @@ def test_snf_transform_entries_stay_small(tmp_path, capsys, monkeypatch, command
     # entries of the boundaries themselves
     import ainfty.homology as homology
 
-    original = homology.smith_normal_form
+    original = homology._smith
     entries = []
 
-    def recorded(mat):
-        D, U, V = original(mat)
-        entries.extend(U.entries.values())
-        entries.extend(V.entries.values())
-        return D, U, V
+    def recorded(mat, p):
+        diagonal, u_rows, v_cols = original(mat, p)
+        for vector in u_rows + v_cols:
+            entries.extend(vector.values())
+        return diagonal, u_rows, v_cols
 
-    monkeypatch.setattr(homology, "smith_normal_form", recorded)
+    monkeypatch.setattr(homology, "_smith", recorded)
     path = tmp_path / "tp3.json"
     path.write_text(serialize(fixture_document("truncated_poly3")))
     code, _, _ = run_cli([command, str(path), "--length", "6"], capsys)
@@ -740,6 +740,32 @@ def test_each_bimodule_complex_is_built_once(tmp_path, capsys, monkeypatch):
         counts = Counter(map(id, built))
         assert not sorted(M.name for M in built if counts[id(M)] > 1), argv
         assert {"M", "N"} <= {M.name for M in built}
+
+
+@pytest.mark.parametrize("command", ["spectral", "verify"])
+def test_induced_chain_map_reads_each_word_once(tmp_path, capsys, monkeypatch, command):
+    # f_*'s matrices over F_L are built once, and the filtration check, the
+    # chain map check and the comparison's conclusion all read them, so
+    # on_word runs once per word of the source complex
+    from ainfty.chains import InducedChainMap
+
+    calls = []
+    original = InducedChainMap.on_word
+
+    def counted(self, word):
+        calls.append((self, word))
+        return original(self, word)
+
+    monkeypatch.setattr(InducedChainMap, "on_word", counted)
+    path = tmp_path / "qip.json"
+    path.write_text(serialize(fixture_document("quasi_iso_pair")))
+    code, out, _ = run_cli([command, str(path)], capsys)
+    assert code == 0, out
+    maps = {fstar for fstar, _ in calls}
+    assert maps
+    for fstar in maps:
+        words = [w for g, w in calls if g is fstar]
+        assert sorted(words) == sorted(fstar.source.all_words())
 
 
 def test_e1_routes_stay_independent(tmp_path, capsys, monkeypatch):

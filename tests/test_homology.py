@@ -10,16 +10,15 @@ from ainfty.errors import NotAComplex, NotChainMap
 from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
+    basis_matrix,
     determinant,
     induced_map_on_homology,
     invariant_factors,
     kernel_basis,
     rank_modp,
     smith_normal_form,
-    solve,
 )
 from ainfty.rings import Z, Zp
-from ainfty.spectral import truncation
 
 from helpers import (
     ALGEBRA_FIXTURES,
@@ -27,6 +26,7 @@ from helpers import (
     dense_rank_modp,
     dense_rank_q,
     differential_word,
+    image_complex,
     load,
     minor_gcd_invariants,
     rank_z,
@@ -87,18 +87,9 @@ def test_kernel_basis_z():
     K = kernel_basis(mat, Z)
     assert K.cols == 2
     assert (mat @ K).is_zero()
-    # saturated: solving for any integer kernel vector succeeds
-    v = ExactMatrix.from_dense([[2], [-1], [0]])
-    assert (mat @ v).is_zero()
-    X = solve(K, v, Z)
-    assert K @ X == v
-
-
-def test_solve_in_lattice_rejects_outsiders():
-    K = ExactMatrix.from_dense([[2], [0]])
-    target = ExactMatrix.from_dense([[1], [0]])
-    with pytest.raises(NotAComplex):
-        solve(K, target, Z)
+    # saturated: the columns span a direct summand, so every integer kernel
+    # vector is an integer combination of them
+    assert invariant_factors(K) == [1] * K.cols
 
 
 def test_rank_modp_and_kernel():
@@ -116,7 +107,7 @@ def test_rank_modp_and_kernel():
 
 
 def test_homology_zero_differentials():
-    fc = FiniteComplex(Z, {0: ["a", "b", "c", "d"]}, lambda k: {})
+    fc = FiniteComplex(Z, {0: ["a", "b", "c", "d"]}, {})
     h = fc.homology(0)
     assert h.free_rank == 4 and h.torsion == ()
 
@@ -124,7 +115,7 @@ def test_homology_zero_differentials():
 def test_homology_times_two():
     # Z --2--> Z in degrees 1 -> 0: H_0 = Z/2, H_1 = 0; degree 5 is empty
     images = {"e": {"v": 2}}
-    fc = FiniteComplex(Z, {0: ["v"], 1: ["e"]}, lambda k: images.get(k, {}))
+    fc = image_complex(Z, {0: ["v"], 1: ["e"]}, lambda k: images.get(k, {}))
     h0 = fc.homology(0)
     assert h0.free_rank == 0 and h0.torsion == (2,)
     assert h0.invariants() == (0, (2,))
@@ -134,7 +125,7 @@ def test_homology_times_two():
 def test_homology_rejects_non_complex():
     # c -> b -> a with both maps the identity: d.d(c) = a
     images = {"c": {"b": 1}, "b": {"a": 1}}
-    fc = FiniteComplex(Z, {0: ["a"], 1: ["b"], 2: ["c"]}, lambda k: images.get(k, {}))
+    fc = image_complex(Z, {0: ["a"], 1: ["b"], 2: ["c"]}, lambda k: images.get(k, {}))
     assert fc.homology(0).is_trivial()
     with pytest.raises(NotAComplex):
         fc.homology(1)
@@ -167,7 +158,7 @@ def test_dual_numbers_mod2_against_dense_oracle():
     M = diagonal_bimodule(doc.algebra, 4)
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
-    fc = FiniteComplex(Zp(2), basis, lambda w: differential_word(cx, w))
+    fc = image_complex(Zp(2), basis, lambda w: differential_word(cx, w))
     for j in sorted(basis):
         d_out = _boundary(cx, basis, j)
         d_in = _boundary(cx, basis, j + 1)
@@ -184,12 +175,12 @@ def test_homology_invariant_under_basis_shuffle():
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
     rng = random.Random(23)
-    reference = FiniteComplex(Z, basis, lambda w: differential_word(cx, w))
+    reference = image_complex(Z, basis, lambda w: differential_word(cx, w))
     for j in sorted(basis):
         shuffled = {k: list(v) for k, v in basis.items()}
         for v in shuffled.values():
             rng.shuffle(v)
-        got = FiniteComplex(Z, shuffled, lambda w: differential_word(cx, w)).homology(j)
+        got = image_complex(Z, shuffled, lambda w: differential_word(cx, w)).homology(j)
         assert got.invariants() == reference.homology(j).invariants()
 
 
@@ -205,6 +196,11 @@ def test_rank_nullity_over_fields():
         assert r + k == mat.cols
 
 
+def _maps(fc, image):
+    """A degree-preserving chain map of fc, given on basis keys, as {degree: matrix}."""
+    return {j: basis_matrix(keys, keys, image) for j, keys in fc.basis.items()}
+
+
 def _identity(key):
     return {key: 1}
 
@@ -213,30 +209,43 @@ def _zero(key):
     return {}
 
 
+def _scale(k):
+    return lambda key: {key: k}
+
+
 def test_induced_map_identity_and_zero():
-    # C_1 = <e> --2--> C_0 = <a, b>: H_0 = Z/2 + Z over Z, dim 1 over Z/3
-    images = {"e": {"a": 2}}
-    for ring, h0 in ((Z, (1, (2,))), (Zp(3), (1, ()))):
-        fc = FiniteComplex(ring, {0: ["a", "b"], 1: ["e"]}, lambda k: images.get(k, {}))
-        res = induced_map_on_homology(fc, fc, _identity, 0)
-        assert res.is_iso
-        assert res.source.invariants() == res.target.invariants() == h0
-        res = induced_map_on_homology(fc, fc, _zero, 0)
-        assert not res.is_iso
+    two = {"e": {"a": 2}}
+    # (basis, differential, chain map, H_0 over Z, over Z/3, iso over Z, over Z/3)
+    cases = [
+        # C_1 = <e> --2--> C_0 = <a, b>: H_0 = Z/2 + Z over Z, dim 1 over Z/3
+        ({0: ["a", "b"], 1: ["e"]}, two, _identity, (1, (2,)), (1, ()), True, True),
+        ({0: ["a", "b"], 1: ["e"]}, two, _zero, (1, (2,)), (1, ()), False, False),
+        # x2 on a free Z: equal invariants, but not onto; over Z/3 a unit
+        ({0: ["a"]}, {}, _scale(2), (1, ()), (1, ()), False, True),
+        # on Z/2 = <a>/2a, a -> 3a is the identity and a -> 2a is zero
+        ({0: ["a"], 1: ["e"]}, two, _scale(3), (0, (2,)), (0, ()), True, True),
+        ({0: ["a"], 1: ["e"]}, two, _scale(2), (0, (2,)), (0, ()), False, True),
+    ]
+    for basis, images, image, h0_z, h0_3, iso_z, iso_3 in cases:
+        for ring, h0, iso in ((Z, h0_z, iso_z), (Zp(3), h0_3, iso_3)):
+            fc = image_complex(ring, basis, lambda k: images.get(k, {}))
+            res = induced_map_on_homology(fc, fc, _maps(fc, image), 0)
+            assert res.is_iso == iso, (basis, image, ring)
+            assert res.source.invariants() == res.target.invariants() == h0
 
 
 def test_induced_map_rejects_non_chain_map():
     images = {"a": {"z": 1}}
-    fc = FiniteComplex(Z, {-1: ["z"], 0: ["a", "b"]}, lambda k: images.get(k, {}))
+    fc = image_complex(Z, {-1: ["z"], 0: ["a", "b"]}, lambda k: images.get(k, {}))
     swap = {"a": {"b": 1}, "b": {"a": 1}, "z": {"z": 1}}
     with pytest.raises(NotChainMap):
-        induced_map_on_homology(fc, fc, swap.get, 0)
+        induced_map_on_homology(fc, fc, _maps(fc, swap.get), 0)
     # a -> a, z -> 4z commutes with d only modulo 3
     scaled = {"a": {"a": 1}, "b": {"b": 1}, "z": {"z": 4}}
     with pytest.raises(NotChainMap):
-        induced_map_on_homology(fc, fc, scaled.get, 0)
-    fc3 = FiniteComplex(Zp(3), fc.basis, fc.image)
-    assert induced_map_on_homology(fc3, fc3, scaled.get, 0).is_iso
+        induced_map_on_homology(fc, fc, _maps(fc, scaled.get), 0)
+    fc3 = FiniteComplex(Zp(3), fc.basis, {j: fc.boundary(j) for j in fc.basis})
+    assert induced_map_on_homology(fc3, fc3, _maps(fc3, scaled.get), 0).is_iso
 
 
 def test_snf_self_check_runs_every_call():
@@ -257,13 +266,13 @@ def test_universal_coefficients_tie_z_to_zp(name):
     # dim H_j(C/p) = free_j + #(torsion of H_j divisible by p)
     #              + #(torsion of H_{j+step} divisible by p)
     diag = diagonal_bimodule(load(name).algebra, 4)
-    complexes = (truncation(HochschildComplex(diag, 4), 4), cochain_complex(diag, 4))
+    complexes = (HochschildComplex(diag, 4).truncation(4), cochain_complex(diag, 4))
     torsion_checks = 0
     for fc in complexes:
         over_z = {j: fc.homology(j) for j in set(fc.basis) | {j + fc.step for j in fc.basis}}
         for p in (2, 3, 5):
             boundaries = {j: fc.boundary(j) for j in fc.basis}
-            over_p = FiniteComplex(Zp(p), fc.basis, step=fc.step, boundaries=boundaries)
+            over_p = FiniteComplex(Zp(p), fc.basis, boundaries, fc.step)
             for j in sorted(fc.basis):
                 h, h_next = over_z[j], over_z[j + fc.step]
                 divisible = sum(1 for d in h.torsion + h_next.torsion if d % p == 0)
@@ -293,7 +302,7 @@ def test_public_constructors_still_check_entries():
 def test_homology_and_cohomology_share_one_composite_check(monkeypatch):
     # H_j and H^j read the same pair of boundaries; that pair is checked to
     # compose to zero once, and the SNF self-check multiplies no matrices
-    fc = truncation(HochschildComplex(diagonal_bimodule(load("dual_numbers").algebra, 4), 4), 4)
+    fc = HochschildComplex(diagonal_bimodule(load("dual_numbers").algebra, 4), 4).truncation(4)
     products = []
     original = ExactMatrix.__matmul__
 
