@@ -5,10 +5,14 @@ diagonalises a matrix over Z or over Z/p on row dicts and column sets,
 taking the entry of least absolute value as the next pivot and reducing by
 nearest remainders; it records its row operations in sparse rows of U and
 its column operations in sparse columns of V. Invariant factors, ranks and
-kernels all read it. Every Smith normal form, over Z and mod p,
-re-verifies D = U*M*V on the whole matrix by exact multiplication, one row
-of U at a time, before returning. Python ints keep every entry exact at any
-size. Complexes and chain maps reach the homology engine as matrices only.
+kernels all read it. Elimination, transforms and check are sized by the
+support of the matrix: the rows and columns that hold an entry (mod p, one
+not divisible by p). Every Smith normal form, over Z and mod p, re-verifies
+D_s = U_s*M_s*V_s on the support block by exact multiplication, one row of
+U_s at a time, before returning. Off the support M is zero and U and V are
+the identity, so this proves D = U*M*V on the whole matrix. Python ints
+keep every entry exact at any size. Complexes and chain maps reach the
+homology engine as matrices only.
 """
 
 from __future__ import annotations
@@ -40,16 +44,6 @@ class ExactMatrix:
         mat = cls.__new__(cls)
         mat.rows, mat.cols, mat.entries = rows, cols, entries
         return mat
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "ExactMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        return cls(
-            rows,
-            cols,
-            {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v},
-        )
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[dict[int, int]]) -> "ExactMatrix":
@@ -113,10 +107,13 @@ def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Exact
     pivot with its sparse row of U and column of V. The pivots are placed
     at (t, t), units first; the other pivots are merged into the divisibility
     chain by 2x2 moves diag(a, b) -> diag(gcd, lcm) on the matching rows of
-    U and columns of V. The identity D = U*M*V is re-verified on the whole
-    matrix by exact multiplication before returning.
+    U and columns of V. _smith checks D = U*M*V on the support block, which
+    proves it on the whole matrix; the unit vectors of the empty rows and
+    columns are appended here, so U and V come back square.
     """
     diagonal, u_rows, v_cols = _smith(mat, None)
+    u_rows += _units(mat.rows, {i for i, _ in mat.entries})
+    v_cols += _units(mat.cols, {j for _, j in mat.entries})
     D = ExactMatrix._adopt(mat.rows, mat.cols, {(t, t): d for t, d in enumerate(diagonal)})
     U = ExactMatrix._adopt(
         mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
@@ -124,14 +121,23 @@ def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Exact
     return D, U, ExactMatrix.from_columns(mat.cols, v_cols)
 
 
+def _units(n: int, support: set[int]) -> list[dict[int, int]]:
+    """The unit vectors e_k, k < n ascending, for each k outside support."""
+    return [{k: 1} for k in range(n) if k not in support]
+
+
 def _smith(
     mat: ExactMatrix, p: int | None
 ) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
     """Smith normal form over Z (p is None) or over Z/p, as sparse pieces.
 
-    Returns (diagonal, rows of U, columns of V): D = U*mat*V holds diagonal[t]
-    at (t, t) and nothing else, which is checked before returning. Mod p
-    every pivot is 1, and U, V and the check are reduced mod p.
+    Returns (diagonal, rows of U_s, columns of V_s): one row per row of mat
+    that holds an entry and one column per such column (mod p, an entry not
+    divisible by p), pivots first; a matrix with no entry gives ([], [], []).
+    D_s = U_s*M_s*V_s holds diagonal[t] at (t, t) and nothing else, which is
+    checked before returning; off the support M is zero and U and V are the
+    identity, so this is D = U*M*V on the whole matrix (see _check_umv).
+    Mod p every pivot is 1, and U_s, V_s and the check are reduced mod p.
     """
     pivots, u_rest, v_rest = _eliminate(mat, p)
     units = [q for q in pivots if q[0] == 1]
@@ -155,10 +161,16 @@ def _check_umv(
     diagonal: list[int],
     p: int | None,
 ) -> None:
-    """D = U*M*V on the whole matrix, one row of U at a time (mod p when p is given).
+    """D_s = U_s*M_s*V_s on the support block, one row of U_s at a time (mod p when p is given).
 
-    Row t of U*M*V must be diagonal[t] at column t, or zero past the rank.
-    Only M and V are regrouped by rows; no product is held as a matrix.
+    u_rows and v_cols are U and V on the rows and columns of M that hold an
+    entry, and mention no other index: every operation of the elimination
+    combines support rows or support columns. Off the support M is zero and
+    U and V are the identity, so U*M*V = U_s*M_s*V_s (+) 0 for the direct
+    sums U = U_s (+) I and V = V_s (+) I: D = U*M*V holds on the whole
+    matrix exactly when it holds on the block. Row t of U_s*M*V_s must be
+    diagonal[t] at column t, or zero past the rank. Only M and V_s are
+    regrouped by rows; no product is held as a matrix.
     """
     m_rows: dict[int, list[tuple[int, int]]] = {}
     for (i, c), x in mat.entries.items():
@@ -190,8 +202,12 @@ def _eliminate(
     Returns (pivots, u_rest, v_rest). Each pivot is [d, row of U, column of
     V] as sparse dicts: U*mat*V is diagonal, with d > 0 where the pivot's
     row meets its column (d = 1 mod p). u_rest and v_rest are the rows of U
-    and columns of V of the rows and columns left without a pivot, both
-    ascending, so u_rest*mat and mat*v_rest vanish.
+    and columns of V of the support rows and columns (those that hold an
+    entry; mod p, one not divisible by p) left without a pivot, both
+    ascending, so u_rest*mat and mat*v_rest vanish. The elimination never
+    touches the other rows and columns, so U and V are the identity there,
+    no vector is made for them and no vector mentions them: _check_umv
+    checks the support block only.
 
     The next pivot is the entry of least absolute value (mod p every entry
     counts as a unit), ties broken by least Markowitz cost (row nnz - 1) *
@@ -217,6 +233,7 @@ def _eliminate(
         if c:
             rows.setdefault(i, {})[j] = c
             cols.setdefault(j, []).append(i)
+    support_rows, support_cols = (sorted(rows), sorted(cols)) if track else ((), ())
     u: dict[int, dict[int, int]] = {}
     v: dict[int, dict[int, int]] = {}
     pivots: list[list] = []
@@ -304,8 +321,8 @@ def _eliminate(
             )
     if not track:
         return pivots, [], []
-    u_rest = [u[i] if i in u else {i: 1} for i in range(mat.rows) if i not in pivot_rows]
-    v_rest = [v[j] if j in v else {j: 1} for j in range(mat.cols) if j not in pivot_cols]
+    u_rest = [u[i] if i in u else {i: 1} for i in support_rows if i not in pivot_rows]
+    v_rest = [v[j] if j in v else {j: 1} for j in support_cols if j not in pivot_cols]
     return pivots, u_rest, v_rest
 
 
@@ -370,10 +387,13 @@ def rank_modp(mat: ExactMatrix, p: int) -> int:
 def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     """Columns form a basis of the kernel (over Z, of the kernel lattice).
 
-    They are the columns of V past the rank in D = U*M*V.
+    They are the columns of V past the rank in D = U*M*V: those of V_s on
+    the support, then the unit vector e_j of each empty column j.
     """
-    diagonal, _, v_cols = _smith(mat, ring.p)
-    return ExactMatrix.from_columns(mat.cols, v_cols[len(diagonal) :])
+    p = ring.p
+    diagonal, _, v_cols = _smith(mat, p)
+    used = {j for (_, j), c in mat.entries.items() if p is None or c % p}
+    return ExactMatrix.from_columns(mat.cols, v_cols[len(diagonal) :] + _units(mat.cols, used))
 
 
 def determinant(mat: ExactMatrix) -> int:
@@ -413,9 +433,6 @@ class HomologySummary:
     @property
     def dimension(self) -> int:
         return self.free_rank
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         return (self.free_rank, self.torsion)

@@ -24,7 +24,7 @@ the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
 over Z/p. The length projection, the Z^r membership tests, the homology table
 of a truncation and the degree of a chain are reported by no command, so
-they live here too.
+they live here too, as do from_dense and is_trivial, which only tests call.
 """
 
 import itertools
@@ -48,6 +48,20 @@ from ainfty.documents import parse, serialize
 from ainfty.errors import Inhomogeneous, ModuleMismatch, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, maltese0, sign, star_sign
+
+
+def from_dense(dense):
+    """The ExactMatrix of a list of rows (built through the checking constructor)."""
+    rows = len(dense)
+    cols = len(dense[0]) if rows else 0
+    return ExactMatrix(
+        rows, cols, {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    )
+
+
+def is_trivial(summary):
+    """A homology group is zero: no free rank and no torsion."""
+    return summary.free_rank == 0 and not summary.torsion
 
 
 def load(name, p=None):

@@ -20,7 +20,7 @@ from ainfty.homology import (
     rank_modp,
     smith_normal_form,
 )
-from ainfty.rings import Zp
+from ainfty.rings import Z, Zp
 
 from helpers import (
     block_diagonal_invariants,
@@ -28,6 +28,7 @@ from helpers import (
     dense_kernel_modp,
     dense_rank_modp,
     dense_solve_modp,
+    from_dense,
     minor_gcd_invariants,
 )
 
@@ -73,7 +74,7 @@ def block_matrices(draw):
 
 
 def _planted(*blocks):
-    return ExactMatrix.from_dense(_block_diagonal(blocks)), list(blocks)
+    return from_dense(_block_diagonal(blocks)), list(blocks)
 
 
 def _block_diagonal(blocks):
@@ -116,6 +117,24 @@ def test_block_snf_matches_oracles(case):
     assert D == block_snf(mat)[0]
 
 
+@given(block_matrices())
+@example(_planted([[2]], [[0, 0]]))
+@example(_planted([[4, 0], [0, -6]], [[-9]], [[0, 0]]))
+@example((ExactMatrix(3, 4), []))
+@example((ExactMatrix(0, 3), []))
+def test_kernel_basis_z_is_the_kernel_lattice(case):
+    # the planted empty columns are off the eliminator's support; their unit
+    # vectors join the kernel basis after the columns of V past the rank
+    mat, blocks = case
+    K = kernel_basis(mat, Z)
+    assert (K.rows, K.cols) == (mat.cols, mat.cols - len(block_diagonal_invariants(blocks)))
+    assert (mat @ K).is_zero()
+    # saturated: every invariant factor of K is 1, so K spans a direct summand
+    # of Z^cols; it lies in the kernel and has the kernel's rank, so it spans
+    # the whole kernel lattice
+    assert invariant_factors(K) == [1] * K.cols
+
+
 @given(block_matrices(), st.sampled_from([2, 3]))
 def test_block_rank_modp_matches_dense(case, p):
     mat, _ = case
@@ -130,18 +149,18 @@ def few_unit_matrices(draw):
         entries = st.sampled_from([0, 0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 1, -1])
     else:
         entries = st.integers(-9, 9)
-    return ExactMatrix.from_dense(draw(_dense(rows, cols, entries))) if rows else ExactMatrix(0, cols)
+    return from_dense(draw(_dense(rows, cols, entries))) if rows else ExactMatrix(0, cols)
 
 
 @given(few_unit_matrices())
-@example(ExactMatrix.from_dense([[2, 4], [6, 8]]))
-@example(ExactMatrix.from_dense([[1, 2], [2, 1]]))
-@example(ExactMatrix.from_dense([[1, 1, 0], [0, 2, 2], [3, 0, 3]]))
+@example(from_dense([[2, 4], [6, 8]]))
+@example(from_dense([[1, 2], [2, 1]]))
+@example(from_dense([[1, 1, 0], [0, 2, 2], [3, 0, 3]]))
 # pivots that leave remainders and are retaken after several rounds
-@example(ExactMatrix.from_dense([[6, 10, 15]]))
-@example(ExactMatrix.from_dense([[2, 3], [3, 2]]))
-@example(ExactMatrix.from_dense([[89, 55], [55, 34]]))
-@example(ExactMatrix.from_dense([[4, 6], [6, 9]]))
+@example(from_dense([[6, 10, 15]]))
+@example(from_dense([[2, 3], [3, 2]]))
+@example(from_dense([[89, 55], [55, 34]]))
+@example(from_dense([[4, 6], [6, 9]]))
 def test_snf_matches_block_only_oracle(mat):
     D = _check_snf(mat)
     assert D == block_snf(mat)[0]
@@ -149,11 +168,11 @@ def test_snf_matches_block_only_oracle(mat):
 
 
 @given(few_unit_matrices(), st.sampled_from([2, 3]))
-@example(ExactMatrix.from_dense([[1, 2], [2, 4]]), 2)
-@example(ExactMatrix.from_dense([[6, 10, 15]]), 2)
-@example(ExactMatrix.from_dense([[2, 3], [3, 2]]), 3)
-@example(ExactMatrix.from_dense([[89, 55], [55, 34]]), 2)
-@example(ExactMatrix.from_dense([[4, 6], [6, 9]]), 3)
+@example(from_dense([[1, 2], [2, 4]]), 2)
+@example(from_dense([[6, 10, 15]]), 2)
+@example(from_dense([[2, 3], [3, 2]]), 3)
+@example(from_dense([[89, 55], [55, 34]]), 2)
+@example(from_dense([[4, 6], [6, 9]]), 3)
 def test_rank_kernel_solve_modp_match_dense(mat, p):
     dense = mat.to_dense()
     rank = rank_modp(mat, p)
@@ -171,7 +190,7 @@ def test_rank_kernel_solve_modp_match_dense(mat, p):
     # the kernel basis is independent: the oracle's solve against it is
     # unique, so it recovers the coordinates a combination was built from
     if K.cols:
-        X0 = ExactMatrix.from_dense([[(3 * i + j) % p for j in range(2)] for i in range(K.cols)])
+        X0 = from_dense([[(3 * i + j) % p for j in range(2)] for i in range(K.cols)])
         B = (K @ X0).mod(p)
         assert dense_solve_modp(K.to_dense(), B.to_dense(), p) == X0.to_dense()
     # a column outside the kernel is refused

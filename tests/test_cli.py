@@ -922,10 +922,16 @@ def test_cohomology_command(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package the tests imported, installed or not
+    import ainfty
+
+    package_root = os.path.dirname(os.path.dirname(ainfty.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ainfty.cli"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
 

@@ -16,6 +16,7 @@ from helpers import (
     ALGEBRA_FIXTURES,
     b_component,
     differential_word,
+    from_dense,
     homology_of_truncation,
     induced,
     load,
@@ -263,7 +264,7 @@ def test_comparison_epsilon_projection_hypothesis_fails():
     # verdict agrees with the direct homology computation of f_{0,0}
     from ainfty.bimodules import AInfinityBimodule, bimodule_op
     from ainfty.graded import GradedModule
-    from ainfty.homology import ExactMatrix, FiniteComplex, induced_map_on_homology
+    from ainfty.homology import FiniteComplex, induced_map_on_homology
     from ainfty.rings import Z
 
     doc = load("dual_numbers")
@@ -289,7 +290,7 @@ def test_comparison_epsilon_projection_hypothesis_fails():
     # so [f_{0,0}] is the rank-2 -> rank-1 map itself, not an isomorphism
     source = FiniteComplex(Z, {0: ["1", "e"]}, {})
     target = FiniteComplex(Z, {0: ["z"]}, {})
-    res = induced_map_on_homology(source, target, {0: ExactMatrix.from_dense([[1, 0]])}, 0)
+    res = induced_map_on_homology(source, target, {0: from_dense([[1, 0]])}, 0)
     assert not res.is_iso
 
 
