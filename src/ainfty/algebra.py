@@ -156,9 +156,6 @@ def from_dga(
             return Element(module, {})
         return differential(e)
 
-    def prod(a: Element, b: Element) -> Element:
-        return product(a, b)
-
     if differential is not None:
         if differential.degree != 1:
             raise NotADifferential("differential must have degree +1")
@@ -168,24 +165,26 @@ def from_dga(
                 raise NotADifferential(f"d(d({n})) != 0")
     if product.degree != 0:
         raise NotAssociative("product must have degree 0")
-    for a, b, c in itertools.product(names, repeat=3):
+    # with mu_2(a,b) = (-1)^{deg a} ab, the r=3 residual on (a,b,c) is
+    # (-1)^{deg b}((ab)c - a(bc)): the entry walk of the defining equations
+    # names the first non-associative triple in product order
+    mu2_table = {key: v.scale(sign(module.degree_of(key[0]))) for key, v in product.entries()}
+    mu2 = MultilinearOp((module, module), module, 0, mu2_table, label="mu_2")
+    verdict = check_defining_equation(AInfinityAlgebra(module, {2: mu2}), 3)
+    if not verdict.holds:
+        a, b, c = verdict.word
         ea, eb, ec = (module.basis_element(n) for n in (a, b, c))
-        left = prod(prod(ea, eb), ec)
-        right = prod(ea, prod(eb, ec))
-        if left != right:
-            raise NotAssociative(f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
+        left, right = product(product(ea, eb), ec), product(ea, product(eb, ec))
+        raise NotAssociative(f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
     if differential is not None:
         for a, b in itertools.product(names, repeat=2):
             ea, eb = module.basis_element(a), module.basis_element(b)
-            lhs = d(prod(ea, eb))
-            rhs = prod(d(ea), eb) + prod(ea, d(eb)).scale(sign(module.degree_of(a)))
+            lhs = d(product(ea, eb))
+            rhs = product(d(ea), eb) + product(ea, d(eb)).scale(sign(module.degree_of(a)))
             if lhs != rhs:
                 raise LeibnizFailure(f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
 
-    mu2_table = {key: v.scale(sign(module.degree_of(key[0]))) for key, v in product.entries()}
-    ops: dict[int, MultilinearOp] = {
-        2: MultilinearOp((module, module), module, 0, mu2_table, label="mu_2")
-    }
+    ops: dict[int, MultilinearOp] = {2: mu2}
     if differential is not None and not differential.is_zero():
         ops[1] = MultilinearOp(
             (module,), module, 1, dict(differential.entries()), label="mu_1"

@@ -22,7 +22,7 @@ from .bimodules import AInfinityBimodule, BimoduleMorphism
 from .errors import InternalInvariant, ModuleMismatch, TooLarge
 from .graded import Word
 from .homology import ExactMatrix, FiniteComplex, basis_matrix
-from .signs import maltese0, sign, star_sign
+from .signs import sign, star_sign
 
 Chain = dict[Word, int]
 
@@ -85,11 +85,12 @@ class HochschildComplex:
             )
         # length n -> (words, their Hochschild degrees), in enumeration order
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
-        # b as matrices, built once: F_m by m here; E^0 columns by p, route, and
-        # F_m's length-preserving entries by m, then word length, by spectral.py
+        # b as matrices, built once: F_m by m here; E^0 columns by p, then
+        # route, by spectral.py; F_L's boundaries by degree, then row word, by
+        # cochains.b_star
         self._truncations: dict[int, FiniteComplex] = {}
         self.columns: dict[int, dict] = {}
-        self.length_blocks: dict[int, dict] = {}
+        self.boundary_rows: dict[int, dict] = {}
 
     def _by_rank(self, n: int) -> tuple[list[int], list[int]]:
         """Hochschild degrees of the length-n words by rank, and the ranks in
@@ -257,28 +258,6 @@ class HochschildComplex:
             rank, a = divmod(rank, len(names))
             letters.append(names[a])
         return (self.M.module.names[rank],) + tuple(reversed(letters))
-
-    def b1_word(self, word: Word) -> Chain:
-        """Length-preserving part of b, built from mu_1 and mu_{0,0} only.
-
-        Independent of boundaries(); used as the direct route to the zeroth
-        page of the length filtration.
-        """
-        m, letters = word[0], word[1:]
-        a_degs = [self.A.module.degree_of(a) for a in letters]
-        m_deg = self.M.module.degree_of(m)
-        acc: Chain = {}
-        for name, c in self.M.op_word(0, 0, (m,)).terms.items():
-            add_into(acc, (name,) + letters, c)
-        mu1 = self.A.mu(1)
-        if mu1 is not None:
-            for i in range(1, len(letters) + 1):
-                s = sign(maltese0(m_deg, a_degs, i - 1))
-                for name, c in mu1.on_word((letters[i - 1],)).terms.items():
-                    add_into(
-                        acc, (m,) + letters[: i - 1] + (name,) + letters[i:], s * c
-                    )
-        return normalize(acc, self.ring)
 
 
 class InducedChainMap:

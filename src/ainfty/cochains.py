@@ -216,14 +216,22 @@ class DualChainElement:
 
 
 def b_star(psi: DualChainElement) -> DualChainElement:
-    """(b* psi)(w) = psi(b(w)), read off the rows of psi's words in F_L's boundaries."""
-    cx = psi.complex
-    fc = cx.truncation(cx.L)
-    acc: dict[Word, int] = {}
-    for d in sorted({cx.degree(w) for w in psi.terms}):
-        rows, cols = fc.basis.get(d, []), fc.basis.get(d + 1, [])
-        for (i, j), c in fc.boundary(d + 1).entries.items():
-            acc[cols[j]] = acc.get(cols[j], 0) + psi.terms.get(rows[i], 0) * c
+    """(b* psi)(w) = psi(b(w)), read off the rows of psi's words in F_L's boundaries.
+
+    The rows of each boundary are indexed by word once per complex and
+    degree, so a call costs the rows of psi's words.
+    """
+    cx, acc = psi.complex, {}
+    for w, c in psi.terms.items():
+        d = cx.degree(w)
+        if d not in cx.boundary_rows:
+            fc = cx.truncation(cx.L)
+            words, cols = fc.basis.get(d, []), fc.basis.get(d + 1, [])
+            rows = cx.boundary_rows[d] = {}
+            for (i, j), v in fc.boundary(d + 1).entries.items():
+                rows.setdefault(words[i], []).append((cols[j], v))
+        for col, v in cx.boundary_rows[d].get(w, ()):
+            acc[col] = acc.get(col, 0) + c * v
     return DualChainElement(cx, acc)
 
 

@@ -170,11 +170,16 @@ def _check_umv(
     sums U = U_s (+) I and V = V_s (+) I: D = U*M*V holds on the whole
     matrix exactly when it holds on the block. Row t of U_s*M*V_s must be
     diagonal[t] at column t, or zero past the rank. Only M and V_s are
-    regrouped by rows; no product is held as a matrix.
+    regrouped by rows; no product is held as a matrix. A lost vector of U_s
+    or V_s would pass the products, so their counts are checked first.
     """
     m_rows: dict[int, list[tuple[int, int]]] = {}
     for (i, c), x in mat.entries.items():
-        m_rows.setdefault(i, []).append((c, x))
+        if p is None or x % p:
+            m_rows.setdefault(i, []).append((c, x))
+    support_cols = {c for row in m_rows.values() for c, _ in row}
+    if (len(u_rows), len(v_cols)) != (len(m_rows), len(support_cols)):
+        raise InternalInvariant("SNF self-check failed: U or V misses a support vector")
     v_rows: dict[int, list[tuple[int, int]]] = {}
     for s, col in enumerate(v_cols):
         for c, x in col.items():

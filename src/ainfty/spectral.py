@@ -2,20 +2,24 @@
 
 F_p collects the words of length at most p; the differential never increases
 length, so each level is a subcomplex. The zeroth page of the induced
-spectral sequence is the column complex (M (x) A^{(x)p}, b_1), computed here
-along two independent routes (the length-p block of F_L's boundary matrices,
-which chains.HochschildComplex.boundaries assembles from the operation
-entries, vs. the direct b_1 evaluator), and the first page is its homology.
+spectral sequence is the column complex (M (x) A^{(x)p}, b_1), built from
+operation entries along two independent routes (the mu_(0,0) and mu_1
+entries walked over the length-p words, vs. the length-p slices of F_L's
+boundaries, which chains.HochschildComplex.boundaries assembles from every
+entry), and the first page is its homology.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .chains import Chain, HochschildComplex, InducedChainMap, normalize
-from .errors import NotFiltrationPreserving
+from .errors import InternalInvariant, NotFiltrationPreserving
 from .graded import Word
-from .homology import FiniteComplex, HomologySummary, basis_matrix, induced_map_on_homology
+from .homology import ExactMatrix, FiniteComplex, HomologySummary, _nonzero, basis_matrix
+from .homology import induced_map_on_homology
 
 
 def column_complex(
@@ -24,45 +28,125 @@ def column_complex(
     """The column (M (x) A^{(x)p}, b_1) of the zeroth page, graded by weight q.
 
     q is the total unshifted degree and b_1 raises it by one. route="direct"
-    evaluates b_1 from the arity-one tables; route="quotient" reads the
-    length-p block of the boundary of F_max(p, L), assembled from entries.
-    Both routes share one basis, and each column is built once per complex.
+    walks the arity-one entries; route="quotient" slices the boundaries of
+    F_max(p, L). Both routes share one basis, and each column is built once
+    per complex.
     """
     columns = complex_.columns.setdefault(p, {})
     if route not in columns:
-        if columns:
-            basis = next(iter(columns.values())).basis
-        else:
-            basis = {}
-            # the weight is the length minus the Hochschild degree
-            for w, j in zip(complex_.words(p), complex_.degrees(p)):
-                basis.setdefault(p - j, []).append(w)
         if route == "direct":
-            image = complex_.b1_word
+            basis = _column_basis(complex_, p)
+            b1s = _b1_matrices(complex_, p, basis)
+            columns[route] = FiniteComplex(complex_.ring, basis, b1s, step=1)
         else:
-            b1 = _length_blocks(complex_, max(p, complex_.L)).get(p, {})
-            image = lambda w: b1.get(w, {})
-        b1s = {q: basis_matrix(keys, basis.get(q + 1, []), image) for q, keys in basis.items()}
-        columns[route] = FiniteComplex(complex_.ring, basis, b1s, step=1)
+            _quotient_columns(complex_, max(p, complex_.L))
     return columns[route]
 
 
-def _length_blocks(complex_: HochschildComplex, m: int) -> dict[int, dict[Word, Chain]]:
-    """The length-preserving entries of F_m's boundaries, by word length.
+def _column_basis(complex_: HochschildComplex, p: int) -> dict[int, list[Word]]:
+    """The length-p words by weight q, in enumeration order; shared by both routes."""
+    columns = complex_.columns.get(p)
+    if columns:
+        return next(iter(columns.values())).basis
+    basis: dict[int, list[Word]] = {}
+    # the weight is the length minus the Hochschild degree
+    for w, j in zip(complex_.words(p), complex_.degrees(p)):
+        basis.setdefault(p - j, []).append(w)
+    return basis
 
-    One walk over F_m's boundary matrices serves every column read from it.
+
+def _b1_matrices(
+    complex_: HochschildComplex, p: int, basis: dict[int, list[Word]]
+) -> dict[int, ExactMatrix]:
+    """b_1 on the length-p words from the arity-one entries, never from boundaries().
+
+    Words are addressed by rank, as in HochschildComplex.boundaries. A term
+    of b_1 is a run of words along the letters after its entry, whose degree
+    shift is checked on the first word:
+    - mu_(0,0) entry m -> c m': (m, T) -> (m', T) for every tail T;
+    - mu_1 entry a -> c a' at slot i: (m, P, a, S) -> (m, P, a', S), signed by
+      (-1)^maltese0(deg m, P, i - 1), the parity of the degree of (m, P).
     """
-    blocks = complex_.length_blocks.get(m)
-    if blocks is None:
-        blocks = complex_.length_blocks[m] = {}
-        fc = complex_.truncation(m)
-        for j, cols in fc.basis.items():
-            rows = fc.basis.get(j - 1, [])
-            for (r, c), v in fc.boundary(j).entries.items():
-                n = len(cols[c])
-                if n == len(rows[r]):
-                    blocks.setdefault(n - 1, {}).setdefault(cols[c], {})[rows[r]] = v
-    return blocks
+    N, prime = complex_.A.module.rank, complex_.ring.p
+
+    def terms(op, pos) -> list[tuple[int, int, int]]:
+        # (input, output, coefficient) of an arity-one table, by basis position
+        entries = op.entries() if op else ()
+        return [(pos(k[0]), pos(n), c) for k, v in entries for n, c in v.terms.items()]
+
+    m_terms = terms(complex_.M.ops.get((0, 0)), complex_.M.module.position)
+    a_terms = terms(complex_.A.ops.get(1), complex_.A.module.position)
+    if not (m_terms or a_terms):
+        return {}
+    degs, order = complex_._by_rank(p)
+    index, seen = [0] * len(degs), {}  # each word's place in its weight block
+    for rank in order:
+        j = degs[rank]
+        index[rank] = seen.get(j, 0)
+        seen[j] = index[rank] + 1
+    sums: dict[int, dict[tuple[int, int], int]] = {p - j: {} for j in seen}
+
+    def run(start: int, t_start: int, count: int, v: int) -> None:
+        if count and degs[t_start] != degs[start] - 1:
+            raise InternalInvariant(
+                f"image of {complex_._word(p, start)} has "
+                f"{complex_._word(p, t_start)} outside the target degree"
+            )
+        stop, t_stop = start + count, t_start + count
+        for j, col, row in zip(degs[start:stop], index[start:stop], index[t_start:t_stop]):
+            acc = sums[p - j]
+            acc[row, col] = acc.get((row, col), 0) + v
+
+    for m, n, c in m_terms:
+        run(m * N**p, n * N**p, N**p, c)
+    for i in range(1, p + 1) if a_terms else ():
+        after = N ** (p - i)
+        for P, j in enumerate(complex_._by_rank(i - 1)[0]):
+            for a, b, c in a_terms:
+                run((P * N + a) * after, (P * N + b) * after, after, -c if j & 1 else c)
+    for acc in sums.values() if prime else ():
+        for k, c in acc.items():
+            acc[k] = c % prime
+    return _weight_matrices(basis, sums)
+
+
+def _quotient_columns(complex_: HochschildComplex, m: int) -> None:
+    """Every column p <= m of the zeroth page, as slices of F_m's boundaries.
+
+    In degree j, F_m's basis holds the length-p words as one run, in
+    enumeration order: column p's weight-(p - j) block. So an entry (r, c)
+    of d_j in the length-p runs of degrees j - 1 and j, which start at
+    off_{j-1,p} and off_{j,p}, is entry (r - off_{j-1,p}, c - off_{j,p}) of
+    column p at q = p - j. One walk over F_m's boundaries serves every column.
+    """
+    fc = complex_.truncation(m)
+    bases = [_column_basis(complex_, n) for n in range(m + 1)]
+    # degree -> where its length-n runs start, n = 0..m, then its size
+    off = {
+        j: list(accumulate((len(b.get(n - j, ())) for n, b in enumerate(bases)), initial=0))
+        for j in fc.basis
+    }
+    sums: list[dict[int, dict]] = [{} for _ in bases]
+    for j in fc.basis:
+        cols, rows = off[j], off.get(j - 1)
+        for (r, c), v in fc.boundary(j).entries.items():
+            n = bisect_right(cols, c) - 1
+            if rows[n] <= r < rows[n + 1]:
+                sums[n].setdefault(n - j, {})[r - rows[n], c - cols[n]] = v
+    for n, basis in enumerate(bases):
+        columns = complex_.columns.setdefault(n, {})
+        if "quotient" not in columns:
+            b1s = _weight_matrices(basis, sums[n])
+            columns["quotient"] = FiniteComplex(complex_.ring, basis, b1s, step=1)
+
+
+def _weight_matrices(basis: dict[int, list[Word]], sums: dict[int, dict]) -> dict[int, ExactMatrix]:
+    """A column's nonzero matrices basis[q] -> basis[q + 1], from their entries by q."""
+    return {
+        q: ExactMatrix._adopt(len(basis.get(q + 1, ())), len(basis[q]), _nonzero(acc))
+        for q, acc in sums.items()
+        if acc
+    }
 
 
 def page1(

@@ -18,7 +18,11 @@ and the word-by-word tensor square and dual are the former library bodies too,
 kept to check the entry walks that replaced them. The diagonal-formula differential, the
 regraded codifferential and the integer rank are second routes that no report
 prints, so they live here rather than in the library; so is b* evaluated on b
-of every word, the former body of b_star. The block-only Smith
+of every word, the former body of b_star. The per-word b_1 (b1_word), the
+length blocks picked out of F_L word by word and the associativity check on
+all n^3 triples are the former library bodies of the two E^0 routes and of
+from_dga's check, kept to check the entry walks and the slices that replaced
+them. The block-only Smith
 normal form (the union-find block split and the dense min-pivot kernel) and
 the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
@@ -80,6 +84,19 @@ def mu1_algebra():
     prod = MultilinearOp((m, m), m, 0, unit)
     diff = MultilinearOp((m,), m, 1, {("e",): {"1": 1}})
     return from_dga(m, prod, diff)
+
+
+def associativity_failure_oracle(module, product):
+    """The first failing triple's message, or None, from product on all n^3
+    triples in itertools.product order: the former associativity check of
+    from_dga, kept to check the entry composition that replaced it."""
+    for a, b, c in itertools.product(module.names, repeat=3):
+        ea, eb, ec = (module.basis_element(n) for n in (a, b, c))
+        left = product(product(ea, eb), ec)
+        right = product(ea, product(eb, ec))
+        if left != right:
+            return f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}"
+    return None
 
 
 def induced(f, length):
@@ -1032,6 +1049,45 @@ def chain_degree(cx, x):
 def projection(complex_, p, x):
     """Length-p component; kernel is F_{p-1}."""
     return {w: c for w, c in x.items() if len(w) - 1 == p}
+
+
+def b1_word(cx, word):
+    """Length-preserving part of b on one word, from mu_1 and mu_(0,0) only.
+
+    The former HochschildComplex.b1_word, kept to check the entry walk of the
+    direct E^0 route word by word.
+    """
+    m, letters = word[0], word[1:]
+    a_degs = [cx.A.module.degree_of(a) for a in letters]
+    m_deg = cx.M.module.degree_of(m)
+    acc = {}
+    for name, c in cx.M.op_word(0, 0, (m,)).terms.items():
+        add_into(acc, (name,) + letters, c)
+    mu1 = cx.A.mu(1)
+    if mu1 is not None:
+        for i in range(1, len(letters) + 1):
+            s = sign(maltese0(m_deg, a_degs, i - 1))
+            for name, c in mu1.on_word((letters[i - 1],)).terms.items():
+                add_into(acc, (m,) + letters[: i - 1] + (name,) + letters[i:], s * c)
+    return normalize(acc, cx.ring)
+
+
+def length_blocks_oracle(cx, m):
+    """The length-preserving entries of F_m's boundaries, by word length, as
+    {length: {column word: {row word: coefficient}}}.
+
+    The former spectral._length_blocks, kept to check the slices that the
+    quotient E^0 route reads by offset.
+    """
+    blocks = {}
+    fc = cx.truncation(m)
+    for j, cols in fc.basis.items():
+        rows = fc.basis.get(j - 1, [])
+        for (r, c), v in fc.boundary(j).entries.items():
+            n = len(cols[c])
+            if n == len(rows[r]):
+                blocks.setdefault(n - 1, {}).setdefault(cols[c], {})[rows[r]] = v
+    return blocks
 
 
 def z_membership(complex_, x, p, r):

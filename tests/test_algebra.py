@@ -1,6 +1,7 @@
 """A-infinity algebras: defining equations, the DGA embedding, the shift."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,10 +15,10 @@ from ainfty.algebra import (
 )
 from ainfty.errors import LeibnizFailure, NotADifferential, NotAssociative
 from ainfty.graded import Element, GradedModule, MultilinearOp
-from ainfty.rings import Z
+from ainfty.rings import Z, Zp
 from ainfty.signs import maltese, sign
 
-from helpers import ALGEBRA_FIXTURES, load
+from helpers import ALGEBRA_FIXTURES, associativity_failure_oracle, load
 
 
 def test_defining_equations_fixtures_over_z_and_z2():
@@ -109,6 +110,33 @@ def test_from_dga_rejects_nonassociative():
     prod = MultilinearOp((m, m), m, 0, table)
     with pytest.raises(NotAssociative):
         from_dga(m, prod)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_from_dga_names_the_first_nonassociative_triple(seed, p):
+    # random degree-0 products on four letters, ungraded or graded, some of
+    # them associative: the defining-equation walk names the same triple,
+    # with the same message, as the check on all n^3 triples
+    rng = random.Random(seed)
+    ring = Z if p is None else Zp(p)
+    degrees = (0, 0, 0, 0) if seed % 2 else (0, 1, -1, 1)
+    m = GradedModule(tuple(zip(("1", "a", "b", "c"), degrees)), ring)
+    table = {}
+    density = (0.1, 0.25, 0.5)[seed % 3]
+    for x, y in itertools.product(m.names, repeat=2):
+        fits = [n for n in m.names if m.degree_of(n) == m.degree_of(x) + m.degree_of(y)]
+        if fits and rng.random() < density:
+            terms = rng.sample(fits, min(len(fits), rng.randint(1, 2)))
+            table[x, y] = {n: rng.randint(-2, 2) for n in terms}
+    prod = MultilinearOp((m, m), m, 0, table)
+    expected = associativity_failure_oracle(m, prod)
+    if expected is None:
+        from_dga(m, prod)
+    else:
+        with pytest.raises(NotAssociative) as err:
+            from_dga(m, prod)
+        assert str(err.value) == expected
 
 
 def test_from_dga_rejects_leibniz_failure():

@@ -118,6 +118,19 @@ def test_block_snf_matches_oracles(case):
 
 
 @given(block_matrices())
+@example(_planted([[4, 0], [0, -6]], [[-9]], [[0, 0]]))
+@example((ExactMatrix(3, 4), []))
+def test_invariant_factors_are_the_snf_diagonal(case):
+    # the verify SNF audit reads the divisibility chain off D's diagonal
+    # instead of factoring the trial matrix a second time
+    mat, _ = case
+    D, _, _ = smith_normal_form(mat)
+    diagonal = [D.entries.get((t, t), 0) for t in range(min(mat.rows, mat.cols))]
+    factors = invariant_factors(mat)
+    assert diagonal == factors + [0] * (len(diagonal) - len(factors))
+
+
+@given(block_matrices())
 @example(_planted([[2]], [[0, 0]]))
 @example(_planted([[4, 0], [0, -6]], [[-9]], [[0, 0]]))
 @example((ExactMatrix(3, 4), []))

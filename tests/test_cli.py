@@ -769,12 +769,13 @@ def test_induced_chain_map_reads_each_word_once(tmp_path, capsys, monkeypatch, c
 
 
 def test_e1_routes_stay_independent(tmp_path, capsys, monkeypatch):
-    # the quotient route reads F_L, which is assembled from summands; were it
-    # to read b1_word, zeroing b1_word would leave both routes agreeing. A
-    # sign flip would not show, since d and -d have the same homology.
-    from ainfty.chains import HochschildComplex
+    # the quotient route slices F_L, which is assembled from every operation
+    # entry; were it to read the direct route's arity-one walk, zeroing that
+    # walk would leave both routes agreeing. A sign flip would not show,
+    # since d and -d have the same homology.
+    import ainfty.spectral as spectral
 
-    monkeypatch.setattr(HochschildComplex, "b1_word", lambda self, word: {})
+    monkeypatch.setattr(spectral, "_b1_matrices", lambda cx, p, basis: {})
     path = tmp_path / "qip.json"
     path.write_text(serialize(fixture_document("quasi_iso_pair")))
     code, out, _ = run_cli(["verify", str(path)], capsys)

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+import ainfty.homology as homology
 from ainfty.bimodules import diagonal_bimodule
 from ainfty.chains import HochschildComplex
-from ainfty.errors import NotAComplex, NotChainMap
+from ainfty.errors import InternalInvariant, NotAComplex, NotChainMap
 from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
@@ -55,6 +56,22 @@ def test_smith_is_sized_by_the_support():
     mat = ExactMatrix(3, 3, {(0, 0): 3, (1, 2): 2})
     assert _smith(mat, 3) == ([1], [{1: 2}], [{2: 1}])
     assert kernel_basis(mat, Zp(3)) == ExactMatrix(3, 2, {(0, 0): 1, (1, 1): 1})
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_snf_check_counts_the_transform_vectors(monkeypatch, p):
+    # a U_s that loses the vector of a row without a pivot still satisfies
+    # every product of the check; only the count of its rows exposes it
+    original = homology._eliminate
+
+    def lossy(*args, **kwargs):
+        pivots, u_rest, v_rest = original(*args, **kwargs)
+        return pivots, u_rest[:-1], v_rest
+
+    monkeypatch.setattr(homology, "_eliminate", lossy)
+    mat = from_dense([[1, 2], [2, 4]])
+    with pytest.raises(InternalInvariant, match="misses a support vector"):
+        kernel_basis(mat, Z if p is None else Zp(p))
 
 
 def test_snf_diag_2_3():
