@@ -44,14 +44,9 @@ class Verdict:
 
 
 class AInfinityAlgebra:
-    """Graded module plus operations mu_n (n >= 1), zero beyond max_arity."""
+    """Graded module plus operations mu_n (n >= 1), zero where ops has no entry."""
 
-    def __init__(
-        self,
-        module: GradedModule,
-        ops: Mapping[int, MultilinearOp],
-        max_arity: int | None = None,
-    ):
+    def __init__(self, module: GradedModule, ops: Mapping[int, MultilinearOp]):
         self.module = module
         self.ops = {}
         for n, op in ops.items():
@@ -63,7 +58,6 @@ class AInfinityAlgebra:
                 raise DegreeMismatch(f"mu_{n} has arity {op.arity}")
             if not op.is_zero():
                 self.ops[n] = op
-        self.max_arity = max_arity if max_arity is not None else max(self.ops, default=1)
         self._preimages: dict[int, dict[str, list[tuple[Word, int]]]] = {}
 
     @property
@@ -82,15 +76,6 @@ class AInfinityAlgebra:
                 for name, c in value.terms.items():
                     index.setdefault(name, []).append((key, c))
         return index
-
-    def mu_word(self, n: int, word: Word) -> Element:
-        op = self.ops.get(n)
-        if op is None:
-            return Element(self.module, {})
-        return op.on_word(word)
-
-    def default_bound(self) -> int:
-        return max(2 * self.max_arity, 6)
 
 
 def equation_residuals(algebra: AInfinityAlgebra, r: int) -> dict[Word, Element]:
@@ -189,4 +174,4 @@ def from_dga(
         ops[1] = MultilinearOp(
             (module,), module, 1, dict(differential.entries()), label="mu_1"
         )
-    return AInfinityAlgebra(module, ops, max_arity=2)
+    return AInfinityAlgebra(module, ops)

@@ -3,7 +3,8 @@
 A bimodule over an algebra A carries operations mu_{r,s}: A^r (x) M (x) A^s -> M
 of degree 1 - r - s. Three constructions are provided: the diagonal bimodule
 A[1], the tensor square A (x) A, and the dual bimodule with inverted grading.
-Each builds its tables from the entries of the operations it starts from.
+Each builds its tables from the entries of the operations it starts from and
+keeps every operation; bounds on r + s belong to the equation checks.
 
 The type-(r,s) bimodule and morphism equations are sums of two composite
 families, each read from the operation indices for a whole type at once:
@@ -25,14 +26,13 @@ from .signs import sign
 
 
 class AInfinityBimodule:
-    """Graded module with operations mu_{r,s}, zero beyond max_rs."""
+    """Graded module with operations mu_{r,s}, zero where ops has no entry."""
 
     def __init__(
         self,
         algebra: AInfinityAlgebra,
         module: GradedModule,
         ops: Mapping[tuple[int, int], MultilinearOp],
-        max_rs: int = 4,
         name: str = "M",
     ):
         self.algebra = algebra
@@ -50,7 +50,6 @@ class AInfinityBimodule:
                 raise DegreeMismatch(f"mu_({r},{s}) has arity {op.arity}")
             if not op.is_zero():
                 self.ops[(r, s)] = op
-        self.max_rs = max_rs
         self._slots: dict[tuple[int, int], dict] = {}
 
     @property
@@ -59,12 +58,6 @@ class AInfinityBimodule:
 
     def op(self, r: int, s: int) -> MultilinearOp | None:
         return self.ops.get((r, s))
-
-    def op_word(self, r: int, s: int, word: Word) -> Element:
-        op = self.ops.get((r, s))
-        if op is None:
-            return Element(self.module, {})
-        return op.on_word(word)
 
     def slot_index(self, r: int, s: int) -> dict[str, list[tuple[Word, Word, int, dict]]]:
         """mu_(r,s) entries (prefix, m, suffix) by m, built once per (r, s):
@@ -94,6 +87,25 @@ def bimodule_op(
         1 - r - s,
         table,
         label=label or f"mu_({r},{s})",
+    )
+
+
+def morphism_op(
+    source: AInfinityBimodule,
+    target: AInfinityBimodule,
+    r: int,
+    s: int,
+    degree: int,
+    table: Mapping[Word, Mapping[str, int] | Element],
+    label: str = "",
+) -> MultilinearOp:
+    """Component f_(r,s): A^r (x) M (x) A^s -> N of a morphism M -> N of the given degree."""
+    return MultilinearOp(
+        _op_signature(source.algebra, source.module, r, s),
+        target.module,
+        degree - r - s,
+        table,
+        label=label or f"f_({r},{s})",
     )
 
 
@@ -197,31 +209,28 @@ def check_bimodule_equation(M: AInfinityBimodule, r: int, s: int) -> Verdict:
     return _verdict(label, M, r, bimodule_residuals(M, r, s))
 
 
-def validate_bimodule(M: AInfinityBimodule, bound: int | None = None) -> dict:
-    return _all_types(check_bimodule_equation, M, M.max_rs if bound is None else bound)
+def validate_bimodule(M: AInfinityBimodule, bound: int) -> dict:
+    """The type-(r,s) equations of M for every r + s <= bound."""
+    return _all_types(check_bimodule_equation, M, bound)
 
 
-def diagonal_bimodule(A: AInfinityAlgebra, max_rs: int = 4) -> AInfinityBimodule:
+def diagonal_bimodule(A: AInfinityAlgebra) -> AInfinityBimodule:
     """A[1] as a bimodule over A: mu_{r,s} is mu_{r+s+1} reindexed."""
     shifted = shift(A)
     ops = {}
     for n, op in A.ops.items():
-        for r in range(0, n):
+        table = {word: Element(shifted, value.terms) for word, value in op.entries()}
+        for r in range(n):
             s = n - 1 - r
-            if r + s > max_rs:
-                continue
-            table = {word: Element(shifted, value.terms) for word, value in op.entries()}
-            ops[(r, s)] = bimodule_op(
-                A, shifted, r, s, table, label=f"A[1] mu_({r},{s})"
-            )
-    return AInfinityBimodule(A, shifted, ops, max_rs=max_rs, name="A[1]")
+            ops[(r, s)] = bimodule_op(A, shifted, r, s, table, label=f"A[1] mu_({r},{s})")
+    return AInfinityBimodule(A, shifted, ops, name="A[1]")
 
 
 def tensor_name(b1: str, b2: str) -> str:
     return f"{b1}|{b2}"
 
 
-def tensor_square_bimodule(A: AInfinityAlgebra, max_rs: int = 4) -> AInfinityBimodule:
+def tensor_square_bimodule(A: AInfinityAlgebra) -> AInfinityBimodule:
     """A (x) A with the product grading of A[1] (x) A[1].
 
     Only the families mu_{r,0} and mu_{0,s} are nonzero; the (0,0) operation
@@ -238,8 +247,6 @@ def tensor_square_bimodule(A: AInfinityAlgebra, max_rs: int = 4) -> AInfinityBim
     module = GradedModule(basis, amod.ring)
     tables: dict[tuple[int, int], dict[Word, dict[str, int]]] = {}
     for n, op in A.ops.items():
-        if n - 1 > max_rs:
-            continue
         left, right = tables.setdefault((n - 1, 0), {}), tables.setdefault((0, n - 1), {})
         for key, value in op.entries():
             terms = value.terms
@@ -252,22 +259,20 @@ def tensor_square_bimodule(A: AInfinityAlgebra, max_rs: int = 4) -> AInfinityBim
         (r, s): bimodule_op(A, module, r, s, table, label=f"AxA mu_({r},{s})")
         for (r, s), table in tables.items()
     }
-    return AInfinityBimodule(A, module, ops, max_rs=max_rs, name="AxA")
+    return AInfinityBimodule(A, module, ops, name="AxA")
 
 
 def dual_name(name: str) -> str:
     return name + "^"
 
 
-def dual_bimodule(M: AInfinityBimodule, max_rs: int | None = None) -> AInfinityBimodule:
+def dual_bimodule(M: AInfinityBimodule) -> AInfinityBimodule:
     """The dual module with inverted grading and transposed, signed operations.
 
     (mu*_{r,s}(a_1..a_r, m*, a_{r+1}..a_{r+s}))(m)
         = (-1)^ddag m*(mu_{s,r}(a_{r+1}..a_{r+s}, m, a_1..a_r)),
     ddag = maltese_1^r (maltese_{r+1}^{r+s} + deg m* + deg m) + deg m* + 1.
     """
-    if max_rs is None:
-        max_rs = M.max_rs
     A = M.algebra
     amod = A.module
     dual_mod = GradedModule(
@@ -275,8 +280,6 @@ def dual_bimodule(M: AInfinityBimodule, max_rs: int | None = None) -> AInfinityB
     )
     tables: dict[tuple[int, int], dict[Word, dict[str, int]]] = {}
     for (s, r), source in M.ops.items():
-        if r + s > max_rs:
-            continue
         table = tables.setdefault((r, s), {})
         for key, value in source.entries():
             right, y, left = key[:s], key[s], key[s + 1 :]
@@ -291,7 +294,7 @@ def dual_bimodule(M: AInfinityBimodule, max_rs: int | None = None) -> AInfinityB
         (r, s): bimodule_op(A, dual_mod, r, s, table, label=f"{M.name}* mu_({r},{s})")
         for (r, s), table in tables.items()
     }
-    return AInfinityBimodule(A, dual_mod, ops, max_rs=max_rs, name=f"{M.name}^-*")
+    return AInfinityBimodule(A, dual_mod, ops, name=f"{M.name}^-*")
 
 
 @dataclass
@@ -302,7 +305,6 @@ class BimoduleMorphism:
     target: AInfinityBimodule
     degree: int
     maps: dict[tuple[int, int], MultilinearOp]
-    max_rs: int = 4
     name: str = "f"
     _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -359,8 +361,9 @@ def check_morphism_equation(f: BimoduleMorphism, r: int, s: int) -> Verdict:
     return _verdict(label, f.source, r, {w: lhs - rhs for w, (lhs, rhs) in sides if lhs != rhs})
 
 
-def validate_morphism(f: BimoduleMorphism, bound: int | None = None) -> dict:
-    return _all_types(check_morphism_equation, f, f.max_rs if bound is None else bound)
+def validate_morphism(f: BimoduleMorphism, bound: int) -> dict:
+    """The type-(r,s) equations of f for every r + s <= bound."""
+    return _all_types(check_morphism_equation, f, bound)
 
 
 def morphism_is_chain_map_00(f: BimoduleMorphism) -> bool:
@@ -373,5 +376,5 @@ def morphism_is_chain_map_00(f: BimoduleMorphism) -> bool:
 
 def identity_morphism(M: AInfinityBimodule) -> BimoduleMorphism:
     table = {(n,): {n: 1} for n in M.module.names}
-    f00 = MultilinearOp((M.module,), M.module, 0, table, label="id")
-    return BimoduleMorphism(M, M, 0, {(0, 0): f00}, max_rs=M.max_rs, name="id")
+    f00 = morphism_op(M, M, 0, 0, 0, table, label="id")
+    return BimoduleMorphism(M, M, 0, {(0, 0): f00}, name="id")

@@ -70,7 +70,7 @@ def word_count(m_rank: int, a_rank: int, length: int) -> int:
 class HochschildComplex:
     """F_L-truncated chain complex CH_*(A;M) with a fixed word enumeration."""
 
-    def __init__(self, bimodule: AInfinityBimodule, length_cutoff: int = 4):
+    def __init__(self, bimodule: AInfinityBimodule, length_cutoff: int):
         self.M = bimodule
         self.A = bimodule.algebra
         self.L = length_cutoff

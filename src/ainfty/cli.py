@@ -8,7 +8,8 @@
 Commands: validate, hh, cohomology, cup, spectral, verify, emit. Exit codes:
 0 all verdicts pass, 1 some verdict failed, 2 input error, 3 internal
 invariant breach. Reports are byte-identical across runs for fixed inputs and
-flags; timing goes to stderr.
+flags; timing goes to stderr. --max-r and --max-rs bound only the equations
+that validate and verify check; every structure keeps all of its operations.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ def run_checks(checks, report: Report):
 
 def resolve_bimodule(doc: StructureDocument, name: str):
     if name == "diagonal":
-        return diagonal_bimodule(doc.algebra, doc.options.max_rs)
+        return diagonal_bimodule(doc.algebra)
     if name == "tensor_square":
-        return tensor_square_bimodule(doc.algebra, doc.options.max_rs)
+        return tensor_square_bimodule(doc.algebra)
     if name == "dual":
-        return dual_bimodule(diagonal_bimodule(doc.algebra, doc.options.max_rs))
+        return dual_bimodule(diagonal_bimodule(doc.algebra))
     if name in doc.bimodules:
         return doc.bimodules[name]
     raise UnknownName(
@@ -148,9 +149,8 @@ def cmd_cohomology(doc: StructureDocument, args, report: Report):
     M = resolve_bimodule(doc, module_name)
     cutoff = args.length
     # phi has degree zero: the arity <= L cochains on M are the dual of F_L
-    # over M's dual, which keeps every operation of M
-    dual = dual_bimodule(M, max((r + s for r, s in M.ops), default=0))
-    fc = HochschildComplex(dual, cutoff).truncation(cutoff)
+    # over M's dual
+    fc = HochschildComplex(dual_bimodule(M), cutoff).truncation(cutoff)
     report.line(
         f"Hochschild cohomology, arity cutoff {cutoff}, coefficients {module_name}"
     )
@@ -161,7 +161,7 @@ def cmd_cohomology(doc: StructureDocument, args, report: Report):
 
 
 def cmd_cup(doc: StructureDocument, args, report: Report):
-    diagonal = diagonal_bimodule(doc.algebra, doc.options.max_rs)
+    diagonal = diagonal_bimodule(doc.algebra)
     named = doc.cochains(diagonal)
     if not named:
         raise DocumentError("document defines no cochains; nothing to cup")
@@ -241,8 +241,8 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         )
 
     modules = {
-        "diagonal": diagonal_bimodule(algebra, args.max_rs),
-        "tensor_square": tensor_square_bimodule(algebra, args.max_rs),
+        "diagonal": diagonal_bimodule(algebra),
+        "tensor_square": tensor_square_bimodule(algebra),
     }
     modules["dual"] = dual_bimodule(modules["diagonal"])
     bounds = {"diagonal": args.max_rs, "tensor_square": 3, "dual": 3}
@@ -400,8 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS) + ["emit"])
     parser.add_argument("document", help="path to a structure document, or a fixture name for emit")
     parser.add_argument("--length", type=int, default=None, help="length cutoff L")
-    parser.add_argument("--max-r", dest="max_r", type=int, default=None)
-    parser.add_argument("--max-rs", dest="max_rs", type=int, default=None)
+    parser.add_argument(
+        "--max-r", dest="max_r", type=int, default=None,
+        help="largest r of the algebra equations checked",
+    )
+    parser.add_argument(
+        "--max-rs", dest="max_rs", type=int, default=None,
+        help="largest r + s of the bimodule and morphism equations checked",
+    )
     parser.add_argument("--module", default=None, help="coefficient bimodule")
     parser.add_argument("--degrees", default=None, help="degree range A..B")
     parser.add_argument("--csv", default=None, help="write a CSV report")

@@ -28,6 +28,7 @@ from .bimodules import (
     diagonal_bimodule,
     dual_bimodule,
     dual_name,
+    morphism_op,
 )
 from .chains import Chain, HochschildComplex, InducedChainMap, normalize
 from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
@@ -52,7 +53,7 @@ class Cochain:
         bimodule: AInfinityBimodule,
         degree: int,
         components: Mapping[int, Mapping[Word, Mapping[str, int]]],
-        cutoff: int = 4,
+        cutoff: int,
         truncated: bool = False,
     ):
         self.M = bimodule
@@ -126,7 +127,7 @@ class Cochain:
 
 
 def elementary_cochain(
-    M: AInfinityBimodule, word: Word, out_name: str, cutoff: int = 4, coeff: int = 1
+    M: AInfinityBimodule, word: Word, out_name: str, cutoff: int, coeff: int = 1
 ) -> Cochain:
     """The dual-basis cochain sending one input word to one basis element."""
     amod = M.algebra.module
@@ -297,7 +298,7 @@ def pullback(
 
 
 def cocycle_to_morphism(
-    f: Cochain, max_rs: int = 4, diagonal: AInfinityBimodule | None = None
+    f: Cochain, diagonal: AInfinityBimodule | None = None
 ) -> BimoduleMorphism:
     """Reindex a beta-cocycle as a bimodule morphism A[1] -> M of the same degree.
 
@@ -308,33 +309,12 @@ def cocycle_to_morphism(
         raise NotACocycle("cochain is not closed under the codifferential")
     if f.component(0):
         raise NotACocycle("arity-0 component has no morphism counterpart")
-    A = f.A
-    source = diagonal if diagonal is not None else diagonal_bimodule(A, max_rs)
+    source = diagonal if diagonal is not None else diagonal_bimodule(f.A)
     maps = {}
     for n, table in f.components.items():
-        for r in range(0, n):
-            s = n - 1 - r
-            if r + s > max_rs:
-                continue
-            op_table = {word: dict(value) for word, value in table.items()}
-            maps[(r, s)] = bimodule_op_for_morphism(
-                A, source, f.M, r, s, f.degree, op_table
-            )
-    target = f.M
-    return BimoduleMorphism(source, target, f.degree, maps, max_rs=max_rs, name="cocycle")
-
-
-def bimodule_op_for_morphism(A, source, target, r, s, d, table):
-    from .graded import MultilinearOp
-
-    amod = A.module
-    signature = (amod,) * r + (source.module,) + (amod,) * s
-    return MultilinearOp(signature, target.module, d - r - s, table, label=f"f_({r},{s})")
-
-
-def regraded_chain_degree(A: AInfinityAlgebra, word: Word) -> int:
-    """Degree in CH_*(A): n minus the sum of the unshifted degrees."""
-    return len(word) - 1 - sum(A.module.degree_of(a) for a in word)
+        for r in range(n):
+            maps[(r, n - 1 - r)] = morphism_op(source, f.M, r, n - 1 - r, f.degree, table)
+    return BimoduleMorphism(source, f.M, f.degree, maps, name="cocycle")
 
 
 class RegradedComplexes:
@@ -345,17 +325,11 @@ class RegradedComplexes:
     above). The differentials are the generic ones on self.complex.
     """
 
-    def __init__(self, algebra: AInfinityAlgebra, length_cutoff: int = 4):
+    def __init__(self, algebra: AInfinityAlgebra, length_cutoff: int):
         self.algebra = algebra
         self.diagonal = diagonal_bimodule(algebra)
         self.complex = HochschildComplex(self.diagonal, length_cutoff)
 
-    def chain_degree(self, word: Word) -> int:
-        return regraded_chain_degree(self.algebra, word)
 
-    def cochain_degree(self, f: Cochain) -> int:
-        return f.degree + 1
-
-
-def regrade_diagonal(A: AInfinityAlgebra, length_cutoff: int = 4) -> RegradedComplexes:
+def regrade_diagonal(A: AInfinityAlgebra, length_cutoff: int) -> RegradedComplexes:
     return RegradedComplexes(A, length_cutoff)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cochains import Cochain, Components, add_entry, codifferential
-from .errors import ModuleMismatch
+from .errors import IndexOutOfRange, ModuleMismatch
 from .graded import Word
 from .signs import maltese, sign
 
@@ -42,8 +42,6 @@ def cup_component(
     _require_diagonal(f)
     _require_diagonal(g)
     if not (k >= 0 and 1 <= j1 <= n + k and j1 + m <= j2 <= m + k + 1):
-        from .errors import IndexOutOfRange
-
         raise IndexOutOfRange(f"cup indices (k={k}, j1={j1}, j2={j2}) out of range")
     A = f.A
     amod = A.module

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .algebra import AInfinityAlgebra, from_dga
-from .bimodules import AInfinityBimodule, BimoduleMorphism, bimodule_op
+from .bimodules import AInfinityBimodule, BimoduleMorphism, bimodule_op, morphism_op
 from .cochains import Cochain
 from .errors import DocumentError, UnknownName
 from .graded import GradedModule, MultilinearOp
@@ -159,9 +159,9 @@ def _parse_algebra(doc: dict, ring: CoefficientRing) -> AInfinityAlgebra:
             ops[n] = MultilinearOp(
                 (module,) * n, module, 2 - n, table, label=f"algebra.operations.{key}"
             )
-        default_arity = max((int(k) for k in spec.get("operations", {})), default=1)
-        max_arity = _int_field(spec, "max_arity", default_arity, "algebra")
-        return AInfinityAlgebra(module, ops, max_arity=max_arity)
+        # max_arity is checked but not kept: the operations given are the structure
+        _int_field(spec, "max_arity", 0, "algebra")
+        return AInfinityAlgebra(module, ops)
     raise DocumentError(f"algebra.kind: unknown kind {kind!r}")
 
 
@@ -173,9 +173,7 @@ def _parse_rs_key(key: str, where: str) -> tuple[int, int]:
         raise DocumentError(f"{where}: bad (r,s) key {key!r}") from None
 
 
-def _parse_bimodule(
-    name: str, spec: dict, algebra: AInfinityAlgebra, max_rs: int
-) -> AInfinityBimodule:
+def _parse_bimodule(name: str, spec: dict, algebra: AInfinityAlgebra) -> AInfinityBimodule:
     where = f"bimodules.{name}"
     spec = _object(spec, where)
     module = _parse_basis(spec.get("basis", []), algebra.ring, f"{where}.basis")
@@ -186,11 +184,11 @@ def _parse_bimodule(
         ops[(r, s)] = bimodule_op(
             algebra, module, r, s, table, label=f"{where}.operations.{key}"
         )
-    return AInfinityBimodule(algebra, module, ops, max_rs=max_rs, name=name)
+    return AInfinityBimodule(algebra, module, ops, name=name)
 
 
 def _parse_morphism(
-    name: str, spec: dict, bimodules: dict[str, AInfinityBimodule], max_rs: int
+    name: str, spec: dict, bimodules: dict[str, AInfinityBimodule]
 ) -> BimoduleMorphism:
     where = f"morphisms.{name}"
     spec = _object(spec, where)
@@ -200,16 +198,14 @@ def _parse_morphism(
     source = bimodules[spec["source"]]
     target = bimodules[spec["target"]]
     d = _int_field(spec, "degree", 0, where)
-    amod = source.algebra.module
     maps = {}
     for key, entries in _object(spec.get("components", {}), f"{where}.components").items():
         r, s = _parse_rs_key(key, f"{where}.components")
         table = _entries_to_table(entries, f"{where}.components.{key}")
-        signature = (amod,) * r + (source.module,) + (amod,) * s
-        maps[(r, s)] = MultilinearOp(
-            signature, target.module, d - r - s, table, label=f"{where}.components.{key}"
+        maps[(r, s)] = morphism_op(
+            source, target, r, s, d, table, label=f"{where}.components.{key}"
         )
-    return BimoduleMorphism(source, target, d, maps, max_rs=max_rs, name=name)
+    return BimoduleMorphism(source, target, d, maps, name=name)
 
 
 def _int_field(container, key, default, where):
@@ -237,11 +233,11 @@ def parse(text: str) -> StructureDocument:
     bimodules = {}
     bimodule_specs = _object(doc.get("bimodules", {}), "bimodules")
     for name in sorted(bimodule_specs):
-        bimodules[name] = _parse_bimodule(name, bimodule_specs[name], algebra, options.max_rs)
+        bimodules[name] = _parse_bimodule(name, bimodule_specs[name], algebra)
     morphisms = {}
     morphism_specs = _object(doc.get("morphisms", {}), "morphisms")
     for name in sorted(morphism_specs):
-        morphisms[name] = _parse_morphism(name, morphism_specs[name], bimodules, options.max_rs)
+        morphisms[name] = _parse_morphism(name, morphism_specs[name], bimodules)
     cochain_specs = {}
     specs = _object(doc.get("cochains", {}), "cochains")
     for name in sorted(specs):

@@ -674,11 +674,11 @@ def b_component_oracle(cx, word, i, l):
         acc[w] = acc.get(w, 0) + c
 
     if i == 0:
-        out = cx.M.op_word(0, l - 1, (m,) + letters[: l - 1])
+        out = op_word(cx.M, 0, l - 1, (m,) + letters[: l - 1])
         for name, c in out.terms.items():
             bump((name,) + letters[l - 1 :], c)
     elif i <= n - l + 1:
-        out = cx.A.mu_word(l, letters[i - 1 : i - 1 + l])
+        out = mu_word(cx.A, l, letters[i - 1 : i - 1 + l])
         if not out.is_zero():
             s = sign(maltese0(m_deg, a_degs, i - 1))
             for name, c in out.terms.items():
@@ -687,7 +687,7 @@ def b_component_oracle(cx, word, i, l):
         # overlapping part: the coefficient slot is wrapped around
         r = n - i + 1
         s_idx = i + l - n - 2
-        out = cx.M.op_word(r, s_idx, letters[i - 1 :] + (m,) + letters[:s_idx])
+        out = op_word(cx.M, r, s_idx, letters[i - 1 :] + (m,) + letters[:s_idx])
         if not out.is_zero():
             s = sign(star_sign(m_deg, a_degs, i))
             suffix = letters[s_idx : i - 1]
@@ -788,8 +788,8 @@ def bimodule_equation_residual_oracle(M, r, s, word):
                 continue
             s_exp = maltese(a_degs, 1, i - 1)
             for name, c in inner.terms.items():
-                outer = M.op_word(
-                    r1, s, left[: i - 1] + (name,) + left[i - 1 + r2 :] + (m,) + right
+                outer = op_word(
+                    M, r1, s, left[: i - 1] + (name,) + left[i - 1 + r2 :] + (m,) + right
                 )
                 add(s_exp, c, outer)
 
@@ -798,12 +798,12 @@ def bimodule_equation_residual_oracle(M, r, s, word):
         r2 = r - r1
         for s2 in range(0, s + 1):
             s1 = s - s2
-            inner = M.op_word(r2, s2, left[r1:] + (m,) + right[:s2])
+            inner = op_word(M, r2, s2, left[r1:] + (m,) + right[:s2])
             if inner.is_zero():
                 continue
             s_exp = maltese(a_degs, 1, r1)
             for name, c in inner.terms.items():
-                outer = M.op_word(r1, s1, left[:r1] + (name,) + right[s2:])
+                outer = op_word(M, r1, s1, left[:r1] + (name,) + right[s2:])
                 add(s_exp, c, outer)
 
     # algebra operations inside the right arm
@@ -818,8 +818,8 @@ def bimodule_equation_residual_oracle(M, r, s, word):
                 continue
             s_exp = maltese(a_degs, 1, r + j - 1) + m_deg
             for name, c in inner.terms.items():
-                outer = M.op_word(
-                    r, s1, left + (m,) + right[: j - 1] + (name,) + right[j - 1 + s2 :]
+                outer = op_word(
+                    M, r, s1, left + (m,) + right[: j - 1] + (name,) + right[j - 1 + s2 :]
                 )
                 add(s_exp, c, outer)
 
@@ -851,7 +851,7 @@ def morphism_equation_sides_oracle(f, r, s, word):
                 continue
             s_exp = d * maltese(a_degs, 1, r1)
             for name, c in inner.terms.items():
-                outer = N.op_word(r1, s1, left[:r1] + (name,) + right[s2:])
+                outer = op_word(N, r1, s1, left[:r1] + (name,) + right[s2:])
                 add(lhs, s_exp, c, outer)
 
     for r2 in range(1, r + 1):
@@ -874,7 +874,7 @@ def morphism_equation_sides_oracle(f, r, s, word):
         r2 = r - r1
         for s2 in range(0, s + 1):
             s1 = s - s2
-            inner = M.op_word(r2, s2, left[r1:] + (m,) + right[:s2])
+            inner = op_word(M, r2, s2, left[r1:] + (m,) + right[:s2])
             if inner.is_zero():
                 continue
             s_exp = maltese(a_degs, 1, r1) + d
@@ -925,8 +925,11 @@ def equation_residual_oracle(algebra, word):
     return Element(algebra.module, acc)
 
 
-def tensor_square_oracle(A, max_rs=4):
-    """A (x) A built word by word, the former library body of tensor_square_bimodule."""
+def tensor_square_oracle(A):
+    """A (x) A built word by word, the former library body of tensor_square_bimodule.
+
+    mu_n gives mu_(n-1,0) and mu_(0,n-1), so the words run up to r, s = max arity - 1.
+    """
     amod = A.module
     basis = tuple(
         (tensor_name(n1, n2), (d1 - 1) + (d2 - 1))
@@ -955,7 +958,8 @@ def tensor_square_oracle(A, max_rs=4):
     if table00:
         ops[(0, 0)] = bimodule_op(A, module, 0, 0, table00, label="AxA mu_(0,0)")
 
-    for r in range(1, max_rs + 1):
+    bound = max(A.ops, default=1) - 1
+    for r in range(1, bound + 1):
         op = A.mu(r + 1)
         if op is None:
             continue
@@ -972,7 +976,7 @@ def tensor_square_oracle(A, max_rs=4):
         if table:
             ops[(r, 0)] = bimodule_op(A, module, r, 0, table, label=f"AxA mu_({r},0)")
 
-    for s in range(1, max_rs + 1):
+    for s in range(1, bound + 1):
         op = A.mu(s + 1)
         if op is None:
             continue
@@ -990,21 +994,23 @@ def tensor_square_oracle(A, max_rs=4):
         if table:
             ops[(0, s)] = bimodule_op(A, module, 0, s, table, label=f"AxA mu_(0,{s})")
 
-    return AInfinityBimodule(A, module, ops, max_rs=max_rs, name="AxA")
+    return AInfinityBimodule(A, module, ops, name="AxA")
 
 
-def dual_bimodule_oracle(M, max_rs=None):
-    """The dual bimodule built word by word, the former library body of dual_bimodule."""
-    if max_rs is None:
-        max_rs = M.max_rs
+def dual_bimodule_oracle(M):
+    """The dual bimodule built word by word, the former library body of dual_bimodule.
+
+    The words run over every type up to the largest r + s among M's operations.
+    """
+    bound = max((r + s for r, s in M.ops), default=0)
     A = M.algebra
     amod = A.module
     dual_mod = GradedModule(
         tuple((dual_name(n), -d) for n, d in M.module.basis), M.module.ring
     )
     ops = {}
-    for r in range(0, max_rs + 1):
-        for s in range(0, max_rs + 1 - r):
+    for r in range(0, bound + 1):
+        for s in range(0, bound + 1 - r):
             source = M.op(s, r)
             if source is None:
                 continue
@@ -1033,7 +1039,36 @@ def dual_bimodule_oracle(M, max_rs=None):
                 ops[(r, s)] = bimodule_op(
                     A, dual_mod, r, s, table, label=f"{M.name}* mu_({r},{s})"
                 )
-    return AInfinityBimodule(A, dual_mod, ops, max_rs=max_rs, name=f"{M.name}^-*")
+    return AInfinityBimodule(A, dual_mod, ops, name=f"{M.name}^-*")
+
+
+def mu_word(A, n, word):
+    """mu_n of A on one basis word, zero when A has no mu_n; the former
+    AInfinityAlgebra.mu_word."""
+    op = A.ops.get(n)
+    if op is None:
+        return Element(A.module, {})
+    return op.on_word(word)
+
+
+def op_word(M, r, s, word):
+    """mu_(r,s) of M on one basis word, zero when M has no mu_(r,s); the former
+    AInfinityBimodule.op_word."""
+    op = M.ops.get((r, s))
+    if op is None:
+        return Element(M.module, {})
+    return op.on_word(word)
+
+
+def regraded_chain_degree(A, word):
+    """Degree in CH_*(A): n minus the sum of the unshifted degrees; the former
+    RegradedComplexes.chain_degree."""
+    return len(word) - 1 - sum(A.module.degree_of(a) for a in word)
+
+
+def regraded_cochain_degree(f):
+    """Degree in CH^*(A) of a diagonal cochain; the former RegradedComplexes.cochain_degree."""
+    return f.degree + 1
 
 
 def chain_degree(cx, x):
@@ -1061,7 +1096,7 @@ def b1_word(cx, word):
     a_degs = [cx.A.module.degree_of(a) for a in letters]
     m_deg = cx.M.module.degree_of(m)
     acc = {}
-    for name, c in cx.M.op_word(0, 0, (m,)).terms.items():
+    for name, c in op_word(cx.M, 0, 0, (m,)).terms.items():
         add_into(acc, (name,) + letters, c)
     mu1 = cx.A.mu(1)
     if mu1 is not None:

@@ -50,12 +50,12 @@ def report(criterion: str, elapsed: float, detail: str = ""):
     print(f"ACCEPTANCE {criterion}: PASS ({elapsed:.1f}s){extra}")
 
 
-def constructions(A, dual_bound=3):
-    diag = diagonal_bimodule(A, 4)
+def constructions(A):
+    diag = diagonal_bimodule(A)
     return {
         "diagonal": diag,
-        "tensor_square": tensor_square_bimodule(A, 4),
-        "dual": dual_bimodule(diag, dual_bound),
+        "tensor_square": tensor_square_bimodule(A),
+        "dual": dual_bimodule(diag),
     }
 
 
@@ -107,7 +107,7 @@ def test_criterion_3_b_squared_zero():
 def _epsilon_projection():
     doc = load("dual_numbers")
     A = doc.algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     zmod = GradedModule((("z", -1),), Z)
     proj = {"1": 1, "e": 0}
     ops = {
@@ -118,7 +118,7 @@ def _epsilon_projection():
             A, zmod, 0, 1, {("z", a): {"z": proj[a]} for a in A.module.names if proj[a]}
         ),
     }
-    N = AInfinityBimodule(A, zmod, ops, max_rs=4, name="quotient")
+    N = AInfinityBimodule(A, zmod, ops, name="quotient")
     f00 = MultilinearOp((M.module,), zmod, 0, {("1",): {"z": 1}})
     return BimoduleMorphism(M, N, 0, {(0, 0): f00}, name="eps_to_zero")
 
@@ -127,7 +127,7 @@ def _fixture_morphisms():
     morphisms = []
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         morphisms.append((f"id[{name}]", identity_morphism(M)))
         two = BimoduleMorphism(
             M,
@@ -164,8 +164,8 @@ def test_criterion_5_codifferential_and_duality():
     started = time.monotonic()
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        diag = diagonal_bimodule(A, 4)
-        dual = dual_bimodule(diag, 4)
+        diag = diagonal_bimodule(A)
+        dual = dual_bimodule(diag)
         growth = max(
             [n - 1 for n in A.ops] + [r + s for (r, s) in dual.ops], default=0
         )
@@ -195,7 +195,7 @@ def test_criterion_6_cup_leibniz():
     pairs = 0
     for name in ("dual_numbers", "exterior2"):
         A = load(name).algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         family = [
             elementary_cochain(M, word, out, cutoff=5)
             for n in range(3)
@@ -221,7 +221,7 @@ def test_criterion_7_e1_identification():
     cases = []
     for name in ALGEBRA_FIXTURES:
         doc = load(name)
-        cases.append((name, diagonal_bimodule(doc.algebra, 4)))
+        cases.append((name, diagonal_bimodule(doc.algebra)))
         if name == "quasi_iso_pair":
             cases.extend(doc.bimodules.items())
     blocks = 0
@@ -256,7 +256,7 @@ def test_criterion_9_classical_crosscheck():
         doc = load(name)
         A = doc.algebra
         product = product_lookup(doc)
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         cx = HochschildComplex(M, 3)
         for w in cx.all_words():
             ours = differential_word(cx, w)

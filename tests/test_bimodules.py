@@ -21,6 +21,7 @@ from ainfty.bimodules import (
 )
 from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
 from ainfty.algebra import AInfinityAlgebra, equation_residuals, from_dga, validate
+from ainfty.fixtures import FIXTURE_NAMES
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
 
@@ -33,6 +34,8 @@ from helpers import (
     load,
     morphism_equation_sides_oracle,
     mu1_algebra,
+    mu_word,
+    op_word,
     tensor_square_oracle,
 )
 
@@ -44,7 +47,7 @@ def test_diagonal_reindexes_the_multiplications():
     assert M.op(0, 0) is None
     # (1,0) op is mu_2 as a table
     for a, b in itertools.product(A.module.names, repeat=2):
-        assert M.op_word(1, 0, (a, b)).terms == A.mu_word(2, (a, b)).terms
+        assert op_word(M, 1, 0, (a, b)).terms == mu_word(A, 2, (a, b)).terms
 
 
 def test_diagonal_ops_have_bimodule_degrees():
@@ -65,10 +68,10 @@ def test_zero_zero_equation_is_differential():
     assert check_bimodule_equation(N, 0, 0).holds
     # mu_{0,0} composed with itself vanishes entry-wise
     for m in N.module.names:
-        out = N.op_word(0, 0, (m,))
+        out = op_word(N, 0, 0, (m,))
         acc = {}
         for t, c in out.terms.items():
-            for u, v in N.op_word(0, 0, (t,)).terms.items():
+            for u, v in op_word(N, 0, 0, (t,)).terms.items():
                 acc[u] = acc.get(u, 0) + c * v
         assert not any(acc.values())
 
@@ -76,14 +79,14 @@ def test_zero_zero_equation_is_differential():
 def test_diagonal_equations_all_fixtures():
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         for (r, s), verdict in validate_bimodule(M, 4).items():
             assert verdict.holds, f"{name}: {verdict.describe()}"
 
 
 def test_tensor_square_vanishing_family():
     A = load("exterior2").algebra
-    M = tensor_square_bimodule(A, 4)
+    M = tensor_square_bimodule(A)
     assert M.op(1, 1) is None
     assert M.op(2, 1) is None
 
@@ -97,8 +100,8 @@ def test_tensor_square_differential_formula():
     prod = MultilinearOp((m, m), m, 0, {})
     diff = MultilinearOp((m,), m, 1, {("u",): {"v": 1}})
     A = from_dga(m, prod, diff)
-    M = tensor_square_bimodule(A, 3)
-    out = M.op_word(0, 0, (tensor_name("u", "u"),))
+    M = tensor_square_bimodule(A)
+    out = op_word(M, 0, 0, (tensor_name("u", "u"),))
     # d(u) x u + (-1)^{|u|-1} u x d(u) = v|u - u|v
     assert out.terms == {tensor_name("v", "u"): 1, tensor_name("u", "v"): -1}
     for (r, s), verdict in validate_bimodule(M, 3).items():
@@ -107,10 +110,10 @@ def test_tensor_square_differential_formula():
 
 def test_tensor_square_left_action_on_exterior():
     A = load("exterior1").algebra
-    M = tensor_square_bimodule(A, 4)
+    M = tensor_square_bimodule(A)
     word = ("x", tensor_name("x", "x"))
-    assert M.op_word(1, 0, word).is_zero()  # mu_2(x,x) = 0
-    out = M.op_word(1, 0, ("1", tensor_name("x", "x")))
+    assert op_word(M, 1, 0, word).is_zero()  # mu_2(x,x) = 0
+    out = op_word(M, 1, 0, ("1", tensor_name("x", "x")))
     assert out.terms == {tensor_name("x", "x"): 1}
 
 
@@ -127,7 +130,7 @@ def test_tensor_square_grading():
 def test_tensor_square_equations_all_fixtures():
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        M = tensor_square_bimodule(A, 3)
+        M = tensor_square_bimodule(A)
         for (r, s), verdict in validate_bimodule(M, 3).items():
             assert verdict.holds, f"{name}: {verdict.describe()}"
 
@@ -136,17 +139,17 @@ def test_dual_zero_zero_sign():
     # (mu*_{0,0}(m^))(m) = (-1)^{deg m^ + 1} m^(mu_{0,0}(m))
     doc = load("quasi_iso_pair")
     N = doc.bimodules["N"]
-    D = dual_bimodule(N, 3)
-    out = D.op_word(0, 0, ("w^",))
+    D = dual_bimodule(N)
+    out = op_word(D, 0, 0, ("w^",))
     # mu^N(v) = w, deg w^ = -1, so mu*(w^) = (-1)^{-1+1} v^ = v^
     assert out.terms == {"v^": 1}
-    assert D.op_word(0, 0, ("v^",)).is_zero()
+    assert op_word(D, 0, 0, ("v^",)).is_zero()
 
 
 def test_dual_equations_all_fixtures():
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        D = dual_bimodule(diagonal_bimodule(A, 4), 3)
+        D = dual_bimodule(diagonal_bimodule(A))
         for (r, s), verdict in validate_bimodule(D, 3).items():
             assert verdict.holds, f"{name}: {verdict.describe()}"
 
@@ -156,7 +159,7 @@ def test_dual_of_tensor_square():
     # full ddag exponent, including the maltese product terms
     for name in ("exterior1", "dual_numbers"):
         A = load(name).algebra
-        D = dual_bimodule(tensor_square_bimodule(A, 3), 2)
+        D = dual_bimodule(tensor_square_bimodule(A))
         for (r, s), verdict in validate_bimodule(D, 2).items():
             assert verdict.holds, f"{name}: {verdict.describe()}"
 
@@ -169,9 +172,9 @@ def test_double_dual_restores_degrees_and_tables():
         M = (
             doc.bimodules["N"]
             if name == "quasi_iso_pair"
-            else diagonal_bimodule(doc.algebra, 3)
+            else diagonal_bimodule(doc.algebra)
         )
-        DD = dual_bimodule(dual_bimodule(M, 3), 3)
+        DD = dual_bimodule(dual_bimodule(M))
         strip = lambda n: n[:-2]
         assert tuple((strip(n), d) for n, d in DD.module.basis) == M.module.basis
         deg = M.module.degree_of
@@ -197,7 +200,7 @@ def test_corrupted_bimodule_has_counterexample():
     ops = dict(N.ops)
     bad_table = {("e", "u"): {"u": 1}, ("e", "v"): {"v": 1}}  # w action dropped
     ops[(1, 0)] = bimodule_op(A, N.module, 1, 0, bad_table)
-    bad = AInfinityBimodule(A, N.module, ops, max_rs=4, name="bad")
+    bad = AInfinityBimodule(A, N.module, ops, name="bad")
     verdict = check_bimodule_equation(bad, 1, 0)
     assert not verdict.holds
     # the per-type map holds the residual on the reported word
@@ -208,7 +211,7 @@ def test_corrupted_bimodule_has_counterexample():
 def test_identity_and_scalar_morphisms():
     for name in ("exterior2", "dual_numbers"):
         A = load(name).algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         ident = identity_morphism(M)
         for (r, s), verdict in validate_morphism(ident, 3).items():
             assert verdict.holds, verdict.describe()
@@ -236,7 +239,7 @@ def test_quasi_iso_pair_morphism():
 def test_degree_one_morphism_equations():
     # a nonzero morphism of odd degree exercises every d-dependent sign
     A = load("exterior1").algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     f00 = MultilinearOp((M.module,), M.module, 1, {("1",): {"x": 1}})
     f = BimoduleMorphism(M, M, 1, {(0, 0): f00}, name="deg1")
     for (r, s), verdict in validate_morphism(f, 3).items():
@@ -281,7 +284,7 @@ def test_epsilon_projection_morphism():
     # as a map of diagonal-type bimodules
     doc = load("dual_numbers")
     A = doc.algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     from ainfty.graded import GradedModule
 
     zmod = GradedModule((("z", -1),), Z)
@@ -295,7 +298,7 @@ def test_epsilon_projection_morphism():
     t01 = {("z", a): {"z": proj[a]} for a in A.module.names if proj[a]}
     ops[(1, 0)] = bimodule_op(A, zmod, 1, 0, t10)
     ops[(0, 1)] = bimodule_op(A, zmod, 0, 1, t01)
-    N = AInfinityBimodule(A, zmod, ops, max_rs=4, name="quotient")
+    N = AInfinityBimodule(A, zmod, ops, name="quotient")
     for (r, s), verdict in validate_bimodule(N, 3).items():
         assert verdict.holds, verdict.describe()
     f00 = MultilinearOp((M.module,), zmod, 0, {("1",): {"z": 1}})
@@ -312,7 +315,7 @@ def _corrupted_bimodule():
     ops = dict(N.ops)
     bad_table = {("e", "u"): {"u": 1}, ("e", "v"): {"v": 1}}
     ops[(1, 0)] = bimodule_op(A, N.module, 1, 0, bad_table)
-    return AInfinityBimodule(A, N.module, ops, max_rs=4, name="bad")
+    return AInfinityBimodule(A, N.module, ops, name="bad")
 
 
 def _words_up_to(M, bound=3):
@@ -342,8 +345,8 @@ def test_bimodule_residual_matches_written_out_oracle():
     cases = [_corrupted_bimodule()]
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        diag = diagonal_bimodule(A, 4)
-        cases += [diag, tensor_square_bimodule(A, 3), dual_bimodule(diag, 3)]
+        diag = diagonal_bimodule(A)
+        cases += [diag, tensor_square_bimodule(A), dual_bimodule(diag)]
     nonzero = _compare_residuals(cases)
     assert nonzero  # the corrupted bimodule has nonzero residuals
 
@@ -353,7 +356,7 @@ def _oracle_morphisms():
     out = [doc.morphisms["include"]]
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         two = {(n,): {n: 2} for n in M.module.names}
         out.append(identity_morphism(M))
         out.append(
@@ -370,11 +373,11 @@ def _oracle_morphisms():
             for g in [codifferential(elementary_cochain(M, (a,), out_name, cutoff=4))]
             if g.degree != 0 and max(g.components) >= 2
         )
-        mor = cocycle_to_morphism(f, 4, diagonal=M)
+        mor = cocycle_to_morphism(f, diagonal=M)
         assert mor.degree != 0 and any(r + s for r, s in mor.maps)
         out.append(mor)
     A = load("exterior1").algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     f00 = MultilinearOp((M.module,), M.module, 1, {("1",): {"x": 1}})
     out.append(BimoduleMorphism(M, M, 1, {(0, 0): f00}, name="deg1"))
     return out
@@ -403,14 +406,14 @@ def test_morphism_sides_match_written_out_oracle():
 
 def _without_differential(M):
     ops = {rs: op for rs, op in M.ops.items() if rs != (0, 0)}
-    return AInfinityBimodule(M.algebra, M.module, ops, max_rs=M.max_rs, name=M.name)
+    return AInfinityBimodule(M.algebra, M.module, ops, name=M.name)
 
 
 def test_mu1_algebra_families_match_written_out_oracle():
     A = mu1_algebra()
     assert set(A.ops) == {1, 2}
-    diag = diagonal_bimodule(A, 4)
-    cases = [diag, tensor_square_bimodule(A, 3), dual_bimodule(diag, 3)]
+    diag = diagonal_bimodule(A)
+    cases = [diag, tensor_square_bimodule(A), dual_bimodule(diag)]
     for M in cases:
         assert all(v.holds for v in validate_bimodule(M, 3).values()), M.name
     assert _compare_residuals(cases + [_without_differential(diag)])
@@ -420,7 +423,7 @@ def test_mu1_algebra_families_match_written_out_oracle():
 
 
 def test_mu1_diagonal_without_differential_fails():
-    bad = _without_differential(diagonal_bimodule(mu1_algebra(), 4))
+    bad = _without_differential(diagonal_bimodule(mu1_algebra()))
     failures = [v.describe() for v in validate_bimodule(bad, 3).values() if not v.holds]
     assert failures == [
         "A[1]: bimodule equation (0,1): fails on ('1', 'e') with residual -1*1",
@@ -431,21 +434,18 @@ def test_mu1_diagonal_without_differential_fails():
 def test_bimodule_validation_reads_no_word_lookups(monkeypatch):
     # the equations walk operation entries and indices, never one word at a time
     A = load("exterior2").algebra
-    diag = diagonal_bimodule(A, 4)
-    modules = [(diag, 4), (tensor_square_bimodule(A, 4), 3), (dual_bimodule(diag), 3)]
+    diag = diagonal_bimodule(A)
+    modules = [(diag, 4), (tensor_square_bimodule(A), 3), (dual_bimodule(diag), 3)]
     calls = []
-    for cls, attr in ((MultilinearOp, "on_word"), (AInfinityBimodule, "op_word")):
-        real = getattr(cls, attr)
-        monkeypatch.setattr(
-            cls, attr, lambda *args, real=real, attr=attr: calls.append(attr) or real(*args)
-        )
+    real = MultilinearOp.on_word
+    monkeypatch.setattr(MultilinearOp, "on_word", lambda *args: calls.append(args) or real(*args))
     for M, bound in modules:
         assert all(v.holds for v in validate_bimodule(M, bound).values()), M.name
     assert calls == []
 
 
 def _tables(M):
-    return M.module, M.name, M.max_rs, {rs: op.table for rs, op in M.ops.items()}
+    return M.module, M.name, {rs: op.table for rs, op in M.ops.items()}
 
 
 def test_entry_walks_match_word_by_word_oracles():
@@ -454,7 +454,7 @@ def test_entry_walks_match_word_by_word_oracles():
     m = GradedModule((("u", 0), ("v", 1)), Z)
     mu1 = MultilinearOp((m,), m, 1, {("u",): {"v": 1}})
     mu2 = MultilinearOp((m, m), m, 0, {("u", "u"): {"u": 1}})
-    broken_derivation = AInfinityAlgebra(m, {1: mu1, 2: mu2}, max_arity=2)
+    broken_derivation = AInfinityAlgebra(m, {1: mu1, 2: mu2})
     docs = [load(name, p) for name in ALGEBRA_FIXTURES for p in (None, 2, 3)]
     for A in [mu1_algebra(), broken_derivation] + [doc.algebra for doc in docs]:
         for r in range(1, 7):
@@ -463,16 +463,14 @@ def test_entry_walks_match_word_by_word_oracles():
                 if residual := equation_residual_oracle(A, word):
                     expected[word] = residual
             assert equation_residuals(A, r) == expected, r
-        for max_rs in range(5):
-            square = tensor_square_bimodule(A, max_rs)
-            assert _tables(square) == _tables(tensor_square_oracle(A, max_rs))
-            for M in (diagonal_bimodule(A, max_rs), square):
-                assert _tables(dual_bimodule(M)) == _tables(dual_bimodule_oracle(M))
+        square = tensor_square_bimodule(A)
+        assert _tables(square) == _tables(tensor_square_oracle(A))
+        for M in (diagonal_bimodule(A), square):
+            assert _tables(dual_bimodule(M)) == _tables(dual_bimodule_oracle(M))
     assert any(equation_residuals(broken_derivation, 2).values())
     for doc in docs:
         for M in doc.bimodules.values():
-            for max_rs in range(5):
-                assert _tables(dual_bimodule(M, max_rs)) == _tables(dual_bimodule_oracle(M, max_rs))
+            assert _tables(dual_bimodule(M)) == _tables(dual_bimodule_oracle(M))
 
 
 def test_structure_layer_reads_no_word_lookups(monkeypatch):
@@ -484,7 +482,18 @@ def test_structure_layer_reads_no_word_lookups(monkeypatch):
     monkeypatch.setattr(MultilinearOp, "on_word", lambda *args: calls.append(args) or real(*args))
     for A in algebras:
         assert all(v.holds for v in validate(A, 6).values())
-        square = tensor_square_bimodule(A, 4)
-        dual_bimodule(diagonal_bimodule(A, 4))
+        square = tensor_square_bimodule(A)
+        dual_bimodule(diagonal_bimodule(A))
         dual_bimodule(square)
     assert calls == []
+
+
+def test_constructions_keep_every_operation():
+    # the diagonal reindexes every mu_n and the dual transposes every mu_(r,s)
+    for name in FIXTURE_NAMES:
+        doc = load(name)
+        A = doc.algebra
+        diag = diagonal_bimodule(A)
+        assert set(diag.ops) == {(r, n - 1 - r) for n in A.ops for r in range(n)}, name
+        for M in [diag, tensor_square_bimodule(A)] + list(doc.bimodules.values()):
+            assert set(dual_bimodule(M).ops) == {(r, s) for s, r in M.ops}, (name, M.name)

@@ -40,14 +40,14 @@ from helpers import (
 )
 
 
-def all_bimodules(name, max_rs=4, p=None):
+def all_bimodules(name, p=None):
     doc = load(name, p)
     A = doc.algebra
-    diag = diagonal_bimodule(A, max_rs)
+    diag = diagonal_bimodule(A)
     return {
         "diagonal": diag,
-        "tensor_square": tensor_square_bimodule(A, max_rs),
-        "dual": dual_bimodule(diag, min(max_rs, 3)),
+        "tensor_square": tensor_square_bimodule(A),
+        "dual": dual_bimodule(diag),
     }
 
 
@@ -57,16 +57,16 @@ def test_hochschild_degree_examples():
     from ainfty.algebra import AInfinityAlgebra
     from ainfty.bimodules import AInfinityBimodule
 
-    A = AInfinityAlgebra(a, {}, max_arity=1)
-    M = AInfinityBimodule(A, m, {}, max_rs=2)
+    A = AInfinityAlgebra(a, {})
+    M = AInfinityBimodule(A, m, {})
     cx = HochschildComplex(M, 4)
     assert cx.degree(("m",)) == -2
     m0 = GradedModule((("m0", 0),), Z)
-    M0 = AInfinityBimodule(A, m0, {}, max_rs=2)
+    M0 = AInfinityBimodule(A, m0, {})
     cx0 = HochschildComplex(M0, 4)
     assert cx0.degree(("m0", "p", "p", "p")) == 0
     m1 = GradedModule((("m1", 1),), Z)
-    M1 = AInfinityBimodule(A, m1, {}, max_rs=2)
+    M1 = AInfinityBimodule(A, m1, {})
     cx1 = HochschildComplex(M1, 4)
     assert cx1.degree(("m1", "q", "r")) == -2
 
@@ -97,7 +97,7 @@ def test_b_component_interior_sign():
     prod = MultilinearOp((m, m), m, 0, {})
     diff = MultilinearOp((m,), m, 1, {("u",): {"v": 1}})
     A = from_dga(m, prod, diff)
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     cx = HochschildComplex(M, 3)
     # coefficient slot u has shifted degree -1: sign (-1)^{-1} = -1
     assert b_component(cx, ("u", "u"), 1, 1) == {("u", "v"): -1}
@@ -116,7 +116,7 @@ def test_b_component_out_of_range_is_zero():
 def test_overlapping_term_against_specialized_diagonal_formula():
     for name in ("exterior2", "dual_numbers", "mu3_square_zero"):
         A = load(name).algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         cx = HochschildComplex(M, 4)
         for w in cx.all_words():
             assert differential_word(cx, w) == diagonal_b_word(A, w), w
@@ -167,8 +167,8 @@ def test_b_squared_zero_over_z_and_z2():
         for p in (None, 2):
             doc = load(name, p)
             A = doc.algebra
-            diag = diagonal_bimodule(A, 4)
-            for M in (diag, tensor_square_bimodule(A, 4), dual_bimodule(diag, 3)):
+            diag = diagonal_bimodule(A)
+            for M in (diag, tensor_square_bimodule(A), dual_bimodule(diag)):
                 cx = HochschildComplex(M, 4)
                 for w in cx.all_words():
                     assert not differential(cx, differential_word(cx, w)), (name, p, w)
@@ -229,7 +229,7 @@ def test_induced_map_additive():
 def test_induced_degree_shift():
     # a degree-1 morphism induces a chain map of degree -1
     A = load("exterior1").algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     f00 = MultilinearOp((M.module,), M.module, 1, {("1",): {"x": 1}})
     f = BimoduleMorphism(M, M, 1, {(0, 0): f00}, name="deg1")
     cx = HochschildComplex(M, 3)
@@ -263,7 +263,7 @@ def test_compose_induced():
 
 def test_compose_degree_adds():
     A = load("exterior1").algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     f00 = MultilinearOp((M.module,), M.module, 1, {("1",): {"x": 1}})
     f = BimoduleMorphism(M, M, 1, {(0, 0): f00}, name="deg1")
     cx = HochschildComplex(M, 3)
@@ -291,8 +291,8 @@ def test_enumeration_order_on_reordered_bases(seed):
     for name in ALGEBRA_FIXTURES:
         doc = load_reordered(name, seed)
         A = doc.algebra
-        diag = diagonal_bimodule(A, 4)
-        modules = [diag, tensor_square_bimodule(A, 4), dual_bimodule(diag, 3)]
+        diag = diagonal_bimodule(A)
+        modules = [diag, tensor_square_bimodule(A), dual_bimodule(diag)]
         for M in modules + list(doc.bimodules.values()):
             a_pos, m_pos = A.module.position, M.module.position
             cx = HochschildComplex(M, 3)
@@ -314,8 +314,8 @@ def test_enumeration_order_on_reordered_bases(seed):
 
 def _grid_bimodules(A, bimodules=()):
     """The coefficient bimodules of the grid with their largest length cutoff."""
-    diag = diagonal_bimodule(A, 4)
-    out = [(diag, 4), (tensor_square_bimodule(A, 4), 3), (dual_bimodule(diag), 4)]
+    diag = diagonal_bimodule(A)
+    out = [(diag, 4), (tensor_square_bimodule(A), 3), (dual_bimodule(diag), 4)]
     return out + [(M, 4) for M in bimodules]
 
 
@@ -347,11 +347,11 @@ def test_assembled_boundaries_of_a_dga_with_mu1():
 
 def test_word_count_guard_refuses_before_enumerating():
     doc = load("exterior2")
-    diag = diagonal_bimodule(doc.algebra, 4)
+    diag = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(diag, 8)
     assert word_count(4, 4, 8) == sum(len(cx.words(n)) for n in range(9)) == 349524
     assert word_count(16, 4, 7) == 349520  # tensor_square at L=7
-    assert HochschildComplex(tensor_square_bimodule(doc.algebra, 4), 7).L == 7
+    assert HochschildComplex(tensor_square_bimodule(doc.algebra), 7).L == 7
     with pytest.raises(TooLarge, match=r"^F_12 has 89478484 words, above the limit of 1000000$"):
         HochschildComplex(diag, 12)
     with pytest.raises(TooLarge, match=r"^F_1000000000 has more than \d+ words"):

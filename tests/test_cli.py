@@ -176,6 +176,19 @@ def test_malformed_sections_are_input_errors(tmp_path, capsys, command, mutate, 
     assert "Traceback" not in err
 
 
+def test_non_integer_max_arity_is_an_input_error(tmp_path, capsys):
+    # the structure keeps every operation given, but a document that states a
+    # max_arity must still state an integer
+    doc = fixture_document("mu3_square_zero")
+    doc["algebra"]["max_arity"] = "three"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "input error: algebra.max_arity: expected an integer" in err
+
+
 @pytest.mark.parametrize(
     "flags,options,field",
     [
@@ -239,7 +252,7 @@ def test_hh_against_dense_oracle_mod2(tmp_path, capsys):
         assert got[j] == "dim 0"
 
     doc = load("dual_numbers", p=2)
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 3)
     basis = {}
     for n in range(4):
@@ -920,6 +933,29 @@ def test_cohomology_command(tmp_path, capsys):
     code, out, _ = run_cli(["cohomology", str(path), "--length", "2"], capsys)
     assert code == 0
     assert "HH^*(diagonal)" in out
+
+
+@pytest.mark.parametrize(
+    "command, row",
+    [
+        ("hh", "HH(diagonal)  degree 2: Z^4 + Z/3"),
+        ("cohomology", "HH^*(diagonal)  degree -1: Z^3"),
+    ],
+)
+def test_equation_bound_keeps_every_operation(tmp_path, capsys, command, row):
+    # options.max_rs bounds only the equation checks: the diagonal of
+    # mu3_square_zero keeps its mu_(r,s) with r + s = 2 under a bound of 1
+    runs = []
+    for max_rs in (1, 4):
+        doc = fixture_document("mu3_square_zero")
+        doc["options"]["max_rs"] = max_rs
+        path = tmp_path / f"max_rs{max_rs}.json"
+        path.write_text(serialize(doc))
+        runs.append(run_cli([command, str(path), "--length", "3"], capsys)[:2])
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    assert code == 0
+    assert row in out.splitlines()
 
 
 def test_console_entry_point():

@@ -23,7 +23,6 @@ from ainfty.cochains import (
     duality_iso_inverse,
     elementary_cochain,
     pullback,
-    regraded_chain_degree,
 )
 from ainfty.errors import DegreeMismatch, NotACocycle
 from ainfty.graded import MultilinearOp
@@ -42,7 +41,9 @@ from helpers import (
     induced,
     load,
     product_lookup,
+    regraded_chain_degree,
     regraded_codifferential,
+    regraded_cochain_degree,
 )
 
 
@@ -67,14 +68,14 @@ def test_constant_cochain_codifferential():
 
 def test_degree_rule_enforced():
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     with pytest.raises(DegreeMismatch):
         Cochain(M, 0, {1: {("x",): {"1": 1}}}, cutoff=4)
 
 
 def test_beta_raises_degree_by_one():
     doc = load("exterior2")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     for f in elementary_family(M, 2, cutoff=4):
         assert codifferential(f).degree == f.degree + 1
 
@@ -82,8 +83,8 @@ def test_beta_raises_degree_by_one():
 def test_beta_squared_zero_fixtures():
     for name in ALGEBRA_FIXTURES:
         A = load(name).algebra
-        diag = diagonal_bimodule(A, 4)
-        dual = dual_bimodule(diag, 3)
+        diag = diagonal_bimodule(A)
+        dual = dual_bimodule(diag)
         growth = max(
             [n - 1 for n in A.ops] + [r + s for M in (diag, dual) for (r, s) in M.ops],
             default=0,
@@ -101,7 +102,7 @@ def test_beta_matches_classical_delta_up_to_global_sign():
     for name in ("dual_numbers", "truncated_poly3"):
         doc = load(name)
         A = doc.algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         product = product_lookup(doc)
         names = A.module.names
         for arity in (1, 2):
@@ -121,9 +122,9 @@ def test_beta_matches_classical_delta_up_to_global_sign():
 
 def test_phi_length_zero_is_identity():
     doc = load("exterior2")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 3)
-    dual = dual_bimodule(M, 3)
+    dual = dual_bimodule(M)
     for m in M.module.names:
         psi = DualChainElement(cx, {(m,): 1})
         g = duality_iso(psi, dual=dual, cutoff=3)
@@ -135,8 +136,8 @@ def test_phi_square_commutes_all_fixtures():
         for p in (None, 2):
             doc = load(name, p)
             A = doc.algebra
-            M = diagonal_bimodule(A, 4)
-            dual = dual_bimodule(M, 4)
+            M = diagonal_bimodule(A)
+            dual = dual_bimodule(M)
             cx = HochschildComplex(M, 4)
             for n in range(4):
                 for w in cx.words(n):
@@ -154,8 +155,8 @@ def test_b_star_matches_per_word_oracle(p):
     nonzero = 0
     for name in ALGEBRA_FIXTURES:
         A = load(name, p).algebra
-        diag = diagonal_bimodule(A, 4)
-        for M in (diag, dual_bimodule(diag, 3)):
+        diag = diagonal_bimodule(A)
+        for M in (diag, dual_bimodule(diag)):
             cx = HochschildComplex(M, 3)
             short = [w for n in range(3) for w in cx.words(n)]
             functionals = [{w: 1} for w in short]
@@ -174,8 +175,8 @@ def test_b_star_matches_per_word_oracle(p):
 def test_phi_round_trip_identity():
     for p in (None, 2):
         doc = load("exterior2", p)
-        M = diagonal_bimodule(doc.algebra, 4)
-        dual = dual_bimodule(M, 3)
+        M = diagonal_bimodule(doc.algebra)
+        dual = dual_bimodule(M)
         cx = HochschildComplex(M, 3)
         for n in range(4):
             for w in cx.words(n):
@@ -186,8 +187,8 @@ def test_phi_round_trip_identity():
 
 def test_pullback_identity():
     doc = load("dual_numbers")
-    M = diagonal_bimodule(doc.algebra, 4)
-    dual = dual_bimodule(M, 4)
+    M = diagonal_bimodule(doc.algebra)
+    dual = dual_bimodule(M)
     ident = identity_morphism(M)
     for g in elementary_family(dual, 2, cutoff=4):
         assert pullback(induced(ident, 4), g, duals=(dual, dual)) == g
@@ -196,8 +197,8 @@ def test_pullback_identity():
 def test_pullback_commutes_with_beta():
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
-    dual_M = dual_bimodule(f.source, 4)
-    dual_N = dual_bimodule(f.target, 4)
+    dual_M = dual_bimodule(f.source)
+    dual_N = dual_bimodule(f.target)
     fstar = induced(f, 4)
     for g in elementary_family(dual_N, 2, cutoff=3):
         lhs = pullback(fstar, codifferential(g), duals=(dual_M, dual_N))
@@ -217,8 +218,8 @@ def test_pullback_of_composite():
         {(0, 0): MultilinearOp((N.module,), N.module, 0, {(n,): {n: 2} for n in N.module.names})},
         name="2id",
     )
-    dual_M = dual_bimodule(f.source, 4)
-    dual_N = dual_bimodule(N, 4)
+    dual_M = dual_bimodule(f.source)
+    dual_N = dual_bimodule(N)
     src_cx = HochschildComplex(f.source, 4)
     tgt_cx = HochschildComplex(N, 4)
     fstar, twostar = InducedChainMap(f, src_cx, tgt_cx), InducedChainMap(two, tgt_cx, tgt_cx)
@@ -240,9 +241,9 @@ def test_pullback_of_composite():
 
 def test_cocycle_to_morphism_zero():
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     zero = Cochain(M, 0, {}, cutoff=4)
-    mor = cocycle_to_morphism(zero, 4, diagonal=M)
+    mor = cocycle_to_morphism(zero, diagonal=M)
     assert not mor.maps
     for (r, s), verdict in validate_morphism(mor, 2).items():
         assert verdict.holds
@@ -252,10 +253,10 @@ def test_cocycle_to_morphism_on_lambda_x():
     # the arity-1 cocycle x -> 1 on the exterior line: the reindexed family
     # has the cocycle as its (0,0) piece and commutes with the differentials
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     f = elementary_cochain(M, ("x",), "1", cutoff=5)
     assert codifferential(f).is_zero()
-    mor = cocycle_to_morphism(f, 4, diagonal=M)
+    mor = cocycle_to_morphism(f, diagonal=M)
     assert mor.degree == f.degree
     assert mor.component_word(0, 0, ("x",)).terms == {"1": 1}
     from ainfty.bimodules import morphism_is_chain_map_00, check_morphism_equation
@@ -271,9 +272,9 @@ def test_cocycle_reindexing_is_not_a_full_morphism():
     # see only one of the two coefficient wraps that the codifferential mixes
     # on a single word. This pins the asymmetry so changes get noticed.
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     f = elementary_cochain(M, ("x",), "1", cutoff=5)
-    mor = cocycle_to_morphism(f, 4, diagonal=M)
+    mor = cocycle_to_morphism(f, diagonal=M)
     from ainfty.bimodules import check_morphism_equation
 
     assert not check_morphism_equation(mor, 1, 0).holds
@@ -290,10 +291,10 @@ def test_cocycle_reindexing_is_not_a_full_morphism():
 
 def test_cocycle_to_morphism_rejects_non_cocycle():
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     bad = elementary_cochain(M, ("1",), "x", cutoff=5)
     with pytest.raises(NotACocycle):
-        cocycle_to_morphism(bad, 4, diagonal=M)
+        cocycle_to_morphism(bad, diagonal=M)
 
 
 def test_regraded_chain_degree():
@@ -303,7 +304,7 @@ def test_regraded_chain_degree():
     assert regraded_chain_degree(A, ("1", "1", "1")) == 2
     # one above the generic Hochschild degree of the diagonal complex... the
     # explicit formula sits one BELOW the generic degree
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     cx = HochschildComplex(M, 3)
     for w in cx.all_words():
         assert regraded_chain_degree(A, w) == cx.degree(w) - 1
@@ -315,19 +316,19 @@ def test_regrade_diagonal_bundle():
     A = load("exterior2").algebra
     reg = regrade_diagonal(A, 3)
     for w in reg.complex.all_words():
-        assert reg.chain_degree(w) == len(w) - 1 - sum(
+        assert regraded_chain_degree(reg.algebra, w) == len(w) - 1 - sum(
             A.module.degree_of(a) for a in w
         )
         assert diagonal_b_word(reg.algebra, w) == differential_word(reg.complex, w)
     f = elementary_cochain(reg.diagonal, ("x",), "x", cutoff=3)
-    assert reg.cochain_degree(f) == f.degree + 1
+    assert regraded_cochain_degree(f) == f.degree + 1
     assert regraded_codifferential(f) == codifferential(f)
 
 
 def test_regraded_codifferential_matches_generic():
     for name in ("exterior2", "mu3_square_zero", "dual_numbers"):
         A = load(name).algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         for f in elementary_family(M, 2, cutoff=4):
             assert regraded_codifferential(f) == codifferential(f), (name, f.components)
 
@@ -338,8 +339,8 @@ def test_codifferential_matches_oracle(p):
     # suffix word; the library reads only the table entries that exist
     for name in ALGEBRA_FIXTURES:
         A = load(name, p).algebra
-        diag = diagonal_bimodule(A, 4)
-        for M in (diag, dual_bimodule(diag, 3), tensor_square_bimodule(A, 4)):
+        diag = diagonal_bimodule(A)
+        for M in (diag, dual_bimodule(diag), tensor_square_bimodule(A)):
             for bucket in cochain_basis(M, 4).values():
                 for _, word, out in bucket:
                     f = elementary_cochain(M, word, out, 4)
@@ -355,8 +356,8 @@ def test_cochain_boundaries_match_oracle_route(p):
     # library reads each column from coboundary without building a Cochain
     for name in ALGEBRA_FIXTURES:
         A = load(name, p).algebra
-        diag = diagonal_bimodule(A, 4)
-        modules = ((diag, 4), (dual_bimodule(diag, 3), 4), (tensor_square_bimodule(A, 4), 3))
+        diag = diagonal_bimodule(A)
+        modules = ((diag, 4), (dual_bimodule(diag), 4), (tensor_square_bimodule(A), 3))
         for M, cutoff in modules:
 
             def former(key, M=M, cutoff=cutoff):
@@ -377,7 +378,7 @@ def test_cochain_boundaries_match_oracle_route(p):
 
 def test_truncation_flag():
     doc = load("exterior2")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     f = elementary_cochain(M, ("x", "y"), "xy", cutoff=2)
     out = codifferential(f)
     assert out.truncated
@@ -393,8 +394,8 @@ def test_dual_cochain_cohomology_matches_chain_side():
     # and the cochain torsion in degree j equals the chain torsion in j - 1.
     for name in ("dual_numbers", "exterior1"):
         doc = load(name)
-        M = diagonal_bimodule(doc.algebra, 4)
-        dual = dual_bimodule(M, 4)
+        M = diagonal_bimodule(doc.algebra)
+        dual = dual_bimodule(M)
         L = 3
         cx = HochschildComplex(M, L)
         chain_table = homology_of_truncation(cx, L)
@@ -410,7 +411,7 @@ def test_dual_cochain_cohomology_matches_chain_side():
 
 def test_cochain_basis_and_matrix_shapes():
     doc = load("dual_numbers")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cochains = cochain_complex(M, 2)
     basis = cochains.basis
     # arity n has 2^n words and 2 outputs; degrees split them

@@ -31,7 +31,7 @@ def test_classical_cup_degree_zero_oracle():
     for name in ("dual_numbers", "truncated_poly3"):
         doc = load(name)
         A = doc.algebra
-        M = diagonal_bimodule(A, 4)
+        M = diagonal_bimodule(A)
         product = product_lookup(doc)
         names = A.module.names
         for f in elementary_family(M, 2, cutoff=5):
@@ -68,7 +68,7 @@ def _single(f):
 def test_cup_frozen_values_exterior_line():
     # hand-computed on the exterior line: f = (x -> 1), g = (x -> x)
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     f = elementary_cochain(M, ("x",), "1", cutoff=5)
     g = elementary_cochain(M, ("x",), "x", cutoff=5)
     fg = cup(f, g)
@@ -83,7 +83,7 @@ def test_cup_frozen_values_exterior_line():
 
 def test_cup_component_range_violation():
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     f = elementary_cochain(M, ("x",), "1", cutoff=5)
     with pytest.raises(IndexOutOfRange):
         cup_component(f, f, 1, 1, 0, 2, 2)
@@ -95,8 +95,8 @@ def test_cup_requires_diagonal_coefficients():
     from ainfty.bimodules import dual_bimodule
 
     doc = load("exterior1")
-    M = diagonal_bimodule(doc.algebra, 4)
-    D = dual_bimodule(M, 3)
+    M = diagonal_bimodule(doc.algebra)
+    D = dual_bimodule(M)
     f = elementary_cochain(D, ("x",), "1^", cutoff=4)
     with pytest.raises(ModuleMismatch):
         cup(f, f)
@@ -104,7 +104,7 @@ def test_cup_requires_diagonal_coefficients():
 
 def test_cup_with_zero_is_zero():
     doc = load("dual_numbers")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     from ainfty.cochains import Cochain
 
     zero = Cochain(M, 0, {}, cutoff=5)
@@ -116,7 +116,7 @@ def test_cup_with_zero_is_zero():
 def test_cup_degree_additivity():
     for name in ("dual_numbers", "exterior2", "mu3_square_zero"):
         doc = load(name)
-        M = diagonal_bimodule(doc.algebra, 4)
+        M = diagonal_bimodule(doc.algebra)
         for f in elementary_family(M, 1, cutoff=5):
             for g in elementary_family(M, 1, cutoff=5):
                 fg = cup(f, g)
@@ -127,7 +127,7 @@ def test_cup_degree_additivity():
 def test_cup_leibniz_sample():
     # the exhaustive arity <= 2 battery is in the acceptance suite
     doc = load("exterior2")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     fam = elementary_family(M, 1, cutoff=5)
     for f in fam:
         for g in fam:
@@ -141,7 +141,7 @@ def test_cup_leibniz_sample():
 def test_cup_uses_higher_multiplications():
     # with a genuine mu_3 the k = 1 spectator terms contribute
     doc = load("mu3_square_zero")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     f = elementary_cochain(M, ("a",), "a", cutoff=5)
     fg = cup(f, f)
     assert 3 in fg.components
@@ -176,7 +176,7 @@ def _as_vector(cochain, basis, j):
 
 def test_cup_cocycle_with_coboundary_is_coboundary():
     doc = load("dual_numbers")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cutoff = 4
     cochains = cochain_complex(M, cutoff)
     basis = cochains.basis
@@ -203,7 +203,7 @@ def test_cup_associativity_on_classes():
     # chain-level associativity is not asserted; on cohomology classes the
     # associator of cocycles must be a coboundary (here it lands in im beta)
     doc = load("exterior2")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cutoff = 4
     cochains = cochain_complex(M, cutoff)
     basis = cochains.basis

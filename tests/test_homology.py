@@ -189,7 +189,7 @@ def _boundary(cx, basis, j):
 
 def test_dual_numbers_mod2_against_dense_oracle():
     doc = load("dual_numbers", p=2)
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
     fc = image_complex(Zp(2), basis, lambda w: differential_word(cx, w))
@@ -205,7 +205,7 @@ def test_dual_numbers_mod2_against_dense_oracle():
 
 def test_homology_invariant_under_basis_shuffle():
     doc = load("dual_numbers")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
     rng = random.Random(23)
@@ -220,7 +220,7 @@ def test_homology_invariant_under_basis_shuffle():
 
 def test_rank_nullity_over_fields():
     doc = load("exterior2", p=3)
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 3)
     basis = _complex_blocks(cx, 3)
     for j in sorted(basis):
@@ -299,7 +299,7 @@ def test_universal_coefficients_tie_z_to_zp(name):
     # for a finite complex C of free Z-modules and a prime p,
     # dim H_j(C/p) = free_j + #(torsion of H_j divisible by p)
     #              + #(torsion of H_{j+step} divisible by p)
-    diag = diagonal_bimodule(load(name).algebra, 4)
+    diag = diagonal_bimodule(load(name).algebra)
     complexes = (HochschildComplex(diag, 4).truncation(4), cochain_complex(diag, 4))
     torsion_checks = 0
     for fc in complexes:
@@ -336,7 +336,7 @@ def test_public_constructors_still_check_entries():
 def test_homology_and_cohomology_share_one_composite_check(monkeypatch):
     # H_j and H^j read the same pair of boundaries; that pair is checked to
     # compose to zero once, and the SNF self-check multiplies no matrices
-    fc = HochschildComplex(diagonal_bimodule(load("dual_numbers").algebra, 4), 4).truncation(4)
+    fc = HochschildComplex(diagonal_bimodule(load("dual_numbers").algebra), 4).truncation(4)
     products = []
     original = ExactMatrix.__matmul__
 

@@ -3,7 +3,6 @@
 import pytest
 
 from ainfty.bimodules import (
-    AInfinityBimodule,
     BimoduleMorphism,
     diagonal_bimodule,
     dual_bimodule,
@@ -34,7 +33,7 @@ from helpers import (
 
 def test_projection_examples():
     doc = load("exterior2")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
     x = {("x", "y"): 1}
     assert projection(cx, 2, x) == {}
@@ -48,7 +47,7 @@ def test_projection_is_chain_map():
     # pi_p . b = b_1 . pi_p on all short words, all fixtures
     for name in ALGEBRA_FIXTURES:
         doc = load(name)
-        M = diagonal_bimodule(doc.algebra, 4)
+        M = diagonal_bimodule(doc.algebra)
         cx = HochschildComplex(M, 4)
         for n in range(4):
             for w in cx.words(n):
@@ -72,7 +71,7 @@ def test_page0_squares_to_zero():
 def test_page0_uses_only_arity_one_ingredients():
     # every length-preserving term of b comes from the l = 1 components
     doc = load("exterior2")
-    M = tensor_square_bimodule(doc.algebra, 4)
+    M = tensor_square_bimodule(doc.algebra)
     cx = HochschildComplex(M, 3)
     for w in cx.all_words():
         n = len(w) - 1
@@ -99,7 +98,7 @@ def test_page0_p0_block_is_coefficient_differential():
 
 def test_page1_zero_differentials_gives_block_ranks():
     doc = load("exterior1")  # zero mu_1: b_1 vanishes on the diagonal complex
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
     for p in range(5):
         buckets = column_complex(cx, p).basis
@@ -113,7 +112,7 @@ def test_page1_two_paths_agree():
     for name in ALGEBRA_FIXTURES:
         doc = load(name)
         A = doc.algebra
-        modules = [diagonal_bimodule(A, 4)]
+        modules = [diagonal_bimodule(A)]
         if name == "quasi_iso_pair":
             modules += list(doc.bimodules.values())
         for M in modules:
@@ -129,7 +128,7 @@ def test_page1_mod2_dense_oracle():
     from helpers import dense_rank_modp
 
     doc = load("dual_numbers", p=2)
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
     for p in range(5):
         column = column_complex(cx, p)
@@ -145,7 +144,7 @@ def test_page1_mod2_dense_oracle():
 
 def test_quotient_columns_walk_each_boundary_once(monkeypatch):
     # one walk over F_L's boundaries serves every quotient column p <= L
-    cx = HochschildComplex(diagonal_bimodule(load("exterior2").algebra, 4), 4)
+    cx = HochschildComplex(diagonal_bimodule(load("exterior2").algebra), 4)
     fc = cx.truncation(cx.L)
     calls = []
     real = fc.boundary
@@ -157,8 +156,8 @@ def test_quotient_columns_walk_each_boundary_once(monkeypatch):
 
 def _modules(doc):
     """The diagonal, tensor_square and dual bimodules of doc's algebra, then doc's own."""
-    diagonal = diagonal_bimodule(doc.algebra, 4)
-    modules = [diagonal, tensor_square_bimodule(doc.algebra, 3), dual_bimodule(diagonal)]
+    diagonal = diagonal_bimodule(doc.algebra)
+    modules = [diagonal, tensor_square_bimodule(doc.algebra), dual_bimodule(diagonal)]
     return modules + [doc.bimodules[name] for name in sorted(doc.bimodules)]
 
 
@@ -186,9 +185,9 @@ def test_direct_columns_match_oracle_with_nonzero_mu1():
     # terms of b_1 are reached; the column differentials are not all zero,
     # and the quotient route's slices are the same matrices
     A = mu1_algebra()
-    diagonal = diagonal_bimodule(A, 4)
+    diagonal = diagonal_bimodule(A)
     entries = 0
-    for M in (diagonal, tensor_square_bimodule(A, 3), dual_bimodule(diagonal)):
+    for M in (diagonal, tensor_square_bimodule(A), dual_bimodule(diagonal)):
         cx = HochschildComplex(M, 4)
         for p in range(5):
             entries += _assert_direct_matches_oracle(cx, p)
@@ -204,7 +203,7 @@ def test_quotient_slices_match_length_blocks(fixture, ring):
     # the slices at run offsets equal the length-preserving entries picked
     # out of F_L's boundaries word by word
     doc = load(fixture, p=ring)
-    modules = [diagonal_bimodule(doc.algebra, 4)] + list(doc.bimodules.values())
+    modules = [diagonal_bimodule(doc.algebra)] + list(doc.bimodules.values())
     for M in modules:
         cx = HochschildComplex(M, 3)
         blocks = length_blocks_oracle(cx, cx.L)
@@ -221,9 +220,9 @@ def test_quotient_slices_match_length_blocks(fixture, ring):
 def test_direct_columns_make_no_per_word_lookups(monkeypatch, algebra):
     # the direct route reads the arity-one entries and rank tables only, with
     # no per-word degree or table lookup; mu1_algebra has entries to walk
-    cx = HochschildComplex(diagonal_bimodule(algebra(), 4), 4)
+    cx = HochschildComplex(diagonal_bimodule(algebra()), 4)
     calls = []
-    for cls, name in ((GradedModule, "degree_of"), (AInfinityBimodule, "op_word")):
+    for cls, name in ((GradedModule, "degree_of"), (MultilinearOp, "on_word")):
         real = getattr(cls, name)
         monkeypatch.setattr(
             cls, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
@@ -250,7 +249,7 @@ def test_direct_term_outside_the_target_weight_is_an_internal_error():
 def test_weak_convergence():
     # for r > p, membership in Z^r coincides with membership in Z^infinity
     doc = load("dual_numbers")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
     import random
 
@@ -276,7 +275,7 @@ def test_filtration_shift_of_induced_maps():
         assert filtration_level(out) <= len(w) - 1
     # and a morphism with a genuine (1,0) component drops by one
     A = load("exterior1").algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     f10 = MultilinearOp(
         (A.module, M.module), M.module, -1, {("1", "x"): {"1": 1}}
     )
@@ -294,7 +293,7 @@ def test_quotient_route_above_the_cutoff(fixture, module):
     # at p = L + 1 the quotient route reads F_{L+1}: reading F_L would give the
     # column a zero differential, which N's nonzero b_1 at p = 3 tells apart
     doc = load(fixture)
-    M = doc.bimodules[module] if module else diagonal_bimodule(doc.algebra, 4)
+    M = doc.bimodules[module] if module else diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 2)
     for q in column_weights(cx, 3):
         direct, quotient = page1(cx, 3, q, "direct"), page1(cx, 3, q, "quotient")
@@ -303,7 +302,7 @@ def test_quotient_route_above_the_cutoff(fixture, module):
 
 def test_comparison_identity():
     doc = load("exterior2")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     verdict = comparison_check(induced(identity_morphism(M), 3))
     assert verdict.hypothesis_holds and verdict.conclusion_holds and verdict.witnessed
 
@@ -367,7 +366,7 @@ def test_comparison_epsilon_projection_hypothesis_fails():
 
     doc = load("dual_numbers")
     A = doc.algebra
-    M = diagonal_bimodule(A, 4)
+    M = diagonal_bimodule(A)
     zmod = GradedModule((("z", -1),), Z)
     proj = {"1": 1, "e": 0}
     ops = {
@@ -378,7 +377,7 @@ def test_comparison_epsilon_projection_hypothesis_fails():
             A, zmod, 0, 1, {("z", a): {"z": proj[a]} for a in A.module.names if proj[a]}
         ),
     }
-    N = AInfinityBimodule(A, zmod, ops, max_rs=4, name="quotient")
+    N = AInfinityBimodule(A, zmod, ops, name="quotient")
     f00 = MultilinearOp((M.module,), zmod, 0, {("1",): {"z": 1}})
     f = BimoduleMorphism(M, N, 0, {(0, 0): f00}, name="eps_to_zero")
     verdict = comparison_check(induced(f, 2))
@@ -398,7 +397,7 @@ def test_truncated_homology_table():
     # the degree-j group of the truncated diagonal complex is the classical
     # group in degree j - 1 and is exact for j <= the cutoff
     doc = load("dual_numbers")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
     table = homology_of_truncation(cx, 4)
     assert table[1].invariants() == (2, ())
@@ -407,7 +406,7 @@ def test_truncated_homology_table():
     assert table[4].invariants() == (1, (2,))
 
     doc = load("truncated_poly3")
-    M = diagonal_bimodule(doc.algebra, 4)
+    M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
     table = homology_of_truncation(cx, 4)
     assert table[1].invariants() == (3, ())
