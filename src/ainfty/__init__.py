@@ -23,10 +23,9 @@ from .bimodules import (
     diagonal_bimodule,
     dual_bimodule,
     identity_morphism,
-    morphism_is_chain_map_00,
     tensor_square_bimodule,
 )
-from .chains import HochschildComplex, InducedChainMap, compose_induced
+from .chains import ComposedChainMap, HochschildComplex, InducedChainMap
 from .cochains import (
     Cochain,
     DualChainElement,
@@ -37,14 +36,14 @@ from .cochains import (
     duality_iso_inverse,
     elementary_cochain,
     pullback,
-    regrade_diagonal,
 )
 from .cup import cup, cup_component
-from .graded import Element, GradedModule, MultilinearOp, apply, degree, graded_module, reduced_index
+from .graded import Element, GradedModule, MultilinearOp, apply, degree, reduced_index
 from .homology import (
     ExactMatrix,
     FiniteComplex,
     HomologySummary,
+    chain_map_failures,
     induced_map_on_homology,
     invariant_factors,
     smith_normal_form,

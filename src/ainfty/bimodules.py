@@ -56,16 +56,10 @@ class AInfinityBimodule:
     def ring(self):
         return self.module.ring
 
-    def op(self, r: int, s: int) -> MultilinearOp | None:
-        return self.ops.get((r, s))
-
     def slot_index(self, r: int, s: int) -> dict[str, list[tuple[Word, Word, int, dict]]]:
         """mu_(r,s) entries (prefix, m, suffix) by m, built once per (r, s):
         m -> [(prefix, suffix, maltese of the prefix degrees, output terms)]."""
         return _slot_index(self.ops, self._slots, self.algebra.module, r, s)
-
-    def zero(self) -> Element:
-        return Element(self.module, {})
 
 
 def _op_signature(algebra: AInfinityAlgebra, module: GradedModule, r: int, s: int):
@@ -323,9 +317,6 @@ class BimoduleMorphism:
                 clean[(r, s)] = op
         self.maps = clean
 
-    def component(self, r: int, s: int) -> MultilinearOp | None:
-        return self.maps.get((r, s))
-
     def component_word(self, r: int, s: int, word: Word) -> Element:
         op = self.maps.get((r, s))
         if op is None:
@@ -364,14 +355,6 @@ def check_morphism_equation(f: BimoduleMorphism, r: int, s: int) -> Verdict:
 def validate_morphism(f: BimoduleMorphism, bound: int) -> dict:
     """The type-(r,s) equations of f for every r + s <= bound."""
     return _all_types(check_morphism_equation, f, bound)
-
-
-def morphism_is_chain_map_00(f: BimoduleMorphism) -> bool:
-    """True iff f_{0,0} commutes with the (0,0) differentials."""
-    acc: dict[Word, dict[str, int]] = {}
-    _slot_family(f.slot_index, f.source.ops, 0, 0, 1, 1, acc)
-    _slot_family(f.target.slot_index, f.maps, 0, 0, 1, -1, acc)
-    return not any(Element(f.target.module, terms) for terms in acc.values())
 
 
 def identity_morphism(M: AInfinityBimodule) -> BimoduleMorphism:

@@ -7,7 +7,7 @@ acting on the coefficient slot, wrapped around the word when r >= 1.
 
 A length-n word has the mixed-radix rank pos(m) N^n + sum_k pos(a_k) N^(n-k),
 N the rank of A, so prefixes, keys and suffixes concatenate by arithmetic on
-ranks. boundaries(m) assembles every boundary of F_m in one walk over
+ranks. boundaries() assembles every boundary of F_L in one walk over
 (prefix, operation entry, suffix) triples, reading each word's degree and
 column from flat tables by rank: the work is proportional to the number of
 terms of b, never to words times positions.
@@ -68,7 +68,7 @@ def word_count(m_rank: int, a_rank: int, length: int) -> int:
 
 
 class HochschildComplex:
-    """F_L-truncated chain complex CH_*(A;M) with a fixed word enumeration."""
+    """F_L, the length-truncated chain complex CH_*(A;M), with a fixed word enumeration."""
 
     def __init__(self, bimodule: AInfinityBimodule, length_cutoff: int):
         self.M = bimodule
@@ -85,10 +85,10 @@ class HochschildComplex:
             )
         # length n -> (words, their Hochschild degrees), in enumeration order
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
-        # b as matrices, built once: F_m by m here; E^0 columns by p, then
-        # route, by spectral.py; F_L's boundaries by degree, then row word, by
+        # b as matrices, built once: F_L here; E^0 columns by p, then route,
+        # by spectral.py; F_L's boundaries by degree, then row word, by
         # cochains.b_star
-        self._truncations: dict[int, FiniteComplex] = {}
+        self._truncation: FiniteComplex | None = None
         self.columns: dict[int, dict] = {}
         self.boundary_rows: dict[int, dict] = {}
 
@@ -129,10 +129,10 @@ class HochschildComplex:
         m_deg = self.M.module.degree_of(word[0])
         return -m_deg - sum(self.A.module.degree_of(n) - 1 for n in word[1:])
 
-    def boundaries(self, m: int) -> dict[int, ExactMatrix]:
-        """Every boundary d_j: (F_m)_j -> (F_m)_{j-1} of b, in one walk over the entries.
+    def boundaries(self) -> dict[int, ExactMatrix]:
+        """Every boundary d_j: (F_L)_j -> (F_L)_{j-1} of b, in one walk over the entries.
 
-        Columns follow truncation(m)'s basis: each degree's words by length,
+        Columns follow truncation()'s basis: each degree's words by length,
         then in enumeration order. Each term of b is one triple
         (prefix P, entry, suffix S), and its source and target ranks follow
         from theirs:
@@ -141,17 +141,17 @@ class HochschildComplex:
         - mu_(r,s) entry (K_r, m, K_s) -> m': (m, K_s, S, K_r) -> (m', S),
           with sign (-1)^((deg m + red K_s + red S) red K_r), + when r = 0.
         """
-        N, n_coeff = self.A.module.rank, self.M.module.rank
+        L, N, n_coeff = self.L, self.A.module.rank, self.M.module.rank
         apos, mpos = self.A.module.position, self.M.module.position
         column: dict[int, int] = {}  # degree -> number of words
-        for n in range(m + 1):
+        for n in range(L + 1):
             for j in self.degrees(n):
                 column[j] = column.get(j, 0) + 1
         # length n -> (degree, column) of each word, by rank, as flat lists;
         # all keys share one int object per row or column index
         ints = list(range(max(column.values(), default=0)))
         seen, tables = dict.fromkeys(column, 0), []
-        for n in range(m + 1):
+        for n in range(L + 1):
             degs, order = self._by_rank(n)
             cols = [0] * len(degs)
             for rank in order:
@@ -196,9 +196,9 @@ class HochschildComplex:
                 for key, value in op.entries()
                 for a, c in value.terms.items()
             ]
-            for p in range(m - l + 1):
+            for p in range(L - l + 1):
                 prefixes, p_degs = n_coeff * N**p, tables[p][0]
-                for t in range(m - l - p + 1):
+                for t in range(L - l - p + 1):
                     n, k, span = p + l + t, p + 1 + t, N**t
                     if span >= prefixes:
                         # one block per prefix and term, along the suffixes
@@ -220,7 +220,7 @@ class HochschildComplex:
             for key, value in op.entries():
                 K_r, m_pos, K_s = rank(key[:r]), mpos(key[r]), rank(key[r + 1 :])
                 odd = sum(self.A.module.degree_of(a) - 1 for a in key[:r]) & 1
-                for t in range(m - r - s + 1):
+                for t in range(L - r - s + 1):
                     span = N**t
                     start = (m_pos * N**s + K_s) * span * N**r + K_r
                     for name, c in value.terms.items():
@@ -235,20 +235,19 @@ class HochschildComplex:
             out[j] = ExactMatrix._adopt(column.get(j - 1, 0), column[j], acc)
         return out
 
-    def truncation(self, m: int) -> FiniteComplex:
-        """F_m graded by Hochschild degree, kept, so that b is assembled once.
+    def truncation(self) -> FiniteComplex:
+        """F_L graded by Hochschild degree, kept, so that b is assembled once.
 
         Each degree's words come by length, then in enumeration order: the
-        column order of boundaries(m).
+        column order of boundaries().
         """
-        fc = self._truncations.get(m)
-        if fc is None:
+        if self._truncation is None:
             basis: dict[int, list[Word]] = {}
-            for n in range(m + 1):
+            for n in range(self.L + 1):
                 for w, j in zip(self.words(n), self.degrees(n)):
                     basis.setdefault(j, []).append(w)
-            fc = self._truncations[m] = FiniteComplex(self.ring, basis, self.boundaries(m))
-        return fc
+            self._truncation = FiniteComplex(self.ring, basis, self.boundaries())
+        return self._truncation
 
     def _word(self, n: int, rank: int) -> Word:
         """The length-n word of a rank, for messages."""
@@ -281,7 +280,7 @@ class InducedChainMap:
         filtration.
         """
         if self._matrices is None:
-            src, tgt = self.source.truncation(self.source.L), self.target.truncation(self.target.L)
+            src, tgt = self.source.truncation(), self.target.truncation()
 
             def image(w: Word) -> Chain:
                 out = self.on_word(w)
@@ -341,8 +340,3 @@ class ComposedChainMap:
 
     def __call__(self, x: Chain) -> Chain:
         return self.g(self.f(x))
-
-
-def compose_induced(g: InducedChainMap, f: InducedChainMap) -> ComposedChainMap:
-    return ComposedChainMap(g, f)
-

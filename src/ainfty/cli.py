@@ -22,7 +22,6 @@ import random
 import sys
 import time
 
-from . import spectral
 from .algebra import validate as validate_algebra
 from .bimodules import (
     diagonal_bimodule,
@@ -43,8 +42,8 @@ from .cup import cup, cup_degree, leibniz_sides
 from .documents import StructureDocument, parse, serialize
 from .errors import AinftyError, DocumentError, InternalInvariant, UnknownName
 from .fixtures import fixture_document
-from .homology import ExactMatrix, determinant, smith_normal_form
-from .spectral import comparison_check, page1
+from .homology import ExactMatrix, chain_map_failures, determinant, smith_normal_form
+from .spectral import comparison_check, e1_rows
 
 
 class Report:
@@ -138,7 +137,7 @@ def cmd_validate(doc: StructureDocument, args, report: Report):
 def cmd_hh(doc: StructureDocument, args, report: Report):
     module_name = args.module or "diagonal"
     M = resolve_bimodule(doc, module_name)
-    fc = HochschildComplex(M, args.length).truncation(args.length)
+    fc = HochschildComplex(M, args.length).truncation()
     report.line(f"Hochschild homology of F_{args.length}, coefficients {module_name}")
     for j in sorted(fc.basis) if args.degrees is None else args.degrees:
         report.homology_row(f"HH({module_name})", j, fc.homology(j))
@@ -150,7 +149,7 @@ def cmd_cohomology(doc: StructureDocument, args, report: Report):
     cutoff = args.length
     # phi has degree zero: the arity <= L cochains on M are the dual of F_L
     # over M's dual
-    fc = HochschildComplex(dual_bimodule(M), cutoff).truncation(cutoff)
+    fc = HochschildComplex(dual_bimodule(M), cutoff).truncation()
     report.line(
         f"Hochschild cohomology, arity cutoff {cutoff}, coefficients {module_name}"
     )
@@ -161,8 +160,7 @@ def cmd_cohomology(doc: StructureDocument, args, report: Report):
 
 
 def cmd_cup(doc: StructureDocument, args, report: Report):
-    diagonal = diagonal_bimodule(doc.algebra)
-    named = doc.cochains(diagonal)
+    named = doc.cochains(diagonal_bimodule(doc.algebra), args.length + 1)
     if not named:
         raise DocumentError("document defines no cochains; nothing to cup")
     for fname in sorted(named):
@@ -185,13 +183,10 @@ def cmd_spectral(doc: StructureDocument, args, report: Report):
     module_name = args.module or "diagonal"
     complex_of = functools.cache(lambda M: HochschildComplex(M, args.length))
     cx = complex_of(resolve_bimodule(doc, module_name))
-    for p in range(args.length + 1):
-        for q in spectral.column_weights(cx, p):
-            direct = page1(cx, p, q, route="direct")
-            quotient = page1(cx, p, q, route="quotient")
-            agree = direct.invariants() == quotient.invariants()
-            report.homology_row(f"E1[p={p}]", q, direct)
-            report.check(f"E1 two-path agreement p={p} q={q}", agree)
+    for p, q, direct, quotient in e1_rows(cx):
+        report.homology_row(f"E1[p={p}]", q, direct)
+        agree = direct.invariants() == quotient.invariants()
+        report.check(f"E1 two-path agreement p={p} q={q}", agree)
     for name, f in sorted(doc.morphisms.items()):
         verdict = comparison_check(InducedChainMap(f, complex_of(f.source), complex_of(f.target)))
         for detail in verdict.details:
@@ -270,12 +265,8 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         )
 
     def b_squared_ok(cx):
-        # a nonzero column of d_{j-1} d_j is a word w with b(b(w)) != 0
-        fc, p = cx.truncation(length), cx.ring.p
-        bad = set()
-        for j, words in fc.basis.items():
-            bb = fc.boundary(j - 1) @ fc.boundary(j)
-            bad.update(words[col] for _, col in (bb.mod(p) if p else bb).entries)
+        fc = cx.truncation()
+        bad = {w for j in fc.basis for w in fc.composite_failures(j)}
         for w in cx.all_words():
             if w in bad:
                 return False, f"b(b({w})) != 0"
@@ -285,18 +276,9 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         checks.append((f"b.b = 0 [{name}]", lambda cx=complexes[name]: b_squared_ok(cx)))
 
     def chain_map_ok(f):
-        # a nonzero column of d_tgt F_j - F_{j-1} d_src is a word w with
-        # b(f_*(w)) != f_*(b(w))
         fstar = InducedChainMap(f, complex_of(f.source), complex_of(f.target))
-        src, tgt = fstar.source.truncation(length), fstar.target.truncation(length)
-        F = fstar.matrices()
-        bad = set()
-        for j, words in src.basis.items():
-            lhs = (tgt.boundary(j + fstar.degree) @ F[j]).entries
-            rhs = (F[j - 1] @ src.boundary(j)).entries if j - 1 in F else {}
-            for key in lhs.keys() | rhs.keys():
-                if src.ring.normalize(lhs.get(key, 0) - rhs.get(key, 0)):
-                    bad.add(words[key[1]])
+        src, tgt, F = fstar.source.truncation(), fstar.target.truncation(), fstar.matrices()
+        bad = {w for j in src.basis for w in chain_map_failures(src, tgt, F, j, fstar.degree)}
         for w in fstar.source.all_words():
             if w in fstar.grows:
                 return False, f"f_*({w}) grows the filtration"
@@ -344,19 +326,15 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
     checks.append(("phi duality square [diagonal]", lambda: phi_square_ok(complexes["diagonal"])))
 
     def e1_ok(cx):
-        for p in range(length + 1):
-            for q in spectral.column_weights(cx, p):
-                direct = page1(cx, p, q, route="direct")
-                quotient = page1(cx, p, q, route="quotient")
-                if direct.invariants() != quotient.invariants():
-                    return False, f"E1 mismatch at p={p}, q={q}"
+        for p, q, direct, quotient in e1_rows(cx):
+            if direct.invariants() != quotient.invariants():
+                return False, f"E1 mismatch at p={p}, q={q}"
         return True, ""
 
     for name in sorted(modules):
         checks.append((f"E1 two-path agreement [{name}]", lambda cx=complexes[name]: e1_ok(cx)))
 
-    diagonal = modules["diagonal"]
-    named = doc.cochains(diagonal)
+    named = doc.cochains(modules["diagonal"], length + 1)
     if named:
 
         def leibniz_ok():

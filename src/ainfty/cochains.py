@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import AInfinityAlgebra
 from .bimodules import (
     AInfinityBimodule,
     BimoduleMorphism,
@@ -226,7 +225,7 @@ def b_star(psi: DualChainElement) -> DualChainElement:
     for w, c in psi.terms.items():
         d = cx.degree(w)
         if d not in cx.boundary_rows:
-            fc = cx.truncation(cx.L)
+            fc = cx.truncation()
             words, cols = fc.basis.get(d, []), fc.basis.get(d + 1, [])
             rows = cx.boundary_rows[d] = {}
             for (i, j), v in fc.boundary(d + 1).entries.items():
@@ -315,21 +314,3 @@ def cocycle_to_morphism(
         for r in range(n):
             maps[(r, n - 1 - r)] = morphism_op(source, f.M, r, n - 1 - r, f.degree, table)
     return BimoduleMorphism(source, f.M, f.degree, maps, name="cocycle")
-
-
-class RegradedComplexes:
-    """CH_*(A) and CH^*(A): diagonal coefficients with shifted degree labels.
-
-    The underlying data is the diagonal Hochschild complex; only the degree
-    bookkeeping moves (chains sit one below the generic degree, cochains one
-    above). The differentials are the generic ones on self.complex.
-    """
-
-    def __init__(self, algebra: AInfinityAlgebra, length_cutoff: int):
-        self.algebra = algebra
-        self.diagonal = diagonal_bimodule(algebra)
-        self.complex = HochschildComplex(self.diagonal, length_cutoff)
-
-
-def regrade_diagonal(A: AInfinityAlgebra, length_cutoff: int) -> RegradedComplexes:
-    return RegradedComplexes(A, length_cutoff)

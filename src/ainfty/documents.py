@@ -38,7 +38,8 @@ class StructureDocument:
     options: Options
     raw: dict = field(repr=False, default_factory=dict)
 
-    def cochains(self, diagonal: AInfinityBimodule) -> dict[str, Cochain]:
+    def cochains(self, diagonal: AInfinityBimodule, cutoff: int) -> dict[str, Cochain]:
+        """The document's cochains over the diagonal bimodule, up to arity cutoff."""
         out = {}
         for name in sorted(self.cochain_specs):
             spec = self.cochain_specs[name]
@@ -52,10 +53,7 @@ class StructureDocument:
                 comps[n] = _entries_to_table(entries, f"{where}.components.{arity}")
             # documents carry the CH^*(A) degree; internally the generic one
             out[name] = Cochain(
-                diagonal,
-                _int_field(spec, "degree", None, where) - 1,
-                comps,
-                cutoff=self.options.length + 1,
+                diagonal, _int_field(spec, "degree", None, where) - 1, comps, cutoff
             )
         return out
 
@@ -233,6 +231,9 @@ def parse(text: str) -> StructureDocument:
     bimodules = {}
     bimodule_specs = _object(doc.get("bimodules", {}), "bimodules")
     for name in sorted(bimodule_specs):
+        # --module and verify reach the built-in coefficient modules by these names
+        if name in ("diagonal", "tensor_square", "dual"):
+            raise DocumentError(f"bimodules.{name}: the name of a built-in coefficient module")
         bimodules[name] = _parse_bimodule(name, bimodule_specs[name], algebra)
     morphisms = {}
     morphism_specs = _object(doc.get("morphisms", {}), "morphisms")

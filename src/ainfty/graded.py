@@ -8,7 +8,7 @@ degrees) + (operation degree). Missing table entries mean zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -73,10 +73,6 @@ class GradedModule:
     def shifted(self, by: int = -1) -> "GradedModule":
         """Same names with every degree shifted; shifted(-1) is M[1]."""
         return GradedModule(tuple((n, d + by) for n, d in self.basis), self.ring)
-
-
-def graded_module(basis: Iterable[tuple[str, int]], ring: CoefficientRing) -> GradedModule:
-    return GradedModule(tuple((str(n), int(d)) for n, d in basis), ring)
 
 
 class Element:

@@ -84,11 +84,6 @@ class ExactMatrix:
                 entries[(i, j)] = entries.get((i, j), 0) + a * b
         return ExactMatrix._adopt(self.rows, other.cols, _nonzero(entries))
 
-    def mod(self, p: int) -> "ExactMatrix":
-        return ExactMatrix._adopt(
-            self.rows, self.cols, {k: c % p for k, c in self.entries.items() if c % p}
-        )
-
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
@@ -478,32 +473,27 @@ def basis_matrix(src: Sequence, dst: Sequence, image: Callable[[Any], dict]) -> 
 
 
 class FiniteComplex:
-    """A finite free complex: a graded basis plus its boundary matrices.
+    """A finite free chain complex: a graded basis plus its boundary matrices.
 
     basis maps each degree to its ordered keys; boundaries maps a degree j
-    to the differential out of it, a matrix from basis[j] to basis[j + step]
-    (step = -1 for chains, +1 for cochains). A degree missing from
-    boundaries is the zero map. Each boundary is factored once, and each pair
-    of boundaries is checked to compose to zero once.
+    to the differential out of it, a matrix from basis[j] to basis[j - 1].
+    A degree missing from boundaries is the zero map. Each boundary is
+    factored once, and each pair of boundaries is checked to compose to zero
+    once.
     """
 
     def __init__(
-        self,
-        ring: CoefficientRing,
-        basis: dict[int, list],
-        boundaries: dict[int, ExactMatrix],
-        step: int = -1,
+        self, ring: CoefficientRing, basis: dict[int, list], boundaries: dict[int, ExactMatrix]
     ):
         self.ring = ring
         self.basis = basis
-        self.step = step
         self._boundaries = boundaries
         self._factors: dict[int, list[int]] = {}
         self._checked: set[int] = set()
 
     def boundary(self, j: int) -> ExactMatrix:
-        """The differential out of degree j, C_j -> C_{j+step}."""
-        zero = _zero(self.basis.get(j + self.step, ()), self.basis.get(j, ()))
+        """The differential out of degree j, C_j -> C_{j-1}."""
+        zero = _zero(self.basis.get(j - 1, ()), self.basis.get(j, ()))
         return self._boundaries.get(j, zero)
 
     def _factored(self, j: int) -> list[int]:
@@ -511,27 +501,24 @@ class FiniteComplex:
             self._factors[j] = _factor(self.boundary(j), self.ring)
         return self._factors[j]
 
-    def _require_complex(self, j: int) -> None:
-        """The boundaries out of and into C_j compose to zero; else name the first key."""
-        if j in self._checked:
-            return
-        d_out, d_in = self.boundary(j), self.boundary(j - self.step)
+    def composite_failures(self, j: int) -> list:
+        """The keys of C_j, in basis order, on which d_{j-1} d_j is nonzero."""
+        d_out, d_in = self.boundary(j - 1), self.boundary(j)
         if d_out.cols != d_in.rows:
             raise IndexError("boundary matrices do not line up")
-        composite = d_out @ d_in
-        if self.ring.is_field:
-            composite = composite.mod(self.ring.p)
-        if composite.entries:
-            key = self.basis[j - self.step][min(c for _, c in composite.entries)]
-            raise NotAComplex(
-                f"composite of boundary maps is nonzero on {key} in degree {j - self.step}"
-            )
-        self._checked.add(j)
+        return _failing_keys(self.basis.get(j, []), (d_out @ d_in).entries, self.ring)
 
     def _groups(self, j: int) -> tuple[int, list[int], list[int]]:
-        """Free rank at j and the factors of the boundaries out of and into C_j."""
-        self._require_complex(j)
-        f_out, f_in = self._factored(j), self._factored(j - self.step)
+        """Free rank at j and the factors of the boundaries out of and into C_j,
+        after checking that those two boundaries compose to zero."""
+        if j not in self._checked:
+            bad = self.composite_failures(j + 1)
+            if bad:
+                raise NotAComplex(
+                    f"composite of boundary maps is nonzero on {bad[0]} in degree {j + 1}"
+                )
+            self._checked.add(j)
+        f_out, f_in = self._factored(j), self._factored(j + 1)
         return len(self.basis.get(j, ())) - len(f_out) - len(f_in), f_out, f_in
 
     def homology(self, j: int) -> HomologySummary:
@@ -548,6 +535,36 @@ class FiniteComplex:
         """
         free, f_out, _ = self._groups(j)
         return HomologySummary(j, self.ring, free, tuple(d for d in f_out if d > 1))
+
+
+def _failing_keys(keys: Sequence, entries: dict, ring: CoefficientRing) -> list:
+    """The keys, in order, of the columns that hold an entry nonzero in ring."""
+    return [keys[c] for c in sorted({c for (_, c), x in entries.items() if ring.normalize(x)})]
+
+
+def _chain_map(source: FiniteComplex, target: FiniteComplex, maps, k, shift) -> ExactMatrix:
+    """maps[k], or the zero map from source.basis[k] to target.basis[k + shift]."""
+    return maps.get(k, _zero(target.basis.get(k + shift, ()), source.basis.get(k, ())))
+
+
+def chain_map_failures(
+    source: FiniteComplex,
+    target: FiniteComplex,
+    maps: dict[int, ExactMatrix],
+    j: int,
+    shift: int,
+) -> list:
+    """The keys of source.basis[j], in basis order, on which d' F_j != F_{j-1} d.
+
+    maps[k] is the chain map on degree k, from source.basis[k] to
+    target.basis[k + shift]; a missing degree is the zero map.
+    """
+    lhs = target.boundary(j + shift) @ _chain_map(source, target, maps, j, shift)
+    rhs = _chain_map(source, target, maps, j - 1, shift) @ source.boundary(j)
+    diff = dict(lhs.entries)
+    for key, c in rhs.entries.items():
+        diff[key] = diff.get(key, 0) - c
+    return _failing_keys(source.basis.get(j, []), diff, source.ring)
 
 
 @dataclass
@@ -568,28 +585,22 @@ def induced_map_on_homology(
 
     maps[k] is the chain map on degree k, from source.basis[k] to
     target.basis[k + shift]; a missing degree is the zero map. The chain map
-    identity d' @ F_j = F_{j+step} @ d is verified first. The verdict uses
-    that finitely generated abelian groups (and vector spaces) are Hopfian:
-    the map is an isomorphism iff both sides have equal invariants and the
-    map is onto. F(Z_j) + B_t lies in Z_t, a kernel and so a direct summand
-    of C_t: it is all of Z_t iff [F_j K | d_in], in C_t's coordinates, has
-    rank Z_t invariant factors, all of them 1.
+    identity d' F_j = F_{j-1} d is verified first, and a failure names the
+    first key it fails on. The verdict uses that finitely generated abelian
+    groups (and vector spaces) are Hopfian: the map is an isomorphism iff
+    both sides have equal invariants and the map is onto. F(Z_j) + B_t lies
+    in Z_t, a kernel and so a direct summand of C_t: it is all of Z_t iff
+    [F_j K | d_in], in C_t's coordinates, has rank Z_t invariant factors,
+    all of them 1.
     """
-    ring, step, t = source.ring, source.step, j + shift
-
-    def F(k: int) -> ExactMatrix:
-        return maps.get(k, _zero(target.basis.get(k + shift, ()), source.basis.get(k, ())))
-
-    F_j = F(j)
-    lhs, rhs = target.boundary(t) @ F_j, F(j + step) @ source.boundary(j)
-    if ring.is_field:
-        lhs, rhs = lhs.mod(ring.p), rhs.mod(ring.p)
-    if lhs != rhs:
-        raise NotChainMap("map does not commute with the boundary operators")
-
+    bad = chain_map_failures(source, target, maps, j, shift)
+    if bad:
+        raise NotChainMap(f"map does not commute with the boundary operators on {bad[0]}")
+    ring, t = source.ring, j + shift
     h_source, h_target = source.homology(j), target.homology(t)
     cycles = len(target.basis.get(t, ())) - len(target._factored(t))
-    hits = _hstack(F_j @ kernel_basis(source.boundary(j), ring), target.boundary(t - step))
+    F_j = _chain_map(source, target, maps, j, shift)
+    hits = _hstack(F_j @ kernel_basis(source.boundary(j), ring), target.boundary(t + 1))
     iso = _factor(hits, ring).count(1) == cycles and h_source.invariants() == h_target.invariants()
     return InducedMapResult(h_source, h_target, iso)
 

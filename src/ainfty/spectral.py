@@ -6,7 +6,9 @@ spectral sequence is the column complex (M (x) A^{(x)p}, b_1), built from
 operation entries along two independent routes (the mu_(0,0) and mu_1
 entries walked over the length-p words, vs. the length-p slices of F_L's
 boundaries, which chains.HochschildComplex.boundaries assembles from every
-entry), and the first page is its homology.
+entry), and the first page is its homology. Columns are graded as F_L is,
+by Hochschild degree j, for p <= L only; reports index E^1 by the weight
+q = p - j, the total unshifted degree.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .chains import Chain, HochschildComplex, InducedChainMap, normalize
-from .errors import InternalInvariant, NotFiltrationPreserving
+from .errors import IndexOutOfRange, InternalInvariant, NotFiltrationPreserving
 from .graded import Word
 from .homology import ExactMatrix, FiniteComplex, HomologySummary, _nonzero, basis_matrix
 from .homology import induced_map_on_homology
@@ -25,33 +27,35 @@ from .homology import induced_map_on_homology
 def column_complex(
     complex_: HochschildComplex, p: int, route: str = "direct"
 ) -> FiniteComplex:
-    """The column (M (x) A^{(x)p}, b_1) of the zeroth page, graded by weight q.
+    """The column (M (x) A^{(x)p}, b_1) of the zeroth page, for 0 <= p <= L.
 
-    q is the total unshifted degree and b_1 raises it by one. route="direct"
-    walks the arity-one entries; route="quotient" slices the boundaries of
-    F_max(p, L). Both routes share one basis, and each column is built once
-    per complex.
+    It is graded as F_L is, by Hochschild degree j, and b_1 lowers j by one:
+    in degree j it holds the length-p run of F_L's degree-j basis.
+    route="direct" walks the arity-one entries; route="quotient" slices the
+    boundaries of F_L. Both routes share one basis, and each column is built
+    once per complex.
     """
+    if not 0 <= p <= complex_.L:
+        raise IndexOutOfRange(f"column p={p} is outside 0..{complex_.L}, the lengths of F_L")
     columns = complex_.columns.setdefault(p, {})
     if route not in columns:
         if route == "direct":
             basis = _column_basis(complex_, p)
             b1s = _b1_matrices(complex_, p, basis)
-            columns[route] = FiniteComplex(complex_.ring, basis, b1s, step=1)
+            columns[route] = FiniteComplex(complex_.ring, basis, b1s)
         else:
-            _quotient_columns(complex_, max(p, complex_.L))
+            _quotient_columns(complex_)
     return columns[route]
 
 
 def _column_basis(complex_: HochschildComplex, p: int) -> dict[int, list[Word]]:
-    """The length-p words by weight q, in enumeration order; shared by both routes."""
+    """The length-p words by Hochschild degree, in enumeration order; shared by both routes."""
     columns = complex_.columns.get(p)
     if columns:
         return next(iter(columns.values())).basis
     basis: dict[int, list[Word]] = {}
-    # the weight is the length minus the Hochschild degree
     for w, j in zip(complex_.words(p), complex_.degrees(p)):
-        basis.setdefault(p - j, []).append(w)
+        basis.setdefault(j, []).append(w)
     return basis
 
 
@@ -79,12 +83,12 @@ def _b1_matrices(
     if not (m_terms or a_terms):
         return {}
     degs, order = complex_._by_rank(p)
-    index, seen = [0] * len(degs), {}  # each word's place in its weight block
+    index, seen = [0] * len(degs), {}  # each word's place in its degree block
     for rank in order:
         j = degs[rank]
         index[rank] = seen.get(j, 0)
         seen[j] = index[rank] + 1
-    sums: dict[int, dict[tuple[int, int], int]] = {p - j: {} for j in seen}
+    sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in seen}
 
     def run(start: int, t_start: int, count: int, v: int) -> None:
         if count and degs[t_start] != degs[start] - 1:
@@ -94,7 +98,7 @@ def _b1_matrices(
             )
         stop, t_stop = start + count, t_start + count
         for j, col, row in zip(degs[start:stop], index[start:stop], index[t_start:t_stop]):
-            acc = sums[p - j]
+            acc = sums[j]
             acc[row, col] = acc.get((row, col), 0) + v
 
     for m, n, c in m_terms:
@@ -107,44 +111,41 @@ def _b1_matrices(
     for acc in sums.values() if prime else ():
         for k, c in acc.items():
             acc[k] = c % prime
-    return _weight_matrices(basis, sums)
+    return _column_matrices(basis, sums)
 
 
-def _quotient_columns(complex_: HochschildComplex, m: int) -> None:
-    """Every column p <= m of the zeroth page, as slices of F_m's boundaries.
+def _quotient_columns(complex_: HochschildComplex) -> None:
+    """Every column p <= L of the zeroth page, as slices of F_L's boundaries.
 
-    In degree j, F_m's basis holds the length-p words as one run, in
-    enumeration order: column p's weight-(p - j) block. So an entry (r, c)
-    of d_j in the length-p runs of degrees j - 1 and j, which start at
-    off_{j-1,p} and off_{j,p}, is entry (r - off_{j-1,p}, c - off_{j,p}) of
-    column p at q = p - j. One walk over F_m's boundaries serves every column.
+    In degree j, F_L's basis holds the length-p words as one run, in
+    enumeration order: column p's degree-j block. So an entry (r, c) of d_j
+    in the length-p runs of degrees j - 1 and j, which start at off_{j-1,p}
+    and off_{j,p}, is entry (r - off_{j-1,p}, c - off_{j,p}) of column p's
+    d_j. One walk over F_L's boundaries serves every column.
     """
-    fc = complex_.truncation(m)
-    bases = [_column_basis(complex_, n) for n in range(m + 1)]
-    # degree -> where its length-n runs start, n = 0..m, then its size
-    off = {
-        j: list(accumulate((len(b.get(n - j, ())) for n, b in enumerate(bases)), initial=0))
-        for j in fc.basis
-    }
+    fc = complex_.truncation()
+    bases = [_column_basis(complex_, n) for n in range(complex_.L + 1)]
+    # degree -> where its length-n runs start, n = 0..L, then its size
+    off = {j: list(accumulate((len(b.get(j, ())) for b in bases), initial=0)) for j in fc.basis}
     sums: list[dict[int, dict]] = [{} for _ in bases]
     for j in fc.basis:
         cols, rows = off[j], off.get(j - 1)
         for (r, c), v in fc.boundary(j).entries.items():
             n = bisect_right(cols, c) - 1
             if rows[n] <= r < rows[n + 1]:
-                sums[n].setdefault(n - j, {})[r - rows[n], c - cols[n]] = v
+                sums[n].setdefault(j, {})[r - rows[n], c - cols[n]] = v
     for n, basis in enumerate(bases):
         columns = complex_.columns.setdefault(n, {})
         if "quotient" not in columns:
-            b1s = _weight_matrices(basis, sums[n])
-            columns["quotient"] = FiniteComplex(complex_.ring, basis, b1s, step=1)
+            b1s = _column_matrices(basis, sums[n])
+            columns["quotient"] = FiniteComplex(complex_.ring, basis, b1s)
 
 
-def _weight_matrices(basis: dict[int, list[Word]], sums: dict[int, dict]) -> dict[int, ExactMatrix]:
-    """A column's nonzero matrices basis[q] -> basis[q + 1], from their entries by q."""
+def _column_matrices(basis: dict[int, list[Word]], sums: dict[int, dict]) -> dict[int, ExactMatrix]:
+    """A column's nonzero matrices basis[j] -> basis[j - 1], from their entries by j."""
     return {
-        q: ExactMatrix._adopt(len(basis.get(q + 1, ())), len(basis[q]), _nonzero(acc))
-        for q, acc in sums.items()
+        j: ExactMatrix._adopt(len(basis.get(j - 1, ())), len(basis[j]), _nonzero(acc))
+        for j, acc in sums.items()
         if acc
     }
 
@@ -152,12 +153,21 @@ def _weight_matrices(basis: dict[int, list[Word]], sums: dict[int, dict]) -> dic
 def page1(
     complex_: HochschildComplex, p: int, q: int, route: str = "direct"
 ) -> HomologySummary:
-    """E^1_{p,-q} as the homology of the column complex at weight q."""
-    return column_complex(complex_, p, route).homology(q)
+    """E^1_{p,-q} at weight q, the total unshifted degree: H_{p-q} of column p."""
+    return column_complex(complex_, p, route).homology(p - q)
 
 
 def column_weights(complex_: HochschildComplex, p: int) -> list[int]:
-    return sorted(column_complex(complex_, p).basis)
+    """The weights q = p - j of column p's degrees j, ascending."""
+    return sorted(p - j for j in column_complex(complex_, p).basis)
+
+
+def e1_rows(complex_: HochschildComplex):
+    """E^1 by both routes, as (p, q, direct, quotient) for every column p <= L and
+    weight q, in that order: the one walk that spectral and verify report."""
+    for p in range(complex_.L + 1):
+        for q in column_weights(complex_, p):
+            yield p, q, page1(complex_, p, q), page1(complex_, p, q, "quotient")
 
 
 @dataclass
@@ -193,22 +203,24 @@ def comparison_check(fstar: InducedChainMap) -> ComparisonVerdict:
         out = f.component_word(0, 0, (w[0],)).terms
         return normalize({(name,) + w[1:]: c for name, c in out.items()}, ring)
 
+    # f and f_0 raise the unshifted degree by d, so both lower j by d
     hypothesis = True
     d = f.degree
     for p in range(m + 1):
         src_col, tgt_col = column_complex(src_cx, p), column_complex(tgt_cx, p)
         F0 = {
-            q: basis_matrix(keys, tgt_col.basis.get(q + d, []), f0)
-            for q, keys in src_col.basis.items()
+            j: basis_matrix(keys, tgt_col.basis.get(j - d, []), f0)
+            for j, keys in src_col.basis.items()
         }
-        for q in sorted(set(src_col.basis) | {q - d for q in tgt_col.basis}):
-            if not induced_map_on_homology(src_col, tgt_col, F0, q, d).is_iso:
+        # by weight q = p - j, ascending
+        for j in sorted(set(src_col.basis) | {t + d for t in tgt_col.basis}, reverse=True):
+            if not induced_map_on_homology(src_col, tgt_col, F0, j, -d).is_iso:
                 hypothesis = False
-                details.append(f"E^1 column p={p}, weight q={q}: not an isomorphism")
+                details.append(f"E^1 column p={p}, weight q={p - j}: not an isomorphism")
     if hypothesis:
         details.append(f"hypothesis: [f_0] iso on all E^1 columns p <= {m}")
 
-    src_tr, tgt_tr = src_cx.truncation(m), tgt_cx.truncation(m)
+    src_tr, tgt_tr = src_cx.truncation(), tgt_cx.truncation()
     conclusion = True
     for j in sorted(set(src_tr.basis) | {j + d for j in tgt_tr.basis}):
         if not induced_map_on_homology(src_tr, tgt_tr, F, j, -d).is_iso:

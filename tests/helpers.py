@@ -28,14 +28,16 @@ the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
 over Z/p. The length projection, the Z^r membership tests, the homology table
 of a truncation and the degree of a chain are reported by no command, so
-they live here too, as do from_dense and is_trivial, which only tests call.
+they live here too, as do from_dense and is_trivial, which only tests call,
+and mod and morphism_is_chain_map_00, the former ExactMatrix.mod and the
+former library check of f_{0,0}, which no library code calls.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from ainfty.bimodules import AInfinityBimodule, bimodule_op, dual_name, tensor_name
+from ainfty.bimodules import AInfinityBimodule, _slot_family, bimodule_op, dual_name, tensor_name
 from ainfty.chains import HochschildComplex, InducedChainMap, add_into, in_filtration, normalize
 from ainfty.cochains import Cochain, DualChainElement, coboundary
 from ainfty.algebra import from_dga
@@ -607,19 +609,18 @@ def differential(cx, x):
     return normalize(acc, cx.ring)
 
 
-def image_complex(ring, basis, image, step=-1):
+def image_complex(ring, basis, image):
     """The FiniteComplex of a differential given on basis keys, image(key) a
-    sparse vector {key: coefficient}; its boundaries come from basis_matrix."""
-    boundaries = {
-        j: basis_matrix(keys, basis.get(j + step, []), image) for j, keys in basis.items()
-    }
-    return FiniteComplex(ring, basis, boundaries, step)
+    sparse vector {key: coefficient} in degree j - 1; its boundaries come from
+    basis_matrix."""
+    boundaries = {j: basis_matrix(keys, basis.get(j - 1, []), image) for j, keys in basis.items()}
+    return FiniteComplex(ring, basis, boundaries)
 
 
-def truncation_oracle(cx, m):
-    """F_m with its boundaries read word by word from differential_word."""
+def truncation_oracle(cx):
+    """F_L with its boundaries read word by word from differential_word."""
     basis = {}
-    for n in range(m + 1):
+    for n in range(cx.L + 1):
         for w, j in zip(cx.words(n), cx.degrees(n)):
             basis.setdefault(j, []).append(w)
     return image_complex(cx.ring, basis, lambda w: differential_word(cx, w))
@@ -648,12 +649,14 @@ def cochain_basis(M, cutoff):
 def cochain_complex(M, cutoff):
     """CH^*(A;M) up to arity cutoff on elementary cochains, with beta as differential.
 
-    The former library route of `cohomology`, which now reads the dual of
-    F_L over the dual bimodule; kept to check it.
+    beta raises the cochain degree j by one, so the chain complex is graded
+    by -j: its degree -j holds the cochains of degree j, and H^j is its
+    homology(-j). The former library route of `cohomology`, which now reads
+    the dual of F_L over the dual bimodule; kept to check it.
     """
-    basis = cochain_basis(M, cutoff)
-    degree = {key: j for j, keys in basis.items() for key in keys}
-    return image_complex(M.ring, basis, lambda key: coboundary(M, degree[key], cutoff, *key), 1)
+    basis = {-j: keys for j, keys in cochain_basis(M, cutoff).items()}
+    degree = {key: -j for j, keys in basis.items() for key in keys}
+    return image_complex(M.ring, basis, lambda key: coboundary(M, degree[key], cutoff, *key))
 
 
 def b_component_oracle(cx, word, i, l):
@@ -1011,7 +1014,7 @@ def dual_bimodule_oracle(M):
     ops = {}
     for r in range(0, bound + 1):
         for s in range(0, bound + 1 - r):
-            source = M.op(s, r)
+            source = M.ops.get((s, r))
             if source is None:
                 continue
             table = {}
@@ -1066,11 +1069,6 @@ def regraded_chain_degree(A, word):
     return len(word) - 1 - sum(A.module.degree_of(a) for a in word)
 
 
-def regraded_cochain_degree(f):
-    """Degree in CH^*(A) of a diagonal cochain; the former RegradedComplexes.cochain_degree."""
-    return f.degree + 1
-
-
 def chain_degree(cx, x):
     """Common Hochschild degree of a chain's words, the former HochschildComplex.chain_degree."""
     if not x:
@@ -1107,15 +1105,15 @@ def b1_word(cx, word):
     return normalize(acc, cx.ring)
 
 
-def length_blocks_oracle(cx, m):
-    """The length-preserving entries of F_m's boundaries, by word length, as
+def length_blocks_oracle(cx):
+    """The length-preserving entries of F_L's boundaries, by word length, as
     {length: {column word: {row word: coefficient}}}.
 
     The former spectral._length_blocks, kept to check the slices that the
     quotient E^0 route reads by offset.
     """
     blocks = {}
-    fc = cx.truncation(m)
+    fc = cx.truncation()
     for j, cols in fc.basis.items():
         rows = fc.basis.get(j - 1, [])
         for (r, c), v in fc.boundary(j).entries.items():
@@ -1136,10 +1134,25 @@ def z_infinity_membership(complex_, x, p):
     return in_filtration(x, p) and not differential(complex_, x)
 
 
-def homology_of_truncation(complex_, m):
-    """H_j(F_m) for every degree j of F_m."""
-    fc = complex_.truncation(m)
+def homology_of_truncation(complex_):
+    """H_j(F_L) for every degree j of F_L."""
+    fc = complex_.truncation()
     return {j: fc.homology(j) for j in sorted(fc.basis)}
+
+
+def mod(mat, p):
+    """mat with its entries reduced mod p; the former ExactMatrix.mod."""
+    entries = {k: c % p for k, c in mat.entries.items() if c % p}
+    return ExactMatrix(mat.rows, mat.cols, entries)
+
+
+def morphism_is_chain_map_00(f):
+    """True iff f_{0,0} commutes with the (0,0) differentials; the former
+    library function, which no command reports."""
+    acc = {}
+    _slot_family(f.slot_index, f.source.ops, 0, 0, 1, 1, acc)
+    _slot_family(f.target.slot_index, f.maps, 0, 0, 1, -1, acc)
+    return not any(Element(f.target.module, terms) for terms in acc.values())
 
 
 def rank_z(mat):

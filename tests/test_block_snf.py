@@ -30,6 +30,7 @@ from helpers import (
     dense_solve_modp,
     from_dense,
     minor_gcd_invariants,
+    mod,
 )
 
 
@@ -194,7 +195,7 @@ def test_rank_kernel_solve_modp_match_dense(mat, p):
     # the kernel: right size, killed by mat, and the oracle's span
     K = kernel_basis(mat, Zp(p))
     assert (K.rows, K.cols) == (mat.cols, mat.cols - rank)
-    assert (mat @ K).mod(p).is_zero()
+    assert mod(mat @ K, p).is_zero()
     ours = [list(col) for col in zip(*K.to_dense())]
     theirs = dense_kernel_modp(dense, mat.cols, p)
     span = dense_rank_modp(ours + theirs, p)
@@ -204,7 +205,7 @@ def test_rank_kernel_solve_modp_match_dense(mat, p):
     # unique, so it recovers the coordinates a combination was built from
     if K.cols:
         X0 = from_dense([[(3 * i + j) % p for j in range(2)] for i in range(K.cols)])
-        B = (K @ X0).mod(p)
+        B = mod(K @ X0, p)
         assert dense_solve_modp(K.to_dense(), B.to_dense(), p) == X0.to_dense()
     # a column outside the kernel is refused
     outside = [j for j in range(mat.cols) if any(row[j] % p for row in dense)]

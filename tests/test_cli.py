@@ -299,6 +299,20 @@ def test_verify_pass_and_corrupted_failure(tmp_path, capsys):
     assert "RESULT: FAIL (first failing identity: morphism equations [include])" in out
 
 
+def test_spectral_names_the_word_a_non_chain_map_fails_on(tmp_path, capsys):
+    # include: m -> v does not commute with b_1 on N, where v -> w; the
+    # comparison's first induced map, on the column p = 0, names the word
+    doc = fixture_document("quasi_iso_pair")
+    doc["morphisms"]["include"]["components"]["0,0"][0]["output"] = {"v": "1"}
+    path = tmp_path / "bad.json"
+    path.write_text(serialize(doc))
+    code, out, err = run_cli(["spectral", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        "input error: map does not commute with the boundary operators on ('m',)"
+    )
+
+
 def test_verify_chain_map_check_names_the_oracle_word(tmp_path, capsys):
     # the check reads d_tgt F_j - F_{j-1} d_src off F_L's matrices; the first
     # failing word in enumeration order is the one the per-word b names, also
@@ -911,6 +925,40 @@ def test_cup_command(tmp_path, capsys):
     assert "Leibniz" in out
 
 
+def test_document_cochains_follow_the_length_flag(tmp_path, capsys):
+    # document cochains are cut off at arity L + 1 for the resolved L, so
+    # --length 0 reads them as options.length 0 does: dual_e cup dual_e
+    # reaches arity 2 > 1 and is truncated, and Leibniz is skipped
+    runs = []
+    for length, flags in ((4, ["--length", "0"]), (0, [])):
+        doc = fixture_document("dual_numbers")
+        doc["options"]["length"] = length
+        path = tmp_path / f"dn{length}.json"
+        path.write_text(serialize(doc))
+        runs.append(run_cli(["cup", str(path), *flags], capsys)[:2])
+    assert runs[0] == runs[1]
+    lines = runs[0][1].splitlines()
+    assert "cup(dual_e,dual_e): degree 2 (truncated)" in lines
+    assert "cup(dual_e,dual_e): Leibniz outside the exact regime, skipped" in lines
+
+
+@pytest.mark.parametrize("name", ["diagonal", "tensor_square", "dual"])
+@pytest.mark.parametrize("command", ["hh", "verify"])
+def test_bimodule_may_not_shadow_a_built_in_module(tmp_path, capsys, name, command):
+    # a document bimodule named like a built-in coefficient module would be
+    # unreachable from --module and would replace the built-in under verify
+    doc = fixture_document("quasi_iso_pair")
+    doc["bimodules"][name] = doc["bimodules"].pop("M")
+    doc["morphisms"]["include"]["source"] = name
+    path = tmp_path / "shadow.json"
+    path.write_text(serialize(doc))
+    code, out, err = run_cli([command, str(path), "--module", name], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        f"input error: bimodules.{name}: the name of a built-in coefficient module"
+    )
+
+
 def test_cup_command_without_cochains(tmp_path, capsys):
     path = tmp_path / "e1.json"
     path.write_text(serialize(fixture_document("exterior1")))
@@ -1034,8 +1082,9 @@ def test_cohomology_rows_match_the_cochain_complex_oracle(tmp_path, capsys, name
         for module in modules:
             for L in (2, 3) if module == "tensor_square" else (3, 4):
                 oracle = cochain_complex(resolve_bimodule(doc, module), L)
-                lo, hi = min(oracle.basis) - 2, max(oracle.basis) + 2
-                for degrees in (sorted(oracle.basis), range(lo, hi + 1)):
+                # the oracle is graded by -j
+                lo, hi = -max(oracle.basis) - 2, -min(oracle.basis) + 2
+                for degrees in (sorted(-k for k in oracle.basis), range(lo, hi + 1)):
                     argv = ["cohomology", str(path), "--module", module, "--length", str(L)]
                     if isinstance(degrees, range):
                         argv += ["--degrees", f"{lo}..{hi}"]
@@ -1043,7 +1092,7 @@ def test_cohomology_rows_match_the_cochain_complex_oracle(tmp_path, capsys, name
                     assert code == 0, (name, ring, module, L)
                     rows = [line for line in out.splitlines() if line.startswith("HH^*")]
                     expected = [
-                        f"HH^*({module})  degree {j}: {oracle.homology(j)}" for j in degrees
+                        f"HH^*({module})  degree {j}: {oracle.homology(-j)}" for j in degrees
                     ]
                     assert rows == expected, (name, ring, module, L)
 

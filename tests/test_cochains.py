@@ -24,7 +24,10 @@ from ainfty.cochains import (
     elementary_cochain,
     pullback,
 )
+from ainfty.cup import cup_degree
+from ainfty.documents import parse, serialize
 from ainfty.errors import DegreeMismatch, NotACocycle
+from ainfty.fixtures import fixture_document
 from ainfty.graded import MultilinearOp
 from ainfty.homology import basis_matrix
 
@@ -35,15 +38,12 @@ from helpers import (
     cochain_basis,
     cochain_complex,
     codifferential_oracle,
-    diagonal_b_word,
-    differential_word,
     homology_of_truncation,
     induced,
     load,
     product_lookup,
     regraded_chain_degree,
     regraded_codifferential,
-    regraded_cochain_degree,
 )
 
 
@@ -259,7 +259,8 @@ def test_cocycle_to_morphism_on_lambda_x():
     mor = cocycle_to_morphism(f, diagonal=M)
     assert mor.degree == f.degree
     assert mor.component_word(0, 0, ("x",)).terms == {"1": 1}
-    from ainfty.bimodules import morphism_is_chain_map_00, check_morphism_equation
+    from ainfty.bimodules import check_morphism_equation
+    from helpers import morphism_is_chain_map_00
 
     assert morphism_is_chain_map_00(mor)
     assert check_morphism_equation(mor, 0, 0).holds
@@ -310,19 +311,32 @@ def test_regraded_chain_degree():
         assert regraded_chain_degree(A, w) == cx.degree(w) - 1
 
 
-def test_regrade_diagonal_bundle():
-    from ainfty.cochains import regrade_diagonal
-
-    A = load("exterior2").algebra
-    reg = regrade_diagonal(A, 3)
-    for w in reg.complex.all_words():
-        assert regraded_chain_degree(reg.algebra, w) == len(w) - 1 - sum(
-            A.module.degree_of(a) for a in w
-        )
-        assert diagonal_b_word(reg.algebra, w) == differential_word(reg.complex, w)
-    f = elementary_cochain(reg.diagonal, ("x",), "x", cutoff=3)
-    assert regraded_cochain_degree(f) == f.degree + 1
-    assert regraded_codifferential(f) == codifferential(f)
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_regraded_degrees_match_the_library_conventions(name):
+    # CH^*(A) and CH_*(A) are the diagonal complexes with shifted degree
+    # labels. A document cochain a_1..a_n -> b carries its CH^* degree
+    # k = deg b + n - sum deg a_i; it must parse (the degree rule holds)
+    # to a Cochain whose cup degree is k. A word's CH_* degree is one below
+    # its degree in the diagonal complex.
+    raw = fixture_document(name)
+    degree = {a: d for a, d in raw["algebra"]["basis"]}
+    specs = {}
+    for n in range(3):
+        for word in itertools.product(sorted(degree), repeat=n):
+            for out in sorted(degree):
+                k = degree[out] + n - sum(degree[a] for a in word)
+                entry = {"inputs": list(word), "output": {out: "1"}}
+                specs[f"c{len(specs)}"] = {"degree": k, "components": {str(n): [entry]}}
+    raw["cochains"] = specs
+    doc = parse(serialize(raw))
+    diagonal = diagonal_bimodule(doc.algebra)
+    named = doc.cochains(diagonal, 3)
+    assert {c: cup_degree(f) for c, f in named.items()} == {
+        c: spec["degree"] for c, spec in specs.items()
+    }
+    cx = HochschildComplex(diagonal, 3)
+    for w in cx.all_words():
+        assert regraded_chain_degree(doc.algebra, w) == cx.degree(w) - 1
 
 
 def test_regraded_codifferential_matches_generic():
@@ -372,7 +386,7 @@ def test_cochain_boundaries_match_oracle_route(p):
 
             fc = cochain_complex(M, cutoff)
             for j, keys in fc.basis.items():
-                expected = basis_matrix(keys, fc.basis.get(j + 1, []), former)
+                expected = basis_matrix(keys, fc.basis.get(j - 1, []), former)
                 assert fc.boundary(j) == expected, (name, M.name, j)
 
 
@@ -398,10 +412,10 @@ def test_dual_cochain_cohomology_matches_chain_side():
         dual = dual_bimodule(M)
         L = 3
         cx = HochschildComplex(M, L)
-        chain_table = homology_of_truncation(cx, L)
+        chain_table = homology_of_truncation(cx)
         cochains = cochain_complex(dual, L)
-        for j in sorted(cochains.basis):
-            got = cochains.homology(j)
+        for j in sorted(-k for k in cochains.basis):
+            got = cochains.homology(-j)
             chain_j = chain_table.get(j)
             chain_jm1 = chain_table.get(j - 1)
             assert got.free_rank == (chain_j.free_rank if chain_j else 0), (name, j)
@@ -420,5 +434,5 @@ def test_cochain_basis_and_matrix_shapes():
 
     for j in sorted(basis):
         mat = cochains.boundary(j)
-        assert mat.rows == len(basis.get(j + 1, []))
+        assert mat.rows == len(basis.get(j - 1, []))
         assert mat.cols == len(basis.get(j, []))

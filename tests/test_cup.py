@@ -192,8 +192,8 @@ def test_cup_cocycle_with_coboundary_is_coboundary():
             if fg.is_zero() or fg.truncated:
                 continue
             j = fg.degree
-            B = cochains.boundary(j - 1)
-            assert _membership_in_image(B, _as_vector(fg, basis, j)), (
+            B = cochains.boundary(1 - j)  # beta from degree j - 1, graded by -j
+            assert _membership_in_image(B, _as_vector(fg, basis, -j)), (
                 _single(f),
                 _single(h),
             )
@@ -221,5 +221,5 @@ def test_cup_associativity_on_classes():
                 if diff.is_zero():
                     continue
                 j = diff.degree
-                B = cochains.boundary(j - 1)
-                assert _membership_in_image(B, _as_vector(diff, basis, j))
+                B = cochains.boundary(1 - j)  # beta from degree j - 1, graded by -j
+                assert _membership_in_image(B, _as_vector(diff, basis, -j))

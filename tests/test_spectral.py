@@ -10,6 +10,7 @@ from ainfty.bimodules import (
     tensor_square_bimodule,
 )
 from ainfty.chains import HochschildComplex, InducedChainMap, filtration_level, in_filtration
+from ainfty.errors import IndexOutOfRange, TooLarge
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.homology import basis_matrix
 from ainfty.spectral import column_complex, column_weights, comparison_check, page1
@@ -62,10 +63,8 @@ def test_page0_squares_to_zero():
     cx = HochschildComplex(N, 4)
     for p in range(4):
         column = column_complex(cx, p)
-        for q in column_weights(cx, p):
-            a = column.boundary(q + 1)
-            b = column.boundary(q)
-            assert (a @ b).is_zero()
+        for j in column.basis:
+            assert (column.boundary(j - 1) @ column.boundary(j)).is_zero()
 
 
 def test_page0_uses_only_arity_one_ingredients():
@@ -87,12 +86,12 @@ def test_page0_p0_block_is_coefficient_differential():
     doc = load("quasi_iso_pair")
     N = doc.bimodules["N"]
     cx = HochschildComplex(N, 3)
-    # p = 0 column: words (m,), differential mu_{0,0}
+    # p = 0 column: words (m,) in degree -deg m, differential mu_{0,0}
     column = column_complex(cx, 0)
     mat = column.boundary(0)
     basis0 = column.basis
     assert [w for w in basis0[0]] == [("u",), ("v",)]
-    assert basis0[1] == [("w",)]
+    assert basis0[-1] == [("w",)]
     assert mat.to_dense() == [[0, 1]]
 
 
@@ -102,8 +101,8 @@ def test_page1_zero_differentials_gives_block_ranks():
     cx = HochschildComplex(M, 4)
     for p in range(5):
         buckets = column_complex(cx, p).basis
-        for q, words in buckets.items():
-            summary = page1(cx, p, q)
+        for j, words in buckets.items():
+            summary = page1(cx, p, p - j)
             assert summary.free_rank == len(words)
             assert summary.torsion == ()
 
@@ -133,19 +132,19 @@ def test_page1_mod2_dense_oracle():
     for p in range(5):
         column = column_complex(cx, p)
         buckets = column.basis
-        for q in buckets:
-            got = page1(cx, p, q)
-            d_out = column.boundary(q).to_dense()
-            d_in = column.boundary(q - 1).to_dense()
+        for j in buckets:
+            got = page1(cx, p, p - j)
+            d_out = column.boundary(j).to_dense()
+            d_in = column.boundary(j + 1).to_dense()
             r_out = dense_rank_modp(d_out, 2) if d_out else 0
             r_in = dense_rank_modp(d_in, 2) if d_in else 0
-            assert got.dimension == len(buckets[q]) - r_out - r_in
+            assert got.dimension == len(buckets[j]) - r_out - r_in
 
 
 def test_quotient_columns_walk_each_boundary_once(monkeypatch):
     # one walk over F_L's boundaries serves every quotient column p <= L
     cx = HochschildComplex(diagonal_bimodule(load("exterior2").algebra), 4)
-    fc = cx.truncation(cx.L)
+    fc = cx.truncation()
     calls = []
     real = fc.boundary
     monkeypatch.setattr(fc, "boundary", lambda j: calls.append(j) or real(j))
@@ -163,11 +162,11 @@ def _modules(doc):
 
 def _assert_direct_matches_oracle(cx, p):
     column = column_complex(cx, p, route="direct")
-    for q, keys in column.basis.items():
-        rows = column.basis.get(q + 1, [])
+    for j, keys in column.basis.items():
+        rows = column.basis.get(j - 1, [])
         expected = basis_matrix(keys, rows, lambda w: b1_word(cx, w))
-        assert column.boundary(q) == expected, (p, q)
-    return sum(len(column.boundary(q).entries) for q in column.basis)
+        assert column.boundary(j) == expected, (p, j)
+    return sum(len(column.boundary(j).entries) for j in column.basis)
 
 
 @pytest.mark.parametrize("fixture", ALGEBRA_FIXTURES)
@@ -192,8 +191,8 @@ def test_direct_columns_match_oracle_with_nonzero_mu1():
         for p in range(5):
             entries += _assert_direct_matches_oracle(cx, p)
             direct, quotient = column_complex(cx, p), column_complex(cx, p, route="quotient")
-            for q in direct.basis:
-                assert direct.boundary(q) == quotient.boundary(q), (p, q)
+            for j in direct.basis:
+                assert direct.boundary(j) == quotient.boundary(j), (p, j)
     assert entries > 0
 
 
@@ -206,14 +205,14 @@ def test_quotient_slices_match_length_blocks(fixture, ring):
     modules = [diagonal_bimodule(doc.algebra)] + list(doc.bimodules.values())
     for M in modules:
         cx = HochschildComplex(M, 3)
-        blocks = length_blocks_oracle(cx, cx.L)
+        blocks = length_blocks_oracle(cx)
         for p in range(cx.L + 1):
             column = column_complex(cx, p, route="quotient")
             b1 = blocks.get(p, {})
-            for q, keys in column.basis.items():
-                rows = column.basis.get(q + 1, [])
+            for j, keys in column.basis.items():
+                rows = column.basis.get(j - 1, [])
                 expected = basis_matrix(keys, rows, lambda w: b1.get(w, {}))
-                assert column.boundary(q) == expected, (fixture, p, q)
+                assert column.boundary(j) == expected, (fixture, p, j)
 
 
 @pytest.mark.parametrize("algebra", [lambda: load("exterior2").algebra, mu1_algebra])
@@ -233,7 +232,7 @@ def test_direct_columns_make_no_per_word_lookups(monkeypatch, algebra):
 
 
 def test_direct_term_outside_the_target_weight_is_an_internal_error():
-    # a mu_(0,0) term that keeps the degree breaks the weight rule; it is
+    # a mu_(0,0) term that keeps the degree misses degree j - 1; it is
     # skewed in N's table after validation, where only the walk reads it
     from ainfty.errors import InternalInvariant
     from ainfty.graded import Element
@@ -288,16 +287,39 @@ def test_filtration_shift_of_induced_maps():
             assert filtration_level(out) <= len(w) - 2
 
 
-@pytest.mark.parametrize("fixture, module", [("exterior2", None), ("quasi_iso_pair", "N")])
-def test_quotient_route_above_the_cutoff(fixture, module):
-    # at p = L + 1 the quotient route reads F_{L+1}: reading F_L would give the
-    # column a zero differential, which N's nonzero b_1 at p = 3 tells apart
-    doc = load(fixture)
-    M = doc.bimodules[module] if module else diagonal_bimodule(doc.algebra)
-    cx = HochschildComplex(M, 2)
-    for q in column_weights(cx, 3):
-        direct, quotient = page1(cx, 3, q, "direct"), page1(cx, 3, q, "quotient")
-        assert direct.invariants() == quotient.invariants(), q
+@pytest.mark.parametrize("route", ["direct", "quotient"])
+def test_columns_outside_the_cutoff_are_refused(route):
+    # a column is a slice of F_L, so p runs over 0..L only
+    cx = HochschildComplex(load("quasi_iso_pair").bimodules["N"], 2)
+    for p in (-1, cx.L + 1):
+        with pytest.raises(IndexOutOfRange, match=rf"^column p={p} is outside 0\.\.2"):
+            column_complex(cx, p, route)
+    with pytest.raises(IndexOutOfRange):
+        page1(cx, cx.L + 1, 0, route)
+
+
+@pytest.mark.parametrize("route", ["direct", "quotient"])
+def test_no_column_builds_more_words_than_the_budget(monkeypatch, route):
+    # F_L passes the word budget, and every column is a slice of F_L: no
+    # route enumerates words longer than L, so none builds past the budget
+    import ainfty.chains as chains
+
+    monkeypatch.setattr(chains, "MAX_WORDS", 100)
+    cx = HochschildComplex(diagonal_bimodule(load("exterior2").algebra), 1)
+    with pytest.raises(TooLarge):
+        HochschildComplex(cx.M, 3)
+    lengths = []
+    real = HochschildComplex._by_rank
+    monkeypatch.setattr(
+        HochschildComplex, "_by_rank", lambda self, n: lengths.append(n) or real(self, n)
+    )
+    for p in range(cx.L + 2):
+        try:
+            column_complex(cx, p, route)
+        except IndexOutOfRange:
+            assert p == cx.L + 1
+    assert lengths and max(lengths) <= cx.L
+    assert chains.word_count(4, 4, max(lengths)) <= chains.MAX_WORDS
 
 
 def test_comparison_identity():
@@ -399,7 +421,7 @@ def test_truncated_homology_table():
     doc = load("dual_numbers")
     M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
-    table = homology_of_truncation(cx, 4)
+    table = homology_of_truncation(cx)
     assert table[1].invariants() == (2, ())
     assert table[2].invariants() == (1, (2,))
     assert table[3].invariants() == (1, ())
@@ -408,7 +430,7 @@ def test_truncated_homology_table():
     doc = load("truncated_poly3")
     M = diagonal_bimodule(doc.algebra)
     cx = HochschildComplex(M, 4)
-    table = homology_of_truncation(cx, 4)
+    table = homology_of_truncation(cx)
     assert table[1].invariants() == (3, ())
     assert table[2].invariants() == (2, (3,))
     assert table[3].invariants() == (2, ())
