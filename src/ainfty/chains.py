@@ -83,14 +83,23 @@ class HochschildComplex:
             raise TooLarge(
                 f"F_{length_cutoff} has {more}{count} words, above the limit of {MAX_WORDS}"
             )
-        # length n -> (words, their Hochschild degrees), in enumeration order
+        # length n -> (words, their Hochschild degrees), in enumeration order,
+        # and length n -> _by_rank(n), built once for words, boundaries and E^0
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
+        self._ranks: dict[int, tuple[list[int], list[int]]] = {}
         # b as matrices, built once: F_L here; E^0 columns by p, then route,
         # by spectral.py; F_L's boundaries by degree, then row word, by
         # cochains.b_star
         self._truncation: FiniteComplex | None = None
         self.columns: dict[int, dict] = {}
         self.boundary_rows: dict[int, dict] = {}
+
+    def _ranked(self, n: int) -> tuple[list[int], list[int]]:
+        """_by_rank(n), built once per n; callers must not change the lists."""
+        out = self._ranks.get(n)
+        if out is None:
+            out = self._ranks[n] = self._by_rank(n)
+        return out
 
     def _by_rank(self, n: int) -> tuple[list[int], list[int]]:
         """Hochschild degrees of the length-n words by rank, and the ranks in
@@ -105,7 +114,7 @@ class HochschildComplex:
         out = self._words.get(n)
         if out is None:
             # the name product runs in rank order, in step with _by_rank
-            degs, order = self._by_rank(n)
+            degs, order = self._ranked(n)
             tails = list(itertools.product(self.A.module.names, repeat=n))
             words = [(m,) + rest for m in self.M.module.names for rest in tails]
             out = tuple(words[k] for k in order), tuple(degs[k] for k in order)
@@ -152,7 +161,7 @@ class HochschildComplex:
         ints = list(range(max(column.values(), default=0)))
         seen, tables = dict.fromkeys(column, 0), []
         for n in range(L + 1):
-            degs, order = self._by_rank(n)
+            degs, order = self._ranked(n)
             cols = [0] * len(degs)
             for rank in order:
                 j = degs[rank]

@@ -13,13 +13,19 @@ U_s at a time, before returning. Off the support M is zero and U and V are
 the identity, so this proves D = U*M*V on the whole matrix. Python ints
 keep every entry exact at any size. Complexes and chain maps reach the
 homology engine as matrices only.
+
+Over Z/p a complex needs only the rank of each boundary, so d_j is
+factored without the rows that are pivot columns of d_{j-1} (clearing, as
+in persistent homology): once d_{j-1} d_j = 0 is checked, those rows cannot
+raise its rank (see FiniteComplex). Over Z each boundary is factored whole,
+because its torsion needs every invariant factor, not only the rank.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Collection, Sequence
 
 from .errors import InternalInvariant, NotAComplex, NotChainMap
 from .rings import CoefficientRing
@@ -195,19 +201,21 @@ def _check_umv(
 
 
 def _eliminate(
-    mat: ExactMatrix, p: int | None = None, track: bool = True
+    mat: ExactMatrix, p: int | None = None, track: bool = True, skip: Collection[int] = ()
 ) -> tuple[list[list], list[dict[int, int]], list[dict[int, int]]]:
     """Sparse elimination of mat to a diagonal, over Z or (p given) over Z/p.
 
     Returns (pivots, u_rest, v_rest). Each pivot is [d, row of U, column of
-    V] as sparse dicts: U*mat*V is diagonal, with d > 0 where the pivot's
-    row meets its column (d = 1 mod p). u_rest and v_rest are the rows of U
-    and columns of V of the support rows and columns (those that hold an
-    entry; mod p, one not divisible by p) left without a pivot, both
-    ascending, so u_rest*mat and mat*v_rest vanish. The elimination never
-    touches the other rows and columns, so U and V are the identity there,
-    no vector is made for them and no vector mentions them: _check_umv
-    checks the support block only.
+    V, r, c] with sparse dicts: U*mat*V is diagonal, with d > 0 where the
+    pivot's row meets its column (d = 1 mod p), and the elimination took it
+    at entry (r, c) of mat. The rows in skip are dropped as mat is loaded,
+    so the result is that of mat with those rows zero. u_rest and v_rest
+    are the rows of U and columns of V of the support rows and columns
+    (those that hold an entry; mod p, one not divisible by p) left without a
+    pivot, both ascending, so u_rest*mat and mat*v_rest vanish. The
+    elimination never touches the other rows and columns, so U and V are
+    the identity there, no vector is made for them and no vector mentions
+    them: _check_umv checks the support block only.
 
     The next pivot is the entry of least absolute value (mod p every entry
     counts as a unit), ties broken by least Markowitz cost (row nnz - 1) *
@@ -220,8 +228,10 @@ def _eliminate(
     comes off the heap first: a pivot is taken only when its row and column
     are clear. Each failed attempt lowers the least absolute value in the
     matrix, so the elimination ends. A unit never leaves a remainder. With
-    track=False (rank only) U and V are not updated, so only the number of
-    pivots means anything.
+    track=False (rank only) U and V are not updated, so only the pivots'
+    count and entries mean anything. Over a field only row operations are
+    then made, each clearing a pivot's column in the rows left, so the pivot
+    columns are independent columns of mat, as many as its rank.
     """
     field = p is not None
     rows: dict[int, dict[int, int]] = {}
@@ -230,15 +240,13 @@ def _eliminate(
     cols: dict[int, list[int]] = {}
     for (i, j), c in mat.entries.items():
         c = c % p if field else c
-        if c:
+        if c and i not in skip:
             rows.setdefault(i, {})[j] = c
             cols.setdefault(j, []).append(i)
     support_rows, support_cols = (sorted(rows), sorted(cols)) if track else ((), ())
     u: dict[int, dict[int, int]] = {}
     v: dict[int, dict[int, int]] = {}
     pivots: list[list] = []
-    pivot_rows: set[int] = set()
-    pivot_cols: set[int] = set()
     heap = [
         (1 if field else abs(c), (len(row) - 1) * (len(cols[j]) - 1), i, j)
         for i, row in rows.items()
@@ -302,9 +310,7 @@ def _eliminate(
         if not (kept or rest):
             if track and inv != 1:
                 ur = _axpy({}, inv, ur, p)
-            pivots.append([size, ur, vc])
-            pivot_rows.add(r)
-            pivot_cols.add(c)
+            pivots.append([size, ur, vc, r, c])
             continue
         # a remainder is left, smaller than the pivot: the pivot goes back
         if rest:
@@ -321,6 +327,7 @@ def _eliminate(
             )
     if not track:
         return pivots, [], []
+    pivot_rows, pivot_cols = {q[3] for q in pivots}, {q[4] for q in pivots}
     u_rest = [u[i] if i in u else {i: 1} for i in support_rows if i not in pivot_rows]
     v_rest = [v[j] if j in v else {j: 1} for j in support_cols if j not in pivot_cols]
     return pivots, u_rest, v_rest
@@ -379,9 +386,16 @@ def invariant_factors(mat: ExactMatrix) -> list[int]:
     return _smith(mat, None)[0]
 
 
-def rank_modp(mat: ExactMatrix, p: int) -> int:
-    """Rank over Z/p: the number of pivots of the sparse elimination mod p."""
-    return len(_eliminate(mat, p, track=False)[0])
+def rank_modp(
+    mat: ExactMatrix, p: int, skip: Collection[int] = ()
+) -> tuple[int, frozenset[int]]:
+    """Rank over Z/p of mat without the rows in skip, and its pivot columns.
+
+    The rank is the number of pivots of the sparse elimination mod p; their
+    columns are independent columns of mat, as many as that rank.
+    """
+    pivots = _eliminate(mat, p, False, skip)[0]
+    return len(pivots), frozenset(q[4] for q in pivots)
 
 
 def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
@@ -450,7 +464,7 @@ class HomologySummary:
 def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
     """Invariant factors of one boundary; over Z/p every nonzero one is a unit 1."""
     if ring.is_field:
-        return [1] * rank_modp(mat, ring.p)
+        return [1] * rank_modp(mat, ring.p)[0]
     return invariant_factors(mat)
 
 
@@ -480,6 +494,15 @@ class FiniteComplex:
     A degree missing from boundaries is the zero map. Each boundary is
     factored once, and each pair of boundaries is checked to compose to zero
     once.
+
+    Over Z/p only ranks matter, and d_j is factored without the rows that
+    are pivot columns P of d_{j-1} (clearing), once d_{j-1} has been
+    factored and d_{j-1} d_j = 0 checked. The pivot columns P of d_{j-1} are
+    independent and |P| = rank d_{j-1}, so C_{j-1} = ker d_{j-1} (+) span(e_P);
+    im d_j lies in ker d_{j-1}, which meets span(e_P) in 0, so deleting the
+    rows P keeps the rank of d_j. The pivot columns of the cleared d_j serve
+    d_{j+1} in turn. Over Z the invariant factors of the whole boundary are
+    needed, not only its rank, so each boundary is factored whole.
     """
 
     def __init__(
@@ -490,6 +513,8 @@ class FiniteComplex:
         self._boundaries = boundaries
         self._factors: dict[int, list[int]] = {}
         self._checked: set[int] = set()
+        # over Z/p, degree j -> the pivot columns of d_j, kept until d_{j+1} is factored
+        self._pivot_cols: dict[int, frozenset[int]] = {}
 
     def boundary(self, j: int) -> ExactMatrix:
         """The differential out of degree j, C_j -> C_{j-1}."""
@@ -498,7 +523,16 @@ class FiniteComplex:
 
     def _factored(self, j: int) -> list[int]:
         if j not in self._factors:
-            self._factors[j] = _factor(self.boundary(j), self.ring)
+            if self.ring.is_field:
+                # clearing needs d_{j-1} d_j = 0; see the class docstring
+                cleared = self._pivot_cols.pop(j - 1, ())
+                skip = cleared if j - 1 in self._checked else ()
+                rank, pivot_cols = rank_modp(self.boundary(j), self.ring.p, skip)
+                if j + 1 not in self._factors:
+                    self._pivot_cols[j] = pivot_cols
+                self._factors[j] = [1] * rank
+            else:
+                self._factors[j] = invariant_factors(self.boundary(j))
         return self._factors[j]
 
     def composite_failures(self, j: int) -> list:

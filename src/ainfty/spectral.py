@@ -82,7 +82,7 @@ def _b1_matrices(
     a_terms = terms(complex_.A.ops.get(1), complex_.A.module.position)
     if not (m_terms or a_terms):
         return {}
-    degs, order = complex_._by_rank(p)
+    degs, order = complex_._ranked(p)
     index, seen = [0] * len(degs), {}  # each word's place in its degree block
     for rank in order:
         j = degs[rank]
@@ -105,7 +105,7 @@ def _b1_matrices(
         run(m * N**p, n * N**p, N**p, c)
     for i in range(1, p + 1) if a_terms else ():
         after = N ** (p - i)
-        for P, j in enumerate(complex_._by_rank(i - 1)[0]):
+        for P, j in enumerate(complex_._ranked(i - 1)[0]):
             for a, b, c in a_terms:
                 run((P * N + a) * after, (P * N + b) * after, after, -c if j & 1 else c)
     for acc in sums.values() if prime else ():

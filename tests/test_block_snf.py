@@ -152,7 +152,23 @@ def test_kernel_basis_z_is_the_kernel_lattice(case):
 @given(block_matrices(), st.sampled_from([2, 3]))
 def test_block_rank_modp_matches_dense(case, p):
     mat, _ = case
-    assert rank_modp(mat, p) == dense_rank_modp(mat.to_dense(), p)
+    dense = mat.to_dense()
+    rank, pivot_cols = rank_modp(mat, p)
+    assert rank == dense_rank_modp(dense, p)
+    # the pivot columns are independent, as many as the rank
+    assert len(pivot_cols) == rank
+    assert dense_rank_modp([[row[c] for c in sorted(pivot_cols)] for row in dense], p) == rank
+
+
+@given(block_matrices(), st.sampled_from([2, 3]), st.data())
+def test_rank_modp_without_rows_matches_dense(case, p, data):
+    # the skipped rows are dropped as if deleted from the matrix
+    mat, _ = case
+    skip = data.draw(st.sets(st.integers(0, mat.rows - 1)) if mat.rows else st.just(set()))
+    kept = [row for i, row in enumerate(mat.to_dense()) if i not in skip]
+    rank, pivot_cols = rank_modp(mat, p, skip)
+    assert rank == dense_rank_modp(kept, p)
+    assert dense_rank_modp([[row[c] for c in sorted(pivot_cols)] for row in kept], p) == rank
 
 
 @st.composite
@@ -189,7 +205,7 @@ def test_snf_matches_block_only_oracle(mat):
 @example(from_dense([[4, 6], [6, 9]]), 3)
 def test_rank_kernel_solve_modp_match_dense(mat, p):
     dense = mat.to_dense()
-    rank = rank_modp(mat, p)
+    rank, _ = rank_modp(mat, p)
     assert rank == dense_rank_modp(dense, p)
 
     # the kernel: right size, killed by mat, and the oracle's span

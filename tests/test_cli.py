@@ -558,6 +558,62 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
+@pytest.mark.parametrize("command", ["hh", "cohomology"])
+@pytest.mark.parametrize("fixture,p", [("exterior2", 3), ("mu3_square_zero", 2), ("truncated_poly3", 5)])
+def test_degree_ranges_print_the_full_runs_rows(tmp_path, capsys, command, fixture, p):
+    # over Z/p a range factors its lowest boundary whole and clears each
+    # boundary above it by the one below; the rows stay the full run's
+    doc = fixture_document(fixture)
+    doc["ring"] = {"kind": "Zp", "p": p}
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(doc))
+    row = re.compile(r"degree (-?\d+): (.*)")
+    code, out, _ = run_cli([command, str(path), "--length", "4"], capsys)
+    assert code == 0
+    full = {int(j): h for j, h in row.findall(out)}
+    degrees = sorted(full)
+    mid = degrees[len(degrees) // 2]
+    for first, last in [(mid, degrees[-1]), (mid, mid)]:
+        spec = f"{first}..{last}" if first != last else str(first)
+        code, out, _ = run_cli([command, str(path), "--length", "4", "--degrees", spec], capsys)
+        assert code == 0
+        expected = [(j, full[j]) for j in range(first, last + 1)]
+        assert [(int(j), h) for j, h in row.findall(out)] == expected
+
+
+def test_clearing_hands_the_eliminator_fewer_rows(tmp_path, capsys, monkeypatch):
+    # hh exterior2 at L=5 over Z/3: the whole boundaries hold 1304 support
+    # rows; each d_j after the lowest leaves out the pivot columns P_{j-1}
+    # of the boundary below it, so the eliminator sees
+    # sum_j |supp rows(d_j) minus P_{j-1}| = 1090 rows
+    import ainfty.homology as homology
+
+    original = homology._eliminate
+    calls = []
+
+    def recorded(mat, p=None, track=True, skip=()):
+        out = original(mat, p, track, skip)
+        calls.append((mat, set(skip), {q[4] for q in out[0]}))
+        return out
+
+    monkeypatch.setattr(homology, "_eliminate", recorded)
+    doc = fixture_document("exterior2")
+    doc["ring"] = {"kind": "Zp", "p": 3}
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(doc))
+    code, _, _ = run_cli(["hh", str(path), "--length", "5"], capsys)
+    assert code == 0
+
+    def support(mat):
+        return {i for (i, _), c in mat.entries.items() if c % 3}
+
+    assert sum(len(support(mat)) for mat, _, _ in calls) == 1304
+    assert sum(len(support(mat) - skip) for mat, skip, _ in calls) == 1090
+    # calls go upwards in degree: each skip is the pivot columns of the call before
+    assert calls[0][1] == set()
+    assert all(skip == below for (_, _, below), (_, skip, _) in zip(calls, calls[1:]))
+
+
 def _dense_cells(monkeypatch):
     """Record the area of every matrix the linear algebra makes dense."""
     import ainfty.homology as homology
@@ -713,6 +769,30 @@ def test_chain_assembly_visits_only_existing_operations(tmp_path, capsys, monkey
     words = sum(len(list(cx.all_words())) for cx in complexes)
     assert calls["boundaries"] == len(complexes) == 1
     assert words == 1364
+
+
+def test_rank_tables_are_built_once_per_length(tmp_path, capsys, monkeypatch):
+    # the words, boundaries() and the direct E^0 columns read one table of
+    # degrees and enumeration order per length, built once per complex
+    from ainfty.chains import HochschildComplex
+
+    original = HochschildComplex._by_rank
+    built = Counter()
+
+    def recorded(self, n):
+        built[self, n] += 1
+        return original(self, n)
+
+    monkeypatch.setattr(HochschildComplex, "_by_rank", recorded)
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, _, _ = run_cli(["verify", str(path), "--length", "6"], capsys)
+    assert code == 0
+    complexes = {cx for cx, _ in built}
+    assert set(built) == {(cx, n) for cx in complexes for n in range(7)}
+    # one per length for each of the three complexes; twice as many before
+    # the tables were kept
+    assert sum(built.values()) == len(built) == 21
 
 
 def test_verify_reads_b_from_the_truncation_matrices(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import ainfty.homology as homology
 from ainfty.bimodules import diagonal_bimodule
 from ainfty.chains import HochschildComplex
+from ainfty.cli import resolve_bimodule
 from ainfty.errors import InternalInvariant, NotAComplex, NotChainMap
 from ainfty.homology import (
     ExactMatrix,
@@ -136,9 +137,10 @@ def test_rank_modp_and_kernel():
             cols = rng.randint(1, 5)
             dense = [[rng.randint(0, p - 1) for _ in range(cols)] for _ in range(rows)]
             mat = from_dense(dense)
-            assert rank_modp(mat, p) == dense_rank_modp(dense, p)
+            rank, _ = rank_modp(mat, p)
+            assert rank == dense_rank_modp(dense, p)
             K = kernel_basis(mat, Zp(p))
-            assert K.cols == cols - rank_modp(mat, p)
+            assert K.cols == cols - rank
             assert mod(mat @ K, p).is_zero()
 
 
@@ -165,6 +167,42 @@ def test_homology_rejects_non_complex():
     assert is_trivial(fc.homology(0))
     with pytest.raises(NotAComplex):
         fc.homology(1)
+
+
+def test_clearing_waits_for_the_composite_check():
+    # over Z/2, c -> b -> a with both maps the identity is no complex: the
+    # pivot column b of d_1 must not clear row b of d_2, whose rank is 1
+    images = {"c": {"b": 1}, "b": {"a": 1}}
+    fc = image_complex(Zp(2), {0: ["a"], 1: ["b"], 2: ["c"]}, lambda k: images.get(k, {}))
+    assert is_trivial(fc.homology(0))
+    assert fc._factored(1) == [1]
+    assert fc._factored(2) == [1] * rank_modp(fc.boundary(2), 2)[0] == [1]
+    with pytest.raises(NotAComplex, match=r"^composite of boundary maps is nonzero on c in degree 2$"):
+        fc.homology(1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("module", ["diagonal", "tensor_square", "dual"])
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_cleared_ranks_are_the_whole_boundaries_ranks(monkeypatch, name, module, p):
+    # visited upwards, every d_j past the lowest is factored without the
+    # pivot columns of d_{j-1}; each rank is still that of the whole matrix
+    skipped = []
+    original = homology.rank_modp
+
+    def recorded(mat, q, skip=()):
+        skipped.append(len(skip))
+        return original(mat, q, skip)
+
+    monkeypatch.setattr(homology, "rank_modp", recorded)
+    fc = HochschildComplex(resolve_bimodule(load(name, p), module), 4).truncation()
+    for j in sorted(fc.basis):
+        fc.homology(j)
+    factored = sorted(fc._factors)
+    assert factored == sorted(fc.basis) + [max(fc.basis) + 1]
+    for j in factored:
+        assert fc._factored(j) == [1] * original(fc.boundary(j), p)[0]
+    assert sum(skipped) == sum(len(fc._factored(j)) for j in factored[:-1])
 
 
 def _complex_blocks(cx, length):
@@ -227,7 +265,7 @@ def test_rank_nullity_over_fields():
     basis = _complex_blocks(cx, 3)
     for j in sorted(basis):
         mat = _boundary(cx, basis, j)
-        r = rank_modp(mat, 3)
+        r, _ = rank_modp(mat, 3)
         k = kernel_basis(mat, Zp(3)).cols
         assert r + k == mat.cols
 
