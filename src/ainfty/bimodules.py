@@ -317,12 +317,6 @@ class BimoduleMorphism:
                 clean[(r, s)] = op
         self.maps = clean
 
-    def component_word(self, r: int, s: int, word: Word) -> Element:
-        op = self.maps.get((r, s))
-        if op is None:
-            return Element(self.target.module, {})
-        return op.on_word(word)
-
     def slot_index(self, r: int, s: int) -> dict[str, list[tuple[Word, Word, int, dict]]]:
         """f_(r,s) entries by the M name in the slot, as AInfinityBimodule.slot_index."""
         return _slot_index(self.maps, self._slots, self.source.algebra.module, r, s)

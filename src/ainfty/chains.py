@@ -50,16 +50,6 @@ def add(x: Chain, y: Chain, ring) -> Chain:
     return normalize(acc, ring)
 
 
-def filtration_level(x: Chain) -> int:
-    """Largest word length in the support; -1 for the zero chain."""
-    return max((len(w) - 1 for w in x), default=-1)
-
-
-def in_filtration(x: Chain, p: int) -> bool:
-    # the zero chain lies in every level, including the vanishing negative ones
-    return not x or filtration_level(x) <= p
-
-
 def word_count(m_rank: int, a_rank: int, length: int) -> int:
     """|M| * (N^0 + ... + N^L), the number of words of F_L."""
     if a_rank < 2:
@@ -279,26 +269,14 @@ class InducedChainMap:
         self.target = target
         self.degree = -f.degree
         self._matrices: dict[int, ExactMatrix] | None = None
-        # words of F_L whose image is longer than they are, found by matrices()
-        self.grows: set[Word] = set()
 
     def matrices(self) -> dict[int, ExactMatrix]:
-        """f_* as {j: F_j}, from F_L's degree j to degree j + degree; built once.
-
-        The same pass, one on_word per word, records the words that grow the
-        filtration.
-        """
+        """f_* as {j: F_j}, from F_L's degree j to degree j + degree; built once,
+        one on_word per word."""
         if self._matrices is None:
             src, tgt = self.source.truncation(), self.target.truncation()
-
-            def image(w: Word) -> Chain:
-                out = self.on_word(w)
-                if not in_filtration(out, len(w) - 1):
-                    self.grows.add(w)
-                return out
-
             self._matrices = {
-                j: basis_matrix(words, tgt.basis.get(j + self.degree, []), image)
+                j: basis_matrix(words, tgt.basis.get(j + self.degree, []), self.on_word)
                 for j, words in src.basis.items()
             }
         return self._matrices

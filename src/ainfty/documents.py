@@ -34,27 +34,20 @@ class StructureDocument:
     algebra: AInfinityAlgebra
     bimodules: dict[str, AInfinityBimodule]
     morphisms: dict[str, BimoduleMorphism]
-    cochain_specs: dict[str, dict]
+    # cochain name -> (CH^*(A) degree, {arity: {input word: {output name: coefficient}}})
+    cochain_tables: dict[str, tuple[int, dict[int, dict]]]
     options: Options
     raw: dict = field(repr=False, default_factory=dict)
 
     def cochains(self, diagonal: AInfinityBimodule, cutoff: int) -> dict[str, Cochain]:
         """The document's cochains over the diagonal bimodule, up to arity cutoff."""
         out = {}
-        for name in sorted(self.cochain_specs):
-            spec = self.cochain_specs[name]
-            comps = {}
-            where = f"cochains.{name}"
-            for arity, entries in _object(spec["components"], f"{where}.components").items():
-                try:
-                    n = int(arity)
-                except ValueError:
-                    raise DocumentError(f"{where}: bad arity key {arity!r}") from None
-                comps[n] = _entries_to_table(entries, f"{where}.components.{arity}")
+        for name, (degree, comps) in sorted(self.cochain_tables.items()):
+            arity = max(comps, default=0)
+            if arity > cutoff:
+                raise DocumentError(f"cochains.{name}: arity {arity} exceeds the cutoff {cutoff}")
             # documents carry the CH^*(A) degree; internally the generic one
-            out[name] = Cochain(
-                diagonal, _int_field(spec, "degree", None, where) - 1, comps, cutoff
-            )
+            out[name] = Cochain(diagonal, degree - 1, comps, cutoff)
         return out
 
 
@@ -149,10 +142,7 @@ def _parse_algebra(doc: dict, ring: CoefficientRing) -> AInfinityAlgebra:
     if kind == "ainfty":
         ops = {}
         for key, entries in _object(spec.get("operations", {}), "algebra.operations").items():
-            try:
-                n = int(key)
-            except ValueError:
-                raise DocumentError(f"algebra.operations: bad arity key {key!r}") from None
+            (n,) = _key(key, 1, "algebra.operations", "arity")
             table = _entries_to_table(entries, f"algebra.operations.{key}")
             ops[n] = MultilinearOp(
                 (module,) * n, module, 2 - n, table, label=f"algebra.operations.{key}"
@@ -163,12 +153,15 @@ def _parse_algebra(doc: dict, ring: CoefficientRing) -> AInfinityAlgebra:
     raise DocumentError(f"algebra.kind: unknown kind {kind!r}")
 
 
-def _parse_rs_key(key: str, where: str) -> tuple[int, int]:
+def _key(key: str, size: int, where: str, what: str) -> tuple[int, ...]:
+    """A table key of size comma-separated counts, each >= 0."""
     try:
-        r, s = key.split(",")
-        return int(r), int(s)
+        counts = tuple(int(n) for n in key.split(","))
     except ValueError:
-        raise DocumentError(f"{where}: bad (r,s) key {key!r}") from None
+        counts = ()
+    if len(counts) != size or min(counts) < 0:
+        raise DocumentError(f"{where}: bad {what} key {key!r}")
+    return counts
 
 
 def _parse_bimodule(name: str, spec: dict, algebra: AInfinityAlgebra) -> AInfinityBimodule:
@@ -177,7 +170,7 @@ def _parse_bimodule(name: str, spec: dict, algebra: AInfinityAlgebra) -> AInfini
     module = _parse_basis(spec.get("basis", []), algebra.ring, f"{where}.basis")
     ops = {}
     for key, entries in _object(spec.get("operations", {}), f"{where}.operations").items():
-        r, s = _parse_rs_key(key, f"{where}.operations")
+        r, s = _key(key, 2, f"{where}.operations", "(r,s)")
         table = _entries_to_table(entries, f"{where}.operations.{key}")
         ops[(r, s)] = bimodule_op(
             algebra, module, r, s, table, label=f"{where}.operations.{key}"
@@ -191,14 +184,14 @@ def _parse_morphism(
     where = f"morphisms.{name}"
     spec = _object(spec, where)
     for kind in ("source", "target"):
-        if spec.get(kind) not in bimodules:
+        if not isinstance(spec.get(kind), str) or spec[kind] not in bimodules:
             raise DocumentError(f"{where}.{kind}: unknown bimodule {spec.get(kind)!r}")
     source = bimodules[spec["source"]]
     target = bimodules[spec["target"]]
     d = _int_field(spec, "degree", 0, where)
     maps = {}
     for key, entries in _object(spec.get("components", {}), f"{where}.components").items():
-        r, s = _parse_rs_key(key, f"{where}.components")
+        r, s = _key(key, 2, f"{where}.components", "(r,s)")
         table = _entries_to_table(entries, f"{where}.components.{key}")
         maps[(r, s)] = morphism_op(
             source, target, r, s, d, table, label=f"{where}.components.{key}"
@@ -206,9 +199,40 @@ def _parse_morphism(
     return BimoduleMorphism(source, target, d, maps, name=name)
 
 
+def _parse_cochain(name: str, spec, module: GradedModule) -> tuple[int, dict[int, dict]]:
+    """A diagonal cochain's CH^*(A) degree and its tables by arity, checked
+    against A's basis; only the arity cutoff is left to the command."""
+    where = f"cochains.{name}"
+    spec = _object(spec, where)
+    if "degree" not in spec or "components" not in spec:
+        raise DocumentError(f"{where}: needs 'degree' and 'components'")
+    degree = _int_field(spec, "degree", None, where)
+    comps = {}
+    for arity, entries in _object(spec["components"], f"{where}.components").items():
+        (n,) = _key(arity, 1, f"{where}.components", "arity")
+        loc = f"{where}.components.{arity}"
+        table = _entries_to_table(entries, loc)
+        for k, (word, out) in enumerate(table.items()):
+            if len(word) != n:
+                raise DocumentError(f"{loc}[{k}]: {len(word)} inputs for arity {n}")
+            try:
+                # degree d sends a word of A-degree e to outputs of A-degree e + d - n
+                out_deg = sum(map(module.degree_of, word)) + degree - n
+                if any(module.degree_of(letter) != out_deg for letter in out):
+                    raise DocumentError(f"{loc}[{k}]: entry {word} breaks the degree rule")
+            except UnknownName as exc:
+                raise DocumentError(f"{loc}[{k}]: {exc}") from None
+        comps[n] = table
+    return degree, comps
+
+
 def _int_field(container, key, default, where):
+    value = container.get(key, default)
     try:
-        return int(container.get(key, default))
+        # int() would truncate 1.5 to 1 and read true as 1
+        if isinstance(value, (bool, float)):
+            raise TypeError
+        return int(value)
     except (TypeError, ValueError):
         raise DocumentError(f"{where}.{key}: expected an integer") from None
 
@@ -239,15 +263,12 @@ def parse(text: str) -> StructureDocument:
     morphism_specs = _object(doc.get("morphisms", {}), "morphisms")
     for name in sorted(morphism_specs):
         morphisms[name] = _parse_morphism(name, morphism_specs[name], bimodules)
-    cochain_specs = {}
     specs = _object(doc.get("cochains", {}), "cochains")
-    for name in sorted(specs):
-        spec = _object(specs[name], f"cochains.{name}")
-        if "degree" not in spec or "components" not in spec:
-            raise DocumentError(f"cochains.{name}: needs 'degree' and 'components'")
-        cochain_specs[name] = spec
+    cochain_tables = {
+        name: _parse_cochain(name, specs[name], algebra.module) for name in sorted(specs)
+    }
     return StructureDocument(
-        ring, algebra, bimodules, morphisms, cochain_specs, options, raw=doc
+        ring, algebra, bimodules, morphisms, cochain_tables, options, raw=doc
     )
 
 

@@ -65,10 +65,6 @@ class NotChainMap(AinftyError):
     pass
 
 
-class NotFiltrationPreserving(AinftyError):
-    pass
-
-
 class UnknownFixture(AinftyError):
     pass
 

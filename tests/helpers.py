@@ -26,11 +26,15 @@ them. The block-only Smith
 normal form (the union-find block split and the dense min-pivot kernel) and
 the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
-over Z/p. The length projection, the Z^r membership tests, the homology table
-of a truncation and the degree of a chain are reported by no command, so
-they live here too, as do from_dense and is_trivial, which only tests call,
-and mod and morphism_is_chain_map_00, the former ExactMatrix.mod and the
-former library check of f_{0,0}, which no library code calls.
+over Z/p. The length projection, the filtration level and membership of a
+chain, the Z^r membership tests, the homology table of a truncation and the
+degree of a chain are reported by no command, so they live here too, as do
+from_dense and is_trivial, which only tests call, and mod,
+morphism_is_chain_map_00 and component_word, the former
+ExactMatrix.mod, the former library check of f_{0,0} and the former
+BimoduleMorphism.component_word, which no library code calls. The word-level
+E^0 map (e0_map_oracle) is the comparison check's former f_0 with f_*'s sign,
+kept to check the length blocks of f_*'s matrices that replaced it.
 """
 
 import itertools
@@ -38,7 +42,7 @@ import random
 from fractions import Fraction
 
 from ainfty.bimodules import AInfinityBimodule, _slot_family, bimodule_op, dual_name, tensor_name
-from ainfty.chains import HochschildComplex, InducedChainMap, add_into, in_filtration, normalize
+from ainfty.chains import HochschildComplex, InducedChainMap, add_into, normalize
 from ainfty.cochains import Cochain, DualChainElement, coboundary
 from ainfty.algebra import from_dga
 from ainfty.graded import Element, GradedModule, MultilinearOp
@@ -105,6 +109,65 @@ def induced(f, length):
     """f_* between fresh complexes of f's source and target at one length cutoff."""
     source, target = HochschildComplex(f.source, length), HochschildComplex(f.target, length)
     return InducedChainMap(f, source, target)
+
+
+def degree_one_document():
+    """A = {e}, e.e = e; M = {p, q} with mu_(0,0)(p) = q, N = {P, Q} with
+    mu_(0,0)(P) = Q, e acting as the identity on the left of both; and the
+    degree-1 morphism shift: M -> N with f_(0,0)(p) = P, f_(0,0)(q) = -Q.
+    f_* carries the Koszul sign (-1)^(d j) on a word of Hochschild degree j."""
+
+    def entry(inputs, output):
+        return {"inputs": list(inputs), "output": {n: str(c) for n, c in output.items()}}
+
+    def bimodule(low, high, degree):
+        return {
+            "basis": [[low, degree], [high, degree + 1]],
+            "operations": {
+                "0,0": [entry([low], {high: 1})],
+                "1,0": [entry(["e", low], {low: 1}), entry(["e", high], {high: 1})],
+            },
+        }
+
+    return {
+        "ring": {"kind": "Z"},
+        "algebra": {
+            "kind": "dga",
+            "basis": [["e", 0]],
+            "product": [entry(["e", "e"], {"e": 1})],
+            "differential": [],
+        },
+        "bimodules": {"M": bimodule("p", "q", 0), "N": bimodule("P", "Q", 1)},
+        "morphisms": {
+            "shift": {
+                "source": "M",
+                "target": "N",
+                "degree": 1,
+                "components": {"0,0": [entry(["p"], {"P": 1}), entry(["q"], {"Q": -1})]},
+            }
+        },
+    }
+
+
+def e0_map_oracle(fstar, p):
+    """E^0(f_*) on column p as {j: matrix}, word by word: f_(0,0) (x) id with
+    the sign (-1)^(d j) on a word of Hochschild degree j. It is the comparison
+    check's former word-level f_0 with the sign that f_* carries."""
+    f, src, tgt = fstar.f, fstar.source, fstar.target
+    f00 = f.maps.get((0, 0))
+    basis, rows = {}, {}
+    for cx, out in ((src, basis), (tgt, rows)):
+        for w, j in zip(cx.words(p), cx.degrees(p)):
+            out.setdefault(j, []).append(w)
+
+    def image(w):
+        if f00 is None:
+            return {}
+        flip = -1 if f.degree * src.degree(w) % 2 else 1
+        terms = f00.on_word((w[0],)).terms
+        return normalize({(n,) + w[1:]: flip * c for n, c in terms.items()}, tgt.ring)
+
+    return {j: basis_matrix(keys, rows.get(j - f.degree, []), image) for j, keys in basis.items()}
 
 
 def reordered_document(name, seed):
@@ -849,7 +912,7 @@ def morphism_equation_sides_oracle(f, r, s, word):
         r2 = r - r1
         for s2 in range(0, s + 1):
             s1 = s - s2
-            inner = f.component_word(r2, s2, left[r1:] + (m,) + right[:s2])
+            inner = component_word(f, r2, s2, left[r1:] + (m,) + right[:s2])
             if inner.is_zero():
                 continue
             s_exp = d * maltese(a_degs, 1, r1)
@@ -868,8 +931,8 @@ def morphism_equation_sides_oracle(f, r, s, word):
                 continue
             s_exp = maltese(a_degs, 1, i - 1) + d
             for name, c in inner.terms.items():
-                outer = f.component_word(
-                    r1, s, left[: i - 1] + (name,) + left[i - 1 + r2 :] + (m,) + right
+                outer = component_word(
+                    f, r1, s, left[: i - 1] + (name,) + left[i - 1 + r2 :] + (m,) + right
                 )
                 add(rhs, s_exp, c, outer)
 
@@ -882,7 +945,7 @@ def morphism_equation_sides_oracle(f, r, s, word):
                 continue
             s_exp = maltese(a_degs, 1, r1) + d
             for name, c in inner.terms.items():
-                outer = f.component_word(r1, s1, left[:r1] + (name,) + right[s2:])
+                outer = component_word(f, r1, s1, left[:r1] + (name,) + right[s2:])
                 add(rhs, s_exp, c, outer)
 
     for s2 in range(1, s + 1):
@@ -896,8 +959,8 @@ def morphism_equation_sides_oracle(f, r, s, word):
                 continue
             s_exp = maltese(a_degs, 1, r + i - 1) + m_deg + d
             for name, c in inner.terms.items():
-                outer = f.component_word(
-                    r, s1, left + (m,) + right[: i - 1] + (name,) + right[i - 1 + s2 :]
+                outer = component_word(
+                    f, r, s1, left + (m,) + right[: i - 1] + (name,) + right[i - 1 + s2 :]
                 )
                 add(rhs, s_exp, c, outer)
 
@@ -1063,6 +1126,15 @@ def op_word(M, r, s, word):
     return op.on_word(word)
 
 
+def component_word(f, r, s, word):
+    """f_(r,s) on one basis word, zero when f has no f_(r,s); the former
+    BimoduleMorphism.component_word."""
+    op = f.maps.get((r, s))
+    if op is None:
+        return Element(f.target.module, {})
+    return op.on_word(word)
+
+
 def regraded_chain_degree(A, word):
     """Degree in CH_*(A): n minus the sum of the unshifted degrees; the former
     RegradedComplexes.chain_degree."""
@@ -1121,6 +1193,16 @@ def length_blocks_oracle(cx):
             if n == len(rows[r]):
                 blocks.setdefault(n - 1, {}).setdefault(cols[c], {})[rows[r]] = v
     return blocks
+
+
+def filtration_level(x):
+    """Largest word length in the support; -1 for the zero chain."""
+    return max((len(w) - 1 for w in x), default=-1)
+
+
+def in_filtration(x, p):
+    # the zero chain lies in every level, including the vanishing negative ones
+    return not x or filtration_level(x) <= p
 
 
 def z_membership(complex_, x, p, r):

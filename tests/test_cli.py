@@ -21,7 +21,13 @@ from ainfty.documents import parse, serialize
 from ainfty.errors import DocumentError, UnknownFixture
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 
-from helpers import cochain_complex, dense_rank_modp, differential_word, reordered_document
+from helpers import (
+    cochain_complex,
+    degree_one_document,
+    dense_rank_modp,
+    differential_word,
+    reordered_document,
+)
 
 
 def run_cli(args, capsys):
@@ -220,6 +226,173 @@ def test_malformed_degree_ranges_are_input_errors(tmp_path, capsys, command, spe
     assert out == ""
     assert "input error: --degrees: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral"])
+@pytest.mark.parametrize("kind", ["source", "target"])
+@pytest.mark.parametrize("value", [["M"], {"M": 1}])
+def test_morphism_endpoints_must_be_bimodule_names(tmp_path, capsys, command, kind, value):
+    doc = fixture_document("quasi_iso_pair")
+    doc["morphisms"]["include"][kind] = value
+    path = tmp_path / "qip.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: morphisms.include.{kind}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral"])
+@pytest.mark.parametrize(
+    "section,name,table", [("bimodules", "N", "operations"), ("morphisms", "include", "components")]
+)
+@pytest.mark.parametrize("key", ["-1,1", "1,-1"])
+def test_negative_rs_keys_are_input_errors(tmp_path, capsys, command, section, name, table, key):
+    doc = fixture_document("quasi_iso_pair")
+    tables = doc[section][name][table]
+    tables[key] = tables.pop("0,0")
+    path = tmp_path / "qip.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {section}.{name}.{table}: bad (r,s) key {key!r}" in err
+
+
+@pytest.mark.parametrize("value", [0.7, 1.5, True])
+@pytest.mark.parametrize(
+    "section,field",
+    [("morphisms.include", "degree"), ("options", "length"), ("ring", "p")],
+)
+def test_integer_fields_take_no_floats_or_booleans(tmp_path, capsys, value, section, field):
+    doc = fixture_document("quasi_iso_pair")
+    if section == "ring":
+        doc["ring"] = {"kind": "Zp", "p": 3}
+    spec = doc
+    for part in section.split("."):
+        spec = spec[part]
+    spec[field] = value
+    path = tmp_path / "qip.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {section}.{field}: expected an integer" in err
+
+
+def _first_entry(cochain):
+    return cochain["components"]["1"][0]
+
+
+@pytest.mark.parametrize("command", ["validate", "hh"])
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        pytest.param(
+            lambda c: c.update(degree="x"),
+            "cochains.dual_e.degree: expected an integer",
+            id="degree",
+        ),
+        pytest.param(
+            lambda c: c["components"].update(x=[]),
+            "cochains.dual_e.components: bad arity key 'x'",
+            id="arity",
+        ),
+        pytest.param(
+            lambda c: c["components"].update({"-1": []}),
+            "cochains.dual_e.components: bad arity key '-1'",
+            id="negative-arity",
+        ),
+        pytest.param(
+            lambda c: _first_entry(c).update(inputs=[]),
+            "cochains.dual_e.components.1[0]: 0 inputs for arity 1",
+            id="input-count",
+        ),
+        pytest.param(
+            lambda c: _first_entry(c).update(inputs=["zz"]),
+            "cochains.dual_e.components.1[0]: unknown basis name 'zz'",
+            id="input-name",
+        ),
+        pytest.param(
+            lambda c: _first_entry(c)["output"].update(zz="1"),
+            "cochains.dual_e.components.1[0]: unknown basis name 'zz'",
+            id="output-name",
+        ),
+        pytest.param(
+            lambda c: c.update(degree=2),
+            "cochains.dual_e.components.1[0]: entry ('e',) breaks the degree rule",
+            id="degree-rule",
+        ),
+    ],
+)
+def test_cochains_are_parsed_strictly(tmp_path, capsys, command, mutate, message):
+    # every command refuses a malformed cochain, not only those that build it
+    doc = fixture_document("dual_numbers")
+    mutate(doc["cochains"]["dual_e"])
+    path = tmp_path / "dn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([command, str(path), "--length", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["cup", "verify"])
+def test_cochain_above_the_cutoff_names_the_cochain(tmp_path, capsys, command):
+    # document cochains are cut off at arity L + 1; the refusal names which one
+    doc = fixture_document("dual_numbers")
+    entry = {"inputs": ["e", "e"], "output": {"e": "1"}}
+    doc["cochains"]["square"] = {"degree": 2, "components": {"2": [entry]}}
+    path = tmp_path / "dn.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", str(path), "--length", "0"], capsys)[0] == 0
+    code, out, err = run_cli([command, str(path), "--length", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "input error: cochains.square: arity 2 exceeds the cutoff 1" in err
+    assert run_cli([command, str(path), "--length", "1"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_verify_at_length_zero(tmp_path, capsys, fixture):
+    # beta.beta tries elementary cochains up to its cutoff L + 1 only
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(serialize(fixture_document(fixture)))
+    code, out, err = run_cli(["verify", str(path), "--length", "0"], capsys)
+    assert code == 0, err
+    assert "ok   beta.beta = 0 [diagonal]" in out.splitlines()
+
+
+def test_spectral_passes_a_degree_one_quasi_isomorphism(tmp_path, capsys):
+    # E^0(f_*) keeps f_*'s sign (-1)^(d j): the column maps commute with b_1
+    path = tmp_path / "shift.json"
+    path.write_text(serialize(degree_one_document()))
+    for command in ("validate", "verify", "spectral"):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 0, (command, err)
+    for check in ("hypothesis", "conclusion", "witnessed"):
+        assert f"ok   comparison {check} [shift]" in out.splitlines()
+
+
+def test_length_raising_term_of_f_star_exits_3(tmp_path, capsys, monkeypatch):
+    # f_* never sends a word to a longer one; a term that does is a library
+    # bug, which the slicing of E^0(f_*) reports instead of dropping
+    from ainfty.chains import InducedChainMap
+
+    original = InducedChainMap.on_word
+
+    def planted(self, word):
+        out = original(self, word)
+        return {**out, ("w", "e"): 1} if word == ("m",) else out
+
+    monkeypatch.setattr(InducedChainMap, "on_word", planted)
+    path = tmp_path / "qip.json"
+    path.write_text(serialize(fixture_document("quasi_iso_pair")))
+    code, out, err = run_cli(["spectral", str(path), "--length", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "internal error: ('m',) maps to the longer word ('w', 'e')" in err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -851,8 +1024,8 @@ def test_each_bimodule_complex_is_built_once(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["spectral", "verify"])
 def test_induced_chain_map_reads_each_word_once(tmp_path, capsys, monkeypatch, command):
-    # f_*'s matrices over F_L are built once, and the filtration check, the
-    # chain map check and the comparison's conclusion all read them, so
+    # f_*'s matrices over F_L are built once, and the chain map check, the
+    # comparison's E^0 blocks and its conclusion all read them, so
     # on_word runs once per word of the source complex
     from ainfty.chains import InducedChainMap
 

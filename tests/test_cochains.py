@@ -35,6 +35,7 @@ from helpers import (
     ALGEBRA_FIXTURES,
     b_star_oracle,
     classical_cochain_delta,
+    component_word,
     cochain_basis,
     cochain_complex,
     codifferential_oracle,
@@ -258,7 +259,7 @@ def test_cocycle_to_morphism_on_lambda_x():
     assert codifferential(f).is_zero()
     mor = cocycle_to_morphism(f, diagonal=M)
     assert mor.degree == f.degree
-    assert mor.component_word(0, 0, ("x",)).terms == {"1": 1}
+    assert component_word(mor, 0, 0, ("x",)).terms == {"1": 1}
     from ainfty.bimodules import check_morphism_equation
     from helpers import morphism_is_chain_map_00
 

@@ -9,19 +9,25 @@ from ainfty.bimodules import (
     identity_morphism,
     tensor_square_bimodule,
 )
-from ainfty.chains import HochschildComplex, InducedChainMap, filtration_level, in_filtration
+from ainfty.chains import HochschildComplex, InducedChainMap
 from ainfty.errors import IndexOutOfRange, TooLarge
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.homology import basis_matrix
+from ainfty.documents import parse, serialize
+from ainfty.spectral import _length_blocks
 from ainfty.spectral import column_complex, column_weights, comparison_check, page1
 
 from helpers import (
     ALGEBRA_FIXTURES,
     b1_word,
     b_component,
+    degree_one_document,
     differential_word,
+    e0_map_oracle,
+    filtration_level,
     from_dense,
     homology_of_truncation,
+    in_filtration,
     induced,
     length_blocks_oracle,
     load,
@@ -435,3 +441,38 @@ def test_truncated_homology_table():
     assert table[2].invariants() == (2, (3,))
     assert table[3].invariants() == (2, ())
     assert table[4].invariants() == (2, (3,))
+
+
+def _column_bases(cx):
+    return [column_complex(cx, p).basis for p in range(cx.L + 1)]
+
+
+def _e0_cases(ring):
+    """Every document morphism of the fixtures and the degree-1 document, and
+    the identity of every bimodule, over ring."""
+    docs = [load(name, p=ring) for name in ALGEBRA_FIXTURES]
+    one = degree_one_document()
+    if ring:
+        one["ring"] = {"kind": "Zp", "p": ring}
+    docs.append(parse(serialize(one)))
+    for doc in docs:
+        yield from doc.morphisms.values()
+        for M in _modules(doc):
+            yield identity_morphism(M)
+
+
+@pytest.mark.parametrize("ring", [None, 2, 3])
+def test_e0_blocks_match_the_word_level_map(ring):
+    # the length blocks of f_*'s matrices are f_(0,0) (x) id with its sign
+    cases = 0
+    for f in _e0_cases(ring):
+        fstar = induced(f, 3)
+        src, tgt = _column_bases(fstar.source), _column_bases(fstar.target)
+        blocks = _length_blocks(fstar.matrices(), src, tgt, fstar.degree)
+        for p, block in enumerate(blocks):
+            for j, expected in e0_map_oracle(fstar, p).items():
+                got = block.get(j)
+                assert (got.entries if got else {}) == expected.entries, (f.name, p, j)
+                assert got is None or got == expected, (f.name, p, j)
+        cases += 1
+    assert cases > 20
