@@ -25,7 +25,7 @@ from .bimodules import (
     identity_morphism,
     tensor_square_bimodule,
 )
-from .chains import ComposedChainMap, HochschildComplex, InducedChainMap
+from .chains import HochschildComplex, InducedChainMap
 from .cochains import (
     Cochain,
     DualChainElement,
@@ -49,7 +49,7 @@ from .homology import (
     smith_normal_form,
 )
 from .rings import CoefficientRing, Z, Zp
-from .signs import maltese, maltese0, star_sign
+from .signs import maltese
 from .spectral import comparison_check, page1
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,16 +1,19 @@
-"""The length-truncated Hochschild chain complex and its differential.
+"""The length-truncated Hochschild chain complex, its differential and f_*.
 
 Chain elements are sparse dicts mapping words (m, a_1, ..., a_n) to
 coefficients. The differential b is a signed sum of operation entries: each
 mu_l entry inserted into a word's algebra letters, and each mu_(r,s) entry
-acting on the coefficient slot, wrapped around the word when r >= 1.
+acting on the coefficient slot, wrapped around the word when r >= 1. The
+chain map f_* of a bimodule morphism f wraps f_(r,s) around the word as b
+wraps mu_(r,s), with the extra sign (-1)^(d j).
 
 A length-n word has the mixed-radix rank pos(m) N^n + sum_k pos(a_k) N^(n-k),
 N the rank of A, so prefixes, keys and suffixes concatenate by arithmetic on
-ranks. boundaries() assembles every boundary of F_L in one walk over
-(prefix, operation entry, suffix) triples, reading each word's degree and
+ranks. One walk over (prefix, operation entry, suffix) triples builds every
+boundary of F_L and every matrix of f_*, reading each word's degree and
 column from flat tables by rank: the work is proportional to the number of
-terms of b, never to words times positions.
+terms, never to words times positions. Neither b nor f_* has a word-level
+body in the library; both reach the homology engine as matrices only.
 """
 
 from __future__ import annotations
@@ -21,17 +24,12 @@ from typing import Iterator
 from .bimodules import AInfinityBimodule, BimoduleMorphism
 from .errors import InternalInvariant, ModuleMismatch, TooLarge
 from .graded import Word
-from .homology import ExactMatrix, FiniteComplex, basis_matrix
-from .signs import sign, star_sign
+from .homology import ExactMatrix, FiniteComplex
 
 Chain = dict[Word, int]
 
 # words of F_L a complex may hold: exterior2 at L=8 has 349 524
 MAX_WORDS = 1_000_000
-
-
-def add_into(acc: Chain, word: Word, c: int) -> None:
-    acc[word] = acc.get(word, 0) + c
 
 
 def normalize(chain: Chain, ring) -> Chain:
@@ -41,13 +39,6 @@ def normalize(chain: Chain, ring) -> Chain:
         if c:
             out[w] = c
     return out
-
-
-def add(x: Chain, y: Chain, ring) -> Chain:
-    acc = dict(x)
-    for w, c in y.items():
-        add_into(acc, w, c)
-    return normalize(acc, ring)
 
 
 def word_count(m_rank: int, a_rank: int, length: int) -> int:
@@ -77,6 +68,8 @@ class HochschildComplex:
         # and length n -> _by_rank(n), built once for words, boundaries and E^0
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
         self._ranks: dict[int, tuple[list[int], list[int]]] = {}
+        # _tables(), built once for b and every f_* into or out of F_L
+        self._column_tables: tuple[dict[int, int], list] | None = None
         # b as matrices, built once: F_L here; E^0 columns by p, then route,
         # by spectral.py; F_L's boundaries by degree, then row word, by
         # cochains.b_star
@@ -128,70 +121,55 @@ class HochschildComplex:
         m_deg = self.M.module.degree_of(word[0])
         return -m_deg - sum(self.A.module.degree_of(n) - 1 for n in word[1:])
 
+    def _tables(self) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]]:
+        """The number of words of each degree, and for each length n the
+        (degree, column) of each length-n word by rank, as flat lists; built
+        once. Columns follow truncation()'s basis: each degree's words by
+        length, then in enumeration order."""
+        if self._column_tables is None:
+            column: dict[int, int] = {}
+            for n in range(self.L + 1):
+                for j in self.degrees(n):
+                    column[j] = column.get(j, 0) + 1
+            # all columns share one int object per index
+            ints = list(range(max(column.values(), default=0)))
+            seen, tables = dict.fromkeys(column, 0), []
+            for n in range(self.L + 1):
+                degs, order = self._ranked(n)
+                cols = [0] * len(degs)
+                for rank in order:
+                    j = degs[rank]
+                    cols[rank] = ints[seen[j]]
+                    seen[j] += 1
+                tables.append((degs, cols))
+            self._column_tables = column, tables
+        return self._column_tables
+
+    def _rank(self, letters: Word) -> int:
+        out, N, apos = 0, self.A.module.rank, self.A.module.position
+        for a in letters:
+            out = out * N + apos(a)
+        return out
+
     def boundaries(self) -> dict[int, ExactMatrix]:
         """Every boundary d_j: (F_L)_j -> (F_L)_{j-1} of b, in one walk over the entries.
 
-        Columns follow truncation()'s basis: each degree's words by length,
-        then in enumeration order. Each term of b is one triple
-        (prefix P, entry, suffix S), and its source and target ranks follow
-        from theirs:
+        Each term of b is one triple (prefix P, entry, suffix S), and its
+        source and target ranks follow from theirs:
         - mu_l entry K -> a, inserted after P: (P, K, S) -> (P, a, S), with
           sign (-1)^deg P;
-        - mu_(r,s) entry (K_r, m, K_s) -> m': (m, K_s, S, K_r) -> (m', S),
-          with sign (-1)^((deg m + red K_s + red S) red K_r), + when r = 0.
+        - mu_(r,s) entry (K_r, m, K_s) -> m': the wrap-around walk of M's
+          operations, with shift -1 and no twist.
         """
+        return self._walk(self.M.ops, self, -1, 0, self._insertions)
+
+    def _insertions(self, block) -> None:
+        """Hand block every mu_l term of b, a run of words at a time."""
         L, N, n_coeff = self.L, self.A.module.rank, self.M.module.rank
-        apos, mpos = self.A.module.position, self.M.module.position
-        column: dict[int, int] = {}  # degree -> number of words
-        for n in range(L + 1):
-            for j in self.degrees(n):
-                column[j] = column.get(j, 0) + 1
-        # length n -> (degree, column) of each word, by rank, as flat lists;
-        # all keys share one int object per row or column index
-        ints = list(range(max(column.values(), default=0)))
-        seen, tables = dict.fromkeys(column, 0), []
-        for n in range(L + 1):
-            degs, order = self._ranked(n)
-            cols = [0] * len(degs)
-            for rank in order:
-                j = degs[rank]
-                cols[rank] = ints[seen[j]]
-                seen[j] += 1
-            tables.append((degs, cols))
-        # each boundary's sums, kept free of zeros as the walk goes: a dict
-        # reclaims the slots of deleted keys when it next grows
-        prime = self.ring.p
-        sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in column}
-
-        def rank(letters: Word) -> int:
-            out = 0
-            for a in letters:
-                out = out * N + apos(a)
-            return out
-
-        def block(n, start, step, k, t_start, t_step, count, values):
-            # the terms of one block shift the degree alike: check the first
-            degs, cols = tables[n]
-            t_degs, t_cols = tables[k]
-            if t_degs[t_start] != degs[start] - 1:
-                raise InternalInvariant(
-                    f"image of {self._word(n, start)} has "
-                    f"{self._word(k, t_start)} outside the target degree"
-                )
-            stop, t_stop = start + count * step, t_start + count * t_step
-            for j, col, row in zip(
-                degs[start:stop:step], cols[start:stop:step], t_cols[t_start:t_stop:t_step]
-            ):
-                acc, key = sums[j], (row, col)
-                c = acc.get(key, 0) + values[j & 1]
-                if c % prime if prime else c:
-                    acc[key] = c
-                else:
-                    del acc[key]
-
+        apos, tables = self.A.module.position, self._tables()[1]
         for l, op in self.A.ops.items():
             terms = [
-                (rank(key), apos(a), c)
+                (self._rank(key), apos(a), c)
                 for key, value in op.entries()
                 for a, c in value.terms.items()
             ]
@@ -215,23 +193,68 @@ class HochschildComplex:
                             start, t_start = K * span + s, a * span + s
                             v = -c if (p_degs[0] - tables[n][0][start]) & 1 else c
                             block(n, start, N**(l + t), k, t_start, N * span, prefixes, (v, -v))
-        for (r, s), op in self.M.ops.items():
+
+    def _walk(self, ops, target: HochschildComplex, shift: int, twist: int, more=None):
+        """The map {j: F_L's degree j -> target's degree j + shift} of an
+        (r,s)-indexed family ops, in one walk over its entries, plus the
+        blocks that more(block) hands in.
+
+        An entry (K_r, m, K_s) -> m' sends (m, K_s, S, K_r) to (m', S) with
+        sign (-1)^((deg m + red K_s + red S) red K_r + twist j), j the degree
+        of the source word: b is (M.ops, self, -1, 0) plus the mu_l terms,
+        and f_* is (f.maps, target, -d, d). Over the suffixes S the source and
+        target ranks run in step, so each entry and t is one block, and the
+        work is proportional to the number of terms, never to words times
+        positions.
+        """
+        L, N = self.L, self.A.module.rank
+        mpos, t_mpos = self.M.module.position, target.M.module.position
+        column, tables = self._tables()
+        t_column, t_tables = target._tables()
+        # each degree's sums, kept free of zeros as the walk goes: a dict
+        # reclaims the slots of deleted keys when it next grows
+        prime = self.ring.p
+        sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in column}
+
+        def block(n, start, step, k, t_start, t_step, count, values):
+            # the terms of one block shift the degree alike: check the first
+            degs, cols = tables[n]
+            t_degs, t_cols = t_tables[k]
+            if t_degs[t_start] != degs[start] + shift:
+                raise InternalInvariant(
+                    f"image of {self._word(n, start)} has "
+                    f"{target._word(k, t_start)} outside the target degree"
+                )
+            stop, t_stop = start + count * step, t_start + count * t_step
+            for j, col, row in zip(
+                degs[start:stop:step], cols[start:stop:step], t_cols[t_start:t_stop:t_step]
+            ):
+                acc, key = sums[j], (row, col)
+                c = acc.get(key, 0) + values[j & 1]
+                if c % prime if prime else c:
+                    acc[key] = c
+                else:
+                    del acc[key]
+
+        if more is not None:
+            more(block)
+        for (r, s), op in ops.items():
             for key, value in op.entries():
-                K_r, m_pos, K_s = rank(key[:r]), mpos(key[r]), rank(key[r + 1 :])
+                K_r, m_pos, K_s = self._rank(key[:r]), mpos(key[r]), self._rank(key[r + 1 :])
                 odd = sum(self.A.module.degree_of(a) - 1 for a in key[:r]) & 1
                 for t in range(L - r - s + 1):
                     span = N**t
                     start = (m_pos * N**s + K_s) * span * N**r + K_r
                     for name, c in value.terms.items():
                         # deg m + red K_s + red S = -(j + red K_r)
-                        values = (-c, c) if odd else (c, c)
-                        block(s + t + r, start, N**r, t, mpos(name) * span, 1, span, values)
-        # a fresh dict drops the slots of cancelled terms, one boundary at a time
+                        values = (-c if odd else c, -c if twist & 1 else c)
+                        block(s + t + r, start, N**r, t, t_mpos(name) * span, 1, span, values)
+        # a fresh dict drops the slots of cancelled terms, one degree at a time
         out = {}
         for j in list(sums):
             acc = sums.pop(j)
             acc = {key: c % prime for key, c in acc.items()} if prime else dict(acc.items())
-            out[j] = ExactMatrix._adopt(column.get(j - 1, 0), column[j], acc)
+            out[j] = ExactMatrix._adopt(t_column.get(j + shift, 0), column[j], acc)
         return out
 
     def truncation(self) -> FiniteComplex:
@@ -271,59 +294,9 @@ class InducedChainMap:
         self._matrices: dict[int, ExactMatrix] | None = None
 
     def matrices(self) -> dict[int, ExactMatrix]:
-        """f_* as {j: F_j}, from F_L's degree j to degree j + degree; built once,
-        one on_word per word."""
+        """f_* as {j: F_j}, from F_L's degree j to degree j + degree; built
+        once, by b's walk over f's components with the sign (-1)^(d j)."""
         if self._matrices is None:
-            src, tgt = self.source.truncation(), self.target.truncation()
-            self._matrices = {
-                j: basis_matrix(words, tgt.basis.get(j + self.degree, []), self.on_word)
-                for j, words in src.basis.items()
-            }
+            f = self.f
+            self._matrices = self.source._walk(f.maps, self.target, self.degree, f.degree)
         return self._matrices
-
-    def on_word(self, word: Word) -> Chain:
-        n = len(word) - 1
-        m, letters = word[0], word[1:]
-        deg = self.source.degree(word)
-        a_degs = [self.source.A.module.degree_of(a) for a in letters]
-        m_deg = self.source.M.module.degree_of(m)
-        acc: Chain = {}
-        for (r, s), op in self.f.maps.items():
-            if r + s > n:
-                continue
-            key = letters[n - r :] + (m,) + letters[:s]
-            out = op.on_word(key)
-            if out.is_zero():
-                continue
-            dag = star_sign(m_deg, a_degs, n - r + 1) + self.f.degree * deg
-            sv = sign(dag)
-            suffix = letters[s : n - r]
-            for name, c in out.terms.items():
-                add_into(acc, (name,) + suffix, sv * c)
-        return normalize(acc, self.target.ring)
-
-    def __call__(self, x: Chain) -> Chain:
-        acc: Chain = {}
-        for word, c in x.items():
-            for w, v in self.on_word(word).items():
-                add_into(acc, w, c * v)
-        return normalize(acc, self.target.ring)
-
-
-class ComposedChainMap:
-    """Word-wise composite g_* . f_*; composition lives at the chain level."""
-
-    def __init__(self, g: InducedChainMap, f: InducedChainMap):
-        if f.f.target.module != g.f.source.module:
-            raise ModuleMismatch("chain maps do not compose")
-        self.g = g
-        self.f = f
-        self.source = f.source
-        self.target = g.target
-        self.degree = f.degree + g.degree
-
-    def on_word(self, word: Word) -> Chain:
-        return self.g(self.f.on_word(word))
-
-    def __call__(self, x: Chain) -> Chain:
-        return self.g(self.f(x))

@@ -29,7 +29,7 @@ from .bimodules import (
     dual_name,
     morphism_op,
 )
-from .chains import Chain, HochschildComplex, InducedChainMap, normalize
+from .chains import HochschildComplex, InducedChainMap, normalize
 from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
 from .graded import Word
 from .signs import maltese, sign
@@ -202,11 +202,6 @@ class DualChainElement:
         self.complex = complex_
         self.terms = normalize({tuple(w): c for w, c in terms.items()}, complex_.ring)
 
-    def evaluate(self, x: Chain) -> int:
-        return self.complex.ring.normalize(
-            sum(c * self.terms.get(w, 0) for w, c in x.items())
-        )
-
     def degree(self) -> int | None:
         degs = {self.complex.degree(w) for w in self.terms}
         return degs.pop() if len(degs) == 1 else None
@@ -284,11 +279,14 @@ def pullback(
     """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to f_*'s cutoff."""
     dual_M = duals[0] if duals else dual_bimodule(fstar.f.source)
     psi_N = duality_iso_inverse(g, fstar.target)
+    src, tgt = fstar.source.truncation(), fstar.target.truncation()
     acc: dict[Word, int] = {}
-    for w in fstar.source.all_words():
-        v = psi_N.evaluate(fstar.on_word(w))
-        if v:
-            acc[w] = v
+    for j, F in fstar.matrices().items():
+        cols, rows = src.basis[j], tgt.basis.get(j + fstar.degree, [])
+        for (i, k), v in F.entries.items():
+            c = psi_N.terms.get(rows[i])
+            if c:
+                acc[cols[k]] = acc.get(cols[k], 0) + c * v
     psi_M = DualChainElement(fstar.source, acc)
     out = duality_iso(psi_M, dual=dual_M, cutoff=g.cutoff)
     if out.is_zero():

@@ -107,7 +107,7 @@ def _parse_basis(spec, ring, where: str) -> GradedModule:
     if not isinstance(spec, list) or not all(isinstance(e, list) for e in spec):
         raise malformed
     try:
-        basis = tuple((str(n), int(d)) for n, d in spec)
+        basis = tuple((str(n), _integer(d, f"{where}[{i}]")) for i, (n, d) in enumerate(spec))
     except (TypeError, ValueError):
         raise malformed from None
     try:
@@ -227,14 +227,17 @@ def _parse_cochain(name: str, spec, module: GradedModule) -> tuple[int, dict[int
 
 
 def _int_field(container, key, default, where):
-    value = container.get(key, default)
+    return _integer(container.get(key, default), f"{where}.{key}")
+
+
+def _integer(value, where):
     try:
         # int() would truncate 1.5 to 1 and read true as 1
         if isinstance(value, (bool, float)):
             raise TypeError
         return int(value)
     except (TypeError, ValueError):
-        raise DocumentError(f"{where}.{key}: expected an integer") from None
+        raise DocumentError(f"{where}: expected an integer") from None
 
 
 def parse(text: str) -> StructureDocument:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Sequence
+from typing import Collection, Sequence
 
 from .errors import InternalInvariant, NotAComplex, NotChainMap
 from .rings import CoefficientRing
@@ -466,24 +466,6 @@ def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
     if ring.is_field:
         return [1] * rank_modp(mat, ring.p)[0]
     return invariant_factors(mat)
-
-
-def basis_matrix(src: Sequence, dst: Sequence, image: Callable[[Any], dict]) -> ExactMatrix:
-    """Matrix of a linear map from the span of src to the span of dst.
-
-    image(key) is a sparse vector {key: coefficient}. A graded basis holds
-    every valid key of its degree, so a term on a key outside dst breaks the
-    degree rule and raises InternalInvariant.
-    """
-    index = {key: i for i, key in enumerate(dst)}
-    entries = {}
-    for j, key in enumerate(src):
-        for out, c in image(key).items():
-            i = index.get(out)
-            if i is None:
-                raise InternalInvariant(f"image of {key} has {out} outside the target degree")
-            entries[(i, j)] = c
-    return ExactMatrix._adopt(len(dst), len(src), _nonzero(entries))
 
 
 class FiniteComplex:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPrime
+from .errors import NotPrime, TooLarge
+
+# trial division up to sqrt(p) takes at most about 46 000 steps below this
+MAX_PRIME = 2**31
 
 
 def _is_prime(p: int) -> bool:
@@ -30,6 +33,8 @@ class CoefficientRing:
     p: int | None = None
 
     def __post_init__(self):
+        if self.p is not None and self.p > MAX_PRIME:
+            raise TooLarge(f"modulus {self.p} is above the limit of {MAX_PRIME}")
         if self.p is not None and not _is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 

@@ -21,26 +21,5 @@ def maltese(degrees: Sequence[int], i: int, j: int) -> int:
     return sum(degrees[q] - 1 for q in range(i - 1, j))
 
 
-def maltese0(m_degree: int, degrees: Sequence[int], i: int) -> int:
-    """Coefficient-slot variant: m_degree plus the reduced indices of slots 1..i.
-
-    i = 0 keeps only m_degree; i = -1 is the convention for the leading
-    Hochschild term and gives 0.
-    """
-    if i == -1:
-        return 0
-    if i < -1:
-        raise IndexOutOfRange(f"maltese0 upper index {i}")
-    return m_degree + maltese(degrees, 1, i)
-
-
-def star_sign(m_degree: int, degrees: Sequence[int], i: int) -> int:
-    """Exponent of the overlapping Hochschild terms: maltese0(i-1) * maltese(i, n)."""
-    n = len(degrees)
-    if not 0 <= i - 1 <= n:
-        raise IndexOutOfRange(f"star_sign index {i} on {n} degrees")
-    return maltese0(m_degree, degrees, i - 1) * maltese(degrees, i, n)
-
-
 def sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1

@@ -34,7 +34,13 @@ morphism_is_chain_map_00 and component_word, the former
 ExactMatrix.mod, the former library check of f_{0,0} and the former
 BimoduleMorphism.component_word, which no library code calls. The word-level
 E^0 map (e0_map_oracle) is the comparison check's former f_0 with f_*'s sign,
-kept to check the length blocks of f_*'s matrices that replaced it.
+kept to check the length blocks of f_*'s matrices that replaced it. The
+word-level f_* (induced_on_word, induced_chain, induced_matrices_oracle),
+the word-wise ComposedChainMap, basis_matrix, add, evaluate and the per-word
+sign exponents maltese0 and star_sign are former library bodies too: f_*'s
+matrices now come from the walk that builds b, and no library code composes
+chain maps, adds chains, evaluates a functional on a chain or reads a sign
+word by word.
 """
 
 import itertools
@@ -42,7 +48,7 @@ import random
 from fractions import Fraction
 
 from ainfty.bimodules import AInfinityBimodule, _slot_family, bimodule_op, dual_name, tensor_name
-from ainfty.chains import HochschildComplex, InducedChainMap, add_into, normalize
+from ainfty.chains import HochschildComplex, InducedChainMap, normalize
 from ainfty.cochains import Cochain, DualChainElement, coboundary
 from ainfty.algebra import from_dga
 from ainfty.graded import Element, GradedModule, MultilinearOp
@@ -51,13 +57,78 @@ from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
     _gcd_lcm_move,
-    basis_matrix,
+    _nonzero,
     invariant_factors,
 )
 from ainfty.documents import parse, serialize
-from ainfty.errors import Inhomogeneous, ModuleMismatch, ZeroElement
+from ainfty.errors import (
+    IndexOutOfRange,
+    Inhomogeneous,
+    InternalInvariant,
+    ModuleMismatch,
+    ZeroElement,
+)
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
-from ainfty.signs import maltese, maltese0, sign, star_sign
+from ainfty.signs import maltese, sign
+
+
+def maltese0(m_degree, degrees, i):
+    """Coefficient-slot variant: m_degree plus the reduced indices of slots 1..i.
+
+    i = 0 keeps only m_degree; i = -1 is the convention for the leading
+    Hochschild term and gives 0. The former signs.maltese0, which no library
+    code calls.
+    """
+    if i == -1:
+        return 0
+    if i < -1:
+        raise IndexOutOfRange(f"maltese0 upper index {i}")
+    return m_degree + maltese(degrees, 1, i)
+
+
+def star_sign(m_degree, degrees, i):
+    """Exponent of the overlapping Hochschild terms: maltese0(i-1) * maltese(i, n);
+    the former signs.star_sign, which no library code calls."""
+    n = len(degrees)
+    if not 0 <= i - 1 <= n:
+        raise IndexOutOfRange(f"star_sign index {i} on {n} degrees")
+    return maltese0(m_degree, degrees, i - 1) * maltese(degrees, i, n)
+
+
+def add_into(acc, word, c):
+    acc[word] = acc.get(word, 0) + c
+
+
+def add(x, y, ring):
+    """The sum of two chains, normalized; the former chains.add."""
+    acc = dict(x)
+    for w, c in y.items():
+        add_into(acc, w, c)
+    return normalize(acc, ring)
+
+
+def basis_matrix(src, dst, image):
+    """Matrix of a linear map from the span of src to the span of dst; the
+    former homology.basis_matrix.
+
+    image(key) is a sparse vector {key: coefficient}. A graded basis holds
+    every valid key of its degree, so a term on a key outside dst breaks the
+    degree rule and raises InternalInvariant.
+    """
+    index = {key: i for i, key in enumerate(dst)}
+    entries = {}
+    for j, key in enumerate(src):
+        for out, c in image(key).items():
+            i = index.get(out)
+            if i is None:
+                raise InternalInvariant(f"image of {key} has {out} outside the target degree")
+            entries[(i, j)] = c
+    return ExactMatrix._adopt(len(dst), len(src), _nonzero(entries))
+
+
+def evaluate(psi, x):
+    """A functional psi on a chain x; the former DualChainElement.evaluate."""
+    return psi.complex.ring.normalize(sum(c * psi.terms.get(w, 0) for w, c in x.items()))
 
 
 def from_dense(dense):
@@ -109,6 +180,61 @@ def induced(f, length):
     """f_* between fresh complexes of f's source and target at one length cutoff."""
     source, target = HochschildComplex(f.source, length), HochschildComplex(f.target, length)
     return InducedChainMap(f, source, target)
+
+
+def induced_on_word(fstar, word):
+    """f_* on one word, wrapping each f_(r,s) around it with the sign
+    star_sign + d j; the former InducedChainMap.on_word, kept to check the
+    walk that builds f_*'s matrices."""
+    n = len(word) - 1
+    m, letters = word[0], word[1:]
+    deg = fstar.source.degree(word)
+    a_degs = [fstar.source.A.module.degree_of(a) for a in letters]
+    m_deg = fstar.source.M.module.degree_of(m)
+    acc = {}
+    for (r, s), op in fstar.f.maps.items():
+        if r + s > n:
+            continue
+        out = op.on_word(letters[n - r :] + (m,) + letters[:s])
+        sv = sign(star_sign(m_deg, a_degs, n - r + 1) + fstar.f.degree * deg)
+        for name, c in out.terms.items():
+            add_into(acc, (name,) + letters[s : n - r], sv * c)
+    return normalize(acc, fstar.target.ring)
+
+
+def induced_chain(fstar, x):
+    """f_* on a chain, word by word; the former InducedChainMap.__call__."""
+    acc = {}
+    for word, c in x.items():
+        for w, v in induced_on_word(fstar, word).items():
+            add_into(acc, w, c * v)
+    return normalize(acc, fstar.target.ring)
+
+
+def induced_matrices_oracle(fstar):
+    """f_*'s matrices over F_L, one induced_on_word per word: the former
+    InducedChainMap.matrices."""
+    src, tgt = fstar.source.truncation(), fstar.target.truncation()
+    return {
+        j: basis_matrix(words, tgt.basis.get(j + fstar.degree, []), lambda w: induced_on_word(fstar, w))
+        for j, words in src.basis.items()
+    }
+
+
+class ComposedChainMap:
+    """Word-wise composite g_* . f_*; the former library class."""
+
+    def __init__(self, g, f):
+        if f.f.target.module != g.f.source.module:
+            raise ModuleMismatch("chain maps do not compose")
+        self.g = g
+        self.f = f
+        self.source = f.source
+        self.target = g.target
+        self.degree = f.degree + g.degree
+
+    def on_word(self, word):
+        return induced_chain(self.g, induced_on_word(self.f, word))
 
 
 def degree_one_document():
@@ -1285,7 +1411,7 @@ def b_star_oracle(psi):
     cx = psi.complex
     acc = {}
     for w in cx.all_words():
-        v = psi.evaluate(differential_word(cx, w))
+        v = evaluate(psi, differential_word(cx, w))
         if v:
             acc[w] = v
     return DualChainElement(cx, acc)

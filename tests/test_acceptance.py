@@ -40,6 +40,8 @@ from helpers import (
     differential,
     differential_word,
     induced,
+    induced_chain,
+    induced_on_word,
     load,
     product_lookup,
 )
@@ -153,8 +155,8 @@ def test_criterion_4_induced_chain_maps():
         src = HochschildComplex(f.source, 3)
         fstar = InducedChainMap(f, src, HochschildComplex(f.target, 3))
         for w in src.all_words():
-            assert differential(fstar.target, fstar.on_word(w)) == fstar(
-                differential_word(src, w)
+            assert differential(fstar.target, induced_on_word(fstar, w)) == induced_chain(
+                fstar, differential_word(src, w)
             ), (label, w)
     elapsed = time.monotonic() - started
     report("4 (b.f* = f*.b on words of length <= 3)", elapsed)

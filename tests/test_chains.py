@@ -13,12 +13,13 @@ from ainfty.bimodules import (
     tensor_square_bimodule,
 )
 from ainfty.chains import (
-    ComposedChainMap,
     HochschildComplex,
     InducedChainMap,
     normalize,
     word_count,
 )
+from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
+from ainfty.documents import parse, serialize
 from ainfty.errors import Inhomogeneous, ModuleMismatch, TooLarge, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES
 from ainfty.graded import GradedModule, MultilinearOp
@@ -26,13 +27,19 @@ from ainfty.rings import Z
 
 from helpers import (
     ALGEBRA_FIXTURES,
+    ComposedChainMap,
+    add,
     b_component,
     b_component_oracle,
     chain_degree,
     cochain_basis,
+    degree_one_document,
     diagonal_b_word,
     differential,
     differential_word,
+    induced_chain,
+    induced_matrices_oracle,
+    induced_on_word,
     load,
     load_reordered,
     mu1_algebra,
@@ -188,8 +195,8 @@ def test_induced_identity_and_zero():
     ident = InducedChainMap(identity_morphism(M), cx, cx)
     zero = InducedChainMap(BimoduleMorphism(M, M, 0, {}, name="zero"), cx, cx)
     for w in cx.all_words():
-        assert ident.on_word(w) == {w: 1}
-        assert zero.on_word(w) == {}
+        assert induced_on_word(ident, w) == {w: 1}
+        assert induced_on_word(zero, w) == {}
 
 
 def test_induced_chain_map_takes_the_complexes_of_its_bimodules():
@@ -210,8 +217,8 @@ def test_induced_chain_map_commutes_with_b():
     src = HochschildComplex(f.source, 3)
     fstar = InducedChainMap(f, src, HochschildComplex(f.target, 3))
     for w in src.all_words():
-        assert differential(fstar.target, fstar.on_word(w)) == fstar(
-            differential_word(src, w)
+        assert differential(fstar.target, induced_on_word(fstar, w)) == induced_chain(
+            fstar, differential_word(src, w)
         ), w
 
 
@@ -221,9 +228,9 @@ def test_induced_map_additive():
     fstar = InducedChainMap(f, HochschildComplex(f.source, 3), HochschildComplex(f.target, 3))
     x = {("m", "e"): 2, ("m", "e", "e"): -1}
     y = {("m", "e"): 5}
-    from ainfty.chains import add
-
-    assert fstar(add(x, y, Z)) == add(fstar(x), fstar(y), Z)
+    assert induced_chain(fstar, add(x, y, Z)) == add(
+        induced_chain(fstar, x), induced_chain(fstar, y), Z
+    )
 
 
 def test_induced_degree_shift():
@@ -235,10 +242,10 @@ def test_induced_degree_shift():
     cx = HochschildComplex(M, 3)
     fstar = InducedChainMap(f, cx, cx)
     for w in cx.all_words():
-        out = fstar.on_word(w)
+        out = induced_on_word(fstar, w)
         if out:
             assert chain_degree(cx, out) == cx.degree(w) - 1
-        assert differential(fstar.target, out) == fstar(differential_word(cx, w))
+        assert differential(fstar.target, out) == induced_chain(fstar, differential_word(cx, w))
 
 
 def test_compose_induced():
@@ -251,8 +258,8 @@ def test_compose_induced():
     comp = ComposedChainMap(fstar, ident_M)
     comp2 = ComposedChainMap(ident_N, fstar)
     for w in src.all_words():
-        assert comp.on_word(w) == fstar.on_word(w)
-        assert comp2.on_word(w) == fstar.on_word(w)
+        assert comp.on_word(w) == induced_on_word(fstar, w)
+        assert comp2.on_word(w) == induced_on_word(fstar, w)
     zero = InducedChainMap(BimoduleMorphism(f.source, f.source, 0, {}, name="z"), src, src)
     zcomp = ComposedChainMap(fstar, zero)
     assert all(not zcomp.on_word(w) for w in src.all_words())
@@ -280,7 +287,52 @@ def test_induced_chain_map_function_form():
     doc = load("quasi_iso_pair")
     f = doc.morphisms["include"]
     fstar = InducedChainMap(f, HochschildComplex(f.source, 3), HochschildComplex(f.target, 3))
-    assert fstar({("m",): 1}) == {("u",): 1}
+    assert induced_chain(fstar, {("m",): 1}) == {("u",): 1}
+
+
+def _f_star_cases(ring):
+    """Every document morphism of the fixtures and of the degree-1 document,
+    the identity of each diagonal, tensor_square, dual and document bimodule,
+    and the cocycle morphisms beta(E) of the elementary cochains E of arity
+    <= 1 on the diagonal, whose (0,1) and (1,0) parts wrap around the word."""
+    docs = [load(name, p=ring) for name in ALGEBRA_FIXTURES]
+    one = degree_one_document()
+    if ring:
+        one["ring"] = {"kind": "Zp", "p": ring}
+    docs.append(parse(serialize(one)))
+    for doc in docs:
+        yield from doc.morphisms.values()
+        A = doc.algebra
+        diag = diagonal_bimodule(A)
+        modules = [diag, tensor_square_bimodule(A), dual_bimodule(diag)]
+        for M in modules + [doc.bimodules[name] for name in sorted(doc.bimodules)]:
+            yield identity_morphism(M)
+        for n in range(2):
+            for word in itertools.product(A.module.names, repeat=n):
+                for out in diag.module.names:
+                    beta = codifferential(elementary_cochain(diag, word, out, cutoff=4))
+                    if beta.components and not beta.component(0):
+                        yield cocycle_to_morphism(beta, diagonal=diag)
+
+
+@pytest.mark.parametrize("ring", [None, 2, 3])
+def test_f_star_matrices_match_the_word_level_oracle(ring):
+    # the walk over f's components, with b's signs and the twist (-1)^(d j),
+    # gives f_* word by word, at every length cutoff
+    cases = wrapping = 0
+    for f in _f_star_cases(ring):
+        for L in range(5):
+            src = HochschildComplex(f.source, L)
+            tgt = src if f.target is f.source else HochschildComplex(f.target, L)
+            fstar = InducedChainMap(f, src, tgt)
+            expected = induced_matrices_oracle(fstar)
+            got = fstar.matrices()
+            assert got.keys() == expected.keys(), (f.name, L)
+            for j, F in expected.items():
+                assert got[j] == F, (f.name, L, j)
+            cases += 1
+            wrapping += any(r + s for r, s in f.maps)
+    assert cases > 200 and wrapping > 50, (cases, wrapping)
 
 
 @pytest.mark.parametrize("seed", [3, 11])

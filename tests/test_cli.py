@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 
 import pytest
@@ -281,6 +282,39 @@ def test_integer_fields_take_no_floats_or_booleans(tmp_path, capsys, value, sect
     assert f"input error: {section}.{field}: expected an integer" in err
 
 
+@pytest.mark.parametrize("value", [0.7, True])
+@pytest.mark.parametrize(
+    "name,where", [("exterior1", "algebra.basis"), ("quasi_iso_pair", "bimodules.N.basis")]
+)
+def test_basis_degrees_take_integers_only(tmp_path, capsys, value, name, where):
+    # int() would read a degree of 0.7 as 0 and true as 1
+    doc = fixture_document(name)
+    spec = doc
+    for part in where.split("."):
+        spec = spec[part]
+    spec[0][1] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {where}[0]: expected an integer" in err
+
+
+def test_large_prime_modulus_is_refused_before_the_primality_test(tmp_path, capsys):
+    # trial division up to sqrt(p) would take hours on 2^64 - 59, a prime
+    doc = fixture_document("exterior1")
+    doc["ring"] = {"kind": "Zp", "p": 2**64 - 59}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    started = time.monotonic()
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert time.monotonic() - started < 10
+    assert code == 2
+    assert out == ""
+    assert f"input error: modulus {2**64 - 59} is above the limit of {2**31}" in err
+
+
 def _first_entry(cochain):
     return cochain["components"]["1"][0]
 
@@ -379,14 +413,19 @@ def test_length_raising_term_of_f_star_exits_3(tmp_path, capsys, monkeypatch):
     # f_* never sends a word to a longer one; a term that does is a library
     # bug, which the slicing of E^0(f_*) reports instead of dropping
     from ainfty.chains import InducedChainMap
+    from ainfty.homology import ExactMatrix
 
-    original = InducedChainMap.on_word
+    original = InducedChainMap.matrices
 
-    def planted(self, word):
-        out = original(self, word)
-        return {**out, ("w", "e"): 1} if word == ("m",) else out
+    def planted(self):
+        # the entry ('m',) -> ('w', 'e'), in the column of ('m',)
+        F, j = original(self), self.source.degree(("m",))
+        col = self.source.truncation().basis[j].index(("m",))
+        row = self.target.truncation().basis[j + self.degree].index(("w", "e"))
+        F[j] = ExactMatrix(F[j].rows, F[j].cols, {**F[j].entries, (row, col): 1})
+        return F
 
-    monkeypatch.setattr(InducedChainMap, "on_word", planted)
+    monkeypatch.setattr(InducedChainMap, "matrices", planted)
     path = tmp_path / "qip.json"
     path.write_text(serialize(fixture_document("quasi_iso_pair")))
     code, out, err = run_cli(["spectral", str(path), "--length", "2"], capsys)
@@ -490,7 +529,7 @@ def test_verify_chain_map_check_names_the_oracle_word(tmp_path, capsys):
     # the check reads d_tgt F_j - F_{j-1} d_src off F_L's matrices; the first
     # failing word in enumeration order is the one the per-word b names, also
     # for morphisms of nonzero degree, whose F_j shifts the degree
-    from helpers import differential, induced
+    from helpers import differential, induced, induced_chain, induced_on_word
 
     doc = fixture_document("quasi_iso_pair")
     doc["morphisms"]["include"]["components"]["0,0"][0]["output"] = {"u": "1", "v": "1"}
@@ -508,8 +547,8 @@ def test_verify_chain_map_check_names_the_oracle_word(tmp_path, capsys):
         failing = [
             w
             for w in fstar.source.all_words()
-            if differential(fstar.target, fstar.on_word(w))
-            != fstar(differential_word(fstar.source, w))
+            if differential(fstar.target, induced_on_word(fstar, w))
+            != induced_chain(fstar, differential_word(fstar.source, w))
         ]
         expected = (
             f"FAIL induced chain map [{name}]: b(f_*({failing[0]})) != f_*(b({failing[0]}))"
@@ -1023,29 +1062,29 @@ def test_each_bimodule_complex_is_built_once(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["spectral", "verify"])
-def test_induced_chain_map_reads_each_word_once(tmp_path, capsys, monkeypatch, command):
-    # f_*'s matrices over F_L are built once, and the chain map check, the
-    # comparison's E^0 blocks and its conclusion all read them, so
-    # on_word runs once per word of the source complex
-    from ainfty.chains import InducedChainMap
+def test_induced_chain_map_is_built_once_per_morphism(tmp_path, capsys, monkeypatch, command):
+    # f_*'s matrices over F_L are built once, by one walk over f's
+    # components, and the chain map check, the comparison's E^0 blocks and
+    # its conclusion all read them
+    from ainfty.chains import HochschildComplex
 
-    calls = []
-    original = InducedChainMap.on_word
+    walks = []
+    original = HochschildComplex._walk
 
-    def counted(self, word):
-        calls.append((self, word))
-        return original(self, word)
+    def counted(self, ops, *args, **kwargs):
+        if ops is not self.M.ops:
+            walks.append(ops)
+        return original(self, ops, *args, **kwargs)
 
-    monkeypatch.setattr(InducedChainMap, "on_word", counted)
+    monkeypatch.setattr(HochschildComplex, "_walk", counted)
+    document = fixture_document("quasi_iso_pair")
     path = tmp_path / "qip.json"
-    path.write_text(serialize(fixture_document("quasi_iso_pair")))
+    path.write_text(serialize(document))
     code, out, _ = run_cli([command, str(path)], capsys)
     assert code == 0, out
-    maps = {fstar for fstar, _ in calls}
-    assert maps
-    for fstar in maps:
-        words = [w for g, w in calls if g is fstar]
-        assert sorted(words) == sorted(fstar.source.all_words())
+    # one walk per morphism, over its own components
+    assert len(walks) == len(document["morphisms"]) > 0
+    assert len(set(map(id, walks))) == len(walks)
 
 
 def test_e1_routes_stay_independent(tmp_path, capsys, monkeypatch):

@@ -11,12 +11,15 @@ from ainfty.errors import (
     Inhomogeneous,
     ModuleMismatch,
     NotPrime,
+    TooLarge,
     UnknownName,
     ZeroElement,
 )
 from ainfty.graded import Element, GradedModule, MultilinearOp, apply, degree, reduced_index
 from ainfty.rings import Z, Zp
-from ainfty.signs import maltese, maltese0, star_sign
+from ainfty.signs import maltese
+
+from helpers import maltese0, star_sign
 
 
 @pytest.fixture
@@ -177,6 +180,15 @@ def test_prime_field_arithmetic():
     m = GradedModule((("a", 0),), Zp(2))
     assert Element(m, {"a": 2}).is_zero()
     assert Element(m, {"a": -1}).terms == {"a": 1}
+
+
+def test_prime_modulus_limit():
+    # the largest modulus tested for primality is 2^31; above it, even a
+    # prime is refused before any division
+    assert Zp(2**31 - 1).p == 2**31 - 1
+    for p in (2**31 + 1, 2**64 - 59):
+        with pytest.raises(TooLarge, match=f"modulus {p} is above the limit of {2**31}"):
+            Zp(p)
 
 
 def test_mod_p_table_coefficients():

@@ -13,7 +13,6 @@ from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
     _smith,
-    basis_matrix,
     chain_map_failures,
     determinant,
     induced_map_on_homology,
@@ -26,6 +25,7 @@ from ainfty.rings import Z, Zp
 
 from helpers import (
     ALGEBRA_FIXTURES,
+    basis_matrix,
     cochain_complex,
     dense_rank_modp,
     dense_rank_q,

@@ -12,7 +12,6 @@ from ainfty.bimodules import (
 from ainfty.chains import HochschildComplex, InducedChainMap
 from ainfty.errors import IndexOutOfRange, TooLarge
 from ainfty.graded import GradedModule, MultilinearOp
-from ainfty.homology import basis_matrix
 from ainfty.documents import parse, serialize
 from ainfty.spectral import _length_blocks
 from ainfty.spectral import column_complex, column_weights, comparison_check, page1
@@ -21,6 +20,7 @@ from helpers import (
     ALGEBRA_FIXTURES,
     b1_word,
     b_component,
+    basis_matrix,
     degree_one_document,
     differential_word,
     e0_map_oracle,
@@ -29,6 +29,7 @@ from helpers import (
     homology_of_truncation,
     in_filtration,
     induced,
+    induced_on_word,
     length_blocks_oracle,
     load,
     mu1_algebra,
@@ -276,7 +277,7 @@ def test_filtration_shift_of_induced_maps():
     src = HochschildComplex(f.source, 4)
     fstar = InducedChainMap(f, src, HochschildComplex(f.target, 4))
     for w in src.all_words():
-        out = fstar.on_word(w)
+        out = induced_on_word(fstar, w)
         assert filtration_level(out) <= len(w) - 1
     # and a morphism with a genuine (1,0) component drops by one
     A = load("exterior1").algebra
@@ -288,7 +289,7 @@ def test_filtration_shift_of_induced_maps():
     cx = HochschildComplex(M, 4)
     gstar = InducedChainMap(g, cx, cx)
     for w in cx.all_words():
-        out = gstar.on_word(w)
+        out = induced_on_word(gstar, w)
         if out:
             assert filtration_level(out) <= len(w) - 2
 
