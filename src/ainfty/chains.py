@@ -13,13 +13,16 @@ ranks. One walk over (prefix, operation entry, suffix) triples builds every
 boundary of F_L and every matrix of f_*, reading each word's degree and
 column from flat tables by rank: the work is proportional to the number of
 terms, never to words times positions. Neither b nor f_* has a word-level
-body in the library; both reach the homology engine as matrices only.
+body in the library; both reach the homology engine as matrices only. F_L's
+bases hold these ranks, not words: a word is named only for a message.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from array import array
+from collections import Counter
+from typing import Iterator, Sequence
 
 from .bimodules import AInfinityBimodule, BimoduleMorphism
 from .errors import InternalInvariant, ModuleMismatch, TooLarge
@@ -67,30 +70,31 @@ class HochschildComplex:
         # length n -> (words, their Hochschild degrees), in enumeration order,
         # and length n -> _by_rank(n), built once for words, boundaries and E^0
         self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
-        self._ranks: dict[int, tuple[list[int], list[int]]] = {}
+        self._ranks: dict[int, tuple[list[int], array]] = {}
         # _tables(), built once for b and every f_* into or out of F_L
-        self._column_tables: tuple[dict[int, int], list] | None = None
+        self._column_tables: tuple[dict[int, int], list, list] | None = None
         # b as matrices, built once: F_L here; E^0 columns by p, then route,
-        # by spectral.py; F_L's boundaries by degree, then row word, by
+        # by spectral.py; F_L's boundaries by degree, then row, by
         # cochains.b_star
         self._truncation: FiniteComplex | None = None
         self.columns: dict[int, dict] = {}
         self.boundary_rows: dict[int, dict] = {}
 
-    def _ranked(self, n: int) -> tuple[list[int], list[int]]:
-        """_by_rank(n), built once per n; callers must not change the lists."""
+    def _ranked(self, n: int) -> tuple[list[int], array]:
+        """_by_rank(n), built once per n; callers must not change it."""
         out = self._ranks.get(n)
         if out is None:
             out = self._ranks[n] = self._by_rank(n)
         return out
 
-    def _by_rank(self, n: int) -> tuple[list[int], list[int]]:
+    def _by_rank(self, n: int) -> tuple[list[int], array]:
         """Hochschild degrees of the length-n words by rank, and the ranks in
-        enumeration order: the product order, sorted stably by degree."""
+        enumeration order (the product order, sorted stably by degree) as an
+        array, which holds no int objects."""
         reduced = itertools.product([d - 1 for _, d in self.A.module.basis], repeat=n)
         tails = list(map(sum, reduced))
         degs = [-m_deg - red for _, m_deg in self.M.module.basis for red in tails]
-        return degs, sorted(range(len(degs)), key=degs.__getitem__)
+        return degs, array("q", sorted(range(len(degs)), key=degs.__getitem__))
 
     def _graded_words(self, n: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
         """Length-n words sorted by (degree, slot positions), with their degrees."""
@@ -121,28 +125,34 @@ class HochschildComplex:
         m_deg = self.M.module.degree_of(word[0])
         return -m_deg - sum(self.A.module.degree_of(n) - 1 for n in word[1:])
 
-    def _tables(self) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]]:
-        """The number of words of each degree, and for each length n the
-        (degree, column) of each length-n word by rank, as flat lists; built
-        once. Columns follow truncation()'s basis: each degree's words by
-        length, then in enumeration order."""
+    def _tables(self) -> tuple[dict[int, int], list[tuple[list[int], list[int]]], list]:
+        """The number of words of each degree; for each length n the (degree,
+        column) of each length-n word by rank, as flat lists; and for each n
+        the number of length-n words of each degree, ascending. Built once.
+        Columns follow truncation()'s basis: each degree's words by length,
+        then in enumeration order."""
         if self._column_tables is None:
+            counts = [dict(sorted(Counter(self._ranked(n)[0]).items())) for n in range(self.L + 1)]
             column: dict[int, int] = {}
-            for n in range(self.L + 1):
-                for j in self.degrees(n):
-                    column[j] = column.get(j, 0) + 1
+            for by_degree in counts:
+                for j, count in by_degree.items():
+                    column[j] = column.get(j, 0) + count
             # all columns share one int object per index
             ints = list(range(max(column.values(), default=0)))
             seen, tables = dict.fromkeys(column, 0), []
-            for n in range(self.L + 1):
+            for n, by_degree in enumerate(counts):
                 degs, order = self._ranked(n)
+                # the columns in enumeration order: each degree's run continues
+                # from the shorter words of that degree
+                in_order = []
+                for j, count in by_degree.items():
+                    in_order += ints[seen[j] : seen[j] + count]
+                    seen[j] += count
                 cols = [0] * len(degs)
-                for rank in order:
-                    j = degs[rank]
-                    cols[rank] = ints[seen[j]]
-                    seen[j] += 1
+                for rank, col in zip(order, in_order):
+                    cols[rank] = col
                 tables.append((degs, cols))
-            self._column_tables = column, tables
+            self._column_tables = column, tables, counts
         return self._column_tables
 
     def _rank(self, letters: Word) -> int:
@@ -209,8 +219,8 @@ class HochschildComplex:
         """
         L, N = self.L, self.A.module.rank
         mpos, t_mpos = self.M.module.position, target.M.module.position
-        column, tables = self._tables()
-        t_column, t_tables = target._tables()
+        column, tables, _ = self._tables()
+        t_column, t_tables, _ = target._tables()
         # each degree's sums, kept free of zeros as the walk goes: a dict
         # reclaims the slots of deleted keys when it next grows
         prime = self.ring.p
@@ -260,25 +270,74 @@ class HochschildComplex:
     def truncation(self) -> FiniteComplex:
         """F_L graded by Hochschild degree, kept, so that b is assembled once.
 
-        Each degree's words come by length, then in enumeration order: the
-        column order of boundaries().
+        Each degree's basis is a RankedWords: its words by length, then in
+        enumeration order (the column order of boundaries()), held as rank
+        runs and named only when read, for messages.
         """
         if self._truncation is None:
-            basis: dict[int, list[Word]] = {}
-            for n in range(self.L + 1):
-                for w, j in zip(self.words(n), self.degrees(n)):
-                    basis.setdefault(j, []).append(w)
+            lengths = range(self.L + 1)
+            basis = {j: RankedWords(self, j, lengths) for j in self._tables()[0]}
             self._truncation = FiniteComplex(self.ring, basis, self.boundaries())
         return self._truncation
 
+    def _locate(self, word: Word) -> tuple[int, int]:
+        """The length n and the rank of a word."""
+        n = len(word) - 1
+        return n, self.M.module.position(word[0]) * self.A.module.rank**n + self._rank(word[1:])
+
+    def _column_of(self, word: Word) -> tuple[int, int] | None:
+        """The degree of a word and its column in truncation(), or None past length L."""
+        n, rank = self._locate(word)
+        if n > self.L:
+            return None
+        degs, cols = self._tables()[1][n]
+        return degs[rank], cols[rank]
+
     def _word(self, n: int, rank: int) -> Word:
         """The length-n word of a rank, for messages."""
-        names = self.A.module.names
-        letters = []
-        for _ in range(n):
-            rank, a = divmod(rank, len(names))
-            letters.append(names[a])
-        return (self.M.module.names[rank],) + tuple(reversed(letters))
+        return _word(self.M.module.names, self.A.module.names, n, rank)
+
+
+def _word(m_names: tuple[str, ...], a_names: tuple[str, ...], n: int, rank: int) -> Word:
+    letters = []
+    for _ in range(n):
+        rank, a = divmod(rank, len(a_names))
+        letters.append(a_names[a])
+    return (m_names[rank],) + tuple(reversed(letters))
+
+
+class RankedWords(Sequence):
+    """Degree j's words of the given lengths of F_L, by length, then in
+    enumeration order: one run of _ranked(n)'s order per length n. Only the
+    counts and the order arrays are held, not the complex, so no cycle keeps
+    F_L alive; a word is named when it is read."""
+
+    def __init__(self, complex_: HochschildComplex, j: int, lengths):
+        self._names, self._runs = (complex_.M.module.names, complex_.A.module.names), []
+        for n in lengths:
+            by_degree = complex_._tables()[2][n]
+            if by_degree.get(j):
+                # _ranked(n)'s order holds the lower degrees first
+                start = sum(c for d, c in by_degree.items() if d < j)
+                self._runs.append((n, complex_._ranked(n)[1], start, by_degree[j]))
+        self._len = sum(run[-1] for run in self._runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, c: int) -> Word:
+        c += self._len if c < 0 else 0
+        if not 0 <= c < self._len:
+            raise IndexError("basis index out of range")
+        for n, order, start, count in self._runs:
+            if c < count:
+                return _word(*self._names, n, order[start + c])
+            c -= count
+
+    def __iter__(self) -> Iterator[Word]:
+        for n, order, start, count in self._runs:
+            for rank in order[start : start + count]:
+                yield _word(*self._names, n, rank)
 
 
 class InducedChainMap:

@@ -213,21 +213,29 @@ class DualChainElement:
 def b_star(psi: DualChainElement) -> DualChainElement:
     """(b* psi)(w) = psi(b(w)), read off the rows of psi's words in F_L's boundaries.
 
-    The rows of each boundary are indexed by word once per complex and
-    degree, so a call costs the rows of psi's words.
+    Each word is placed by its rank, and the rows of each boundary are
+    indexed once per complex and degree, so a call costs the rows of psi's
+    words; only the words of the result are named.
     """
     cx, acc = psi.complex, {}
     for w, c in psi.terms.items():
-        d = cx.degree(w)
+        place = cx._column_of(w)
+        if place is None:
+            continue
+        d, row = place
         if d not in cx.boundary_rows:
-            fc = cx.truncation()
-            words, cols = fc.basis.get(d, []), fc.basis.get(d + 1, [])
             rows = cx.boundary_rows[d] = {}
-            for (i, j), v in fc.boundary(d + 1).entries.items():
-                rows.setdefault(words[i], []).append((cols[j], v))
-        for col, v in cx.boundary_rows[d].get(w, ()):
-            acc[col] = acc.get(col, 0) + c * v
-    return DualChainElement(cx, acc)
+            for (i, k), v in cx.truncation().boundary(d + 1).entries.items():
+                rows.setdefault(i, []).append((k, v))
+        for col, v in cx.boundary_rows[d].get(row, ()):
+            acc[d + 1, col] = acc.get((d + 1, col), 0) + c * v
+    return DualChainElement(cx, _named(cx, acc))
+
+
+def _named(cx: HochschildComplex, acc: dict[tuple[int, int], int]) -> dict[Word, int]:
+    """A functional by (degree, column) of F_L, by word."""
+    basis = cx.truncation().basis
+    return {basis[j][col]: c for (j, col), c in acc.items()}
 
 
 def duality_iso(
@@ -279,15 +287,16 @@ def pullback(
     """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to f_*'s cutoff."""
     dual_M = duals[0] if duals else dual_bimodule(fstar.f.source)
     psi_N = duality_iso_inverse(g, fstar.target)
-    src, tgt = fstar.source.truncation(), fstar.target.truncation()
-    acc: dict[Word, int] = {}
+    places = ((fstar.target._column_of(w), c) for w, c in psi_N.terms.items())
+    values = {place: c for place, c in places if place is not None}
+    acc: dict[tuple[int, int], int] = {}
     for j, F in fstar.matrices().items():
-        cols, rows = src.basis[j], tgt.basis.get(j + fstar.degree, [])
+        t = j + fstar.degree
         for (i, k), v in F.entries.items():
-            c = psi_N.terms.get(rows[i])
+            c = values.get((t, i))
             if c:
-                acc[cols[k]] = acc.get(cols[k], 0) + c * v
-    psi_M = DualChainElement(fstar.source, acc)
+                acc[j, k] = acc.get((j, k), 0) + c * v
+    psi_M = DualChainElement(fstar.source, _named(fstar.source, acc))
     out = duality_iso(psi_M, dual=dual_M, cutoff=g.cutoff)
     if out.is_zero():
         return Cochain(dual_M, g.degree + fstar.f.degree, {}, g.cutoff)

@@ -471,8 +471,9 @@ def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
 class FiniteComplex:
     """A finite free chain complex: a graded basis plus its boundary matrices.
 
-    basis maps each degree to its ordered keys; boundaries maps a degree j
-    to the differential out of it, a matrix from basis[j] to basis[j - 1].
+    basis maps each degree to a sized sequence of its keys, in order: only
+    failure messages read the keys. boundaries maps a degree j to the
+    differential out of it, a matrix from basis[j] to basis[j - 1].
     A degree missing from boundaries is the zero map. Each boundary is
     factored once, and each pair of boundaries is checked to compose to zero
     once.

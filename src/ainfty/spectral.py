@@ -22,13 +22,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .chains import HochschildComplex, InducedChainMap
+from .chains import HochschildComplex, InducedChainMap, RankedWords
 from .errors import IndexOutOfRange, InternalInvariant
-from .graded import Word
 from .homology import ExactMatrix, FiniteComplex, HomologySummary, _nonzero
 from .homology import induced_map_on_homology
 
-Basis = dict[int, list[Word]]  # a column's words by Hochschild degree
+Basis = dict[int, RankedWords]  # a column's words by Hochschild degree
 Bases = list[Basis]  # a complex's column bases, by p = 0..L
 
 
@@ -41,7 +40,7 @@ def column_complex(
     in degree j it holds the length-p run of F_L's degree-j basis.
     route="direct" walks the arity-one entries; route="quotient" reads b_1
     as the length blocks of F_L's boundaries (b never lengthens a word), one
-    walk for every column. Both routes share one basis, and each column is
+    walk for every column. Both routes have the same basis, and each column is
     built once per complex.
     """
     L = complex_.L
@@ -61,14 +60,8 @@ def column_complex(
 
 
 def _column_basis(complex_: HochschildComplex, p: int) -> Basis:
-    """The length-p words by Hochschild degree, in enumeration order; shared by both routes."""
-    columns = complex_.columns.get(p)
-    if columns:
-        return next(iter(columns.values())).basis
-    basis: Basis = {}
-    for w, j in zip(complex_.words(p), complex_.degrees(p)):
-        basis.setdefault(j, []).append(w)
-    return basis
+    """The length-p words by Hochschild degree, in enumeration order: both routes' basis."""
+    return {j: RankedWords(complex_, j, (p,)) for j in complex_._tables()[2][p]}
 
 
 def _b1_matrices(complex_: HochschildComplex, p: int, basis: Basis) -> dict[int, ExactMatrix]:

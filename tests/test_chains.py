@@ -24,6 +24,7 @@ from ainfty.errors import Inhomogeneous, ModuleMismatch, TooLarge, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
+from ainfty.spectral import column_complex
 
 from helpers import (
     ALGEBRA_FIXTURES,
@@ -382,9 +383,45 @@ def test_assembled_boundaries_match_the_per_word_oracle(name):
             for L in range(top + 1):
                 fc = HochschildComplex(M, L).truncation()
                 oracle = truncation_oracle(HochschildComplex(M, L))
-                assert fc.basis == oracle.basis
+                assert {j: list(keys) for j, keys in fc.basis.items()} == oracle.basis
                 for j in fc.basis:
                     assert fc.boundary(j) == oracle.boundary(j), (name, p, M.name, L, j)
+
+
+def _assert_same_words(keys, words, where):
+    assert len(keys) == len(words), where
+    assert list(keys) == words, where
+    assert [keys[c] for c in range(len(words))] == words, where
+    assert [keys[c - len(words)] for c in range(len(words))] == words, where
+    for c in (len(words), -len(words) - 1):
+        with pytest.raises(IndexError):
+            keys[c]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rank_backed_bases_equal_the_word_lists(name):
+    # F_L's bases and the E^0 columns' bases hold rank runs, not words; read
+    # as sequences they are the degree-j words of words(n), length by length
+    A = load(name).algebra
+    diag = diagonal_bimodule(A)
+    for M in (diag, tensor_square_bimodule(A), dual_bimodule(diag)):
+        for L in range(5):
+            cx = HochschildComplex(M, L)
+            by_length = [{} for _ in range(L + 1)]
+            for n in range(L + 1):
+                for w, j in zip(cx.words(n), cx.degrees(n)):
+                    by_length[n].setdefault(j, []).append(w)
+            fc = cx.truncation()
+            assert set(fc.basis) == set().union(*by_length), (name, M.name, L)
+            for j, keys in fc.basis.items():
+                words = [w for words in by_length for w in words.get(j, [])]
+                _assert_same_words(keys, words, (name, M.name, L, j))
+            for p in range(L + 1):
+                for route in ("direct", "quotient"):
+                    column = column_complex(cx, p, route).basis
+                    assert set(column) == set(by_length[p]), (name, M.name, L, p)
+                    for j, keys in column.items():
+                        _assert_same_words(keys, by_length[p][j], (name, M.name, L, p, j))
 
 
 def test_assembled_boundaries_of_a_dga_with_mu1():

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -598,6 +599,42 @@ def test_verify_names_first_word_with_nonzero_b_squared(tmp_path, capsys, corrup
         "ok   SNF self-verification",
         "RESULT: FAIL (first failing identity: bimodule equations [N])",
     ]
+
+
+CHECK_TIME = re.compile(r"check (.+): \d+\.\d{6}s")
+
+
+def _timed_labels(out: str, err: str) -> tuple[list[str], list[str]]:
+    """The labels of a report's ok and FAIL lines, and the labels that stderr
+    gives a check time, in order."""
+    verdicts = [line[5:] for line in out.splitlines() if line.startswith(("ok   ", "FAIL "))]
+    times = [m.group(1) for m in map(CHECK_TIME.fullmatch, err.splitlines()) if m]
+    return [v.split(": ")[0] for v in verdicts], times
+
+
+def test_verify_writes_one_time_per_check_to_stderr(tmp_path, capsys):
+    # each check's time goes to stderr, one line per ok/FAIL line of the
+    # report, in report order; stdout stays the benchmark's reference
+    references = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+    )
+    jobs = [job for job in references if job.startswith("verify ")]
+    assert len(jobs) == 6
+    for job in jobs:
+        _, name, _ = job.split()
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(fixture_document(name)))
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (0, references[job]), job
+        labels, times = _timed_labels(out, err)
+        assert times == labels and len(labels) > 10, job
+    for name, doc in _broken_documents().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(doc))
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        labels, times = _timed_labels(out, err)
+        assert code == 1 and "FAIL " in out
+        assert times == labels, name
 
 
 def _broken_documents():
@@ -1417,6 +1454,41 @@ def test_non_complex_names_degree_and_first_key(
     assert err.splitlines()[0] == (
         f"input error: composite of boundary maps is nonzero on {key} in degree {degree}"
     )
+
+
+def test_hh_and_cohomology_build_no_word_tuples(tmp_path, capsys, monkeypatch):
+    # F_L's bases are rank runs: hh and cohomology enumerate no word tuples,
+    # and give the same reports, exit codes and failure messages without them
+    from ainfty.chains import HochschildComplex
+
+    documents = {}
+    for name in FIXTURE_NAMES:
+        for ring in ({"kind": "Z"}, {"kind": "Zp", "p": 2}, {"kind": "Zp", "p": 3}):
+            doc = fixture_document(name)
+            doc["ring"] = ring
+            documents[f"{name}_{ring.get('p', 0)}"] = doc
+    documents.update(_broken_documents())
+    jobs = []
+    for stem, doc in documents.items():
+        path = tmp_path / f"{stem}.json"
+        path.write_text(serialize(doc))
+        for command in ("hh", "cohomology"):
+            for module in ("diagonal", "tensor_square", "dual"):
+                jobs.append([command, str(path), "--module", module, "--length", "3"])
+
+    def run(argv):
+        code, out, err = run_cli(argv, capsys)
+        return code, out, [line for line in err.splitlines() if not line.startswith("elapsed")]
+
+    expected = [run(argv) for argv in jobs]
+    assert {code for code, _, _ in expected} == {0, 2}
+
+    def refuse(self, n):
+        raise AssertionError(f"word tuples of length {n} built")
+
+    monkeypatch.setattr(HochschildComplex, "_graded_words", refuse)
+    for argv, want in zip(jobs, expected):
+        assert run(argv) == want, argv
 
 
 @pytest.mark.parametrize("command", ["hh", "cohomology"])

@@ -98,7 +98,7 @@ def test_page0_p0_block_is_coefficient_differential():
     mat = column.boundary(0)
     basis0 = column.basis
     assert [w for w in basis0[0]] == [("u",), ("v",)]
-    assert basis0[-1] == [("w",)]
+    assert list(basis0[-1]) == [("w",)]
     assert mat.to_dense() == [[0, 1]]
 
 
