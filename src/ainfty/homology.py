@@ -11,8 +11,9 @@ not divisible by p). Every Smith normal form, over Z and mod p, re-verifies
 D_s = U_s*M_s*V_s on the support block by exact multiplication, one row of
 U_s at a time, before returning. Off the support M is zero and U and V are
 the identity, so this proves D = U*M*V on the whole matrix. Python ints
-keep every entry exact at any size. Complexes and chain maps reach the
-homology engine as matrices only.
+keep every entry exact at any size. Unit singleton columns are peeled
+before any entry is heaped, as they hold the pivot rule's least key.
+Complexes and chain maps reach the homology engine as matrices only.
 
 Over Z/p a complex needs only the rank of each boundary, so d_j is
 factored without the rows that are pivot columns of d_{j-1} (clearing, as
@@ -219,19 +220,23 @@ def _eliminate(
 
     The next pivot is the entry of least absolute value (mod p every entry
     counts as a unit), ties broken by least Markowitz cost (row nnz - 1) *
-    (col nnz - 1); it comes off a heap whose keys are re-validated when
-    popped. Row operations reduce the pivot column to nearest remainders
-    and are recorded in U. Once the column is clear, column operations
-    reduce the pivot row and are recorded in V only, because the pivot
-    column holds nothing else. A nonzero remainder is strictly smaller than
-    the pivot, so the pivot goes back into the matrix and the remainder
-    comes off the heap first: a pivot is taken only when its row and column
-    are clear. Each failed attempt lowers the least absolute value in the
-    matrix, so the elimination ends. A unit never leaves a remainder. With
-    track=False (rank only) U and V are not updated, so only the pivots'
-    count and entries mean anything. Over a field only row operations are
-    then made, each clearing a pivot's column in the rows left, so the pivot
-    columns are independent columns of mat, as many as its rank.
+    (col nnz - 1). A column holding one entry, a unit (+-1 over Z), has the
+    least key, (1, 0), so peeling such columns first only breaks ties of
+    that rule: as in structured Gaussian elimination, they come off a queue
+    that each deleted row feeds with the columns it leaves with one entry.
+    Only the entries left go on a heap, whose keys are re-validated when
+    popped. Row operations reduce the pivot column to nearest remainders and
+    are recorded in U. Once the column is clear (a peeled one is at once),
+    column operations reduce the pivot row, recorded in V only as the column
+    holds nothing else, and U's row is scaled by the pivot's inverse. A
+    nonzero remainder is strictly smaller than the pivot, so the pivot goes
+    back and the remainder comes off the heap first: a pivot is taken only
+    when its row and column are clear. Each failed attempt lowers the least
+    absolute value in the matrix, so the elimination ends. With track=False
+    (rank only) U and V are not updated, so only the pivots' count and
+    entries mean anything. Over a field only row operations are then made,
+    each clearing a pivot's column in the rows left, so the pivot columns
+    are independent columns of mat, as many as its rank.
     """
     field = p is not None
     rows: dict[int, dict[int, int]] = {}
@@ -247,6 +252,32 @@ def _eliminate(
     u: dict[int, dict[int, int]] = {}
     v: dict[int, dict[int, int]] = {}
     pivots: list[list] = []
+
+    def settle(r, c, a, row):
+        # take the pivot a at (r, c), whose row and column have left the
+        # matrix; a is a unit, or the rest of its row is empty
+        inv = pow(a, -1, p) if field else (1 if a > 0 else -1)
+        ur, vc = u.pop(r, {r: 1}), v.pop(c, {c: 1})
+        if track:
+            for j, x in row.items():
+                v[j] = _axpy(v[j] if j in v else {j: 1}, -x * inv, vc, p)
+            if inv != 1:
+                ur = _axpy({}, inv, ur, p)
+        pivots.append([1 if field else abs(a), ur, vc, r, c])
+
+    # the peel, first in first out (last in first out made V's columns over
+    # Z nearly twice as dense); a queued column held one entry when queued
+    queue = [j for j, col in cols.items() if len(col) == 1]
+    for c in queue:
+        if len(cols.get(c, ())) == 1 and (field or rows[cols[c][0]][c] in (1, -1)):
+            (r,) = cols.pop(c)
+            row = rows.pop(r)
+            a = row.pop(c)
+            for j in row:
+                cols[j].remove(r)
+                if len(cols[j]) == 1:
+                    queue.append(j)
+            settle(r, c, a, row)
     heap = [
         (1 if field else abs(c), (len(row) - 1) * (len(cols[j]) - 1), i, j)
         for i, row in rows.items()
@@ -270,8 +301,7 @@ def _eliminate(
         below.remove(r)
         for j in row:
             cols[j].remove(r)
-        ur = u.pop(r, {r: 1})
-        vc = v.pop(c, {c: 1})
+        ur = u[r] if r in u else {r: 1}
         kept = []
         for i in below:
             target = rows[i]
@@ -298,33 +328,28 @@ def _eliminate(
                 kept.append(i)
             elif not target:
                 del rows[i]
-        rest = {}
-        if not kept and (track or size > 1):
+        if not kept and size > 1:
             # the pivot column holds nothing else: reduce the pivot row
+            vc = v[c] if c in v else {c: 1}
+            rest = {}
             for j, x in row.items():
-                f = x * inv if size == 1 else (x * inv + half) // size
+                f = (x * inv + half) // size
                 if track and f:
                     v[j] = _axpy(v[j] if j in v else {j: 1}, -f, vc, p)
-                if size > 1 and x != f * a:
+                if x != f * a:
                     rest[j] = x - f * a
-        if not (kept or rest):
-            if track and inv != 1:
-                ur = _axpy({}, inv, ur, p)
-            pivots.append([size, ur, vc, r, c])
+            row = rest
+        if not kept and (size == 1 or not row):
+            settle(r, c, a, row)
             continue
         # a remainder is left, smaller than the pivot: the pivot goes back
-        if rest:
-            row = rest
-        row[c] = a
-        rows[r], u[r], v[c] = row, ur, vc
+        rows[r], row[c] = row, a
         cols[c] = kept  # row holds c again, so r joins it below
         for j in row:
             cols[j].append(r)
         for i, j in [(i, c) for i in kept] + [(r, j) for j in row]:
             target = rows[i]
-            heapq.heappush(
-                heap, (abs(target[j]), (len(target) - 1) * (len(cols[j]) - 1), i, j)
-            )
+            heapq.heappush(heap, (abs(target[j]), (len(target) - 1) * (len(cols[j]) - 1), i, j))
     if not track:
         return pivots, [], []
     pivot_rows, pivot_cols = {q[3] for q in pivots}, {q[4] for q in pivots}

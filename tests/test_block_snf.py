@@ -231,6 +231,85 @@ def test_rank_kernel_solve_modp_match_dense(mat, p):
 
 
 @st.composite
+def singleton_rich_matrices(draw):
+    """A planted cascade of unit singleton columns beside non-unit singletons, shuffled.
+
+    Cascade column t < k holds a unit at row t and otherwise entries only in
+    the rows above, so each pivot the peel takes leaves the next column with
+    one entry. The rows below meet the cascade in 0, in 6 or -6 (divisible
+    by every p drawn, so they break the cascade over Z only) or in 2 or 3
+    (units mod 3 or mod 2). Singleton columns 2, 3 and -4 are units mod some
+    p but never over Z, and the rest entries include multiples of p.
+    """
+    k, m, n = draw(st.integers(0, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3, 6, -4])
+    dense = [[0] * (k + n) for _ in range(k + m)]
+    for t in range(k):
+        dense[t][t] = draw(st.sampled_from([1, -1]))
+        for s in range(t):
+            dense[s][t] = draw(entry)
+    for i in range(k + m):
+        for j in range(k, k + n):
+            dense[i][j] = draw(entry)
+    for i in range(k, k + m):
+        for j in range(k):
+            dense[i][j] = draw(st.sampled_from([0, 0, 0, 6, -6, 2, 3]))
+    for d in draw(st.lists(st.sampled_from([2, 3, -4]), max_size=3)):
+        row = draw(st.integers(0, k + m - 1))
+        for i, entries in enumerate(dense):
+            entries.append(d if i == row else 0)
+    row_of = draw(st.permutations(range(len(dense))))
+    col_of = draw(st.permutations(range(len(dense[0]))))
+    return ExactMatrix(
+        len(dense),
+        len(dense[0]),
+        {(row_of[i], col_of[j]): c for i, row in enumerate(dense) for j, c in enumerate(row)},
+    )
+
+
+@given(singleton_rich_matrices(), st.sampled_from([2, 3]), st.data())
+def test_peeled_elimination_matches_oracles(mat, p, data):
+    # the eliminator pivots on unit singleton columns before it heaps any
+    # entry; factors, ranks, pivot columns and kernels keep their contracts
+    dense = mat.to_dense()
+    factors = invariant_factors(mat)
+    if mat.rows * mat.cols <= 25:
+        assert factors == minor_gcd_invariants(dense)
+    D = _check_snf(mat)
+    assert D == block_snf(mat)[0]
+    assert [D.entries[(t, t)] for t in range(len(D.entries))] == factors
+
+    K = kernel_basis(mat, Z)
+    assert K.cols == mat.cols - len(factors)
+    assert (mat @ K).is_zero()
+    assert invariant_factors(K) == [1] * K.cols
+
+    skip = data.draw(st.sets(st.integers(0, mat.rows - 1)))
+    kept = [row for i, row in enumerate(dense) if i not in skip]
+    rank, pivot_cols = rank_modp(mat, p, skip)
+    assert rank == dense_rank_modp(kept, p)
+    assert len(pivot_cols) == rank
+    assert dense_rank_modp([[row[c] for c in sorted(pivot_cols)] for row in kept], p) == rank
+
+    K = kernel_basis(mat, Zp(p))
+    assert mod(mat @ K, p).is_zero()
+    ours = [list(col) for col in zip(*K.to_dense())]
+    theirs = dense_kernel_modp(dense, mat.cols, p)
+    assert len(ours) == len(theirs) == dense_rank_modp(ours + theirs, p)
+
+
+def test_non_unit_singletons_are_not_peeled_over_z():
+    # over Z only a pivot +-1 clears its row by exact column operations, so
+    # a singleton column holding 2, 3 or -4 waits for the heap
+    assert invariant_factors(from_dense([[2, 3]])) == [1]
+    assert invariant_factors(from_dense([[2]])) == [2]
+    assert invariant_factors(from_dense([[2, 0], [0, 3]])) == [1, 6]
+    assert invariant_factors(from_dense([[-4, 0, 6], [0, 1, 0]])) == [1, 2]
+    # mod 3 the 2 is a unit singleton and the 3 vanishes
+    assert rank_modp(from_dense([[2, 3]]), 3) == (1, frozenset({0}))
+
+
+@st.composite
 def _product_pair(draw):
     m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
     sparse = st.just(0) | st.integers(-3, 3)

@@ -637,6 +637,49 @@ def test_verify_writes_one_time_per_check_to_stderr(tmp_path, capsys):
         assert times == labels, name
 
 
+def test_verify_times_each_f_l_apart_from_the_checks(tmp_path, capsys, monkeypatch):
+    # each module's F_L is assembled before the checks run, under its own
+    # stderr line, so b.b = 0 is timed without the assembly; stdout stays
+    # the benchmark's reference
+    import ainfty.cli as cli
+    from ainfty.chains import HochschildComplex
+
+    references = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+    )
+    running, assembled_in_checks = [False], []
+    original_boundaries = HochschildComplex.boundaries
+    original_run_checks = cli.run_checks
+
+    def boundaries(self):
+        assembled_in_checks.append(running[0])
+        return original_boundaries(self)
+
+    def run_checks(checks, report):
+        running[0] = True
+        original_run_checks(checks, report)
+        running[0] = False
+
+    monkeypatch.setattr(HochschildComplex, "boundaries", boundaries)
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    build = re.compile(r"build F_L \[(.+)\]: \d+\.\d{6}s")
+    for name, modules in [
+        ("exterior2", ["diagonal", "dual", "tensor_square"]),
+        ("quasi_iso_pair", ["M", "N", "diagonal", "dual", "tensor_square"]),
+    ]:
+        assembled_in_checks.clear()
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize(fixture_document(name)))
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (0, references[f"verify {name} Z"])
+        lines = err.splitlines()
+        built = [m.group(1) for m in map(build.fullmatch, lines) if m]
+        assert built == modules
+        first_check = next(k for k, line in enumerate(lines) if CHECK_TIME.fullmatch(line))
+        assert all(build.fullmatch(line) is None for line in lines[first_check:])
+        assert assembled_in_checks == [False] * len(modules)
+
+
 def _broken_documents():
     """Documents whose algebra breaks its equations, so b.b != 0: mu3_square_zero
     with mu_1(c) = a, mu_2(a,a) = b and mu_2(c,a) = c, and a non-associative
@@ -861,6 +904,54 @@ def test_clearing_hands_the_eliminator_fewer_rows(tmp_path, capsys, monkeypatch)
     # calls go upwards in degree: each skip is the pivot columns of the call before
     assert calls[0][1] == set()
     assert all(skip == below for (_, _, below), (_, skip, _) in zip(calls, calls[1:]))
+
+
+def test_peeling_unit_singletons_cuts_heap_traffic(tmp_path, capsys, monkeypatch):
+    # hh and cohomology exterior2 at L=5 over Z/3 take 2112 pivots; peeling
+    # the unit singleton columns first leaves 696 entries to heapify, and
+    # 232 more are pushed while the heap is worked off. Heaping every entry
+    # before the first pivot heaped 12 569 entries and popped as many.
+    import heapq
+
+    import ainfty.homology as homology
+
+    traffic = Counter()
+
+    class CountingHeap:
+        @staticmethod
+        def heapify(heap):
+            traffic["heapified"] += len(heap)
+            heapq.heapify(heap)
+
+        @staticmethod
+        def heappush(heap, item):
+            traffic["pushed"] += 1
+            heapq.heappush(heap, item)
+
+        @staticmethod
+        def heappop(heap):
+            traffic["popped"] += 1
+            return heapq.heappop(heap)
+
+    original = homology._eliminate
+    pivots = []
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        pivots.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(homology, "heapq", CountingHeap)
+    monkeypatch.setattr(homology, "_eliminate", recorded)
+    doc = fixture_document("exterior2")
+    doc["ring"] = {"kind": "Zp", "p": 3}
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(doc))
+    for command in ("hh", "cohomology"):
+        code, _, _ = run_cli([command, str(path), "--length", "5"], capsys)
+        assert code == 0
+    assert sum(pivots) == 2112
+    assert traffic == {"heapified": 696, "pushed": 232, "popped": 928}
 
 
 def _dense_cells(monkeypatch):

@@ -336,26 +336,63 @@ def test_snf_self_check_runs_every_call():
         assert nz == sorted(nz)
 
 
+def _universal_coefficient_mismatches(fc, primes):
+    """The (p, j) where dim H_j(C/p), from a Z/p complex over fc's boundary
+    matrices, is not free_j + #(torsion of H_j divisible by p)
+    + #(torsion of H_{j-1} divisible by p), read from fc over Z."""
+    over_z = {j: fc.homology(j) for j in set(fc.basis) | {j - 1 for j in fc.basis}}
+    boundaries = {j: fc.boundary(j) for j in fc.basis}
+    bad = []
+    for p in primes:
+        over_p = FiniteComplex(Zp(p), fc.basis, boundaries)
+        for j in sorted(fc.basis):
+            h, h_next = over_z[j], over_z[j - 1]
+            divisible = sum(1 for d in h.torsion + h_next.torsion if d % p == 0)
+            if over_p.homology(j).dimension != h.free_rank + divisible:
+                bad.append((p, j))
+    return bad
+
+
 @pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
 def test_universal_coefficients_tie_z_to_zp(name):
     # for a finite complex C of free Z-modules and a prime p,
     # dim H_j(C/p) = free_j + #(torsion of H_j divisible by p)
-    #              + #(torsion of H_{j-1} divisible by p)
+    #              + #(torsion of H_{j-1} divisible by p);
+    # here on the diagonal module's chains and cochains
     diag = diagonal_bimodule(load(name).algebra)
     complexes = (HochschildComplex(diag, 4).truncation(), cochain_complex(diag, 4))
-    torsion_checks = 0
     for k, fc in enumerate(complexes):
-        over_z = {j: fc.homology(j) for j in set(fc.basis) | {j - 1 for j in fc.basis}}
-        for p in (2, 3, 5):
-            boundaries = {j: fc.boundary(j) for j in fc.basis}
-            over_p = FiniteComplex(Zp(p), fc.basis, boundaries)
-            for j in sorted(fc.basis):
-                h, h_next = over_z[j], over_z[j - 1]
-                divisible = sum(1 for d in h.torsion + h_next.torsion if d % p == 0)
-                assert over_p.homology(j).dimension == h.free_rank + divisible, (k, p, j)
-                torsion_checks += bool(h.torsion or h_next.torsion)
+        assert _universal_coefficient_mismatches(fc, (2, 3, 5)) == [], k
     # these fixtures have torsion, so the Tor terms are exercised on them
-    assert bool(torsion_checks) == (name in ("dual_numbers", "truncated_poly3", "mu3_square_zero"))
+    torsion = any(fc.homology(j).torsion for fc in complexes for j in fc.basis)
+    assert torsion == (name in ("dual_numbers", "truncated_poly3", "mu3_square_zero"))
+
+
+@pytest.mark.parametrize("module", ["tensor_square", "dual"])
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_zp_engine_agrees_with_z(name, module):
+    # the Z/p engine and SNF over Z read the same boundary matrices of F_4
+    # and agree by universal coefficients on the other two modules as well
+    fc = HochschildComplex(resolve_bimodule(load(name), module), 4).truncation()
+    assert _universal_coefficient_mismatches(fc, (2, 3, 5)) == []
+
+
+def test_universal_coefficients_catch_a_pivot_scaled_by_p(monkeypatch):
+    # scaling one pivot's row of U and its diagonal entry by 3 keeps
+    # D = U*M*V, so the SNF self-check passes; the Z/3 engine disagrees
+    original = homology._eliminate
+
+    def scaled(mat, p=None, track=True, skip=()):
+        pivots, u_rest, v_rest = original(mat, p, track, skip)
+        if p is None and pivots:
+            pivots[0][0] *= 3
+            pivots[0][1] = {i: 3 * c for i, c in pivots[0][1].items()}
+        return pivots, u_rest, v_rest
+
+    monkeypatch.setattr(homology, "_eliminate", scaled)
+    fc = HochschildComplex(resolve_bimodule(load("exterior2"), "diagonal"), 4).truncation()
+    assert _universal_coefficient_mismatches(fc, (2, 5)) == []
+    assert _universal_coefficient_mismatches(fc, (3,))
 
 
 def test_public_constructors_still_check_entries():
