@@ -11,7 +11,6 @@ composite are visited; a failed check names the least such word in basis order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -129,49 +128,38 @@ def from_dga(
 ) -> AInfinityAlgebra:
     """A-infinity structure of a differential graded algebra.
 
-    Checks d*d = 0, associativity of the product and the graded Leibniz rule
-    d(ab) = d(a)b + (-1)^{deg a} a d(b), then stores mu_1 = d and
-    mu_2(a,b) = (-1)^{deg a} ab. The sign twist on mu_2 is what turns
-    associativity into the third defining equation under these conventions.
+    Stores mu_1 = d and mu_2(a,b) = (-1)^{deg a} ab. Under this sign twist the
+    defining equations r = 1, 3 and 2 are d*d = 0, associativity of the
+    product and the graded Leibniz rule d(ab) = d(a)b + (-1)^{deg a} a d(b),
+    checked in that order by the entry walk, which names the first failing
+    word in basis order.
     """
-    names = module.names
-
-    def d(e: Element) -> Element:
-        if differential is None or e.is_zero():
-            return Element(module, {})
-        return differential(e)
-
+    mu1 = {}
     if differential is not None:
         if differential.degree != 1:
             raise NotADifferential("differential must have degree +1")
-        for n in names:
-            e = module.basis_element(n)
-            if not d(d(e)).is_zero():
-                raise NotADifferential(f"d(d({n})) != 0")
+        mu1[1] = MultilinearOp((module,), module, 1, dict(differential.entries()), label="mu_1")
+        verdict = check_defining_equation(AInfinityAlgebra(module, mu1), 1)
+        if not verdict.holds:
+            raise NotADifferential(f"d(d({verdict.word[0]})) != 0")
     if product.degree != 0:
         raise NotAssociative("product must have degree 0")
-    # with mu_2(a,b) = (-1)^{deg a} ab, the r=3 residual on (a,b,c) is
-    # (-1)^{deg b}((ab)c - a(bc)): the entry walk of the defining equations
-    # names the first non-associative triple in product order
     mu2_table = {key: v.scale(sign(module.degree_of(key[0]))) for key, v in product.entries()}
     mu2 = MultilinearOp((module, module), module, 0, mu2_table, label="mu_2")
-    verdict = check_defining_equation(AInfinityAlgebra(module, {2: mu2}), 3)
+    algebra = AInfinityAlgebra(module, {2: mu2, **mu1})
+    # the r=3 residual on (a,b,c) is (-1)^{deg b}((ab)c - a(bc)), and the r=2
+    # residual on (a,b) is (-1)^{deg a}(d(ab) - d(a)b - (-1)^{deg a} a d(b))
+    verdict = check_defining_equation(algebra, 3)
     if not verdict.holds:
         a, b, c = verdict.word
         ea, eb, ec = (module.basis_element(n) for n in (a, b, c))
         left, right = product(product(ea, eb), ec), product(ea, product(eb, ec))
         raise NotAssociative(f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
-    if differential is not None:
-        for a, b in itertools.product(names, repeat=2):
-            ea, eb = module.basis_element(a), module.basis_element(b)
-            lhs = d(product(ea, eb))
-            rhs = product(d(ea), eb) + product(ea, d(eb)).scale(sign(module.degree_of(a)))
-            if lhs != rhs:
-                raise LeibnizFailure(f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
-
-    ops: dict[int, MultilinearOp] = {2: mu2}
-    if differential is not None and not differential.is_zero():
-        ops[1] = MultilinearOp(
-            (module,), module, 1, dict(differential.entries()), label="mu_1"
-        )
-    return AInfinityAlgebra(module, ops)
+    verdict = check_defining_equation(algebra, 2)
+    if not verdict.holds:
+        (a, b), d = verdict.word, differential
+        ea, eb = module.basis_element(a), module.basis_element(b)
+        lhs, twist = d(product(ea, eb)), sign(module.degree_of(a))
+        rhs = product(d(ea), eb) + product(ea, d(eb)).scale(twist)
+        raise LeibnizFailure(f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
+    return algebra

@@ -9,12 +9,16 @@ wraps mu_(r,s), with the extra sign (-1)^(d j).
 
 A length-n word has the mixed-radix rank pos(m) N^n + sum_k pos(a_k) N^(n-k),
 N the rank of A, so prefixes, keys and suffixes concatenate by arithmetic on
-ranks. One walk over (prefix, operation entry, suffix) triples builds every
-boundary of F_L and every matrix of f_*, reading each word's degree and
-column from flat tables by rank: the work is proportional to the number of
-terms, never to words times positions. Neither b nor f_* has a word-level
-body in the library; both reach the homology engine as matrices only. F_L's
-bases hold these ranks, not words: a word is named only for a message.
+ranks. Each complex builds one WordTable, the only place that decides which
+words F_L holds and in what order: for each length n, the degree and F_L
+column of every word by rank, the ranks in enumeration order (by degree,
+then rank) and the number of words of each degree. One walk over (prefix,
+operation entry, suffix) triples builds every boundary of F_L and every
+matrix of f_*, reading degrees and columns from it: the work is
+proportional to the number of terms, never to words times positions. Neither
+b nor f_* has a word-level body in the library; both reach the homology
+engine as matrices only. F_L's bases hold runs of the table's order, not
+words: a word is named only for a message.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bimodules import AInfinityBimodule, BimoduleMorphism
-from .errors import InternalInvariant, ModuleMismatch, TooLarge
+from .errors import IndexOutOfRange, InternalInvariant, ModuleMismatch, TooLarge
 from .graded import Word
 from .homology import ExactMatrix, FiniteComplex
 
@@ -51,6 +55,16 @@ def word_count(m_rank: int, a_rank: int, length: int) -> int:
     return m_rank * (a_rank ** (length + 1) - 1) // (a_rank - 1)
 
 
+class WordTable(NamedTuple):
+    """F_L's words by length n = 0..L, each addressed by its rank."""
+
+    degree: list[list[int]]  # by n, then rank: the word's Hochschild degree
+    column: list[list[int]]  # by n, then rank: the word's column in truncation()
+    order: list[array]  # by n: the ranks in enumeration order
+    counts: list[dict[int, int]]  # by n: the number of words of each degree, ascending
+    sizes: dict[int, int]  # the number of F_L's words of each degree
+
+
 class HochschildComplex:
     """F_L, the length-truncated chain complex CH_*(A;M), with a fixed word enumeration."""
 
@@ -67,25 +81,13 @@ class HochschildComplex:
             raise TooLarge(
                 f"F_{length_cutoff} has {more}{count} words, above the limit of {MAX_WORDS}"
             )
-        # length n -> (words, their Hochschild degrees), in enumeration order,
-        # and length n -> _by_rank(n), built once for words, boundaries and E^0
-        self._words: dict[int, tuple[tuple[Word, ...], tuple[int, ...]]] = {}
-        self._ranks: dict[int, tuple[list[int], array]] = {}
-        # _tables(), built once for b and every f_* into or out of F_L
-        self._column_tables: tuple[dict[int, int], list, list] | None = None
+        self._table: WordTable | None = None  # _tables()
         # b as matrices, built once: F_L here; E^0 columns by p, then route,
         # by spectral.py; F_L's boundaries by degree, then row, by
         # cochains.b_star
         self._truncation: FiniteComplex | None = None
         self.columns: dict[int, dict] = {}
         self.boundary_rows: dict[int, dict] = {}
-
-    def _ranked(self, n: int) -> tuple[list[int], array]:
-        """_by_rank(n), built once per n; callers must not change it."""
-        out = self._ranks.get(n)
-        if out is None:
-            out = self._ranks[n] = self._by_rank(n)
-        return out
 
     def _by_rank(self, n: int) -> tuple[list[int], array]:
         """Hochschild degrees of the length-n words by rank, and the ranks in
@@ -96,25 +98,11 @@ class HochschildComplex:
         degs = [-m_deg - red for _, m_deg in self.M.module.basis for red in tails]
         return degs, array("q", sorted(range(len(degs)), key=degs.__getitem__))
 
-    def _graded_words(self, n: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
-        """Length-n words sorted by (degree, slot positions), with their degrees."""
-        out = self._words.get(n)
-        if out is None:
-            # the name product runs in rank order, in step with _by_rank
-            degs, order = self._ranked(n)
-            tails = list(itertools.product(self.A.module.names, repeat=n))
-            words = [(m,) + rest for m in self.M.module.names for rest in tails]
-            out = tuple(words[k] for k in order), tuple(degs[k] for k in order)
-            self._words[n] = out
-        return out
-
     def words(self, n: int) -> tuple[Word, ...]:
-        """Length-n words, ordered by (degree, slot positions); built once per n."""
-        return self._graded_words(n)[0]
-
-    def degrees(self, n: int) -> tuple[int, ...]:
-        """Hochschild degrees of words(n), position by position."""
-        return self._graded_words(n)[1]
+        """Length-n words in enumeration order, named from the order array."""
+        if not 0 <= n <= self.L:
+            raise IndexOutOfRange(f"length n={n} is outside 0..{self.L}, the lengths of F_L")
+        return tuple(self._word(n, rank) for rank in self._tables().order[n])
 
     def all_words(self) -> Iterator[Word]:
         for n in range(self.L + 1):
@@ -125,23 +113,21 @@ class HochschildComplex:
         m_deg = self.M.module.degree_of(word[0])
         return -m_deg - sum(self.A.module.degree_of(n) - 1 for n in word[1:])
 
-    def _tables(self) -> tuple[dict[int, int], list[tuple[list[int], list[int]]], list]:
-        """The number of words of each degree; for each length n the (degree,
-        column) of each length-n word by rank, as flat lists; and for each n
-        the number of length-n words of each degree, ascending. Built once.
-        Columns follow truncation()'s basis: each degree's words by length,
-        then in enumeration order."""
-        if self._column_tables is None:
-            counts = [dict(sorted(Counter(self._ranked(n)[0]).items())) for n in range(self.L + 1)]
-            column: dict[int, int] = {}
+    def _tables(self) -> WordTable:
+        """F_L's one word table, built once from _by_rank(n) for n = 0..L and
+        read by words, b, every f_* and the bases of F_L and E^0. Columns
+        follow truncation()'s basis: each degree's words by length, then in
+        enumeration order."""
+        if self._table is None:
+            ranked = [self._by_rank(n) for n in range(self.L + 1)]
+            counts = [dict(sorted(Counter(degs).items())) for degs, _ in ranked]
+            sizes: Counter[int] = Counter()
             for by_degree in counts:
-                for j, count in by_degree.items():
-                    column[j] = column.get(j, 0) + count
+                sizes.update(by_degree)
             # all columns share one int object per index
-            ints = list(range(max(column.values(), default=0)))
-            seen, tables = dict.fromkeys(column, 0), []
-            for n, by_degree in enumerate(counts):
-                degs, order = self._ranked(n)
+            ints = list(range(max(sizes.values(), default=0)))
+            seen, columns = dict.fromkeys(sizes, 0), []
+            for (degs, order), by_degree in zip(ranked, counts):
                 # the columns in enumeration order: each degree's run continues
                 # from the shorter words of that degree
                 in_order = []
@@ -151,9 +137,10 @@ class HochschildComplex:
                 cols = [0] * len(degs)
                 for rank, col in zip(order, in_order):
                     cols[rank] = col
-                tables.append((degs, cols))
-            self._column_tables = column, tables, counts
-        return self._column_tables
+                columns.append(cols)
+            degrees, orders = [d for d, _ in ranked], [o for _, o in ranked]
+            self._table = WordTable(degrees, columns, orders, counts, sizes)
+        return self._table
 
     def _rank(self, letters: Word) -> int:
         out, N, apos = 0, self.A.module.rank, self.A.module.position
@@ -176,7 +163,7 @@ class HochschildComplex:
     def _insertions(self, block) -> None:
         """Hand block every mu_l term of b, a run of words at a time."""
         L, N, n_coeff = self.L, self.A.module.rank, self.M.module.rank
-        apos, tables = self.A.module.position, self._tables()[1]
+        apos, degree = self.A.module.position, self._tables().degree
         for l, op in self.A.ops.items():
             terms = [
                 (self._rank(key), apos(a), c)
@@ -184,7 +171,7 @@ class HochschildComplex:
                 for a, c in value.terms.items()
             ]
             for p in range(L - l + 1):
-                prefixes, p_degs = n_coeff * N**p, tables[p][0]
+                prefixes, p_degs = n_coeff * N**p, degree[p]
                 for t in range(L - l - p + 1):
                     n, k, span = p + l + t, p + 1 + t, N**t
                     if span >= prefixes:
@@ -201,7 +188,7 @@ class HochschildComplex:
                     for s in range(span):
                         for K, a, c in terms:
                             start, t_start = K * span + s, a * span + s
-                            v = -c if (p_degs[0] - tables[n][0][start]) & 1 else c
+                            v = -c if (p_degs[0] - degree[n][start]) & 1 else c
                             block(n, start, N**(l + t), k, t_start, N * span, prefixes, (v, -v))
 
     def _walk(self, ops, target: HochschildComplex, shift: int, twist: int, more=None):
@@ -219,17 +206,16 @@ class HochschildComplex:
         """
         L, N = self.L, self.A.module.rank
         mpos, t_mpos = self.M.module.position, target.M.module.position
-        column, tables, _ = self._tables()
-        t_column, t_tables, _ = target._tables()
+        table, t_table = self._tables(), target._tables()
         # each degree's sums, kept free of zeros as the walk goes: a dict
         # reclaims the slots of deleted keys when it next grows
         prime = self.ring.p
-        sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in column}
+        sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in table.sizes}
 
         def block(n, start, step, k, t_start, t_step, count, values):
             # the terms of one block shift the degree alike: check the first
-            degs, cols = tables[n]
-            t_degs, t_cols = t_tables[k]
+            degs, cols = table.degree[n], table.column[n]
+            t_degs, t_cols = t_table.degree[k], t_table.column[k]
             if t_degs[t_start] != degs[start] + shift:
                 raise InternalInvariant(
                     f"image of {self._word(n, start)} has "
@@ -264,7 +250,7 @@ class HochschildComplex:
         for j in list(sums):
             acc = sums.pop(j)
             acc = {key: c % prime for key, c in acc.items()} if prime else dict(acc.items())
-            out[j] = ExactMatrix._adopt(t_column.get(j + shift, 0), column[j], acc)
+            out[j] = ExactMatrix._adopt(t_table.sizes.get(j + shift, 0), table.sizes[j], acc)
         return out
 
     def truncation(self) -> FiniteComplex:
@@ -276,22 +262,18 @@ class HochschildComplex:
         """
         if self._truncation is None:
             lengths = range(self.L + 1)
-            basis = {j: RankedWords(self, j, lengths) for j in self._tables()[0]}
+            basis = {j: RankedWords(self, j, lengths) for j in self._tables().sizes}
             self._truncation = FiniteComplex(self.ring, basis, self.boundaries())
         return self._truncation
 
-    def _locate(self, word: Word) -> tuple[int, int]:
-        """The length n and the rank of a word."""
-        n = len(word) - 1
-        return n, self.M.module.position(word[0]) * self.A.module.rank**n + self._rank(word[1:])
-
     def _column_of(self, word: Word) -> tuple[int, int] | None:
         """The degree of a word and its column in truncation(), or None past length L."""
-        n, rank = self._locate(word)
+        n = len(word) - 1
         if n > self.L:
             return None
-        degs, cols = self._tables()[1][n]
-        return degs[rank], cols[rank]
+        rank = self.M.module.position(word[0]) * self.A.module.rank**n + self._rank(word[1:])
+        table = self._tables()
+        return table.degree[n][rank], table.column[n][rank]
 
     def _word(self, n: int, rank: int) -> Word:
         """The length-n word of a rank, for messages."""
@@ -308,18 +290,19 @@ def _word(m_names: tuple[str, ...], a_names: tuple[str, ...], n: int, rank: int)
 
 class RankedWords(Sequence):
     """Degree j's words of the given lengths of F_L, by length, then in
-    enumeration order: one run of _ranked(n)'s order per length n. Only the
+    enumeration order: one run of the table's order per length n. Only the
     counts and the order arrays are held, not the complex, so no cycle keeps
     F_L alive; a word is named when it is read."""
 
     def __init__(self, complex_: HochschildComplex, j: int, lengths):
         self._names, self._runs = (complex_.M.module.names, complex_.A.module.names), []
+        table = complex_._tables()
         for n in lengths:
-            by_degree = complex_._tables()[2][n]
+            by_degree = table.counts[n]
             if by_degree.get(j):
-                # _ranked(n)'s order holds the lower degrees first
+                # the order holds the lower degrees first
                 start = sum(c for d, c in by_degree.items() if d < j)
-                self._runs.append((n, complex_._ranked(n)[1], start, by_degree[j]))
+                self._runs.append((n, table.order[n], start, by_degree[j]))
         self._len = sum(run[-1] for run in self._runs)
 
     def __len__(self) -> int:

@@ -48,6 +48,9 @@ from .spectral import comparison_check, e1_rows
 # the largest arity that verify's beta.beta and phi checks try, below each
 # check's own cutoff
 CHECK_ARITY = 2
+# the largest counts a request may ask for; at each, exterior1 runs in under
+# a second and 64 MB
+LIMITS = {"--degrees": 10_000, "max_r": 10_000, "max_rs": 300}
 
 
 class Report:
@@ -119,6 +122,8 @@ def _parse_degrees(spec: str | None) -> range | None:
         raise DocumentError(f"--degrees: expected A..B or one integer, got {spec!r}") from None
     if not degrees:
         raise DocumentError(f"--degrees: empty range {spec!r}")
+    if len(degrees) > (limit := LIMITS["--degrees"]):
+        raise DocumentError(f"--degrees: {len(degrees)} is above the limit of {limit}")
     return degrees
 
 
@@ -271,17 +276,16 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
             )
         )
 
-    def first_word(cx, bad):
-        # the first of the failing words in all_words() order: by length,
-        # then degree, then rank
-        return min(bad, key=lambda w: (len(w), cx.degree(w), cx._locate(w)[1]))
+    def first_word(failures):
+        # each degree's failures come by length, then rank: the first failing
+        # word in all_words() order is the least (length, degree) of their firsts
+        firsts = [(len(bad[0]), j, bad[0]) for j, bad in failures.items() if bad]
+        return min(firsts)[2] if firsts else None
 
     def b_squared_ok(cx):
         fc = cx.truncation()
-        bad = [w for j in fc.basis for w in fc.composite_failures(j)]
-        if not bad:
-            return True, ""
-        return False, f"b(b({first_word(cx, bad)})) != 0"
+        w = first_word({j: fc.composite_failures(j) for j in fc.basis})
+        return w is None, "" if w is None else f"b(b({w})) != 0"
 
     for name in sorted(modules):
         checks.append((f"b.b = 0 [{name}]", lambda cx=complexes[name]: b_squared_ok(cx)))
@@ -289,11 +293,8 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
     def chain_map_ok(f):
         fstar = InducedChainMap(f, complex_of(f.source), complex_of(f.target))
         src, tgt, F = fstar.source.truncation(), fstar.target.truncation(), fstar.matrices()
-        bad = [w for j in src.basis for w in chain_map_failures(src, tgt, F, j, fstar.degree)]
-        if not bad:
-            return True, ""
-        w = first_word(fstar.source, bad)
-        return False, f"b(f_*({w})) != f_*(b({w}))"
+        w = first_word({j: chain_map_failures(src, tgt, F, j, fstar.degree) for j in src.basis})
+        return w is None, "" if w is None else f"b(f_*({w})) != f_*(b({w}))"
 
     for name in sorted(doc.morphisms):
         checks.append(
@@ -444,6 +445,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, name)
             if value < 0:
                 raise DocumentError(f"{name}: expected a non-negative count, got {value}")
+            if value > LIMITS.get(name, value):
+                raise DocumentError(f"{name}: {value} is above the limit of {LIMITS[name]}")
         args.degrees = _parse_degrees(args.degrees)
         report = Report()
         report.line(f"command: {args.command}")

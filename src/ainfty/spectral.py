@@ -61,7 +61,7 @@ def column_complex(
 
 def _column_basis(complex_: HochschildComplex, p: int) -> Basis:
     """The length-p words by Hochschild degree, in enumeration order: both routes' basis."""
-    return {j: RankedWords(complex_, j, (p,)) for j in complex_._tables()[2][p]}
+    return {j: RankedWords(complex_, j, (p,)) for j in complex_._tables().counts[p]}
 
 
 def _b1_matrices(complex_: HochschildComplex, p: int, basis: Basis) -> dict[int, ExactMatrix]:
@@ -85,13 +85,12 @@ def _b1_matrices(complex_: HochschildComplex, p: int, basis: Basis) -> dict[int,
     a_terms = terms(complex_.A.ops.get(1), complex_.A.module.position)
     if not (m_terms or a_terms):
         return {}
-    degs, order = complex_._ranked(p)
-    index, seen = [0] * len(degs), {}  # each word's place in its degree block
-    for rank in order:
-        j = degs[rank]
-        index[rank] = seen.get(j, 0)
-        seen[j] = index[rank] + 1
-    sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in seen}
+    table = complex_._tables()
+    # each word's place in its degree block: its F_L column past shorter words
+    below = {j: sum(c.get(j, 0) for c in table.counts[:p]) for j in table.counts[p]}
+    degs = table.degree[p]
+    index = [col - below[j] for j, col in zip(degs, table.column[p])]
+    sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in below}
 
     def run(start: int, t_start: int, count: int, v: int) -> None:
         if count and degs[t_start] != degs[start] - 1:
@@ -108,7 +107,7 @@ def _b1_matrices(complex_: HochschildComplex, p: int, basis: Basis) -> dict[int,
         run(m * N**p, n * N**p, N**p, c)
     for i in range(1, p + 1) if a_terms else ():
         after = N ** (p - i)
-        for P, j in enumerate(complex_._ranked(i - 1)[0]):
+        for P, j in enumerate(table.degree[i - 1]):
             for a, b, c in a_terms:
                 run((P * N + a) * after, (P * N + b) * after, after, -c if j & 1 else c)
     for acc in sums.values() if prime else ():

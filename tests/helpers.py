@@ -22,7 +22,9 @@ of every word, the former body of b_star. The per-word b_1 (b1_word), the
 length blocks picked out of F_L word by word and the associativity check on
 all n^3 triples are the former library bodies of the two E^0 routes and of
 from_dga's check, kept to check the entry walks and the slices that replaced
-them. The block-only Smith
+them; so are the loops over every letter and pair that checked d*d = 0 and
+the Leibniz rule (dga_failure_oracle), replaced by the defining equations
+r = 1 and r = 2. The block-only Smith
 normal form (the union-find block split and the dense min-pivot kernel) and
 the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
@@ -65,7 +67,9 @@ from ainfty.errors import (
     IndexOutOfRange,
     Inhomogeneous,
     InternalInvariant,
+    LeibnizFailure,
     ModuleMismatch,
+    NotADifferential,
     ZeroElement,
 )
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
@@ -153,6 +157,42 @@ def load(name, p=None):
     return parse(serialize(doc))
 
 
+def group_algebra_document(name, elements, multiply, ring=None):
+    """The group ring over Z (or Z/p, ring {"kind": "Zp", "p": p}) of a finite
+    group as a DGA document: one degree-0 letter per element, the first the
+    unit, named "1"; multiply(g, h) is the product of two elements."""
+    names = {g: "1" if i == 0 else f"g{i}" for i, g in enumerate(elements)}
+    product = [
+        {"inputs": [names[g], names[h]], "output": {names[multiply(g, h)]: "1"}}
+        for g in elements
+        for h in elements
+    ]
+    return {
+        "name": name,
+        "ring": ring or {"kind": "Z"},
+        "algebra": {
+            "basis": [[names[g], 0] for g in elements],
+            "kind": "dga",
+            "product": product,
+            "differential": [],
+        },
+        "options": {"length": 4, "max_r": 6, "max_rs": 4},
+    }
+
+
+def cyclic_group_document(n, ring=None):
+    """Z[C_n]: the residues mod n under addition."""
+    return group_algebra_document(f"C{n}", range(n), lambda g, h: (g + h) % n, ring)
+
+
+def symmetric_group_document(ring=None):
+    """Z[S_3]: the permutations of 0, 1, 2 in one-line notation, (gh)(i) = g(h(i))."""
+    elements = sorted(itertools.permutations(range(3)))
+    return group_algebra_document(
+        "S3", elements, lambda g, h: tuple(g[h[i]] for i in range(3)), ring
+    )
+
+
 def mu1_algebra():
     """1 (deg 0) and e (deg -1) with e^2 = 0 and d(e) = 1: a DGA whose mu_1
     and mu_2 are both nonzero, so terms of mu_1 are reached."""
@@ -173,6 +213,23 @@ def associativity_failure_oracle(module, product):
         right = product(ea, product(eb, ec))
         if left != right:
             return f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}"
+    return None
+
+
+def dga_failure_oracle(module, product, differential):
+    """The first d*d = 0 or Leibniz failure as (error type, message), or None,
+    for an associative product: the former loops of from_dga over every letter
+    and pair, kept to check the defining equations r = 1 and r = 2."""
+    d = differential
+    for n in module.names:
+        if not d(d(module.basis_element(n))).is_zero():
+            return NotADifferential, f"d(d({n})) != 0"
+    for a, b in itertools.product(module.names, repeat=2):
+        ea, eb = module.basis_element(a), module.basis_element(b)
+        lhs = d(product(ea, eb))
+        rhs = product(d(ea), eb) + product(ea, d(eb)).scale(sign(module.degree_of(a)))
+        if lhs != rhs:
+            return LeibnizFailure, f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}"
     return None
 
 
@@ -283,8 +340,8 @@ def e0_map_oracle(fstar, p):
     f00 = f.maps.get((0, 0))
     basis, rows = {}, {}
     for cx, out in ((src, basis), (tgt, rows)):
-        for w, j in zip(cx.words(p), cx.degrees(p)):
-            out.setdefault(j, []).append(w)
+        for w in cx.words(p):
+            out.setdefault(cx.degree(w), []).append(w)
 
     def image(w):
         if f00 is None:
@@ -810,8 +867,8 @@ def truncation_oracle(cx):
     """F_L with its boundaries read word by word from differential_word."""
     basis = {}
     for n in range(cx.L + 1):
-        for w, j in zip(cx.words(n), cx.degrees(n)):
-            basis.setdefault(j, []).append(w)
+        for w in cx.words(n):
+            basis.setdefault(cx.degree(w), []).append(w)
     return image_complex(cx.ring, basis, lambda w: differential_word(cx, w))
 
 

@@ -18,7 +18,13 @@ from ainfty.graded import Element, GradedModule, MultilinearOp
 from ainfty.rings import Z, Zp
 from ainfty.signs import maltese, sign
 
-from helpers import ALGEBRA_FIXTURES, associativity_failure_oracle, load, mu_word
+from helpers import (
+    ALGEBRA_FIXTURES,
+    associativity_failure_oracle,
+    dga_failure_oracle,
+    load,
+    mu_word,
+)
 
 
 def test_defining_equations_fixtures_over_z_and_z2():
@@ -137,6 +143,47 @@ def test_from_dga_names_the_first_nonassociative_triple(seed, p):
         with pytest.raises(NotAssociative) as err:
             from_dga(m, prod)
         assert str(err.value) == expected
+
+
+def _exterior_times_dual_numbers(ring):
+    """Lambda(a, b) (x) Z[x]/x^2, |a| = |b| = 1, |x| = 0: graded commutative,
+    so associative, with letters in degrees 0, 1 and 2."""
+    monomials = [(i, S) for S in ((), ("a",), ("b",), ("a", "b")) for i in (0, 1)]
+    name = {(i, S): ("x" if i else "") + "".join(S) or "1" for i, S in monomials}
+    m = GradedModule(tuple((name[i, S], len(S)) for i, S in monomials), ring)
+    table = {}
+    for (i, S), (j, T) in itertools.product(monomials, repeat=2):
+        if i + j < 2 and not set(S) & set(T):
+            # (b, a) is the one inversion
+            flip = S == ("b",) and T == ("a",)
+            table[name[i, S], name[j, T]] = {name[i + j, tuple(sorted(S + T))]: -1 if flip else 1}
+    return m, MultilinearOp((m, m), m, 0, table)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_from_dga_names_the_first_differential_and_leibniz_failures(seed, p):
+    # random degree +1 maps on an associative product, some with d*d = 0 and
+    # some derivations: the defining equations r = 1 and r = 2 name the same
+    # word, with the same message, as the loops over every letter and pair
+    rng = random.Random(seed)
+    m, prod = _exterior_times_dual_numbers(Z if p is None else Zp(p))
+    density = (0.15, 0.3, 0.6)[seed % 3]
+    table = {}
+    for x in m.names:
+        fits = [n for n in m.names if m.degree_of(n) == m.degree_of(x) + 1]
+        if fits and x != "1" and rng.random() < density:
+            terms = rng.sample(fits, rng.randint(1, 2))
+            table[(x,)] = {n: rng.randint(-2, 2) for n in terms}
+    diff = MultilinearOp((m,), m, 1, table)
+    expected = dga_failure_oracle(m, prod, diff)
+    if expected is None:
+        from_dga(m, prod, diff)
+    else:
+        kind, message = expected
+        with pytest.raises(kind) as err:
+            from_dga(m, prod, diff)
+        assert str(err.value) == message
 
 
 def test_from_dga_rejects_leibniz_failure():

@@ -218,6 +218,58 @@ def test_negative_counts_are_input_errors(tmp_path, capsys, flags, options, fiel
     assert f"input error: {field}: expected a non-negative count" in err
 
 
+@pytest.mark.parametrize(
+    "flags,options,field,value",
+    [
+        (["--degrees=-5000..5000"], {}, "--degrees", 10_001),
+        (["--degrees=-300000..300000"], {}, "--degrees", 600_001),
+        (["--max-r", "10001"], {}, "max_r", 10_001),
+        (["--max-rs", "301"], {}, "max_rs", 301),
+        ([], {"max_r": 200_000}, "max_r", 200_000),
+        ([], {"max_rs": 1000}, "max_rs", 1000),
+    ],
+)
+def test_oversized_counts_are_input_errors(
+    tmp_path, capsys, monkeypatch, flags, options, field, value
+):
+    # refused before any complex is built, each at a fixed limit
+    from ainfty.chains import HochschildComplex
+
+    def refuse(*args):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(HochschildComplex, "__init__", refuse)
+    doc = fixture_document("exterior1")
+    doc["options"] = options
+    path = tmp_path / "e1.json"
+    path.write_text(serialize(doc))
+    for command in ("hh", "validate", "verify"):
+        code, out, err = run_cli([command, str(path), *flags], capsys)
+        assert code == 2
+        assert out == ""
+        limit = {"--degrees": 10_000, "max_r": 10_000, "max_rs": 300}[field]
+        assert f"input error: {field}: {value} is above the limit of {limit}\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hh", "--length", "3", "--degrees=-5000..4999"],
+        ["cohomology", "--length", "3", "--degrees=-5000..4999"],
+        ["validate", "--max-r", "10000"],
+        ["verify", "--length", "1", "--max-rs", "300"],
+    ],
+)
+def test_counts_at_the_limit_are_accepted(tmp_path, capsys, argv):
+    path = tmp_path / "e1.json"
+    path.write_text(serialize(fixture_document("exterior1")))
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 0
+    assert "above the limit" not in err
+    if "--degrees=-5000..4999" in argv:
+        assert sum(line.startswith("HH") for line in out.splitlines()) == 10_000
+
+
 @pytest.mark.parametrize("command", ["hh", "cohomology"])
 @pytest.mark.parametrize("spec", ["abc", "1..x", "3..1", "2..", "..2", "1..2..3"])
 def test_malformed_degree_ranges_are_input_errors(tmp_path, capsys, command, spec):
@@ -1577,7 +1629,7 @@ def test_hh_and_cohomology_build_no_word_tuples(tmp_path, capsys, monkeypatch):
     def refuse(self, n):
         raise AssertionError(f"word tuples of length {n} built")
 
-    monkeypatch.setattr(HochschildComplex, "_graded_words", refuse)
+    monkeypatch.setattr(HochschildComplex, "words", refuse)
     for argv, want in zip(jobs, expected):
         assert run(argv) == want, argv
 
