@@ -20,7 +20,7 @@ from ainfty.chains import (
 )
 from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
 from ainfty.documents import parse, serialize
-from ainfty.errors import Inhomogeneous, ModuleMismatch, TooLarge, ZeroElement
+from ainfty.errors import IndexOutOfRange, Inhomogeneous, ModuleMismatch, TooLarge, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.rings import Z
@@ -432,6 +432,16 @@ def test_assembled_boundaries_of_a_dga_with_mu1():
             for j in fc.basis:
                 assert fc.boundary(j) == oracle.boundary(j), (M.name, L, j)
             assert any(fc.boundary(j).entries for j in fc.basis)
+
+
+@pytest.mark.parametrize("n", [-1, 4, 9])
+def test_words_refuse_lengths_outside_the_truncation(n):
+    # words(n) names words from F_3's table only: a longer length is past
+    # the word budget that the complex checked
+    cx = HochschildComplex(diagonal_bimodule(load("exterior2").algebra), 3)
+    with pytest.raises(IndexOutOfRange, match=rf"^length n={n} is outside 0\.\.3"):
+        cx.words(n)
+    assert [len(cx.words(k)) for k in range(4)] == [4, 16, 64, 256]
 
 
 def test_word_count_guard_refuses_before_enumerating():

@@ -243,11 +243,11 @@ def test_oversized_counts_are_input_errors(
     doc["options"] = options
     path = tmp_path / "e1.json"
     path.write_text(serialize(doc))
+    limit = {"--degrees": 10_000, "max_r": 10_000, "max_rs": 300}[field]
     for command in ("hh", "validate", "verify"):
         code, out, err = run_cli([command, str(path), *flags], capsys)
         assert code == 2
         assert out == ""
-        limit = {"--degrees": 10_000, "max_r": 10_000, "max_rs": 300}[field]
         assert f"input error: {field}: {value} is above the limit of {limit}\n" in err
 
 
