@@ -15,11 +15,11 @@ keep every entry exact at any size. Unit singleton columns are peeled
 before any entry is heaped, as they hold the pivot rule's least key.
 Complexes and chain maps reach the homology engine as matrices only.
 
-Over Z/p a complex needs only the rank of each boundary, so d_j is
-factored without the rows that are pivot columns of d_{j-1} (clearing, as
-in persistent homology): once d_{j-1} d_j = 0 is checked, those rows cannot
-raise its rank (see FiniteComplex). Over Z each boundary is factored whole,
-because its torsion needs every invariant factor, not only the rank.
+A complex factors d_j without the rows that are pivot columns of d_{j-1}
+(clearing, as in persistent homology), once d_{j-1} d_j = 0 is checked.
+Over Z/p it needs only ranks, and every pivot column is dropped. Over Z
+torsion needs every invariant factor, so only the columns the peel took
+are dropped: they hold a unit-triangular block (see FiniteComplex).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _units(n: int, support: set[int]) -> list[dict[int, int]]:
 
 
 def _smith(
-    mat: ExactMatrix, p: int | None
+    mat: ExactMatrix, p: int | None, peeled: set[int] | None = None
 ) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
     """Smith normal form over Z (p is None) or over Z/p, as sparse pieces.
 
@@ -140,8 +140,11 @@ def _smith(
     checked before returning; off the support M is zero and U and V are the
     identity, so this is D = U*M*V on the whole matrix (see _check_umv).
     Mod p every pivot is 1, and U_s, V_s and the check are reduced mod p.
+    The columns the peel pivoted on are added to peeled, when it is given.
     """
-    pivots, u_rest, v_rest = _eliminate(mat, p)
+    pivots, u_rest, v_rest, n = _eliminate(mat, p)
+    if peeled is not None:
+        peeled.update(q[4] for q in pivots[:n])
     units = [q for q in pivots if q[0] == 1]
     torsion = [q for q in pivots if q[0] != 1]
     for a in range(len(torsion)):
@@ -203,13 +206,14 @@ def _check_umv(
 
 def _eliminate(
     mat: ExactMatrix, p: int | None = None, track: bool = True, skip: Collection[int] = ()
-) -> tuple[list[list], list[dict[int, int]], list[dict[int, int]]]:
+) -> tuple[list[list], list[dict[int, int]], list[dict[int, int]], int]:
     """Sparse elimination of mat to a diagonal, over Z or (p given) over Z/p.
 
-    Returns (pivots, u_rest, v_rest). Each pivot is [d, row of U, column of
-    V, r, c] with sparse dicts: U*mat*V is diagonal, with d > 0 where the
-    pivot's row meets its column (d = 1 mod p), and the elimination took it
-    at entry (r, c) of mat. The rows in skip are dropped as mat is loaded,
+    Returns (pivots, u_rest, v_rest, peeled). Each pivot is [d, row of U,
+    column of V, r, c] with sparse dicts: U*mat*V is diagonal, with d > 0
+    where the pivot's row meets its column (d = 1 mod p), and the
+    elimination took it at entry (r, c) of mat. The first peeled pivots are
+    the peel's, all units. The rows in skip are dropped as mat is loaded,
     so the result is that of mat with those rows zero. u_rest and v_rest
     are the rows of U and columns of V of the support rows and columns
     (those that hold an entry; mod p, one not divisible by p) left without a
@@ -278,6 +282,7 @@ def _eliminate(
                 if len(cols[j]) == 1:
                     queue.append(j)
             settle(r, c, a, row)
+    peeled = len(pivots)
     heap = [
         (1 if field else abs(c), (len(row) - 1) * (len(cols[j]) - 1), i, j)
         for i, row in rows.items()
@@ -351,11 +356,11 @@ def _eliminate(
             target = rows[i]
             heapq.heappush(heap, (abs(target[j]), (len(target) - 1) * (len(cols[j]) - 1), i, j))
     if not track:
-        return pivots, [], []
+        return pivots, [], [], peeled
     pivot_rows, pivot_cols = {q[3] for q in pivots}, {q[4] for q in pivots}
     u_rest = [u[i] if i in u else {i: 1} for i in support_rows if i not in pivot_rows]
     v_rest = [v[j] if j in v else {j: 1} for j in support_cols if j not in pivot_cols]
-    return pivots, u_rest, v_rest
+    return pivots, u_rest, v_rest, peeled
 
 
 def _axpy(acc: dict[int, int], f: int, vec: dict[int, int], p: int | None) -> dict[int, int]:
@@ -503,14 +508,20 @@ class FiniteComplex:
     factored once, and each pair of boundaries is checked to compose to zero
     once.
 
-    Over Z/p only ranks matter, and d_j is factored without the rows that
-    are pivot columns P of d_{j-1} (clearing), once d_{j-1} has been
-    factored and d_{j-1} d_j = 0 checked. The pivot columns P of d_{j-1} are
-    independent and |P| = rank d_{j-1}, so C_{j-1} = ker d_{j-1} (+) span(e_P);
-    im d_j lies in ker d_{j-1}, which meets span(e_P) in 0, so deleting the
-    rows P keeps the rank of d_j. The pivot columns of the cleared d_j serve
-    d_{j+1} in turn. Over Z the invariant factors of the whole boundary are
-    needed, not only its rank, so each boundary is factored whole.
+    Clearing: once d_{j-1} has been factored and d_{j-1} d_j = 0 checked,
+    so that im d_j lies in ker d_{j-1}, d_j is factored without the rows P,
+    pivot columns of d_{j-1}; the P of the cleared d_j serve d_{j+1} in turn.
+    Over Z/p only ranks matter, and P is every pivot column of d_{j-1}: they
+    are independent, so ker d_{j-1} meets span(e_P) in 0, and deleting the
+    rows P keeps the rank of d_j. Over Z, P is only the columns the peel
+    pivoted on, not the heap's, even unit ones. The peel makes no row
+    operation and takes a column while it holds a single +-1 among the rows
+    left, so d_{j-1}[:, P] holds a unit-triangular |P| x |P| block, within
+    the rows kept when d_{j-1} was cleared itself. So y in Z^P with
+    d_{j-1} y in nZ lies in nZ^P: ker d_{j-1} meets span(e_P) in 0 and
+    projects onto a saturated sublattice of the other coordinates, and
+    deleting the rows P keeps every invariant factor of d_j, torsion too.
+    A degree with no basis has zero (co)homology and factors nothing.
     """
 
     def __init__(
@@ -521,8 +532,8 @@ class FiniteComplex:
         self._boundaries = boundaries
         self._factors: dict[int, list[int]] = {}
         self._checked: set[int] = set()
-        # over Z/p, degree j -> the pivot columns of d_j, kept until d_{j+1} is factored
-        self._pivot_cols: dict[int, frozenset[int]] = {}
+        # degree j -> the rows P to clear from d_{j+1}, kept until it is factored
+        self._pivot_cols: dict[int, Collection[int]] = {}
 
     def boundary(self, j: int) -> ExactMatrix:
         """The differential out of degree j, C_j -> C_{j-1}."""
@@ -531,16 +542,22 @@ class FiniteComplex:
 
     def _factored(self, j: int) -> list[int]:
         if j not in self._factors:
+            # clearing needs d_{j-1} d_j = 0; see the class docstring
+            cleared = self._pivot_cols.pop(j - 1, ())
+            skip = cleared if j - 1 in self._checked else ()
+            d = self.boundary(j)
             if self.ring.is_field:
-                # clearing needs d_{j-1} d_j = 0; see the class docstring
-                cleared = self._pivot_cols.pop(j - 1, ())
-                skip = cleared if j - 1 in self._checked else ()
-                rank, pivot_cols = rank_modp(self.boundary(j), self.ring.p, skip)
-                if j + 1 not in self._factors:
-                    self._pivot_cols[j] = pivot_cols
-                self._factors[j] = [1] * rank
+                rank, pivot_cols = rank_modp(d, self.ring.p, skip)
+                factors = [1] * rank
             else:
-                self._factors[j] = invariant_factors(self.boundary(j))
+                if skip:
+                    kept = {key: c for key, c in d.entries.items() if key[0] not in skip}
+                    d = ExactMatrix._adopt(d.rows, d.cols, kept)
+                pivot_cols = set()
+                factors = _smith(d, None, pivot_cols)[0]
+            if j + 1 not in self._factors:
+                self._pivot_cols[j] = pivot_cols
+            self._factors[j] = factors
         return self._factors[j]
 
     def composite_failures(self, j: int) -> list:
@@ -553,6 +570,8 @@ class FiniteComplex:
     def _groups(self, j: int) -> tuple[int, list[int], list[int]]:
         """Free rank at j and the factors of the boundaries out of and into C_j,
         after checking that those two boundaries compose to zero."""
+        if not self.basis.get(j):
+            return 0, [], []  # the composite through C_j = 0 is zero
         if j not in self._checked:
             bad = self.composite_failures(j + 1)
             if bad:

@@ -30,7 +30,9 @@ the dense mod-p rank, kernel and solve are the former library routines, kept
 only as oracles for the one sparse eliminator that replaced them over Z and
 over Z/p. The length projection, the filtration level and membership of a
 chain, the Z^r membership tests, the homology table of a truncation and the
-degree of a chain are reported by no command, so they live here too, as do
+degree of a chain are reported by no command, so they live here too, as does
+the whole factoring of a boundary over Z (whole_factors), kept to check the
+cleared one that replaced it; so do
 from_dense and is_trivial, which only tests call, and mod,
 morphism_is_chain_map_00 and component_word, the former
 ExactMatrix.mod, the former library check of f_{0,0} and the former
@@ -1423,6 +1425,12 @@ def morphism_is_chain_map_00(f):
 def rank_z(mat):
     """Rank over Z, read off the invariant factors."""
     return len(invariant_factors(mat))
+
+
+def whole_factors(fc, j):
+    """The invariant factors over Z of fc's boundary d_j factored whole, with
+    no row cleared: the former FiniteComplex route over Z."""
+    return invariant_factors(fc.boundary(j))
 
 
 def diagonal_b_word(algebra, word, ring=None):

@@ -902,6 +902,43 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
 
 
+@pytest.mark.parametrize("command,label", [("hh", "HH"), ("cohomology", "HH^*")])
+@pytest.mark.parametrize(
+    "ring,factor,zero",
+    [({"kind": "Z"}, "_smith", "0"), ({"kind": "Zp", "p": 3}, "rank_modp", "dim 0")],
+)
+def test_empty_degrees_factor_nothing(
+    tmp_path, capsys, monkeypatch, command, label, ring, factor, zero
+):
+    # F_3 of exterior1 has no basis in degrees -7..-5: H_j and H^j there are
+    # 0 and the composite through C_j is zero, so the rows are printed with
+    # no composite product and no factoring
+    import ainfty.homology as homology
+
+    calls = Counter()
+    original, matmul = getattr(homology, factor), homology.ExactMatrix.__matmul__
+
+    def counted(*args):
+        calls[factor] += 1
+        return original(*args)
+
+    def counted_matmul(*args):
+        calls["matmul"] += 1
+        return matmul(*args)
+
+    doc = fixture_document("exterior1")
+    doc["ring"] = ring
+    path = tmp_path / "e1.json"
+    path.write_text(serialize(doc))
+    monkeypatch.setattr(homology, factor, counted)
+    monkeypatch.setattr(homology.ExactMatrix, "__matmul__", counted_matmul)
+    code, out, _ = run_cli([command, str(path), "--length", "3", "--degrees=-7..-5"], capsys)
+    assert code == 0
+    rows = "".join(f"{label}(diagonal)  degree {j}: {zero}\n" for j in (-7, -6, -5))
+    assert out.endswith(rows + "RESULT: PASS\n")
+    assert calls == {}
+
+
 @pytest.mark.parametrize("command", ["hh", "cohomology"])
 @pytest.mark.parametrize("fixture,p", [("exterior2", 3), ("mu3_square_zero", 2), ("truncated_poly3", 5)])
 def test_degree_ranges_print_the_full_runs_rows(tmp_path, capsys, command, fixture, p):
@@ -1088,8 +1125,8 @@ def test_snf_transform_entries_stay_small(tmp_path, capsys, monkeypatch, command
     original = homology._smith
     entries = []
 
-    def recorded(mat, p):
-        diagonal, u_rows, v_cols = original(mat, p)
+    def recorded(*args):
+        diagonal, u_rows, v_cols = original(*args)
         for vector in u_rows + v_cols:
             entries.extend(vector.values())
         return diagonal, u_rows, v_cols
@@ -1332,10 +1369,10 @@ def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     original = homology._eliminate
 
     def doubled(*args):
-        pivots, u_rest, v_rest = original(*args)
+        pivots, *rest = original(*args)
         for pivot in pivots:
             pivot[1] = {i: 2 * c for i, c in pivot[1].items()}
-        return pivots, u_rest, v_rest
+        return pivots, *rest
 
     monkeypatch.setattr(homology, "_eliminate", doubled)
     path = tmp_path / "e2.json"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import ainfty.homology as homology
-from ainfty.bimodules import diagonal_bimodule
+from ainfty.bimodules import diagonal_bimodule, dual_bimodule
 from ainfty.chains import HochschildComplex
 from ainfty.cli import resolve_bimodule
 from ainfty.errors import InternalInvariant, NotAComplex, NotChainMap
@@ -37,6 +37,7 @@ from helpers import (
     minor_gcd_invariants,
     mod,
     rank_z,
+    whole_factors,
 )
 
 
@@ -68,8 +69,8 @@ def test_snf_check_counts_the_transform_vectors(monkeypatch, p):
     original = homology._eliminate
 
     def lossy(*args, **kwargs):
-        pivots, u_rest, v_rest = original(*args, **kwargs)
-        return pivots, u_rest[:-1], v_rest
+        pivots, u_rest, v_rest, peeled = original(*args, **kwargs)
+        return pivots, u_rest[:-1], v_rest, peeled
 
     monkeypatch.setattr(homology, "_eliminate", lossy)
     mat = from_dense([[1, 2], [2, 4]])
@@ -203,6 +204,75 @@ def test_cleared_ranks_are_the_whole_boundaries_ranks(monkeypatch, name, module,
     for j in factored:
         assert fc._factored(j) == [1] * original(fc.boundary(j), p)[0]
     assert sum(skipped) == sum(len(fc._factored(j)) for j in factored[:-1])
+
+
+def _record_smith(monkeypatch):
+    """The list of the matrices handed to _smith from now on."""
+    factored = []
+    original = homology._smith
+
+    def recorded(mat, *args):
+        factored.append(mat)
+        return original(mat, *args)
+
+    monkeypatch.setattr(homology, "_smith", recorded)
+    return factored
+
+
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
+def test_cleared_factors_are_the_whole_boundaries_factors(monkeypatch, name):
+    # over Z, visited upwards, every d_j past the lowest is factored without
+    # the rows the peel pivoted on in d_{j-1}; every invariant factor, torsion
+    # included, is still that of the whole matrix, on each module and its
+    # dual at every length up to 5
+    factored = _record_smith(monkeypatch)
+    doc = load(name)
+    cleared = 0
+    for module in ["diagonal", "tensor_square", "dual", *doc.bimodules]:
+        M = resolve_bimodule(doc, module)
+        for N in (M, dual_bimodule(M)):
+            for length in range(6):
+                fc = HochschildComplex(N, length).truncation()
+                factored.clear()
+                for j in sorted(fc.basis):
+                    fc.homology(j)
+                cleared += sum(len(fc.boundary(j).entries) for j in fc._factors)
+                cleared -= sum(len(mat.entries) for mat in factored)
+                for j in fc._factors:
+                    assert fc._factored(j) == whole_factors(fc, j), (module, N.name, length, j)
+    assert cleared > 0
+
+
+def test_clearing_over_z_drops_only_the_peeled_rows(monkeypatch):
+    # d_1 peels b0, the one +-1 of row a0, which leaves b3 with a single 2;
+    # row a1 = (2, 3, 2) then needs a remainder round before its heap pivot,
+    # a unit. ker d_1 is spanned by b0 + b1 - b3 and 3 b1 - 2 b2, and d_2
+    # maps onto 3 b1 - 2 b2 and 4 (b0 + b1 - b3), so H_1 = Z/4. Only the
+    # peeled row b0 is cleared from d_2; clearing the heap pivot's row too
+    # would turn the Z/4 into a Z/12
+    images = {
+        "b0": {"a0": 1},
+        "b1": {"a1": 2},
+        "b2": {"a1": 3},
+        "b3": {"a0": 1, "a1": 2},
+        "c0": {"b1": 3, "b2": -2},
+        "c1": {"b0": 4, "b1": 4, "b3": -4},
+    }
+    basis = {0: ["a0", "a1"], 1: ["b0", "b1", "b2", "b3"], 2: ["c0", "c1"]}
+    fc = image_complex(Z, basis, lambda k: images.get(k, {}))
+    pivots, _, _, peeled = homology._eliminate(fc.boundary(1))
+    assert peeled == 1 and pivots[0][4] == 0
+    (heap,) = pivots[1:]
+    assert heap[0] == 1 and heap[4] != 0
+    factored = _record_smith(monkeypatch)
+    assert is_trivial(fc.homology(0))
+    assert fc._pivot_cols[1] == {0}
+    assert fc.homology(1).invariants() == (0, (4,))
+    d_2 = fc.boundary(2)
+    assert factored[-1].entries == {k: c for k, c in d_2.entries.items() if k[0] != 0}
+    assert fc._factored(2) == whole_factors(fc, 2) == [1, 4]
+    every_pivot = {k: c for k, c in d_2.entries.items() if k[0] not in (0, heap[4])}
+    assert invariant_factors(ExactMatrix._adopt(4, 2, every_pivot)) == [1, 12]
 
 
 def _complex_blocks(cx, length):
@@ -383,11 +453,11 @@ def test_universal_coefficients_catch_a_pivot_scaled_by_p(monkeypatch):
     original = homology._eliminate
 
     def scaled(mat, p=None, track=True, skip=()):
-        pivots, u_rest, v_rest = original(mat, p, track, skip)
+        pivots, *rest = original(mat, p, track, skip)
         if p is None and pivots:
             pivots[0][0] *= 3
             pivots[0][1] = {i: 3 * c for i, c in pivots[0][1].items()}
-        return pivots, u_rest, v_rest
+        return pivots, *rest
 
     monkeypatch.setattr(homology, "_eliminate", scaled)
     fc = HochschildComplex(resolve_bimodule(load("exterior2"), "diagonal"), 4).truncation()

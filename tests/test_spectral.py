@@ -374,9 +374,9 @@ def test_comparison_factor_count(monkeypatch):
     original = homology._smith
     calls = []
 
-    def counted(mat, p):
+    def counted(mat, *args):
         calls.append(mat)
-        return original(mat, p)
+        return original(mat, *args)
 
     monkeypatch.setattr(homology, "_smith", counted)
     verdict = comparison_check(induced(load("quasi_iso_pair").morphisms["include"], 4))
