@@ -1,25 +1,16 @@
 """Exact linear algebra: Smith normal form over Z, ranks over Z/p, homology.
 
 Matrices are sparse maps (row, col) -> coefficient. One sparse eliminator
-diagonalises a matrix over Z or over Z/p on row dicts and column sets,
-taking the entry of least absolute value as the next pivot and reducing by
-nearest remainders; it records its row operations in sparse rows of U and
-its column operations in sparse columns of V. Invariant factors, ranks and
-kernels all read it. Elimination, transforms and check are sized by the
-support of the matrix: the rows and columns that hold an entry (mod p, one
-not divisible by p). Every Smith normal form, over Z and mod p, re-verifies
-D_s = U_s*M_s*V_s on the support block by exact multiplication, one row of
-U_s at a time, before returning. Off the support M is zero and U and V are
-the identity, so this proves D = U*M*V on the whole matrix. Python ints
-keep every entry exact at any size. Unit singleton columns are peeled
-before any entry is heaped, as they hold the pivot rule's least key.
-Complexes and chain maps reach the homology engine as matrices only.
-
-A complex factors d_j without the rows that are pivot columns of d_{j-1}
-(clearing, as in persistent homology), once d_{j-1} d_j = 0 is checked.
-Over Z/p it needs only ranks, and every pivot column is dropped. Over Z
-torsion needs every invariant factor, so only the columns the peel took
-are dropped: they hold a unit-triangular block (see FiniteComplex).
+diagonalises a matrix over Z or Z/p: it peels the columns holding a single
+unit with no row or column operation, then reduces the rest from a heap,
+least absolute value first, recording its operations in sparse rows of U
+and columns of V. Up to order M = [[T, X], [0, M']], T unit triangular, so
+SNF(M) = I (+) SNF(M'). Each factorization certifies the peel in one pass
+over M and checks D' = U'*M'*V' on the residual M' by exact products: so
+D = U*M*V. Callers that read V complete it by back substitution and check
+it by product. Complexes reach the homology engine as matrices only and
+factor d_j without the rows that are pivot columns of d_{j-1} (clearing;
+over Z only the peel's, see FiniteComplex).
 """
 
 from __future__ import annotations
@@ -105,15 +96,12 @@ def _nonzero(entries: dict) -> dict:
 def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """Return (D, U, V) with D = U @ mat @ V, D diagonal with d1 | d2 | ... > 0.
 
-    The sparse eliminator _eliminate diagonalises mat and returns each
-    pivot with its sparse row of U and column of V. The pivots are placed
-    at (t, t), units first; the other pivots are merged into the divisibility
-    chain by 2x2 moves diag(a, b) -> diag(gcd, lcm) on the matching rows of
-    U and columns of V. _smith checks D = U*M*V on the support block, which
-    proves it on the whole matrix; the unit vectors of the empty rows and
-    columns are appended here, so U and V come back square.
+    V is completed from _smith's V' and checked by product; U and V come back square.
     """
-    diagonal, u_rows, v_cols = _smith(mat, None)
+    diagonal, u_rows, v_cols, peel = _smith(mat, None)
+    if peel:  # else V = V' and mat = M', checked as such
+        v_cols = _complete_v(mat, None, peel, v_cols)
+        _check_umv(mat, u_rows, v_cols, diagonal, None)
     u_rows += _units(mat.rows, {i for i, _ in mat.entries})
     v_cols += _units(mat.cols, {j for _, j in mat.entries})
     D = ExactMatrix._adopt(mat.rows, mat.cols, {(t, t): d for t, d in enumerate(diagonal)})
@@ -128,52 +116,111 @@ def _units(n: int, support: set[int]) -> list[dict[int, int]]:
     return [{k: 1} for k in range(n) if k not in support]
 
 
-def _smith(
-    mat: ExactMatrix, p: int | None, peeled: set[int] | None = None
-) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+def _smith(mat: ExactMatrix, p: int | None) -> tuple[list[int], list[dict], list[dict], list]:
     """Smith normal form over Z (p is None) or over Z/p, as sparse pieces.
 
-    Returns (diagonal, rows of U_s, columns of V_s): one row per row of mat
-    that holds an entry and one column per such column (mod p, an entry not
-    divisible by p), pivots first; a matrix with no entry gives ([], [], []).
-    D_s = U_s*M_s*V_s holds diagonal[t] at (t, t) and nothing else, which is
-    checked before returning; off the support M is zero and U and V are the
-    identity, so this is D = U*M*V on the whole matrix (see _check_umv).
-    Mod p every pivot is 1, and U_s, V_s and the check are reduced mod p.
-    The columns the peel pivoted on are added to peeled, when it is given.
+    Returns (diagonal, rows of U_s, columns of V', peel): the peel's pivots,
+    then the heap's, whose non-unit ones are merged into the divisibility
+    chain by 2x2 moves diag(a, b) -> diag(gcd, lcm). U_s has a row per
+    support row of mat, V' a column per support column of the residual M'
+    (see _eliminate); peel lists the peel's (r_k, c_k). The peel's
+    certificate (_check_peel) and D' = U'*M'*V' (_check_umv) prove D =
+    U*M*V for U = U_peel (+) U' and V = [[T^-1 S, -T^-1 X V'], [0, V']], S
+    = diag(M[r_k, c_k]), which _complete_v builds for the callers that read
+    V. Mod p every pivot is 1, and U, V and the checks are reduced mod p.
     """
     pivots, u_rest, v_rest, n = _eliminate(mat, p)
-    if peeled is not None:
-        peeled.update(q[4] for q in pivots[:n])
-    units = [q for q in pivots if q[0] == 1]
-    torsion = [q for q in pivots if q[0] != 1]
+    peel = pivots[:n]
+    residual = _check_peel(mat, peel, p) if peel else mat
+    units = [q for q in pivots[n:] if q[0] == 1]
+    torsion = [q for q in pivots[n:] if q[0] != 1]
     for a in range(len(torsion)):
         for b in range(a + 1, len(torsion)):
             if torsion[b][0] % torsion[a][0]:
                 _gcd_lcm_move(torsion[a], torsion[b])
     chain = units + torsion
-    diagonal = [q[0] for q in chain]
     u_rows = [q[1] for q in chain] + u_rest
     v_cols = [q[2] for q in chain] + v_rest
-    _check_umv(mat, u_rows, v_cols, diagonal, p)
-    return diagonal, u_rows, v_cols
+    _check_umv(residual, u_rows, v_cols, [q[0] for q in chain], p)
+    diagonal = [q[0] for q in peel + chain]
+    return diagonal, [q[1] for q in peel] + u_rows, v_cols, [(q[3], q[4]) for q in peel]
 
 
-def _check_umv(
-    mat: ExactMatrix,
-    u_rows: list[dict[int, int]],
-    v_cols: list[dict[int, int]],
-    diagonal: list[int],
-    p: int | None,
-) -> None:
+def _check_peel(mat: ExactMatrix, peel: list[list], p: int | None) -> ExactMatrix:
+    """The peel's certificate, in one pass over mat; returns M', mat without the peeled rows.
+
+    Peel pivot k, [d, U row, -, r_k, c_k], must sit on a unit a = M[r_k,
+    c_k] (+-1 over Z) with U row {r_k: x}, x*a = d, and every entry of
+    column c_k (mod p, not divisible by p) must lie in a row r_m, m <= k.
+    (A row taken twice fails that.) So M = [[T, X], [0, M']] up to order, T
+    unit upper triangular, and with V's column k solving M w = a e_{r_k},
+    row k of U*M*V is d at column k and zero elsewhere.
+    """
+    order = {q[3]: k for k, q in enumerate(peel)}
+    for d, ur, _, r, c in peel:
+        a, x = mat.entries.get((r, c), 0), ur.get(r, 0)
+        wrong = (x * a - d) % p if p else x * a != d
+        if len(ur) != 1 or not (a % p if p else a in (1, -1)) or wrong:
+            raise InternalInvariant(f"SNF self-check failed: D != U*M*V at peel pivot ({r}, {c})")
+    last, columns, rest = len(peel), {q[4]: k for k, q in enumerate(peel)}, {}
+    for key, x in mat.entries.items():
+        m = order.get(key[0], last)
+        if m > columns.get(key[1], last) and (p is None or x % p):
+            raise InternalInvariant(f"SNF self-check failed: peel column {key[1]} in a later row")
+        if m == last:
+            rest[key] = x
+    return ExactMatrix._adopt(mat.rows, mat.cols, rest)
+
+
+def _complete_v(mat: ExactMatrix, p: int | None, peel: list, v_cols: list, start: int = 0) -> list:
+    """V's columns on mat's support from the start-th on, completed by back substitution.
+
+    peel and v_cols are _smith's. Column k of V solves M w = M[r_k, c_k]
+    e_{r_k} from w = e_{c_k}; a column of V', or e_j for a column j with
+    entries in peeled rows only, is extended so that M w vanishes on the
+    peeled rows. Both set w[c_k] = -M[r_k, c_k]^-1 * sum_{j != c_k} M[r_k,
+    j] w[j], in reverse peel order where row r_k meets w: column c_k holds
+    no entry below row r_k, so the sum is final.
+    """
+    index = {r: k for k, (r, _) in enumerate(peel)}
+    rows: list[dict[int, int]] = [{} for _ in peel]
+    hits: dict[int, list[int]] = {}  # column j -> the k with M[r_k, j] != 0
+    kept = set()
+    for (i, j), x in mat.entries.items():
+        if (p is None or x % p) and i in index:
+            rows[index[i]][j] = x
+            hits.setdefault(j, []).append(index[i])
+        elif p is None or x % p:
+            kept.add(j)
+    inverse = [pow(rows[k][c], -1, p) if p else rows[k][c] for k, (_, c) in enumerate(peel)]
+
+    def solve(w, below):
+        heap = [-k for j in w for k in hits.get(j, ()) if k < below]
+        heapq.heapify(heap)
+        while heap:
+            k = -heapq.heappop(heap)
+            if k < below:
+                below, c = k, peel[k][1]
+                f = -inverse[k] * sum(x * w.get(j, 0) for j, x in rows[k].items() if j != c)
+                w[c] = f % p if p else f
+                for m in hits[c] if w[c] else ():
+                    heapq.heappush(heap, -m)
+        return {j: x for j, x in w.items() if x}
+
+    lost = sorted(hits.keys() - kept - {c for _, c in peel})
+    rest = v_cols[max(start - len(peel), 0) :] + [{j: 1} for j in lost]
+    peeled = [solve({c: 1}, k) for k, (_, c) in enumerate(peel) if k >= start]
+    return peeled + [solve(w, len(peel)) for w in rest]
+
+
+def _check_umv(mat: ExactMatrix, u_rows: list, v_cols: list, diagonal: list, p: int | None) -> None:
     """D_s = U_s*M_s*V_s on the support block, one row of U_s at a time (mod p when p is given).
 
-    u_rows and v_cols are U and V on the rows and columns of M that hold an
-    entry, and mention no other index: every operation of the elimination
-    combines support rows or support columns. Off the support M is zero and
-    U and V are the identity, so U*M*V = U_s*M_s*V_s (+) 0 for the direct
-    sums U = U_s (+) I and V = V_s (+) I: D = U*M*V holds on the whole
-    matrix exactly when it holds on the block. Row t of U_s*M*V_s must be
+    _smith runs it on the residual M' with U' and V', smith_normal_form on
+    mat with V completed. u_rows and v_cols are U and V on the support rows
+    and columns of M and mention no other index. Off the support M is zero
+    and U and V are the identity, so D = U*M*V holds on the whole matrix
+    exactly when it holds on the block: row t of U_s*M*V_s must be
     diagonal[t] at column t, or zero past the rank. Only M and V_s are
     regrouped by rows; no product is held as a matrix. A lost vector of U_s
     or V_s would pass the products, so their counts are checked first.
@@ -210,37 +257,33 @@ def _eliminate(
     """Sparse elimination of mat to a diagonal, over Z or (p given) over Z/p.
 
     Returns (pivots, u_rest, v_rest, peeled). Each pivot is [d, row of U,
-    column of V, r, c] with sparse dicts: U*mat*V is diagonal, with d > 0
-    where the pivot's row meets its column (d = 1 mod p), and the
-    elimination took it at entry (r, c) of mat. The first peeled pivots are
-    the peel's, all units. The rows in skip are dropped as mat is loaded,
-    so the result is that of mat with those rows zero. u_rest and v_rest
-    are the rows of U and columns of V of the support rows and columns
-    (those that hold an entry; mod p, one not divisible by p) left without a
-    pivot, both ascending, so u_rest*mat and mat*v_rest vanish. The
-    elimination never touches the other rows and columns, so U and V are
-    the identity there, no vector is made for them and no vector mentions
-    them: _check_umv checks the support block only.
+    column of V, r, c], taken at entry (r, c) of mat. The first peeled are
+    the peel's: a unit a, d = 1, U row {r: a^-1} and no column of V (None).
+    The rows in skip are dropped as mat is loaded.
 
-    The next pivot is the entry of least absolute value (mod p every entry
-    counts as a unit), ties broken by least Markowitz cost (row nnz - 1) *
-    (col nnz - 1). A column holding one entry, a unit (+-1 over Z), has the
-    least key, (1, 0), so peeling such columns first only breaks ties of
-    that rule: as in structured Gaussian elimination, they come off a queue
-    that each deleted row feeds with the columns it leaves with one entry.
-    Only the entries left go on a heap, whose keys are re-validated when
-    popped. Row operations reduce the pivot column to nearest remainders and
-    are recorded in U. Once the column is clear (a peeled one is at once),
-    column operations reduce the pivot row, recorded in V only as the column
-    holds nothing else, and U's row is scaled by the pivot's inverse. A
-    nonzero remainder is strictly smaller than the pivot, so the pivot goes
-    back and the remainder comes off the heap first: a pivot is taken only
-    when its row and column are clear. Each failed attempt lowers the least
-    absolute value in the matrix, so the elimination ends. With track=False
-    (rank only) U and V are not updated, so only the pivots' count and
-    entries mean anything. Over a field only row operations are then made,
-    each clearing a pivot's column in the rows left, so the pivot columns
-    are independent columns of mat, as many as its rank.
+    The peel takes, first in first out, a column holding one entry, a unit
+    (+-1 over Z), among the rows left, and deletes its row with no row or
+    column operation; the columns the row leaves with one entry are queued.
+    So a peeled column holds no entry in a row peeled later or left, and
+    the heap works on the residual M', mat without the peeled rows. Such a
+    column has the least key, (1, 0), of the heap's rule, so the peel only
+    breaks its ties (structured Gaussian elimination). The heap's U' and V'
+    mention only the support rows and columns of M' (mod p, entries not
+    divisible by p); u_rest and v_rest are those left without a pivot,
+    ascending, so u_rest*M' and M'*v_rest vanish.
+
+    The heap's next pivot is the entry of least absolute value (mod p each
+    is a unit), ties broken by least Markowitz cost (row nnz - 1) * (col
+    nnz - 1); keys are re-validated when popped. Row operations reduce the
+    pivot column to nearest remainders, recorded in U'; once it is clear,
+    column operations reduce the pivot row, recorded in V', and U's row is
+    scaled by the pivot's inverse. A nonzero remainder is smaller than the
+    pivot, so the pivot goes back and the remainder is taken first: a pivot
+    is taken only when its row and column are clear, and each failed
+    attempt lowers the least absolute value, so the elimination ends. With
+    track=False (rank only) U' and V' are not updated. Over a field only
+    row operations are then made, so the pivot columns are independent
+    columns of mat, as many as its rank.
     """
     field = p is not None
     rows: dict[int, dict[int, int]] = {}
@@ -252,25 +295,10 @@ def _eliminate(
         if c and i not in skip:
             rows.setdefault(i, {})[j] = c
             cols.setdefault(j, []).append(i)
-    support_rows, support_cols = (sorted(rows), sorted(cols)) if track else ((), ())
     u: dict[int, dict[int, int]] = {}
     v: dict[int, dict[int, int]] = {}
     pivots: list[list] = []
-
-    def settle(r, c, a, row):
-        # take the pivot a at (r, c), whose row and column have left the
-        # matrix; a is a unit, or the rest of its row is empty
-        inv = pow(a, -1, p) if field else (1 if a > 0 else -1)
-        ur, vc = u.pop(r, {r: 1}), v.pop(c, {c: 1})
-        if track:
-            for j, x in row.items():
-                v[j] = _axpy(v[j] if j in v else {j: 1}, -x * inv, vc, p)
-            if inv != 1:
-                ur = _axpy({}, inv, ur, p)
-        pivots.append([1 if field else abs(a), ur, vc, r, c])
-
-    # the peel, first in first out (last in first out made V's columns over
-    # Z nearly twice as dense); a queued column held one entry when queued
+    # the peel, first in first out; a queued column held one entry when queued
     queue = [j for j, col in cols.items() if len(col) == 1]
     for c in queue:
         if len(cols.get(c, ())) == 1 and (field or rows[cols[c][0]][c] in (1, -1)):
@@ -281,8 +309,11 @@ def _eliminate(
                 cols[j].remove(r)
                 if len(cols[j]) == 1:
                     queue.append(j)
-            settle(r, c, a, row)
+            pivots.append([1, {r: pow(a, -1, p) if field else a}, None, r, c])
     peeled = len(pivots)
+    if track:
+        support_rows = sorted(rows)
+        support_cols = sorted(j for j, col in cols.items() if col)
     heap = [
         (1 if field else abs(c), (len(row) - 1) * (len(cols[j]) - 1), i, j)
         for i, row in rows.items()
@@ -345,7 +376,14 @@ def _eliminate(
                     rest[j] = x - f * a
             row = rest
         if not kept and (size == 1 or not row):
-            settle(r, c, a, row)
+            # a is a unit, or the rest of its row is empty
+            ur, vc = u.pop(r, {r: 1}), v.pop(c, {c: 1})
+            if track:
+                for j, x in row.items():
+                    v[j] = _axpy(v[j] if j in v else {j: 1}, -x * inv, vc, p)
+                if inv != 1:
+                    ur = _axpy({}, inv, ur, p)
+            pivots.append([1 if field else size, ur, vc, r, c])
             continue
         # a remainder is left, smaller than the pivot: the pivot goes back
         rows[r], row[c] = row, a
@@ -431,13 +469,17 @@ def rank_modp(
 def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     """Columns form a basis of the kernel (over Z, of the kernel lattice).
 
-    They are the columns of V past the rank in D = U*M*V: those of V_s on
-    the support, then the unit vector e_j of each empty column j.
+    They are V's columns past the rank, completed (_complete_v) and checked
+    by M*K = 0, then the unit vector e_j of each empty column j.
     """
     p = ring.p
-    diagonal, _, v_cols = _smith(mat, p)
+    diagonal, _, v_cols, peel = _smith(mat, p)
     used = {j for (_, j), c in mat.entries.items() if p is None or c % p}
-    return ExactMatrix.from_columns(mat.cols, v_cols[len(diagonal) :] + _units(mat.cols, used))
+    kernel = _complete_v(mat, p, peel, v_cols, len(diagonal)) + _units(mat.cols, used)
+    K = ExactMatrix.from_columns(mat.cols, kernel)
+    if any(p is None or c % p for c in (mat @ K).entries.values()):
+        raise InternalInvariant("SNF self-check failed: M*K != 0 on the kernel basis K")
+    return K
 
 
 def determinant(mat: ExactMatrix) -> int:
@@ -511,16 +553,13 @@ class FiniteComplex:
     Clearing: once d_{j-1} has been factored and d_{j-1} d_j = 0 checked,
     so that im d_j lies in ker d_{j-1}, d_j is factored without the rows P,
     pivot columns of d_{j-1}; the P of the cleared d_j serve d_{j+1} in turn.
-    Over Z/p only ranks matter, and P is every pivot column of d_{j-1}: they
-    are independent, so ker d_{j-1} meets span(e_P) in 0, and deleting the
-    rows P keeps the rank of d_j. Over Z, P is only the columns the peel
-    pivoted on, not the heap's, even unit ones. The peel makes no row
-    operation and takes a column while it holds a single +-1 among the rows
-    left, so d_{j-1}[:, P] holds a unit-triangular |P| x |P| block, within
-    the rows kept when d_{j-1} was cleared itself. So y in Z^P with
-    d_{j-1} y in nZ lies in nZ^P: ker d_{j-1} meets span(e_P) in 0 and
-    projects onto a saturated sublattice of the other coordinates, and
-    deleting the rows P keeps every invariant factor of d_j, torsion too.
+    Over Z/p P is every pivot column of d_{j-1}: they are independent, so
+    deleting the rows P keeps the rank of d_j. Over Z, P is only the peel's
+    columns: its certificate, checked as d_{j-1} is factored, puts a
+    unit-triangular |P| x |P| block in d_{j-1}[:, P], within its kept rows.
+    So y in Z^P with d_{j-1} y in nZ lies in nZ^P: ker d_{j-1} meets
+    span(e_P) in 0 and projects onto a saturated sublattice, and deleting
+    the rows P keeps every invariant factor of d_j, torsion too.
     A degree with no basis has zero (co)homology and factors nothing.
     """
 
@@ -553,8 +592,8 @@ class FiniteComplex:
                 if skip:
                     kept = {key: c for key, c in d.entries.items() if key[0] not in skip}
                     d = ExactMatrix._adopt(d.rows, d.cols, kept)
-                pivot_cols = set()
-                factors = _smith(d, None, pivot_cols)[0]
+                factors, _, _, peel = _smith(d, None)
+                pivot_cols = {c for _, c in peel}
             if j + 1 not in self._factors:
                 self._pivot_cols[j] = pivot_cols
             self._factors[j] = factors

@@ -1043,6 +1043,30 @@ def test_peeling_unit_singletons_cuts_heap_traffic(tmp_path, capsys, monkeypatch
     assert traffic == {"heapified": 696, "pushed": 232, "popped": 928}
 
 
+def test_snf_check_multiplies_only_what_the_heap_leaves(tmp_path, capsys, monkeypatch):
+    # hh exterior2 at L=5 over Z: the peel is certified in one pass over each
+    # boundary, so the D = U*M*V check multiplies only the heap's U' and V'
+    # on the residual, 131 rows and 412 entries. Column operations of the
+    # peel, checked row by row through the whole of V, took 1111 rows of U
+    # and 9833 entries of V.
+    import ainfty.homology as homology
+
+    original = homology._check_umv
+    work = Counter()
+
+    def counted(mat, u_rows, v_cols, diagonal, p):
+        work["u_rows"] += len(u_rows)
+        work["v_entries"] += sum(len(v) for v in v_cols)
+        return original(mat, u_rows, v_cols, diagonal, p)
+
+    monkeypatch.setattr(homology, "_check_umv", counted)
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, _, _ = run_cli(["hh", str(path), "--length", "5"], capsys)
+    assert code == 0
+    assert work == {"u_rows": 131, "v_entries": 412}
+
+
 def _dense_cells(monkeypatch):
     """Record the area of every matrix the linear algebra makes dense."""
     import ainfty.homology as homology
@@ -1126,10 +1150,10 @@ def test_snf_transform_entries_stay_small(tmp_path, capsys, monkeypatch, command
     entries = []
 
     def recorded(*args):
-        diagonal, u_rows, v_cols = original(*args)
+        diagonal, u_rows, v_cols, peel = original(*args)
         for vector in u_rows + v_cols:
             entries.extend(vector.values())
-        return diagonal, u_rows, v_cols
+        return diagonal, u_rows, v_cols, peel
 
     monkeypatch.setattr(homology, "_smith", recorded)
     path = tmp_path / "tp3.json"

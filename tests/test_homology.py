@@ -7,8 +7,10 @@ import pytest
 import ainfty.homology as homology
 from ainfty.bimodules import diagonal_bimodule, dual_bimodule
 from ainfty.chains import HochschildComplex
-from ainfty.cli import resolve_bimodule
+from ainfty.cli import main, resolve_bimodule
+from ainfty.documents import serialize
 from ainfty.errors import InternalInvariant, NotAComplex, NotChainMap
+from ainfty.fixtures import fixture_document
 from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
@@ -45,7 +47,7 @@ def test_snf_zero_matrix():
     # no entry, no support: the factorization holds nothing, and the public
     # transforms are the unit vectors of the empty rows and columns
     for p in (None, 2):
-        assert _smith(ExactMatrix(3, 2), p) == ([], [], [])
+        assert _smith(ExactMatrix(3, 2), p) == ([], [], [], [])
     D, U, V = smith_normal_form(ExactMatrix(3, 2))
     assert D.is_zero()
     assert U == ExactMatrix(3, 3, {(i, i): 1 for i in range(3)})
@@ -55,10 +57,12 @@ def test_snf_zero_matrix():
 def test_smith_is_sized_by_the_support():
     # one entry in a 10^6 x 10^6 matrix: the factorization, its transforms and
     # its D = U*M*V check see one row and one column
-    assert _smith(ExactMatrix._adopt(10**6, 10**6, {(5, 7): 3}), None) == ([3], [{5: 1}], [{7: 1}])
-    # mod p, an entry divisible by p is off the support
+    big = ExactMatrix._adopt(10**6, 10**6, {(5, 7): 3})
+    assert _smith(big, None) == ([3], [{5: 1}], [{7: 1}], [])
+    # mod p, an entry divisible by p is off the support; the unit 2 is
+    # peeled, so V' on the residual is empty and V's column is completed
     mat = ExactMatrix(3, 3, {(0, 0): 3, (1, 2): 2})
-    assert _smith(mat, 3) == ([1], [{1: 2}], [{2: 1}])
+    assert _smith(mat, 3) == ([1], [{1: 2}], [], [(1, 2)])
     assert kernel_basis(mat, Zp(3)) == ExactMatrix(3, 2, {(0, 0): 1, (1, 1): 1})
 
 
@@ -76,6 +80,99 @@ def test_snf_check_counts_the_transform_vectors(monkeypatch, p):
     mat = from_dense([[1, 2], [2, 4]])
     with pytest.raises(InternalInvariant, match="misses a support vector"):
         kernel_basis(mat, Z if p is None else Zp(p))
+
+
+# The peel takes a chain here. Column 0 is the one singleton unit; deleting
+# row 0 leaves column 1 with its -1, and deleting row 1 leaves column 2 with
+# its 1. The peeled rows meet later-peeled columns (the 2 and the 3) and the
+# residual columns 3 and 4, column 5 lies in peeled rows only, and the
+# residual [[2, 2], [2, 4]] leaves the torsion Z/2 + Z/2.
+PEELED_CHAIN = [
+    [1, 2, 0, 1, 0, 2],
+    [0, -1, 3, 0, 2, 1],
+    [0, 0, 1, 1, 0, 0],
+    [0, 0, 0, 2, 2, 0],
+    [0, 0, 0, 2, 4, 0],
+]
+
+
+def test_completed_v_undoes_a_peeled_chain(monkeypatch):
+    mat = from_dense(PEELED_CHAIN)
+    diagonal, u_rows, v_cols, peel = _smith(mat, None)
+    assert (diagonal, peel) == ([1, 1, 1, 2, 2], [(0, 0), (1, 1), (2, 2)])
+    assert u_rows[:3] == [{0: 1}, {1: -1}, {2: 1}]
+    # V' lives on the residual columns 3 and 4 alone
+    assert len(v_cols) == 2 and all(set(v) <= {3, 4} for v in v_cols)
+    D, U, V = smith_normal_form(mat)
+    assert U @ mat @ V == D
+    assert abs(determinant(U)) == abs(determinant(V)) == 1
+    for ring in (Z, Zp(3)):
+        K = kernel_basis(mat, ring)
+        product = mat @ K
+        assert K.cols == 1 and (mod(product, ring.p) if ring.p else product).is_zero()
+        # the kernel lattice (mod 3, the kernel) is spanned: K's factors are all 1
+        assert homology._factor(K, ring) == [1]
+    # a wrong back-substitution step: a peeled coordinate of the last column off by one
+    original = homology._complete_v
+
+    def planted(*args):
+        columns = original(*args)
+        columns[-1][0] = columns[-1].get(0, 0) + 1
+        return columns
+
+    monkeypatch.setattr(homology, "_complete_v", planted)
+    with pytest.raises(InternalInvariant, match=r"D != U\*M\*V"):
+        smith_normal_form(mat)
+    for ring in (Z, Zp(3)):
+        with pytest.raises(InternalInvariant, match=r"M\*K != 0"):
+            kernel_basis(mat, ring)
+
+
+def _claim_an_entry_2(mat, pivots, peeled):
+    twos = [key for key, x in mat.entries.items() if abs(x) == 2]
+    if peeled and twos:
+        (r, c), pivot = twos[0], pivots[0]
+        pivot[1], pivot[3], pivot[4] = {r: 1}, r, c
+
+
+def _reverse_the_peel(mat, pivots, peeled):
+    pivots[:peeled] = pivots[:peeled][::-1]
+
+
+def _double_a_peel_row(mat, pivots, peeled):
+    if peeled:
+        pivots[0][1] = {i: 2 * c for i, c in pivots[0][1].items()}
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (_claim_an_entry_2, "D != U*M*V at peel pivot"),
+        (_reverse_the_peel, "in a later row"),
+        (_double_a_peel_row, "D != U*M*V at peel pivot"),
+    ],
+)
+def test_peel_certificate_catches_a_tampered_peel(tmp_path, capsys, monkeypatch, tamper, message):
+    # the peel's pivots carry no column of V, so only the certificate reads
+    # them: a pivot on an entry 2, an order that leaves a peeled column with
+    # an entry in a later row, and a U row scaled by 2 must each be refused
+    original = homology._eliminate
+
+    def tampered(mat, *args):
+        pivots, u_rest, v_rest, peeled = original(mat, *args)
+        tamper(mat, pivots, peeled)
+        return pivots, u_rest, v_rest, peeled
+
+    monkeypatch.setattr(homology, "_eliminate", tampered)
+    with pytest.raises(InternalInvariant) as caught:
+        invariant_factors(from_dense(PEELED_CHAIN))
+    assert message in str(caught.value)
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    assert main(["hh", str(path), "--length", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: SNF self-check failed: " in captured.err and message in captured.err
 
 
 def test_snf_diag_2_3():
