@@ -37,7 +37,7 @@ from .cochains import (
     elementary_cochain,
     pullback,
 )
-from .cup import cup, cup_component
+from .cup import cup
 from .graded import Element, GradedModule, MultilinearOp, apply, degree, reduced_index
 from .homology import (
     ExactMatrix,

@@ -17,12 +17,32 @@ are visited; a failed check names the least such word in basis order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .algebra import AInfinityAlgebra, Verdict, shift
 from .errors import DegreeMismatch, ModuleMismatch
 from .graded import Element, GradedModule, MultilinearOp, Word
 from .signs import sign
+
+if TYPE_CHECKING:
+    from .algebra import AInfinityAlgebra
+
+
+@dataclass
+class Verdict:
+    """Outcome of one identity check; carries the first counterexample."""
+
+    holds: bool
+    word: Word | None = None
+    residual: Element | None = None
+    label: str = ""
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    def describe(self) -> str:
+        if self.holds:
+            return f"{self.label}: holds"
+        return f"{self.label}: fails on {self.word} with residual {self.residual}"
 
 
 class AInfinityBimodule:
@@ -210,7 +230,7 @@ def validate_bimodule(M: AInfinityBimodule, bound: int) -> dict:
 
 def diagonal_bimodule(A: AInfinityAlgebra) -> AInfinityBimodule:
     """A[1] as a bimodule over A: mu_{r,s} is mu_{r+s+1} reindexed."""
-    shifted = shift(A)
+    shifted = A.module.shifted(-1)
     ops = {}
     for n, op in A.ops.items():
         table = {word: Element(shifted, value.terms) for word, value in op.entries()}

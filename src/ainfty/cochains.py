@@ -280,12 +280,11 @@ def duality_iso_inverse(
 
 
 def pullback(
-    fstar: InducedChainMap,
-    g: Cochain,
-    duals: tuple[AInfinityBimodule, AInfinityBimodule] | None = None,
+    fstar: InducedChainMap, g: Cochain, dual: AInfinityBimodule | None = None
 ) -> Cochain:
-    """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to f_*'s cutoff."""
-    dual_M = duals[0] if duals else dual_bimodule(fstar.f.source)
+    """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to
+    f_*'s cutoff; the result lies over dual, the source's dual (built when None)."""
+    dual_M = dual if dual is not None else dual_bimodule(fstar.f.source)
     psi_N = duality_iso_inverse(g, fstar.target)
     places = ((fstar.target._column_of(w), c) for w, c in psi_N.terms.items())
     values = {place: c for place, c in places if place is not None}

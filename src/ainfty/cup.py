@@ -1,9 +1,13 @@
 """The Hochschild cup product on CH^*(A).
 
-Only diagonal coefficients admit the product: two cochain values are fed into
-a higher multiplication mu_{k+2} together with k spectator letters. Degrees
-in the sign exponent are CH^*(A) degrees (the generic total degree plus one);
-cochains themselves are stored in the generic convention throughout.
+Only diagonal coefficients admit the product. It is read from the entries of
+each mu_{k+2}, k >= 0: at a pair of letters i1 < i2 of an entry, an input
+word of f valued at letter i1 replaces it, one of g valued at letter i2
+replaces that, and the k other letters are spectators. Every insertion is
+reached, arity-0 factors included, so where A has a strict unit 1 the arity-0
+cochain valued at 1 is a two-sided unit. Degrees in the sign exponent are
+CH^*(A) degrees (the generic total degree plus one); cochains themselves are
+stored in the generic convention throughout.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .cochains import Cochain, Components, add_entry, codifferential
-from .errors import IndexOutOfRange, ModuleMismatch
+from .errors import ModuleMismatch
 from .graded import Word
 from .signs import maltese, sign
 
@@ -35,44 +39,20 @@ def cup_sign_exponent(
     )
 
 
-def cup_component(
-    f: Cochain, g: Cochain, m: int, n: int, k: int, j1: int, j2: int
-) -> dict[Word, dict[str, int]]:
-    """Table of f cup_{k,j1,j2} g on arity m+n+k, for one insertion pattern."""
-    _require_diagonal(f)
-    _require_diagonal(g)
-    if not (k >= 0 and 1 <= j1 <= n + k and j1 + m <= j2 <= m + k + 1):
-        raise IndexOutOfRange(f"cup indices (k={k}, j1={j1}, j2={j2}) out of range")
-    A = f.A
-    amod = A.module
-    op = A.mu(k + 2)
-    table_f = f.component(m)
-    table_g = g.component(n)
-    out: dict[Word, dict[str, int]] = {}
-    if op is None or not table_f or not table_g:
-        return out
-    deg_f, deg_g = cup_degree(f), cup_degree(g)
-    free = k  # letters not consumed by f or g
-    for wf, vf in table_f.items():
-        for wg, vg in table_g.items():
-            for spectators in itertools.product(amod.names, repeat=free):
-                pre = spectators[: j1 - 1]
-                mid = spectators[j1 - 1 : j2 - 1 - m]
-                post = spectators[j2 - 1 - m :]
-                word = pre + wf + mid + wg + post
-                degs = [amod.degree_of(a) for a in word]
-                s_exp = cup_sign_exponent(deg_f, deg_g, degs, j1, j2)
-                sv = sign(s_exp)
-                for name_f, cf in vf.items():
-                    for name_g, cg in vg.items():
-                        hit = op.on_word(pre + (name_f,) + mid + (name_g,) + post)
-                        for t, c in hit.terms.items():
-                            add_entry(out, word, t, sv * cf * cg * c)
-    return out
+def _by_value(f: Cochain) -> dict[str, list[tuple[int, Word, int]]]:
+    """f's entries by value name: name -> [(arity, input word, coefficient)]."""
+    index: dict[str, list[tuple[int, Word, int]]] = {}
+    for m, table in f.components.items():
+        for word, value in table.items():
+            for name, c in value.items():
+                index.setdefault(name, []).append((m, word, c))
+    return index
 
 
 def cup(f: Cochain, g: Cochain) -> Cochain:
-    """f cup g, summed over all components, insertions and spectator counts.
+    """f cup g: one term per entry of mu_{k+2}, letter pair i1 < i2 and pair of
+    words of f and g valued at those letters, f's block at j1 = i1 + 1 and
+    g's at j2 = i2 + m (m = len of f's word).
 
     Output components beyond the arity cutoff are dropped and flagged, same
     as the codifferential.
@@ -82,27 +62,29 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     if f.M.module != g.M.module:
         raise ModuleMismatch("cochains over different coefficient modules")
     cutoff = min(f.cutoff, g.cutoff)
+    spectators = [arity - 2 for arity in f.A.ops if arity >= 2]
+    truncated = f.truncated or g.truncated or any(
+        m + n + k > cutoff for m in f.components for n in g.components for k in spectators
+    )
+    values_f, values_g = _by_value(f), _by_value(g)
+    deg_f, deg_g = cup_degree(f), cup_degree(g)
+    degree_of = f.A.module.degree_of
     acc: Components = {}
-    truncated = f.truncated or g.truncated
-    for m, table_f in f.components.items():
-        for n, table_g in g.components.items():
-            for k_arity in f.A.ops:
-                k = k_arity - 2
-                if k < 0:
-                    continue
-                if m + n + k > cutoff:
-                    truncated = True
-                    continue
-                tgt = acc.setdefault(m + n + k, {})
-                for j1 in range(1, n + k + 1):
-                    for j2 in range(j1 + m, m + k + 2):
-                        part = cup_component(f, g, m, n, k, j1, j2)
-                        for word, value in part.items():
-                            for t, c in value.items():
-                                add_entry(tgt, word, t, c)
+    for arity, op in f.A.ops.items():
+        for key, value in op.entries():
+            for i1, i2 in itertools.combinations(range(arity), 2):
+                for m, wf, cf in values_f.get(key[i1], ()):
+                    for n, wg, cg in values_g.get(key[i2], ()):
+                        if m + n + arity - 2 > cutoff:
+                            continue
+                        word = key[:i1] + wf + key[i1 + 1 : i2] + wg + key[i2 + 1 :]
+                        degs = [degree_of(a) for a in word]
+                        sv = sign(cup_sign_exponent(deg_f, deg_g, degs, i1 + 1, i2 + m))
+                        tgt = acc.setdefault(len(word), {})
+                        for t, c in value.terms.items():
+                            add_entry(tgt, word, t, sv * cf * cg * c)
     # total degree: additive in the CH^*(A) convention
-    out_degree = (cup_degree(f) + cup_degree(g)) - 1
-    return Cochain(f.M, out_degree, acc, cutoff, truncated)
+    return Cochain(f.M, deg_f + deg_g - 1, acc, cutoff, truncated)
 
 
 def leibniz_sides(f: Cochain, g: Cochain) -> tuple[Cochain, Cochain]:

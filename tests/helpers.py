@@ -44,7 +44,9 @@ the word-wise ComposedChainMap, basis_matrix, add, evaluate and the per-word
 sign exponents maltese0 and star_sign are former library bodies too: f_*'s
 matrices now come from the walk that builds b, and no library code composes
 chain maps, adds chains, evaluates a functional on a chain or reads a sign
-word by word.
+word by word. The cup product with every spectator word enumerated
+(cup_oracle) is the former body of cup, its index bound corrected, kept to
+check the entry walk that replaced it.
 """
 
 import itertools
@@ -1541,3 +1543,44 @@ def regraded_codifferential(f):
                                     bump(n + l, target, out_name, sv * c * v)
 
     return Cochain(f.M, f.degree + 1, acc, f.cutoff, truncated)
+
+
+def cup_oracle(f, g):
+    """f cup g with every spectator word enumerated and looked up in mu_{k+2},
+    one insertion pattern (k, j1, j2) at a time: the former library body of
+    cup, with j1 running up to k + 1 so that an arity-0 g is reached too."""
+    from ainfty.cup import cup_degree, cup_sign_exponent
+
+    A = f.A
+    amod = A.module
+    cutoff = min(f.cutoff, g.cutoff)
+    deg_f, deg_g = cup_degree(f), cup_degree(g)
+    acc = {}
+    truncated = f.truncated or g.truncated
+    for m, table_f in f.components.items():
+        for n, table_g in g.components.items():
+            for arity, op in A.ops.items():
+                k = arity - 2
+                if k < 0:
+                    continue
+                if m + n + k > cutoff:
+                    truncated = True
+                    continue
+                for j1 in range(1, k + 2):
+                    for j2 in range(j1 + m, m + k + 2):
+                        for wf, vf in table_f.items():
+                            for wg, vg in table_g.items():
+                                for spectators in itertools.product(amod.names, repeat=k):
+                                    pre = spectators[: j1 - 1]
+                                    mid = spectators[j1 - 1 : j2 - 1 - m]
+                                    post = spectators[j2 - 1 - m :]
+                                    word = pre + wf + mid + wg + post
+                                    degs = [amod.degree_of(a) for a in word]
+                                    sv = sign(cup_sign_exponent(deg_f, deg_g, degs, j1, j2))
+                                    for name_f, cf in vf.items():
+                                        for name_g, cg in vg.items():
+                                            hit = op.on_word(pre + (name_f,) + mid + (name_g,) + post)
+                                            slot = acc.setdefault(m + n + k, {}).setdefault(word, {})
+                                            for t, c in hit.terms.items():
+                                                slot[t] = slot.get(t, 0) + sv * cf * cg * c
+    return Cochain(f.M, deg_f + deg_g - 1, acc, cutoff, truncated)

@@ -1,6 +1,7 @@
 """Bimodule constructions, their defining equations, and morphisms."""
 
 import itertools
+import random
 
 from ainfty.bimodules import (
     AInfinityBimodule,
@@ -22,7 +23,7 @@ from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_coch
 from ainfty.algebra import AInfinityAlgebra, equation_residuals, from_dga, validate
 from ainfty.fixtures import FIXTURE_NAMES
 from ainfty.graded import Element, GradedModule, MultilinearOp
-from ainfty.rings import Z
+from ainfty.rings import Z, Zp
 
 from helpers import (
     ALGEBRA_FIXTURES,
@@ -448,6 +449,23 @@ def _tables(M):
     return M.module, M.name, {rs: op.table for rs, op in M.ops.items()}
 
 
+def _random_algebra(seed):
+    """Random degree-valid tables mu_1..mu_4 on three letters, over Z or Z/3;
+    most of them break some defining equation."""
+    rng = random.Random(seed)
+    m = GradedModule((("u", 0), ("v", 1), ("w", -1)), Z if seed % 2 else Zp(3))
+    ops = {}
+    for n in range(1, 5):
+        table = {}
+        for word in itertools.product(m.names, repeat=n):
+            target = sum(map(m.degree_of, word)) + 2 - n
+            fits = [x for x in m.names if m.degree_of(x) == target]
+            if fits and rng.random() < 0.4:
+                table[word] = {x: rng.randint(-2, 2) for x in fits}
+        ops[n] = MultilinearOp((m,) * n, m, 2 - n, table)
+    return AInfinityAlgebra(m, ops)
+
+
 def test_entry_walks_match_word_by_word_oracles():
     # algebra residuals, tensor squares and duals read from operation entries
     # equal the former word-by-word bodies, also where an equation fails
@@ -456,7 +474,8 @@ def test_entry_walks_match_word_by_word_oracles():
     mu2 = MultilinearOp((m, m), m, 0, {("u", "u"): {"u": 1}})
     broken_derivation = AInfinityAlgebra(m, {1: mu1, 2: mu2})
     docs = [load(name, p) for name in ALGEBRA_FIXTURES for p in (None, 2, 3)]
-    for A in [mu1_algebra(), broken_derivation] + [doc.algebra for doc in docs]:
+    randoms = [_random_algebra(seed) for seed in range(8)]
+    for A in [mu1_algebra(), broken_derivation] + [doc.algebra for doc in docs] + randoms:
         for r in range(1, 7):
             expected = {}
             for word in itertools.product(A.module.names, repeat=r):

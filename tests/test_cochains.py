@@ -194,7 +194,7 @@ def test_pullback_identity():
     dual = dual_bimodule(M)
     ident = identity_morphism(M)
     for g in elementary_family(dual, 2, cutoff=4):
-        assert pullback(induced(ident, 4), g, duals=(dual, dual)) == g
+        assert pullback(induced(ident, 4), g, dual=dual) == g
 
 
 def test_pullback_commutes_with_beta():
@@ -204,8 +204,8 @@ def test_pullback_commutes_with_beta():
     dual_N = dual_bimodule(f.target)
     fstar = induced(f, 4)
     for g in elementary_family(dual_N, 2, cutoff=3):
-        lhs = pullback(fstar, codifferential(g), duals=(dual_M, dual_N))
-        rhs = codifferential(pullback(fstar, g, duals=(dual_M, dual_N)))
+        lhs = pullback(fstar, codifferential(g), dual=dual_M)
+        rhs = codifferential(pullback(fstar, g, dual=dual_M))
         assert lhs == rhs
 
 
@@ -228,7 +228,7 @@ def test_pullback_of_composite():
     fstar, twostar = InducedChainMap(f, src_cx, tgt_cx), InducedChainMap(two, tgt_cx, tgt_cx)
     composite = ComposedChainMap(twostar, fstar)
     for g in elementary_family(dual_N, 1, cutoff=3):
-        nested = pullback(fstar, pullback(twostar, g, duals=(dual_N, dual_N)), duals=(dual_M, dual_N))
+        nested = pullback(fstar, pullback(twostar, g, dual=dual_N), dual=dual_M)
         psi = duality_iso_inverse(g, tgt_cx)
         acc = {}
         for w in src_cx.all_words():
