@@ -3,9 +3,10 @@
 tests/report_digests.json maps each job to its exit code and the SHA-256 of
 its stdout. The grid is hh and cohomology over every fixture, the rings Z,
 Z/2, Z/3 and Z/5, the diagonal, tensor_square and dual modules and L = 2, 3
-and 4, plus spectral and verify at L = 3 on every fixture and ring. Each job
-runs in process on the fixture document as emitted; a refactor that keeps
-every report keeps every digest. Stderr, which carries timing, is not hashed.
+and 4, plus spectral and verify at L = 3 on every fixture and ring, plus hh
+and cohomology on exterior2 at L = 5 over Z and Z/3, where boundary rows
+hold several entries. Each job runs in process on the fixture document as
+emitted; a refactor that keeps every report keeps every digest. Stderr, which carries timing, is not hashed.
 
 Regenerate the file only when a report is meant to change:
 
@@ -47,6 +48,9 @@ def grid() -> list[str]:
                         jobs.append(f"{command} {fixture} {ring} {flags}")
             for command in ("spectral", "verify"):
                 jobs.append(f"{command} {fixture} {ring} --length 3")
+    for ring in ("Z", "Z/3"):
+        for command in ("hh", "cohomology"):
+            jobs.append(f"{command} exterior2 {ring} --module diagonal --length 5")
     return jobs
 
 
@@ -71,7 +75,7 @@ def documents(tmp_path_factory):
 
 
 def test_the_grid_is_the_digest_file():
-    assert len(grid()) == 480
+    assert len(grid()) == 484
     assert sorted(expected()) == sorted(grid())
 
 
