@@ -37,6 +37,7 @@ class AInfinityAlgebra:
             if not op.is_zero():
                 self.ops[n] = op
         self._preimages: dict[int, dict[str, list[tuple[Word, int]]]] = {}
+        self._diagonal: tuple | None = None  # the pieces of diagonal_bimodule(self)
 
     @property
     def ring(self):

@@ -229,15 +229,22 @@ def validate_bimodule(M: AInfinityBimodule, bound: int) -> dict:
 
 
 def diagonal_bimodule(A: AInfinityAlgebra) -> AInfinityBimodule:
-    """A[1] as a bimodule over A: mu_{r,s} is mu_{r+s+1} reindexed."""
-    shifted = A.module.shifted(-1)
-    ops = {}
-    for n, op in A.ops.items():
-        table = {word: Element(shifted, value.terms) for word, value in op.entries()}
-        for r in range(n):
-            s = n - 1 - r
-            ops[(r, s)] = bimodule_op(A, shifted, r, s, table, label=f"A[1] mu_({r},{s})")
-    return AInfinityBimodule(A, shifted, ops, name="A[1]")
+    """A[1] as a bimodule over A: mu_{r,s} is mu_{r+s+1} reindexed. Its tables
+    are built and validated once per algebra and kept on it with the slot
+    indexes; none refers back to A, so no cycle outlives a dropped algebra."""
+    if A._diagonal is None:
+        shifted = A.module.shifted(-1)
+        ops = {}
+        for n, op in A.ops.items():
+            table = {word: Element(shifted, value.terms) for word, value in op.entries()}
+            for r in range(n):
+                s = n - 1 - r
+                ops[(r, s)] = bimodule_op(A, shifted, r, s, table, label=f"A[1] mu_({r},{s})")
+        A._diagonal = shifted, ops, {}
+    shifted, ops, slots = A._diagonal
+    diagonal = AInfinityBimodule(A, shifted, ops, name="A[1]")
+    diagonal._slots = slots
+    return diagonal
 
 
 def tensor_name(b1: str, b2: str) -> str:

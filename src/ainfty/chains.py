@@ -15,7 +15,8 @@ column of every word by rank, the ranks in enumeration order (by degree,
 then rank) and the number of words of each degree. One walk over (prefix,
 operation entry, suffix) triples builds every boundary of F_L and every
 matrix of f_*, reading degrees and columns from it: the work is
-proportional to the number of terms, never to words times positions. Neither
+proportional to the number of terms, never to words times positions, and
+each term is summed straight into its row of the target matrix. Neither
 b nor f_* has a word-level body in the library; both reach the homology
 engine as matrices only. F_L's bases hold runs of the table's order, not
 words: a word is named only for a message.
@@ -83,11 +84,9 @@ class HochschildComplex:
             )
         self._table: WordTable | None = None  # _tables()
         # b as matrices, built once: F_L here; E^0 columns by p, then route,
-        # by spectral.py; F_L's boundaries by degree, then row, by
-        # cochains.b_star
+        # by spectral.py
         self._truncation: FiniteComplex | None = None
         self.columns: dict[int, dict] = {}
-        self.boundary_rows: dict[int, dict] = {}
 
     def _by_rank(self, n: int) -> tuple[list[int], array]:
         """Hochschild degrees of the length-n words by rank, and the ranks in
@@ -207,10 +206,10 @@ class HochschildComplex:
         L, N = self.L, self.A.module.rank
         mpos, t_mpos = self.M.module.position, target.M.module.position
         table, t_table = self._tables(), target._tables()
-        # each degree's sums, kept free of zeros as the walk goes: a dict
+        # each degree's rows, kept free of zeros as the walk goes: a dict
         # reclaims the slots of deleted keys when it next grows
         prime = self.ring.p
-        sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in table.sizes}
+        sums: dict[int, dict[int, dict[int, int]]] = {j: {} for j in table.sizes}
 
         def block(n, start, step, k, t_start, t_step, count, values):
             # the terms of one block shift the degree alike: check the first
@@ -225,12 +224,14 @@ class HochschildComplex:
             for j, col, row in zip(
                 degs[start:stop:step], cols[start:stop:step], t_cols[t_start:t_stop:t_step]
             ):
-                acc, key = sums[j], (row, col)
-                c = acc.get(key, 0) + values[j & 1]
+                acc = sums[j].get(row)
+                if acc is None:
+                    acc = sums[j][row] = {}
+                c = acc.get(col, 0) + values[j & 1]
                 if c % prime if prime else c:
-                    acc[key] = c
+                    acc[col] = c
                 else:
-                    del acc[key]
+                    del acc[col]
 
         if more is not None:
             more(block)
@@ -245,12 +246,14 @@ class HochschildComplex:
                         # deg m + red K_s + red S = -(j + red K_r)
                         values = (-c if odd else c, -c if twist & 1 else c)
                         block(s + t + r, start, N**r, t, t_mpos(name) * span, 1, span, values)
-        # a fresh dict drops the slots of cancelled terms, one degree at a time
         out = {}
         for j in list(sums):
-            acc = sums.pop(j)
-            acc = {key: c % prime for key, c in acc.items()} if prime else dict(acc.items())
-            out[j] = ExactMatrix._adopt(t_table.sizes.get(j + shift, 0), table.sizes[j], acc)
+            by_row = sums.pop(j)
+            for acc in by_row.values() if prime else ():
+                for col, c in acc.items():
+                    acc[col] = c % prime
+            by_row = {row: acc for row, acc in by_row.items() if acc}
+            out[j] = ExactMatrix._adopt(t_table.sizes.get(j + shift, 0), table.sizes[j], by_row)
         return out
 
     def truncation(self) -> FiniteComplex:

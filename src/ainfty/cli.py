@@ -225,7 +225,7 @@ def _snf_audit(seed: int, count: int = 50, size: int = 8) -> tuple[bool, str]:
         if abs(determinant(U)) != 1 or abs(determinant(V)) != 1:
             return False, f"trial {trial}: transform not unimodular"
         # the chain is D's diagonal: one factorization per trial
-        factors = [D.entries.get((t, t), 0) for t in range(min(rows, cols))]
+        factors = [D.by_row.get(t, {}).get(t, 0) for t in range(min(rows, cols))]
         for a, b in zip(factors, factors[1:]):
             if b % a if a else b:
                 return False, f"trial {trial}: divisibility chain broken"

@@ -213,21 +213,17 @@ class DualChainElement:
 def b_star(psi: DualChainElement) -> DualChainElement:
     """(b* psi)(w) = psi(b(w)), read off the rows of psi's words in F_L's boundaries.
 
-    Each word is placed by its rank, and the rows of each boundary are
-    indexed once per complex and degree, so a call costs the rows of psi's
+    Each word is placed by its rank, so a call costs the rows of psi's
     words; only the words of the result are named.
     """
     cx, acc = psi.complex, {}
+    fc = cx.truncation()
     for w, c in psi.terms.items():
         place = cx._column_of(w)
         if place is None:
             continue
         d, row = place
-        if d not in cx.boundary_rows:
-            rows = cx.boundary_rows[d] = {}
-            for (i, k), v in cx.truncation().boundary(d + 1).entries.items():
-                rows.setdefault(i, []).append((k, v))
-        for col, v in cx.boundary_rows[d].get(row, ()):
+        for col, v in fc.boundary(d + 1).by_row.get(row, {}).items():
             acc[d + 1, col] = acc.get((d + 1, col), 0) + c * v
     return DualChainElement(cx, _named(cx, acc))
 
@@ -285,16 +281,15 @@ def pullback(
     """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to
     f_*'s cutoff; the result lies over dual, the source's dual (built when None)."""
     dual_M = dual if dual is not None else dual_bimodule(fstar.f.source)
-    psi_N = duality_iso_inverse(g, fstar.target)
-    places = ((fstar.target._column_of(w), c) for w, c in psi_N.terms.items())
-    values = {place: c for place, c in places if place is not None}
-    acc: dict[tuple[int, int], int] = {}
-    for j, F in fstar.matrices().items():
-        t = j + fstar.degree
-        for (i, k), v in F.entries.items():
-            c = values.get((t, i))
-            if c:
-                acc[j, k] = acc.get((j, k), 0) + c * v
+    F, acc = fstar.matrices(), {}
+    for w, c in duality_iso_inverse(g, fstar.target).terms.items():
+        place = fstar.target._column_of(w)
+        if place is None:
+            continue
+        # psi_N(f_*(x)): the row of w in the matrix into w's degree
+        j = place[0] - fstar.degree
+        for k, v in F[j].by_row.get(place[1], {}).items() if j in F else ():
+            acc[j, k] = acc.get((j, k), 0) + c * v
     psi_M = DualChainElement(fstar.source, _named(fstar.source, acc))
     out = duality_iso(psi_M, dual=dual_M, cutoff=g.cutoff)
     if out.is_zero():

@@ -1,6 +1,6 @@
 """Exact linear algebra: Smith normal form over Z, ranks over Z/p, homology.
 
-Matrices are sparse maps (row, col) -> coefficient. One sparse eliminator
+Matrices are sparse and held by rows. One sparse eliminator
 diagonalises a matrix over Z or Z/p: it peels the columns holding a single
 unit with no row or column operation, then reduces the rest from a heap,
 least absolute value first, recording its operations in sparse rows of U
@@ -11,61 +11,68 @@ D = U*M*V. Callers that read V complete it by back substitution and check
 it by product. Complexes reach the homology engine as matrices only and
 factor d_j without the rows that are pivot columns of d_{j-1} (clearing;
 over Z only the peel's, see FiniteComplex).
+
+by_row maps each row to {col: c}, with no empty row and no zero c
+(Gustavson, 1978); every reader takes the rows as stored.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from types import MappingProxyType
+from typing import Collection, Iterable, Sequence
 
 from .errors import InternalInvariant, NotAComplex, NotChainMap
 from .rings import CoefficientRing
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "entries")
+    """A rows x cols matrix, held as by_row (see the module docstring)."""
+
+    __slots__ = ("rows", "cols", "by_row")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int] | None = None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
+        self.rows, self.cols, self.by_row = rows, cols, {}
         for (i, j), c in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
             if c:
-                self.entries[(i, j)] = c
+                self.by_row.setdefault(i, {})[j] = c
 
     @classmethod
-    def _adopt(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "ExactMatrix":
-        """Take a dict the library built, in range and free of zeros, without check or copy."""
+    def _adopt(cls, rows: int, cols: int, by_row: dict[int, dict[int, int]]) -> "ExactMatrix":
+        """Take rows the library built (in range, none empty, no zero) as they are."""
         mat = cls.__new__(cls)
-        mat.rows, mat.cols, mat.entries = rows, cols, entries
+        mat.rows, mat.cols, mat.by_row = rows, cols, by_row
         return mat
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[dict[int, int]]) -> "ExactMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, c in col.items():
-                if c:
-                    entries[(i, j)] = c
+        entries = {(i, j): c for j, col in enumerate(columns) for i, c in col.items()}
         return cls(rows, len(columns), entries)
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """A read-only (i, j) -> c view, built on access."""
+        view = {(i, j): c for i, row in self.by_row.items() for j, c in row.items()}
+        return MappingProxyType(view)
 
     def to_dense(self) -> list[list[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), c in self.entries.items():
-            dense[i][j] = c
+        for i, row in self.by_row.items():
+            for j, c in row.items():
+                dense[i][j] = c
         return dense
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.by_row
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+            and self.by_row == other.by_row
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -73,24 +80,21 @@ class ExactMatrix:
         # on the right, so the work is proportional to the products that occur
         if self.cols != other.rows:
             raise IndexError("matrix shapes do not compose")
-        right: dict[int, list[tuple[int, int]]] = {}
-        for (k, j), c in other.entries.items():
-            right.setdefault(k, []).append((j, c))
-        entries: dict[tuple[int, int], int] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in right.get(k, ()):
-                entries[(i, j)] = entries.get((i, j), 0) + a * b
-        return ExactMatrix._adopt(self.rows, other.cols, _nonzero(entries))
+        right, by_row = other.by_row, {}
+        for i, row in self.by_row.items():
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                r = right.get(k)
+                for j, b in r.items() if r else ():
+                    acc[j] = acc.get(j, 0) + a * b
+            acc = {j: c for j, c in acc.items() if c}
+            if acc:
+                by_row[i] = acc
+        return ExactMatrix._adopt(self.rows, other.cols, by_row)
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
-
-
-def _nonzero(entries: dict) -> dict:
-    """entries with the zero values deleted in place."""
-    for key in [key for key, c in entries.items() if not c]:
-        del entries[key]
-    return entries
+        nnz = sum(map(len, self.by_row.values()))
+        return f"ExactMatrix({self.rows}x{self.cols}, {nnz} entries)"
 
 
 def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -102,16 +106,14 @@ def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, Exact
     if peel:  # else V = V' and mat = M', checked as such
         v_cols = _complete_v(mat, None, peel, v_cols)
         _check_umv(mat, u_rows, v_cols, diagonal, None)
-    u_rows += _units(mat.rows, {i for i, _ in mat.entries})
-    v_cols += _units(mat.cols, {j for _, j in mat.entries})
-    D = ExactMatrix._adopt(mat.rows, mat.cols, {(t, t): d for t, d in enumerate(diagonal)})
-    U = ExactMatrix._adopt(
-        mat.rows, mat.rows, {(r, i): c for r, row in enumerate(u_rows) for i, c in row.items()}
-    )
+    u_rows += _units(mat.rows, mat.by_row)
+    v_cols += _units(mat.cols, {j for row in mat.by_row.values() for j in row})
+    D = ExactMatrix._adopt(mat.rows, mat.cols, {t: {t: d} for t, d in enumerate(diagonal)})
+    U = ExactMatrix._adopt(mat.rows, mat.rows, dict(enumerate(u_rows)))
     return D, U, ExactMatrix.from_columns(mat.cols, v_cols)
 
 
-def _units(n: int, support: set[int]) -> list[dict[int, int]]:
+def _units(n: int, support: Collection[int]) -> list[dict[int, int]]:
     """The unit vectors e_k, k < n ascending, for each k outside support."""
     return [{k: 1} for k in range(n) if k not in support]
 
@@ -156,19 +158,20 @@ def _check_peel(mat: ExactMatrix, peel: list[list], p: int | None) -> ExactMatri
     unit upper triangular, and with V's column k solving M w = a e_{r_k},
     row k of U*M*V is d at column k and zero elsewhere.
     """
-    order = {q[3]: k for k, q in enumerate(peel)}
+    order, by_row = {q[3]: k for k, q in enumerate(peel)}, mat.by_row
     for d, ur, _, r, c in peel:
-        a, x = mat.entries.get((r, c), 0), ur.get(r, 0)
+        a, x = by_row[r].get(c, 0) if r in by_row else 0, ur.get(r, 0)
         wrong = (x * a - d) % p if p else x * a != d
         if len(ur) != 1 or not (a % p if p else a in (1, -1)) or wrong:
             raise InternalInvariant(f"SNF self-check failed: D != U*M*V at peel pivot ({r}, {c})")
     last, columns, rest = len(peel), {q[4]: k for k, q in enumerate(peel)}, {}
-    for key, x in mat.entries.items():
-        m = order.get(key[0], last)
-        if m > columns.get(key[1], last) and (p is None or x % p):
-            raise InternalInvariant(f"SNF self-check failed: peel column {key[1]} in a later row")
+    for i, row in by_row.items():
+        m = order.get(i, last)
+        for j, x in row.items():
+            if m > columns.get(j, last) and (p is None or x % p):
+                raise InternalInvariant(f"SNF self-check failed: peel column {j} in a later row")
         if m == last:
-            rest[key] = x
+            rest[i] = row
     return ExactMatrix._adopt(mat.rows, mat.cols, rest)
 
 
@@ -186,12 +189,14 @@ def _complete_v(mat: ExactMatrix, p: int | None, peel: list, v_cols: list, start
     rows: list[dict[int, int]] = [{} for _ in peel]
     hits: dict[int, list[int]] = {}  # column j -> the k with M[r_k, j] != 0
     kept = set()
-    for (i, j), x in mat.entries.items():
-        if (p is None or x % p) and i in index:
-            rows[index[i]][j] = x
+    for i, row in mat.by_row.items():
+        row = row if p is None else {j: x for j, x in row.items() if x % p}
+        if i not in index:
+            kept.update(row)
+            continue
+        rows[index[i]] = row
+        for j in row:
             hits.setdefault(j, []).append(index[i])
-        elif p is None or x % p:
-            kept.add(j)
     inverse = [pow(rows[k][c], -1, p) if p else rows[k][c] for k, (_, c) in enumerate(peel)]
 
     def solve(w, below):
@@ -221,16 +226,14 @@ def _check_umv(mat: ExactMatrix, u_rows: list, v_cols: list, diagonal: list, p: 
     and columns of M and mention no other index. Off the support M is zero
     and U and V are the identity, so D = U*M*V holds on the whole matrix
     exactly when it holds on the block: row t of U_s*M*V_s must be
-    diagonal[t] at column t, or zero past the rank. Only M and V_s are
-    regrouped by rows; no product is held as a matrix. A lost vector of U_s
-    or V_s would pass the products, so their counts are checked first.
+    diagonal[t] at column t, or zero past the rank. Only V_s is regrouped by
+    rows; no product is held as a matrix. A lost vector of U_s or V_s would
+    pass the products, so their counts are checked first.
     """
-    m_rows: dict[int, list[tuple[int, int]]] = {}
-    for (i, c), x in mat.entries.items():
-        if p is None or x % p:
-            m_rows.setdefault(i, []).append((c, x))
-    support_cols = {c for row in m_rows.values() for c, _ in row}
-    if (len(u_rows), len(v_cols)) != (len(m_rows), len(support_cols)):
+    by_row = mat.by_row
+    support_rows = sum(any(p is None or x % p for x in row.values()) for row in by_row.values())
+    support_cols = {c for row in by_row.values() for c, x in row.items() if p is None or x % p}
+    if (len(u_rows), len(v_cols)) != (support_rows, len(support_cols)):
         raise InternalInvariant("SNF self-check failed: U or V misses a support vector")
     v_rows: dict[int, list[tuple[int, int]]] = {}
     for s, col in enumerate(v_cols):
@@ -239,7 +242,7 @@ def _check_umv(mat: ExactMatrix, u_rows: list, v_cols: list, diagonal: list, p: 
     for t, u in enumerate(u_rows):
         um: dict[int, int] = {}
         for i, a in u.items():
-            for c, x in m_rows.get(i, ()):
+            for c, x in by_row[i].items() if i in by_row else ():
                 um[c] = um.get(c, 0) + a * x
         umv: dict[int, int] = {}
         for c, y in um.items():
@@ -290,11 +293,15 @@ def _eliminate(
     # the rows of each column, in lists: a sparse column's few rows take less
     # memory in a list than in a set
     cols: dict[int, list[int]] = {}
-    for (i, j), c in mat.entries.items():
-        c = c % p if field else c
-        if c and i not in skip:
-            rows.setdefault(i, {})[j] = c
-            cols.setdefault(j, []).append(i)
+    for i, row in mat.by_row.items():
+        if i in skip:
+            continue
+        # copied: the eliminator rewrites its rows in place
+        row = {j: y for j, c in row.items() if (y := c % p)} if field else dict(row)
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, []).append(i)
     u: dict[int, dict[int, int]] = {}
     v: dict[int, dict[int, int]] = {}
     pivots: list[list] = []
@@ -474,10 +481,10 @@ def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     """
     p = ring.p
     diagonal, _, v_cols, peel = _smith(mat, p)
-    used = {j for (_, j), c in mat.entries.items() if p is None or c % p}
+    used = {j for row in mat.by_row.values() for j, c in row.items() if p is None or c % p}
     kernel = _complete_v(mat, p, peel, v_cols, len(diagonal)) + _units(mat.cols, used)
     K = ExactMatrix.from_columns(mat.cols, kernel)
-    if any(p is None or c % p for c in (mat @ K).entries.values()):
+    if _failing_keys(range(K.cols), (mat @ K).by_row.values(), ring):
         raise InternalInvariant("SNF self-check failed: M*K != 0 on the kernel basis K")
     return K
 
@@ -590,7 +597,7 @@ class FiniteComplex:
                 factors = [1] * rank
             else:
                 if skip:
-                    kept = {key: c for key, c in d.entries.items() if key[0] not in skip}
+                    kept = {i: row for i, row in d.by_row.items() if i not in skip}
                     d = ExactMatrix._adopt(d.rows, d.cols, kept)
                 factors, _, _, peel = _smith(d, None)
                 pivot_cols = {c for _, c in peel}
@@ -604,7 +611,7 @@ class FiniteComplex:
         d_out, d_in = self.boundary(j - 1), self.boundary(j)
         if d_out.cols != d_in.rows:
             raise IndexError("boundary matrices do not line up")
-        return _failing_keys(self.basis.get(j, []), (d_out @ d_in).entries, self.ring)
+        return _failing_keys(self.basis.get(j, []), (d_out @ d_in).by_row.values(), self.ring)
 
     def _groups(self, j: int) -> tuple[int, list[int], list[int]]:
         """Free rank at j and the factors of the boundaries out of and into C_j,
@@ -637,9 +644,10 @@ class FiniteComplex:
         return HomologySummary(j, self.ring, free, tuple(d for d in f_out if d > 1))
 
 
-def _failing_keys(keys: Sequence, entries: dict, ring: CoefficientRing) -> list:
-    """The keys, in order, of the columns that hold an entry nonzero in ring."""
-    return [keys[c] for c in sorted({c for (_, c), x in entries.items() if ring.normalize(x)})]
+def _failing_keys(keys: Sequence, rows: Iterable[dict[int, int]], ring: CoefficientRing) -> list:
+    """The keys, in order, of the columns where a row holds an entry nonzero in ring."""
+    bad = {c for row in rows for c, x in row.items() if ring.normalize(x)}
+    return [keys[c] for c in sorted(bad)]
 
 
 def _chain_map(source: FiniteComplex, target: FiniteComplex, maps, k, shift) -> ExactMatrix:
@@ -661,10 +669,12 @@ def chain_map_failures(
     """
     lhs = target.boundary(j + shift) @ _chain_map(source, target, maps, j, shift)
     rhs = _chain_map(source, target, maps, j - 1, shift) @ source.boundary(j)
-    diff = dict(lhs.entries)
-    for key, c in rhs.entries.items():
-        diff[key] = diff.get(key, 0) - c
-    return _failing_keys(source.basis.get(j, []), diff, source.ring)
+    diff = {i: dict(row) for i, row in lhs.by_row.items()}
+    for i, row in rhs.by_row.items():
+        acc = diff.setdefault(i, {})
+        for c, x in row.items():
+            acc[c] = acc.get(c, 0) - x
+    return _failing_keys(source.basis.get(j, []), diff.values(), source.ring)
 
 
 @dataclass
@@ -713,8 +723,10 @@ def _zero(rows: Sequence, cols: Sequence) -> ExactMatrix:
 def _hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.rows != b.rows:
         raise IndexError("hstack of mismatched row counts")
-    entries = dict(a.entries)
-    for (i, j), c in b.entries.items():
-        entries[(i, j + a.cols)] = c
-    return ExactMatrix._adopt(a.rows, a.cols + b.cols, entries)
+    by_row = {i: dict(row) for i, row in a.by_row.items()}
+    for i, row in b.by_row.items():
+        acc = by_row.setdefault(i, {})
+        for j, c in row.items():
+            acc[j + a.cols] = c
+    return ExactMatrix._adopt(a.rows, a.cols + b.cols, by_row)
 

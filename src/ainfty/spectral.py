@@ -24,7 +24,7 @@ from itertools import accumulate
 
 from .chains import HochschildComplex, InducedChainMap, RankedWords
 from .errors import IndexOutOfRange, InternalInvariant
-from .homology import ExactMatrix, FiniteComplex, HomologySummary, _nonzero
+from .homology import ExactMatrix, FiniteComplex, HomologySummary
 from .homology import induced_map_on_homology
 
 Basis = dict[int, RankedWords]  # a column's words by Hochschild degree
@@ -90,7 +90,7 @@ def _b1_matrices(complex_: HochschildComplex, p: int, basis: Basis) -> dict[int,
     below = {j: sum(c.get(j, 0) for c in table.counts[:p]) for j in table.counts[p]}
     degs = table.degree[p]
     index = [col - below[j] for j, col in zip(degs, table.column[p])]
-    sums: dict[int, dict[tuple[int, int], int]] = {j: {} for j in below}
+    sums: dict[int, dict[int, dict[int, int]]] = {j: {} for j in below}
 
     def run(start: int, t_start: int, count: int, v: int) -> None:
         if count and degs[t_start] != degs[start] - 1:
@@ -100,8 +100,8 @@ def _b1_matrices(complex_: HochschildComplex, p: int, basis: Basis) -> dict[int,
             )
         stop, t_stop = start + count, t_start + count
         for j, col, row in zip(degs[start:stop], index[start:stop], index[t_start:t_stop]):
-            acc = sums[j]
-            acc[row, col] = acc.get((row, col), 0) + v
+            acc = sums[j].setdefault(row, {})
+            acc[col] = acc.get(col, 0) + v
 
     for m, n, c in m_terms:
         run(m * N**p, n * N**p, N**p, c)
@@ -110,9 +110,13 @@ def _b1_matrices(complex_: HochschildComplex, p: int, basis: Basis) -> dict[int,
         for P, j in enumerate(table.degree[i - 1]):
             for a, b, c in a_terms:
                 run((P * N + a) * after, (P * N + b) * after, after, -c if j & 1 else c)
-    for acc in sums.values() if prime else ():
-        for k, c in acc.items():
-            acc[k] = c % prime
+    for by_row in sums.values():
+        for r in list(by_row):
+            acc = {k: y for k, c in by_row[r].items() if (y := c % prime if prime else c)}
+            if acc:
+                by_row[r] = acc
+            else:
+                del by_row[r]
     return _column_matrices(basis, basis, -1, sums)
 
 
@@ -136,27 +140,30 @@ def _length_blocks(
     sums: list[dict[int, dict]] = [{} for _ in source]
     for j, mat in maps.items():
         cols, rows = src_off.get(j), tgt_off.get(j + shift)
-        for (r, c), v in mat.entries.items():
-            p = bisect_right(cols, c) - 1
-            if r >= rows[p + 1]:
-                k = bisect_right(rows, r) - 1
-                raise InternalInvariant(
-                    f"{source[p][j][c - cols[p]]} maps to the longer word "
-                    f"{target[k][j + shift][r - rows[k]]}"
-                )
-            if r >= rows[p]:
-                sums[p].setdefault(j, {})[r - rows[p], c - cols[p]] = v
+        for r, row in mat.by_row.items():
+            k, block_row = bisect_right(rows, r) - 1, {}  # r lies in the length-k run
+            for c, v in row.items():
+                p = bisect_right(cols, c) - 1
+                if p < k:
+                    raise InternalInvariant(
+                        f"{source[p][j][c - cols[p]]} maps to the longer word "
+                        f"{target[k][j + shift][r - rows[k]]}"
+                    )
+                if p == k:
+                    block_row[c - cols[p]] = v
+            if block_row:
+                sums[k].setdefault(j, {})[r - rows[k]] = block_row
     return [_column_matrices(s, t, shift, acc) for s, t, acc in zip(source, target, sums)]
 
 
 def _column_matrices(
     source: Basis, target: Basis, shift: int, sums: dict[int, dict]
 ) -> dict[int, ExactMatrix]:
-    """The nonzero matrices source[j] -> target[j + shift], from their entries by j."""
+    """The nonzero matrices source[j] -> target[j + shift], from their rows by j."""
     return {
-        j: ExactMatrix._adopt(len(target.get(j + shift, ())), len(source[j]), _nonzero(acc))
-        for j, acc in sums.items()
-        if acc
+        j: ExactMatrix._adopt(len(target.get(j + shift, ())), len(source[j]), by_row)
+        for j, by_row in sums.items()
+        if by_row
     }
 
 

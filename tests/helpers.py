@@ -63,7 +63,6 @@ from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
     _gcd_lcm_move,
-    _nonzero,
     invariant_factors,
 )
 from ainfty.documents import parse, serialize
@@ -131,7 +130,7 @@ def basis_matrix(src, dst, image):
             if i is None:
                 raise InternalInvariant(f"image of {key} has {out} outside the target degree")
             entries[(i, j)] = c
-    return ExactMatrix._adopt(len(dst), len(src), _nonzero(entries))
+    return ExactMatrix(len(dst), len(src), entries)
 
 
 def evaluate(psi, x):

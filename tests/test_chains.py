@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -456,3 +457,19 @@ def test_word_count_guard_refuses_before_enumerating():
     with pytest.raises(TooLarge, match=r"^F_1000000000 has more than \d+ words"):
         HochschildComplex(diag, 10**9)
     assert word_count(3, 1, 5) == 18 and word_count(3, 0, 5) == 3
+
+
+def test_assembling_the_boundaries_stays_within_six_megabytes():
+    # truncated_poly3 at L=8 has 29 523 words; b's walk accumulates each
+    # degree's rows directly, with no (row, col) key per entry and no copy
+    # of the result (8.3 MB held at the peak when it did both)
+    cx = HochschildComplex(diagonal_bimodule(load("truncated_poly3").algebra), 8)
+    cx._tables()
+    tracemalloc.start()
+    try:
+        boundaries = cx.boundaries()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(row) for d in boundaries.values() for row in d.by_row.values()) > 0
+    assert peak <= 6_000_000

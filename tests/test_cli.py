@@ -998,8 +998,11 @@ def test_clearing_hands_the_eliminator_fewer_rows(tmp_path, capsys, monkeypatch)
 def test_peeling_unit_singletons_cuts_heap_traffic(tmp_path, capsys, monkeypatch):
     # hh and cohomology exterior2 at L=5 over Z/3 take 2112 pivots; peeling
     # the unit singleton columns first leaves 696 entries to heapify, and
-    # 232 more are pushed while the heap is worked off. Heaping every entry
-    # before the first pivot heaped 12 569 entries and popped as many.
+    # 239 more are pushed while the heap is worked off. The eliminator loads
+    # each boundary row by row, and that order sets the peel's queue and the
+    # heap's re-validations (232 pushed when it loaded entry by entry in the
+    # walk's order). Heaping every entry before the first pivot heaped
+    # 12 569 entries and popped as many.
     import heapq
 
     import ainfty.homology as homology
@@ -1040,15 +1043,17 @@ def test_peeling_unit_singletons_cuts_heap_traffic(tmp_path, capsys, monkeypatch
         code, _, _ = run_cli([command, str(path), "--length", "5"], capsys)
         assert code == 0
     assert sum(pivots) == 2112
-    assert traffic == {"heapified": 696, "pushed": 232, "popped": 928}
+    assert traffic == {"heapified": 696, "pushed": 239, "popped": 935}
 
 
 def test_snf_check_multiplies_only_what_the_heap_leaves(tmp_path, capsys, monkeypatch):
     # hh exterior2 at L=5 over Z: the peel is certified in one pass over each
     # boundary, so the D = U*M*V check multiplies only the heap's U' and V'
-    # on the residual, 131 rows and 412 entries. Column operations of the
-    # peel, checked row by row through the whole of V, took 1111 rows of U
-    # and 9833 entries of V.
+    # on the residual, 131 rows and 418 entries (412 when the eliminator
+    # loaded entry by entry in the walk's order: the load order picks among
+    # tied pivots, and so V's fill-in). Column operations of the peel,
+    # checked row by row through the whole of V, took 1111 rows of U and
+    # 9833 entries of V.
     import ainfty.homology as homology
 
     original = homology._check_umv
@@ -1064,7 +1069,7 @@ def test_snf_check_multiplies_only_what_the_heap_leaves(tmp_path, capsys, monkey
     path.write_text(serialize(fixture_document("exterior2")))
     code, _, _ = run_cli(["hh", str(path), "--length", "5"], capsys)
     assert code == 0
-    assert work == {"u_rows": 131, "v_entries": 412}
+    assert work == {"u_rows": 131, "v_entries": 418}
 
 
 def _dense_cells(monkeypatch):
@@ -1709,3 +1714,58 @@ def test_oversized_truncation_exits_2_before_enumerating(tmp_path, capsys, comma
     assert err.splitlines()[0] == (
         "input error: F_12 has 89478484 words, above the limit of 1000000"
     )
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        ["hh", "--module", "diagonal"],
+        ["hh", "--module", "dual"],
+        ["hh", "--module", "tensor_square"],
+        ["cohomology"],
+        ["cup"],
+        ["spectral"],
+        ["validate"],
+        ["verify"],
+    ],
+)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_one_diagonal_bimodule_per_job(tmp_path, capsys, monkeypatch, name, job):
+    # the diagonal A[1]'s tables are built and validated once per algebra:
+    # parsing a DGA (from_dga checks its equations on them), the module,
+    # validate, cup and verify all share them
+    import ainfty.bimodules as bimodules
+
+    built = Counter()
+    original = bimodules.bimodule_op
+
+    def counted(algebra, module, r, s, table, label=""):
+        built[label] += 1
+        return original(algebra, module, r, s, table, label)
+
+    monkeypatch.setattr(bimodules, "bimodule_op", counted)
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize(fixture_document(name)))
+    code, _, _ = run_cli([job[0], str(path), "--length", "2", *job[1:]], capsys)
+    diagonal = [n for label, n in built.items() if label.startswith("A[1] ")]
+    assert code in (0, 2) and max(diagonal, default=0) <= 1
+
+
+@pytest.mark.parametrize("ring", [{"kind": "Z"}, {"kind": "Zp", "p": 3}])
+@pytest.mark.parametrize("command", ["hh", "cohomology", "spectral", "verify"])
+def test_no_library_path_reads_the_entries_view(tmp_path, capsys, monkeypatch, command, ring):
+    # the (i, j) -> c view is built on access for outside readers; the
+    # library reads rows, so a view that refuses to build changes no report
+    from ainfty.homology import ExactMatrix
+
+    def refused(self):
+        raise AssertionError("ExactMatrix.entries read by the library")
+
+    doc = fixture_document("quasi_iso_pair")
+    doc["ring"] = ring
+    path = tmp_path / "q.json"
+    path.write_text(serialize(doc))
+    expected = run_cli([command, str(path), "--length", "3"], capsys)[:2]
+    monkeypatch.setattr(ExactMatrix, "entries", property(refused))
+    assert run_cli([command, str(path), "--length", "3"], capsys)[:2] == expected
+    assert expected[0] == 0

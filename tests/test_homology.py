@@ -1,8 +1,11 @@
 """Exact linear algebra: SNF, kernels, homology and induced maps."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ainfty.homology as homology
 from ainfty.bimodules import diagonal_bimodule, dual_bimodule
@@ -14,6 +17,7 @@ from ainfty.fixtures import fixture_document
 from ainfty.homology import (
     ExactMatrix,
     FiniteComplex,
+    _hstack,
     _smith,
     chain_map_failures,
     determinant,
@@ -57,7 +61,7 @@ def test_snf_zero_matrix():
 def test_smith_is_sized_by_the_support():
     # one entry in a 10^6 x 10^6 matrix: the factorization, its transforms and
     # its D = U*M*V check see one row and one column
-    big = ExactMatrix._adopt(10**6, 10**6, {(5, 7): 3})
+    big = ExactMatrix(10**6, 10**6, {(5, 7): 3})
     assert _smith(big, None) == ([3], [{5: 1}], [{7: 1}], [])
     # mod p, an entry divisible by p is off the support; the unit 2 is
     # peeled, so V' on the residual is empty and V's column is completed
@@ -369,7 +373,7 @@ def test_clearing_over_z_drops_only_the_peeled_rows(monkeypatch):
     assert factored[-1].entries == {k: c for k, c in d_2.entries.items() if k[0] != 0}
     assert fc._factored(2) == whole_factors(fc, 2) == [1, 4]
     every_pivot = {k: c for k, c in d_2.entries.items() if k[0] not in (0, heap[4])}
-    assert invariant_factors(ExactMatrix._adopt(4, 2, every_pivot)) == [1, 12]
+    assert invariant_factors(ExactMatrix(4, 2, every_pivot)) == [1, 12]
 
 
 def _complex_blocks(cx, length):
@@ -600,3 +604,75 @@ def test_homology_and_cohomology_share_one_composite_check(monkeypatch):
     for j in sorted(fc.basis):
         assert fc.cohomology(j).free_rank == fc.homology(j).free_rank
         assert fc.cohomology(j).torsion == fc.homology(j - 1).torsion
+
+
+def test_the_composite_check_reads_products_mod_p():
+    # c -> b1 + b2, b1 -> a, b2 -> 2a: d.d(c) = 3a, which the product keeps
+    # over Z; over Z/3 it is a complex, over Z c is named as its failure
+    images = {"c": {"b1": 1, "b2": 1}, "b1": {"a": 1}, "b2": {"a": 2}}
+    basis = {0: ["a"], 1: ["b1", "b2"], 2: ["c"]}
+    over_z, over_3 = (image_complex(R, basis, lambda k: images.get(k, {})) for R in (Z, Zp(3)))
+    assert (over_3.boundary(1) @ over_3.boundary(2)).by_row == {0: {0: 3}}
+    assert over_3.composite_failures(2) == [] and over_z.composite_failures(2) == ["c"]
+    assert [over_3.homology(j).invariants() for j in range(3)] == [(0, ())] * 3
+    with pytest.raises(NotAComplex, match=r"^composite of boundary maps is nonzero on c in degree 2$"):
+        over_z.homology(1)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+@pytest.mark.parametrize("run", ["hh", "cohomology", "induced"])
+def test_factoring_never_mutates_a_stored_boundary(p, run):
+    # the eliminator rewrites its own copies of the rows: clearing over Z
+    # (the peeled rows dropped, the rest shared) and over Z/3 (pivot rows
+    # skipped as they are loaded) leaves every stored boundary as built
+    fc = HochschildComplex(diagonal_bimodule(load("exterior2", p).algebra), 5).truncation()
+    degrees = range(min(fc.basis) - 1, max(fc.basis) + 2)
+    before = {j: copy.deepcopy(fc.boundary(j).by_row) for j in degrees}
+    sizes = {j: len(keys) for j, keys in fc.basis.items()}
+    identity = {j: ExactMatrix(n, n, {(i, i): 1 for i in range(n)}) for j, n in sizes.items()}
+    for j in sorted(fc.basis):
+        if run == "hh":
+            fc.homology(j)
+        elif run == "cohomology":
+            fc.cohomology(j)
+        else:
+            assert induced_map_on_homology(fc, fc, identity, j).is_iso
+    assert fc._factors and {j: fc.boundary(j).by_row for j in degrees} == before
+
+
+def _dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _cancelling_pair(draw):
+    """Dense a (m x k+1) and b (k+1 x n) whose inner index k cancels index 0:
+    column k of a copies column 0, and row k of b is minus row 0."""
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    coeff = st.integers(-3, 3)
+    a = [[draw(coeff) for _ in range(k)] for _ in range(m)]
+    b = [[draw(coeff) for _ in range(n)] for _ in range(k)]
+    return [row + [row[0]] for row in a], b + [[-x for x in b[0]]]
+
+
+@given(_cancelling_pair())
+def test_the_row_layout_round_trips_and_multiplies(pair):
+    a, b = pair
+    A, B = from_dense(a), from_dense(b)
+    product = A @ B
+    assert product.to_dense() == _dense_product(a, b)
+    # no zero value and no empty row, though index 0 and k cancel
+    assert all(row and all(row.values()) for row in product.by_row.values())
+    for M, dense in ((A, a), (B, b), (product, product.to_dense())):
+        nonzero = {(i, j): c for i, row in enumerate(dense) for j, c in enumerate(row) if c}
+        assert M.entries == nonzero
+        assert ExactMatrix(M.rows, M.cols, M.entries) == M
+        columns = [{i: row[j] for i, row in enumerate(dense)} for j in range(M.cols)]
+        assert ExactMatrix.from_columns(M.rows, columns) == M
+        # == ignores the order in which rows and entries were inserted
+        backwards = dict(reversed(list(M.entries.items())))
+        assert ExactMatrix(M.rows, M.cols, backwards) == M
+    side = ExactMatrix(A.rows, 2, {(0, 1): 5})
+    assert _hstack(A, side).to_dense() == [x + y for x, y in zip(a, side.to_dense())]
+    with pytest.raises(TypeError):
+        A.entries[0, 0] = 1
