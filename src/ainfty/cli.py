@@ -322,8 +322,8 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
         ("beta.beta = 0 [diagonal]", lambda: beta_squared_ok(modules["diagonal"]))
     )
 
-    def phi_square_ok(cx):
-        dual = dual_bimodule(cx.M)
+    def phi_square_ok():
+        cx, dual = complexes["diagonal"], modules["dual"]
         for n in range(min(CHECK_ARITY, length) + 1):
             for w in cx.words(n):
                 psi = DualChainElement(cx, {w: 1})
@@ -333,7 +333,7 @@ def cmd_verify(doc: StructureDocument, args, report: Report):
                     return False, f"phi(b*={w}) != beta(phi({w}))"
         return True, ""
 
-    checks.append(("phi duality square [diagonal]", lambda: phi_square_ok(complexes["diagonal"])))
+    checks.append(("phi duality square [diagonal]", phi_square_ok))
 
     def e1_ok(cx):
         for p, q, direct, quotient in e1_rows(cx):
@@ -386,6 +386,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ainfty", description="Exact A-infinity Hochschild toolkit"

@@ -33,16 +33,14 @@ class GradedModule:
     basis: tuple[tuple[str, int], ...]
     ring: CoefficientRing
     _index: dict = field(compare=False, repr=False, default=None)
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [name for name, _ in self.basis]
+        names = tuple(name for name, _ in self.basis)
         if len(set(names)) != len(names):
             raise UnknownName("duplicate basis names")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: (i, d) for i, (n, d) in enumerate(self.basis)})
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.basis)
 
     def degree_of(self, name: str) -> int:
         try:

@@ -567,7 +567,9 @@ class FiniteComplex:
     So y in Z^P with d_{j-1} y in nZ lies in nZ^P: ker d_{j-1} meets
     span(e_P) in 0 and projects onto a saturated sublattice, and deleting
     the rows P keeps every invariant factor of d_j, torsion too.
-    A degree with no basis has zero (co)homology and factors nothing.
+    A degree with no basis has zero (co)homology and factors nothing; a
+    boundary with no entry has no invariant factors and is not factored, and
+    a composite with a zero side is zero, with no product.
     """
 
     def __init__(
@@ -583,8 +585,9 @@ class FiniteComplex:
 
     def boundary(self, j: int) -> ExactMatrix:
         """The differential out of degree j, C_j -> C_{j-1}."""
-        zero = _zero(self.basis.get(j - 1, ()), self.basis.get(j, ()))
-        return self._boundaries.get(j, zero)
+        if j in self._boundaries:
+            return self._boundaries[j]
+        return _zero(self.basis.get(j - 1, ()), self.basis.get(j, ()))
 
     def _factored(self, j: int) -> list[int]:
         if j not in self._factors:
@@ -592,7 +595,9 @@ class FiniteComplex:
             cleared = self._pivot_cols.pop(j - 1, ())
             skip = cleared if j - 1 in self._checked else ()
             d = self.boundary(j)
-            if self.ring.is_field:
+            if not d.by_row:  # a zero map has no invariant factors and clears nothing
+                factors, pivot_cols = [], ()
+            elif self.ring.is_field:
                 rank, pivot_cols = rank_modp(d, self.ring.p, skip)
                 factors = [1] * rank
             else:
@@ -611,6 +616,8 @@ class FiniteComplex:
         d_out, d_in = self.boundary(j - 1), self.boundary(j)
         if d_out.cols != d_in.rows:
             raise IndexError("boundary matrices do not line up")
+        if not (d_out.by_row and d_in.by_row):
+            return []  # a zero side makes the composite zero
         return _failing_keys(self.basis.get(j, []), (d_out @ d_in).by_row.values(), self.ring)
 
     def _groups(self, j: int) -> tuple[int, list[int], list[int]]:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ainfty.cli import main
+from ainfty.cli import build_parser, main
 from ainfty.documents import parse, serialize
 from ainfty.errors import DocumentError, UnknownFixture
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
@@ -881,6 +881,8 @@ def test_threads_do_not_change_reports(tmp_path, capsys, monkeypatch):
 )
 def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, ring, factor):
     import ainfty.homology as homology
+    from ainfty.chains import HochschildComplex
+    from ainfty.cli import resolve_bimodule
 
     doc = fixture_document("exterior2")
     doc["ring"] = ring
@@ -897,9 +899,15 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     code, out, _ = run_cli([command, str(path), "--length", "3"], capsys)
     assert code == 0
     degrees = {int(j) for j in re.findall(r"degree (-?\d+):", out)}
-    # H_j needs the boundary out of C_j and the one into it
+    # H_j needs the boundary out of C_j and the one into it; of those, each
+    # with an entry is factored once, and each zero map never
     step = -1 if command == "hh" else 1
-    assert len(calls) == len(degrees | {j - step for j in degrees}) < 2 * len(degrees)
+    needed = degrees | {j - step for j in degrees}
+    module = resolve_bimodule(parse(serialize(doc)), "diagonal" if command == "hh" else "dual")
+    fc = HochschildComplex(module, 3).truncation()
+    nonzero = [fc.boundary(j) for j in sorted(needed) if fc.boundary(j).by_row]
+    assert 0 < len(nonzero) < len(needed) < 2 * len(degrees)
+    assert sorted((m.rows, m.cols) for m, *_ in calls) == sorted((m.rows, m.cols) for m in nonzero)
 
 
 @pytest.mark.parametrize("command,label", [("hh", "HH"), ("cohomology", "HH^*")])
@@ -1413,6 +1421,33 @@ def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_heap_only_tamper_exits_3(tmp_path, capsys, monkeypatch):
+    import ainfty.homology as homology
+
+    # doubling the U row of the first heap pivot, once, leaves the peel and
+    # its certificate whole: only D = U*M*V on the residual can refuse it
+    original = homology._eliminate
+    tampered = []
+
+    def doubled(*args, **kwargs):
+        pivots, u_rest, v_rest, peeled = original(*args, **kwargs)
+        if not tampered and len(pivots) > peeled:
+            pivot = pivots[peeled]
+            pivot[1] = {i: 2 * c for i, c in pivot[1].items()}
+            tampered.append(pivot)
+        return pivots, u_rest, v_rest, peeled
+
+    monkeypatch.setattr(homology, "_eliminate", doubled)
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    code, out, err = run_cli(["hh", str(path), "--length", "3"], capsys)
+    assert len(tampered) == 1
+    assert code == 3
+    assert out == ""
+    assert "internal error: SNF self-check failed: D != U*M*V" in err
+    assert "Traceback" not in err
+
+
 def test_negative_degree_range(tmp_path, capsys):
     path = tmp_path / "e2.json"
     path.write_text(serialize(fixture_document("exterior2")))
@@ -1557,6 +1592,40 @@ def test_console_entry_point():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
+
+
+def test_the_shared_parser_holds_no_state(tmp_path, capsys):
+    # one parser serves every main call in a process; after a call that
+    # argparse refuses, and one whose range _glue_degree_ranges folds in,
+    # each call still exits and prints as a fresh process does
+    import ainfty
+
+    assert build_parser() is build_parser()
+    path = tmp_path / "e2.json"
+    path.write_text(serialize(fixture_document("exterior2")))
+    package_root = os.path.dirname(os.path.dirname(ainfty.__file__))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+    }
+    calls = [
+        ["hh", str(path), "--length", "3", "--degrees"],
+        ["hh", str(path), "--length", "3", "--degrees", "-2..4"],
+        ["hh", str(path), "--length", "3"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ainfty", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        codes.append(code)
+    assert codes == [2, 0, 0]
 
 
 def _stdout_of(command, text):

@@ -288,12 +288,13 @@ def test_clearing_waits_for_the_composite_check():
 @pytest.mark.parametrize("name", ALGEBRA_FIXTURES)
 def test_cleared_ranks_are_the_whole_boundaries_ranks(monkeypatch, name, module, p):
     # visited upwards, every d_j past the lowest is factored without the
-    # pivot columns of d_{j-1}; each rank is still that of the whole matrix
-    skipped = []
+    # pivot columns of d_{j-1}; each rank is still that of the whole matrix.
+    # Each d_j with an entry reaches rank_modp once, a zero map never
+    calls = []
     original = homology.rank_modp
 
     def recorded(mat, q, skip=()):
-        skipped.append(len(skip))
+        calls.append((mat, len(skip)))
         return original(mat, q, skip)
 
     monkeypatch.setattr(homology, "rank_modp", recorded)
@@ -302,9 +303,12 @@ def test_cleared_ranks_are_the_whole_boundaries_ranks(monkeypatch, name, module,
         fc.homology(j)
     factored = sorted(fc._factors)
     assert factored == sorted(fc.basis) + [max(fc.basis) + 1]
+    ranks = {j: len(fc._factors[j]) for j in factored}
+    nonzero = [j for j in factored if fc.boundary(j).by_row]
+    assert [id(mat) for mat, _ in calls] == [id(fc.boundary(j)) for j in nonzero]
+    assert [s for _, s in calls] == [ranks.get(j - 1, 0) for j in nonzero]
     for j in factored:
-        assert fc._factored(j) == [1] * original(fc.boundary(j), p)[0]
-    assert sum(skipped) == sum(len(fc._factored(j)) for j in factored[:-1])
+        assert fc._factors[j] == [1] * original(fc.boundary(j), p)[0]
 
 
 def _record_smith(monkeypatch):
@@ -585,7 +589,8 @@ def test_public_constructors_still_check_entries():
 
 def test_homology_and_cohomology_share_one_composite_check(monkeypatch):
     # H_j and H^j read the same pair of boundaries; that pair is checked to
-    # compose to zero once, and the SNF self-check multiplies no matrices
+    # compose to zero once, by a product only when neither side is a zero
+    # map, and the SNF self-check multiplies no matrices
     fc = HochschildComplex(diagonal_bimodule(load("dual_numbers").algebra), 4).truncation()
     products = []
     original = ExactMatrix.__matmul__
@@ -599,11 +604,57 @@ def test_homology_and_cohomology_share_one_composite_check(monkeypatch):
         fc.homology(j)
         fc.cohomology(j)
         fc.homology(j)
-    assert len(products) == len(fc.basis)
+    pairs = [j for j in sorted(fc.basis) if fc.boundary(j).by_row and fc.boundary(j + 1).by_row]
+    assert 0 < len(pairs) < len(fc.basis)
+    assert products == [(fc.boundary(j).rows, fc.boundary(j + 1).cols) for j in pairs]
     # over Z the torsion of H^j is that of H_{j-1}, and the free ranks agree
     for j in sorted(fc.basis):
         assert fc.cohomology(j).free_rank == fc.homology(j).free_rank
         assert fc.cohomology(j).torsion == fc.homology(j - 1).torsion
+
+
+@pytest.mark.parametrize(
+    "ring,rows,co_rows",
+    [
+        (Z, ["Z^1", "Z/2", "0"], ["Z^1", "0", "Z/2"]),
+        (Zp(3), ["dim 1", "dim 0", "dim 0"], ["dim 1", "dim 0", "dim 0"]),
+    ],
+    ids=["Z", "Z3"],
+)
+def test_a_zero_boundary_reaches_no_eliminator(monkeypatch, ring, rows, co_rows):
+    # c -> 2b, b -> 0: d_1 is a zero map between the nonempty degrees 1 and 0,
+    # stored with no entry. It reaches neither _smith nor rank_modp, and the
+    # rows are those of its factors from the eliminator, which are none
+    images = {"c": {"b": 2}}
+    fc = image_complex(ring, {0: ["a"], 1: ["b"], 2: ["c"]}, lambda k: images.get(k, {}))
+    zero = fc.boundary(1)
+    assert (zero.rows, zero.cols, zero.by_row) == (1, 1, {})
+    assert invariant_factors(zero) == [] and rank_modp(zero, 3) == (0, frozenset())
+    calls = []
+    for name in ("_smith", "rank_modp"):
+        original = getattr(homology, name)
+        monkeypatch.setattr(
+            homology, name, lambda mat, *args, f=original: calls.append(mat) or f(mat, *args)
+        )
+    assert [str(fc.homology(j)) for j in range(3)] == rows
+    assert [str(fc.cohomology(j)) for j in range(3)] == co_rows
+    assert calls == [fc.boundary(2)] and fc._factors[1] == []
+
+
+@pytest.mark.parametrize(
+    "boundaries",
+    [
+        {2: ExactMatrix(2, 1, {(0, 0): 1})},
+        {1: ExactMatrix(1, 2, {(0, 0): 1})},
+        {1: ExactMatrix(1, 1), 2: ExactMatrix(2, 1, {(1, 0): 1})},
+    ],
+    ids=["missing-out", "missing-in", "stored-zero-out"],
+)
+def test_a_misaligned_pair_with_a_zero_side_still_raises(boundaries):
+    # the composite of a zero side is zero, but only once the shapes line up
+    fc = FiniteComplex(Z, {0: ["a"], 1: ["b"], 2: ["c"]}, boundaries)
+    with pytest.raises(IndexError, match="^boundary matrices do not line up$"):
+        fc.composite_failures(2)
 
 
 def test_the_composite_check_reads_products_mod_p():
