@@ -3,14 +3,15 @@
 Matrices are sparse and held by rows. One sparse eliminator
 diagonalises a matrix over Z or Z/p: it peels the columns holding a single
 unit with no row or column operation, then reduces the rest from a heap,
-least absolute value first, recording its operations in sparse rows of U
-and columns of V. Up to order M = [[T, X], [0, M']], T unit triangular, so
-SNF(M) = I (+) SNF(M'). Each factorization certifies the peel in one pass
-over M and checks D' = U'*M'*V' on the residual M' by exact products: so
-D = U*M*V. Callers that read V complete it by back substitution and check
-it by product. Complexes reach the homology engine as matrices only and
-factor d_j without the rows that are pivot columns of d_{j-1} (clearing;
-over Z only the peel's, see FiniteComplex).
+least absolute value first. It records a sparse row of U for every pivot,
+and as V'' only the column operations that leave a remainder: a unit
+pivot needs none. Each factorization certifies W = U*M*V'' one row of U at
+a time: up to unit column operations, which clear W's unit rows, W is D,
+so D = U*M*V (_certify). Callers that read V build it by those column
+operations and check it by product (_complete_v). Complexes reach the
+homology engine as matrices only and factor d_j without the rows that are
+pivot columns of d_{j-1} (clearing; over Z only the peel's, see
+FiniteComplex).
 
 by_row maps each row to {col: c}, with no empty row and no zero c
 (Gustavson, 1978); every reader takes the rows as stored.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import InternalInvariant, NotAComplex, NotChainMap
 from .rings import CoefficientRing
@@ -100,193 +101,172 @@ class ExactMatrix:
 def smith_normal_form(mat: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """Return (D, U, V) with D = U @ mat @ V, D diagonal with d1 | d2 | ... > 0.
 
-    V is completed from _smith's V' and checked by product; U and V come back square.
+    U and V come back square (V from _complete_v); the triple is checked by product.
     """
-    diagonal, u_rows, v_cols, peel = _smith(mat, None)
-    if peel:  # else V = V' and mat = M', checked as such
-        v_cols = _complete_v(mat, None, peel, v_cols)
-        _check_umv(mat, u_rows, v_cols, diagonal, None)
-    u_rows += _units(mat.rows, mat.by_row)
-    v_cols += _units(mat.cols, {j for row in mat.by_row.values() for j in row})
+    diagonal, _, pieces = _smith(mat, None)
+    u_rows = [q[1] for q in pieces[0]] + pieces[1]
+    u_rows += [{i: 1} for i in range(mat.rows) if i not in mat.by_row]
     D = ExactMatrix._adopt(mat.rows, mat.cols, {t: {t: d} for t, d in enumerate(diagonal)})
     U = ExactMatrix._adopt(mat.rows, mat.rows, dict(enumerate(u_rows)))
-    return D, U, ExactMatrix.from_columns(mat.cols, v_cols)
+    V = ExactMatrix.from_columns(mat.cols, _complete_v(mat, None, pieces))
+    if U @ mat @ V != D:
+        raise InternalInvariant("SNF self-check failed: D != U*M*V")
+    return D, U, V
 
 
-def _units(n: int, support: Collection[int]) -> list[dict[int, int]]:
-    """The unit vectors e_k, k < n ascending, for each k outside support."""
-    return [{k: 1} for k in range(n) if k not in support]
-
-
-def _smith(mat: ExactMatrix, p: int | None) -> tuple[list[int], list[dict], list[dict], list]:
+def _smith(mat: ExactMatrix, p: int | None) -> tuple[list[int], list[int], tuple]:
     """Smith normal form over Z (p is None) or over Z/p, as sparse pieces.
 
-    Returns (diagonal, rows of U_s, columns of V', peel): the peel's pivots,
-    then the heap's, whose non-unit ones are merged into the divisibility
-    chain by 2x2 moves diag(a, b) -> diag(gcd, lcm). U_s has a row per
-    support row of mat, V' a column per support column of the residual M'
-    (see _eliminate); peel lists the peel's (r_k, c_k). The peel's
-    certificate (_check_peel) and D' = U'*M'*V' (_check_umv) prove D =
-    U*M*V for U = U_peel (+) U' and V = [[T^-1 S, -T^-1 X V'], [0, V']], S
-    = diag(M[r_k, c_k]), which _complete_v builds for the callers that read
-    V. Mod p every pivot is 1, and U, V and the checks are reduced mod p.
+    Returns (diagonal, peel, (chain, u_rest, v)). chain holds the pivots
+    [d, row of U, column of V'' or None, r, c] of _eliminate: its unit
+    ones in elimination order, the peel's first, then the others, merged
+    into the divisibility chain by 2x2 moves diag(a, b) -> diag(gcd, lcm);
+    peel lists the peel's pivot columns c_k. u_rest and v are _eliminate's.
+    U_s, chain's rows then u_rest, has a row per support row of mat, and
+    _certify proves D = U*M*V for the V that _complete_v builds. Mod p every
+    pivot is 1, and U, V and the checks are reduced mod p.
     """
-    pivots, u_rest, v_rest, n = _eliminate(mat, p)
-    peel = pivots[:n]
-    residual = _check_peel(mat, peel, p) if peel else mat
-    units = [q for q in pivots[n:] if q[0] == 1]
-    torsion = [q for q in pivots[n:] if q[0] != 1]
+    pivots, u_rest, v, peeled = _eliminate(mat, p)
+    # told apart before the merge, which can turn a torsion pivot into a unit
+    units = [q for q in pivots if q[0] == 1]
+    torsion = [q for q in pivots if q[0] != 1]
     for a in range(len(torsion)):
         for b in range(a + 1, len(torsion)):
             if torsion[b][0] % torsion[a][0]:
                 _gcd_lcm_move(torsion[a], torsion[b])
     chain = units + torsion
-    u_rows = [q[1] for q in chain] + u_rest
-    v_cols = [q[2] for q in chain] + v_rest
-    _check_umv(residual, u_rows, v_cols, [q[0] for q in chain], p)
-    diagonal = [q[0] for q in peel + chain]
-    return diagonal, [q[1] for q in peel] + u_rows, v_cols, [(q[3], q[4]) for q in peel]
+    if any(len(q[1]) != 1 for q in pivots[:peeled]):  # FiniteComplex clears by the peel's rows
+        raise InternalInvariant("SNF self-check failed: a peel row of U is not one row of M")
+    _certify(mat, chain, u_rest, v, p)
+    return [q[0] for q in chain], [q[4] for q in pivots[:peeled]], (chain, u_rest, v)
 
 
-def _check_peel(mat: ExactMatrix, peel: list[list], p: int | None) -> ExactMatrix:
-    """The peel's certificate, in one pass over mat; returns M', mat without the peeled rows.
+def _certify(mat: ExactMatrix, chain: list, u_rest: list, v: dict, p: int | None) -> None:
+    """Check W = U_s*M*V'' one row of U_s at a time (mod p when p is given).
 
-    Peel pivot k, [d, U row, -, r_k, c_k], must sit on a unit a = M[r_k,
-    c_k] (+-1 over Z) with U row {r_k: x}, x*a = d, and every entry of
-    column c_k (mod p, not divisible by p) must lie in a row r_m, m <= k.
-    (A row taken twice fails that.) So M = [[T, X], [0, M']] up to order, T
-    unit upper triangular, and with V's column k solving M w = a e_{r_k},
-    row k of U*M*V is d at column k and zero elsewhere.
-    """
-    order, by_row = {q[3]: k for k, q in enumerate(peel)}, mat.by_row
-    for d, ur, _, r, c in peel:
-        a, x = by_row[r].get(c, 0) if r in by_row else 0, ur.get(r, 0)
-        wrong = (x * a - d) % p if p else x * a != d
-        if len(ur) != 1 or not (a % p if p else a in (1, -1)) or wrong:
-            raise InternalInvariant(f"SNF self-check failed: D != U*M*V at peel pivot ({r}, {c})")
-    last, columns, rest = len(peel), {q[4]: k for k, q in enumerate(peel)}, {}
-    for i, row in by_row.items():
-        m = order.get(i, last)
-        for j, x in row.items():
-            if m > columns.get(j, last) and (p is None or x % p):
-                raise InternalInvariant(f"SNF self-check failed: peel column {j} in a later row")
-        if m == last:
-            rest[i] = row
-    return ExactMatrix._adopt(mat.rows, mat.cols, rest)
-
-
-def _complete_v(mat: ExactMatrix, p: int | None, peel: list, v_cols: list, start: int = 0) -> list:
-    """V's columns on mat's support from the start-th on, completed by back substitution.
-
-    peel and v_cols are _smith's. Column k of V solves M w = M[r_k, c_k]
-    e_{r_k} from w = e_{c_k}; a column of V', or e_j for a column j with
-    entries in peeled rows only, is extended so that M w vanishes on the
-    peeled rows. Both set w[c_k] = -M[r_k, c_k]^-1 * sum_{j != c_k} M[r_k,
-    j] w[j], in reverse peel order where row r_k meets w: column c_k holds
-    no entry below row r_k, so the sum is final.
-    """
-    index = {r: k for k, (r, _) in enumerate(peel)}
-    rows: list[dict[int, int]] = [{} for _ in peel]
-    hits: dict[int, list[int]] = {}  # column j -> the k with M[r_k, j] != 0
-    kept = set()
-    for i, row in mat.by_row.items():
-        row = row if p is None else {j: x for j, x in row.items() if x % p}
-        if i not in index:
-            kept.update(row)
-            continue
-        rows[index[i]] = row
-        for j in row:
-            hits.setdefault(j, []).append(index[i])
-    inverse = [pow(rows[k][c], -1, p) if p else rows[k][c] for k, (_, c) in enumerate(peel)]
-
-    def solve(w, below):
-        heap = [-k for j in w for k in hits.get(j, ()) if k < below]
-        heapq.heapify(heap)
-        while heap:
-            k = -heapq.heappop(heap)
-            if k < below:
-                below, c = k, peel[k][1]
-                f = -inverse[k] * sum(x * w.get(j, 0) for j, x in rows[k].items() if j != c)
-                w[c] = f % p if p else f
-                for m in hits[c] if w[c] else ():
-                    heapq.heappush(heap, -m)
-        return {j: x for j, x in w.items() if x}
-
-    lost = sorted(hits.keys() - kept - {c for _, c in peel})
-    rest = v_cols[max(start - len(peel), 0) :] + [{j: 1} for j in lost]
-    peeled = [solve({c: 1}, k) for k, (_, c) in enumerate(peel) if k >= start]
-    return peeled + [solve(w, len(peel)) for w in rest]
-
-
-def _check_umv(mat: ExactMatrix, u_rows: list, v_cols: list, diagonal: list, p: int | None) -> None:
-    """D_s = U_s*M_s*V_s on the support block, one row of U_s at a time (mod p when p is given).
-
-    _smith runs it on the residual M' with U' and V', smith_normal_form on
-    mat with V completed. u_rows and v_cols are U and V on the support rows
-    and columns of M and mention no other index. Off the support M is zero
-    and U and V are the identity, so D = U*M*V holds on the whole matrix
-    exactly when it holds on the block: row t of U_s*M*V_s must be
-    diagonal[t] at column t, or zero past the rank. Only V_s is regrouped by
-    rows; no product is held as a matrix. A lost vector of U_s or V_s would
-    pass the products, so their counts are checked first.
+    chain, u_rest and v are _smith's. U_s must have one row per support row
+    of mat: a lost row would pass the rest. In chain's order, pivot k's row
+    of W must hold d_k at c_k and nothing at an earlier pivot's column, and
+    nothing else at all unless d_k = 1; the rows of u_rest must vanish.
+    Then the unit rows' column operations clear W to D (_complete_v), and
+    off the support M is zero and U and V the identity: so D = U*M*V.
     """
     by_row = mat.by_row
-    support_rows = sum(any(p is None or x % p for x in row.values()) for row in by_row.values())
-    support_cols = {c for row in by_row.values() for c, x in row.items() if p is None or x % p}
-    if (len(u_rows), len(v_cols)) != (support_rows, len(support_cols)):
-        raise InternalInvariant("SNF self-check failed: U or V misses a support vector")
-    v_rows: dict[int, list[tuple[int, int]]] = {}
-    for s, col in enumerate(v_cols):
-        for c, x in col.items():
-            v_rows.setdefault(c, []).append((s, x))
-    for t, u in enumerate(u_rows):
-        um: dict[int, int] = {}
-        for i, a in u.items():
-            for c, x in by_row[i].items() if i in by_row else ():
-                um[c] = um.get(c, 0) + a * x
-        umv: dict[int, int] = {}
-        for c, y in um.items():
-            for s, x in v_rows.get(c, ()) if y else ():
-                umv[s] = umv.get(s, 0) + y * x
-        if p is not None:
-            umv = {s: z % p for s, z in umv.items()}
-        if {s: z for s, z in umv.items() if z} != ({t: diagonal[t]} if t < len(diagonal) else {}):
+    support = sum(any(x % p for x in row.values()) for row in by_row.values()) if p else len(by_row)
+    if len(chain) + len(u_rest) != support:
+        raise InternalInvariant("SNF self-check failed: U misses a support vector")
+    w_row = _w_rows(by_row, chain, v)[1]
+    taken = set()
+    for d, u, _, r, c in chain:
+        a, w = w_row(u)
+        at_c = 0
+        for j, y in w.items():
+            y = a * y % p if p else a * y
+            if y and j in taken:
+                raise InternalInvariant(f"SNF self-check failed: pivot column {j} in a later row")
+            if j == c:
+                at_c = y
+            elif y and d != 1:
+                at_c = 0  # a non-unit pivot's row holds d alone
+                break
+        if at_c != d:
+            raise InternalInvariant(f"SNF self-check failed: D != U*M*V at pivot ({r}, {c})")
+        taken.add(c)
+    for u in u_rest:
+        a, w = w_row(u)
+        if any(a * y % p if p else y for y in w.values()):
             raise InternalInvariant("SNF self-check failed: D != U*M*V")
+
+
+def _w_rows(by_row: dict, chain: list, v: dict) -> tuple[dict, Callable]:
+    """The moved columns of V'', and the map u -> (a, w) with W's row u*M*V'' = a*w.
+
+    V'' moves a pivot's recorded column and those of v. w is not reduced mod
+    p; for a one-entry u = {i: a} that V'' does not touch, it is M's row i.
+    """
+    moved = {q[4]: q[2] for q in chain if q[2]}
+    moved.update(v)
+    v_rows: dict[int, list[tuple[int, int]]] = {}
+    for j, col in moved.items():
+        for i, x in col.items():
+            v_rows.setdefault(i, []).append((j, x))
+    touched = v_rows.keys() | moved.keys()
+
+    def w_row(u: dict[int, int]) -> tuple[int, dict[int, int]]:
+        if len(u) == 1:
+            ((i, a),) = u.items()
+            um = by_row.get(i, {})
+        else:
+            a, um = 1, {}
+            for i, b in u.items():
+                for j, x in by_row[i].items() if i in by_row else ():
+                    um[j] = um.get(j, 0) + b * x
+        if not touched or touched.isdisjoint(um):
+            return a, um
+        w = {j: y for j, y in um.items() if j not in moved}
+        for i, y in um.items():
+            for j, x in v_rows.get(i, ()):
+                w[j] = w.get(j, 0) + y * x
+        return a, w
+
+    return moved, w_row
+
+
+def _complete_v(mat: ExactMatrix, p: int | None, pieces: tuple, start: int = 0) -> list:
+    """V's columns from the start-th on, pieces being _smith's: the pivots'
+    in chain order, then the others ascending.
+
+    V = V''*Y, where Y clears W's unit rows by a forward sweep: in chain
+    order, unit row k, which holds 1 at c_k, takes x times column c_k off
+    each other column j where it holds x. Only an earlier row holds an
+    entry at c_k, so column c_k is final when row k is reached, and the
+    rows not reached yet are left as they were.
+    """
+    chain, _, v = pieces
+    moved, w_row = _w_rows(mat.by_row, chain, v)
+    columns = {j: dict(col) for j, col in moved.items()}
+    for d, u, _, _, c in chain:
+        if d == 1:
+            a, w = w_row(u)
+            vc = columns.get(c, {c: 1})
+            for j, y in w.items():
+                y = a * y % p if p else a * y
+                if y and j != c:
+                    columns[j] = _axpy(columns[j] if j in columns else {j: 1}, -y, vc, p)
+    order = [q[4] for q in chain]
+    taken = set(order)
+    order += [j for j in range(mat.cols) if j not in taken]
+    return [columns.get(j, {j: 1}) for j in order[start:]]
 
 
 def _eliminate(
     mat: ExactMatrix, p: int | None = None, track: bool = True, skip: Collection[int] = ()
-) -> tuple[list[list], list[dict[int, int]], list[dict[int, int]], int]:
+) -> tuple[list[list], list[dict[int, int]], dict[int, dict[int, int]], int]:
     """Sparse elimination of mat to a diagonal, over Z or (p given) over Z/p.
 
-    Returns (pivots, u_rest, v_rest, peeled). Each pivot is [d, row of U,
-    column of V, r, c], taken at entry (r, c) of mat. The first peeled are
-    the peel's: a unit a, d = 1, U row {r: a^-1} and no column of V (None).
-    The rows in skip are dropped as mat is loaded.
+    Returns (pivots, u_rest, v, peeled). Each pivot is [d, row of U, column
+    of V'' or None (e_c), r, c], taken at entry (r, c); the first peeled are
+    the peel's, with U row {r: a^-1}. The rows in skip are dropped as mat is
+    loaded. u_rest are the rows of U left without a pivot, ascending, on the
+    support rows the peel leaves (mod p, entries not divisible by p), and v
+    the other columns of V'' that are not unit vectors (none mod p).
 
     The peel takes, first in first out, a column holding one entry, a unit
     (+-1 over Z), among the rows left, and deletes its row with no row or
     column operation; the columns the row leaves with one entry are queued.
-    So a peeled column holds no entry in a row peeled later or left, and
-    the heap works on the residual M', mat without the peeled rows. Such a
-    column has the least key, (1, 0), of the heap's rule, so the peel only
-    breaks its ties (structured Gaussian elimination). The heap's U' and V'
-    mention only the support rows and columns of M' (mod p, entries not
-    divisible by p); u_rest and v_rest are those left without a pivot,
-    ascending, so u_rest*M' and M'*v_rest vanish.
-
-    The heap's next pivot is the entry of least absolute value (mod p each
-    is a unit), ties broken by least Markowitz cost (row nnz - 1) * (col
-    nnz - 1); keys are re-validated when popped. Row operations reduce the
-    pivot column to nearest remainders, recorded in U'; once it is clear,
-    column operations reduce the pivot row, recorded in V', and U's row is
-    scaled by the pivot's inverse. A nonzero remainder is smaller than the
-    pivot, so the pivot goes back and the remainder is taken first: a pivot
-    is taken only when its row and column are clear, and each failed
-    attempt lowers the least absolute value, so the elimination ends. With
-    track=False (rank only) U' and V' are not updated. Over a field only
-    row operations are then made, so the pivot columns are independent
-    columns of mat, as many as its rank.
+    Such a column has the least key, (1, 0), of the heap's rule, so the peel
+    only breaks its ties (structured Gaussian elimination). The heap's next
+    pivot is the entry of least absolute value (mod p each is a unit), ties
+    broken by least Markowitz cost (row nnz - 1) * (col nnz - 1); keys are
+    re-validated when popped. Row operations reduce the pivot column to
+    nearest remainders, recorded in U; then column operations reduce a
+    non-unit pivot's row, recorded in V''. A nonzero remainder is smaller
+    than the pivot, so the pivot goes back and the remainder is taken first:
+    each such round lowers the least absolute value, so the elimination ends.
+    A pivot is taken once its column is clear and it is a unit or its row is
+    clear too: its row goes with what it holds, and its U row is scaled by
+    a^-1. With track=False (rank only) U and V'' are not recorded, and over
+    a field the pivot columns are independent columns of mat.
     """
     field = p is not None
     rows: dict[int, dict[int, int]] = {}
@@ -318,9 +298,7 @@ def _eliminate(
                     queue.append(j)
             pivots.append([1, {r: pow(a, -1, p) if field else a}, None, r, c])
     peeled = len(pivots)
-    if track:
-        support_rows = sorted(rows)
-        support_cols = sorted(j for j, col in cols.items() if col)
+    support_rows = sorted(rows) if track else ()
     heap = [
         (1 if field else abs(c), (len(row) - 1) * (len(cols[j]) - 1), i, j)
         for i, row in rows.items()
@@ -383,14 +361,11 @@ def _eliminate(
                     rest[j] = x - f * a
             row = rest
         if not kept and (size == 1 or not row):
-            # a is a unit, or the rest of its row is empty
-            ur, vc = u.pop(r, {r: 1}), v.pop(c, {c: 1})
-            if track:
-                for j, x in row.items():
-                    v[j] = _axpy(v[j] if j in v else {j: 1}, -x * inv, vc, p)
-                if inv != 1:
-                    ur = _axpy({}, inv, ur, p)
-            pivots.append([1 if field else size, ur, vc, r, c])
+            # a is a unit, or the rest of its row is empty: the row goes as it is
+            ur = u.pop(r, {r: 1})
+            if track and inv != 1:
+                ur = _axpy({}, inv, ur, p)
+            pivots.append([1 if field else size, ur, v.pop(c, None), r, c])
             continue
         # a remainder is left, smaller than the pivot: the pivot goes back
         rows[r], row[c] = row, a
@@ -400,12 +375,9 @@ def _eliminate(
         for i, j in [(i, c) for i in kept] + [(r, j) for j in row]:
             target = rows[i]
             heapq.heappush(heap, (abs(target[j]), (len(target) - 1) * (len(cols[j]) - 1), i, j))
-    if not track:
-        return pivots, [], [], peeled
-    pivot_rows, pivot_cols = {q[3] for q in pivots}, {q[4] for q in pivots}
+    pivot_rows = {q[3] for q in pivots} if track else ()
     u_rest = [u[i] if i in u else {i: 1} for i in support_rows if i not in pivot_rows]
-    v_rest = [v[j] if j in v else {j: 1} for j in support_cols if j not in pivot_cols]
-    return pivots, u_rest, v_rest, peeled
+    return pivots, u_rest, v, peeled
 
 
 def _axpy(acc: dict[int, int], f: int, vec: dict[int, int], p: int | None) -> dict[int, int]:
@@ -434,13 +406,13 @@ def _gcd_lcm_move(p: list, q: list) -> None:
     """Turn diag(a, b) into diag(g, lcm) on pivots p, q, with g = gcd(a, b) = x*a + y*b.
 
     U's rows become (x, y; -b/g, a/g) times the old pair and V's columns
-    the old pair times (1, -y*b/g; 1, x*a/g); both 2x2 blocks have
-    determinant x*a/g + y*b/g = 1.
+    (None: the unit vector e_c) the old pair times (1, -y*b/g; 1, x*a/g);
+    both 2x2 blocks have determinant x*a/g + y*b/g = 1.
     """
     a, b = p[0], q[0]
     g, x, y = _xgcd(a, b)
     p[0], q[0] = g, a // g * b
-    u, v = (p[1], q[1]), (p[2], q[2])
+    u, v = (p[1], q[1]), (p[2] or {p[4]: 1}, q[2] or {q[4]: 1})
     p[1], q[1] = _mix((x, y), u), _mix((-(b // g), a // g), u)
     p[2], q[2] = _mix((1, 1), v), _mix((-y * (b // g), x * (a // g)), v)
 
@@ -476,14 +448,10 @@ def rank_modp(
 def kernel_basis(mat: ExactMatrix, ring: CoefficientRing) -> ExactMatrix:
     """Columns form a basis of the kernel (over Z, of the kernel lattice).
 
-    They are V's columns past the rank, completed (_complete_v) and checked
-    by M*K = 0, then the unit vector e_j of each empty column j.
+    They are V's columns past the rank (_complete_v), checked by M*K = 0.
     """
-    p = ring.p
-    diagonal, _, v_cols, peel = _smith(mat, p)
-    used = {j for row in mat.by_row.values() for j, c in row.items() if p is None or c % p}
-    kernel = _complete_v(mat, p, peel, v_cols, len(diagonal)) + _units(mat.cols, used)
-    K = ExactMatrix.from_columns(mat.cols, kernel)
+    diagonal, _, pieces = _smith(mat, ring.p)
+    K = ExactMatrix.from_columns(mat.cols, _complete_v(mat, ring.p, pieces, len(diagonal)))
     if _failing_keys(range(K.cols), (mat @ K).by_row.values(), ring):
         raise InternalInvariant("SNF self-check failed: M*K != 0 on the kernel basis K")
     return K
@@ -562,8 +530,10 @@ class FiniteComplex:
     pivot columns of d_{j-1}; the P of the cleared d_j serve d_{j+1} in turn.
     Over Z/p P is every pivot column of d_{j-1}: they are independent, so
     deleting the rows P keeps the rank of d_j. Over Z, P is only the peel's
-    columns: its certificate, checked as d_{j-1} is factored, puts a
-    unit-triangular |P| x |P| block in d_{j-1}[:, P], within its kept rows.
+    columns. V'' is the identity on them and a peel pivot's row of U is a
+    unit times a row of d_{j-1} (checked by _smith), so the certificate
+    (_certify), checked as d_{j-1} is factored, reads a unit-triangular
+    |P| x |P| block in d_{j-1}[:, P], within its kept rows, through W.
     So y in Z^P with d_{j-1} y in nZ lies in nZ^P: ker d_{j-1} meets
     span(e_P) in 0 and projects onto a saturated sublattice, and deleting
     the rows P keeps every invariant factor of d_j, torsion too.
@@ -604,8 +574,8 @@ class FiniteComplex:
                 if skip:
                     kept = {i: row for i, row in d.by_row.items() if i not in skip}
                     d = ExactMatrix._adopt(d.rows, d.cols, kept)
-                factors, _, _, peel = _smith(d, None)
-                pivot_cols = {c for _, c in peel}
+                factors, peel, _ = _smith(d, None)
+                pivot_cols = set(peel)
             if j + 1 not in self._factors:
                 self._pivot_cols[j] = pivot_cols
             self._factors[j] = factors

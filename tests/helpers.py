@@ -33,7 +33,7 @@ chain, the Z^r membership tests, the homology table of a truncation and the
 degree of a chain are reported by no command, so they live here too, as does
 the whole factoring of a boundary over Z (whole_factors), kept to check the
 cleared one that replaced it; so do
-from_dense and is_trivial, which only tests call, and mod,
+from_dense, is_trivial and call_arguments, which only tests call, and mod,
 morphism_is_chain_map_00 and component_word, the former
 ExactMatrix.mod, the former library check of f_{0,0} and the former
 BimoduleMorphism.component_word, which no library code calls. The word-level
@@ -49,6 +49,7 @@ word by word. The cup product with every spectator word enumerated
 check the entry walk that replaced it.
 """
 
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -145,6 +146,14 @@ def from_dense(dense):
     return ExactMatrix(
         rows, cols, {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
     )
+
+
+def call_arguments(fn, *args, **kwargs):
+    """fn's arguments on this call by name, defaults filled in: for wrappers
+    that forward every argument and read one of them."""
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def is_trivial(summary):

@@ -191,6 +191,10 @@ def few_unit_matrices(draw):
 @example(from_dense([[2, 3], [3, 2]]))
 @example(from_dense([[89, 55], [55, 34]]))
 @example(from_dense([[4, 6], [6, 9]]))
+# a merge that turns a torsion pivot into a unit, gcd(3, 4) = 1
+@example(from_dense([[4, 0], [6, 3]]))
+# a unit pivot taken after a remainder round, carrying that round's V'' column
+@example(from_dense([[-2, 3, 0], [6, -2, 0]]))
 def test_snf_matches_block_only_oracle(mat):
     D = _check_snf(mat)
     assert D == block_snf(mat)[0]

@@ -24,6 +24,7 @@ from ainfty.errors import DocumentError, UnknownFixture
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 
 from helpers import (
+    call_arguments,
     cochain_complex,
     degree_one_document,
     dense_rank_modp,
@@ -891,9 +892,9 @@ def test_each_boundary_is_factored_once(tmp_path, capsys, monkeypatch, command, 
     original = getattr(homology, factor)
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(homology, factor, counted)
     code, out, _ = run_cli([command, str(path), "--length", "3"], capsys)
@@ -926,9 +927,9 @@ def test_empty_degrees_factor_nothing(
     calls = Counter()
     original, matmul = getattr(homology, factor), homology.ExactMatrix.__matmul__
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[factor] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     def counted_matmul(*args):
         calls["matmul"] += 1
@@ -980,9 +981,10 @@ def test_clearing_hands_the_eliminator_fewer_rows(tmp_path, capsys, monkeypatch)
     original = homology._eliminate
     calls = []
 
-    def recorded(mat, p=None, track=True, skip=()):
-        out = original(mat, p, track, skip)
-        calls.append((mat, set(skip), {q[4] for q in out[0]}))
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        arguments = call_arguments(original, *args, **kwargs)
+        calls.append((arguments["mat"], set(arguments["skip"]), {q[4] for q in out[0]}))
         return out
 
     monkeypatch.setattr(homology, "_eliminate", recorded)
@@ -1054,30 +1056,40 @@ def test_peeling_unit_singletons_cuts_heap_traffic(tmp_path, capsys, monkeypatch
     assert traffic == {"heapified": 696, "pushed": 239, "popped": 935}
 
 
-def test_snf_check_multiplies_only_what_the_heap_leaves(tmp_path, capsys, monkeypatch):
-    # hh exterior2 at L=5 over Z: the peel is certified in one pass over each
-    # boundary, so the D = U*M*V check multiplies only the heap's U' and V'
-    # on the residual, 131 rows and 418 entries (412 when the eliminator
-    # loaded entry by entry in the walk's order: the load order picks among
-    # tied pivots, and so V's fill-in). Column operations of the peel,
-    # checked row by row through the whole of V, took 1111 rows of U and
-    # 9833 entries of V.
+@pytest.mark.parametrize(
+    "fixture,length,work",
+    [
+        ("exterior2", "5", {"u_rows": 1111, "long_u_rows": 70, "v_entries": 0}),
+        ("truncated_poly3", "6", {"u_rows": 853, "long_u_rows": 63, "v_entries": 20}),
+    ],
+)
+def test_snf_certificate_reads_u_and_only_the_remainders_v(
+    tmp_path, capsys, monkeypatch, fixture, length, work
+):
+    # hh over Z: the certificate reads one row of U per support row, most of
+    # them one entry (every peel row and most heap rows), and V'' holds only
+    # the column operations of remainder rounds, none on exterior2, which has
+    # no torsion. The heap's V', with a column operation at every unit pivot,
+    # held 418 entries on exterior2 at L=5, and on Z[S_3] at L=4 135 360.
     import ainfty.homology as homology
 
-    original = homology._check_umv
-    work = Counter()
+    original = homology._certify
+    counted = Counter()
 
-    def counted(mat, u_rows, v_cols, diagonal, p):
-        work["u_rows"] += len(u_rows)
-        work["v_entries"] += sum(len(v) for v in v_cols)
-        return original(mat, u_rows, v_cols, diagonal, p)
+    def recorded(mat, chain, u_rest, v, p):
+        u_rows = [q[1] for q in chain] + u_rest
+        counted["u_rows"] += len(u_rows)
+        counted["long_u_rows"] += sum(len(u) > 1 for u in u_rows)
+        counted["v_entries"] += sum(len(q[2]) for q in chain if q[2])
+        counted["v_entries"] += sum(map(len, v.values()))
+        return original(mat, chain, u_rest, v, p)
 
-    monkeypatch.setattr(homology, "_check_umv", counted)
-    path = tmp_path / "e2.json"
-    path.write_text(serialize(fixture_document("exterior2")))
-    code, _, _ = run_cli(["hh", str(path), "--length", "5"], capsys)
+    monkeypatch.setattr(homology, "_certify", recorded)
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(fixture_document(fixture)))
+    code, _, _ = run_cli(["hh", str(path), "--length", length], capsys)
     assert code == 0
-    assert work == {"u_rows": 131, "v_entries": 418}
+    assert counted == work
 
 
 def _dense_cells(monkeypatch):
@@ -1162,11 +1174,14 @@ def test_snf_transform_entries_stay_small(tmp_path, capsys, monkeypatch, command
     original = homology._smith
     entries = []
 
-    def recorded(*args):
-        diagonal, u_rows, v_cols, peel = original(*args)
-        for vector in u_rows + v_cols:
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        chain, u_rest, v = out[2]
+        for vector in [q[1] for q in chain] + [q[2] or {} for q in chain] + u_rest:
             entries.extend(vector.values())
-        return diagonal, u_rows, v_cols, peel
+        for vector in v.values():
+            entries.extend(vector.values())
+        return out
 
     monkeypatch.setattr(homology, "_smith", recorded)
     path = tmp_path / "tp3.json"
@@ -1405,8 +1420,8 @@ def test_internal_invariant_breach_exits_3(tmp_path, capsys, monkeypatch):
     # doubling the eliminator's recorded rows of U breaks D = U*M*V
     original = homology._eliminate
 
-    def doubled(*args):
-        pivots, *rest = original(*args)
+    def doubled(*args, **kwargs):
+        pivots, *rest = original(*args, **kwargs)
         for pivot in pivots:
             pivot[1] = {i: 2 * c for i, c in pivot[1].items()}
         return pivots, *rest
@@ -1445,6 +1460,34 @@ def test_heap_only_tamper_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error: SNF self-check failed: D != U*M*V" in err
+    assert "Traceback" not in err
+
+
+def test_v_column_tamper_exits_3(tmp_path, capsys, monkeypatch):
+    import ainfty.homology as homology
+
+    # doubling the V'' column of one non-unit pivot, once, doubles that
+    # pivot's entry of W = U*M*V'', which the certificate refuses
+    original = homology._eliminate
+    tampered = []
+
+    def doubled(*args, **kwargs):
+        pivots, u_rest, v, peeled = original(*args, **kwargs)
+        torsion = [q for q in pivots if q[0] > 1]
+        if not tampered and torsion:
+            pivot = torsion[0]
+            pivot[2] = {j: 2 * x for j, x in (pivot[2] or {pivot[4]: 1}).items()}
+            tampered.append(pivot)
+        return pivots, u_rest, v, peeled
+
+    monkeypatch.setattr(homology, "_eliminate", doubled)
+    path = tmp_path / "tp3.json"
+    path.write_text(serialize(fixture_document("truncated_poly3")))
+    code, out, err = run_cli(["hh", str(path), "--length", "4"], capsys)
+    assert len(tampered) == 1
+    assert code == 3
+    assert out == ""
+    assert "internal error: SNF self-check failed: " in err
     assert "Traceback" not in err
 
 

@@ -84,3 +84,27 @@ def test_group_ring_matches_burghelea(tmp_path, capsys, command, group, length, 
     assert max(rows) == length + offset
     for k in range(length):
         assert rows[k + offset] == expected_text(group, k, command, p), (k, rows)
+
+
+def test_symmetric_group_holds_a_small_v(tmp_path, capsys, monkeypatch):
+    # hh Z[S_3] at L=4 over Z: unit pivots make no column operation, so the
+    # V'' that _smith hands back holds only the column operations of
+    # remainder rounds. With one at every unit pivot, the heap's V' held
+    # 135 360 entries here.
+    import ainfty.homology as homology
+
+    original = homology._smith
+    held = []
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        chain, _, v = out[2]
+        held.append(sum(len(q[2]) for q in chain if q[2]) + sum(map(len, v.values())))
+        return out
+
+    monkeypatch.setattr(homology, "_smith", recorded)
+    path = tmp_path / "S3.json"
+    path.write_text(serialize(symmetric_group_document()))
+    assert main(["hh", str(path), "--length", "4"]) == 0
+    capsys.readouterr()
+    assert held and sum(held) < 3000

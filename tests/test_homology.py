@@ -32,6 +32,7 @@ from ainfty.rings import Z, Zp
 from helpers import (
     ALGEBRA_FIXTURES,
     basis_matrix,
+    call_arguments,
     cochain_complex,
     dense_rank_modp,
     dense_rank_q,
@@ -51,7 +52,7 @@ def test_snf_zero_matrix():
     # no entry, no support: the factorization holds nothing, and the public
     # transforms are the unit vectors of the empty rows and columns
     for p in (None, 2):
-        assert _smith(ExactMatrix(3, 2), p) == ([], [], [], [])
+        assert _smith(ExactMatrix(3, 2), p) == ([], [], ([], [], {}))
     D, U, V = smith_normal_form(ExactMatrix(3, 2))
     assert D.is_zero()
     assert U == ExactMatrix(3, 3, {(i, i): 1 for i in range(3)})
@@ -60,13 +61,14 @@ def test_snf_zero_matrix():
 
 def test_smith_is_sized_by_the_support():
     # one entry in a 10^6 x 10^6 matrix: the factorization, its transforms and
-    # its D = U*M*V check see one row and one column
+    # its certificate see one row and one column; the pivot 3 needs no
+    # column operation, so V'' records none
     big = ExactMatrix(10**6, 10**6, {(5, 7): 3})
-    assert _smith(big, None) == ([3], [{5: 1}], [{7: 1}], [])
+    assert _smith(big, None) == ([3], [], ([[3, {5: 1}, None, 5, 7]], [], {}))
     # mod p, an entry divisible by p is off the support; the unit 2 is
-    # peeled, so V' on the residual is empty and V's column is completed
+    # peeled, with U row {1: 2^-1}, and V's column is completed
     mat = ExactMatrix(3, 3, {(0, 0): 3, (1, 2): 2})
-    assert _smith(mat, 3) == ([1], [{1: 2}], [], [(1, 2)])
+    assert _smith(mat, 3) == ([1], [2], ([[1, {1: 2}, None, 1, 2]], [], {}))
     assert kernel_basis(mat, Zp(3)) == ExactMatrix(3, 2, {(0, 0): 1, (1, 1): 1})
 
 
@@ -77,8 +79,8 @@ def test_snf_check_counts_the_transform_vectors(monkeypatch, p):
     original = homology._eliminate
 
     def lossy(*args, **kwargs):
-        pivots, u_rest, v_rest, peeled = original(*args, **kwargs)
-        return pivots, u_rest[:-1], v_rest, peeled
+        pivots, u_rest, v, peeled = original(*args, **kwargs)
+        return pivots, u_rest[:-1], v, peeled
 
     monkeypatch.setattr(homology, "_eliminate", lossy)
     mat = from_dense([[1, 2], [2, 4]])
@@ -86,11 +88,31 @@ def test_snf_check_counts_the_transform_vectors(monkeypatch, p):
         kernel_basis(mat, Z if p is None else Zp(p))
 
 
+@pytest.mark.parametrize("p", [None, 3])
+def test_certificate_needs_the_rows_of_u_rest_to_vanish(p):
+    # (1 2; 2 4) leaves row 1 without a pivot, its row of U being e_1 - 2 e_0;
+    # e_1 alone passes the count of U's rows, but its row of W is (2, 4)
+    mat, chain = from_dense([[1, 2], [2, 4]]), [[1, {0: 1}, None, 0, 0]]
+    homology._certify(mat, chain, [{1: 1, 0: -2}], {}, p)
+    with pytest.raises(InternalInvariant, match=r"D != U\*M\*V$"):
+        homology._certify(mat, chain, [{1: 1}], {}, p)
+
+
+def test_certificate_needs_a_non_unit_row_to_hold_d_alone():
+    # (2 2): the pivot 2 at (0, 0) needs the column operation that V''
+    # records; without it W's row is (2, 2), and no unit row can clear it
+    mat, chain = from_dense([[2, 2]]), [[2, {0: 1}, None, 0, 0]]
+    homology._certify(mat, chain, [], {1: {1: 1, 0: -1}}, None)
+    with pytest.raises(InternalInvariant, match=r"D != U\*M\*V at pivot \(0, 0\)"):
+        homology._certify(mat, chain, [], {}, None)
+
+
 # The peel takes a chain here. Column 0 is the one singleton unit; deleting
 # row 0 leaves column 1 with its -1, and deleting row 1 leaves column 2 with
 # its 1. The peeled rows meet later-peeled columns (the 2 and the 3) and the
 # residual columns 3 and 4, column 5 lies in peeled rows only, and the
-# residual [[2, 2], [2, 4]] leaves the torsion Z/2 + Z/2.
+# residual [[2, 2], [2, 4]] leaves the torsion Z/2 + Z/2: its second pivot
+# is taken after a remainder round, which V'' records.
 PEELED_CHAIN = [
     [1, 2, 0, 1, 0, 2],
     [0, -1, 3, 0, 2, 1],
@@ -102,11 +124,11 @@ PEELED_CHAIN = [
 
 def test_completed_v_undoes_a_peeled_chain(monkeypatch):
     mat = from_dense(PEELED_CHAIN)
-    diagonal, u_rows, v_cols, peel = _smith(mat, None)
-    assert (diagonal, peel) == ([1, 1, 1, 2, 2], [(0, 0), (1, 1), (2, 2)])
-    assert u_rows[:3] == [{0: 1}, {1: -1}, {2: 1}]
-    # V' lives on the residual columns 3 and 4 alone
-    assert len(v_cols) == 2 and all(set(v) <= {3, 4} for v in v_cols)
+    diagonal, peel, (chain, u_rest, v) = _smith(mat, None)
+    assert (diagonal, peel, u_rest, v) == ([1, 1, 1, 2, 2], [0, 1, 2], [], {})
+    assert [q[1] for q in chain[:3]] == [{0: 1}, {1: -1}, {2: 1}]
+    # V'' moves one column, on the residual columns 3 and 4 alone
+    assert [q[2] for q in chain] == [None] * 4 + [{3: -1, 4: 1}]
     D, U, V = smith_normal_form(mat)
     assert U @ mat @ V == D
     assert abs(determinant(U)) == abs(determinant(V)) == 1
@@ -116,11 +138,11 @@ def test_completed_v_undoes_a_peeled_chain(monkeypatch):
         assert K.cols == 1 and (mod(product, ring.p) if ring.p else product).is_zero()
         # the kernel lattice (mod 3, the kernel) is spanned: K's factors are all 1
         assert homology._factor(K, ring) == [1]
-    # a wrong back-substitution step: a peeled coordinate of the last column off by one
+    # a wrong column operation: a peeled coordinate of the last column off by one
     original = homology._complete_v
 
-    def planted(*args):
-        columns = original(*args)
+    def planted(*args, **kwargs):
+        columns = original(*args, **kwargs)
         columns[-1][0] = columns[-1].get(0, 0) + 1
         return columns
 
@@ -148,24 +170,33 @@ def _double_a_peel_row(mat, pivots, peeled):
         pivots[0][1] = {i: 2 * c for i, c in pivots[0][1].items()}
 
 
+def _add_a_later_peel_row(mat, pivots, peeled):
+    # W's row keeps its 1 and gains entries only at a later pivot's column,
+    # but the peel's block in M, which clearing reads, is no longer its rows
+    if peeled > 1:
+        pivots[0][1] = {**pivots[0][1], **pivots[1][1]}
+
+
 @pytest.mark.parametrize(
     "tamper,message",
     [
-        (_claim_an_entry_2, "D != U*M*V at peel pivot"),
+        (_claim_an_entry_2, "D != U*M*V at pivot"),
         (_reverse_the_peel, "in a later row"),
-        (_double_a_peel_row, "D != U*M*V at peel pivot"),
+        (_double_a_peel_row, "D != U*M*V at pivot"),
+        (_add_a_later_peel_row, "a peel row of U is not one row of M"),
     ],
 )
 def test_peel_certificate_catches_a_tampered_peel(tmp_path, capsys, monkeypatch, tamper, message):
-    # the peel's pivots carry no column of V, so only the certificate reads
+    # the peel's pivots carry no column of V'', so only the certificate reads
     # them: a pivot on an entry 2, an order that leaves a peeled column with
-    # an entry in a later row, and a U row scaled by 2 must each be refused
+    # an entry in a later row, a U row scaled by 2 and a U row that adds a
+    # later peel row must each be refused
     original = homology._eliminate
 
-    def tampered(mat, *args):
-        pivots, u_rest, v_rest, peeled = original(mat, *args)
+    def tampered(mat, *args, **kwargs):
+        pivots, u_rest, v, peeled = original(mat, *args, **kwargs)
         tamper(mat, pivots, peeled)
-        return pivots, u_rest, v_rest, peeled
+        return pivots, u_rest, v, peeled
 
     monkeypatch.setattr(homology, "_eliminate", tampered)
     with pytest.raises(InternalInvariant) as caught:
@@ -316,9 +347,9 @@ def _record_smith(monkeypatch):
     factored = []
     original = homology._smith
 
-    def recorded(mat, *args):
+    def recorded(mat, *args, **kwargs):
         factored.append(mat)
-        return original(mat, *args)
+        return original(mat, *args, **kwargs)
 
     monkeypatch.setattr(homology, "_smith", recorded)
     return factored
@@ -553,16 +584,21 @@ def test_zp_engine_agrees_with_z(name, module):
 
 
 def test_universal_coefficients_catch_a_pivot_scaled_by_p(monkeypatch):
-    # scaling one pivot's row of U and its diagonal entry by 3 keeps
-    # D = U*M*V, so the SNF self-check passes; the Z/3 engine disagrees
+    # scaling by 3 the row of U and the diagonal entry of a peel pivot whose
+    # row of M holds the pivot alone keeps W's row d alone, so the SNF
+    # self-check passes on a U that is not unimodular; the Z/3 engine disagrees
     original = homology._eliminate
 
-    def scaled(mat, p=None, track=True, skip=()):
-        pivots, *rest = original(mat, p, track, skip)
-        if p is None and pivots:
-            pivots[0][0] *= 3
-            pivots[0][1] = {i: 3 * c for i, c in pivots[0][1].items()}
-        return pivots, *rest
+    def scaled(mat, *args, **kwargs):
+        pivots, u_rest, v, peeled = original(mat, *args, **kwargs)
+        if call_arguments(original, mat, *args, **kwargs)["p"] is None:
+            for pivot in pivots[:peeled]:
+                (r,) = pivot[1]
+                if len(mat.by_row[r]) == 1:
+                    pivot[0] *= 3
+                    pivot[1] = {r: 3 * pivot[1][r]}
+                    break
+        return pivots, u_rest, v, peeled
 
     monkeypatch.setattr(homology, "_eliminate", scaled)
     fc = HochschildComplex(resolve_bimodule(load("exterior2"), "diagonal"), 4).truncation()
@@ -633,9 +669,12 @@ def test_a_zero_boundary_reaches_no_eliminator(monkeypatch, ring, rows, co_rows)
     calls = []
     for name in ("_smith", "rank_modp"):
         original = getattr(homology, name)
-        monkeypatch.setattr(
-            homology, name, lambda mat, *args, f=original: calls.append(mat) or f(mat, *args)
-        )
+
+        def counted(mat, *args, f=original, **kwargs):
+            calls.append(mat)
+            return f(mat, *args, **kwargs)
+
+        monkeypatch.setattr(homology, name, counted)
     assert [str(fc.homology(j)) for j in range(3)] == rows
     assert [str(fc.cohomology(j)) for j in range(3)] == co_rows
     assert calls == [fc.boundary(2)] and fc._factors[1] == []

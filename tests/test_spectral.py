@@ -374,9 +374,9 @@ def test_comparison_factor_count(monkeypatch):
     original = homology._smith
     calls = []
 
-    def counted(mat, *args):
+    def counted(mat, *args, **kwargs):
         calls.append(mat)
-        return original(mat, *args)
+        return original(mat, *args, **kwargs)
 
     monkeypatch.setattr(homology, "_smith", counted)
     verdict = comparison_check(induced(load("quasi_iso_pair").morphisms["include"], 4))
