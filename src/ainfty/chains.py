@@ -20,6 +20,15 @@ each term is summed straight into its row of the target matrix. Neither
 b nor f_* has a word-level body in the library; both reach the homology
 engine as matrices only. F_L's bases hold runs of the table's order, not
 words: a word is named only for a message.
+
+The walk makes no term with a strict unit u as an algebra input but the
+mu_2(u,u) insertions, with their sign flipped. The two faces beside a unit
+letter (mu_2(a,u) and mu_2(u,b), or at the word's ends mu_(0,1)(m,u) and the
+wrapped mu_(1,0)(u,m)) send the word to one word with opposite signs; summed
+over a word's unit letters, that counts every unit face once but a face
+between two units twice, so all unit faces add up to minus the (u,u) faces
+(d_i s_i = d_(i+1) s_i, Loday, Cyclic Homology, 1.1). strict_unit decides
+which letter, if any, is such a unit.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .bimodules import AInfinityBimodule, BimoduleMorphism
 from .errors import IndexOutOfRange, InternalInvariant, ModuleMismatch, TooLarge
 from .graded import Word
 from .homology import ExactMatrix, FiniteComplex
+from .signs import sign
 
 Chain = dict[Word, int]
 
@@ -47,6 +57,36 @@ def normalize(chain: Chain, ring) -> Chain:
         if c:
             out[w] = c
     return out
+
+
+def strict_unit(M: AInfinityBimodule) -> str | None:
+    """The letter u of A that b treats as a strict unit, or None.
+
+    In the walk's signs, with lam = +-1 the coefficient of mu_2(u,u) = lam u:
+    mu_2(u,b) = lam b, mu_2(a,u) = (-1)^|a| lam a, mu_(0,1)(m,u) =
+    -(-1)^|m| lam m and mu_(1,0)(u,m) = lam m for every letter a, b and every
+    m of M, and u is an input of no other entry of A or M.
+    """
+    mu2, norm = M.algebra.ops.get(2), M.ring.normalize
+    for u in M.algebra.module.names if mu2 else ():
+        lam = mu2.on_word((u, u)).terms.get(u)
+        if lam not in (norm(1), norm(-1)):
+            continue
+        expected = {}
+        for a, d in M.algebra.module.basis:
+            expected[2, (u, a)] = {a: lam}
+            expected[2, (a, u)] = {a: norm(sign(d) * lam)}
+        for m, d in M.module.basis:
+            expected[(0, 1), (m, u)] = {m: norm(-sign(d) * lam)}
+            expected[(1, 0), (u, m)] = {m: lam}
+        found = {}
+        for l, op in M.algebra.ops.items():
+            found.update(((l, k), v.terms) for k, v in op.entries() if u in k)
+        for (r, s), op in M.ops.items():
+            found.update((((r, s), k), v.terms) for k, v in op.entries() if u in k[:r] + k[r + 1 :])
+        if found == expected:
+            return u
+    return None
 
 
 def word_count(m_rank: int, a_rank: int, length: int) -> int:
@@ -156,17 +196,21 @@ class HochschildComplex:
           sign (-1)^deg P;
         - mu_(r,s) entry (K_r, m, K_s) -> m': the wrap-around walk of M's
           operations, with shift -1 and no twist.
+        With a strict unit u, the mu_2(u,u) terms, sign flipped, stand in for
+        every term with u as an algebra input (the module docstring).
         """
-        return self._walk(self.M.ops, self, -1, 0, self._insertions)
+        return self._walk(self.M.ops, self, -1, 0, self._insertions, strict_unit(self.M))
 
-    def _insertions(self, block) -> None:
-        """Hand block every mu_l term of b, a run of words at a time."""
+    def _insertions(self, block, unit: str | None) -> None:
+        """Hand block every mu_l term of b with no unit input, and the
+        mu_2(unit, unit) terms negated, a run of words at a time."""
         L, N, n_coeff = self.L, self.A.module.rank, self.M.module.rank
         apos, degree = self.A.module.position, self._tables().degree
         for l, op in self.A.ops.items():
             terms = [
-                (self._rank(key), apos(a), c)
+                (self._rank(key), apos(a), c if unit not in key else -c)
                 for key, value in op.entries()
+                if unit not in key or key == (unit, unit)
                 for a, c in value.terms.items()
             ]
             for p in range(L - l + 1):
@@ -190,10 +234,11 @@ class HochschildComplex:
                             v = -c if (p_degs[0] - degree[n][start]) & 1 else c
                             block(n, start, N**(l + t), k, t_start, N * span, prefixes, (v, -v))
 
-    def _walk(self, ops, target: HochschildComplex, shift: int, twist: int, more=None):
+    def _walk(self, ops, target: HochschildComplex, shift: int, twist: int, more=None, unit=None):
         """The map {j: F_L's degree j -> target's degree j + shift} of an
-        (r,s)-indexed family ops, in one walk over its entries, plus the
-        blocks that more(block) hands in.
+        (r,s)-indexed family ops, in one walk over its entries with no unit
+        among their algebra inputs, plus the blocks that more(block, unit)
+        hands in.
 
         An entry (K_r, m, K_s) -> m' sends (m, K_s, S, K_r) to (m', S) with
         sign (-1)^((deg m + red K_s + red S) red K_r + twist j), j the degree
@@ -234,9 +279,11 @@ class HochschildComplex:
                     del acc[col]
 
         if more is not None:
-            more(block)
+            more(block, unit)
         for (r, s), op in ops.items():
             for key, value in op.entries():
+                if unit in key[:r] + key[r + 1 :]:
+                    continue
                 K_r, m_pos, K_s = self._rank(key[:r]), mpos(key[r]), self._rank(key[r + 1 :])
                 odd = sum(self.A.module.degree_of(a) - 1 for a in key[:r]) & 1
                 for t in range(L - r - s + 1):

@@ -46,7 +46,10 @@ matrices now come from the walk that builds b, and no library code composes
 chain maps, adds chains, evaluates a functional on a chain or reads a sign
 word by word. The cup product with every spectator word enumerated
 (cup_oracle) is the former body of cup, its index bound corrected, kept to
-check the entry walk that replaced it.
+check the entry walk that replaced it. The walk given no unit
+(boundaries_oracle) makes every term of b, the strict unit's included, as
+HochschildComplex.boundaries did before it left them to the mu_2(u,u)
+terms; it is kept to check that the terms left out cancel.
 """
 
 import inspect
@@ -378,6 +381,49 @@ def reordered_document(name, seed):
 def load_reordered(name, seed):
     """The parsed reordered_document."""
     return parse(serialize(reordered_document(name, seed)))
+
+
+def renamed_document(name, seed):
+    """A fixture document with every basis name replaced by a fresh one,
+    through every table entry, and every basis shuffled so that its first
+    letter (the unit of the unital fixtures) is not first."""
+    doc = fixture_document(name)
+    rng = random.Random(seed)
+    specs = [doc["algebra"]] + list(doc.get("bimodules", {}).values())
+    names = [n for spec in specs for n, _ in spec["basis"]]
+    fresh = dict(zip(names, rng.sample([f"g{k}" for k in range(10 * len(names))], len(names))))
+    for spec in specs:
+        basis = [[fresh[n], d] for n, d in spec["basis"]]
+        first = basis[0]
+        rng.shuffle(basis)
+        if len(basis) > 1 and basis[0] is first:
+            basis.append(basis.pop(0))
+        spec["basis"] = basis
+
+    def rename(node):
+        if isinstance(node, dict) and "inputs" in node:
+            node["inputs"] = [fresh[n] for n in node["inputs"]]
+            node["output"] = {fresh[n]: c for n, c in node["output"].items()}
+        elif isinstance(node, (dict, list)):
+            for child in node.values() if isinstance(node, dict) else node:
+                rename(child)
+
+    rename(doc)
+    return doc
+
+
+def unitalized_mu3_document():
+    """mu3_square_zero with a strict unit e adjoined last: mu_2(e, x) = x and
+    mu_2(x, e) = (-1)^|x| x, so that a mu_3 sits beside the unit."""
+    doc = fixture_document("mu3_square_zero")
+    alg = doc["algebra"]
+    alg["basis"].append(["e", 0])
+    table = {}
+    for x, d in alg["basis"]:
+        table["e", x] = {x: "1"}
+        table[x, "e"] = {x: str(sign(d))}
+    alg["operations"]["2"] = [{"inputs": list(k), "output": v} for k, v in table.items()]
+    return doc
 
 
 ALGEBRA_FIXTURES = list(FIXTURE_NAMES)
@@ -865,6 +911,12 @@ def differential(cx, x):
         for w, v in differential_word(cx, word).items():
             add_into(acc, w, c * v)
     return normalize(acc, cx.ring)
+
+
+def boundaries_oracle(cx):
+    """Every boundary of F_L from b's walk given no unit, so that it makes
+    every term, the strict unit's included."""
+    return cx._walk(cx.M.ops, cx, -1, 0, cx._insertions)
 
 
 def image_complex(ring, basis, image):

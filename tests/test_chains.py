@@ -6,8 +6,11 @@ import tracemalloc
 
 import pytest
 
+from ainfty.algebra import AInfinityAlgebra, validate
 from ainfty.bimodules import (
+    AInfinityBimodule,
     BimoduleMorphism,
+    bimodule_op,
     diagonal_bimodule,
     dual_bimodule,
     identity_morphism,
@@ -17,6 +20,7 @@ from ainfty.chains import (
     HochschildComplex,
     InducedChainMap,
     normalize,
+    strict_unit,
     word_count,
 )
 from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
@@ -32,9 +36,11 @@ from helpers import (
     ComposedChainMap,
     add,
     b_component,
+    boundaries_oracle,
     b_component_oracle,
     chain_degree,
     cochain_basis,
+    cyclic_group_document,
     degree_one_document,
     diagonal_b_word,
     differential,
@@ -45,7 +51,10 @@ from helpers import (
     load,
     load_reordered,
     mu1_algebra,
+    renamed_document,
+    symmetric_group_document,
     truncation_oracle,
+    unitalized_mu3_document,
 )
 
 
@@ -433,6 +442,101 @@ def test_assembled_boundaries_of_a_dga_with_mu1():
             for j in fc.basis:
                 assert fc.boundary(j) == oracle.boundary(j), (M.name, L, j)
             assert any(fc.boundary(j).entries for j in fc.basis)
+
+
+def _unit_grid(doc):
+    """The diagonal, its dual, the tensor square, and each document bimodule and its dual."""
+    diag = diagonal_bimodule(doc.algebra)
+    out = [diag, dual_bimodule(diag), tensor_square_bimodule(doc.algebra)]
+    for M in doc.bimodules.values():
+        out += [M, dual_bimodule(M)]
+    return out
+
+
+def _assert_b_makes_every_term(M, lengths, where):
+    """boundaries() equals the walk that makes every term, entry for entry."""
+    for L in lengths:
+        cx = HochschildComplex(M, L)
+        assert cx.boundaries() == boundaries_oracle(cx), (where, M.name, L)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_boundaries_leave_out_only_unit_terms_that_cancel(name, p):
+    # b makes no term with the strict unit as an algebra input but the
+    # mu_2(u,u) insertions, negated; the walk given no unit makes them all
+    doc = load(name, p)
+    units = set()
+    for M in _unit_grid(doc):
+        units.add(strict_unit(M))
+        _assert_b_makes_every_term(M, range(6), (name, p))
+    # mu3_square_zero has no mu_2, and M and N of quasi_iso_pair no right action
+    expected = {"mu3_square_zero": {None}, "quasi_iso_pair": {"e", None}}
+    assert units == expected.get(name, {"1"})
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_boundaries_find_a_renamed_unit_that_is_not_first(name):
+    doc = parse(serialize(renamed_document(name, 7)))
+    units = {strict_unit(M) for M in _unit_grid(doc)} - {None}
+    assert len(units) == (name != "mu3_square_zero")
+    letters = doc.algebra.module
+    assert all(letters.position(u) > 0 or letters.rank == 1 for u in units)
+    for M in _unit_grid(doc):
+        _assert_b_makes_every_term(M, range(6), name)
+
+
+@pytest.mark.parametrize("group", ["C3", "S3"])
+def test_boundaries_of_group_rings_leave_out_the_unit_terms(group):
+    doc = cyclic_group_document(3) if group == "C3" else symmetric_group_document()
+    doc = parse(serialize(doc))
+    for M in _unit_grid(doc):
+        assert strict_unit(M) == "1"
+        _assert_b_makes_every_term(M, range(4), group)
+
+
+def test_boundaries_of_a_strictly_unital_mu3():
+    # mu3_square_zero with a unit e adjoined: a mu_3 sits beside the unit
+    doc = parse(serialize(unitalized_mu3_document()))
+    assert all(validate(doc.algebra, 6).values())
+    for M in _unit_grid(doc):
+        assert strict_unit(M) == "e"
+        _assert_b_makes_every_term(M, range(6), "unital mu3")
+
+
+def _with_op(A, n, table):
+    """A copy of A whose mu_n has the given table."""
+    op = MultilinearOp((A.module,) * n, A.module, 2 - n, table, label=f"mu_{n}")
+    return AInfinityAlgebra(A.module, {**A.ops, n: op})
+
+
+def _not_unital():
+    """Bimodules on which one identity of the strict unit fails."""
+    A = load("exterior2").algebra
+    flipped = dict(A.ops[2].entries())
+    # mu_2(x,1) = -x: a check asking only for +-1 accepts x
+    flipped["x", "1"] = flipped["x", "1"].scale(-1)
+    yield "flipped mu_2(x,1)", diagonal_bimodule(_with_op(A, 2, flipped))
+    yield "mu_3(1,x,y)", diagonal_bimodule(_with_op(A, 3, {("1", "x", "y"): {"x": 1}}))
+    diag = diagonal_bimodule(A)
+    table = {key: value for key, value in diag.ops[0, 1].entries() if key != ("x", "1")}
+    missing = {**diag.ops, (0, 1): bimodule_op(A, diag.module, 0, 1, table)}
+    yield "no mu_(0,1)(x,1)", AInfinityBimodule(A, diag.module, missing)
+    doc = load("quasi_iso_pair")
+    yield from doc.bimodules.items()
+
+
+@pytest.mark.parametrize(
+    "label", ["flipped mu_2(x,1)", "mu_3(1,x,y)", "no mu_(0,1)(x,1)", "M", "N"]
+)
+def test_a_failed_unit_identity_finds_no_unit(label):
+    M = dict(_not_unital())[label]
+    assert strict_unit(M) is None, label
+    _assert_b_makes_every_term(M, range(6), label)
+    # taking the letter for a unit anyway changes b
+    cx = HochschildComplex(M, 4)
+    unit = M.algebra.module.names[0]
+    assert cx._walk(M.ops, cx, -1, 0, cx._insertions, unit) != boundaries_oracle(cx), label
 
 
 @pytest.mark.parametrize("n", [-1, 4, 9])

@@ -1008,11 +1008,12 @@ def test_clearing_hands_the_eliminator_fewer_rows(tmp_path, capsys, monkeypatch)
 def test_peeling_unit_singletons_cuts_heap_traffic(tmp_path, capsys, monkeypatch):
     # hh and cohomology exterior2 at L=5 over Z/3 take 2112 pivots; peeling
     # the unit singleton columns first leaves 696 entries to heapify, and
-    # 239 more are pushed while the heap is worked off. The eliminator loads
-    # each boundary row by row, and that order sets the peel's queue and the
-    # heap's re-validations (232 pushed when it loaded entry by entry in the
-    # walk's order). Heaping every entry before the first pivot heaped
-    # 12 569 entries and popped as many.
+    # 232 more are pushed while the heap is worked off. The eliminator loads
+    # each boundary row by row, in the order b's walk first reaches each row
+    # and column, and that order sets the peel's queue and the heap's
+    # re-validations (239 pushed when the walk also made b's unit terms).
+    # Heaping every entry before the first pivot heaped 12 569 entries and
+    # popped as many.
     import heapq
 
     import ainfty.homology as homology
@@ -1053,13 +1054,13 @@ def test_peeling_unit_singletons_cuts_heap_traffic(tmp_path, capsys, monkeypatch
         code, _, _ = run_cli([command, str(path), "--length", "5"], capsys)
         assert code == 0
     assert sum(pivots) == 2112
-    assert traffic == {"heapified": 696, "pushed": 239, "popped": 935}
+    assert traffic == {"heapified": 696, "pushed": 232, "popped": 928}
 
 
 @pytest.mark.parametrize(
     "fixture,length,work",
     [
-        ("exterior2", "5", {"u_rows": 1111, "long_u_rows": 70, "v_entries": 0}),
+        ("exterior2", "5", {"u_rows": 1111, "long_u_rows": 69, "v_entries": 0}),
         ("truncated_poly3", "6", {"u_rows": 853, "long_u_rows": 63, "v_entries": 20}),
     ],
 )
@@ -1071,6 +1072,8 @@ def test_snf_certificate_reads_u_and_only_the_remainders_v(
     # the column operations of remainder rounds, none on exterior2, which has
     # no torsion. The heap's V', with a column operation at every unit pivot,
     # held 418 entries on exterior2 at L=5, and on Z[S_3] at L=4 135 360.
+    # The order in which b's walk reaches the entries sets which rows are
+    # long: 70 on exterior2 when the walk also made b's unit terms.
     import ainfty.homology as homology
 
     original = homology._certify
