@@ -282,7 +282,7 @@ class HochschildComplex:
             more(block, unit)
         for (r, s), op in ops.items():
             for key, value in op.entries():
-                if unit in key[:r] + key[r + 1 :]:
+                if unit is not None and unit in key[:r] + key[r + 1 :]:
                     continue
                 K_r, m_pos, K_s = self._rank(key[:r]), mpos(key[r]), self._rank(key[r + 1 :])
                 odd = sum(self.A.module.degree_of(a) - 1 for a in key[:r]) & 1

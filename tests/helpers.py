@@ -55,7 +55,9 @@ terms; it is kept to check that the terms left out cancel.
 import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from ainfty.bimodules import AInfinityBimodule, _slot_family, bimodule_op, dual_name, tensor_name
 from ainfty.chains import HochschildComplex, InducedChainMap, normalize
@@ -81,6 +83,9 @@ from ainfty.errors import (
 )
 from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, sign
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import relabel  # noqa: E402
 
 
 def maltese0(m_degree, degrees, i):
@@ -384,31 +389,14 @@ def load_reordered(name, seed):
 
 
 def renamed_document(name, seed):
-    """A fixture document with every basis name replaced by a fresh one,
-    through every table entry, and every basis shuffled so that its first
-    letter (the unit of the unital fixtures) is not first."""
-    doc = fixture_document(name)
-    rng = random.Random(seed)
-    specs = [doc["algebra"]] + list(doc.get("bimodules", {}).values())
-    names = [n for spec in specs for n, _ in spec["basis"]]
-    fresh = dict(zip(names, rng.sample([f"g{k}" for k in range(10 * len(names))], len(names))))
-    for spec in specs:
-        basis = [[fresh[n], d] for n, d in spec["basis"]]
-        first = basis[0]
-        rng.shuffle(basis)
-        if len(basis) > 1 and basis[0] is first:
-            basis.append(basis.pop(0))
-        spec["basis"] = basis
-
-    def rename(node):
-        if isinstance(node, dict) and "inputs" in node:
-            node["inputs"] = [fresh[n] for n in node["inputs"]]
-            node["output"] = {fresh[n]: c for n, c in node["output"].items()}
-        elif isinstance(node, (dict, list)):
-            for child in node.values() if isinstance(node, dict) else node:
-                rename(child)
-
-    rename(doc)
+    """perfbench's relabel of a fixture document (every basis renamed and
+    shuffled), with an idempotent first letter of the algebra, the unit of
+    the unital fixtures, moved off the front."""
+    doc = relabel(fixture_document(name), random.Random(seed))
+    alg = doc["algebra"]
+    first = alg["basis"][0][0]
+    if {"inputs": [first, first], "output": {first: "1"}} in alg.get("product", []):
+        alg["basis"].append(alg["basis"].pop(0))
     return doc
 
 

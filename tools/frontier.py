@@ -2,12 +2,12 @@
 
 Run from the repository root:
 
-    python3 tools/frontier.py --repeat 3 --out BENCH_frontier.json
+    python3 tools/frontier.py
 
-Each job runs ``python -m ainfty COMMAND DOCUMENT --length L`` in its own
-child process, one at a time, with the library imported from ``--src``
-(default ``src/``) and a wall-time limit per run (``--limit``, seconds; a
-run past it is killed and recorded as timed out). For every run the ladder
+Each job runs ``python -m ainfty COMMAND DOCUMENT --length L`` REPEAT times,
+each in its own child process, one at a time, with the library imported from
+``--src`` (default ``src/``) and a wall-time limit of LIMIT_S seconds per run
+(a run past it is killed and recorded as timed out). For every run the ladder
 records the wall time, the child's peak resident memory (``ru_maxrss`` from
 ``os.wait4``), the exit code and the sha256 of its stdout, and writes them,
 with the host's Python and CPU count, to ``--out`` as JSON. The documents
@@ -34,6 +34,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+REPEAT = 3
+LIMIT_S = 120.0
 
 JOBS = (
     [
@@ -64,8 +66,8 @@ def write_documents(src: Path, folder: Path) -> dict[tuple[str, str], Path]:
     return paths
 
 
-def run_once(argv: list[str], env: dict, limit: float, out_path: Path) -> dict:
-    """Run argv to completion or to the limit; time it and read its rusage."""
+def run_once(argv: list[str], env: dict, out_path: Path) -> dict:
+    """Run argv to completion or to LIMIT_S seconds; time it and read its rusage."""
     with open(out_path, "wb") as out:
         start = time.perf_counter()
         child = subprocess.Popen(argv, stdout=out, stderr=subprocess.DEVNULL, env=env)
@@ -74,7 +76,7 @@ def run_once(argv: list[str], env: dict, limit: float, out_path: Path) -> dict:
             pid, status, usage = os.wait4(child.pid, os.WNOHANG)
             if pid:
                 break
-            if time.perf_counter() - start > limit:
+            if time.perf_counter() - start > LIMIT_S:
                 child.kill()
                 timed_out = True
                 pid, status, usage = os.wait4(child.pid, 0)
@@ -96,11 +98,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_frontier.json")
-    parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--limit", type=float, default=120.0)
     args = parser.parse_args()
-    if args.repeat < 1 or args.limit <= 0:
-        parser.error("--repeat must be at least 1 and --limit positive")
     src = args.src.resolve()
     env = {k: v for k, v in os.environ.items() if not k.startswith("AINFTY_")}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -111,7 +109,7 @@ def main() -> int:
         for command, fixture, ring, length in JOBS:
             argv = [sys.executable, "-m", "ainfty", command, str(documents[fixture, ring])]
             argv += ["--length", str(length)]
-            runs = [run_once(argv, env, args.limit, folder / "stdout") for _ in range(args.repeat)]
+            runs = [run_once(argv, env, folder / "stdout") for _ in range(REPEAT)]
             job = {"command": command, "fixture": fixture, "ring": ring, "length": length}
             job["runs"] = runs
             results.append(job)
