@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .bimodules import AInfinityBimodule, Verdict, _verdict, bimodule_residuals, diagonal_bimodule
+from .bimodules import Verdict, _verdict, bimodule_residuals, diagonal_bimodule
 from .errors import DegreeMismatch, LeibnizFailure, NotADifferential, NotAssociative
 from .graded import Element, GradedModule, MultilinearOp, Word
 from .signs import sign
@@ -58,31 +58,22 @@ class AInfinityAlgebra:
 
 
 def equation_residuals(algebra: AInfinityAlgebra, r: int) -> dict[Word, Element]:
-    """Nonzero left-hand sides of the r-th defining equation, by word."""
-    return _residuals(diagonal_bimodule(algebra), r)
-
-
-def _residuals(diagonal: AInfinityBimodule, r: int) -> dict[Word, Element]:
-    """The type-(0, r - 1) residuals of the diagonal, read back in A."""
-    amod = diagonal.algebra.module
-    return {w: Element(amod, e.terms) for w, e in bimodule_residuals(diagonal, 0, r - 1).items()}
+    """Nonzero left-hand sides of the r-th defining equation, by word: the
+    type-(0, r - 1) residuals of the diagonal, read back in A."""
+    residuals = bimodule_residuals(diagonal_bimodule(algebra), 0, r - 1)
+    return {w: Element(algebra.module, e.terms) for w, e in residuals.items()}
 
 
 def check_defining_equation(algebra: AInfinityAlgebra, r: int) -> Verdict:
     """Verify the r-th defining equation; a failure names the least failing
     word, compared by basis positions, with its residual."""
-    return _check(diagonal_bimodule(algebra), r)
-
-
-def _check(diagonal: AInfinityBimodule, r: int) -> Verdict:
-    """check_defining_equation on an already built diagonal."""
-    return _verdict(f"A-infinity equation r={r}", diagonal, 0, _residuals(diagonal, r))
+    failing = equation_residuals(algebra, r)
+    return _verdict(f"A-infinity equation r={r}", diagonal_bimodule(algebra), 0, failing)
 
 
 def validate(algebra: AInfinityAlgebra, r_max: int) -> dict[int, Verdict]:
-    """Defining equations for r = 1..r_max, on one diagonal; overall pass iff all hold."""
-    diagonal = diagonal_bimodule(algebra)
-    return {r: _check(diagonal, r) for r in range(1, r_max + 1)}
+    """Defining equations for r = 1..r_max; overall pass iff all hold."""
+    return {r: check_defining_equation(algebra, r) for r in range(1, r_max + 1)}
 
 
 def shift(algebra: AInfinityAlgebra) -> GradedModule:
@@ -100,8 +91,8 @@ def from_dga(
     Stores mu_1 = d and mu_2(a,b) = (-1)^{deg a} ab. Under this sign twist the
     defining equations r = 1, 3 and 2 are d*d = 0, associativity of the
     product and the graded Leibniz rule d(ab) = d(a)b + (-1)^{deg a} a d(b),
-    checked in that order on one diagonal once both degrees are right; each
-    names the first failing word in basis order.
+    checked in that order once both degrees are right; each names the first
+    failing word in basis order.
     """
     mu1 = {}
     if differential is not None:
@@ -113,19 +104,18 @@ def from_dga(
     mu2_table = {key: v.scale(sign(module.degree_of(key[0]))) for key, v in product.entries()}
     mu2 = MultilinearOp((module, module), module, 0, mu2_table, label="mu_2")
     algebra = AInfinityAlgebra(module, {2: mu2, **mu1})
-    diagonal = diagonal_bimodule(algebra)
-    verdict = _check(diagonal, 1)
+    verdict = check_defining_equation(algebra, 1)
     if not verdict.holds:
         raise NotADifferential(f"d(d({verdict.word[0]})) != 0")
     # the r=3 residual on (a,b,c) is (-1)^{deg b}((ab)c - a(bc)), and the r=2
     # residual on (a,b) is (-1)^{deg a}(d(ab) - d(a)b - (-1)^{deg a} a d(b))
-    verdict = _check(diagonal, 3)
+    verdict = check_defining_equation(algebra, 3)
     if not verdict.holds:
         a, b, c = verdict.word
         ea, eb, ec = (module.basis_element(n) for n in (a, b, c))
         left, right = product(product(ea, eb), ec), product(ea, product(eb, ec))
         raise NotAssociative(f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
-    verdict = _check(diagonal, 2)
+    verdict = check_defining_equation(algebra, 2)
     if not verdict.holds:
         (a, b), d = verdict.word, differential
         ea, eb = module.basis_element(a), module.basis_element(b)

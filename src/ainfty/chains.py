@@ -123,10 +123,7 @@ class HochschildComplex:
                 f"F_{length_cutoff} has {more}{count} words, above the limit of {MAX_WORDS}"
             )
         self._table: WordTable | None = None  # _tables()
-        # b as matrices, built once: F_L here; E^0 columns by p, then route,
-        # by spectral.py
-        self._truncation: FiniteComplex | None = None
-        self.columns: dict[int, dict] = {}
+        self._truncation: FiniteComplex | None = None  # b as F_L's matrices, built once
 
     def _by_rank(self, n: int) -> tuple[list[int], array]:
         """Hochschild degrees of the length-n words by rank, and the ranks in

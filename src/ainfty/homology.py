@@ -508,11 +508,19 @@ class HomologySummary:
         return " + ".join(bits) if bits else "0"
 
 
-def _factor(mat: ExactMatrix, ring: CoefficientRing) -> list[int]:
-    """Invariant factors of one boundary; over Z/p every nonzero one is a unit 1."""
-    if ring.is_field:
-        return [1] * rank_modp(mat, ring.p)[0]
-    return invariant_factors(mat)
+def _factors(mat: ExactMatrix, p: int | None, skip: Collection = ()) -> tuple[list, Collection]:
+    """Invariant factors of mat without the rows in skip (mod p all 1), and the
+    columns that clear: mod p every pivot's, over Z the peel's (FiniteComplex)."""
+    if not mat.by_row:  # a zero map has no invariant factors and clears nothing
+        return [], ()
+    if p:
+        rank, pivot_cols = rank_modp(mat, p, skip)
+        return [1] * rank, pivot_cols
+    if skip:
+        kept = {i: row for i, row in mat.by_row.items() if i not in skip}
+        mat = ExactMatrix._adopt(mat.rows, mat.cols, kept)
+    factors, peel, _ = _smith(mat, None)
+    return factors, set(peel)
 
 
 class FiniteComplex:
@@ -564,18 +572,7 @@ class FiniteComplex:
             # clearing needs d_{j-1} d_j = 0; see the class docstring
             cleared = self._pivot_cols.pop(j - 1, ())
             skip = cleared if j - 1 in self._checked else ()
-            d = self.boundary(j)
-            if not d.by_row:  # a zero map has no invariant factors and clears nothing
-                factors, pivot_cols = [], ()
-            elif self.ring.is_field:
-                rank, pivot_cols = rank_modp(d, self.ring.p, skip)
-                factors = [1] * rank
-            else:
-                if skip:
-                    kept = {i: row for i, row in d.by_row.items() if i not in skip}
-                    d = ExactMatrix._adopt(d.rows, d.cols, kept)
-                factors, peel, _ = _smith(d, None)
-                pivot_cols = set(peel)
+            factors, pivot_cols = _factors(self.boundary(j), self.ring.p, skip)
             if j + 1 not in self._factors:
                 self._pivot_cols[j] = pivot_cols
             self._factors[j] = factors
@@ -688,7 +685,8 @@ def induced_map_on_homology(
     cycles = len(target.basis.get(t, ())) - len(target._factored(t))
     F_j = _chain_map(source, target, maps, j, shift)
     hits = _hstack(F_j @ kernel_basis(source.boundary(j), ring), target.boundary(t + 1))
-    iso = _factor(hits, ring).count(1) == cycles and h_source.invariants() == h_target.invariants()
+    ones = _factors(hits, ring.p)[0].count(1)
+    iso = ones == cycles and h_source.invariants() == h_target.invariants()
     return InducedMapResult(h_source, h_target, iso)
 
 

@@ -2,13 +2,13 @@
 
 F_p collects the words of length at most p; the differential never increases
 length, so each level is a subcomplex. The zeroth page of the induced
-spectral sequence is the column complex (M (x) A^{(x)p}, b_1), built from
-operation entries along two independent routes (the mu_(0,0) and mu_1
-entries walked over the length-p words, vs. the length blocks of F_L's
-boundaries, which chains.HochschildComplex.boundaries assembles from every
-entry), and the first page is its homology. Columns are graded as F_L is,
-by Hochschild degree j, for p <= L only; reports index E^1 by the weight
-q = p - j, the total unshifted degree.
+spectral sequence is the column complex (M (x) A^{(x)p}, b_1), built where
+it is read along two independent routes: column_complex walks the mu_(0,0)
+and mu_1 entries over the length-p words, quotient_columns takes the length
+blocks of F_L's boundaries, which chains.HochschildComplex.boundaries
+assembles from every entry. The first page is its homology; e1_rows reads
+both. Columns are graded as F_L is, by Hochschild degree j, for p <= L
+only; reports index E^1 by the weight q = p - j, the total unshifted degree.
 
 The map a filtered map induces on E^0 is the diagonal blocks of its
 matrices over F_L, which one walk reads for every p: b_1 from b, and
@@ -31,32 +31,27 @@ Basis = dict[int, RankedWords]  # a column's words by Hochschild degree
 Bases = list[Basis]  # a complex's column bases, by p = 0..L
 
 
-def column_complex(
-    complex_: HochschildComplex, p: int, route: str = "direct"
-) -> FiniteComplex:
+def column_complex(complex_: HochschildComplex, p: int) -> FiniteComplex:
     """The column (M (x) A^{(x)p}, b_1) of the zeroth page, for 0 <= p <= L.
 
     It is graded as F_L is, by Hochschild degree j, and b_1 lowers j by one:
-    in degree j it holds the length-p run of F_L's degree-j basis.
-    route="direct" walks the arity-one entries; route="quotient" reads b_1
-    as the length blocks of F_L's boundaries (b never lengthens a word), one
-    walk for every column. Both routes have the same basis, and each column is
-    built once per complex.
+    in degree j it holds the length-p run of F_L's degree-j basis. This is
+    the direct route, from the arity-one entries.
     """
     L = complex_.L
     if not 0 <= p <= L:
         raise IndexOutOfRange(f"column p={p} is outside 0..{L}, the lengths of F_L")
-    columns, ring = complex_.columns.setdefault(p, {}), complex_.ring
-    if route not in columns:
-        if route == "direct":
-            basis = _column_basis(complex_, p)
-            columns[route] = FiniteComplex(ring, basis, _b1_matrices(complex_, p, basis))
-        else:
-            fc, bases = complex_.truncation(), [_column_basis(complex_, n) for n in range(L + 1)]
-            b1s = _length_blocks({j: fc.boundary(j) for j in fc.basis}, bases, bases, -1)
-            for n, basis in enumerate(bases):
-                complex_.columns.setdefault(n, {})[route] = FiniteComplex(ring, basis, b1s[n])
-    return columns[route]
+    basis = _column_basis(complex_, p)
+    return FiniteComplex(complex_.ring, basis, _b1_matrices(complex_, p, basis))
+
+
+def quotient_columns(complex_: HochschildComplex) -> list[FiniteComplex]:
+    """Every column p <= L by the quotient route, on column_complex's basis: b
+    never lengthens a word, so b_1 is the length blocks of F_L's boundaries."""
+    fc = complex_.truncation()
+    bases = [_column_basis(complex_, p) for p in range(complex_.L + 1)]
+    b1s = _length_blocks({j: fc.boundary(j) for j in fc.basis}, bases, bases, -1)
+    return [FiniteComplex(complex_.ring, basis, b1) for basis, b1 in zip(bases, b1s)]
 
 
 def _column_basis(complex_: HochschildComplex, p: int) -> Basis:
@@ -167,24 +162,22 @@ def _column_matrices(
     }
 
 
-def page1(
-    complex_: HochschildComplex, p: int, q: int, route: str = "direct"
-) -> HomologySummary:
+def page1(complex_: HochschildComplex, p: int, q: int) -> HomologySummary:
     """E^1_{p,-q} at weight q, the total unshifted degree: H_{p-q} of column p."""
-    return column_complex(complex_, p, route).homology(p - q)
-
-
-def column_weights(complex_: HochschildComplex, p: int) -> list[int]:
-    """The weights q = p - j of column p's degrees j, ascending."""
-    return sorted(p - j for j in column_complex(complex_, p).basis)
+    return column_complex(complex_, p).homology(p - q)
 
 
 def e1_rows(complex_: HochschildComplex):
     """E^1 by both routes, as (p, q, direct, quotient) for every column p <= L and
-    weight q, in that order: the one walk that spectral and verify report."""
+    weight q, in that order: the one walk that spectral and verify report. It
+    builds each column once, the quotient ones after the first direct group."""
+    quotient: list[FiniteComplex] = []
     for p in range(complex_.L + 1):
-        for q in column_weights(complex_, p):
-            yield p, q, page1(complex_, p, q), page1(complex_, p, q, "quotient")
+        direct = column_complex(complex_, p)
+        for j in sorted(direct.basis, reverse=True):  # q = p - j ascending
+            group = direct.homology(j)
+            quotient = quotient or quotient_columns(complex_)
+            yield p, p - j, group, quotient[p].homology(j)
 
 
 @dataclass

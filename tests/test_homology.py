@@ -137,7 +137,7 @@ def test_completed_v_undoes_a_peeled_chain(monkeypatch):
         product = mat @ K
         assert K.cols == 1 and (mod(product, ring.p) if ring.p else product).is_zero()
         # the kernel lattice (mod 3, the kernel) is spanned: K's factors are all 1
-        assert homology._factor(K, ring) == [1]
+        assert homology._factors(K, ring.p)[0] == [1]
     # a wrong column operation: a peeled coordinate of the last column off by one
     original = homology._complete_v
 

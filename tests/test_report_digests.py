@@ -5,8 +5,11 @@ its stdout. The grid is hh and cohomology over every fixture, the rings Z,
 Z/2, Z/3 and Z/5, the diagonal, tensor_square and dual modules and L = 2, 3
 and 4, plus spectral and verify at L = 3 on every fixture and ring, plus hh
 and cohomology on exterior2 at L = 5 over Z and Z/3, where boundary rows
-hold several entries. Each job runs in process on the fixture document as
-emitted; a refactor that keeps every report keeps every digest. Stderr, which carries timing, is not hashed.
+hold several entries, plus spectral on quasi_iso_pair over Z and Z/3 with
+--module M and N, where the E^1 rows and the comparison check read one
+complex. Each job runs in process on the fixture document as emitted; a
+refactor that keeps every report keeps every digest. Stderr, which carries
+timing, is not hashed.
 
 Regenerate the file only when a report is meant to change:
 
@@ -51,6 +54,9 @@ def grid() -> list[str]:
     for ring in ("Z", "Z/3"):
         for command in ("hh", "cohomology"):
             jobs.append(f"{command} exterior2 {ring} --module diagonal --length 5")
+    for ring in ("Z", "Z/3"):
+        for module in ("M", "N"):
+            jobs.append(f"spectral quasi_iso_pair {ring} --module {module} --length 3")
     return jobs
 
 
@@ -75,7 +81,7 @@ def documents(tmp_path_factory):
 
 
 def test_the_grid_is_the_digest_file():
-    assert len(grid()) == 484
+    assert len(grid()) == 488
     assert sorted(expected()) == sorted(grid())
 
 

@@ -14,7 +14,7 @@ from ainfty.errors import IndexOutOfRange, TooLarge
 from ainfty.graded import GradedModule, MultilinearOp
 from ainfty.documents import parse, serialize
 from ainfty.spectral import _length_blocks
-from ainfty.spectral import column_complex, column_weights, comparison_check, page1
+from ainfty.spectral import column_complex, comparison_check, e1_rows, page1, quotient_columns
 
 from helpers import (
     ALGEBRA_FIXTURES,
@@ -123,11 +123,12 @@ def test_page1_two_paths_agree():
             modules += list(doc.bimodules.values())
         for M in modules:
             cx = HochschildComplex(M, 4)
-            for p in range(5):
-                for q in column_weights(cx, p):
-                    direct = page1(cx, p, q, route="direct")
-                    quotient = page1(cx, p, q, route="quotient")
-                    assert direct.invariants() == quotient.invariants(), (name, p, q)
+            rows = 0
+            for p, q, direct, quotient in e1_rows(cx):
+                assert direct.invariants() == quotient.invariants(), (name, p, q)
+                assert direct.invariants() == page1(cx, p, q).invariants(), (name, p, q)
+                rows += 1
+            assert rows == sum(len(column_complex(cx, p).basis) for p in range(5))
 
 
 def test_page1_mod2_dense_oracle():
@@ -155,9 +156,35 @@ def test_quotient_columns_walk_each_boundary_once(monkeypatch):
     calls = []
     real = fc.boundary
     monkeypatch.setattr(fc, "boundary", lambda j: calls.append(j) or real(j))
-    for p in range(cx.L + 1):
-        column_complex(cx, p, route="quotient")
+    assert len(quotient_columns(cx)) == cx.L + 1
     assert sorted(calls) == sorted(fc.basis)
+
+
+def test_e1_rows_build_each_column_once(monkeypatch):
+    # one direct column per p and one walk over F_L's boundaries for all the
+    # quotient columns, however many weights a column has; direct column 0
+    # and its first group come first, so broken input fails there first
+    import ainfty.spectral as spectral
+    from ainfty.homology import FiniteComplex
+
+    cx = HochschildComplex(diagonal_bimodule(load("exterior2").algebra), 4)
+    calls = []
+
+    def counting(name, real):
+        return lambda *args: calls.append((name, args)) or real(*args)
+
+    fc = cx.truncation()
+    monkeypatch.setattr(fc, "boundary", counting("boundary", fc.boundary))
+    monkeypatch.setattr(FiniteComplex, "homology", counting("homology", FiniteComplex.homology))
+    for name in ("_b1_matrices", "_length_blocks"):
+        monkeypatch.setattr(spectral, name, counting(name, getattr(spectral, name)))
+    rows = list(e1_rows(cx))
+    names = [name for name, _ in calls]
+    assert names[:3] == ["_b1_matrices", "homology", "boundary"]
+    assert names.count("homology") == 2 * len(rows) > 2 * (cx.L + 1)
+    assert [args[1] for name, args in calls if name == "_b1_matrices"] == list(range(cx.L + 1))
+    assert names.count("_length_blocks") == 1
+    assert sorted(args[0] for name, args in calls if name == "boundary") == sorted(fc.basis)
 
 
 def _modules(doc):
@@ -168,7 +195,7 @@ def _modules(doc):
 
 
 def _assert_direct_matches_oracle(cx, p):
-    column = column_complex(cx, p, route="direct")
+    column = column_complex(cx, p)
     for j, keys in column.basis.items():
         rows = column.basis.get(j - 1, [])
         expected = basis_matrix(keys, rows, lambda w: b1_word(cx, w))
@@ -195,9 +222,9 @@ def test_direct_columns_match_oracle_with_nonzero_mu1():
     entries = 0
     for M in (diagonal, tensor_square_bimodule(A), dual_bimodule(diagonal)):
         cx = HochschildComplex(M, 4)
-        for p in range(5):
+        for p, quotient in enumerate(quotient_columns(cx)):
             entries += _assert_direct_matches_oracle(cx, p)
-            direct, quotient = column_complex(cx, p), column_complex(cx, p, route="quotient")
+            direct = column_complex(cx, p)
             for j in direct.basis:
                 assert direct.boundary(j) == quotient.boundary(j), (p, j)
     assert entries > 0
@@ -213,8 +240,7 @@ def test_quotient_slices_match_length_blocks(fixture, ring):
     for M in modules:
         cx = HochschildComplex(M, 3)
         blocks = length_blocks_oracle(cx)
-        for p in range(cx.L + 1):
-            column = column_complex(cx, p, route="quotient")
+        for p, column in enumerate(quotient_columns(cx)):
             b1 = blocks.get(p, {})
             for j, keys in column.basis.items():
                 rows = column.basis.get(j - 1, [])
@@ -234,7 +260,7 @@ def test_direct_columns_make_no_per_word_lookups(monkeypatch, algebra):
             cls, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     for p in range(cx.L + 1):
-        column_complex(cx, p, route="direct")
+        column_complex(cx, p)
     assert calls == []
 
 
@@ -294,15 +320,14 @@ def test_filtration_shift_of_induced_maps():
             assert filtration_level(out) <= len(w) - 2
 
 
-@pytest.mark.parametrize("route", ["direct", "quotient"])
-def test_columns_outside_the_cutoff_are_refused(route):
+def test_columns_outside_the_cutoff_are_refused():
     # a column is a slice of F_L, so p runs over 0..L only
     cx = HochschildComplex(load("quasi_iso_pair").bimodules["N"], 2)
     for p in (-1, cx.L + 1):
         with pytest.raises(IndexOutOfRange, match=rf"^column p={p} is outside 0\.\.2"):
-            column_complex(cx, p, route)
+            column_complex(cx, p)
     with pytest.raises(IndexOutOfRange):
-        page1(cx, cx.L + 1, 0, route)
+        page1(cx, cx.L + 1, 0)
 
 
 @pytest.mark.parametrize("route", ["direct", "quotient"])
@@ -320,11 +345,14 @@ def test_no_column_builds_more_words_than_the_budget(monkeypatch, route):
     monkeypatch.setattr(
         HochschildComplex, "_by_rank", lambda self, n: lengths.append(n) or real(self, n)
     )
-    for p in range(cx.L + 2):
-        try:
-            column_complex(cx, p, route)
-        except IndexOutOfRange:
-            assert p == cx.L + 1
+    if route == "direct":
+        for p in range(cx.L + 2):
+            try:
+                column_complex(cx, p)
+            except IndexOutOfRange:
+                assert p == cx.L + 1
+    else:
+        quotient_columns(cx)
     assert lengths and max(lengths) <= cx.L
     assert chains.word_count(4, 4, max(lengths)) <= chains.MAX_WORDS
 
