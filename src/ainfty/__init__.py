@@ -30,15 +30,12 @@ from .cochains import (
     Cochain,
     DualChainElement,
     b_star,
-    cocycle_to_morphism,
     codifferential,
     duality_iso,
-    duality_iso_inverse,
     elementary_cochain,
-    pullback,
 )
 from .cup import cup
-from .graded import Element, GradedModule, MultilinearOp, apply, degree, reduced_index
+from .graded import Element, GradedModule, MultilinearOp, apply, degree
 from .homology import (
     ExactMatrix,
     FiniteComplex,

@@ -466,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariant as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     finally:
         sys.stderr.write(f"elapsed: {time.monotonic() - started:.3f}s\n")
 

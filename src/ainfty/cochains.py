@@ -21,16 +21,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .bimodules import (
-    AInfinityBimodule,
-    BimoduleMorphism,
-    diagonal_bimodule,
-    dual_bimodule,
-    dual_name,
-    morphism_op,
-)
-from .chains import HochschildComplex, InducedChainMap, normalize
-from .errors import DegreeMismatch, ModuleMismatch, NotACocycle
+from .bimodules import AInfinityBimodule, dual_bimodule, dual_name
+from .chains import HochschildComplex, normalize
+from .errors import DegreeMismatch, ModuleMismatch
 from .graded import Word
 from .signs import maltese, sign
 
@@ -253,65 +246,3 @@ def duality_iso(
     if deg is None:
         deg = 0
     return Cochain(dual, deg, comps, cutoff)
-
-
-def duality_iso_inverse(
-    g: Cochain, complex_: HochschildComplex
-) -> DualChainElement:
-    """Inverse of phi on each finite block (the sign is its own inverse)."""
-    amod = complex_.A.module
-    acc: dict[Word, int] = {}
-    for n, table in g.components.items():
-        for word, value in table.items():
-            degs = [amod.degree_of(a) for a in word]
-            mal = maltese(degs, 1, n)
-            for name, c in value.items():
-                if not name.endswith("^"):
-                    raise ModuleMismatch("cochain coefficients are not dual-basis names")
-                m = name[:-1]
-                s_exp = complex_.M.module.degree_of(m) * mal
-                w = (m,) + word
-                acc[w] = acc.get(w, 0) + sign(s_exp) * c
-    return DualChainElement(complex_, acc)
-
-
-def pullback(
-    fstar: InducedChainMap, g: Cochain, dual: AInfinityBimodule | None = None
-) -> Cochain:
-    """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to
-    f_*'s cutoff; the result lies over dual, the source's dual (built when None)."""
-    dual_M = dual if dual is not None else dual_bimodule(fstar.f.source)
-    F, acc = fstar.matrices(), {}
-    for w, c in duality_iso_inverse(g, fstar.target).terms.items():
-        place = fstar.target._column_of(w)
-        if place is None:
-            continue
-        # psi_N(f_*(x)): the row of w in the matrix into w's degree
-        j = place[0] - fstar.degree
-        for k, v in F[j].by_row.get(place[1], {}).items() if j in F else ():
-            acc[j, k] = acc.get((j, k), 0) + c * v
-    psi_M = DualChainElement(fstar.source, _named(fstar.source, acc))
-    out = duality_iso(psi_M, dual=dual_M, cutoff=g.cutoff)
-    if out.is_zero():
-        return Cochain(dual_M, g.degree + fstar.f.degree, {}, g.cutoff)
-    return out
-
-
-def cocycle_to_morphism(
-    f: Cochain, diagonal: AInfinityBimodule | None = None
-) -> BimoduleMorphism:
-    """Reindex a beta-cocycle as a bimodule morphism A[1] -> M of the same degree.
-
-    f_{r,s}(a_1..a_r, a_0, a_{r+1}..a_{r+s}) := f_{r+s+1}(same word); the
-    arity-0 component has no morphism counterpart and must vanish.
-    """
-    if not codifferential(f).is_zero():
-        raise NotACocycle("cochain is not closed under the codifferential")
-    if f.component(0):
-        raise NotACocycle("arity-0 component has no morphism counterpart")
-    source = diagonal if diagonal is not None else diagonal_bimodule(f.A)
-    maps = {}
-    for n, table in f.components.items():
-        for r in range(n):
-            maps[(r, n - 1 - r)] = morphism_op(source, f.M, r, n - 1 - r, f.degree, table)
-    return BimoduleMorphism(source, f.M, f.degree, maps, name="cocycle")

@@ -140,10 +140,6 @@ def degree(e: Element) -> int:
     return degs.pop()
 
 
-def reduced_index(e: Element) -> int:
-    return degree(e) - 1
-
-
 class MultilinearOp:
     """Sparse table of a homogeneous multilinear operation.
 

@@ -49,19 +49,43 @@ word by word. The cup product with every spectator word enumerated
 check the entry walk that replaced it. The walk given no unit
 (boundaries_oracle) makes every term of b, the strict unit's included, as
 HochschildComplex.boundaries did before it left them to the mu_2(u,u)
-terms; it is kept to check that the terms left out cancel.
+terms; it is kept to check that the terms left out cancel. The pullback
+of cochains along f_* (pullback, with the inverse of phi,
+duality_iso_inverse) and the reindexing of a cocycle as a bimodule morphism
+(cocycle_to_morphism) are former library bodies that no command reaches,
+kept to check f_*'s matrices against duality_iso and the codifferential, and
+to generate the morphisms that f_* and the morphism equations are checked on.
 """
 
+import copy
 import inspect
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ainfty.bimodules import AInfinityBimodule, _slot_family, bimodule_op, dual_name, tensor_name
+from ainfty.bimodules import (
+    AInfinityBimodule,
+    BimoduleMorphism,
+    _slot_family,
+    bimodule_op,
+    diagonal_bimodule,
+    dual_bimodule,
+    dual_name,
+    morphism_op,
+    tensor_name,
+)
 from ainfty.chains import HochschildComplex, InducedChainMap, normalize
-from ainfty.cochains import Cochain, DualChainElement, coboundary
+from ainfty.cochains import (
+    Cochain,
+    DualChainElement,
+    _named,
+    coboundary,
+    codifferential,
+    duality_iso,
+)
 from ainfty.algebra import from_dga
 from ainfty.graded import Element, GradedModule, MultilinearOp
 from ainfty.rings import Z
@@ -78,6 +102,7 @@ from ainfty.errors import (
     InternalInvariant,
     LeibnizFailure,
     ModuleMismatch,
+    NotACocycle,
     NotADifferential,
     ZeroElement,
 )
@@ -85,7 +110,7 @@ from ainfty.fixtures import FIXTURE_NAMES, fixture_document
 from ainfty.signs import maltese, sign
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import relabel  # noqa: E402
+from workloads import _rs_slots, relabel  # noqa: E402
 
 
 def maltese0(m_degree, degrees, i):
@@ -397,6 +422,96 @@ def renamed_document(name, seed):
     first = alg["basis"][0][0]
     if {"inputs": [first, first], "output": {first: "1"}} in alg.get("product", []):
         alg["basis"].append(alg["basis"].pop(0))
+    return doc
+
+
+def _unitriangular_blocks(basis, rng):
+    """A random lower-unitriangular change of basis within each degree of a
+    [[name, degree], ...] basis, below-diagonal entries from {-1, 0, 1}, never
+    the identity on a degree of two letters or more: {new letter: {old letter:
+    c}} and its inverse. The first letter of each degree stays as it is."""
+    by_degree = {}
+    for name, d in basis:
+        by_degree.setdefault(d, []).append(name)
+    forward, inverse = {}, {}
+    for names in by_degree.values():
+        while True:
+            rows = [[rng.choice((-1, 0, 1)) for _ in range(i)] for i in range(len(names))]
+            if len(names) < 2 or any(map(any, rows)):
+                break
+        for i, name in enumerate(names):
+            # b_i = e_i + sum_j rows[i][j] e_j, and e_i = b_i - sum_j rows[i][j] e_j
+            forward[name] = {names[j]: c for j, c in enumerate(rows[i]) if c}
+            forward[name][name] = 1
+            back = {name: 1}
+            for j, c in enumerate(rows[i]):
+                for k, v in inverse.get(names[j], {}).items() if c else ():
+                    back[k] = back.get(k, 0) - c * v
+            inverse[name] = {k: v for k, v in back.items() if v}
+    return forward, inverse
+
+
+def _rebase_entries(entries, inputs, output):
+    """Table entries rewritten in the new bases: inputs holds, per slot, the
+    new letters as combinations of the old; output, the old output letters as
+    combinations of the new."""
+    columns = [{} for _ in inputs]  # per slot: old letter -> [(new letter, c)]
+    for slot, forward in zip(columns, inputs):
+        for new, old in forward.items():
+            for name, c in old.items():
+                slot.setdefault(name, []).append((new, c))
+    table = {}
+    for entry in entries:
+        images = {}
+        for name, c in entry["output"].items():
+            for new, v in output[name].items():
+                images[new] = images.get(new, 0) + int(c) * v
+        for picks in itertools.product(*(col.get(n, ()) for col, n in zip(columns, entry["inputs"]))):
+            scale = math.prod(c for _, c in picks)
+            out = table.setdefault(tuple(new for new, _ in picks), {})
+            for new, v in images.items():
+                out[new] = out.get(new, 0) + scale * v
+    return [
+        {"inputs": list(word), "output": {n: str(c) for n, c in out.items() if c}}
+        for word, out in table.items()
+        if any(out.values())
+    ]
+
+
+def rebased_document(doc, seed):
+    """A copy of doc in a random integral lower-unitriangular basis within each
+    degree of A and of each bimodule, with every name kept.
+
+    Letter x of the copy stands for x plus a combination of the letters listed
+    before it in its degree, with coefficients in {-1, 0, 1}; the first letter
+    of each degree is unchanged, so a unit listed first stays a letter. The
+    product, the differential, the higher operations, the bimodule operations,
+    the morphism components and the cochains are carried through the change,
+    outputs through its inverse. HH and every report are invariant under it.
+    """
+    doc = copy.deepcopy(doc)
+    rng = random.Random(seed)
+    alg = doc["algebra"]
+    a, a_inv = _unitriangular_blocks(alg["basis"], rng)
+    for key, arity in (("product", 2), ("differential", 1)):
+        if key in alg:
+            alg[key] = _rebase_entries(alg[key], [a] * arity, a_inv)
+    for arity, entries in alg.get("operations", {}).items():
+        alg["operations"][arity] = _rebase_entries(entries, [a] * int(arity), a_inv)
+    modules = {}
+    for name in sorted(doc.get("bimodules", {})):
+        spec = doc["bimodules"][name]
+        m, m_inv = modules[name] = _unitriangular_blocks(spec["basis"], rng)
+        for key, entries in spec.get("operations", {}).items():
+            spec["operations"][key] = _rebase_entries(entries, _rs_slots(key, a, m), m_inv)
+    for spec in doc.get("morphisms", {}).values():
+        src, tgt = modules[spec["source"]][0], modules[spec["target"]][1]
+        for key, entries in spec.get("components", {}).items():
+            spec["components"][key] = _rebase_entries(entries, _rs_slots(key, a, src), tgt)
+    # cochains take values in the diagonal bimodule, whose basis is A's
+    for spec in doc.get("cochains", {}).values():
+        for arity, entries in spec["components"].items():
+            spec["components"][arity] = _rebase_entries(entries, [a] * int(arity), a_inv)
     return doc
 
 
@@ -1530,6 +1645,64 @@ def b_star_oracle(psi):
         if v:
             acc[w] = v
     return DualChainElement(cx, acc)
+
+
+def duality_iso_inverse(g, complex_):
+    """Inverse of phi on each finite block (the sign is its own inverse); the
+    former library body, which no command reads."""
+    amod = complex_.A.module
+    acc = {}
+    for n, table in g.components.items():
+        for word, value in table.items():
+            mal = maltese([amod.degree_of(a) for a in word], 1, n)
+            for name, c in value.items():
+                if not name.endswith("^"):
+                    raise ModuleMismatch("cochain coefficients are not dual-basis names")
+                m = name[:-1]
+                add_into(acc, (m,) + word, sign(complex_.M.module.degree_of(m) * mal) * c)
+    return DualChainElement(complex_, acc)
+
+
+def pullback(fstar, g, dual=None):
+    """f^* = phi_M . (f_*)^* . phi_N^{-1} on cochains over the target's dual, up to
+    f_*'s cutoff; the result lies over dual, the source's dual (built when None).
+    The former library body, kept to tie f_*'s matrices to duality_iso and the
+    codifferential."""
+    dual_M = dual if dual is not None else dual_bimodule(fstar.f.source)
+    F, acc = fstar.matrices(), {}
+    for w, c in duality_iso_inverse(g, fstar.target).terms.items():
+        place = fstar.target._column_of(w)
+        if place is None:
+            continue
+        # psi_N(f_*(x)): the row of w in the matrix into w's degree
+        j = place[0] - fstar.degree
+        for k, v in F[j].by_row.get(place[1], {}).items() if j in F else ():
+            acc[j, k] = acc.get((j, k), 0) + c * v
+    psi_M = DualChainElement(fstar.source, _named(fstar.source, acc))
+    out = duality_iso(psi_M, dual=dual_M, cutoff=g.cutoff)
+    if out.is_zero():
+        return Cochain(dual_M, g.degree + fstar.f.degree, {}, g.cutoff)
+    return out
+
+
+def cocycle_to_morphism(f, diagonal=None):
+    """Reindex a beta-cocycle as a bimodule morphism A[1] -> M of the same degree.
+
+    f_{r,s}(a_1..a_r, a_0, a_{r+1}..a_{r+s}) := f_{r+s+1}(same word); the
+    arity-0 component has no morphism counterpart and must vanish. The former
+    library body, kept to generate the morphisms that f_* and the morphism
+    equations are checked on.
+    """
+    if not codifferential(f).is_zero():
+        raise NotACocycle("cochain is not closed under the codifferential")
+    if f.component(0):
+        raise NotACocycle("arity-0 component has no morphism counterpart")
+    source = diagonal if diagonal is not None else diagonal_bimodule(f.A)
+    maps = {}
+    for n, table in f.components.items():
+        for r in range(n):
+            maps[(r, n - 1 - r)] = morphism_op(source, f.M, r, n - 1 - r, f.degree, table)
+    return BimoduleMorphism(source, f.M, f.degree, maps, name="cocycle")
 
 
 def regraded_codifferential(f):

@@ -19,7 +19,7 @@ from ainfty.bimodules import (
     validate_bimodule,
     validate_morphism,
 )
-from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
+from ainfty.cochains import codifferential, elementary_cochain
 from ainfty.algebra import AInfinityAlgebra, equation_residuals, from_dga, validate
 from ainfty.fixtures import FIXTURE_NAMES
 from ainfty.graded import Element, GradedModule, MultilinearOp
@@ -29,6 +29,7 @@ from helpers import (
     ALGEBRA_FIXTURES,
     bimodule_equation_residual_oracle,
     bimodule_words,
+    cocycle_to_morphism,
     dual_bimodule_oracle,
     equation_residual_oracle,
     load,

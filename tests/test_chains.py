@@ -23,7 +23,7 @@ from ainfty.chains import (
     strict_unit,
     word_count,
 )
-from ainfty.cochains import cocycle_to_morphism, codifferential, elementary_cochain
+from ainfty.cochains import codifferential, elementary_cochain
 from ainfty.documents import parse, serialize
 from ainfty.errors import IndexOutOfRange, Inhomogeneous, ModuleMismatch, TooLarge, ZeroElement
 from ainfty.fixtures import FIXTURE_NAMES
@@ -38,6 +38,7 @@ from helpers import (
     b_component,
     boundaries_oracle,
     b_component_oracle,
+    cocycle_to_morphism,
     chain_degree,
     cochain_basis,
     cyclic_group_document,

@@ -488,6 +488,26 @@ def test_length_raising_term_of_f_star_exits_3(tmp_path, capsys, monkeypatch):
     assert "internal error: ('m',) maps to the longer word ('w', 'e')" in err
 
 
+def test_unexpected_exception_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # exit 1 is a failed verdict; an exception the library does not expect
+    # is reported on one line with its type and exits 3
+    from ainfty import cli
+
+    def broken(doc, args, report):
+        raise KeyError("missing entry")
+
+    monkeypatch.setitem(cli.COMMANDS, "hh", broken)
+    path = tmp_path / "e1.json"
+    path.write_text(serialize(fixture_document("exterior1")))
+    code, out, err = run_cli(["hh", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert [l for l in err.splitlines() if l.startswith("internal error")] == [
+        "internal error: KeyError: 'missing entry'"
+    ]
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["hh", "/does/not/exist.json"], capsys)
     assert code == 2

@@ -17,12 +17,9 @@ from ainfty.cochains import (
     Cochain,
     DualChainElement,
     b_star,
-    cocycle_to_morphism,
     codifferential,
     duality_iso,
-    duality_iso_inverse,
     elementary_cochain,
-    pullback,
 )
 from ainfty.cup import cup_degree
 from ainfty.documents import parse, serialize
@@ -36,15 +33,18 @@ from helpers import (
     b_star_oracle,
     basis_matrix,
     classical_cochain_delta,
+    cocycle_to_morphism,
     component_word,
     evaluate,
     cochain_basis,
     cochain_complex,
     codifferential_oracle,
+    duality_iso_inverse,
     homology_of_truncation,
     induced,
     load,
     product_lookup,
+    pullback,
     regraded_chain_degree,
     regraded_codifferential,
 )

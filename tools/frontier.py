@@ -11,13 +11,17 @@ each in its own child process, one at a time, with the library imported from
 records the wall time, the child's peak resident memory (``ru_maxrss`` from
 ``os.wait4``), the exit code and the sha256 of its stdout, and writes them,
 with the host's Python and CPU count, to ``--out`` as JSON. The documents
-are the built-in fixtures, written once to a temporary directory with the
-ring switched where a job asks for Z/p.
+are the built-in fixtures and the group rings of ``tests/helpers.py``, written
+once to a temporary directory with the ring switched where a job asks for Z/p.
 
 The jobs: hh and cohomology on exterior2 at L=5..8 over Z and Z/3, hh on
 truncated_poly3 at L=8..10 over Z, and hh on exterior2 at L=9 over Z, which
-the word budget refuses with exit 2. Pointing ``--src`` at another checkout
-measures that commit with the same ladder.
+the word budget refuses with exit 2. Then hh over Z on the group rings:
+Z[S_3] (``S3``) at L=4..5, Z[C_5] (``C5``) at L=5..6, and Z[C_5] in a basis
+changed by ``rebased_document`` with seed 5 (``C5_rebased``) at L=5, whose
+stdout must equal that of ``C5`` at L=5. Pointing ``--src`` at another
+checkout measures that commit with the same ladder; the group rings are built
+by this checkout's ``tests/helpers.py`` against the library under ``--src``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 REPEAT = 3
 LIMIT_S = 120.0
+REBASE_SEED = 5
 
 JOBS = (
     [
@@ -46,19 +51,28 @@ JOBS = (
     ]
     + [("hh", "truncated_poly3", "Z", length) for length in range(8, 11)]
     + [("hh", "exterior2", "Z", 9)]
+    + [("hh", "S3", "Z", length) for length in (4, 5)]
+    + [("hh", "C5", "Z", length) for length in (5, 6)]
+    + [("hh", "C5_rebased", "Z", 5)]
 )
 
 
 def write_documents(src: Path, folder: Path) -> dict[tuple[str, str], Path]:
     """One document per (fixture, ring) of the ladder, from the library under src."""
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(ROOT / "tests")]
     from ainfty.documents import serialize
     from ainfty.fixtures import fixture_document
+    from helpers import cyclic_group_document, rebased_document, symmetric_group_document
 
+    builders = {
+        "S3": symmetric_group_document,
+        "C5": lambda: cyclic_group_document(5),
+        "C5_rebased": lambda: rebased_document(cyclic_group_document(5), REBASE_SEED),
+    }
     paths = {}
     for _, fixture, ring, _ in JOBS:
         if (fixture, ring) not in paths:
-            doc = fixture_document(fixture)
+            doc = builders.get(fixture, lambda: fixture_document(fixture))()
             if ring != "Z":
                 doc["ring"] = {"kind": "Zp", "p": int(ring)}
             path = paths[fixture, ring] = folder / f"{fixture}-{ring}.json"
